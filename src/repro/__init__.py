@@ -21,7 +21,6 @@ The package is organised as:
 
 from repro.core import (
     ArraySource,
-    BatchedBackend,
     CompiledQuery,
     CsvSource,
     Event,
@@ -70,7 +69,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
     "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",

@@ -2,12 +2,13 @@
 
 Every :class:`~repro.core.operators.base.Operator` makes compile-time
 *claims* the runtime trusts without checking: ``batch_safe`` promises
-window-widening invariance (the batched backend widens on its word),
-``compute_run`` promises bit-identity with per-window ``compute`` (the
-vectorized backend dispatches it on its word), ``snapshot_state`` promises
-a complete deep copy (checkpoints and failover restore on its word), and
-``warmup_windows`` promises that replaying that many windows rebuilds
-mid-stream state (sharded workers replay exactly that much).
+window-widening invariance (run lowering treats a run buffer as one wider
+window on its word), ``compute_run`` promises bit-identity with per-window
+``compute`` (the vectorized backend dispatches it on its word),
+``snapshot_state`` promises a complete deep copy (checkpoints and failover
+restore on its word), and ``warmup_windows`` promises that replaying that
+many windows rebuilds mid-stream state (sharded workers replay exactly
+that much).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
@@ -49,7 +50,7 @@ class OperatorCase:
     """One registered conformance case: an operator in a runnable plan.
 
     ``build`` returns a fresh ``(query, sources)`` pair each call — the
-    checks compile the plan several times (reference, widened twin,
+    checks compile the plan several times (reference, widened recompile,
     restored continuation) and each compile must start from pristine
     state.  ``window_size`` must satisfy every dimension constraint of the
     built plan.
@@ -161,8 +162,8 @@ def _check_batch_safety(case: OperatorCase, out: list[Diagnostic]) -> None:
                 "error",
                 f"{case.name} declares batch_safe=True but widening the "
                 f"window {case.widen_factor}x changed its output "
-                f"({reference[0].size} vs {widened[0].size} events); the "
-                "batched backend would silently corrupt results",
+                f"({reference[0].size} vs {widened[0].size} events); run "
+                "execution would silently corrupt results",
                 anchor=case.name,
             )
         )

@@ -1,6 +1,6 @@
 """Benchmark harness: timing, workloads and reporting shared by ``benchmarks/``."""
 
-from repro.bench.harness import Comparison, Measurement, measure
+from repro.bench.harness import Comparison, Measurement
 from repro.bench.reporting import format_table, load_results, save_results
 from repro.bench.workloads import (
     E2E_BENCH_SECONDS,
@@ -18,7 +18,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "measure",
     "Measurement",
     "Comparison",
     "format_table",

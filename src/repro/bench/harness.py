@@ -37,38 +37,6 @@ class Measurement:
         return self.throughput_events_per_second / 1e6
 
 
-def measure(
-    name: str,
-    fn: Callable[[], object],
-    repeat: int = 3,
-    events: int = 0,
-) -> Measurement:
-    """Run *fn* *repeat* times and keep the median wall-clock time.
-
-    The paper reports the average of 10 trials with <1% deviation; the
-    reproduction uses fewer trials (the median of 3 by default) because the
-    Python baselines are orders of magnitude slower per trial, and records
-    the spread in the measurement extras instead.
-    """
-    if repeat <= 0:
-        raise ValueError(f"repeat must be positive, got {repeat}")
-    timings = []
-    result = None
-    for _ in range(repeat):
-        began = time.perf_counter()
-        result = fn()
-        timings.append(time.perf_counter() - began)
-    measurement = Measurement(
-        name=name,
-        seconds=median(timings),
-        events=events,
-        extra={"min_seconds": min(timings), "max_seconds": max(timings), "repeat": repeat},
-    )
-    if result is not None:
-        measurement.extra["last_result"] = result
-    return measurement
-
-
 @dataclass
 class Comparison:
     """A set of measurements of the same workload on different systems."""
@@ -103,17 +71,40 @@ def compare_backends(
     repeat: int = 3,
     events: int = 0,
 ) -> Comparison:
-    """Measure the same workload once per execution backend.
+    """Measure the same workload on every execution backend, interleaved.
 
     ``run_fn`` receives each backend object (e.g. a
     :class:`~repro.core.runtime.backends.ExecutionBackend` or a pre-compiled
-    query bound to one) and runs the workload with it; the median of
-    *repeat* trials is recorded per backend.  The returned
-    :class:`Comparison` exposes ``speedup(fast, slow)`` — this is how the
-    backend benchmarks quantify batched/fused execution against the serial
-    reference.
+    query bound to one) and runs the workload with it.  Trials go round
+    robin — one trial of every backend, *repeat* times — so a slow stretch
+    of the host lands on all configurations alike instead of on whichever
+    was being measured at the time, and each backend's ``seconds`` is its
+    *best* trial: interference only ever adds time, so ratios of best times
+    are steadier than ratios of medians (the median and the slowest trial
+    are kept in ``extra``).  The returned :class:`Comparison` exposes
+    ``speedup(fast, slow)`` — this is how the backend benchmarks quantify
+    run-lowered execution against the serial reference.
     """
+    if repeat <= 0:
+        raise ValueError(f"repeat must be positive, got {repeat}")
+    timings: dict[str, list[float]] = {name: [] for name in backends}
+    for _ in range(repeat):
+        for name, backend in backends.items():
+            began = time.perf_counter()
+            run_fn(backend)
+            timings[name].append(time.perf_counter() - began)
     comparison = Comparison(workload=workload)
-    for name, backend in backends.items():
-        comparison.add(measure(name, lambda b=backend: run_fn(b), repeat=repeat, events=events))
+    for name, samples in timings.items():
+        comparison.add(
+            Measurement(
+                name=name,
+                seconds=min(samples),
+                events=events,
+                extra={
+                    "median_seconds": median(samples),
+                    "max_seconds": max(samples),
+                    "repeat": repeat,
+                },
+            )
+        )
     return comparison

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.timeutil import TICKS_PER_SECOND
 from repro.data.dataset import PatientRecord, make_cap_patient, make_overlap_patient, make_patient
 from repro.data.gaps import inject_burst_gaps
 from repro.data.physio import generate_abp, generate_ecg
@@ -87,6 +88,27 @@ def e2e_dataset(
 def continuous_e2e_dataset(duration_seconds: float = E2E_BENCH_SECONDS, seed: int = 0):
     """Gap-free ECG/ABP pair (the synthetic-dataset variant of the benchmark)."""
     return e2e_dataset(duration_seconds, ecg_gap_fraction=0.0, abp_gap_fraction=0.0, seed=seed)
+
+
+def duty_cycle_e2e_dataset(
+    data_seconds: int, gap_seconds: int, duration_seconds: float = 1200.0, seed: int = 0
+):
+    """ECG/ABP pair that is present for *data_seconds* out of every
+    ``data_seconds + gap_seconds``, on both signals at once.
+
+    At one-second windows the joined coverage then forms runs of exactly
+    *data_seconds* consecutive windows — the knob the backend sweep turns.
+    """
+    cycle = (data_seconds + gap_seconds) * TICKS_PER_SECOND
+    (ecg_times, ecg_values), (abp_times, abp_values) = continuous_e2e_dataset(
+        duration_seconds, seed=seed
+    )
+    ecg_keep = ecg_times % cycle < data_seconds * TICKS_PER_SECOND
+    abp_keep = abp_times % cycle < data_seconds * TICKS_PER_SECOND
+    return (ecg_times[ecg_keep], ecg_values[ecg_keep]), (
+        abp_times[abp_keep],
+        abp_values[abp_keep],
+    )
 
 
 def overlap_dataset(overlap: float, duration_seconds: float = 120.0, seed: int = 0) -> PatientRecord:

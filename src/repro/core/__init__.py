@@ -16,7 +16,6 @@ from repro.core.fwindow import FWindow
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
 from repro.core.runtime.backends import (
-    BatchedBackend,
     ExecutionBackend,
     MultiprocessBackend,
     SerialBackend,
@@ -48,7 +47,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
     "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",

@@ -145,9 +145,7 @@ class CompiledPlan:
     pass_timings: list[PassTiming] = field(default_factory=list)
     #: Free-form per-pass facts (e.g. fusion statistics).
     pass_metadata: dict = field(default_factory=dict)
-    #: The query and bound sources the plan was compiled from.  Execution
-    #: backends that need a re-shaped twin of the plan (e.g. the batched
-    #: backend's widened windows) recompile from these.
+    #: The query and bound sources the plan was compiled from.
     query: Query | None = None
     sources: dict[str, StreamSource] | None = None
     tracer: object = None

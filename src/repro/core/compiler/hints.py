@@ -1,10 +1,10 @@
 """Profile-derived compilation hints.
 
-Compilation normally fixes every tunable — batching width, fusion
-boundaries, the vectorized run cap, targeted-vs-eager enumeration, the
-execution backend — once, from static heuristics, before a single window
-has run.  :class:`CompileHints` is the feedback path back into the
-compiler: a small, immutable record of the choices a runtime profile
+Compilation normally fixes every tunable — fusion boundaries, the
+vectorized run cap, targeted-vs-eager enumeration, the execution backend —
+once, from static heuristics, before a single window has run.
+:class:`CompileHints` is the feedback path back into the compiler: a
+small, immutable record of the choices a runtime profile
 (:class:`~repro.core.runtime.profile.PlanProfile`) recommends, threaded
 through :func:`~repro.core.compiler.compile_plan` into the pass pipeline.
 
@@ -32,8 +32,6 @@ class CompileHints:
     static default for that decision.
     """
 
-    #: Windows per dispatch for the batched backend's widened twin.
-    batch_windows: int | None = None
     #: Cap on windows per contiguous run buffer for the vectorized backend.
     max_run_windows: int | None = None
     #: Cut fused element-wise chains at this many stages (fusion boundary).
@@ -47,7 +45,7 @@ class CompileHints:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        for field_name in ("batch_windows", "max_run_windows", "max_fusion_length"):
+        for field_name in ("max_run_windows", "max_fusion_length"):
             value = getattr(self, field_name)
             if value is not None and value < 1:
                 raise CompilationError(
@@ -60,25 +58,22 @@ class CompileHints:
             )
 
     def cache_key(self) -> tuple:
-        """Hashable identity of the *decisions* (the reason text is excluded,
-        so two profiles that converge on the same choices share one compiled
-        template in the plan cache)."""
-        return (
-            "compile-hints",
-            self.batch_windows,
-            self.max_run_windows,
-            self.max_fusion_length,
-            self.targeted,
-            self.backend,
-        )
+        """Hashable identity of the hints *as the compiler sees them*.
+
+        Only :attr:`max_fusion_length` is read by the pass pipeline; the run
+        cap, the enumeration mode and the backend are runtime choices made
+        on the same compiled template.  Keying on them would make clients
+        whose profiles differ only in run length recompile byte-identical
+        plans, each burning a plan-cache slot.  A pass that starts reading
+        another field must add it here.
+        """
+        return ("compile-hints", self.max_fusion_length)
 
     def describe(self) -> str:
         """Compact one-line summary for ``explain()`` and log lines."""
         parts = []
         if self.backend is not None:
             parts.append(f"backend={self.backend}")
-        if self.batch_windows is not None:
-            parts.append(f"batch_windows={self.batch_windows}")
         if self.max_run_windows is not None:
             parts.append(f"max_run_windows={self.max_run_windows}")
         if self.max_fusion_length is not None:

@@ -168,8 +168,7 @@ class VectorizePass(CompilerPass):
 
     def run(self, ctx: PassContext) -> None:
         # Imported lazily: the runtime package imports the compiler at module
-        # load (backends compile widened twins), so a module-level import
-        # here would cycle mid-initialisation.
+        # load, so a module-level import here would cycle mid-initialisation.
         from repro.core.runtime.vectorized import annotate_plan
 
         ctx.metadata["vectorize"] = annotate_plan(ctx.require_sink())

@@ -20,9 +20,9 @@ Typical use::
 
 Scaling the same query up is a constructor argument away::
 
-    from repro.core.runtime import BatchedBackend, MultiprocessBackend
+    from repro.core.runtime import MultiprocessBackend, VectorizedBackend
 
-    engine = LifeStreamEngine(backend=BatchedBackend(batch_windows=16))
+    engine = LifeStreamEngine(backend=VectorizedBackend())
     engine = LifeStreamEngine(backend=MultiprocessBackend(n_workers=4))
 """
 

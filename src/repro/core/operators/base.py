@@ -108,15 +108,15 @@ class Operator:
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
         """Whether per-window output is invariant to widening the FWindow.
 
-        The batched execution backend replaces N consecutive windows of
-        dimension D with one window of dimension N*D.  That is only exact
-        for operators whose window boundaries are semantically invisible —
+        Run execution replaces N consecutive windows of dimension D with
+        one run buffer of dimension N*D.  That is only exact for operators
+        whose window boundaries are semantically invisible —
         true for element-wise ops, chunk-local transforms, stride-aligned
         aggregates and carry-correct joins, but **not** for operators whose
         output near a boundary depends on how much of the stream the window
         exposes (boundary-clamped interpolation, successor lookups, matching
         normalised against the window's value range).  Those return False
-        and force the batched backend to fall back to serial execution.
+        and run window by window inside a run (the per-node fallback).
         """
         return True
 
@@ -190,7 +190,7 @@ class WindowAgnosticRun:
     """Mixin for operators whose ``compute`` never inspects window extent.
 
     Batch-safe operators compute the same per-slot output whatever the
-    FWindow dimension (the invariant the batched backend's parity suite
+    FWindow dimension (the invariant the contract analyzer's LS201 check
     proves), so a run buffer of N consecutive windows is just one wider
     window to them: ``compute_run`` is a single ``compute`` call over the
     whole run.  Stateful members of these families (Shift carries, sliding

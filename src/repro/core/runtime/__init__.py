@@ -1,7 +1,6 @@
 """Runtime: plan execution, pluggable backends, and results."""
 
 from repro.core.runtime.backends import (
-    BatchedBackend,
     ExecutionBackend,
     MultiprocessBackend,
     SerialBackend,
@@ -27,7 +26,6 @@ __all__ = [
     "PlanProfile",
     "ExecutionBackend",
     "SerialBackend",
-    "BatchedBackend",
     "MultiprocessBackend",
     "VectorizedBackend",
     "plan_batch_safe",

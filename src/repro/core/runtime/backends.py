@@ -3,19 +3,15 @@
 A backend decides *how* a compiled plan's window loop is driven:
 
 * :class:`SerialBackend` — one window at a time, in-process (the engine's
-  historical semantics and the reference implementation);
-* :class:`BatchedBackend` — dispatches runs of consecutive FWindows per
-  call by executing a widened twin of the plan, amortising the per-window
-  graph walk (window slides, presence-vector clears, Python dispatch) over
-  ``batch_windows`` windows at a time;
+  historical semantics and the reference every parity suite compares to);
+* :class:`VectorizedBackend` — run execution: lowers the targeted coverage
+  to maximal runs of consecutive windows and executes each operator as a
+  single NumPy array program over one contiguous run buffer per stream
+  (:mod:`~repro.core.runtime.vectorized`), falling back per node to the
+  window-by-window semantics where lowering is not exact;
 * :class:`MultiprocessBackend` — shards disjoint output-window ranges
   across worker processes and merges the per-shard ``StreamResult``s,
-  giving real multi-core execution for the Figure 10(c) study;
-* :class:`VectorizedBackend` — lowers the targeted coverage to maximal
-  runs of consecutive windows and executes each operator as a single
-  NumPy array program over one contiguous run buffer per stream
-  (:mod:`~repro.core.runtime.vectorized`), falling back per node to the
-  window-by-window semantics where lowering is not exact.
+  giving real multi-core execution for the Figure 10(c) study.
 
 All backends produce bit-identical :class:`~repro.core.runtime.result.StreamResult`
 event columns for the same plan; the parity suite in
@@ -31,13 +27,12 @@ import time
 
 import numpy as np
 
-from repro.core.compiler import CompiledPlan, compile_plan, uniform_dimension
+from repro.core.compiler import CompiledPlan
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.runtime.executor import (
     _window_starts,
     build_stats,
     collect_sink_window,
-    eager_window_count,
     run_window_loop,
 )
 from repro.core.runtime.result import StreamResult
@@ -62,29 +57,18 @@ class ExecutionBackend:
         """Run *plan* and return its result stream."""
         raise NotImplementedError
 
-    def session_plan(self, plan: CompiledPlan) -> CompiledPlan:
-        """The plan a :class:`~repro.core.runtime.session.StreamingSession`
-        should drive incrementally when this backend is selected.
+    def session_mode(self, plan: CompiledPlan) -> str:
+        """Honest execution-mode label for a session driving *plan* through
+        this backend, asked once when the session opens.
 
-        Serial execution drives the plan itself; the batched backend hands
-        back its widened twin (so each session tick dispatches runs of
-        ``batch_windows`` windows per graph walk); backends that cannot keep
-        a single long-lived plan alive across ticks (multiprocess sharding)
-        raise ``NotImplementedError``.
+        The default :meth:`session_tick` fills the sink one window at a
+        time, so the default label is ``"serial"`` whatever the backend's
+        name; backends whose ticks run differently override both.  Backends
+        that cannot keep one long-lived plan alive across ticks
+        (multiprocess sharding) raise ``NotImplementedError`` here, which
+        refuses the session before it claims the plan.
         """
-        return plan
-
-    def session_execution_mode(self, plan: CompiledPlan, session_plan: CompiledPlan) -> str:
-        """Honest execution-mode label for a session driven through this backend.
-
-        The default follows :meth:`session_plan`'s contract: a backend that
-        handed back the original plan is driving it one window at a time
-        (serial semantics), whatever its name; one that substituted its own
-        plan (the batched twin) actually runs in its mode.  Backends whose
-        per-tick strategy differs from their ``session_plan`` identity
-        (vectorized run execution) override this.
-        """
-        return "serial" if session_plan is plan else self.name
+        return "serial"
 
     def session_tick(
         self,
@@ -100,8 +84,7 @@ class ExecutionBackend:
         ``(events_emitted, fell_back)`` where ``fell_back`` reports whether
         any node executed below this backend's nominal mode (used to demote
         the session's ``execution_mode`` label).  The default drives the
-        plan's own sink one window at a time — the serial semantics every
-        ``session_plan`` result supports.
+        plan's sink one window at a time — the serial semantics.
         """
         sink = plan.sink
         events = 0
@@ -131,9 +114,7 @@ class SerialBackend(ExecutionBackend):
 def batch_unsafe_node(plan: CompiledPlan) -> OperatorNode | None:
     """The first operator node whose output is not widening-invariant.
 
-    Returns None when the whole plan is batch-safe.  Used both for the
-    go/no-go decision (:func:`plan_batch_safe`) and to name the blocking
-    node in :attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason`.
+    Returns None when the whole plan is batch-safe (:func:`plan_batch_safe`).
     """
     for node in topological_order(plan.sink):
         if isinstance(node, OperatorNode):
@@ -146,119 +127,11 @@ def batch_unsafe_node(plan: CompiledPlan) -> OperatorNode | None:
 def plan_batch_safe(plan: CompiledPlan) -> bool:
     """True when every operator's output is invariant to window widening.
 
-    Checked via :meth:`~repro.core.operators.base.Operator.batch_safe`; the
-    batched backend only widens plans where this holds and falls back to
-    serial execution otherwise (recording why in the run's stats), so
-    correctness never depends on the backend choice.
+    Checked via :meth:`~repro.core.operators.base.Operator.batch_safe`, the
+    claim run lowering rests on (a run buffer is a widened window) and the
+    contract analyzer verifies by recompiling at a wider window.
     """
     return batch_unsafe_node(plan) is None
-
-
-class BatchedBackend(ExecutionBackend):
-    """Dispatch runs of consecutive FWindows per call.
-
-    The backend compiles a twin of the plan whose uniform dimension is
-    ``batch_windows`` times the original, so each ``fill`` of the twin's
-    sink processes a run of ``batch_windows`` consecutive original windows
-    in one graph walk.  Locality tracing scales every dimension by the same
-    integer factor, so all alignment constraints are preserved and the twin
-    computes the same events (windows outside the output coverage hold no
-    present events — the targeted/eager equivalence the engine already
-    guarantees).  The trade-off is ``batch_windows``× larger FWindow
-    buffers.
-
-    Widening is only exact for plans whose operators are all
-    window-widening-invariant (:func:`plan_batch_safe`); plans containing a
-    boundary-sensitive operator (interpolating resample, clip join, shape
-    matching) execute serially instead.
-
-    The twin is compiled lazily on first use and cached per plan, so
-    repeated runs of a :class:`~repro.core.engine.CompiledQuery` pay the
-    extra compilation once.
-    """
-
-    name = "batched"
-
-    def __init__(self, batch_windows: int = 16):
-        if batch_windows < 1:
-            raise ExecutionError(f"batch_windows must be positive, got {batch_windows}")
-        self.batch_windows = int(batch_windows)
-
-    def _twin(self, plan: CompiledPlan) -> CompiledPlan | None:
-        # The twin cache lives on the plan itself (keyed by batch factor) so
-        # its lifetime is tied to the plan's: a backend that executes many
-        # plans never accumulates buffers for plans the caller has dropped.
-        # A twin of None records "not batch-safe, run serially".
-        cache: dict[int, CompiledPlan | None] = plan.__dict__.setdefault(
-            "_batched_twins", {}
-        )
-        if self.batch_windows in cache:
-            return cache[self.batch_windows]
-        if not plan_batch_safe(plan):
-            cache[self.batch_windows] = None
-            return None
-        if plan.query is None:
-            raise ExecutionError(
-                "batched execution needs the plan's source query to compile a "
-                "widened twin; compile the plan via compile_plan()/LifeStreamEngine"
-            )
-        dimension = uniform_dimension(plan.sink)
-        twin = compile_plan(
-            plan.query,
-            sources=plan.sources,
-            window_size=self.batch_windows * dimension,
-            tracer=plan.tracer,
-            optimization_level=plan.optimization_level,
-        )
-        cache[self.batch_windows] = twin
-        return twin
-
-    def session_plan(self, plan: CompiledPlan) -> CompiledPlan:
-        # Non-batch-safe plans fall back to driving the original plan one
-        # window at a time, mirroring execute()'s serial fallback.
-        if self.batch_windows <= 1:
-            return plan
-        twin = self._twin(plan)
-        return plan if twin is None else twin
-
-    def execute(
-        self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
-    ) -> StreamResult:
-        twin = self._twin(plan) if self.batch_windows > 1 else None
-        target = plan if twin is None else twin
-        starts = _window_starts(target, targeted)
-        times, values, durations, elapsed, windows_run = run_window_loop(target, starts, collect)
-        stats = build_stats(target, windows_run, int(times.size), elapsed, targeted)
-        # A non-batch-safe plan (or batch_windows=1) ran the original plan one
-        # window at a time; the stats must say so — and say why.
-        stats.execution_mode = "serial" if twin is None else self.name
-        if twin is None and self.batch_windows > 1:
-            blocker = batch_unsafe_node(plan)
-            if blocker is not None:
-                stats.fallback_reason = (
-                    f"operator {blocker.operator.name} ({blocker.name}) is not "
-                    "batch-safe: widening its windows would change its output"
-                )
-        if twin is not None:
-            # Report window counts in the *original* plan's geometry so
-            # backend sweeps compare like with like: every twin window is a
-            # run of ``batch_windows`` original windows (the final run may
-            # overhang the stream end, hence the clamp).  Batched runs
-            # genuinely compute the coverage holes inside each run, so
-            # windows_skipped is honestly lower than a serial targeted run's.
-            # preallocated_bytes stays the twin's — that is the memory this
-            # execution mode actually allocated.
-            eager_total = eager_window_count(plan)
-            stats.output_windows = min(windows_run * self.batch_windows, eager_total)
-            stats.windows_skipped = (
-                max(0, eager_total - stats.output_windows) if targeted else 0
-            )
-            stats.per_node_windows = {
-                name: count * self.batch_windows
-                for name, count in stats.per_node_windows.items()
-            }
-            stats.windows_computed = sum(stats.per_node_windows.values())
-        return StreamResult(times, values, durations, stats=stats)
 
 
 def plan_warmup_windows(plan: CompiledPlan) -> int:
@@ -327,12 +200,12 @@ class MultiprocessBackend(ExecutionBackend):
     def _fork_available() -> bool:
         return fork_available()
 
-    def session_plan(self, plan: CompiledPlan) -> CompiledPlan:
+    def session_mode(self, plan: CompiledPlan) -> str:
         raise NotImplementedError(
             "streaming sessions are not supported on the multiprocess backend: "
             "sharding re-replays warm-up windows per run, which conflicts with "
             "a single long-lived carry state; open the session with the serial "
-            "or batched backend instead"
+            "or vectorized backend instead"
         )
 
     def execute(
@@ -409,11 +282,9 @@ class VectorizedBackend(ExecutionBackend):
     pulled through the graph once, with every stream materialised in one
     contiguous run buffer and every lowerable operator executing the whole
     run per :meth:`~repro.core.operators.base.Operator.compute_run` call.
-    Unlike the batched backend this needs no widened twin plan (no second
-    compilation, and the run length adapts to the coverage instead of being
-    fixed), and unlowerable operators degrade *per node* to bit-identical
-    window-by-window execution instead of failing the whole plan over to
-    serial.
+    The run length follows the coverage, and unlowerable operators degrade
+    *per node* to bit-identical window-by-window execution instead of
+    failing the whole plan over to serial.
 
     Plans where run execution is unsound (mixed dimensions, time-scaling
     operators) or useless (no operator lowers) run on the serial backend and
@@ -479,14 +350,8 @@ class VectorizedBackend(ExecutionBackend):
         stats.preallocated_bytes = plan.memory_plan.total_bytes + executor.peak_buffer_bytes
         return StreamResult(times, values, durations, stats=stats)
 
-    def session_plan(self, plan: CompiledPlan) -> CompiledPlan:
-        # Run execution drives the original plan's state and geometry — each
-        # tick just groups the ready windows into runs — so sessions keep
-        # their compiled plan (and its checkpoints) unchanged.
-        return plan
-
-    def session_execution_mode(self, plan: CompiledPlan, session_plan: CompiledPlan) -> str:
-        return self.name if self._active(session_plan) else "serial"
+    def session_mode(self, plan: CompiledPlan) -> str:
+        return self.name if self._active(plan) else "serial"
 
     def session_tick(
         self,
@@ -518,66 +383,50 @@ def recommend_backend(
     surfaced by ``--backend auto`` pipelines and recorded by the adaptive
     serving layer, so backend choices are auditable rather than silent.
 
-    Without a profile, the heuristic mirrors what the backends themselves
-    would decide, without running anything: vectorized run execution wins
-    whenever some operator lowers and the targeted coverage forms
-    non-trivial runs (amortising the per-window overhead is the whole point
-    — isolated single-window runs leave nothing to amortise); widening-safe
-    plans that cannot lower any node still benefit from the batched twin;
-    everything else runs serially.
+    Without a profile the rule is the vectorized backend's own go/no-go:
+    run execution whenever the plan is run-lowerable and some operator
+    lowers, serial otherwise.  There is no coverage threshold because the
+    recorded sweep found no crossover
+    (``benchmarks/results/backend_sweep.json``, written by
+    ``benchmarks/test_backend_sweep.py``: fully and partly lowered Figure 3
+    plans and a single element-wise stage, at mean run lengths 1, 2, 4 and
+    16): on isolated single-window runs run execution takes 0.6x (Figure 3
+    plans) to 1.0x (one element-wise stage) of serial's time, at runs of 16
+    0.1-0.25x.
 
     With a :class:`~repro.core.runtime.profile.PlanProfile` (measured ticks
-    of a live session), the *observed* run geometry replaces the static
-    coverage guess: the measured mean run length decides whether there is
-    anything to amortise, and the profile's histogram sizes the vectorized
-    run cap / batched twin width.
+    of a live session) the choice gates a hot swap, which costs a recompile
+    and a state transplant: only sessions whose ticks really execute
+    multi-window runs move to run execution, with the run cap sized from
+    the profile's run-length histogram.
     """
-    can_vectorize = plan.tracer is None and plan_vector_info(plan).worthwhile
-    batchable = plan_batch_safe(plan) and plan.query is not None
+    info = plan_vector_info(plan)
+    if plan.tracer is not None or not info.worthwhile:
+        return SerialBackend(), vectorized_fallback_reason(plan)
+    lowered = (
+        f"{info.lowered_operators} of {info.operator_nodes} operator node(s) "
+        f"lower to run kernels"
+    )
 
     if profile is not None and profile.window_runs > 0:
         mean_run = profile.mean_run_length
-        hints = profile.hints()
-        if can_vectorize and mean_run >= 2.0:
-            cap = hints.max_run_windows or DEFAULT_MAX_RUN_WINDOWS
-            return VectorizedBackend(max_run_windows=cap), (
-                f"profile over {profile.ticks} tick(s) measured mean runs of "
-                f"{mean_run:.1f} consecutive window(s); lowerable operators "
-                f"amortise per-window overhead over runs (cap {cap})"
+        if mean_run < 2.0:
+            return SerialBackend(), (
+                f"profile over {profile.ticks} tick(s) measured mostly isolated "
+                f"windows (mean run {mean_run:.1f}); ticks form no runs to "
+                f"amortise a hot swap over"
             )
-        if batchable and mean_run >= 2.0:
-            width = hints.batch_windows or BatchedBackend().batch_windows
-            return BatchedBackend(batch_windows=width), (
-                f"profile over {profile.ticks} tick(s) measured mean runs of "
-                f"{mean_run:.1f} consecutive window(s) but no operator "
-                f"lowers; a {width}-window widened twin amortises the graph "
-                f"walk instead"
-            )
-        return SerialBackend(), (
-            f"profile over {profile.ticks} tick(s) measured mostly isolated "
-            f"windows (mean run {mean_run:.1f}); batching or run execution "
-            f"has nothing to amortise"
+        cap = profile.hints().max_run_windows or DEFAULT_MAX_RUN_WINDOWS
+        return VectorizedBackend(max_run_windows=cap), (
+            f"profile over {profile.ticks} tick(s) measured mean runs of "
+            f"{mean_run:.1f} consecutive window(s) and {lowered}, amortising "
+            f"per-window overhead over runs (cap {cap})"
         )
 
-    if can_vectorize:
-        starts = _window_starts(plan, targeted)
-        runs = runs_for_starts(starts, plan.sink.dimension)
-        if runs and len(starts) >= 4 * len(runs):
-            return VectorizedBackend(), (
-                f"coverage forms {len(runs)} run(s) over {len(starts)} "
-                f"window(s) and some operators lower to array programs"
-            )
-    if batchable:
-        return BatchedBackend(), (
-            "every operator is widening-invariant, so a widened twin "
-            "amortises the per-window graph walk"
-            + (
-                "; coverage runs are too short for run execution"
-                if can_vectorize
-                else ""
-            )
-        )
-    return SerialBackend(), (
-        "plan is neither lowerable nor widening-safe; windows must run "
-        "one at a time"
+    starts = _window_starts(plan, targeted)
+    runs = runs_for_starts(starts, plan.sink.dimension)
+    return VectorizedBackend(), (
+        f"{lowered} and coverage forms {len(runs)} run(s) over {len(starts)} "
+        f"window(s); run execution measured no slower than serial at any "
+        f"run length"
     )

@@ -16,8 +16,8 @@ produce output.  Eager mode exists for the ablation study (Figure 10(a))
 and for tests that check both modes produce identical results.
 
 This module provides the window-loop machinery; *how* the loop is driven
-(serially, in widened batches, or sharded across processes) is the job of
-the pluggable :mod:`~repro.core.runtime.backends`.
+(serially, in runs of consecutive windows, or sharded across processes) is
+the job of the pluggable :mod:`~repro.core.runtime.backends`.
 """
 
 from __future__ import annotations

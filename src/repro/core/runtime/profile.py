@@ -12,8 +12,8 @@ of every session and small enough to persist as JSON per plan signature
 The profile answers the questions the compiler's static heuristics guess
 at:
 
-* how long are the runs of consecutive windows really? (batch width, run
-  cap, whether vectorized/batched execution has anything to amortise)
+* how long are the runs of consecutive windows really? (run cap, whether
+  run execution has anything to amortise)
 * does coverage fragment, or is the stream dense? (targeted vs eager)
 * what fraction of wall-clock goes to planning vs the window loop, and
   does the nominal backend actually run or fall back? (backend choice)
@@ -41,8 +41,7 @@ PROFILE_FORMAT = "lifestream-plan-profile/v1"
 #: burst arrives) re-profiles within a handful of ticks.
 EWMA_ALPHA = 0.2
 
-#: Caps for profile-derived tuning knobs.
-MAX_HINTED_BATCH_WINDOWS = 64
+#: Bounds for the profile-derived run cap.
 MIN_HINTED_RUN_WINDOWS = 16
 MAX_HINTED_RUN_WINDOWS = 512
 
@@ -213,10 +212,6 @@ class PlanProfile:
     def hints(self) -> "CompileHints":
         """Compile-time choices this profile recommends.
 
-        * ``batch_windows`` — the batched twin should dispatch about one
-          observed run per graph walk: the power of two at most the mean
-          run length, capped so twin buffers stay bounded.  Left unset when
-          runs are isolated windows (nothing to amortise).
         * ``max_run_windows`` — run buffers should hold the longest runs the
           coverage actually forms (next power of two above the largest
           histogram bucket), instead of the static 512-window worst case.
@@ -226,10 +221,6 @@ class PlanProfile:
         """
         from repro.core.compiler.hints import CompileHints
 
-        mean_run = self.mean_run_length
-        batch_windows = None
-        if mean_run >= 2.0:
-            batch_windows = min(_pow2_at_most(mean_run), MAX_HINTED_BATCH_WINDOWS)
         max_run_windows = None
         if self.busy_ticks:
             max_run_windows = min(
@@ -241,12 +232,11 @@ class PlanProfile:
             )
         targeted = True if self.fragmented else None
         return CompileHints(
-            batch_windows=batch_windows,
             max_run_windows=max_run_windows,
             targeted=targeted,
             reason=(
                 f"profile: {self.ticks} tick(s), {self.windows_run} window(s) in "
-                f"{self.window_runs} run(s) (mean length {mean_run:.1f}), "
+                f"{self.window_runs} run(s) (mean length {self.mean_run_length:.1f}), "
                 f"{self.windows_deferred} deferred, "
                 f"{self.fallback_ticks} fallback tick(s)"
             ),

@@ -37,18 +37,18 @@ class ExecutionStats:
     elapsed_seconds: float = 0.0
     #: Whether targeted query processing was enabled for this run.
     targeted: bool = True
-    #: How the window loop was actually driven: ``"serial"``, ``"batched"``,
+    #: How the window loop was actually driven: ``"serial"``,
     #: ``"multiprocess"``, ``"vectorized"`` or — when the vectorized backend
     #: lowered some nodes to whole-run kernels but drove others window by
-    #: window — ``"vectorized+serial-fallback"``.  Backends that silently
-    #: fall back (a batched run of a non-batch-safe plan, a multiprocess run
-    #: without fork or with too few windows, a vectorized run of a plan with
-    #: nothing to lower) report the mode that really executed, not the one
-    #: that was requested.
+    #: window — ``"vectorized+serial-fallback"``; hot-swapped sessions append
+    #: ``" (recompiled)"``.  Backends that silently fall back (a multiprocess
+    #: run without fork or with too few windows, a vectorized run of a plan
+    #: with nothing to lower) report the mode that really executed, not the
+    #: one that was requested.
     execution_mode: str = "serial"
     #: Why a backend fell back to a slower execution mode than requested
     #: (``None`` when it ran as asked): which node or property blocked it,
-    #: e.g. ``"operator Chop is not batch-safe"`` or ``"operator shift_3
+    #: e.g. ``"plan carries a cache tracer ..."`` or ``"operator shift_3
     #: scales time ..."``.  Pairs with ``execution_mode`` so the fallback is
     #: attributable, not just visible.
     fallback_reason: str | None = None

@@ -48,7 +48,8 @@ import numpy as np
 from repro.core.compiler.lineage import propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
-from repro.core.runtime.executor import _eager_span, collect_sink_window, eager_window_count
+from repro.core.runtime.backends import SerialBackend
+from repro.core.runtime.executor import _eager_span, eager_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
@@ -66,8 +67,8 @@ class TickStats:
 
     ``plan_seconds`` covers the per-tick compile-side work (coverage
     refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop.  Profile-guided adaptation reads these to tune
-    batch sizing from observed tick profiles.
+    the backend window loop.  Profile-guided adaptation reads these to size
+    run buffers and pick backends from observed tick profiles.
     """
 
     #: 1-based tick index within the session.
@@ -124,21 +125,13 @@ class StreamingSession:
     ) -> None:
         self._compiled = compiled
         use_backend = compiled.backend if backend is None else backend
-        self._backend = use_backend
-        self._backend_name = getattr(use_backend, "name", "serial")
-        self._plan = (
-            compiled.plan if use_backend is None else use_backend.session_plan(compiled.plan)
-        )
-        # The mode that really drives the ticks: a batched backend whose plan
-        # is not batch-safe hands back the original plan and the session runs
-        # it one window at a time — the stats must say "serial", not
-        # "batched"; the vectorized backend keeps the original plan but runs
-        # its ticks as window runs.  Each backend knows which case applies.
-        self._execution_mode = (
-            use_backend.session_execution_mode(compiled.plan, self._plan)
-            if use_backend is not None
-            else "serial"
-        )
+        self._backend = SerialBackend() if use_backend is None else use_backend
+        self._backend_name = self._backend.name
+        self._plan = compiled.plan
+        # The mode that really drives the ticks (a vectorized backend on a
+        # plan with nothing to lower ticks serially).  Backends that cannot
+        # drive sessions refuse here, before the plan is claimed.
+        self._execution_mode = self._backend.session_mode(self._plan)
         self._targeted = compiled.targeted if targeted is None else targeted
         self._nodes = topological_order(self._plan.sink)
         self._operator_nodes = [n for n in self._nodes if isinstance(n, OperatorNode)]
@@ -199,7 +192,7 @@ class StreamingSession:
 
     @property
     def backend(self):
-        """The execution backend object driving the session (None = serial)."""
+        """The execution backend object driving the session."""
         return self._backend
 
     @property
@@ -325,25 +318,15 @@ class StreamingSession:
                 break
         planned = time.perf_counter()
 
-        if self._backend is not None:
-            events, fell_back = self._backend.session_tick(
-                self._plan,
-                ready,
-                self._collected_times,
-                self._collected_values,
-                self._collected_durations,
-            )
-            if fell_back and not self._execution_mode.endswith("+serial-fallback"):
-                self._execution_mode = f"{self._execution_mode}+serial-fallback"
-        else:
-            sink = self._plan.sink
-            events = 0
-            for start in ready:
-                sink.fill(start)
-                events += collect_sink_window(
-                    sink, self._collected_times, self._collected_values,
-                    self._collected_durations,
-                )
+        events, fell_back = self._backend.session_tick(
+            self._plan,
+            ready,
+            self._collected_times,
+            self._collected_values,
+            self._collected_durations,
+        )
+        if fell_back and not self._execution_mode.endswith("+serial-fallback"):
+            self._execution_mode = f"{self._execution_mode}+serial-fallback"
         executed = time.perf_counter()
 
         if ready:
@@ -705,17 +688,15 @@ class StreamingSession:
         the swap is bit-identical to a never-swapped session.
 
         Unlike checkpoint restore, the new plan may differ in backend,
-        targeted mode, fusion cuts or batch geometry; only two things must
-        hold, and both are checked:
+        targeted mode or fusion cuts; only two things must hold, and both
+        are checked:
 
         * **frontier alignment** — the emitted-through time must land on the
           new sink's window grid, or the new session would re-emit or skip a
-          partial window.  A batched twin widens the sink dimension, so a
-          swap *onto* a twin only succeeds at every ``batch_windows``-th
-          boundary; a misaligned swap raises
-          :class:`~repro.errors.ExecutionError` and the caller simply
-          retries at a later tick.  (This method always sees the session's
-          *runtime* plan, so swapping off a twin is always aligned.)
+          partial window.  A recompile of the same query at the same
+          ``window_size`` always aligns; a plan compiled at a different
+          window size aligns only at common multiples, and a misaligned
+          swap raises :class:`~repro.errors.ExecutionError`.
         * **matching operator state units** — carries are transplanted
           operator-by-operator (fused chains flattened to their stages, so
           different fusion cuts still line up); a mismatch means the plans

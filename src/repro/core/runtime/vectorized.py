@@ -37,7 +37,7 @@ positioning each run buffer *once* positions every window in it.  Stateful
 operators (Shift carries, sliding-aggregate tails, join/chop carries) see
 the same window sequence in the same order as the serial loop — their
 ``compute`` is already extent-invariant for batch-safe operators (the
-property the batched backend's parity suite proves), so carries evolve
+property the contract analyzer's LS201 check proves), so carries evolve
 identically across run boundaries.
 """
 
@@ -224,8 +224,7 @@ def annotate_plan(sink: PlanNode) -> str:
 def plan_vector_info(plan) -> VectorPlanInfo:
     """The (cached) run-lowering analysis for a compiled plan.
 
-    Cached on the plan object itself so its lifetime is tied to the plan's,
-    mirroring the batched backend's twin cache.
+    Cached on the plan object itself so its lifetime is tied to the plan's.
     """
     info = plan.__dict__.get("_vector_info")
     if info is None:

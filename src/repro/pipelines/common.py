@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: Execution-backend names accepted by the pipeline CLIs.
-BACKEND_NAMES = ("serial", "batched", "multiprocess", "vectorized")
+BACKEND_NAMES = ("serial", "vectorized", "multiprocess")
 
 
-def backend_from_name(name: str, *, batch_windows: int = 16, n_workers: int = 2):
+def backend_from_name(name: str, *, n_workers: int = 2):
     """Build the execution backend the CLI flag *name* selects.
 
     ``"serial"`` returns ``None`` (the engine default) so callers can pass
@@ -17,16 +17,10 @@ def backend_from_name(name: str, *, batch_windows: int = 16, n_workers: int = 2)
     support it (via :func:`~repro.core.runtime.backends.recommend_backend`)
     and is deliberately rejected here.
     """
-    from repro.core.runtime.backends import (
-        BatchedBackend,
-        MultiprocessBackend,
-        VectorizedBackend,
-    )
+    from repro.core.runtime.backends import MultiprocessBackend, VectorizedBackend
 
     if name == "serial":
         return None
-    if name == "batched":
-        return BatchedBackend(batch_windows=batch_windows)
     if name == "multiprocess":
         return MultiprocessBackend(n_workers=n_workers)
     if name == "vectorized":

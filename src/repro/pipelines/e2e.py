@@ -42,8 +42,8 @@ def lifestream_e2e_query(
 
     ``resample_mode`` selects the ABP upsampling strategy.  The paper's
     pipeline interpolates; the backend-comparison benchmark uses ``"hold"``,
-    whose output is invariant to the window geometry, so batched (widened)
-    execution stays bit-identical to serial.
+    whose output is invariant to the window geometry, so the whole plan
+    lowers to run kernels.
     """
     ecg_period = period_from_hz(ECG_HZ)
     abp_period = period_from_hz(ABP_HZ)
@@ -114,17 +114,10 @@ def run_lifestream_e2e(
         result = compiled.run()
     elapsed = time.perf_counter() - began
     backend_label = getattr(backend, "name", "serial")
-    if backend_label == "batched":
-        from repro.core.runtime.backends import plan_batch_safe
-
-        # The batched backend runs window-sensitive plans serially; label
-        # the path that actually executed so backend sweeps report honest
-        # numbers (the stats carry the blocking node in fallback_reason).
-        if not plan_batch_safe(compiled.plan):
-            backend_label = "serial (batched fallback)"
-    elif backend_label == "vectorized":
-        # Same honesty for the vectorized backend, whose execution mode
-        # already reports what actually ran (including partial fallback).
+    if backend_label == "vectorized":
+        # Label the path that actually executed (including partial
+        # fallback) so backend sweeps report honest numbers; the stats carry
+        # the blocking property in fallback_reason.
         backend_label = result.stats.execution_mode
         if backend_label == "serial":
             backend_label = "serial (vectorized fallback)"

@@ -23,8 +23,9 @@ client's merged signature profile is turned into
 :class:`~repro.core.compiler.CompileHints` plus a profile-aware
 :func:`~repro.core.runtime.backends.recommend_backend` choice; if they
 disagree with the session's current configuration, the signature is
-recompiled with the hints (cached under ``(signature, hints)``, so N
-clients converging on the same choices share one recompile) and the new
+recompiled with the hints (cached under the signature plus the hint fields
+the compiler reads, so N clients share one recompile however their run
+lengths differ) and the new
 plan is hot-swapped into the live session at the tick boundary via
 :meth:`~repro.core.runtime.session.StreamingSession.swap_plan` —
 bit-identical output, no stream interruption.
@@ -630,15 +631,10 @@ class StreamingService:
 
     @staticmethod
     def _backend_config(backend) -> tuple:
-        """Comparable identity of a backend choice (name + tuning knobs)."""
-        if backend is None:
-            return ("serial",)
-        name = getattr(backend, "name", "serial")
-        if name == "batched":
-            return (name, backend.batch_windows)
-        if name == "vectorized":
-            return (name, backend.max_run_windows)
-        return (name,)
+        """Comparable identity of a backend choice (name + run cap)."""
+        if backend.name == "vectorized":
+            return (backend.name, backend.max_run_windows)
+        return (backend.name,)
 
     def _maybe_adapt(self, record: ClientRecord) -> bool:
         """Recompile and hot-swap *record*'s session if its signature profile
@@ -647,9 +643,8 @@ class StreamingService:
         Runs at most every :attr:`adapt_after_ticks` observed ticks per
         client, and only once the merged profile holds at least that many
         ticks.  A recommendation matching the current configuration is a
-        no-op (no recompile, no swap); a misaligned swap (the frontier does
-        not land on the new plan's window grid — e.g. onto a batched twin
-        mid-batch) is abandoned and retried at a later boundary.
+        no-op (no recompile, no swap).  The recompile keeps the engine's
+        window size, so the swap always lands on the session's window grid.
         """
         if (
             record.profile_key is None
@@ -669,7 +664,7 @@ class StreamingService:
         current_hints = record.compiled.plan.hints
         current_cut = None if current_hints is None else current_hints.max_fusion_length
         # Of the hint fields, only the fusion cut changes the compiled plan
-        # itself — batch width and the run cap live on the backend object.
+        # itself — the run cap lives on the backend object.
         # Swap only when the execution configuration genuinely changes; a
         # recommendation matching the status quo must not churn sessions.
         if (
@@ -692,15 +687,9 @@ class StreamingService:
         )
         plan = template.instantiate(record.sources, strict=False)
         compiled = CompiledQuery(plan, targeted=targeted, backend=backend)
-        try:
-            new_session = record.session.swap_plan(
-                compiled, targeted=targeted, backend=backend
-            )
-        except ExecutionError:
-            # Misaligned boundary (or a defensive state mismatch): keep the
-            # current session and re-evaluate after the next check window.
-            return False
-        record.session = new_session
+        record.session = record.session.swap_plan(
+            compiled, targeted=targeted, backend=backend
+        )
         record.compiled = compiled
         record.swaps += 1
         record.last_adapt_reason = reason

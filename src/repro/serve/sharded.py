@@ -8,7 +8,7 @@ each worker runs an ordinary in-process :class:`~repro.serve.service.StreamingSe
 over its shard and a ``pump`` fans the watermark batch out to all workers
 at once.  This closes the streaming gap of
 :class:`~repro.core.runtime.backends.MultiprocessBackend` (whose
-``session_plan`` rejects single-session use, because per-window sharding
+``session_mode`` rejects single-session use, because per-window sharding
 would re-replay warm-up state every tick): with whole sessions as the
 sharding unit, every operator carry stays on the worker that owns it and no
 state ever crosses a process boundary.

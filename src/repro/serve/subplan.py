@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.compiler.lineage import propagate_coverage
 from repro.core.event import StreamDescriptor
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query, QuerySpec
@@ -346,11 +345,9 @@ class SharedPrefixGroup:
         total = recent[0].cumulative_events if recent else 0
         delta = total - self.published_events
         times, values, durations = session.recent_events(delta)
-        # Coverage is propagated on the *pristine* compiled plan, not the
-        # session's (a backend may execute a twin): propagation is a pure
-        # function of the sources, so both yield the same lineage coverage.
+        # The session drives this very plan, and the tick that precedes every
+        # fan-out has just refreshed its lineage coverage.
         sink = self.prefix_compiled.plan.sink
-        propagate_coverage(sink)
         complete = session.output_complete_through
         if session.finished and sink.coverage:
             # The drain ran every covered window; the whole lineage

@@ -1,24 +1,27 @@
 """Parity suite for the execution backends and operator fusion.
 
-Asserts that fused vs. unfused plans, and all four execution backends
-(serial, batched, multiprocess, vectorized), produce bit-identical
-StreamResults across operator-chain queries in both targeted and eager
-modes."""
+Asserts that fused vs. unfused plans, and all three execution backends
+(serial, vectorized, multiprocess), produce bit-identical StreamResults
+across operator-chain queries in both targeted and eager modes."""
 
 import numpy as np
 import pytest
 
+from repro.bench.harness import compare_backends
+from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import (
-    BatchedBackend,
     MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
     plan_batch_safe,
     plan_warmup_windows,
+    recommend_backend,
 )
 from repro.core.sources import ArraySource
+from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
+from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
 from repro.errors import ExecutionError
 
 from tests.conftest import make_source
@@ -73,13 +76,14 @@ CHAIN_QUERIES = {
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
-    "batched-16": lambda: BatchedBackend(batch_windows=16),
     "multiprocess-2": lambda: MultiprocessBackend(n_workers=2),
     "multiprocess-3": lambda: MultiprocessBackend(n_workers=3),
     "vectorized": lambda: VectorizedBackend(),
     # Tiny run cap: every run is split, exercising run-boundary state carry.
     "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
+    # Every run a single window: the geometry of isolated-window coverage,
+    # which recommend_backend now also sends to run execution.
+    "vectorized-single-window-runs": lambda: VectorizedBackend(max_run_windows=1),
 }
 
 
@@ -123,22 +127,9 @@ class TestBackendParity:
         engine = LifeStreamEngine(window_size=1000)
         compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
         serial = compiled.run()
-        batched = compiled.run(backend=BatchedBackend(8))
-        _assert_identical(serial, batched, "per-run backend override")
-
-    def test_batched_twin_cached_on_plan(self):
-        source = _gappy_source()
-        backend = BatchedBackend(batch_windows=8)
-        engine = LifeStreamEngine(window_size=1000, backend=backend)
-        compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
-        compiled.run()
-        twins = compiled.plan.__dict__["_batched_twins"]
-        twin = twins[8]
-        compiled.run()
-        assert twins[8] is twin
-        # A different backend instance reuses the plan-attached twin too.
-        BatchedBackend(batch_windows=8).execute(compiled.plan)
-        assert compiled.plan.__dict__["_batched_twins"][8] is twin
+        vectorized = compiled.run(backend=VectorizedBackend())
+        assert vectorized.stats.execution_mode == "vectorized"
+        _assert_identical(serial, vectorized, "per-run backend override")
 
     def test_long_shift_emits_at_shifted_times(self):
         # A shift spanning several windows must delay events by exactly the
@@ -162,19 +153,23 @@ class TestBackendParity:
             np.testing.assert_array_equal(result.times, times + offset)
             np.testing.assert_array_equal(result.values, values)
 
-    def test_batched_falls_back_on_unsafe_plans(self):
+    def test_window_sensitive_plan_falls_back_per_node(self):
+        # Interpolating resample is not widening-invariant, so it must not
+        # compute a whole run at once: it runs window by window inside the
+        # run while the rest of the plan stays lowered.
         source = _gappy_source()
         query = (
             Query.source("s", frequency_hz=500)
             .alter_period(1, mode="interpolate")
             .where(lambda v: v > 0)
         )
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(16))
+        engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
         compiled = engine.compile(query, {"s": source})
         assert not plan_batch_safe(compiled.plan)
         reference = compiled.run(backend=SerialBackend())
         candidate = compiled.run()
-        _assert_identical(reference, candidate, "unsafe plan fallback")
+        assert candidate.stats.execution_mode == "vectorized+serial-fallback"
+        _assert_identical(reference, candidate, "unsafe plan per-node fallback")
 
     def test_multiprocess_warmup_covers_long_shifts(self):
         # A shift longer than one window needs several warm-up windows.
@@ -197,8 +192,6 @@ class TestBackendParity:
         _assert_identical(reference, candidate, "single-worker multiprocess")
 
     def test_invalid_backend_parameters_rejected(self):
-        with pytest.raises(ExecutionError):
-            BatchedBackend(batch_windows=0)
         with pytest.raises(ExecutionError):
             MultiprocessBackend(n_workers=0)
         with pytest.raises(ExecutionError):
@@ -228,26 +221,6 @@ class TestExecutionStatsAcrossBackends:
         )
         assert eager.stats.windows_skipped == 0
 
-    def test_batched_stats_reported_in_original_geometry(self):
-        # Stats from a batched run must be commensurate with serial ones:
-        # window counts in original-window units, not twin units.
-        source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000)
-        compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
-        serial_eager = compiled.run(targeted=False)
-        batched_eager = compiled.run(targeted=False, backend=BatchedBackend(8))
-        assert batched_eager.stats.output_windows == serial_eager.stats.output_windows
-        serial = compiled.run(targeted=True)
-        batched = compiled.run(targeted=True, backend=BatchedBackend(8))
-        # Batched computes the coverage holes inside each run, so it covers
-        # at least what serial did, bounded by the eager total.
-        assert batched.stats.output_windows >= serial.stats.output_windows
-        assert batched.stats.windows_skipped <= serial.stats.windows_skipped
-        assert (
-            batched.stats.output_windows + batched.stats.windows_skipped
-            == serial.stats.output_windows + serial.stats.windows_skipped
-        )
-
     def test_multiprocess_stats_aggregate_worker_counts(self):
         source = _gappy_source()
         engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
@@ -267,27 +240,6 @@ class TestExecutionModeHonesty:
 
     def test_default_backend_reports_serial(self):
         result = LifeStreamEngine(window_size=1000).run(
-            CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
-        )
-        assert result.stats.execution_mode == "serial"
-
-    def test_batched_reports_batched_when_widened(self):
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(8))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "batched"
-
-    def test_batched_fallback_reports_serial(self):
-        # Non-batch-safe plan: the batched backend runs the original plan.
-        query = (
-            Query.source("s", frequency_hz=500)
-            .alter_period(1, mode="interpolate")
-            .where(lambda v: v > 0)
-        )
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(16))
-        result = engine.run(query, {"s": _gappy_source()})
-        assert result.stats.execution_mode == "serial"
-        # batch_windows=1 never widens either.
-        result = LifeStreamEngine(window_size=1000, backend=BatchedBackend(1)).run(
             CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
         )
         assert result.stats.execution_mode == "serial"
@@ -314,23 +266,6 @@ class TestExecutionModeHonesty:
         engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
         result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
         assert result.stats.execution_mode == "serial"
-
-    def test_session_reports_widened_and_fallback_modes(self):
-        from repro.core.sources import ReplaySource
-
-        engine = LifeStreamEngine(window_size=1000, backend=BatchedBackend(4))
-        session = engine.open_session(
-            CHAIN_QUERIES["elementwise"](), {"s": ReplaySource(_gappy_source())}
-        )
-        session.finish()
-        assert session.result().stats.execution_mode == "batched"
-        session.close()
-        # Non-batch-safe plan: the session drives the original plan serially.
-        query = Query.source("s", frequency_hz=500).alter_period(1, mode="interpolate")
-        session = engine.open_session(query, {"s": ReplaySource(_gappy_source())})
-        session.finish()
-        assert session.result().stats.execution_mode == "serial"
-        session.close()
 
     def test_vectorized_reports_vectorized_when_fully_lowered(self):
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
@@ -390,3 +325,39 @@ class TestExecutionModeHonesty:
         session.finish()
         assert session.result().stats.execution_mode == "serial"
         session.close()
+
+
+class TestRecommendBackendOnSparseCoverage:
+    def test_isolated_windows_still_get_the_faster_backend(self):
+        """One second of data every eight: every run is a single window,
+        where a guessed `windows >= 4 x runs` rule used to send the plan to
+        a backend 2.3x slower than serial.  The rule now comes from the
+        recorded sweep (benchmarks/test_backend_sweep.py), which measures
+        run execution at ~0.6x serial's time on this geometry."""
+        ecg, abp = duty_cycle_e2e_dataset(1, 7, duration_seconds=480.0, seed=1)
+        sources = {
+            "ecg": ArraySource(ecg[0], ecg[1], period=period_from_hz(ECG_HZ)),
+            "abp": ArraySource(abp[0], abp[1], period=period_from_hz(ABP_HZ)),
+        }
+        compiled = LifeStreamEngine(window_size=TICKS_PER_SECOND).compile(
+            lifestream_e2e_query(resample_mode="hold"), sources
+        )
+        recommended, reason = recommend_backend(compiled.plan, targeted=True)
+        assert recommended.name == "vectorized"
+        assert "60 run(s) over 60 window(s)" in reason
+
+        backends = {"serial": SerialBackend(), "recommended": recommended}
+        for backend in backends.values():
+            compiled.run(backend=backend)
+        comparison = compare_backends(
+            "fig3 hold, 1 s data / 7 s gap",
+            lambda backend: compiled.run(backend=backend),
+            backends,
+            repeat=7,
+        )
+        _assert_identical(
+            compiled.run(backend=backends["serial"]),
+            compiled.run(backend=recommended),
+            "recommended backend parity",
+        )
+        assert comparison.speedup("recommended", "serial") >= 1 / 1.25

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import BatchedBackend, MultiprocessBackend, SerialBackend
+from repro.core.runtime import MultiprocessBackend, SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
@@ -35,7 +35,7 @@ def _source(period=2, seed=3):
 #: Queries covering every kind of cross-tick carry state: element-wise
 #: chains (fusion), Shift FIFOs, sliding-aggregate tails, join carries over
 #: multicast fan-out, chop carries, and a non-batch-safe interpolation (the
-#: batched backend's serial session fallback).
+#: vectorized backend's per-node window-by-window fallback).
 SESSION_QUERIES = {
     "elementwise": lambda: (
         Query.source("s", frequency_hz=500)
@@ -65,7 +65,11 @@ SESSION_QUERIES = {
 
 SESSION_BACKENDS = {
     "serial": lambda: None,
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
+    # Tiny run cap: multi-window ticks split into several runs, so every
+    # carry type crosses run boundaries inside a tick.
+    "vectorized-3": lambda: VectorizedBackend(max_run_windows=3),
+    # Every run a single window, as on isolated-window coverage.
+    "vectorized-1": lambda: VectorizedBackend(max_run_windows=1),
 }
 
 #: Irregular watermark schedule: > 3 advances, not window-aligned, with a
@@ -221,18 +225,18 @@ class TestSessionCheckpoint:
         )
         _assert_identical(reference, result, f"{query_name} checkpoint round trip")
 
-    def test_checkpoint_restore_batched(self, tmp_path):
+    def test_checkpoint_restore_vectorized(self, tmp_path):
         reference = LifeStreamEngine(window_size=1000).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         result, _ = _run_session(
             SESSION_QUERIES["shift-chain"],
             True,
-            BatchedBackend(batch_windows=4),
+            VectorizedBackend(max_run_windows=3),
             checkpoint_at=3,
             checkpoint_path=tmp_path / "session.ckpt",
         )
-        _assert_identical(reference, result, "batched checkpoint round trip")
+        _assert_identical(reference, result, "vectorized checkpoint round trip")
 
     def test_checkpoint_dict_round_trip_without_disk(self):
         engine = LifeStreamEngine(window_size=1000)

@@ -16,7 +16,7 @@ import pytest
 from repro.core.compiler import CompileHints
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import BatchedBackend, VectorizedBackend
+from repro.core.runtime import VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
@@ -24,11 +24,13 @@ WINDOW_SIZE = 1000
 WATERMARKS = (777, 2500, 4211, 7000, 9999, 12001)
 
 #: Backend factories for the swap matrix (fresh objects per test: backends
-#: cache twins/executors on plans).
+#: cache run executors on plans).
 BACKENDS = {
     "serial": lambda: None,
-    "batched-4": lambda: BatchedBackend(batch_windows=4),
     "vectorized": lambda: VectorizedBackend(),
+    # Tiny run cap: multi-window ticks split into runs, so the transplanted
+    # carries cross run boundaries right after the swap.
+    "vectorized-3": lambda: VectorizedBackend(max_run_windows=3),
 }
 
 
@@ -69,9 +71,9 @@ def _assert_identical(reference, candidate, label=""):
     )
 
 
-def _engine(targeted=True, backend=None):
+def _engine(targeted=True, backend=None, window_size=WINDOW_SIZE):
     return LifeStreamEngine(
-        window_size=WINDOW_SIZE, targeted=targeted, backend=backend
+        window_size=window_size, targeted=targeted, backend=backend
     )
 
 
@@ -124,16 +126,12 @@ class TestSwapParityMatrix:
         [
             ("serial", "vectorized"),
             ("vectorized", "serial"),
-            ("batched-4", "serial"),
-            ("vectorized", "batched-4"),
+            ("vectorized-3", "serial"),
+            ("vectorized", "vectorized-3"),
         ],
     )
     def test_cross_backend_swap_is_bit_identical(self, old_name, new_name):
-        """Swapping between execution backends mid-stream preserves output.
-
-        Swapping *off* a batched twin is always grid-aligned (the twin's
-        boundaries are a subset of the base grid); swapping *onto* one is
-        covered separately because it can be refused."""
+        """Swapping between execution backends mid-stream preserves output."""
         reference = _reference_result()
         session, result = _run_with_swap(
             3, BACKENDS[old_name](), BACKENDS[new_name]()
@@ -152,10 +150,14 @@ class TestSwapParityMatrix:
         session.close()
 
 
-class TestSwapOntoBatchedGrid:
-    def test_aligned_swap_onto_twin_succeeds_eventually(self):
-        """Serial -> batched is only legal at every batch_windows-th window
-        boundary; a pump loop that retries on misalignment lands one."""
+class TestSwapOntoCoarserGrid:
+    """A recompile at the same window size always lands on the session's
+    grid; these drive the alignment check with plans compiled at a multiple
+    of the window size, whose grid only shares every N-th boundary."""
+
+    def test_aligned_swap_onto_coarser_grid_succeeds_eventually(self):
+        """A swap onto a 4x-wider window grid is only legal at every fourth
+        window boundary; a loop that retries on misalignment lands one."""
         reference = _reference_result()
         sources = {"s": ReplaySource(_source())}
         session = _engine().open_session(_query(), sources)
@@ -163,17 +165,19 @@ class TestSwapOntoBatchedGrid:
         for watermark in WATERMARKS:
             session.advance(watermark)
             if not swapped:
-                backend = BatchedBackend(batch_windows=4)
-                replacement = _engine(backend=backend).compile(_query(), sources)
+                replacement = _engine(window_size=4 * WINDOW_SIZE).compile(
+                    _query(), sources
+                )
                 try:
-                    session = session.swap_plan(replacement, backend=backend)
+                    session = session.swap_plan(replacement)
                     swapped = True
                 except ExecutionError:
                     continue  # misaligned boundary: retry at the next tick
         assert swapped, "no aligned boundary found across the whole schedule"
         session.finish()
-        _assert_identical(reference, session.result(), "serial->batched")
-        assert session.result().stats.execution_mode == "batched (recompiled)"
+        _assert_identical(reference, session.result(), "1x->4x window grid")
+        assert session._plan.sink.dimension == 4 * WINDOW_SIZE
+        assert session.result().stats.execution_mode == "serial (recompiled)"
         session.close()
 
     def test_misaligned_swap_raises_and_leaves_session_intact(self):
@@ -188,15 +192,16 @@ class TestSwapOntoBatchedGrid:
             frontier = session.frontier
             if frontier is None:
                 continue
-            # A 3-window twin triples the sink dimension; only try the
-            # boundaries that are provably NOT on the twin's widened grid.
+            # A 3x window size triples the sink dimension; only try the
+            # boundaries that are provably NOT on that coarser grid.
             emitted_through = frontier + dimension
             if (emitted_through - offset) % (3 * dimension) == 0:
                 continue
-            backend = BatchedBackend(batch_windows=3)
-            replacement = _engine(backend=backend).compile(_query(), sources)
+            replacement = _engine(window_size=3 * WINDOW_SIZE).compile(
+                _query(), sources
+            )
             with pytest.raises(ExecutionError, match="misaligned"):
-                session.swap_plan(replacement, backend=backend)
+                session.swap_plan(replacement)
             misaligned += 1
         assert misaligned > 0, "every boundary happened to align; broaden the data"
         # The refused swaps left the original session fully functional.

@@ -18,14 +18,12 @@ from repro.core.compiler import CompileHints, compile_plan
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import (
-    BatchedBackend,
     PlanProfile,
     SerialBackend,
     VectorizedBackend,
     recommend_backend,
 )
 from repro.core.runtime.profile import (
-    MAX_HINTED_BATCH_WINDOWS,
     MAX_HINTED_RUN_WINDOWS,
     MIN_HINTED_RUN_WINDOWS,
 )
@@ -122,7 +120,6 @@ class TestPlanProfile:
         for _ in range(4):
             profile.observe(_tick(windows_run=24, window_runs=3))  # mean run 8
         hints = profile.hints()
-        assert hints.batch_windows == 8
         # Largest bucket 8 -> next pow2 above 2*8 is 16 (also the floor).
         assert hints.max_run_windows == 16
         assert hints.targeted is True  # fragmented (3 runs per busy tick)
@@ -132,13 +129,11 @@ class TestPlanProfile:
         isolated = PlanProfile()
         isolated.observe(_tick(windows_run=3, window_runs=3))
         hints = isolated.hints()
-        assert hints.batch_windows is None  # nothing to amortise
         assert hints.max_run_windows == MIN_HINTED_RUN_WINDOWS
 
         huge = PlanProfile()
         huge.observe(_tick(windows_run=100000, window_runs=1))
         hints = huge.hints()
-        assert hints.batch_windows == MAX_HINTED_BATCH_WINDOWS
         assert hints.max_run_windows == MAX_HINTED_RUN_WINDOWS
         assert hints.targeted is None  # dense: no opinion
 
@@ -240,7 +235,7 @@ class TestRecommendBackend:
     def test_static_choice_returns_reason(self):
         backend, reason = recommend_backend(self._plan())
         assert isinstance(reason, str) and reason
-        assert backend.name in {"serial", "batched", "vectorized"}
+        assert backend.name in {"serial", "vectorized"}
 
     def test_profiled_long_runs_pick_vectorized_with_sized_cap(self):
         profile = PlanProfile()
@@ -259,40 +254,38 @@ class TestRecommendBackend:
         assert isinstance(backend, SerialBackend)
         assert "isolated" in reason
 
-    def test_profiled_runs_without_lowering_pick_batched(self):
-        # A custom window transform blocks vectorized lowering but stays
-        # widening-safe, so measured runs steer to the batched twin.
-        query = (
-            Query.source("s", frequency_hz=500)
-            .tumbling_window(200)
-            .mean()
+    def test_profiled_runs_without_lowering_stay_serial(self):
+        # Nothing in a clip-join-only plan lowers to a run kernel, so even
+        # long measured runs leave nothing for run execution to speed up.
+        query = Query.source("s", frequency_hz=500).multicast(
+            lambda s: s.clip_join(s, lambda a, b: a + b)
         )
-        plan = self._plan(query)
         profile = PlanProfile()
         for _ in range(5):
             profile.observe(_tick(windows_run=16, window_runs=2))
-        backend, reason = recommend_backend(plan, profile=profile)
-        if isinstance(backend, BatchedBackend):
-            assert backend.batch_windows == profile.hints().batch_windows
-            assert "widened twin" in reason
-        else:  # the aggregate lowers on this build: vectorized wins instead
-            assert isinstance(backend, VectorizedBackend)
+        backend, reason = recommend_backend(self._plan(query), profile=profile)
+        assert isinstance(backend, SerialBackend)
+        assert "none of the plan's 1 operator node(s) lowers" in reason
 
 
 class TestCompileHints:
     def test_validation(self):
         with pytest.raises(CompilationError):
-            CompileHints(batch_windows=0)
-        with pytest.raises(CompilationError):
             CompileHints(max_run_windows=-1)
         with pytest.raises(CompilationError):
             CompileHints(max_fusion_length=1)
 
-    def test_cache_key_excludes_reason(self):
-        a = CompileHints(batch_windows=8, reason="profile says so")
-        b = CompileHints(batch_windows=8, reason="different words")
+    def test_cache_key_covers_exactly_what_the_compiler_reads(self):
+        a = CompileHints(max_fusion_length=3, reason="profile says so")
+        b = CompileHints(max_fusion_length=3, reason="different words")
         assert a.cache_key() == b.cache_key()
-        assert a.cache_key() != CompileHints(batch_windows=16).cache_key()
+        assert a.cache_key() != CompileHints(max_fusion_length=4).cache_key()
+        # The run cap, enumeration mode and backend are runtime choices on
+        # the same compiled template.
+        runtime_only = CompileHints(
+            max_fusion_length=3, max_run_windows=64, targeted=True, backend="vectorized"
+        )
+        assert runtime_only.cache_key() == a.cache_key()
 
     def test_fusion_cut_compiles_to_identical_output(self):
         sources = {"s": _dense_source(4000)}
@@ -377,6 +370,28 @@ class TestAdaptiveService:
                 assert report.swapped == []
             assert service._clients["sparse"].swaps == 0
             assert not service.session("sparse").recompiled
+
+    def test_run_length_differences_share_one_hinted_compile(self):
+        """Regression: hinted templates were keyed on the run cap, so two
+        clients of one signature whose profiles differed only in observed
+        run length each recompiled a byte-identical plan."""
+        service = StreamingService(window_size=WINDOW_SIZE, adaptive=True)
+        with service:
+            # "steady" adapts on 2-window runs (run cap 16)...
+            service.open("steady", _hot_query(), {"s": ReplaySource(_dense_source())})
+            for watermark in (2000, 4000, 6000):
+                service.pump({"steady": watermark})
+            assert service._clients["steady"].swaps == 1
+            assert service.session("steady").backend.max_run_windows == 16
+            # ...then "backlog" joins the same signature 40 windows behind,
+            # and the merged profile now asks for a larger cap.
+            service.open("backlog", _hot_query(), {"s": ReplaySource(_dense_source())})
+            for steady, backlog in ((8000, 40000), (10000, 42000), (12000, 44000)):
+                service.pump({"steady": steady, "backlog": backlog})
+            assert service._clients["backlog"].swaps == 1
+            assert service.session("backlog").backend.max_run_windows > 16
+            # One base template plus one hinted template, not one per cap.
+            assert service.cache_stats.misses == 2
 
     def test_static_service_never_profiles_or_swaps(self):
         service = StreamingService(window_size=WINDOW_SIZE)
