@@ -51,7 +51,7 @@ from repro.errors import (
     StreamDefinitionError,
     TrillOutOfMemoryError,
 )
-from repro.serve import PlanCache, ShardedStreamingService, StreamingService
+from repro.serve import PlanCache, StreamingService
 
 __version__ = "1.0.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "VectorizedBackend",
     "recommend_backend",
     "StreamingService",
-    "ShardedStreamingService",
     "PlanCache",
     "ArraySource",
     "CsvSource",

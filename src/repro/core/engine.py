@@ -230,7 +230,7 @@ class LifeStreamEngine:
         """The cached (pristine, never-executed) template for *query*.
 
         Returns None when no plan cache is attached or the query cannot be
-        cached (bound sources).  Also used by the sharded serving layer to
+        cached (bound sources).  Also used by the ingest worker pool to
         pre-warm the cache before forking, without paying for a throwaway
         per-client instantiation.
         """

@@ -196,10 +196,6 @@ class MultiprocessBackend(ExecutionBackend):
         self.n_workers = int(n_workers)
         self.warmup_windows = warmup_windows
 
-    @staticmethod
-    def _fork_available() -> bool:
-        return fork_available()
-
     def session_mode(self, plan: CompiledPlan) -> str:
         raise NotImplementedError(
             "streaming sessions are not supported on the multiprocess backend: "
@@ -213,7 +209,7 @@ class MultiprocessBackend(ExecutionBackend):
     ) -> StreamResult:
         global _SHARD_STATE
         starts = _window_starts(plan, targeted)
-        if self.n_workers == 1 or len(starts) < 2 * self.n_workers or not self._fork_available():
+        if self.n_workers == 1 or len(starts) < 2 * self.n_workers or not fork_available():
             return SerialBackend().execute(plan, targeted=targeted, collect=collect)
 
         warmup = (

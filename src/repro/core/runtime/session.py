@@ -144,6 +144,7 @@ class StreamingSession:
         self._collected_values: list[np.ndarray] = []
         self._collected_durations: list[np.ndarray] = []
         self._windows_run = 0
+        self._events_emitted = 0
         self._ticks: list[TickStats] = []
         self._finished = False
         self._closed = False
@@ -332,6 +333,7 @@ class StreamingSession:
         if ready:
             self._last_start = ready[-1]
         self._windows_run += len(ready)
+        self._events_emitted += events
         dimension = self._plan.sink.dimension
         window_runs = sum(
             1
@@ -348,7 +350,7 @@ class StreamingSession:
             execute_seconds=executed - planned,
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
-            cumulative_events=sum(t.size for t in self._collected_times),
+            cumulative_events=self._events_emitted,
             window_runs=window_runs,
             execution_mode=self._execution_mode,
         )
@@ -397,7 +399,7 @@ class StreamingSession:
             execute_seconds=0.0,
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
-            cumulative_events=sum(t.size for t in self._collected_times),
+            cumulative_events=self._events_emitted,
             window_runs=0,
             execution_mode=self._execution_mode,
         )
@@ -664,6 +666,7 @@ class StreamingSession:
         self._windows_run = checkpoint["windows_run"]
         self._finished = checkpoint["finished"]
         emitted = checkpoint["emitted"]
+        self._events_emitted = int(emitted["times"].size)
         if emitted["times"].size:
             self._collected_times = [np.asarray(emitted["times"], dtype=np.int64)]
             self._collected_values = [np.asarray(emitted["values"], dtype=np.float64)]
@@ -717,6 +720,7 @@ class StreamingSession:
                 else self._last_start + self._plan.sink.dimension
             ),
             "windows_run": self._windows_run,
+            "events_emitted": self._events_emitted,
             "finished": self._finished,
             "collected": (
                 list(self._collected_times),
@@ -826,6 +830,7 @@ class StreamingSession:
         self._collected_times = list(times)
         self._collected_values = list(values)
         self._collected_durations = list(durations)
+        self._events_emitted = state["events_emitted"]
         self._recompiled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -289,7 +289,8 @@ class ReplaySource(StreamSource):
         self._watermark = max(self._watermark, self._inner.coverage().span()[1])
 
     def coverage(self) -> IntervalSet:
-        return self._inner.coverage().clip(*(self._inner.coverage().span()[0], self._watermark))
+        coverage = self._inner.coverage()
+        return coverage.clip(coverage.span()[0], self._watermark)
 
     def event_count(self) -> int:
         return self._inner.event_count()

@@ -1,22 +1,34 @@
-"""Dynamic worker pool with checkpointed failover for pushed ingest.
+"""Dynamic worker pool with checkpointed failover: the multi-process tier.
 
-:class:`IngestWorkerPool` is the multi-process mode of the ingest
-subsystem.  It keeps the whole-session sharding story of
-:class:`~repro.serve.sharded.ShardedStreamingService` — every client's
-session lives entirely on one forked worker, no operator state ever
-crosses a process boundary — but drops its pre-fork registration
-restriction, and it survives worker death.
+The paper's scale-out story (Figure 10(c)/(d)) is patient-level data
+parallelism: many independent streams processed by identical plans side by
+side.  :class:`IngestWorkerPool` is how this repo hosts sessions in other
+processes.  The sharding unit is the *whole session*: every client's
+session lives entirely on one worker, so every operator carry stays on the
+worker that owns it and no state crosses a process boundary between ticks
+(per-window sharding, as in
+:class:`~repro.core.runtime.backends.MultiprocessBackend`, would re-replay
+warm-up state every tick, which is why that backend refuses sessions).
 
-**Dynamic placement.**  Queries hold user lambdas and cannot cross a
-pipe, so the sharded service can only serve clients its workers inherited
-at fork time.  The pool forks its workers over a *catalog* instead: a
-``{query_name: QueryShape}`` mapping of query factories fixed at
-construction.  A client then joins at any time — only its picklable
-``(client_id, query_name)`` pair travels to a worker, which builds the
-query locally from the inherited factory.  Workers are equally dynamic:
-:meth:`add_worker` forks a fresh worker mid-flight (it inherits the
-parent's warmed plan cache and the catalog), and :meth:`retire_worker`
-drains one gracefully, rebalancing its clients onto the survivors.
+**Fork and the catalog.**  Queries hold user lambdas and plans hold NumPy
+buffers — neither pickles — so workers are forked and inherit what they
+need: a *catalog* (``{query_name: QueryShape}``, query factories fixed at
+construction) and the parent's plan cache, pre-warmed with one template per
+catalog shape, so N same-shape clients cost one compile *globally*
+(:meth:`IngestWorkerPool.cache_stats` shows it per worker).  A client joins
+at any time — only its picklable ``(client_id, query_name)`` pair travels
+to a worker, which builds the query locally from the inherited factory.
+Workers are equally dynamic: :meth:`add_worker` forks a fresh worker
+mid-flight, and :meth:`retire_worker` drains one gracefully, rebalancing
+its clients onto the survivors.  Platforms without ``fork`` run the same
+worker runtime in-process; :attr:`execution_mode` says which.
+
+**Scatter, then gather.**  Every pool-wide command (``tick``, ``finish``,
+``results``, ``checkpoint_now``, ``cache_stats``) is sent to all the
+workers it concerns before any reply is read, so the workers run
+concurrently, and every outstanding reply is drained before an error is
+raised or a dead worker is recovered — an unread reply would shift that
+worker's pipe protocol by one command for every later call.
 
 **Failover.**  Each worker session checkpoints on a tick cadence
 (``lifestream-session-checkpoint/v1``, the format of
@@ -39,12 +51,10 @@ import signal
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-from repro.core.engine import LifeStreamEngine
 from repro.core.runtime.backends import fork_available
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError
 from repro.ingest.types import QueryShape, batch_end, validate_push_batch
-from repro.serve.cache import PlanCache
 from repro.serve.service import ServicePumpReport, StreamingService
 
 #: Ticks between automatic session checkpoints on the workers.
@@ -58,6 +68,14 @@ Entry = tuple
 
 def _entry_watermark(entry: Entry) -> int:
     return entry[4]
+
+
+def _merged(reports) -> ServicePumpReport:
+    """Fold the per-worker pump reports of one pool-wide command into one."""
+    merged = ServicePumpReport()
+    for report in reports:
+        merged.merge(report)
+    return merged
 
 
 class _PoolWorkerDied(Exception):
@@ -104,8 +122,8 @@ class _PoolWorkerRuntime:
                     (client_id, self.service.session(client_id).checkpoint())
                 )
             return None
-        if command == "ping":
-            return self.service.client_ids
+        if command == "cache-stats":
+            return self.service.cache_stats
         if command == "close":
             self.service.close_all()
             return None
@@ -170,17 +188,23 @@ class _PoolWorkerRuntime:
             else:
                 source.append(times, values, durations)
 
-    def drain_checkpoints(self) -> list[tuple[str, dict]]:
+    def reply_to(self, command: str, payload) -> tuple:
+        """Handle one command and wrap the outcome in the reply envelope.
+
+        Every reply is ``(status, payload, checkpoints)``: a failure is
+        ferried to the parent as text instead of taking the worker down,
+        and cadence checkpoints ride along on whatever reply goes out next.
+        """
+        try:
+            status, reply = "ok", self.handle(command, payload)
+        except Exception as exc:
+            status, reply = "error", f"{type(exc).__name__}: {exc}"
         fresh, self.fresh_checkpoints = self.fresh_checkpoints, []
-        return fresh
+        return status, reply, fresh
 
 
 def _pool_worker_main(conn, engine, catalog, checkpoint_every, foreign_conns=()) -> None:
-    """Forked worker loop: handle commands until EOF or ``close``.
-
-    Every reply is a three-part envelope ``(status, payload, checkpoints)``
-    — cadence checkpoints ride along on whatever reply goes out next.
-    """
+    """Forked worker loop: answer commands until EOF or ``close``."""
     for foreign in foreign_conns:
         foreign.close()
     runtime = _PoolWorkerRuntime(engine, catalog, checkpoint_every)
@@ -190,17 +214,7 @@ def _pool_worker_main(conn, engine, catalog, checkpoint_every, foreign_conns=())
             command, payload = conn.recv()
         except EOFError:
             break
-        try:
-            reply = runtime.handle(command, payload)
-            conn.send(("ok", reply, runtime.drain_checkpoints()))
-        except BaseException as exc:  # noqa: B036 - ferry the error
-            conn.send(
-                (
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    runtime.drain_checkpoints(),
-                )
-            )
+        conn.send(runtime.reply_to(command, payload))
         if command == "close":
             break
 
@@ -215,13 +229,22 @@ class _ForkedWorker:
         self.process = process
         self.pipe = pipe
 
-    def request(self, command: str, payload):
+    def send(self, command: str, payload) -> None:
         try:
             self.pipe.send((command, payload))
         except (BrokenPipeError, OSError) as exc:
             raise _PoolWorkerDied(
                 self.worker_id, f"unreachable on send: {exc}"
             ) from exc
+
+    def recv(self) -> tuple:
+        """Receive one reply envelope, detecting a dead worker.
+
+        Waits on the pipe *and* the process sentinel, so a worker that dies
+        without its pipe end closing (the fd still inherited somewhere) is
+        detected instead of blocking the parent forever.  A reply buffered
+        before death is still drained.
+        """
         while True:
             ready = mp_connection.wait([self.pipe, self.process.sentinel])
             if self.pipe in ready or self.pipe.poll(0):
@@ -273,25 +296,18 @@ class _LocalWorker:
 
     def __init__(self, worker_id: int, engine, catalog, checkpoint_every: int) -> None:
         self.worker_id = worker_id
-        self._engine = engine
-        self._catalog = catalog
-        self._checkpoint_every = checkpoint_every
         self.runtime = _PoolWorkerRuntime(engine, catalog, checkpoint_every)
+        self._reply = None
 
-    def request(self, command: str, payload):
+    def send(self, command: str, payload) -> None:
         if self.runtime is None:
             raise _PoolWorkerDied(self.worker_id, "worker was killed")
-        try:
-            reply = self.runtime.handle(command, payload)
-        except _PoolWorkerDied:
-            raise
-        except BaseException as exc:  # noqa: B036 - mirror the pipe protocol
-            return (
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                self.runtime.drain_checkpoints(),
-            )
-        return ("ok", reply, self.runtime.drain_checkpoints())
+        self._reply = self.runtime.reply_to(command, payload)
+
+    def recv(self) -> tuple:
+        if self.runtime is None:
+            raise _PoolWorkerDied(self.worker_id, "worker was killed")
+        return self._reply
 
     def alive(self) -> bool:
         return self.runtime is not None
@@ -371,16 +387,14 @@ class IngestWorkerPool:
         self.retention_ticks = (
             2 * window_size if retention_ticks is None else int(retention_ticks)
         )
-        kwargs = {}
-        if optimization_level is not None:
-            kwargs["optimization_level"] = optimization_level
-        self._engine = LifeStreamEngine(
+        # Built the way every serving engine is: by the service constructor.
+        self._engine = StreamingService(
             window_size=window_size,
             targeted=targeted,
             backend=backend,
-            plan_cache=PlanCache(capacity=max_cached_plans),
-            **kwargs,
-        )
+            optimization_level=optimization_level,
+            max_cached_plans=max_cached_plans,
+        ).engine
         # Pre-warm one template per catalog shape in the parent: every
         # worker — including ones forked much later — inherits the warmed
         # cache, so N same-shape clients cost one compile globally.
@@ -522,8 +536,8 @@ class IngestWorkerPool:
     ) -> int:
         """Place a new client on a worker (least-loaded unless pinned).
 
-        Unlike the sharded service, this works at any time — before or
-        after other clients are mid-stream.  Returns the hosting worker id.
+        Works at any time — before or after other clients are mid-stream.
+        Returns the hosting worker id.
         """
         self._require_open()
         if client_id in self._clients:
@@ -595,94 +609,41 @@ class IngestWorkerPool:
     def tick(self) -> ServicePumpReport:
         """Ship every queued push to its worker and tick the dirty clients.
 
-        Groups outboxes per worker (one round trip each), merges the
-        per-worker reports, harvests any cadence checkpoints riding on the
-        replies, and truncates the replay logs they cover.  A worker found
-        dead mid-tick is recovered inline — its clients are restored on
-        peers (which re-applies their queued pushes from the replay log)
-        and the tick simply continues; nothing is lost.
+        Groups outboxes per worker, scatters them, and gathers the
+        per-worker reports into one; cadence checkpoints riding on the
+        replies are harvested and truncate the replay logs they cover.  A
+        worker found dead mid-tick is recovered once the survivors have
+        replied — its clients are restored on peers (which re-applies
+        their queued pushes from the replay log); nothing is lost.
         """
         self._require_open()
-        by_worker: dict[int, dict[str, list]] = {}
-        for client in self._clients.values():
-            if client.outbox and not client.finished:
-                by_worker.setdefault(client.worker_id, {})[client.client_id] = None
-        report = ServicePumpReport()
-        for worker_id, placed in by_worker.items():
-            worker = self._workers.get(worker_id)
-            if worker is None or not worker.alive():
-                self._recover_worker(worker_id)
-                continue
-            batches = self._drain_outboxes(list(placed))
-            if not batches:
-                continue
-            try:
-                reply = self._request(worker, "ingest", batches)
-            except _PoolWorkerDied:
-                # The outboxes were already drained, but every entry is
-                # still in the replay logs — the restore replays them.
-                self._recover_worker(worker_id)
-                continue
-            report.merge(reply)
-        return report
+        dirty = self._by_worker(
+            c.client_id for c in self._clients.values() if c.outbox and not c.finished
+        )
+        # The outboxes are drained before anything is sent, but every entry
+        # is still in the replay logs — a restore replays them, which is
+        # why a dead worker's batch is not re-routed.
+        batches = {
+            worker_id: self._drain_outboxes(placed) for worker_id, placed in dirty.items()
+        }
+        return _merged(self._gather("ingest", batches, reroute=False))
 
     def finish(self) -> ServicePumpReport:
         """Drain every live client's deferred tail across all workers."""
         self._require_open()
-        report = ServicePumpReport()
         self.tick()
-        for worker_id in list(self._workers):
-            placed = [
-                c.client_id
-                for c in self._clients.values()
-                if c.worker_id == worker_id and not c.finished
-            ]
-            if not placed:
-                continue
-            worker = self._workers.get(worker_id)
-            try:
-                report.merge(self._request(worker, "finish", placed))
-            except _PoolWorkerDied:
-                self._recover_worker(worker_id)
-                regrouped: dict[int, list[str]] = {}
-                for client_id in placed:
-                    regrouped.setdefault(
-                        self._clients[client_id].worker_id, []
-                    ).append(client_id)
-                for new_worker_id, client_ids in regrouped.items():
-                    report.merge(
-                        self._request(
-                            self._workers[new_worker_id], "finish", client_ids
-                        )
-                    )
-            for client_id in placed:
-                self._clients[client_id].finished = True
+        live = [c.client_id for c in self._clients.values() if not c.finished]
+        report = _merged(self._gather("finish", self._by_worker(live)))
+        for client_id in live:
+            self._clients[client_id].finished = True
         return report
 
     def results(self) -> dict:
         """Per-client :class:`StreamResult`\\ s, gathered across workers."""
         self._require_open()
         merged: dict = {}
-        for worker_id in list(self._workers):
-            placed = self.clients_of(worker_id)
-            if not placed:
-                continue
-            worker = self._workers.get(worker_id)
-            try:
-                merged.update(self._request(worker, "results", placed))
-            except _PoolWorkerDied:
-                self._recover_worker(worker_id)
-                regrouped: dict[int, list[str]] = {}
-                for client_id in placed:
-                    regrouped.setdefault(
-                        self._clients[client_id].worker_id, []
-                    ).append(client_id)
-                for new_worker_id, client_ids in regrouped.items():
-                    merged.update(
-                        self._request(
-                            self._workers[new_worker_id], "results", client_ids
-                        )
-                    )
+        for reply in self._gather("results", self._by_worker(self._clients)):
+            merged.update(reply)
         return merged
 
     def checkpoint_now(self, client_ids=None) -> None:
@@ -694,13 +655,19 @@ class IngestWorkerPool:
             raise ValueError(
                 f"checkpoint_now() was given unknown client(s) {sorted(unknown)}"
             )
-        by_worker: dict[int, list[str]] = {}
-        for client_id in targets:
-            client = self._clients[client_id]
-            if not client.finished:
-                by_worker.setdefault(client.worker_id, []).append(client_id)
-        for worker_id, placed in by_worker.items():
-            self._request(self._workers[worker_id], "checkpoint", placed)
+        live = [cid for cid in targets if not self._clients[cid].finished]
+        self._gather("checkpoint", self._by_worker(live))
+
+    def cache_stats(self) -> list:
+        """Per-worker plan-cache counters, in worker order.
+
+        Forked workers inherit the parent's pre-warmed cache, so each
+        shows one miss per catalog shape and a hit for every session it
+        opened.  In-process workers share the parent's cache: every entry
+        is then the same object.
+        """
+        self._require_open()
+        return self._gather("cache-stats", dict.fromkeys(self._workers, ()))
 
     # -- failover ------------------------------------------------------------
 
@@ -769,14 +736,71 @@ class IngestWorkerPool:
         return batches
 
     def _request(self, worker, command, payload):
-        """One round trip; harvests piggybacked checkpoints from the reply."""
-        status, reply, checkpoints = worker.request(command, payload)
+        """One round trip to one worker (placement, restore, retirement)."""
+        worker.send(command, payload)
+        return self._receive(worker, command)
+
+    def _receive(self, worker, command):
+        """One reply: harvest its piggybacked checkpoints, raise its error."""
+        status, reply, checkpoints = worker.recv()
         self._harvest(checkpoints)
         if status != "ok":
             raise ExecutionError(
                 f"worker {worker.worker_id} failed on {command!r}: {reply}"
             )
         return reply
+
+    def _gather(self, command: str, payloads: dict, reroute: bool = True) -> list:
+        """Send *command* to every worker in *payloads*, then collect every reply.
+
+        *payloads* maps worker id to that worker's payload — a list of the
+        client ids the command concerns, or anything at all with
+        ``reroute=False``.  All sends go out before the first receive, so
+        the workers run concurrently, and every outstanding reply is
+        drained (its piggybacked checkpoints harvested) before anything
+        else happens.  Then each worker found dead — on send or while the
+        parent waited — is recovered, and with ``reroute`` the request is
+        sent again for its clients, grouped by the peers that now host
+        them.  Error replies raise one :class:`ExecutionError` after the
+        recovery, so the pool stays usable.  Returns the ``ok`` payloads.
+        """
+        replies: list = []
+        while payloads:
+            sent, dead, errors = [], [], []
+            for worker_id, payload in payloads.items():
+                worker = self._workers.get(worker_id)
+                if worker is None:
+                    dead.append(worker_id)
+                    continue
+                try:
+                    worker.send(command, payload)
+                except _PoolWorkerDied:
+                    dead.append(worker_id)
+                else:
+                    sent.append(worker)
+            for worker in sent:
+                try:
+                    replies.append(self._receive(worker, command))
+                except _PoolWorkerDied:
+                    dead.append(worker.worker_id)
+                except ExecutionError as error:
+                    errors.append(str(error))
+            displaced: list[str] = []
+            for worker_id in dead:
+                self._recover_worker(worker_id)
+                if reroute:
+                    displaced.extend(payloads[worker_id])
+            if errors:
+                raise ExecutionError("; ".join(errors))
+            payloads = self._by_worker(displaced)
+        return replies
+
+    def _by_worker(self, client_ids) -> dict[int, list[str]]:
+        """Group *client_ids* by the worker currently hosting each."""
+        placed: dict[int, list[str]] = {}
+        for client_id in client_ids:
+            placed.setdefault(self._clients[client_id].worker_id, []).append(client_id)
+        return placed
 
     def _harvest(self, checkpoints) -> None:
         """Adopt piggybacked checkpoints and truncate the replay logs."""
@@ -846,12 +870,7 @@ class IngestWorkerPool:
             return
         self._closed = True
         for worker in self._workers.values():
-            if worker.alive():
-                try:
-                    worker.request("close", None)
-                except _PoolWorkerDied:
-                    pass
-            worker.reap()
+            self._shutdown_worker(worker)
         self._workers.clear()
 
     def __enter__(self) -> "IngestWorkerPool":

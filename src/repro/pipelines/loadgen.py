@@ -1,7 +1,8 @@
 """Load generator for the push-based ingest subsystem.
 
-Where :mod:`repro.pipelines.serve` drives a pull-style cohort with one
-``pump`` per watermark, this pipeline plays the *producer* side: many
+Where :mod:`repro.pipelines.serve` replays a cohort one watermark at a
+time (in-process, or through the same worker pool as here) and reports
+the work done, this pipeline plays the *producer* side: many
 concurrent sessions push timestamped sample batches at a gateway or a
 worker pool, and the report measures what the ingest path sustained —
 samples/s in, events/s out, and the p99 per-session tick latency.  It is
@@ -13,8 +14,9 @@ Two modes share one synthetic workload:
 
 ``pool``
     Sessions spread across an :class:`~repro.ingest.IngestWorkerPool`
-    (forked workers, cadence checkpoints, failover).  Optionally kills a
-    worker mid-run to measure ingest *through* a failover.
+    (forked workers ticking concurrently, cadence checkpoints,
+    failover).  Optionally kills a worker mid-run to measure ingest
+    *through* a failover.
 
 ``gateway``
     Sessions multiplexed on one asyncio

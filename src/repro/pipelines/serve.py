@@ -4,9 +4,10 @@ The deployment half of the paper's patient-level-scale story (Figure
 10(c)/(d)): every bedside monitor in a cohort streams into the same query
 shape, so the service compiles the plan once, instantiates a per-patient
 session from the cached template, and ticks the whole cohort with one
-``pump`` per watermark.  With ``n_workers > 1`` the cohort is sharded,
-whole sessions at a time, across forked worker processes
-(:class:`~repro.serve.ShardedStreamingService`).
+``pump`` per watermark.  With ``n_workers > 1`` the cohort is hosted,
+whole sessions at a time, on the forked workers of an
+:class:`~repro.ingest.IngestWorkerPool`: each patient's samples are pushed
+one watermark slice at a time and the pool ticks all workers at once.
 
 Run as a script for a printed cohort trace::
 
@@ -22,7 +23,8 @@ import numpy as np
 from repro.core.query import Query
 from repro.core.sources import ArraySource, ReplaySource
 from repro.core.timeutil import TICKS_PER_SECOND
-from repro.serve import ShardedStreamingService, StreamingService
+from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
+from repro.serve import StreamingService
 
 
 @dataclass
@@ -41,7 +43,7 @@ class CohortServeReport:
     compiles: int = 0
     #: Plan-cache hits (clients served from the template).
     cache_hits: int = 0
-    #: Execution mode: "in-process", or "forked" when sharded.
+    #: Execution mode: "in-process", or "forked" on a worker pool.
     execution_mode: str = "in-process"
     #: Wall-clock seconds inside the per-session tick loops.
     session_seconds: float = 0.0
@@ -89,7 +91,7 @@ def serve_cohort(
 
     One ``pump`` per watermark ticks the whole cohort; the report
     aggregates the per-pump work and the plan-cache accounting.  With
-    ``n_workers > 1`` the cohort is sharded across forked processes.
+    ``n_workers > 1`` the cohort is spread over a worker pool's processes.
     ``backend`` (an instance or a CLI name) selects the execution backend
     every session in the cohort runs on.
 
@@ -110,63 +112,87 @@ def serve_cohort(
         if query is not None:
             from repro.lang.runner import synthesize_sources
 
-            return {
-                name: ReplaySource(source)
-                for name, source in synthesize_sources(
-                    descriptors or {}, duration_seconds=duration_seconds, seed=seed
-                ).items()
-            }
-        return {"ecg": ReplaySource(synthetic_patient(seed, duration_seconds))}
-
-    def drive(service) -> None:
-        """Pump every watermark, drain the tails, accumulate the report."""
-        for watermark in watermarks:
-            pumped = service.pump(watermark)
-            report.pump_rows.append(
-                (watermark, pumped.windows_run, pumped.events_emitted)
+            return synthesize_sources(
+                descriptors or {}, duration_seconds=duration_seconds, seed=seed
             )
-            report.windows_run += pumped.windows_run
-            report.events_emitted += pumped.events_emitted
-            report.session_seconds += pumped.elapsed_seconds
-        drained = service.finish()
-        report.windows_run += drained.windows_run
-        report.events_emitted += drained.events_emitted
-        report.session_seconds += drained.elapsed_seconds
+        return {"ecg": synthetic_patient(seed, duration_seconds)}
 
     def patient_query() -> Query:
         return query if query is not None else cohort_query()
 
+    def account(pumped, watermark=None) -> None:
+        if watermark is not None:
+            report.pump_rows.append(
+                (watermark, pumped.windows_run, pumped.events_emitted)
+            )
+        report.windows_run += pumped.windows_run
+        report.events_emitted += pumped.events_emitted
+        report.session_seconds += pumped.elapsed_seconds
+
+    cohort = {f"patient-{seed:03d}": patient_sources(seed) for seed in range(n_patients)}
+
     if n_workers > 1:
-        service = ShardedStreamingService(
-            n_workers=n_workers, window_size=window_size, backend=backend
-        )
-        for seed in range(n_patients):
-            service.register(f"patient-{seed:03d}", patient_query(), patient_sources(seed))
-        service.start()
-        report.execution_mode = service.execution_mode
-        drive(service)
-        # Every worker inherits the parent's pre-warmed cache, so each
-        # shard's miss counter includes the same pre-fork compiles; the
-        # global compile count is the per-shard maximum (workers only add
-        # misses for shapes the parent did not warm, which register happens
-        # to make impossible), while hits are genuinely per-shard work.
-        per_shard = service.cache_stats()
-        report.compiles = max(stats.misses for stats in per_shard)
-        report.cache_hits = sum(stats.hits for stats in per_shard)
-        service.close()
+        streams = {
+            name: StreamSpec(source.descriptor.period, source.descriptor.offset)
+            for name, source in patient_sources(0).items()
+        }
+        with IngestWorkerPool(
+            {"cohort": QueryShape(patient_query, streams)},
+            n_workers=n_workers,
+            window_size=window_size,
+            backend=backend,
+        ) as pool:
+            report.execution_mode = pool.execution_mode
+            for client_id in cohort:
+                pool.connect(client_id, "cohort")
+            #: Per stream, the time its pushed data and heartbeats reach.
+            through: dict = {}
+            sent = min(
+                (s.coverage().span()[0] for sources in cohort.values() for s in sources.values()),
+                default=0,
+            )
+            for watermark in watermarks:
+                # What a ReplaySource reveals at this watermark: the samples
+                # before it, then silence up to it.
+                for client_id, sources in cohort.items():
+                    for name, source in sources.items():
+                        times, values, durations = source.read(sent, watermark)
+                        reach = max(through.get((client_id, name), watermark), watermark)
+                        if times.size:
+                            pool.push(client_id, name, times, values, durations)
+                            reach = max(reach, int(times[-1] + durations[-1]))
+                        pool.advance(client_id, name, reach)
+                        through[client_id, name] = reach
+                sent = watermark
+                account(pool.tick(), watermark)
+            account(pool.finish())
+            # Every worker inherits the parent's pre-warmed cache, so each
+            # worker's miss counter repeats the same pre-fork compiles: the
+            # global compile count is the per-worker maximum, while hits
+            # are per-worker work (in-process workers share one cache and
+            # report the same object, counted once).
+            per_worker = {id(stats): stats for stats in pool.cache_stats()}.values()
+            report.compiles = max(stats.misses for stats in per_worker)
+            report.cache_hits = sum(stats.hits for stats in per_worker)
         return report
 
     with StreamingService(window_size=window_size, backend=backend) as service:
-        for seed in range(n_patients):
-            service.open(f"patient-{seed:03d}", patient_query(), patient_sources(seed))
-        drive(service)
+        for client_id, sources in cohort.items():
+            service.open(
+                client_id,
+                patient_query(),
+                {name: ReplaySource(source) for name, source in sources.items()},
+            )
+        for watermark in watermarks:
+            account(service.pump(watermark), watermark)
+        account(service.finish())
         report.compiles = service.cache_stats.misses
         report.cache_hits = service.cache_stats.hits
     return report
 
 
 def main(argv: list[str] | None = None) -> None:  # pragma: no cover - demo script
-    """Serve a 12-patient cohort in-process, then sharded across 2 workers."""
+    """Serve a 12-patient cohort in-process, then on a 2-worker pool."""
     import argparse
 
     from repro.pipelines.common import BACKEND_NAMES

@@ -1,4 +1,4 @@
-"""Multi-tenant serving: plan caching, session multiplexing, session sharding.
+"""Multi-tenant serving: plan caching, session multiplexing, sub-plan sharing.
 
 The serving layer turns the single-session streaming runtime into the
 paper's patient-level-scale story:
@@ -8,11 +8,13 @@ paper's patient-level-scale story:
 * :mod:`repro.serve.service` — :class:`StreamingService`, which multiplexes
   many :class:`~repro.core.runtime.session.StreamingSession`s and batches
   their ticks profile-guided (ready-first, cheapest-first);
-* :mod:`repro.serve.sharded` — :class:`ShardedStreamingService`, which
-  shards *whole sessions* across forked worker processes;
 * :mod:`repro.serve.subplan` — cross-tenant sub-plan sharing: tenants whose
   queries share a prefix sub-DAG over the same source objects execute that
   prefix once per tick (``StreamingService(subplan_sharing=True)``).
+
+Everything here runs in one process.  Hosting sessions in *other*
+processes is :class:`repro.ingest.IngestWorkerPool`, whose workers each run
+an ordinary :class:`StreamingService`.
 """
 
 from repro.serve.cache import (
@@ -26,7 +28,6 @@ from repro.serve.cache import (
     signature_digest,
 )
 from repro.serve.service import ClientRecord, ServicePumpReport, StreamingService
-from repro.serve.sharded import ShardedStreamingService
 from repro.serve.subplan import (
     SharedFeedSource,
     SharedPrefixGroup,
@@ -48,7 +49,6 @@ __all__ = [
     "StreamingService",
     "ServicePumpReport",
     "ClientRecord",
-    "ShardedStreamingService",
     "SharedFeedSource",
     "SharedPrefixGroup",
     "SharedPrefixPlan",

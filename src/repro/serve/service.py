@@ -193,15 +193,9 @@ class StreamingService:
             if optimization_level is not None:
                 kwargs["optimization_level"] = optimization_level
             engine = LifeStreamEngine(
-                window_size=window_size,
-                targeted=targeted,
-                backend=backend,
-                plan_cache=PlanCache(
-                    capacity=max_cached_plans, profile_path=profile_path
-                ),
-                **kwargs,
+                window_size=window_size, targeted=targeted, backend=backend, **kwargs
             )
-        elif engine.plan_cache is None:
+        if engine.plan_cache is None:
             engine.plan_cache = PlanCache(
                 capacity=max_cached_plans, profile_path=profile_path
             )

@@ -11,6 +11,7 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime import backends as backends_module
 from repro.core.runtime import (
     MultiprocessBackend,
     SerialBackend,
@@ -262,7 +263,7 @@ class TestExecutionModeHonesty:
         assert result.stats.execution_mode == "serial"
 
     def test_multiprocess_without_fork_reports_serial(self, monkeypatch):
-        monkeypatch.setattr(MultiprocessBackend, "_fork_available", staticmethod(lambda: False))
+        monkeypatch.setattr(backends_module, "fork_available", lambda: False)
         engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
         result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
         assert result.stats.execution_mode == "serial"

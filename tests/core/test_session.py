@@ -155,6 +155,37 @@ class TestSessionParity:
         # The no-new-data repeat advance must run nothing.
         assert ticks[2].windows_run == 0
 
+    def test_cumulative_events_matches_result_after_every_tick(self):
+        # The counter is kept incrementally (not re-summed from the emitted
+        # chunks), so it must be re-seeded wherever a session adopts another
+        # session's output: checkpoint restore and hot swap.
+        query = SESSION_QUERIES["sliding"]
+        engine = LifeStreamEngine(window_size=1000)
+        session = engine.open_session(query(), {"s": ReplaySource(_source())})
+
+        def check(tick):
+            assert tick.cumulative_events == len(session.result())
+
+        for watermark in WATERMARKS[:3]:
+            check(session.advance(watermark))
+        state = session.checkpoint()
+        session.close()
+        session = engine.open_session(
+            query(), {"s": ReplaySource(_source())}, checkpoint=state
+        )
+        for watermark in WATERMARKS[3:5]:
+            check(session.advance(watermark))
+        session = session.swap_plan(
+            engine.compile(query(), {"s": ReplaySource(_source())}),
+            backend=VectorizedBackend(max_run_windows=3),
+        )
+        for watermark in WATERMARKS[5:]:
+            check(session.advance(watermark))
+        check(session.finish())
+        check(session.finish())  # the idempotent empty tick
+        assert len(session.result()) > 0
+        session.close()
+
     def test_static_sources_drain_on_first_poll(self):
         engine = LifeStreamEngine(window_size=1000)
         session = engine.open_session(SESSION_QUERIES["elementwise"](), {"s": _source()})

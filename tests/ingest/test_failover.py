@@ -164,6 +164,61 @@ class TestKilledWorkerFailover:
                 f"client {client_id} restored with no checkpoint",
             )
 
+    def test_death_between_scatter_and_gather_keeps_the_survivors_replies(self):
+        # The victim is SIGKILLed right after its batch was sent — while
+        # the other worker's batch is still to be sent and both replies are
+        # outstanding.  The survivor's reply from that same tick (its
+        # report and its cadence checkpoints) must still be harvested, and
+        # only then is the victim recovered.
+        streams = _streams()
+        reference = _reference_results(streams, "serial")
+        pool = IngestWorkerPool(
+            CATALOG, n_workers=2, checkpoint_every_ticks=1, window_size=1000
+        )
+        try:
+            for client_id in streams:
+                pool.connect(client_id, "cohort")
+            victim_id, survivor_id = pool.worker_ids
+            survivors = pool.clients_of(survivor_id)
+            victim = pool._workers[victim_id]
+            send = victim.send
+
+            def send_then_die(command, payload):
+                send(command, payload)
+                victim.kill()
+
+            rounds = max((len(times) + CHUNK - 1) // CHUNK for times, _ in streams.values())
+            for round_index in range(rounds):
+                start = round_index * CHUNK
+                for client_id, (times, values) in streams.items():
+                    pool.push(
+                        client_id, "s", times[start : start + CHUNK], values[start : start + CHUNK]
+                    )
+                if round_index != 2:
+                    pool.tick()
+                    continue
+                victim.send = send_then_die
+                report = pool.tick()
+                # (The victim's own reply is there too in the rare run where
+                # it answered before the signal landed; its death is then
+                # found by the next tick instead.)
+                assert set(survivors) <= set(report.order)
+                for client_id in survivors:
+                    client = pool._clients[client_id]
+                    assert client.checkpoint_watermark == client.pushed_through["s"], (
+                        f"{client_id}'s checkpoint from the tick the victim died in was lost"
+                    )
+            pool.finish()
+            results = pool.results()
+            assert [r["worker_id"] for r in pool.recoveries] == [victim_id]
+            assert pool.worker_ids == [survivor_id]
+        finally:
+            pool.close()
+        for client_id in streams:
+            _assert_identical(
+                reference[client_id], results[client_id], f"{client_id} after mid-gather death"
+            )
+
     def test_every_worker_dead_spawns_a_replacement(self):
         streams = {"solo": _signal(seed=42)}
         pool = IngestWorkerPool(

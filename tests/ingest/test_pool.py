@@ -6,11 +6,14 @@ start placement, push/tick round trips, graceful retirement, and parity
 with a one-shot run.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime.backends import fork_available
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError, StreamDefinitionError
 from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
@@ -182,3 +185,145 @@ class TestPoolLifecycle:
             pool.connect("c1", "cohort")
         with pytest.raises(ExecutionError, match="closed"):
             pool.push("c0", "s", [0], [1.0])
+
+
+#: Armed by a test, inherited by the forked workers: the fragile query's
+#: first poisoned window raises once, on whichever worker meets it.
+_FUSE = {"armed": False}
+
+
+def _refuse_poison(v):
+    if _FUSE["armed"] and np.any(v > 1e6):
+        _FUSE["armed"] = False
+        raise ValueError("poisoned sample")
+    return v * 2 + 1
+
+
+def _fragile_query():
+    return Query.source("s", frequency_hz=500).select(_refuse_poison)
+
+
+def _slow_query():
+    def slow(v):
+        time.sleep(SLEEP_PER_WINDOW)
+        return v
+
+    return Query.source("s", frequency_hz=500).select(slow)
+
+
+SLEEP_PER_WINDOW = 0.2
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs forked workers")
+class TestScatterGather:
+    """Pool-wide commands go to every worker before any reply is read."""
+
+    def test_worker_error_reply_does_not_desync_the_protocol(self):
+        # A worker-side failure comes back as an error envelope.  The other
+        # worker's reply from the same tick must be drained before the
+        # error is raised, or every later command would read a stale reply.
+        times, values = _signal(n=3000)
+        healthy = ["c0", "c1", "c2"]
+        catalog = {**CATALOG, "fragile": QueryShape(_fragile_query, {"s": StreamSpec(PERIOD)})}
+        _FUSE["armed"] = True
+        try:
+            with IngestWorkerPool(catalog, n_workers=2, window_size=1000) as pool:
+                pool.connect("bad", "fragile")
+                for client_id in healthy:
+                    pool.connect(client_id, "cohort")
+                assert all(pool.clients_of(worker_id) for worker_id in pool.worker_ids)
+                pool.push("bad", "s", times[:800], np.full(800, 1e9))
+                for client_id in healthy:
+                    pool.push(client_id, "s", times[:800], values[:800])
+                with pytest.raises(ExecutionError, match="poisoned sample"):
+                    pool.tick()
+                for client_id in healthy:
+                    pool.push(client_id, "s", times[800:], values[800:])
+                report = pool.tick()
+                assert sorted(report.order) == healthy
+                assert len(pool.cache_stats()) == 2
+                drained = pool.finish()
+                assert sorted(drained.order) == ["bad"] + healthy
+                results = pool.results()
+        finally:
+            _FUSE["armed"] = False
+        assert sorted(results) == ["bad"] + healthy
+        reference = _one_shot_reference(times, values)
+        for client_id in healthy:
+            _assert_identical(reference, results[client_id], client_id)
+
+    def test_one_compile_per_catalog_shape_on_every_worker(self):
+        catalog = {
+            **CATALOG,
+            "plain": QueryShape(
+                lambda: Query.source("s", frequency_hz=500).select(lambda v: v - 1),
+                {"s": StreamSpec(PERIOD)},
+            ),
+        }
+        with IngestWorkerPool(catalog, n_workers=2) as pool:
+            for index in range(6):
+                pool.connect(f"c{index}", "cohort" if index % 2 else "plain")
+            late = pool.add_worker()
+            pool.connect("late", "cohort", worker_id=late)
+            per_worker = pool.cache_stats()
+            hosted = [len(pool.clients_of(worker_id)) for worker_id in pool.worker_ids]
+        assert len(per_worker) == 3
+        # The parent warmed one template per shape before forking; no worker
+        # — not even one forked later — ever compiles again.
+        assert [stats.misses for stats in per_worker] == [len(catalog)] * 3
+        assert [stats.hits for stats in per_worker] == hosted == [3, 3, 1]
+
+    def test_any_pool_wide_command_recovers_a_dead_worker(self):
+        # The recover-and-re-route logic lives in the one gather helper, so
+        # it covers the commands that used to let a death escape.
+        times, values = _signal(n=3000)
+        with IngestWorkerPool(CATALOG, n_workers=3, checkpoint_every_ticks=1) as pool:
+            for index in range(6):
+                pool.connect(f"c{index}", "cohort")
+                pool.push(f"c{index}", "s", times[:1500], values[:1500])
+            pool.tick()
+            first, second, _ = pool.worker_ids
+            pool.kill_worker(first)
+            assert len(pool.cache_stats()) == 2  # the survivors'
+            assert [r["worker_id"] for r in pool.recoveries] == [first]
+            pool.kill_worker(second)
+            pool.checkpoint_now()  # re-routed to the displaced clients' new host
+            assert [r["worker_id"] for r in pool.recoveries] == [first, second]
+            assert len(pool.worker_ids) == 1
+            for index in range(6):
+                pool.push(f"c{index}", "s", times[1500:], values[1500:])
+            pool.tick()
+            pool.finish()
+            results = pool.results()
+        reference = _one_shot_reference(times, values)
+        for index in range(6):
+            _assert_identical(reference, results[f"c{index}"], f"c{index}")
+
+    def test_workers_tick_concurrently(self):
+        # The catalog query *sleeps* per window, so two workers overlap
+        # even on a one-core runner.  Ticking both must cost about what
+        # ticking one costs, not the sum.
+        windows = 2
+        n = windows * 500
+        times = np.arange(2 * n, dtype=np.int64) * PERIOD
+        values = np.ones(2 * n)
+        catalog = {"slow": QueryShape(_slow_query, {"s": StreamSpec(PERIOD)})}
+
+        def timed_tick(pool, client_ids, chunk):
+            for client_id in client_ids:
+                pool.push(client_id, "s", times[chunk], values[chunk])
+            began = time.perf_counter()
+            report = pool.tick()
+            elapsed = time.perf_counter() - began
+            assert report.windows_run == windows * len(client_ids)
+            return elapsed
+
+        with IngestWorkerPool(catalog, n_workers=2, window_size=1000) as pool:
+            assert pool.connect("a", "slow") != pool.connect("b", "slow")
+            both = timed_tick(pool, ["a", "b"], slice(0, n))
+            alone = timed_tick(pool, ["a"], slice(n, 2 * n))
+        assert alone >= windows * SLEEP_PER_WINDOW
+        assert both < 1.5 * alone, (
+            f"two workers took {both:.2f}s for one tick, one worker {alone:.2f}s: "
+            f"the workers are not running concurrently"
+        )

@@ -20,7 +20,6 @@ from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import CompilationError, ExecutionError, QueryConstructionError
 from repro.serve import (
     PlanCache,
-    ShardedStreamingService,
     StreamingService,
     has_bound_sources,
     plan_signature,
@@ -450,136 +449,3 @@ class TestStreamingService:
         assert set(results) == {"a", "b"}
         assert all(len(result) > 0 for result in results.values())
         service.close_all()
-
-
-class TestShardedStreamingService:
-    def _register_cohort(self, service, seeds):
-        for seed in seeds:
-            service.register(
-                f"client-{seed}", _cohort_query(), {"s": ReplaySource(_source(seed))}
-            )
-
-    def test_in_process_fallback_matches_independent_sessions(self):
-        seeds = range(3)
-        reference = _independent_session_results(_cohort_query, seeds)
-        service = ShardedStreamingService(n_workers=1, window_size=1000)
-        self._register_cohort(service, seeds)
-        service.start()
-        assert service.execution_mode == "in-process"
-        assert service.n_shards == 1
-        for watermark in WATERMARKS:
-            service.pump(watermark)
-        service.finish()
-        results = service.results()
-        for client_id, expected in reference.items():
-            _assert_identical(expected, results[client_id], client_id)
-        service.close()
-
-    @pytest.mark.skipif(
-        not ShardedStreamingService._fork_available(), reason="fork not available"
-    )
-    def test_forked_shards_match_independent_sessions(self):
-        seeds = range(5)
-        reference = _independent_session_results(_cohort_query, seeds)
-        service = ShardedStreamingService(n_workers=2, window_size=1000)
-        self._register_cohort(service, seeds)
-        service.start()
-        assert service.execution_mode == "forked"
-        assert service.n_shards == 2
-        for watermark in WATERMARKS:
-            report = service.pump(watermark)
-            assert set(report.order) == {f"client-{seed}" for seed in seeds}
-        service.finish()
-        results = service.results()
-        for client_id, expected in reference.items():
-            _assert_identical(expected, results[client_id], client_id)
-        # Every shard inherited the pre-warmed cache: one compile globally.
-        for stats in service.cache_stats():
-            assert stats.misses == 1
-        service.close()
-
-    @pytest.mark.skipif(
-        not ShardedStreamingService._fork_available(), reason="fork not available"
-    )
-    def test_forked_pump_with_per_client_watermarks(self):
-        seeds = range(4)
-        service = ShardedStreamingService(n_workers=2, window_size=1000)
-        self._register_cohort(service, seeds)
-        service.start()
-        report = service.pump({"client-0": 4000, "client-3": 6000})
-        assert set(report.order) == {"client-0", "client-3"}
-        with pytest.raises(ValueError, match="unknown client"):
-            service.pump({"nope": 1000})
-        service.close()
-
-    @pytest.mark.skipif(
-        not ShardedStreamingService._fork_available(), reason="fork not available"
-    )
-    def test_shard_errors_do_not_desync_the_protocol(self):
-        # Regression: a shard error used to leave the other shards' replies
-        # unread, shifting every later command's reply by one.
-        seeds = range(4)
-        service = ShardedStreamingService(n_workers=2, window_size=1000)
-        self._register_cohort(service, seeds)
-        service.start()
-        service.pump(5000)
-        with pytest.raises(ExecutionError, match="regression"):
-            service.pump(3000)
-        report = service.pump(6000)
-        assert set(report.order) == {f"client-{seed}" for seed in seeds}
-        service.finish()
-        results = service.results()
-        assert set(results) == {f"client-{seed}" for seed in seeds}
-        service.close()
-
-    @pytest.mark.skipif(
-        not ShardedStreamingService._fork_available(), reason="fork not available"
-    )
-    def test_worker_death_is_detected_and_named(self):
-        # Satellite contract: a worker dying mid-command must not leave the
-        # parent blocked on the pipe — the death is detected, the remaining
-        # workers are reaped, and the error names the dead shard and the
-        # clients whose sessions it held.
-        import os
-        import signal
-
-        seeds = range(4)
-        service = ShardedStreamingService(n_workers=2, window_size=1000)
-        self._register_cohort(service, seeds)
-        service.start()
-        assert service.execution_mode == "forked"
-        service.pump(4000)
-        victim = service._workers[1]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10)
-        with pytest.raises(ExecutionError, match=r"shard 1 died") as excinfo:
-            service.pump(6000)
-        # The error names the dead shard's clients (round-robin: 1 and 3).
-        assert "client-1" in str(excinfo.value)
-        assert "client-3" in str(excinfo.value)
-        # Every worker was reaped, and the service is closed for good.
-        assert all(not worker.is_alive() for worker in service._workers)
-        with pytest.raises(ExecutionError, match="closed"):
-            service.pump(8000)
-        service.close()  # idempotent no-op after the failure
-
-    def test_lifecycle_errors(self):
-        service = ShardedStreamingService(n_workers=2, window_size=1000)
-        with pytest.raises(ExecutionError, match="not been started"):
-            service.pump(1000)
-        with pytest.raises(ExecutionError, match="no clients registered"):
-            service.start()
-        service.register("a", _cohort_query(), {"s": ReplaySource(_source(1))})
-        with pytest.raises(ExecutionError, match="already registered"):
-            service.register("a", _cohort_query(), {"s": ReplaySource(_source(1))})
-        service.start()
-        with pytest.raises(ExecutionError, match="before start"):
-            service.register("b", _cohort_query(), {"s": ReplaySource(_source(2))})
-        with pytest.raises(ExecutionError, match="already started"):
-            service.start()
-        service.close()
-        service.close()  # idempotent
-        with pytest.raises(ExecutionError, match="closed"):
-            service.pump(1000)
-        with pytest.raises(ExecutionError):
-            ShardedStreamingService(n_workers=0)
