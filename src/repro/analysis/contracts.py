@@ -6,14 +6,16 @@ window-widening invariance (run lowering treats a run buffer as one wider
 window on its word), ``compute_run`` promises bit-identity with per-window
 ``compute`` (the vectorized backend dispatches it on its word),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
-restore on its word), and ``warmup_windows`` promises that replaying that
+restore on its word), ``warmup_windows`` promises that replaying that
 many windows rebuilds mid-stream state (sharded workers replay exactly
-that much).
+that much), and ``coverage_reach`` promises that output coverage past a
+cut depends on no input coverage further back than that (streaming sessions
+propagate only a trailing window of every source on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS201``–``LS206``) instead of a bit-identity failure
-three layers away.  Checking is registry-driven: :func:`builtin_cases`
+named diagnostic (``LS201``–``LS206``, ``LS208``) instead of a bit-identity
+failure three layers away.  Checking is registry-driven: :func:`builtin_cases`
 holds one :class:`OperatorCase` per in-repo operator, and
 :func:`check_contracts` additionally discovers every ``Operator`` subclass
 so an operator without a case is itself reported (``LS207``).
@@ -29,6 +31,7 @@ import numpy as np
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import CompiledPlan, compile_plan
 from repro.core.graph import OperatorNode, topological_order
+from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
 from repro.core.query import Query
 from repro.core.runtime.backends import (
@@ -301,6 +304,68 @@ def _check_warmup(case: OperatorCase, out: list[Diagnostic]) -> None:
         )
 
 
+def _gappy_coverage(rng: np.random.Generator, longest: int, span: int = 4000) -> IntervalSet:
+    """Random off-grid coverage: data stretches and gaps of 1..*longest* ticks."""
+    intervals = []
+    cursor = int(rng.integers(0, longest))
+    while cursor < span:
+        end = cursor + int(rng.integers(1, longest + 1))
+        intervals.append((cursor, end))
+        cursor = end + int(rng.integers(1, longest + 1))
+    return IntervalSet(intervals)
+
+
+def _check_coverage_locality(case: OperatorCase, out: list[Diagnostic]) -> None:
+    """Validate ``coverage_reach`` against ``propagate_coverage`` itself.
+
+    For every operator node of the case's plan: trimming each input's
+    coverage at ``input_sync_time(cut - coverage_reach())`` and then
+    propagating must give, past the cut, exactly what propagating the whole
+    history gives — on randomized gappy coverage (fine- and coarse-grained)
+    and cut points, most of them placed just around the end of a data
+    stretch, where a too-small reach shows.  This is the formula a streaming
+    session trims its sources with every tick.
+    """
+    rng = np.random.default_rng(208)
+    for node in _operator_nodes(_compile(case)):
+        operator = node.operator
+        reach = operator.coverage_reach()
+        for trial in range(120):
+            coverages = [
+                _gappy_coverage(rng, longest=(12, 60, 400)[trial % 3]) for _ in node.inputs
+            ]
+            if trial % 4:
+                stretches = coverages[trial % len(coverages)].intervals
+                stretch_end = stretches[int(rng.integers(len(stretches)))][1]
+                cut = stretch_end + int(rng.integers(-8, reach + 48))
+            else:
+                cut = int(rng.integers(-200, 4400))
+            whole = operator.propagate_coverage(coverages).window(cut)
+            trimmed = operator.propagate_coverage(
+                [
+                    coverage.window(
+                        operator.input_sync_time(cut - reach, index, upstream.descriptor)
+                    )
+                    for index, (coverage, upstream) in enumerate(zip(coverages, node.inputs))
+                ]
+            ).window(cut)
+            if trimmed != whole:
+                out.append(
+                    _contract(
+                        "LS208",
+                        "error",
+                        f"{case.name}: {operator.name} declares "
+                        f"coverage_reach()={reach} but its output coverage past "
+                        f"t={cut} changes when input coverage before "
+                        f"input_sync_time({cut} - {reach}) is dropped "
+                        f"({len(whole)} vs {len(trimmed)} interval(s)); a "
+                        "long-lived session would skip or invent windows",
+                        anchor=case.name,
+                    )
+                )
+                return
+
+
 def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
     """Run every contract check for one registered case."""
     diagnostics: list[Diagnostic] = []
@@ -309,6 +374,7 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
         _check_run_parity,
         _check_state_roundtrip,
         _check_warmup,
+        _check_coverage_locality,
     ):
         try:
             check(case, diagnostics)

@@ -59,6 +59,9 @@ CODES: dict[str, str] = {
     "synthesized geometries",
     "LS207": "unchecked operator: an Operator subclass has no registered "
     "conformance case",
+    "LS208": "coverage-locality violation: output coverage past a cut "
+    "depends on input coverage further back than the operator's declared "
+    "coverage_reach()",
     # -- async safety (LS3xx) ---------------------------------------------
     "LS301": "blocking call inside 'async def': stalls the event loop and "
     "every client behind it",

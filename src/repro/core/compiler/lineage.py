@@ -13,21 +13,35 @@ expensive upstream transforms on data that a downstream join would discard.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.timeutil import LinearTimeMap
 from repro.errors import CompilationError
 
 
-def propagate_coverage(sink: PlanNode) -> IntervalSet:
+def propagate_coverage(
+    sink: PlanNode,
+    since: Mapping[SourceNode, int] | None = None,
+    nodes: Sequence[PlanNode] | None = None,
+) -> IntervalSet:
     """Compute and store the data coverage of every node in the plan.
 
     Returns the coverage of the sink (the final output stream): the interval
     set that the targeted executor walks.
+
+    *since* gives per-source lower bounds: each source then reports only its
+    coverage from its bound on, and every node's coverage is exact only past
+    the point those bounds were derived for (a streaming session derives
+    them from its emission frontier, minus each operator's
+    :meth:`~repro.core.operators.base.Operator.coverage_reach`).  Without it
+    the whole history is propagated, as at compile time.  *nodes* is the
+    plan's topological order, for callers that already hold it.
     """
-    for node in topological_order(sink):
+    for node in topological_order(sink) if nodes is None else nodes:
         if isinstance(node, SourceNode):
-            node.coverage = node.source.coverage()
+            node.coverage = node.source.coverage(None if since is None else since[node])
         elif isinstance(node, OperatorNode):
             node.coverage = node.operator.propagate_coverage(
                 [inp.coverage for inp in node.inputs]

@@ -28,7 +28,12 @@ Scaling the same query up is a constructor argument away::
 
 from __future__ import annotations
 
-from repro.core.compiler import MAX_OPTIMIZATION_LEVEL, CompiledPlan, compile_plan
+from repro.core.compiler import (
+    MAX_OPTIMIZATION_LEVEL,
+    CompiledPlan,
+    compile_plan,
+    propagate_coverage,
+)
 from repro.core.query import Query
 from repro.core.runtime.backends import ExecutionBackend
 from repro.core.runtime.executor import execute_plan
@@ -51,6 +56,7 @@ class CompiledQuery:
         self._targeted = targeted
         self._backend = backend
         self._session = None
+        self._coverage_trimmed = False
         self.last_stats = None
 
     @property
@@ -97,6 +103,9 @@ class CompiledQuery:
                 "close the session before running one-shot, or compile a "
                 "separate copy of the query"
             )
+        if self._coverage_trimmed:
+            propagate_coverage(self._plan.sink)
+            self._coverage_trimmed = False
         use_targeted = self._targeted if targeted is None else targeted
         use_backend = self._backend if backend is None else backend
         result = execute_plan(
@@ -138,6 +147,9 @@ class CompiledQuery:
         """Release the plan (called by :meth:`StreamingSession.close`)."""
         if self._session is session:
             self._session = None
+            # Session ticks leave every node's coverage trimmed to the last
+            # frontier; the next one-shot run re-derives the whole history.
+            self._coverage_trimmed = True
 
 
 class LifeStreamEngine:

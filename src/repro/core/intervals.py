@@ -10,9 +10,12 @@ paper's *targeted query processing* (Section 5.3).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
+
+_INF = float("inf")
 
 
 def _normalize(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -29,6 +32,36 @@ def _normalize(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
+def _first_ending_after(intervals: Sequence[tuple[int, int]], timestamp: int) -> int:
+    """Index of the first interval whose end lies past *timestamp* (bisected)."""
+    index = bisect_right(intervals, (timestamp, _INF))
+    if index and intervals[index - 1][1] > timestamp:
+        index -= 1
+    return index
+
+
+def _window(
+    intervals: Sequence[tuple[int, int]], start: int | None, end: int | None
+) -> tuple[tuple[int, int], ...]:
+    """The part of sorted, disjoint *intervals* inside ``[start, end)``.
+
+    ``None`` leaves that side open.  Two bisections plus the slice they
+    select: O(log n + k) for k surviving intervals, whatever lies outside.
+    """
+    if start is not None and end is not None and start >= end:
+        return ()
+    lo = 0 if start is None else _first_ending_after(intervals, start)
+    hi = len(intervals) if end is None else bisect_left(intervals, (end,))
+    if lo >= hi:
+        return ()
+    kept = list(intervals[lo:hi])
+    if start is not None and kept[0][0] < start:
+        kept[0] = (start, kept[0][1])
+    if end is not None and kept[-1][1] > end:
+        kept[-1] = (kept[-1][0], end)
+    return tuple(kept)
+
+
 class IntervalSet:
     """An immutable set of disjoint, sorted, half-open integer intervals."""
 
@@ -39,15 +72,30 @@ class IntervalSet:
 
     # -- constructors -----------------------------------------------------
 
+    @classmethod
+    def from_normalized(cls, intervals: tuple[tuple[int, int], ...]) -> "IntervalSet":
+        """Wrap a tuple that is *already* sorted, disjoint, non-adjacent and
+        free of empty intervals, skipping the normalisation pass.
+
+        The trusted constructor for results whose shape the algebra itself
+        guarantees (``intersect``, ``shift``, ``window``, ...); feeding it
+        anything else breaks every bisecting query.
+        """
+        trusted = object.__new__(cls)
+        trusted._intervals = intervals
+        return trusted
+
     @staticmethod
     def empty() -> "IntervalSet":
         """The empty interval set."""
-        return IntervalSet(())
+        return IntervalSet.from_normalized(())
 
     @staticmethod
     def single(start: int, end: int) -> "IntervalSet":
         """An interval set containing the single interval ``[start, end)``."""
-        return IntervalSet([(start, end)])
+        return IntervalSet.from_normalized(
+            ((int(start), int(end)),) if end > start else ()
+        )
 
     @staticmethod
     def from_timestamps(times: Sequence[int] | np.ndarray, period: int) -> "IntervalSet":
@@ -134,21 +182,13 @@ class IntervalSet:
 
     def contains(self, timestamp: int) -> bool:
         """True when *timestamp* lies inside one of the intervals."""
-        for start, end in self._intervals:
-            if start <= timestamp < end:
-                return True
-            if start > timestamp:
-                return False
-        return False
+        index = bisect_right(self._intervals, (timestamp, _INF))
+        return index > 0 and self._intervals[index - 1][1] > timestamp
 
     def overlaps(self, start: int, end: int) -> bool:
         """True when ``[start, end)`` intersects any interval in the set."""
-        for s, e in self._intervals:
-            if s < end and start < e:
-                return True
-            if s >= end:
-                return False
-        return False
+        index = _first_ending_after(self._intervals, start)
+        return index < len(self._intervals) and self._intervals[index][0] < end
 
     # -- set algebra ------------------------------------------------------
 
@@ -170,32 +210,35 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(result)
+        return IntervalSet.from_normalized(tuple(result))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Intervals of *self* with every interval of *other* removed."""
         result: list[tuple[int, int]] = []
+        holes = other._intervals
+        j = 0
         for start, end in self._intervals:
-            pieces = [(start, end)]
-            for o_start, o_end in other._intervals:
-                next_pieces: list[tuple[int, int]] = []
-                for p_start, p_end in pieces:
-                    if o_end <= p_start or o_start >= p_end:
-                        next_pieces.append((p_start, p_end))
-                        continue
-                    if p_start < o_start:
-                        next_pieces.append((p_start, o_start))
-                    if o_end < p_end:
-                        next_pieces.append((o_end, p_end))
-                pieces = next_pieces
-            result.extend(pieces)
-        return IntervalSet(result)
+            # Both sides are sorted: holes ending at or before this interval's
+            # start can never cut a later interval either.
+            while j < len(holes) and holes[j][1] <= start:
+                j += 1
+            k = j
+            while k < len(holes) and holes[k][0] < end:
+                if holes[k][0] > start:
+                    result.append((start, holes[k][0]))
+                start = holes[k][1]
+                k += 1
+            if start < end:
+                result.append((start, end))
+        return IntervalSet.from_normalized(tuple(result))
 
     # -- transformations --------------------------------------------------
 
     def shift(self, offset: int) -> "IntervalSet":
         """Translate every interval by *offset* ticks."""
-        return IntervalSet([(s + offset, e + offset) for s, e in self._intervals])
+        return IntervalSet.from_normalized(
+            tuple((s + offset, e + offset) for s, e in self._intervals)
+        )
 
     def dilate(self, before: int, after: int) -> "IntervalSet":
         """Grow every interval by *before* ticks on the left and *after* on the right."""
@@ -210,9 +253,23 @@ class IntervalSet:
             aligned.append((lo, hi))
         return IntervalSet(aligned)
 
+    def window(self, start: int | None = None, end: int | None = None) -> "IntervalSet":
+        """The part of the set inside ``[start, end)``; ``None`` leaves a side open.
+
+        Bisected, so the cost is O(log n + k) for k surviving intervals — a
+        trailing window of a long history costs the same at any age.
+        """
+        return IntervalSet.from_normalized(
+            _window(
+                self._intervals,
+                None if start is None else int(start),
+                None if end is None else int(end),
+            )
+        )
+
     def clip(self, start: int, end: int) -> "IntervalSet":
         """Intersect the set with the single interval ``[start, end)``."""
-        return self.intersect(IntervalSet.single(start, end))
+        return self.window(start, end)
 
     # -- iteration helpers ------------------------------------------------
 
@@ -238,5 +295,75 @@ class IntervalSet:
                 t += window
 
     def count_windows(self, window: int, offset: int = 0) -> int:
-        """Number of windows :meth:`iter_windows` would yield."""
-        return sum(1 for _ in self.iter_windows(window, offset))
+        """Number of windows :meth:`iter_windows` would yield (by arithmetic)."""
+        if window <= 0:
+            raise ValueError(f"window must be positive, got {window}")
+        count = 0
+        next_free: int | None = None
+        for start, end in self._intervals:
+            first = offset + ((start - offset) // window) * window
+            if next_free is not None and first < next_free:
+                first = next_free
+            if first < end:
+                here = -(-(end - first) // window)
+                count += here
+                next_free = first + here * window
+        return count
+
+
+class CoverageLog:
+    """A growing coverage history: sorted, disjoint intervals, extended in place.
+
+    Live sources learn their coverage a batch at a time and are asked for a
+    trailing window of it every tick.  An immutable :class:`IntervalSet`
+    would be rebuilt (and re-sorted) over the whole history on every
+    append; the log instead merges each addition into its tail in O(new
+    intervals) and answers :meth:`window` by bisection, so neither cost
+    grows with the stream's age.
+    """
+
+    __slots__ = ("_intervals",)
+
+    def __init__(self) -> None:
+        self._intervals: list[tuple[int, int]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._intervals)
+
+    def span(self) -> tuple[int, int]:
+        """The smallest single interval containing the whole history."""
+        if not self._intervals:
+            return (0, 0)
+        return (self._intervals[0][0], self._intervals[-1][1])
+
+    def extend(self, intervals: Iterable[tuple[int, int]]) -> None:
+        """Add sorted, disjoint *intervals* that start no earlier than the
+        last recorded interval does, merging where they touch the tail."""
+        log = self._intervals
+        for start, end in intervals:
+            if log and start <= log[-1][1]:
+                if end > log[-1][1]:
+                    log[-1] = (log[-1][0], end)
+            else:
+                log.append((start, end))
+
+    def splice(self, cut: int | None, intervals: IntervalSet) -> None:
+        """Replace everything at or past *cut* with the part of *intervals*
+        there, keeping the history below it (``None`` replaces everything).
+
+        This is how a trimmed re-derivation — exact only past *cut* — is
+        folded into the full history without re-deriving the past.
+        """
+        log = self._intervals
+        if cut is None:
+            del log[:]
+        else:
+            keep = bisect_left(log, (cut,))
+            del log[keep:]
+            if log and log[-1][1] > cut:
+                log[-1] = (log[-1][0], cut)
+        self.extend(intervals.window(cut, None))
+
+    def window(self, start: int | None = None, end: int | None = None) -> IntervalSet:
+        """The recorded coverage inside ``[start, end)`` (bisected)."""
+        return IntervalSet.from_normalized(_window(self._intervals, start, end))

@@ -87,6 +87,11 @@ class Aggregate(WindowAgnosticRun, Operator):
         lookback = self.window - self.stride
         return coverages[0].dilate(0, lookback).align_to_grid(self.stride)
 
+    def coverage_reach(self) -> int:
+        # An interval ending at b covers outputs up to the stride boundary at
+        # or past b + lookback: strictly less than b + window.
+        return self.window
+
     def make_state(self):
         # The tail buffer itself is created on first use (its length depends
         # on the input period, which is only known at runtime), but the dict

@@ -7,7 +7,7 @@ node an FWindow (sized by locality tracing and the static memory planner)
 and the runtime then repeatedly calls :meth:`Operator.compute` as the
 windows slide forward through the stream.
 
-An operator contributes four pieces of information:
+An operator contributes these pieces of information:
 
 ``output_descriptor``
     how the (offset, period) of the output stream derives from the inputs —
@@ -17,9 +17,11 @@ An operator contributes four pieces of information:
 ``input_sync_time``
     where the input FWindow(s) must be positioned to produce a given output
     window — the event-lineage map used by targeted query processing;
-``propagate_coverage``
+``propagate_coverage`` / ``coverage_reach``
     how data availability flows through the operator, again for targeted
-    query processing (Section 5.3).
+    query processing (Section 5.3), and how far back along the input that
+    flow can reach — the bound that lets a streaming session re-derive
+    coverage from its emission frontier instead of from time zero.
 """
 
 from __future__ import annotations
@@ -104,6 +106,19 @@ class Operator:
         if mapped.is_identity():
             return coverages[0]
         return IntervalSet([mapped.apply_interval(iv) for iv in coverages[0]])
+
+    def coverage_reach(self) -> int:
+        """How many ticks before an input cut :meth:`propagate_coverage` reads.
+
+        The lineage map is local: output coverage from an output time ``c``
+        on depends only on input coverage from ``input_sync_time(c -
+        coverage_reach())`` on.  Streaming sessions rely on this to propagate
+        only a trailing window of every source each tick, so an operator
+        whose ``propagate_coverage`` widens intervals to the right (or to a
+        grid) must declare by how much; interval-by-interval maps reach 0.
+        The contract analyzer checks the claim (``LS208``).
+        """
+        return 0
 
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
         """Whether per-window output is invariant to widening the FWindow.

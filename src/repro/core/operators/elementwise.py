@@ -119,6 +119,11 @@ class Shift(WindowAgnosticRun, Operator):
             return shifted.dilate(self.offset, 0)
         return shifted
 
+    def coverage_reach(self) -> int:
+        # With the carry strategy the input window sits at the output's own
+        # sync time while its coverage lands ``offset`` ticks later.
+        return max(self.offset, 0)
+
     def warmup_windows(self, dimension: int) -> int:
         # The carry holds the last ``offset`` ticks of input, which may span
         # several windows when the shift exceeds the FWindow dimension.
@@ -186,6 +191,9 @@ class AlterDuration(WindowAgnosticRun, Operator):
         # coverage, and targeted execution never schedules the window that
         # would emit them.
         return covered.dilate(0, self.duration - 1)
+
+    def coverage_reach(self) -> int:
+        return self.duration - 1
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]

@@ -92,6 +92,9 @@ class FusedElementwise(WindowAgnosticRun, Operator):
             coverage = op.propagate_coverage([coverage])
         return coverage
 
+    def coverage_reach(self) -> int:
+        return sum(op.coverage_reach() for op, _ in self.stages)
+
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
         return all(op.batch_safe([stage_input]) for op, stage_input in self.stages)
 

@@ -34,7 +34,7 @@ from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.errors import ExecutionError
 
 
-def _eager_span(plan: CompiledPlan) -> tuple[int, int] | None:
+def coverage_span(sources: Sequence[SourceNode], sink) -> tuple[int, int] | None:
     """Time range an eager run must walk (None when every source is empty).
 
     The union of the sources' data spans, widened to include the sink's
@@ -43,17 +43,22 @@ def _eager_span(plan: CompiledPlan) -> tuple[int, int] | None:
     those tail windows no matter what window geometry the backend uses —
     this is what keeps eager results identical to targeted ones.
     """
-    spans = [node.coverage.span() for node in source_nodes(plan.sink) if node.coverage]
+    spans = [node.coverage.span() for node in sources if node.coverage]
     if not spans:
         return None
     start = min(span[0] for span in spans)
     end = max(span[1] for span in spans)
-    sink_coverage = plan.sink.coverage
+    sink_coverage = sink.coverage
     if sink_coverage:
         coverage_start, coverage_end = sink_coverage.span()
         start = min(start, coverage_start)
         end = max(end, coverage_end)
     return start, end
+
+
+def _eager_span(plan: CompiledPlan) -> tuple[int, int] | None:
+    """:func:`coverage_span` of a whole plan."""
+    return coverage_span(source_nodes(plan.sink), plan.sink)
 
 
 def _window_starts(plan: CompiledPlan, targeted: bool) -> list[int]:
@@ -75,6 +80,16 @@ def _window_starts(plan: CompiledPlan, targeted: bool) -> list[int]:
     return list(coverage.iter_windows(dimension, offset))
 
 
+def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:
+    """Number of output windows an eager walk of *span* visits, by arithmetic."""
+    sink = plan.sink
+    if sink.dimension is None:
+        raise ExecutionError("plan has no dimensions assigned; was it compiled?")
+    if span is None:
+        return 0
+    return IntervalSet.single(*span).count_windows(sink.dimension, sink.descriptor.offset)
+
+
 def eager_window_count(plan: CompiledPlan) -> int:
     """Number of windows an eager run would visit, by pure arithmetic.
 
@@ -83,17 +98,7 @@ def eager_window_count(plan: CompiledPlan) -> int:
     window-start list, so the targeted executor can report how many windows
     it skipped at no per-run cost.
     """
-    sink = plan.sink
-    dimension = sink.dimension
-    if dimension is None:
-        raise ExecutionError("plan has no dimensions assigned; was it compiled?")
-    span = _eager_span(plan)
-    if span is None:
-        return 0
-    start, end = span
-    offset = sink.descriptor.offset
-    first = offset + ((start - offset) // dimension) * dimension
-    return max(0, -(-(end - first) // dimension))
+    return span_window_count(plan, _eager_span(plan))
 
 
 def collect_sink_window(

@@ -15,7 +15,12 @@ Three mechanisms make the loop incremental:
 * **coverage refresh** — :class:`~repro.core.sources.ReplaySource` reports
   coverage clipped to its watermark, so re-running the compiler's lineage
   propagation over the live plan graph each tick yields exactly the output
-  windows the targeted executor would visit if the stream ended now;
+  windows the targeted executor would visit if the stream ended now.  The
+  lineage map is local, so a tick propagates only a trailing window of
+  every source: the next window's input position (the readiness walk below)
+  minus what the operators on the way declare via ``coverage_reach()``.
+  Coverage past the emission frontier is then exact, and per-tick planning
+  costs the same whatever the stream's age;
 * **the emission frontier** — the session remembers the last window start
   it executed and only runs strictly later windows.  Coverage only ever
   grows forward as watermarks advance, so the union of per-tick frontiers
@@ -49,7 +54,7 @@ from repro.core.compiler.lineage import propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.runtime.backends import SerialBackend
-from repro.core.runtime.executor import _eager_span, eager_window_count
+from repro.core.runtime.executor import coverage_span, span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
@@ -145,6 +150,11 @@ class StreamingSession:
         self._collected_durations: list[np.ndarray] = []
         self._windows_run = 0
         self._events_emitted = 0
+        self._elapsed_seconds = 0.0
+        # Ticks leave node coverage trimmed to the frontier, so the eager
+        # span (a full-history fact: where the stream began, how far its
+        # coverage reaches) is accumulated here instead of re-read from it.
+        self._span = coverage_span(self._source_nodes, self._plan.sink)
         self._ticks: list[TickStats] = []
         self._finished = False
         self._closed = False
@@ -305,7 +315,7 @@ class StreamingSession:
 
     def _tick(self, drain: bool) -> TickStats:
         began = time.perf_counter()
-        propagate_coverage(self._plan.sink)
+        self._refresh_coverage()
         new = self._new_window_starts()
         ready: list[int] = []
         deferred = 0
@@ -355,6 +365,7 @@ class StreamingSession:
             execution_mode=self._execution_mode,
         )
         self._ticks.append(stats)
+        self._elapsed_seconds += stats.elapsed_seconds
         self._maybe_auto_checkpoint()
         return stats
 
@@ -406,21 +417,67 @@ class StreamingSession:
         self._ticks.append(stats)
         return stats
 
+    def _input_syncs(self, start: int, reach: bool = False):
+        """Yield ``(source node, sync time)`` for every path from the sink
+        down: where each source's FWindow sits for the output window at
+        *start*.  With *reach*, each operator's ``coverage_reach()`` is taken
+        off on the way, giving the earliest source time whose coverage can
+        still matter to output coverage from *start* on."""
+        pending = [(self._plan.sink, start)]
+        while pending:
+            node, sync = pending.pop()
+            if isinstance(node, SourceNode):
+                yield node, sync
+                continue
+            operator = node.operator
+            if reach:
+                sync -= operator.coverage_reach()
+            for index, upstream in enumerate(node.inputs):
+                pending.append(
+                    (upstream, operator.input_sync_time(sync, index, upstream.descriptor))
+                )
+
+    def _refresh_coverage(self) -> None:
+        """Re-propagate lineage coverage, from the emission frontier on.
+
+        Before the first window has run the whole history is propagated, as
+        at compile time.  After that every source is asked only for its
+        coverage from the next window's input position (less the operators'
+        reach) on, which leaves every node's coverage exact past the
+        frontier — all a tick reads — at a cost proportional to the new
+        coverage.  Source coverage only grows forward, so folding each
+        trimmed span into ``_span`` keeps the full-history eager span.
+        """
+        since = None
+        if self._last_start is not None:
+            since = {}
+            cut = self._last_start + self._plan.sink.dimension
+            for node, sync in self._input_syncs(cut, reach=True):
+                since[node] = min(sync, since.get(node, sync))
+        propagate_coverage(self._plan.sink, since=since, nodes=self._nodes)
+        span = coverage_span(self._source_nodes, self._plan.sink)
+        if self._span is None:
+            self._span = span
+        elif span is not None:
+            self._span = (min(self._span[0], span[0]), max(self._span[1], span[1]))
+
     def _new_window_starts(self) -> list[int]:
         """Output-window starts past the emission frontier, in order.
 
-        The sink coverage is clipped to the frontier before windows are
-        enumerated, so per-tick planning cost is proportional to the *new*
-        coverage, not to the stream's age — a session alive for weeks pays
-        the same per tick as one opened a second ago.
+        :meth:`_refresh_coverage` has propagated coverage from the frontier
+        on only, and the sink coverage is clipped to the frontier before
+        windows are enumerated, so per-tick planning cost is proportional
+        to the *new* coverage, not to the stream's age — a session alive
+        for weeks pays the same per tick as one opened a second ago.
         """
         sink = self._plan.sink
         dimension = sink.dimension
         if self._targeted:
             coverage = sink.coverage
         else:
-            span = _eager_span(self._plan)
-            coverage = IntervalSet.empty() if span is None else IntervalSet.single(*span)
+            coverage = (
+                IntervalSet.empty() if self._span is None else IntervalSet.single(*self._span)
+            )
         if self._last_start is not None and coverage:
             end = coverage.span()[1]
             # Windows at starts > frontier lie entirely past frontier + dim
@@ -437,27 +494,11 @@ class StreamingSession:
     def _window_ready(self, start: int) -> bool:
         """True when every replayed source's watermark covers the full input
         span the output window starting at *start* would read."""
-        if not self._replay_nodes:
-            return True
-        ready = True
-
-        def walk(node, sync: int) -> None:
-            nonlocal ready
-            if not ready:
-                return
-            if isinstance(node, SourceNode):
-                if isinstance(node.source, ReplaySource):
-                    if sync + node.dimension > node.source.watermark:
-                        ready = False
-                return
-            for index, upstream in enumerate(node.inputs):
-                walk(
-                    upstream,
-                    node.operator.input_sync_time(sync, index, upstream.descriptor),
-                )
-
-        walk(self._plan.sink, start)
-        return ready
+        return all(
+            sync + node.dimension <= node.source.watermark
+            for node, sync in self._input_syncs(start)
+            if isinstance(node.source, ReplaySource)
+        )
 
     # -- results -----------------------------------------------------------
 
@@ -475,14 +516,14 @@ class StreamingSession:
             output_windows=self._windows_run,
             windows_computed=sum(node.windows_computed for node in self._nodes),
             windows_skipped=(
-                max(0, eager_window_count(self._plan) - self._windows_run)
+                max(0, span_window_count(self._plan, self._span) - self._windows_run)
                 if self._targeted
                 else 0
             ),
             events_emitted=int(times.size),
             events_ingested=sum(node.source.event_count() for node in self._source_nodes),
             preallocated_bytes=self._plan.memory_plan.total_bytes,
-            elapsed_seconds=sum(t.elapsed_seconds for t in self._ticks),
+            elapsed_seconds=self._elapsed_seconds,
             targeted=self._targeted,
             execution_mode=(
                 f"{self._execution_mode} (recompiled)"
@@ -571,6 +612,7 @@ class StreamingSession:
             "window_size": self._plan.window_size,
             "sink_dimension": self._plan.sink.dimension,
             "last_start": self._last_start,
+            "eager_span": self._span,
             "windows_run": self._windows_run,
             "finished": self._finished,
             "watermarks": {
@@ -663,6 +705,10 @@ class StreamingSession:
             if saved_watermark is not None and saved_watermark > node.source.watermark:
                 node.source.advance(saved_watermark)
         self._last_start = checkpoint["last_start"]
+        # Absent from checkpoints written before ticks trimmed coverage; the
+        # span then restarts at the restored frontier (events are unaffected,
+        # windows_skipped undercounts).
+        self._span = checkpoint.get("eager_span", self._span)
         self._windows_run = checkpoint["windows_run"]
         self._finished = checkpoint["finished"]
         emitted = checkpoint["emitted"]
@@ -719,6 +765,7 @@ class StreamingSession:
                 if self._last_start is None
                 else self._last_start + self._plan.sink.dimension
             ),
+            "eager_span": self._span,
             "windows_run": self._windows_run,
             "events_emitted": self._events_emitted,
             "finished": self._finished,
@@ -824,6 +871,7 @@ class StreamingSession:
             watermark = state["watermarks"].get(node.name)
             if watermark is not None and watermark > node.source.watermark:
                 node.source.advance(watermark)
+        self._span = state["eager_span"]
         self._windows_run = state["windows_run"]
         self._finished = state["finished"]
         times, values, durations = state["collected"]

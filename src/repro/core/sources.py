@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.event import StreamDescriptor
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import CoverageLog, IntervalSet
 from repro.errors import StreamDefinitionError
 
 
@@ -32,8 +32,14 @@ class StreamSource:
 
     descriptor: StreamDescriptor
 
-    def coverage(self) -> IntervalSet:
-        """Interval set describing where events exist."""
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        """Interval set describing where events exist.
+
+        With *since*, only the part at or past that time: a streaming
+        session plans each tick from a trailing window of every source, so
+        implementations should answer it without walking the history below
+        *since* (:meth:`IntervalSet.window` bisects).
+        """
         raise NotImplementedError
 
     def read(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,8 +157,8 @@ class ArraySource(StreamSource):
         descriptor = StreamDescriptor.from_frequency(frequency_hz)
         return ArraySource(times, values, period=descriptor.period, **kwargs)
 
-    def coverage(self) -> IntervalSet:
-        return self._coverage
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        return self._coverage if since is None else self._coverage.window(since)
 
     def event_count(self) -> int:
         return int(self._times.size)
@@ -245,8 +251,8 @@ class CsvSource(StreamSource):
             )
         return int(parsed)
 
-    def coverage(self) -> IntervalSet:
-        return self._delegate.coverage()
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        return self._delegate.coverage(since)
 
     def event_count(self) -> int:
         return self._delegate.event_count()
@@ -288,9 +294,8 @@ class ReplaySource(StreamSource):
         """Expose the entire underlying source (never moves the watermark back)."""
         self._watermark = max(self._watermark, self._inner.coverage().span()[1])
 
-    def coverage(self) -> IntervalSet:
-        coverage = self._inner.coverage()
-        return coverage.clip(coverage.span()[0], self._watermark)
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        return self._inner.coverage().window(since, self._watermark)
 
     def event_count(self) -> int:
         return self._inner.event_count()
@@ -319,8 +324,9 @@ class PushSource(ReplaySource):
     watermark-only progress announcements (heartbeat punctuation: "no data
     through *t*"), letting windows that end in a silence flush.
 
-    Storage is a pair of amortised-growth column buffers (capacity doubles),
-    so a long-lived session pays O(1) per appended sample, not O(history).
+    Storage is a pair of amortised-growth column buffers (capacity doubles)
+    and a :class:`~repro.core.intervals.CoverageLog` extended at its tail, so
+    a long-lived session pays O(1) per appended sample, not O(history).
     """
 
     def __init__(
@@ -340,7 +346,7 @@ class PushSource(ReplaySource):
         self._values = np.empty(0, dtype=np.float64)
         self._durations = np.empty(0, dtype=np.int64)
         self._size = 0
-        self._coverage = IntervalSet.empty()
+        self._coverage = CoverageLog()
         self._watermark = int(offset) if watermark is None else int(watermark)
 
     # -- the push path -----------------------------------------------------
@@ -359,6 +365,34 @@ class PushSource(ReplaySource):
         Returns the new watermark: the end of the last appended event
         (``time + duration``, duration defaulting to the period).  An empty
         batch is a no-op returning the current watermark.
+        """
+        times, values, durations = self.validate_batch(times, values, durations)
+        if times.size == 0:
+            return self._watermark
+        if durations is None:
+            durations = np.full(times.shape, self.descriptor.period, dtype=np.int64)
+            chunk_coverage = IntervalSet.from_timestamps(times, self.descriptor.period)
+        else:
+            chunk_coverage = IntervalSet.from_events(times, durations)
+        self._store(times, values, durations)
+        # Batches arrive in time order, so the chunk can only touch the
+        # history at its tail.
+        self._coverage.extend(chunk_coverage)
+        appended_through = int(times[-1]) + int(durations[-1])
+        self._watermark = max(self._watermark, appended_through)
+        return self._watermark
+
+    def validate_batch(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        durations: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Check one batch against this stream's append rules without storing it.
+
+        Returns the batch as typed arrays; raises
+        :class:`~repro.errors.StreamDefinitionError` naming the offending
+        sample otherwise.
         """
         times = np.asarray(times, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -381,7 +415,7 @@ class PushSource(ReplaySource):
                     f"timestamp {int(times[index])} must be positive"
                 )
         if times.size == 0:
-            return self._watermark
+            return times, values, durations
         if times.size > 1 and np.any(np.diff(times) <= 0):
             bad = int(times[int(np.flatnonzero(np.diff(times) <= 0)[0]) + 1])
             raise StreamDefinitionError(
@@ -404,21 +438,16 @@ class PushSource(ReplaySource):
                 f"time order (data behind the watermark may already have "
                 f"been executed and cannot be amended)"
             )
-        if durations is None:
-            durations = np.full(times.shape, descriptor.period, dtype=np.int64)
-            chunk_coverage = IntervalSet.from_timestamps(times, descriptor.period)
-        else:
-            chunk_coverage = IntervalSet.from_events(times, durations)
+        return times, values, durations
+
+    def _store(self, times: np.ndarray, values: np.ndarray, durations: np.ndarray) -> None:
+        """Write one validated batch into the column buffers."""
         self._reserve(times.size)
         end = self._size + times.size
         self._times[self._size : end] = times
         self._values[self._size : end] = values
         self._durations[self._size : end] = durations
         self._size = end
-        self._coverage = self._coverage.union(chunk_coverage)
-        appended_through = int(times[-1]) + int(durations[-1])
-        self._watermark = max(self._watermark, appended_through)
-        return self._watermark
 
     def _reserve(self, extra: int) -> None:
         """Grow the column buffers to hold *extra* more samples (amortised)."""
@@ -456,10 +485,8 @@ class PushSource(ReplaySource):
         if self._coverage:
             self._watermark = max(self._watermark, self._coverage.span()[1])
 
-    def coverage(self) -> IntervalSet:
-        if not self._coverage:
-            return IntervalSet.empty()
-        return self._coverage.clip(self._coverage.span()[0], self._watermark)
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        return self._coverage.window(since, self._watermark)
 
     def event_count(self) -> int:
         return int(self._size)

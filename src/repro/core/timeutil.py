@@ -112,8 +112,8 @@ class LinearTimeMap:
 
     @staticmethod
     def identity() -> "LinearTimeMap":
-        """The map that leaves timestamps unchanged."""
-        return LinearTimeMap(Fraction(1), Fraction(0))
+        """The map that leaves timestamps unchanged (one shared, frozen instance)."""
+        return _IDENTITY
 
     @staticmethod
     def shifted(offset: int) -> "LinearTimeMap":
@@ -163,3 +163,8 @@ class LinearTimeMap:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearTimeMap(t_out = {self.scale} * t_in + {self.shift})"
+
+
+# Coverage propagation asks every identity-mapped operator for its time map
+# on every session tick; building two Fractions each time dominated that.
+_IDENTITY = LinearTimeMap()

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.event import StreamDescriptor
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import CoverageLog, IntervalSet
 from repro.core.query import Query, QuerySpec
 from repro.core.sources import PushSource, ReplaySource, StreamSource
 from repro.serve.cache import fingerprint_operator, fingerprint_value, signature_digest
@@ -83,11 +83,18 @@ class SharedFeedSource(PushSource):
     sink's propagated lineage coverage, the watermark is the prefix
     session's ``output_complete_through`` — never further than the prefix
     output is final.
+
+    The prefix session re-derives its coverage each tick only from its
+    emission frontier on, so what it hands over is exact *past that
+    frontier* and says nothing about the past.  The feed keeps the history
+    itself: every publish splices the exact part onto what it already
+    holds, and a tail whose own frontier lags behind the prefix's still
+    finds its older windows covered.
     """
 
     def __init__(self, descriptor: StreamDescriptor) -> None:
         super().__init__(period=descriptor.period, offset=descriptor.offset)
-        self._assigned = IntervalSet.empty()
+        self._assigned = CoverageLog()
 
     def publish(
         self,
@@ -96,27 +103,26 @@ class SharedFeedSource(PushSource):
         durations: np.ndarray,
         coverage: IntervalSet,
         complete_through: int | None,
+        exact_from: int | None = None,
     ) -> None:
         """Fan one prefix delta into this feed and adopt the prefix's clocks.
 
-        ``append`` auto-advances the watermark to the end of the last
-        appended event, which can overshoot finality when that event's
-        duration stretches past the prefix frontier; the watermark is
-        therefore pinned back to ``complete_through`` (forward-only — the
+        The delta is stored as given — the group validates it once
+        (:meth:`~repro.core.sources.PushSource.validate_batch`), not once
+        per member feed.  *coverage* replaces the assigned lineage coverage
+        from *exact_from* on (``None``: all of it).  The watermark moves to
+        ``complete_through`` and no further, even when the last event's
+        duration stretches past the prefix frontier (forward-only — the
         prefix frontier is monotone, so this never regresses).
         """
-        before = self._watermark
-        self.append(times, values, durations)
-        self._assigned = coverage
-        if complete_through is None:
-            self._watermark = before
-        else:
-            self._watermark = max(before, int(complete_through))
+        if times.size:
+            self._store(times, values, durations)
+        self._assigned.splice(exact_from, coverage)
+        if complete_through is not None:
+            self._watermark = max(self._watermark, int(complete_through))
 
-    def coverage(self) -> IntervalSet:
-        if not self._assigned:
-            return IntervalSet.empty()
-        return self._assigned.clip(self._assigned.span()[0], self._watermark)
+    def coverage(self, since: int | None = None) -> IntervalSet:
+        return self._assigned.window(since, self._watermark)
 
     def advance_to_end(self) -> None:
         """Expose the full assigned lineage coverage (``session.finish()``)."""
@@ -329,22 +335,32 @@ class SharedPrefixGroup:
 
     def tick_prefix(self) -> "TickStats":
         """Run the prefix once over whatever the origin sources now expose."""
+        exact_from = self.prefix_session.output_complete_through
         stats = self.prefix_session.poll()
-        self._fan_out()
+        self._fan_out(exact_from)
         return stats
 
     def finish_prefix(self) -> "TickStats":
         """Drain the prefix and fan out its full final coverage."""
+        exact_from = self.prefix_session.output_complete_through
         stats = self.prefix_session.finish()
-        self._fan_out()
+        self._fan_out(exact_from)
         return stats
 
-    def _fan_out(self) -> None:
+    def _fan_out(self, exact_from: int | None) -> None:
+        """Publish the last tick's delta; *exact_from* is the prefix's
+        ``output_complete_through`` from before that tick, the point past
+        which the tick re-derived the sink coverage exactly."""
         session = self.prefix_session
         recent = session.recent_ticks(1)
         total = recent[0].cumulative_events if recent else 0
         delta = total - self.published_events
         times, values, durations = session.recent_events(delta)
+        feeds = list(self.feeds.values())
+        if feeds:
+            # Every feed of a group has received exactly the same deltas, so
+            # one feed's append rules stand for all of them.
+            times, values, durations = feeds[0].validate_batch(times, values, durations)
         # The session drives this very plan, and the tick that precedes every
         # fan-out has just refreshed its lineage coverage.
         sink = self.prefix_compiled.plan.sink
@@ -355,8 +371,8 @@ class SharedPrefixGroup:
             complete = max(
                 complete if complete is not None else 0, sink.coverage.span()[1]
             )
-        for feed in self.feeds.values():
-            feed.publish(times, values, durations, sink.coverage, complete)
+        for feed in feeds:
+            feed.publish(times, values, durations, sink.coverage, complete, exact_from)
         self.published_events = total
 
     def forget(self, client_id: str) -> None:

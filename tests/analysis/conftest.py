@@ -1,15 +1,17 @@
 """Shared fixtures for the static-analysis tests.
 
-Defines two deliberately misbehaving operators the analyzers must catch:
+Defines three deliberately misbehaving operators the analyzers must catch:
 
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
   verifier's LS102);
 - :class:`LyingTail` declares ``batch_safe`` (the default) while rewriting
   the last present event of every window, so widening the window changes
-  its output (the contract analyzer's LS201).
+  its output (the contract analyzer's LS201);
+- :class:`LyingReach` widens coverage 50 ticks to the right while leaving
+  ``coverage_reach()`` at its 0 default (the contract analyzer's LS208).
 
-Both live under ``tests.*``, so ``discover_operator_classes`` (which only
+All live under ``tests.*``, so ``discover_operator_classes`` (which only
 considers ``repro.*`` operators) never reports them as uncovered.
 """
 
@@ -60,6 +62,25 @@ class LyingTail(Operator):
         present = np.flatnonzero(source.bitvector)
         if present.size:
             output.values[present[-1]] = -1e9
+        output.trace_write()
+
+
+class LyingReach(Operator):
+    """Copies its input and claims the 50 ticks after every data stretch
+    too — without declaring that reach, so a session trimming its input at
+    the frontier would lose that coverage."""
+
+    name = "LyingReach"
+
+    def propagate_coverage(self, coverages):
+        return coverages[0].dilate(0, 50)
+
+    def compute(self, output, inputs, state):
+        source = inputs[0]
+        source.trace_read()
+        output.values[:] = source.values
+        output.durations[:] = source.durations
+        output.bitvector[:] = source.bitvector
         output.trace_write()
 
 

@@ -10,7 +10,7 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.diagnostics import has_errors
 
-from tests.analysis.conftest import LyingTail
+from tests.analysis.conftest import LyingReach, LyingTail
 
 
 class TestBuiltinRegistry:
@@ -55,4 +55,20 @@ class TestLyingOperatorIsCaught:
         # The lie is the only contract violation this operator commits.
         assert not [
             d for d in diagnostics if d.severity == "error" and d.code != "LS201"
+        ], [d.render() for d in diagnostics]
+
+    def test_undeclared_coverage_reach_detected(self):
+        case = OperatorCase(
+            name="LyingReach",
+            operator_cls=LyingReach,
+            build=_apply(lambda q: q._apply(LyingReach())),
+        )
+        diagnostics = check_operator_case(case)
+        ls208 = [d for d in diagnostics if d.code == "LS208"]
+        assert len(ls208) == 1, [d.render() for d in diagnostics]
+        assert ls208[0].severity == "error"
+        assert ls208[0].anchor == "LyingReach"
+        assert "coverage_reach()=0" in ls208[0].message
+        assert not [
+            d for d in diagnostics if d.severity == "error" and d.code != "LS208"
         ], [d.render() for d in diagnostics]

@@ -38,6 +38,7 @@ class TestCodeStability:
             "LS205",
             "LS206",
             "LS207",
+            "LS208",
             "LS301",
             "LS302",
             "LS303",

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import CoverageLog, IntervalSet
 
 
 class TestConstruction:
@@ -155,3 +157,98 @@ class TestWindowIteration:
     def test_iter_windows_rejects_bad_window(self):
         with pytest.raises(ValueError):
             list(IntervalSet([(0, 10)]).iter_windows(0))
+
+
+# -- bisected / arithmetic primitives against their scanning references ------
+
+_raw_intervals = st.lists(
+    st.tuples(st.integers(-200, 400), st.integers(-200, 400)), max_size=12
+)
+_points = st.integers(-250, 450)
+
+
+def _members(interval_set, lo=-260, hi=460):
+    """The set as an explicit set of integer ticks (the scanning reference)."""
+    return {t for start, end in interval_set for t in range(max(start, lo), min(end, hi))}
+
+
+class TestBisectedPrimitives:
+    @given(_raw_intervals, _points, _points)
+    def test_window_equals_clip_equals_intersect(self, raw, start, end):
+        interval_set = IntervalSet(raw)
+        reference = interval_set.intersect(IntervalSet([(start, end)]))
+        assert interval_set.window(start, end) == reference
+        assert interval_set.clip(start, end) == reference
+
+    @given(_raw_intervals, _points)
+    def test_open_ended_windows(self, raw, point):
+        interval_set = IntervalSet(raw)
+        lo, hi = interval_set.span()
+        assert interval_set.window(point) == interval_set.clip(point, max(hi, point))
+        assert interval_set.window(None, point) == interval_set.clip(min(lo, point), point)
+        assert interval_set.window() == interval_set
+
+    @given(_raw_intervals)
+    def test_trusted_constructor_equivalence(self, raw):
+        normalized = IntervalSet(raw)
+        trusted = IntervalSet.from_normalized(normalized.intervals)
+        assert trusted == normalized
+        assert hash(trusted) == hash(normalized)
+        assert IntervalSet(trusted.intervals).intervals == trusted.intervals
+
+    @given(_raw_intervals, _raw_intervals, st.integers(-50, 50))
+    def test_trusted_results_are_normalized(self, raw_a, raw_b, offset):
+        a, b = IntervalSet(raw_a), IntervalSet(raw_b)
+        for result in (a.intersect(b), a.difference(b), a.shift(offset), a.window(-20, 90)):
+            assert IntervalSet(result.intervals).intervals == result.intervals
+
+    @given(_raw_intervals, _points, _points)
+    def test_contains_and_overlaps_match_a_scan(self, raw, a, b):
+        interval_set = IntervalSet(raw)
+        assert interval_set.contains(a) == any(s <= a < e for s, e in interval_set)
+        assert interval_set.overlaps(a, b) == any(s < b and a < e for s, e in interval_set)
+
+    @given(_raw_intervals, _raw_intervals)
+    def test_difference_matches_set_difference(self, raw_a, raw_b):
+        a, b = IntervalSet(raw_a), IntervalSet(raw_b)
+        assert _members(a.difference(b)) == _members(a) - _members(b)
+
+    @given(_raw_intervals, st.integers(1, 60), st.integers(-30, 30))
+    def test_count_windows_matches_iteration(self, raw, window, offset):
+        interval_set = IntervalSet(raw)
+        assert interval_set.count_windows(window, offset) == len(
+            list(interval_set.iter_windows(window, offset))
+        )
+
+    def test_count_windows_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            IntervalSet([(0, 10)]).count_windows(0)
+
+
+class TestCoverageLog:
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 60)), max_size=15),
+        _points,
+        _points,
+    )
+    def test_extend_matches_union_and_window_matches_clip(self, steps, start, end):
+        # Batches arrive in time order: each starts past the previous start.
+        log, reference, cursor = CoverageLog(), IntervalSet.empty(), 0
+        for gap, length in steps:
+            cursor += gap
+            log.extend([(cursor, cursor + length)])
+            reference = reference.union(IntervalSet([(cursor, cursor + length)]))
+        assert log.window() == reference
+        assert log.window(start, end) == reference.clip(start, end)
+        assert log.span() == reference.span()
+        assert bool(log) == bool(reference)
+
+    @given(_raw_intervals, _raw_intervals, _points)
+    def test_splice_keeps_the_past_and_replaces_the_rest(self, raw_old, raw_new, cut):
+        old, new = IntervalSet(raw_old), IntervalSet(raw_new)
+        log = CoverageLog()
+        log.splice(None, old)
+        assert log.window() == old
+        log.splice(cut, new)
+        assert log.window() == old.window(None, cut).union(new.window(cut))

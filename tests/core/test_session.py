@@ -198,6 +198,112 @@ class TestSessionParity:
         session.close()
 
 
+# -- long-lived sessions ------------------------------------------------------
+
+#: Ticks of the long replay (one 997-tick watermark step each; every tick
+#: after the first plans from the emission frontier, not from time zero).
+LONG_TICKS = 520
+
+
+def _long_gappy_signal():
+    """520 s at 500 Hz with gaps from 60 ms (inside a window) to 5.2 s
+    (several windows, so some ticks see no coverage past the frontier)."""
+    n = LONG_TICKS * 500
+    rng = np.random.default_rng(11)
+    keep = np.ones(n, dtype=bool)
+    cursor = 0
+    while cursor < n:
+        cursor += int(rng.integers(200, 4000))
+        gap = int(rng.choice([30, 300, 800, 2600]))
+        keep[cursor : cursor + gap] = False
+        cursor += gap
+    times = np.arange(n, dtype=np.int64) * 2
+    values = np.sin(np.arange(n) * 0.01) * 10
+    return times[keep], values[keep]
+
+
+LONG_SIGNAL = _long_gappy_signal()
+
+#: Plans whose coverage propagation reaches back along the input: a Shift
+#: carry, and a stretched duration joined against a sliding aggregate.
+LONG_QUERIES = {
+    "shift-chain": SESSION_QUERIES["shift-chain"],
+    "stretch-join-sliding": lambda: Query.source("s", frequency_hz=500).multicast(
+        lambda s: s.alter_duration(2).join(
+            s.sliding_window(400, 200).mean(), lambda v, m: v - m
+        )
+    ),
+}
+
+
+def _long_source():
+    return ArraySource(*LONG_SIGNAL, period=2)
+
+
+def _comparable(stats, per_node=True):
+    """The ExecutionStats fields a session must share with a one-shot run
+    (node names are generated per compile, so windows compare by position;
+    per-node counters restart on a fresh plan, hence *per_node*)."""
+    fields = (
+        stats.output_windows,
+        stats.windows_skipped,
+        stats.events_emitted,
+        stats.events_ingested,
+        stats.targeted,
+    )
+    if per_node:
+        fields += (stats.windows_computed, tuple(stats.per_node_windows.values()))
+    return fields
+
+
+class TestLongLivedSessions:
+    @pytest.mark.parametrize("targeted", [True, False], ids=["targeted", "eager"])
+    @pytest.mark.parametrize("backend_name", sorted(SESSION_BACKENDS))
+    @pytest.mark.parametrize("query_name", sorted(LONG_QUERIES))
+    def test_long_gappy_stream_matches_one_shot(self, query_name, backend_name, targeted):
+        query = LONG_QUERIES[query_name]
+        reference = LifeStreamEngine(window_size=1000).run(
+            query(), {"s": _long_source()}, targeted=targeted
+        )
+        watermarks = [997 * tick for tick in range(1, LONG_TICKS + 1)]
+
+        engine = LifeStreamEngine(window_size=1000, backend=SESSION_BACKENDS[backend_name]())
+        session = engine.open_session(
+            query(), {"s": ReplaySource(_long_source())}, targeted=targeted
+        )
+        for watermark in watermarks:
+            session.advance(watermark)
+        session.finish()
+        plain = session.result()
+        session.close()
+        assert len(session.ticks) > 500
+        _assert_identical(reference, plain, f"{query_name} on {backend_name}")
+        assert _comparable(plain.stats) == _comparable(reference.stats)
+
+        # The same stream with a crash (checkpoint, fresh compile, restore)
+        # a third of the way in and a hot swap at two thirds.
+        sources = {"s": ReplaySource(_long_source())}
+        session = engine.open_session(query(), sources, targeted=targeted)
+        for tick, watermark in enumerate(watermarks):
+            session.advance(watermark)
+            if tick == LONG_TICKS // 3:
+                state = session.checkpoint()
+                session.close()
+                sources = {"s": ReplaySource(_long_source())}
+                session = engine.open_session(
+                    query(), sources, targeted=targeted, checkpoint=state
+                )
+            elif tick == 2 * LONG_TICKS // 3:
+                session = session.swap_plan(engine.compile(query(), sources), targeted=targeted)
+        session.finish()
+        interrupted = session.result()
+        session.close()
+        _assert_identical(reference, interrupted, f"{query_name} on {backend_name} (interrupted)")
+        assert _comparable(interrupted.stats, per_node=False) == _comparable(
+            reference.stats, per_node=False
+        )
+
+
 class TestTwoSourceSessions:
     """Joins over two replayed streams whose watermarks advance independently."""
 

@@ -315,3 +315,82 @@ class TestServiceSharing:
             report = service.pump(2000)
             assert service.sharing_groups == [] and report.prefix_ticks == {}
             service.finish()
+
+
+class TestLaggingTail:
+    """A tail far behind the prefix frontier still finds its windows covered.
+
+    The prefix session re-derives coverage only from its own emission
+    frontier on, so what it publishes says nothing about the past; the feed
+    must keep that history itself.  Here one tail joins the shared prefix
+    against a private stream that stalls for 40 ticks and then catches up:
+    every window it runs after the stall lies far below the prefix's
+    frontier.
+    """
+
+    TICKS = 60
+    STALL = range(3, 43)
+
+    @staticmethod
+    def _gappy(seed):
+        # 60 s at 500 Hz, a 0.3-1.3 s gap every few seconds.
+        n = 30000
+        rng = np.random.default_rng(seed)
+        keep = np.ones(n, dtype=bool)
+        cursor = 0
+        while cursor < n:
+            cursor += int(rng.integers(800, 2500))
+            gap = int(rng.integers(150, 650))
+            keep[cursor : cursor + gap] = False
+            cursor += gap
+        times = np.arange(n, dtype=np.int64) * 2
+        values = np.sin(np.arange(n) * 0.013) + 0.1 * rng.standard_normal(n)
+        return times[keep], values[keep]
+
+    def _queries(self):
+        return {
+            "lead": _prefix().aggregate(500, func="mean"),
+            "lag": _prefix().join(Query.source("p", frequency_hz=500), combine.sub),
+        }
+
+    def _serve(self, sharing, backend_factory, targeted):
+        shared = ReplaySource(ArraySource(*self._gappy(21), period=2))
+        private = ReplaySource(ArraySource(*self._gappy(22), period=2))
+        service = StreamingService(
+            window_size=1000,
+            targeted=targeted,
+            backend=backend_factory(),
+            subplan_sharing=sharing,
+        )
+        with service:
+            queries = self._queries()
+            service.open("lead", queries["lead"], {"s": shared})
+            service.open("lag", queries["lag"], {"s": shared, "p": private})
+            stalled_at = 0
+            for tick in range(1, self.TICKS + 1):
+                shared.advance(1000 * tick)
+                if tick not in self.STALL:
+                    private.advance(1000 * tick)
+                service.poll()
+                if tick == self.STALL[-1]:
+                    stalled_at = service.result("lag").stats.output_windows
+            service.finish()
+            results = {cid: service.result(cid) for cid in service.client_ids}
+            groups = service.sharing_groups
+        return results, groups, stalled_at
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("targeted", [True, False], ids=["targeted", "eager"])
+    def test_lagging_tail_is_bit_identical_to_unshared(self, backend, targeted):
+        unshared, no_groups, _ = self._serve(False, BACKENDS[backend], targeted)
+        shared, groups, stalled_at = self._serve(True, BACKENDS[backend], targeted)
+        assert no_groups == [] and len(groups) == 1
+        # The stall really held the tail back: most of its windows ran after
+        # the prefix had moved ~40 windows ahead.
+        assert stalled_at <= 3
+        assert shared["lag"].stats.output_windows > 40
+        for client_id, reference in unshared.items():
+            _assert_identical(reference, shared[client_id], f"{client_id} [{backend}]")
+            assert (
+                shared[client_id].stats.output_windows == reference.stats.output_windows
+            )
