@@ -35,7 +35,7 @@ CODES: dict[str, str] = {
     "LS104": "dead operator: lineage coverage proves the node can never "
     "produce output, so targeted execution never computes it",
     "LS105": "illegal fused chain: a FusedElementwise node violates fusion "
-    "legality (stage count, stage type, or the CompileHints fusion cap)",
+    "legality (fewer than two stages, or a stage that is not element-wise)",
     "LS106": "time-map off grid: an operator's time map has a non-integral "
     "shift or non-positive scale, so mapped sync times leave the tick grid",
     "LS107": "mixed live/static sources: watermark-gated sources are "

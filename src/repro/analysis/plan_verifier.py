@@ -25,9 +25,8 @@ Checked properties:
   fast path.
 - **Dead operators** (LS104): lineage coverage proves the node can never
   produce output.
-- **Fused-chain legality** (LS105): every ``FusedElementwise`` node obeys
-  the fusion invariants and the ``CompileHints.max_fusion_length`` cap it
-  was compiled under.
+- **Fused-chain legality** (LS105): every ``FusedElementwise`` node holds
+  at least two stages, all of them element-wise.
 - **Watermark assumptions** (LS107): mixing watermark-gated and static
   sources, which a streaming session treats very differently.
 - **Vectorized lowering** (LS108): surfaces at compile time when (and why)
@@ -172,7 +171,7 @@ def _check_dead_operators(
             )
 
 
-def _check_fused_chains(node: OperatorNode, hints, out: list[Diagnostic]) -> None:
+def _check_fused_chains(node: OperatorNode, out: list[Diagnostic]) -> None:
     operator = node.operator
     if not isinstance(operator, FusedElementwise):
         return
@@ -199,17 +198,6 @@ def _check_fused_chains(node: OperatorNode, hints, out: list[Diagnostic]) -> Non
                     anchor=node.name,
                 )
             )
-    max_length = getattr(hints, "max_fusion_length", None)
-    if max_length is not None and len(stages) > max_length:
-        out.append(
-            _plan(
-                "LS105",
-                "error",
-                f"fused chain holds {len(stages)} stages but the plan was "
-                f"compiled under CompileHints(max_fusion_length={max_length})",
-                anchor=node.name,
-            )
-        )
 
 
 def _check_source_liveness(nodes: list[PlanNode], out: list[Diagnostic]) -> None:
@@ -266,7 +254,7 @@ def _check_vectorized_lowering(sink: PlanNode, out: list[Diagnostic]) -> None:
         )
 
 
-def verify_plan_graph(sink: PlanNode, hints=None) -> list[Diagnostic]:
+def verify_plan_graph(sink: PlanNode) -> list[Diagnostic]:
     """Verify the plan rooted at *sink*, returning every finding.
 
     Pure: the graph is only read.  Expects the standard passes to have run
@@ -281,7 +269,7 @@ def verify_plan_graph(sink: PlanNode, hints=None) -> list[Diagnostic]:
         _check_dimensions(node, diagnostics)
         _check_time_maps(node, diagnostics)
         _check_join_alignment(node, diagnostics)
-        _check_fused_chains(node, hints, diagnostics)
+        _check_fused_chains(node, diagnostics)
     _check_dead_operators(nodes, diagnostics)
     _check_source_liveness(nodes, diagnostics)
     _check_vectorized_lowering(sink, diagnostics)
@@ -295,4 +283,4 @@ def verify_compiled_plan(plan) -> list[Diagnostic]:
     pass's findings in ``plan.diagnostics``; this re-runs the analysis for
     plans built by custom pipelines or mutated after compilation.
     """
-    return verify_plan_graph(plan.sink, hints=plan.hints)
+    return verify_plan_graph(plan.sink)

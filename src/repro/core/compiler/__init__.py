@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.compiler.fusion import FusionReport, fuse_elementwise
-from repro.core.compiler.hints import CompileHints
 from repro.core.compiler.lineage import (
     backward_time_map,
     forward_time_map,
@@ -63,7 +62,6 @@ __all__ = [
     "build_plan",
     "compile_plan",
     "CompiledPlan",
-    "CompileHints",
     "MemoryPlan",
     "PassManager",
     "PassContext",
@@ -150,9 +148,6 @@ class CompiledPlan:
     sources: dict[str, StreamSource] | None = None
     tracer: object = None
     optimization_level: int = MAX_OPTIMIZATION_LEVEL
-    #: Profile-derived overrides the plan was compiled with (None when the
-    #: pipeline ran on its static defaults).
-    hints: CompileHints | None = None
     #: Findings from the verify pass (:class:`repro.analysis.Diagnostic`).
     #: Empty for clean plans and for custom pipelines without a verify pass.
     diagnostics: list = field(default_factory=list)
@@ -247,7 +242,6 @@ class CompiledPlan:
             sources=bound,
             tracer=self.tracer,
             optimization_level=self.optimization_level,
-            hints=self.hints,
             # Verification is a property of the plan shape, which the clone
             # shares with its template.
             diagnostics=self.diagnostics,
@@ -263,8 +257,6 @@ class CompiledPlan:
             f"output coverage: {self.output_coverage.total_length()} ticks"
         )
         lines = [header, describe_plan(self.sink)]
-        if self.hints is not None:
-            lines.append(f"compile hints: {self.hints.describe()}")
         if self.pass_timings:
             lines.append("pass timeline:")
             for timing in self.pass_timings:
@@ -284,7 +276,6 @@ def compile_plan(
     tracer=None,
     optimization_level: int = MAX_OPTIMIZATION_LEVEL,
     pass_manager: PassManager | None = None,
-    hints: CompileHints | None = None,
     strict: bool = False,
 ) -> CompiledPlan:
     """Compile *query* into an executable :class:`CompiledPlan`.
@@ -292,9 +283,7 @@ def compile_plan(
     ``optimization_level`` gates the rewriting passes: 0 compiles the query
     verbatim, 1 adds spec normalization, 2 (default) adds operator fusion.
     A custom ``pass_manager`` replaces the default pipeline entirely.
-    ``hints`` threads profile-derived overrides (:class:`CompileHints`) into
-    the pipeline — advisory per-decision tweaks that never change the
-    plan's output, only how it executes.  ``strict`` raises
+    ``strict`` raises
     :class:`~repro.errors.PlanVerificationError` when plan verification
     produces error-level diagnostics (verification runs even when a custom
     ``pass_manager`` omits the verify pass).
@@ -311,7 +300,6 @@ def compile_plan(
         window_size=window_size,
         tracer=tracer,
         optimization_level=optimization_level,
-        hints=hints,
     )
     timings = manager.run(ctx)
     sink = ctx.require_sink()
@@ -324,7 +312,7 @@ def compile_plan(
         if "verify" not in manager.pass_names:
             from repro.analysis.plan_verifier import verify_plan_graph
 
-            diagnostics = verify_plan_graph(sink, hints=hints)
+            diagnostics = verify_plan_graph(sink)
         errors = [d for d in diagnostics if d.severity == "error"]
         if errors:
             raise PlanVerificationError(
@@ -343,6 +331,5 @@ def compile_plan(
         sources=sources,
         tracer=tracer,
         optimization_level=optimization_level,
-        hints=hints,
         diagnostics=diagnostics,
     )

@@ -52,21 +52,8 @@ def _is_fusable(node: PlanNode) -> bool:
     )
 
 
-def fuse_elementwise(sink: PlanNode, max_length: int | None = None) -> FusionReport:
-    """Rewrite the graph rooted at *sink*, fusing element-wise chains.
-
-    ``max_length`` caps the stages per fused kernel: a longer chain is cut
-    into consecutive segments of at most that many stages (each segment of
-    two or more stages fuses; a leftover single stage keeps its original
-    node).  The cut point is a profile-guided knob
-    (:class:`~repro.core.compiler.hints.CompileHints`) — output is identical
-    wherever the chain is cut, only the kernel granularity changes.
-    """
-    if max_length is not None and max_length < 2:
-        raise CompilationError(
-            f"fusion max_length must be at least 2 (a fused chain needs two "
-            f"stages), got {max_length}"
-        )
+def fuse_elementwise(sink: PlanNode) -> FusionReport:
+    """Rewrite the graph rooted at *sink*, fusing element-wise chains."""
     parents = _parents(sink)
 
     def absorbable(node: PlanNode) -> bool:
@@ -91,44 +78,23 @@ def fuse_elementwise(sink: PlanNode, max_length: int | None = None) -> FusionRep
         if len(chain) < 2:
             continue
         chain.reverse()  # innermost first
-        head = chain[-1]
-        if max_length is None or len(chain) <= max_length:
-            segments = [chain]
-        else:
-            segments = [
-                chain[cut : cut + max_length]
-                for cut in range(0, len(chain), max_length)
-            ]
-        produced = chain[0].inputs[0]  # the chain's upstream input
-        for segment in segments:
-            if len(segment) == 1:
-                # A leftover stage keeps its original node; only its input
-                # is rewired onto the fused segment below it.
-                segment[0].inputs = [produced]
-                produced = segment[0]
-                continue
-            fused_op = FusedElementwise(
-                [(link.operator, link.inputs[0].descriptor) for link in segment]
+        fused_op = FusedElementwise(
+            [(link.operator, link.inputs[0].descriptor) for link in chain]
+        )
+        fused = OperatorNode(
+            "fused_" + "+".join(link.name for link in chain), fused_op, [current]
+        )
+        if fused.descriptor != node.descriptor:  # pragma: no cover - defensive
+            raise CompilationError(
+                f"fused chain descriptor {fused.descriptor} does not match the "
+                f"original head descriptor {node.descriptor}"
             )
-            fused = OperatorNode(
-                "fused_" + "+".join(link.name for link in segment), fused_op, [produced]
-            )
-            tail = segment[-1]
-            if fused.descriptor != tail.descriptor:  # pragma: no cover - defensive
-                raise CompilationError(
-                    f"fused chain descriptor {fused.descriptor} does not match the "
-                    f"original head descriptor {tail.descriptor}"
-                )
-            fused.dimension = tail.dimension
-            fused.coverage = tail.coverage
-            produced = fused
-            chains_fused += 1
-            nodes_eliminated += len(segment)
-        if produced is not head:
-            for parent in parents.get(id(head), ()):
-                parent.inputs = [
-                    produced if inp is head else inp for inp in parent.inputs
-                ]
-            if head is sink:
-                new_sink = produced
+        fused.dimension = node.dimension
+        fused.coverage = node.coverage
+        chains_fused += 1
+        nodes_eliminated += len(chain)
+        for parent in node_parents:
+            parent.inputs = [fused if inp is node else inp for inp in parent.inputs]
+        if node is sink:
+            new_sink = fused
     return FusionReport(sink=new_sink, chains_fused=chains_fused, nodes_eliminated=nodes_eliminated)

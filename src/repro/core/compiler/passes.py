@@ -73,10 +73,6 @@ class PassContext:
     coverage: IntervalSet | None = None
     memory_plan: MemoryPlan | None = None
     metadata: dict = field(default_factory=dict)
-    #: Profile-derived overrides (:class:`~repro.core.compiler.hints.CompileHints`);
-    #: ``None`` keeps every static decision.  Each pass consumes only the
-    #: fields it understands.
-    hints: object = None
     #: Findings from the verify pass (:class:`repro.analysis.Diagnostic`),
     #: carried onto :attr:`CompiledPlan.diagnostics`.
     diagnostics: list = field(default_factory=list)
@@ -143,12 +139,10 @@ class FuseElementwisePass(CompilerPass):
         if ctx.optimization_level < 2:
             ctx.metadata["fusion"] = "disabled"
             return
-        max_length = getattr(ctx.hints, "max_fusion_length", None)
-        report = fuse_elementwise(ctx.require_sink(), max_length=max_length)
+        report = fuse_elementwise(ctx.require_sink())
         ctx.sink = report.sink
         ctx.metadata["fusion"] = (
             f"{report.chains_fused} chain(s), {report.nodes_eliminated} node(s) fused"
-            + (f", cut at {max_length} stage(s)" if max_length is not None else "")
         )
 
 
@@ -203,7 +197,7 @@ class VerifyPass(CompilerPass):
         from repro.analysis.diagnostics import summarize
         from repro.analysis.plan_verifier import verify_plan_graph
 
-        findings = verify_plan_graph(ctx.require_sink(), hints=ctx.hints)
+        findings = verify_plan_graph(ctx.require_sink())
         ctx.diagnostics.extend(findings)
         ctx.metadata["verify"] = summarize(findings)
 

@@ -182,23 +182,11 @@ class LifeStreamEngine:
         #: template instead of running the pass pipeline again — the
         #: compile-once path behind :class:`~repro.serve.StreamingService`.
         self.plan_cache = plan_cache
-        self._last_signature: tuple | None = None
-
-    @property
-    def last_signature(self) -> tuple | None:
-        """The plan signature computed by the most recent :meth:`compile`
-        (None when that compile bypassed the cache: no plan cache attached,
-        bound sources, or hints).  Signature computation walks the whole
-        query spec fingerprinting every callable — letting the serving
-        layer reuse this instead of recomputing keeps ``open()`` at one
-        signature per client."""
-        return self._last_signature
 
     def compile(
         self,
         query: Query,
         sources: dict[str, StreamSource] | None = None,
-        hints=None,
     ) -> CompiledQuery:
         """Compile *query* against *sources* without executing it.
 
@@ -207,16 +195,8 @@ class LifeStreamEngine:
         compile exactly once; later calls clone the cached template via
         :meth:`CompiledPlan.instantiate`, rebinding each client's sources.
         Queries with bound sources always compile directly.
-
-        ``hints`` (a :class:`~repro.core.compiler.CompileHints`) threads
-        profile-derived overrides into the pass pipeline and bypasses the
-        signature cache — hinted recompiles are per-profile specialisations;
-        the adaptive serving layer caches them itself under
-        ``(signature, hints.cache_key())``.
         """
-        if hints is not None:
-            self._last_signature = None
-        plan = self._cached_plan(query, sources) if hints is None else None
+        plan = self._cached_plan(query, sources)
         if plan is None:
             plan = compile_plan(
                 query,
@@ -224,7 +204,6 @@ class LifeStreamEngine:
                 window_size=self.window_size,
                 tracer=self.tracer,
                 optimization_level=self.optimization_level,
-                hints=hints,
                 strict=self.strict,
             )
         return CompiledQuery(plan, targeted=self.targeted, backend=self.backend)
@@ -246,7 +225,6 @@ class LifeStreamEngine:
         pre-warm the cache before forking, without paying for a throwaway
         per-client instantiation.
         """
-        self._last_signature = None
         if self.plan_cache is None:
             return None
         # Imported here: repro.serve sits above the engine in the layering.
@@ -268,7 +246,6 @@ class LifeStreamEngine:
             window_size=self.window_size,
             optimization_level=self.optimization_level,
         )
-        self._last_signature = key
         return self.plan_cache.get_or_compile(
             key,
             lambda: compile_plan(

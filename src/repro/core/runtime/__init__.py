@@ -10,7 +10,6 @@ from repro.core.runtime.backends import (
     recommend_backend,
 )
 from repro.core.runtime.executor import eager_window_count, execute_plan, run_window_loop
-from repro.core.runtime.profile import PlanProfile
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.runtime.session import StreamingSession, TickStats
 from repro.core.runtime.vectorized import runs_for_coverage, runs_for_starts
@@ -23,7 +22,6 @@ __all__ = [
     "StreamResult",
     "StreamingSession",
     "TickStats",
-    "PlanProfile",
     "ExecutionBackend",
     "SerialBackend",
     "MultiprocessBackend",

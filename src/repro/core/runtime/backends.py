@@ -371,58 +371,33 @@ class VectorizedBackend(ExecutionBackend):
 
 
 def recommend_backend(
-    plan: CompiledPlan, targeted: bool = True, profile=None
+    plan: CompiledPlan, targeted: bool = True
 ) -> tuple[ExecutionBackend, str]:
     """Choose an execution backend for *plan* and say why.
 
     Returns ``(backend, reason)`` — the reason is a human-readable sentence
-    surfaced by ``--backend auto`` pipelines and recorded by the adaptive
-    serving layer, so backend choices are auditable rather than silent.
+    surfaced by ``--backend auto`` pipelines, so backend choices are
+    auditable rather than silent.
 
-    Without a profile the rule is the vectorized backend's own go/no-go:
-    run execution whenever the plan is run-lowerable and some operator
-    lowers, serial otherwise.  There is no coverage threshold because the
-    recorded sweep found no crossover
-    (``benchmarks/results/backend_sweep.json``, written by
-    ``benchmarks/test_backend_sweep.py``: fully and partly lowered Figure 3
-    plans and a single element-wise stage, at mean run lengths 1, 2, 4 and
-    16): on isolated single-window runs run execution takes 0.6x (Figure 3
-    plans) to 1.0x (one element-wise stage) of serial's time, at runs of 16
-    0.1-0.25x.
-
-    With a :class:`~repro.core.runtime.profile.PlanProfile` (measured ticks
-    of a live session) the choice gates a hot swap, which costs a recompile
-    and a state transplant: only sessions whose ticks really execute
-    multi-window runs move to run execution, with the run cap sized from
-    the profile's run-length histogram.
+    The rule is the vectorized backend's own go/no-go: run execution
+    whenever the plan is run-lowerable and some operator lowers, serial
+    otherwise.  There is no coverage threshold because the recorded sweep
+    found no crossover (``benchmarks/results/backend_sweep.json``, written
+    by ``benchmarks/test_backend_sweep.py``: fully and partly lowered
+    Figure 3 plans and a single element-wise stage, at mean run lengths 1,
+    2, 4 and 16): on isolated single-window runs run execution takes 0.6x
+    (Figure 3 plans) to 1.0x (one element-wise stage) of serial's time, at
+    runs of 16 0.1-0.25x.  The choice is static: a session keeps the backend
+    it opened with.
     """
     info = plan_vector_info(plan)
     if plan.tracer is not None or not info.worthwhile:
         return SerialBackend(), vectorized_fallback_reason(plan)
-    lowered = (
-        f"{info.lowered_operators} of {info.operator_nodes} operator node(s) "
-        f"lower to run kernels"
-    )
-
-    if profile is not None and profile.window_runs > 0:
-        mean_run = profile.mean_run_length
-        if mean_run < 2.0:
-            return SerialBackend(), (
-                f"profile over {profile.ticks} tick(s) measured mostly isolated "
-                f"windows (mean run {mean_run:.1f}); ticks form no runs to "
-                f"amortise a hot swap over"
-            )
-        cap = profile.hints().max_run_windows or DEFAULT_MAX_RUN_WINDOWS
-        return VectorizedBackend(max_run_windows=cap), (
-            f"profile over {profile.ticks} tick(s) measured mean runs of "
-            f"{mean_run:.1f} consecutive window(s) and {lowered}, amortising "
-            f"per-window overhead over runs (cap {cap})"
-        )
-
     starts = _window_starts(plan, targeted)
     runs = runs_for_starts(starts, plan.sink.dimension)
     return VectorizedBackend(), (
-        f"{lowered} and coverage forms {len(runs)} run(s) over {len(starts)} "
-        f"window(s); run execution measured no slower than serial at any "
-        f"run length"
+        f"{info.lowered_operators} of {info.operator_nodes} operator node(s) "
+        f"lower to run kernels and coverage forms {len(runs)} run(s) over "
+        f"{len(starts)} window(s); run execution measured no slower than "
+        f"serial at any run length"
     )

@@ -72,8 +72,8 @@ class TickStats:
 
     ``plan_seconds`` covers the per-tick compile-side work (coverage
     refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop.  Profile-guided adaptation reads these to size
-    run buffers and pick backends from observed tick profiles.
+    the backend window loop.  The serving layer orders its tick batches
+    shortest-job-first from them.
     """
 
     #: 1-based tick index within the session.
@@ -98,9 +98,6 @@ class TickStats:
     cumulative_windows: int
     #: Events emitted since the session (or its restored lineage) started.
     cumulative_events: int
-    #: Maximal consecutive-window runs the executed windows formed (adjacent
-    #: starts exactly one dimension apart share a run).  0 on empty ticks.
-    window_runs: int = 0
     #: Execution mode that really drove this tick (honest label, including
     #: any ``+serial-fallback`` suffix accrued so far).
     execution_mode: str = "serial"
@@ -158,7 +155,6 @@ class StreamingSession:
         self._ticks: list[TickStats] = []
         self._finished = False
         self._closed = False
-        self._recompiled = False
         self._checkpoint_hook = None
         self._checkpoint_every = 1
         self._ticks_since_checkpoint = 0
@@ -191,7 +187,7 @@ class StreamingSession:
         """The newest *count* tick records, oldest first.
 
         Unlike :attr:`ticks` this does not copy the whole history, so
-        schedulers polling a long-lived session's recent profile every
+        schedulers polling a long-lived session's recent ticks every
         batch pay O(count), not O(session age).
         """
         return self._ticks[-count:] if count > 0 else []
@@ -210,12 +206,6 @@ class StreamingSession:
     def targeted(self) -> bool:
         """Whether the session enumerates output windows from coverage."""
         return self._targeted
-
-    @property
-    def recompiled(self) -> bool:
-        """True when this session adopted its state from a hot-swap
-        (:meth:`swap_plan`) rather than starting fresh."""
-        return self._recompiled
 
     @property
     def finished(self) -> bool:
@@ -344,12 +334,6 @@ class StreamingSession:
             self._last_start = ready[-1]
         self._windows_run += len(ready)
         self._events_emitted += events
-        dimension = self._plan.sink.dimension
-        window_runs = sum(
-            1
-            for position, start in enumerate(ready)
-            if position == 0 or start != ready[position - 1] + dimension
-        )
         stats = TickStats(
             index=len(self._ticks) + 1,
             watermark=self.watermark,
@@ -361,7 +345,6 @@ class StreamingSession:
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
             cumulative_events=self._events_emitted,
-            window_runs=window_runs,
             execution_mode=self._execution_mode,
         )
         self._ticks.append(stats)
@@ -411,7 +394,6 @@ class StreamingSession:
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
             cumulative_events=self._events_emitted,
-            window_runs=0,
             execution_mode=self._execution_mode,
         )
         self._ticks.append(stats)
@@ -525,11 +507,7 @@ class StreamingSession:
             preallocated_bytes=self._plan.memory_plan.total_bytes,
             elapsed_seconds=self._elapsed_seconds,
             targeted=self._targeted,
-            execution_mode=(
-                f"{self._execution_mode} (recompiled)"
-                if self._recompiled
-                else self._execution_mode
-            ),
+            execution_mode=self._execution_mode,
             per_node_windows={node.name: node.windows_computed for node in self._nodes},
         )
         return StreamResult(times, values, durations, stats=stats)
@@ -717,169 +695,6 @@ class StreamingSession:
             self._collected_times = [np.asarray(emitted["times"], dtype=np.int64)]
             self._collected_values = [np.asarray(emitted["values"], dtype=np.float64)]
             self._collected_durations = [np.asarray(emitted["durations"], dtype=np.int64)]
-
-    # -- hot swap ------------------------------------------------------------
-
-    def swap_plan(
-        self,
-        compiled: "CompiledQuery",
-        targeted: bool | None = None,
-        backend=None,
-    ) -> "StreamingSession":
-        """Replace this session's plan with a recompiled one at a tick boundary.
-
-        Opens a new session over *compiled* (a fresh recompilation of the
-        same query bound to the same sources), transplants this session's
-        runtime state into it — operator carries, emission frontier, source
-        watermarks, emitted output, tick-independent counters — and closes
-        this session.  The new session continues the stream exactly where
-        this one stopped: the adaptive parity suite asserts output across
-        the swap is bit-identical to a never-swapped session.
-
-        Unlike checkpoint restore, the new plan may differ in backend,
-        targeted mode or fusion cuts; only two things must hold, and both
-        are checked:
-
-        * **frontier alignment** — the emitted-through time must land on the
-          new sink's window grid, or the new session would re-emit or skip a
-          partial window.  A recompile of the same query at the same
-          ``window_size`` always aligns; a plan compiled at a different
-          window size aligns only at common multiples, and a misaligned
-          swap raises :class:`~repro.errors.ExecutionError`.
-        * **matching operator state units** — carries are transplanted
-          operator-by-operator (fused chains flattened to their stages, so
-          different fusion cuts still line up); a mismatch means the plans
-          do not compute the same query and the swap is refused.
-
-        Returns the new session; on failure this session is left open and
-        untouched.
-        """
-        self._require_open()
-        state = {
-            "units": self._flatten_operator_states(),
-            "watermarks": {
-                node.name: node.source.watermark for node in self._replay_nodes
-            },
-            "emitted_through": (
-                None
-                if self._last_start is None
-                else self._last_start + self._plan.sink.dimension
-            ),
-            "eager_span": self._span,
-            "windows_run": self._windows_run,
-            "events_emitted": self._events_emitted,
-            "finished": self._finished,
-            "collected": (
-                list(self._collected_times),
-                list(self._collected_values),
-                list(self._collected_durations),
-            ),
-        }
-        new = compiled.open_session(targeted=targeted, backend=backend)
-        try:
-            new._adopt_swap_state(state)
-        except BaseException:
-            new.close()
-            raise
-        self.close()
-        return new
-
-    def _flatten_operator_states(self) -> list[tuple[str, object]]:
-        """Snapshot every operator's carry as ``(name, state)`` units, with
-        fused chains expanded to one unit per stage.
-
-        Flattening makes the transplant invariant to *where* the fusion pass
-        cut the chains: a plan fused as ``[a+b+c]`` and one fused as
-        ``[a+b][c]`` both yield units ``a, b, c``.
-        """
-        from repro.core.operators.fused import FusedElementwise
-
-        units: list[tuple[str, object]] = []
-        for node in self._operator_nodes:
-            operator = node.operator
-            if isinstance(operator, FusedElementwise):
-                for (stage_op, _), stage_state in zip(operator.stages, node.state):
-                    units.append((stage_op.name, stage_op.snapshot_state(stage_state)))
-            else:
-                units.append((operator.name, operator.snapshot_state(node.state)))
-        return units
-
-    def _restore_flattened(self, units: list[tuple[str, object]]) -> None:
-        """Install flattened state units into this session's plan, regrouping
-        per-stage states for fused nodes.  Raises on any shape mismatch."""
-        from repro.core.operators.fused import FusedElementwise
-
-        cursor = 0
-
-        def take(expected_name: str) -> object:
-            nonlocal cursor
-            if cursor >= len(units):
-                raise ExecutionError(
-                    f"hot-swap state mismatch: the old plan provided "
-                    f"{len(units)} operator state unit(s) but the new plan "
-                    f"expects more (next: {expected_name!r}); the plans do not "
-                    f"compute the same query"
-                )
-            name, snapshot = units[cursor]
-            if name != expected_name:
-                raise ExecutionError(
-                    f"hot-swap state mismatch: state unit {cursor} belongs to "
-                    f"operator {name!r} but the new plan has "
-                    f"{expected_name!r} at that position; the plans do not "
-                    f"compute the same query"
-                )
-            cursor += 1
-            return snapshot
-
-        for node in self._operator_nodes:
-            operator = node.operator
-            if isinstance(operator, FusedElementwise):
-                node.state = [
-                    stage_op.restore_state(take(stage_op.name))
-                    for stage_op, _ in operator.stages
-                ]
-            else:
-                node.state = operator.restore_state(take(operator.name))
-        if cursor != len(units):
-            raise ExecutionError(
-                f"hot-swap state mismatch: the old plan provided {len(units)} "
-                f"operator state unit(s) but the new plan consumed only "
-                f"{cursor}; the plans do not compute the same query"
-            )
-
-    def _adopt_swap_state(self, state: dict) -> None:
-        """Continue a predecessor session's stream on this (fresh) session."""
-        sink = self._plan.sink
-        dimension = sink.dimension
-        emitted_through = state["emitted_through"]
-        if emitted_through is not None:
-            if (emitted_through - sink.descriptor.offset) % dimension != 0:
-                raise ExecutionError(
-                    f"hot-swap misaligned: the stream is emitted through "
-                    f"t={emitted_through}, which is not on the new plan's "
-                    f"window grid (dimension {dimension}, offset "
-                    f"{sink.descriptor.offset}); retry the swap at a later "
-                    f"tick boundary"
-                )
-            self._last_start = emitted_through - dimension
-        self._restore_flattened(state["units"])
-        # The recompiled plan usually binds the same source objects as its
-        # predecessor (instantiate rebinds by name), making this advance an
-        # idempotent no-op; with distinct sources it fast-forwards them to
-        # the predecessor's clock.
-        for node in self._replay_nodes:
-            watermark = state["watermarks"].get(node.name)
-            if watermark is not None and watermark > node.source.watermark:
-                node.source.advance(watermark)
-        self._span = state["eager_span"]
-        self._windows_run = state["windows_run"]
-        self._finished = state["finished"]
-        times, values, durations = state["collected"]
-        self._collected_times = list(times)
-        self._collected_values = list(values)
-        self._collected_durations = list(durations)
-        self._events_emitted = state["events_emitted"]
-        self._recompiled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -125,8 +125,7 @@ class IngestGateway:
 
     Built on a :class:`~repro.serve.service.StreamingService` (supplied or
     constructed from the ``service_kwargs``), so connected clients share
-    its plan cache and, when the service is adaptive, its profile-guided
-    recompilation loop.
+    its plan cache and its shortest-job-first tick scheduling.
     """
 
     def __init__(

@@ -7,7 +7,7 @@ paper's patient-level-scale story:
   :class:`PlanCache` (compile a query shape once, serve every client);
 * :mod:`repro.serve.service` — :class:`StreamingService`, which multiplexes
   many :class:`~repro.core.runtime.session.StreamingSession`s and batches
-  their ticks profile-guided (ready-first, cheapest-first);
+  their ticks ready-first, cheapest-first;
 * :mod:`repro.serve.subplan` — cross-tenant sub-plan sharing: tenants whose
   queries share a prefix sub-DAG over the same source objects execute that
   prefix once per tick (``StreamingService(subplan_sharing=True)``).
@@ -20,7 +20,6 @@ an ordinary :class:`StreamingService`.
 from repro.serve.cache import (
     PlanCache,
     PlanCacheStats,
-    ProfileStore,
     fingerprint_operator,
     fingerprint_value,
     has_bound_sources,
@@ -40,7 +39,6 @@ from repro.serve.subplan import (
 __all__ = [
     "PlanCache",
     "PlanCacheStats",
-    "ProfileStore",
     "plan_signature",
     "signature_digest",
     "fingerprint_operator",

@@ -23,13 +23,10 @@ conservative cache miss, never to a false hit.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 import types
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -37,13 +34,11 @@ import numpy as np
 from repro.core.event import StreamDescriptor
 from repro.core.operators.base import Operator
 from repro.core.query import Query, QuerySpec
-from repro.core.runtime.profile import PROFILE_FORMAT, PlanProfile
 from repro.core.sources import StreamSource
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compiler import CompiledPlan
-    from repro.core.runtime.session import TickStats
 
 #: Signature format identifier (bump when the key layout changes).
 SIGNATURE_FORMAT = "lifestream-plan-signature/v1"
@@ -224,11 +219,10 @@ def signature_digest(signature: tuple) -> str:
     SHA-256 with explicit type tags and lengths (so e.g. ``("ab", "c")`` and
     ``("a", "bc")`` cannot collide) and returns the first 16 hex characters.
 
-    Digests of purely structural signatures are stable across processes and
-    back a :class:`ProfileStore`'s JSON persistence; signatures containing
-    an identity-fingerprinted component (opaque callables/objects) are only
-    stable within a process — exactly the cases where the cache itself
-    degrades to conservative misses.
+    Digests of purely structural signatures are stable across processes;
+    signatures containing an identity-fingerprinted component (opaque
+    callables/objects) are only stable within a process — exactly the cases
+    where the cache itself degrades to conservative misses.
     """
     hasher = hashlib.sha256()
 
@@ -261,118 +255,6 @@ def signature_digest(signature: tuple) -> str:
     return hasher.hexdigest()[:16]
 
 
-class ProfileStore:
-    """Runtime profiles per plan signature, independent of template lifetime.
-
-    The serving layer folds every session tick of every client into the
-    profile of the client's plan signature, so N clients sharing one
-    template build one merged :class:`~repro.core.runtime.profile.PlanProfile`
-    — the sample the adaptive recompiler derives
-    :class:`~repro.core.compiler.CompileHints` from.  Keys are accepted as
-    raw signature tuples or as :func:`signature_digest` strings; profiles
-    are stored under the digest.
-
-    Profiles deliberately outlive the :class:`PlanCache`'s LRU entries: a
-    template being evicted says its *compiled artifact* was cold, not that
-    its measurements are wrong — a recompile of the same signature picks the
-    profile back up.  Pass ``path`` to persist the store as JSON across
-    process restarts (:meth:`save` is atomic: temp file + rename).
-    """
-
-    #: On-disk store format identifier (bump when the layout changes).
-    FORMAT = "lifestream-profile-store/v1"
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._profiles: dict[str, PlanProfile] = {}
-        self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
-
-    @staticmethod
-    def _digest(key) -> str:
-        return key if isinstance(key, str) else signature_digest(key)
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __contains__(self, key) -> bool:
-        return self._digest(key) in self._profiles
-
-    def observe(self, key, stats: "TickStats") -> PlanProfile:
-        """Fold one tick's stats into *key*'s profile (created on demand)."""
-        with self._lock:
-            profile = self._profiles.setdefault(self._digest(key), PlanProfile())
-            profile.observe(stats)
-            return profile
-
-    def get(self, key) -> PlanProfile | None:
-        """The profile for *key*, or None if nothing was observed yet."""
-        return self._profiles.get(self._digest(key))
-
-    def merge(self, key, profile: PlanProfile) -> PlanProfile:
-        """Fold an externally-built *profile* (another process, a restored
-        checkpoint) into *key*'s entry."""
-        with self._lock:
-            mine = self._profiles.setdefault(self._digest(key), PlanProfile())
-            mine.merge(profile)
-            return mine
-
-    def clear(self) -> None:
-        """Drop every profile."""
-        with self._lock:
-            self._profiles.clear()
-
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write the store as JSON — atomically, so a crash mid-write leaves
-        the previous snapshot intact.  Defaults to the constructor path."""
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ExecutionError(
-                "profile store has no path; pass one to save() or the constructor"
-            )
-        with self._lock:
-            payload = {
-                "format": self.FORMAT,
-                "profiles": {
-                    digest: profile.to_dict()
-                    for digest, profile in sorted(self._profiles.items())
-                },
-            }
-        temp = target.with_name(target.name + ".tmp")
-        temp.parent.mkdir(parents=True, exist_ok=True)
-        with open(temp, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(temp, target)
-        return target
-
-    def load(self, path: str | Path | None = None) -> None:
-        """Merge a saved store into this one (disk profiles fold into any
-        already-observed in-memory ones, never replace them)."""
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ExecutionError(
-                "profile store has no path; pass one to load() or the constructor"
-            )
-        with open(target) as handle:
-            payload = json.load(handle)
-        if payload.get("format") != self.FORMAT:
-            raise ExecutionError(
-                f"unrecognised profile store format {payload.get('format')!r}; "
-                f"expected {self.FORMAT!r}"
-            )
-        for digest, entry in payload.get("profiles", {}).items():
-            if entry.get("format") not in (None, PROFILE_FORMAT):
-                raise ExecutionError(
-                    f"unrecognised profile format {entry.get('format')!r} for "
-                    f"signature {digest}; expected {PROFILE_FORMAT!r}"
-                )
-            self.merge(digest, PlanProfile.from_dict(entry))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ProfileStore {len(self._profiles)} profile(s)>"
-
-
 @dataclass
 class PlanCacheStats:
     """Hit/miss/eviction accounting for a :class:`PlanCache`."""
@@ -401,21 +283,13 @@ class PlanCache:
     Templates stored here are pristine: the engine never executes them, it
     hands out per-client :meth:`~repro.core.compiler.CompiledPlan.instantiate`
     clones, so a cached template's buffers are never aliased by two sessions.
-
-    The attached :attr:`profiles` store keeps runtime measurements per
-    signature.  It is deliberately *not* subject to the LRU policy: evicting
-    a template frees its compiled artifact, but the signature's profile (a
-    few hundred bytes) survives so a later recompile starts warm.
     """
 
-    def __init__(
-        self, capacity: int = 32, profile_path: str | Path | None = None
-    ) -> None:
+    def __init__(self, capacity: int = 32) -> None:
         if capacity < 1:
             raise ExecutionError(f"plan cache capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self.stats = PlanCacheStats()
-        self.profiles = ProfileStore(path=profile_path)
         self._entries: OrderedDict[tuple, "CompiledPlan"] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -464,7 +338,7 @@ class PlanCache:
         return template
 
     def clear(self) -> None:
-        """Drop every cached template (the counters and profiles are kept)."""
+        """Drop every cached template (the counters are kept)."""
         with self._lock:
             self._entries.clear()
 

@@ -8,7 +8,7 @@ the same query shape cost one compile (the template) plus N cheap
 instantiations, and a single :meth:`StreamingService.pump` call ticks every
 session for the new watermarks.
 
-``pump`` is profile-guided: sessions whose watermark actually moved (ready
+``pump`` is measurement-guided: sessions whose watermark actually moved (ready
 work) run before idle re-announcements, and among the ready sessions the
 accumulated per-tick :class:`~repro.core.runtime.session.TickStats` order
 the batch cheapest-expected-tick first — shortest-job-first over the
@@ -16,31 +16,21 @@ observed plan+execute timings, which minimises the mean time a client waits
 for its tick inside the batch.  Sessions with no history yet are assumed
 optimistically cheap (:data:`COLD_START_EXPECTED_SECONDS`).
 
-With ``adaptive=True`` the same per-tick stats feed the plan cache's
-:class:`~repro.serve.cache.ProfileStore`, and the service closes the
-profile-guided optimization loop: every ``adapt_after_ticks`` ticks a
-client's merged signature profile is turned into
-:class:`~repro.core.compiler.CompileHints` plus a profile-aware
-:func:`~repro.core.runtime.backends.recommend_backend` choice; if they
-disagree with the session's current configuration, the signature is
-recompiled with the hints (cached under the signature plus the hint fields
-the compiler reads, so N clients share one recompile however their run
-lengths differ) and the new
-plan is hot-swapped into the live session at the tick boundary via
-:meth:`~repro.core.runtime.session.StreamingSession.swap_plan` —
-bit-identical output, no stream interruption.
+A session keeps the plan and backend it opened with for its whole life:
+there is no runtime re-planning.  Run execution is chosen statically
+(``backend=VectorizedBackend()`` or
+:func:`~repro.core.runtime.backends.recommend_backend`), which measured
+faster than re-planning from tick measurements (see DESIGN.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compiler import compile_plan
-from repro.core.engine import CompiledQuery, LifeStreamEngine
+from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime.backends import recommend_backend
 from repro.core.runtime.result import StreamResult
 from repro.core.runtime.session import StreamingSession, TickStats
 from repro.core.sources import ReplaySource
@@ -67,10 +57,6 @@ PROFILE_WINDOW = 8
 #: job-first over *estimates* only mis-schedules a cold outlier once.
 COLD_START_EXPECTED_SECONDS = 0.0
 
-#: Minimum profiled ticks (and re-evaluation cadence) before the adaptive
-#: service considers recompiling a client's plan.
-ADAPT_MIN_TICKS = 3
-
 
 def _require_int_watermark(client_id, watermark) -> None:
     """Reject non-integer watermarks before they fail deep in the tick loop.
@@ -95,21 +81,10 @@ class ClientRecord:
     compiled: object
     #: Whether this client's plan came from the cache (False = it compiled).
     cache_hit: bool
-    #: Structural plan signature (None when the query binds concrete
-    #: sources and is uncacheable — such clients never adapt).
-    signature: tuple | None = None
-    #: Digest of :attr:`signature`; the client's ProfileStore key.
-    profile_key: str | None = None
-    #: The query/sources the client opened with (recompiled from on adapt).
+    #: The query/sources the client opened with (sub-plan sharing
+    #: fingerprints and rewrites them).
     query: object = None
     sources: dict | None = None
-    #: Hot swaps performed on this client's session.
-    swaps: int = 0
-    #: Ticks observed since the last adaptation check.
-    ticks_since_check: int = 0
-    #: Human-readable reason behind the most recent swap (from
-    #: :func:`~repro.core.runtime.backends.recommend_backend`).
-    last_adapt_reason: str | None = None
 
 
 @dataclass
@@ -120,8 +95,6 @@ class ServicePumpReport:
     order: list[str] = field(default_factory=list)
     #: Per-client tick instrumentation.
     ticks: dict[str, TickStats] = field(default_factory=dict)
-    #: Clients whose plan was hot-swapped at this pump's tick boundary.
-    swapped: list[str] = field(default_factory=list)
     #: Per-group prefix tick instrumentation (``subplan_sharing`` only) —
     #: exactly one entry per sharing group whose members were in the batch,
     #: proving the shared prefix executed once, not once per member.  Not
@@ -157,7 +130,6 @@ class ServicePumpReport:
         """Fold *other*'s per-client records into this report."""
         self.order.extend(other.order)
         self.ticks.update(other.ticks)
-        self.swapped.extend(other.swapped)
         self.prefix_ticks.update(other.prefix_ticks)
 
 
@@ -179,15 +151,8 @@ class StreamingService:
         optimization_level: int | None = None,
         max_cached_plans: int = 32,
         engine: LifeStreamEngine | None = None,
-        adaptive: bool = False,
-        adapt_after_ticks: int = ADAPT_MIN_TICKS,
-        profile_path=None,
         subplan_sharing: bool = False,
     ) -> None:
-        if adapt_after_ticks < 1:
-            raise ExecutionError(
-                f"adapt_after_ticks must be positive, got {adapt_after_ticks}"
-            )
         if engine is None:
             kwargs = {}
             if optimization_level is not None:
@@ -196,12 +161,8 @@ class StreamingService:
                 window_size=window_size, targeted=targeted, backend=backend, **kwargs
             )
         if engine.plan_cache is None:
-            engine.plan_cache = PlanCache(
-                capacity=max_cached_plans, profile_path=profile_path
-            )
+            engine.plan_cache = PlanCache(capacity=max_cached_plans)
         self.engine = engine
-        self.adaptive = adaptive
-        self.adapt_after_ticks = int(adapt_after_ticks)
         #: Detect tenants whose queries share a structurally identical
         #: prefix sub-DAG over the *same source objects* and execute that
         #: prefix once per batch instead of once per tenant (see
@@ -249,24 +210,11 @@ class StreamingService:
                 + "; ".join(d.render() for d in plan_errors)
             )
         session = compiled.open_session(targeted=targeted, checkpoint=checkpoint)
-        # The engine already computed the structural signature for its cache
-        # lookup; reuse it (recomputing would re-fingerprint every callable
-        # in the query).  It is None exactly when the query binds concrete
-        # sources — such clients are uncacheable and never adapt.  The
-        # digest (the ProfileStore key) is only derived in adaptive mode:
-        # a static service never reads profiles, so hashing a deep
-        # signature per open() would be pure overhead on its hot path.
-        signature = self.engine.last_signature
-        profile_key = None
-        if self.adaptive and signature is not None:
-            profile_key = signature_digest(signature)
         self._clients[client_id] = ClientRecord(
             client_id=client_id,
             session=session,
             compiled=compiled,
             cache_hit=self.engine.plan_cache.stats.hits > hits_before,
-            signature=signature,
-            profile_key=profile_key,
             query=query,
             sources=dict(sources or {}),
         )
@@ -398,8 +346,7 @@ class StreamingService:
         *client_ids* is an iterable of clients to tick (default: every open,
         unfinished client).  Unknown ids raise :class:`ValueError`, like
         :meth:`pump`; an empty batch is a cheap no-op.  The batch runs
-        cheapest-expected-tick first and feeds the same adaptive
-        recompilation loop as ``pump``.
+        cheapest-expected-tick first, like ``pump``.
         """
         if client_ids is None:
             batch = [
@@ -434,15 +381,6 @@ class StreamingService:
             stats = record.session.advance(watermark)
         report.order.append(client_id)
         report.ticks[client_id] = stats
-        self._observe(record, stats)
-        if self.adaptive and self._maybe_adapt(record):
-            report.swapped.append(client_id)
-
-    def _observe(self, record: ClientRecord, stats: TickStats) -> None:
-        """Fold one tick into the client's shared signature profile."""
-        if record.profile_key is not None:
-            self.engine.plan_cache.profiles.observe(record.profile_key, stats)
-            record.ticks_since_check += 1
 
     def _schedule(self, batch: dict[str, int]) -> list[str]:
         """Tick order for *batch*: ready sessions first, cheapest first."""
@@ -461,7 +399,7 @@ class StreamingService:
     def _expected_cost(self, client_id: str) -> float:
         """Shortest-job-first key: mean elapsed seconds of the session's
         recent ticks, or :data:`COLD_START_EXPECTED_SECONDS` when it has no
-        history yet (so cold sessions run first and get profiled)."""
+        history yet (so cold sessions run first and get measured)."""
         ticks = self._clients[client_id].session.recent_ticks(PROFILE_WINDOW)
         if not ticks:
             return COLD_START_EXPECTED_SECONDS
@@ -476,11 +414,8 @@ class StreamingService:
             # see the feeds' full final coverage.
             report.prefix_ticks[group.group_id] = group.finish_prefix()
         for client_id in sorted(self._clients, key=self._expected_cost):
-            record = self._clients[client_id]
-            stats = record.session.finish()
             report.order.append(client_id)
-            report.ticks[client_id] = stats
-            self._observe(record, stats)
+            report.ticks[client_id] = self._clients[client_id].session.finish()
         self._pumps += 1
         return report
 
@@ -578,32 +513,20 @@ class StreamingService:
                     d.severity == "error" for d in tail_compiled.plan.diagnostics
                 ):
                     return None
-                staged.append(
-                    (record, tail_query, tail_sources, feed, tail_compiled,
-                     engine.last_signature)
-                )
+                staged.append((record, tail_query, tail_sources, feed, tail_compiled))
             prefix_session = prefix_compiled.open_session(targeted=True)
         except Exception:
             # Any compile/rewrite failure falls back to unshared serving.
             return None
         feeds: dict[str, SharedFeedSource] = {}
         origins: dict[str, list] = {}
-        for record, tail_query, tail_sources, feed, tail_compiled, signature in staged:
+        for record, tail_query, tail_sources, feed, tail_compiled in staged:
             targeted = record.session.targeted
             record.session.close()
             record.session = tail_compiled.open_session(targeted=targeted)
             record.compiled = tail_compiled
             record.query = tail_query
             record.sources = tail_sources
-            # The tail signature replaces the full-plan one so the adaptive
-            # loop profiles and recompiles what actually runs per tenant.
-            record.signature = signature
-            record.profile_key = (
-                signature_digest(signature)
-                if self.adaptive and signature is not None
-                else None
-            )
-            record.ticks_since_check = 0
             feeds[record.client_id] = feed
             origins[record.client_id] = [
                 source
@@ -620,74 +543,6 @@ class StreamingService:
             member_origins=origins,
             operator_count=plan.operator_count,
         )
-
-    # -- adaptive recompilation ----------------------------------------------
-
-    @staticmethod
-    def _backend_config(backend) -> tuple:
-        """Comparable identity of a backend choice (name + run cap)."""
-        if backend.name == "vectorized":
-            return (backend.name, backend.max_run_windows)
-        return (backend.name,)
-
-    def _maybe_adapt(self, record: ClientRecord) -> bool:
-        """Recompile and hot-swap *record*'s session if its signature profile
-        recommends a different configuration.  Returns True on a swap.
-
-        Runs at most every :attr:`adapt_after_ticks` observed ticks per
-        client, and only once the merged profile holds at least that many
-        ticks.  A recommendation matching the current configuration is a
-        no-op (no recompile, no swap).  The recompile keeps the engine's
-        window size, so the swap always lands on the session's window grid.
-        """
-        if (
-            record.profile_key is None
-            or record.session.finished
-            or record.ticks_since_check < self.adapt_after_ticks
-        ):
-            return False
-        record.ticks_since_check = 0
-        profile = self.engine.plan_cache.profiles.get(record.profile_key)
-        if profile is None or profile.ticks < self.adapt_after_ticks:
-            return False
-        targeted = record.session.targeted
-        backend, reason = recommend_backend(
-            record.compiled.plan, targeted=targeted, profile=profile
-        )
-        hints = replace(profile.hints(), backend=backend.name)
-        current_hints = record.compiled.plan.hints
-        current_cut = None if current_hints is None else current_hints.max_fusion_length
-        # Of the hint fields, only the fusion cut changes the compiled plan
-        # itself — the run cap lives on the backend object.
-        # Swap only when the execution configuration genuinely changes; a
-        # recommendation matching the status quo must not churn sessions.
-        if (
-            self._backend_config(backend)
-            == self._backend_config(record.session.backend)
-            and hints.max_fusion_length == current_cut
-        ):
-            return False
-        engine = self.engine
-        template = engine.plan_cache.get_or_compile(
-            (record.signature, hints.cache_key()),
-            lambda: compile_plan(
-                record.query,
-                sources=record.sources,
-                window_size=engine.window_size,
-                tracer=engine.tracer,
-                optimization_level=engine.optimization_level,
-                hints=hints,
-            ),
-        )
-        plan = template.instantiate(record.sources, strict=False)
-        compiled = CompiledQuery(plan, targeted=targeted, backend=backend)
-        record.session = record.session.swap_plan(
-            compiled, targeted=targeted, backend=backend
-        )
-        record.compiled = compiled
-        record.swaps += 1
-        record.last_adapt_reason = reason
-        return True
 
     # -- results -------------------------------------------------------------
 

@@ -157,8 +157,8 @@ class TestSessionParity:
 
     def test_cumulative_events_matches_result_after_every_tick(self):
         # The counter is kept incrementally (not re-summed from the emitted
-        # chunks), so it must be re-seeded wherever a session adopts another
-        # session's output: checkpoint restore and hot swap.
+        # chunks), so it must be re-seeded where a session adopts another
+        # session's output: checkpoint restore.
         query = SESSION_QUERIES["sliding"]
         engine = LifeStreamEngine(window_size=1000)
         session = engine.open_session(query(), {"s": ReplaySource(_source())})
@@ -173,13 +173,7 @@ class TestSessionParity:
         session = engine.open_session(
             query(), {"s": ReplaySource(_source())}, checkpoint=state
         )
-        for watermark in WATERMARKS[3:5]:
-            check(session.advance(watermark))
-        session = session.swap_plan(
-            engine.compile(query(), {"s": ReplaySource(_source())}),
-            backend=VectorizedBackend(max_run_windows=3),
-        )
-        for watermark in WATERMARKS[5:]:
+        for watermark in WATERMARKS[3:]:
             check(session.advance(watermark))
         check(session.finish())
         check(session.finish())  # the idempotent empty tick
@@ -281,20 +275,19 @@ class TestLongLivedSessions:
         assert _comparable(plain.stats) == _comparable(reference.stats)
 
         # The same stream with a crash (checkpoint, fresh compile, restore)
-        # a third of the way in and a hot swap at two thirds.
-        sources = {"s": ReplaySource(_long_source())}
-        session = engine.open_session(query(), sources, targeted=targeted)
+        # a third of the way in.
+        session = engine.open_session(
+            query(), {"s": ReplaySource(_long_source())}, targeted=targeted
+        )
         for tick, watermark in enumerate(watermarks):
             session.advance(watermark)
             if tick == LONG_TICKS // 3:
                 state = session.checkpoint()
                 session.close()
-                sources = {"s": ReplaySource(_long_source())}
                 session = engine.open_session(
-                    query(), sources, targeted=targeted, checkpoint=state
+                    query(), {"s": ReplaySource(_long_source())},
+                    targeted=targeted, checkpoint=state,
                 )
-            elif tick == 2 * LONG_TICKS // 3:
-                session = session.swap_plan(engine.compile(query(), sources), targeted=targeted)
         session.finish()
         interrupted = session.result()
         session.close()

@@ -43,6 +43,12 @@ class TestEngines:
         assert run.events_ingested == ecg[0].size + abp[0].size
         assert run.throughput_events_per_second > 0
 
+    def test_auto_backend_reports_reason(self, dataset):
+        ecg, abp = dataset
+        run = run_lifestream_e2e(ecg, abp, backend="auto")
+        assert run.extra["backend"].endswith("(auto)")
+        assert run.extra["backend_reason"]
+
     def test_trill_produces_joined_events(self, dataset):
         ecg, abp = dataset
         run = run_trill_e2e(ecg, abp)

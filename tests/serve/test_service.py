@@ -23,7 +23,9 @@ from repro.serve import (
     StreamingService,
     has_bound_sources,
     plan_signature,
+    signature_digest,
 )
+from repro.serve.service import COLD_START_EXPECTED_SECONDS
 
 
 def _signal(n=6000, period=2, seed=3):
@@ -204,6 +206,17 @@ class TestPlanSignature:
         bound = Query.from_source(_source()).select(lambda v: v)
         assert has_bound_sources(bound)
 
+    def test_signature_digest_is_stable_and_discriminating(self):
+        signature = plan_signature(_cohort_query(), {"s": _source()}, 1000, 1)
+        digest = signature_digest(signature)
+        assert digest == signature_digest(
+            plan_signature(_cohort_query(), {"s": _source()}, 1000, 1)
+        )
+        assert len(digest) == 16
+        assert digest != signature_digest(("sig-format", 1000, 1, ()))
+        # Length tags keep adjacent strings from gluing together.
+        assert signature_digest(("ab", "c")) != signature_digest(("a", "bc"))
+
 
 class TestPlanCache:
     def test_hit_miss_eviction_accounting(self):
@@ -367,6 +380,22 @@ class TestStreamingService:
         assert report.ticks["fresh"].windows_run > 0
         assert report.windows_run == report.ticks["fresh"].windows_run
         service.close_all()
+
+    def test_cold_sessions_are_assumed_free(self):
+        assert COLD_START_EXPECTED_SECONDS == 0.0
+        with StreamingService(window_size=1000) as service:
+            service.open("cold", _cohort_query(), {"s": ReplaySource(_source())})
+            assert service._expected_cost("cold") == COLD_START_EXPECTED_SECONDS
+            service.pump(4000)
+            # After one real tick the estimate is measurement-based.
+            assert service._expected_cost("cold") > 0.0
+
+    def test_cold_session_is_scheduled_before_warm_ready_peers(self):
+        with StreamingService(window_size=1000) as service:
+            service.open("warm", _cohort_query(), {"s": ReplaySource(_source(1))})
+            service.pump({"warm": 4000})
+            service.open("cold", _cohort_query(), {"s": ReplaySource(_source(2))})
+            assert service._schedule({"warm": 8000, "cold": 8000})[0] == "cold"
 
     def test_pump_subset_and_unknown_clients(self):
         service = StreamingService(window_size=1000)
