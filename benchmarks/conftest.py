@@ -3,13 +3,13 @@
 Every benchmark module reproduces one table or figure of the paper.  The
 individual cells are measured with ``pytest-benchmark``; in addition each
 module accumulates its cells into an :class:`ExperimentReport` that, when
-the module finishes, prints the same rows/series the paper reports and
-persists them as JSON under ``benchmarks/results/`` (these JSON files are
-the source of the numbers quoted in EXPERIMENTS.md).
+the session finishes, prints the same rows/series the paper reports and —
+only under ``--record`` — persists them as JSON under
+``benchmarks/results/``, so an ordinary test run leaves the tree clean.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-only [--record]
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class ExperimentReport:
         """Attach a free-form note (e.g. an OOM observation) to the report."""
         self.notes.append(text)
 
-    def finalise(self) -> None:
-        """Print the assembled table and persist it as JSON."""
+    def finalise(self, record: bool) -> None:
+        """Print the assembled table; persist it as JSON when *record* is set."""
         if not self.rows and not self.notes:
             return
         ordered = [self.rows[key] for key in sorted(self.rows)]
@@ -49,6 +49,8 @@ class ExperimentReport:
         print("\n\n" + table)
         for note in self.notes:
             print(f"note: {note}")
+        if not record:
+            return
         save_results(
             self.name,
             {
@@ -80,12 +82,13 @@ def timed_benchmark(benchmark, fn, rounds: int = 1):
 
 
 @pytest.fixture(scope="session")
-def report_registry():
+def report_registry(request):
     """Session-wide registry of experiment reports (finalised at session end)."""
     registry: dict[str, ExperimentReport] = {}
     yield registry
+    record = request.config.getoption("--record", default=False)
     for report in registry.values():
-        report.finalise()
+        report.finalise(record)
 
 
 def get_report(registry: dict, name: str, title: str, headers: list[str]) -> ExperimentReport:

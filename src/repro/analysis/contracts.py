@@ -189,13 +189,14 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
 
     Only meaningful when the plan actually lowers (a run kernel on a
     batch-unsafe operator is unreachable in production).  Short run caps
-    exercise run boundaries; the default cap exercises long runs.
+    exercise run boundaries and prefix views of longer run buffers, a cap
+    of 512 long runs, and ``None`` the slot-budget default.
     """
     plan = _compile(case)
     if not (plan_vector_info(plan).runnable and plan_vector_info(plan).lowered_operators):
         return
     reference = _events(plan)
-    for cap in (2, 5, 512):
+    for cap in (2, 5, 512, None):
         lowered = _events(_compile(case), backend=VectorizedBackend(max_run_windows=cap))
         if not _same_events(reference, lowered):
             out.append(
@@ -203,7 +204,7 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
                     "LS202",
                     "error",
                     f"{case.name}.compute_run disagrees with per-window "
-                    f"compute (run cap {cap}: {reference[0].size} vs "
+                    f"compute (run cap {cap or 'default'}: {reference[0].size} vs "
                     f"{lowered[0].size} events); the vectorized backend "
                     "would silently corrupt results",
                     anchor=case.name,

@@ -1,7 +1,7 @@
 """Benchmark harness: timing, workloads and reporting shared by ``benchmarks/``."""
 
 from repro.bench.harness import Comparison, Measurement
-from repro.bench.reporting import format_table, load_results, save_results
+from repro.bench.reporting import format_table, save_results
 from repro.bench.workloads import (
     E2E_BENCH_SECONDS,
     MICRO_BENCH_EVENTS,
@@ -22,7 +22,6 @@ __all__ = [
     "Comparison",
     "format_table",
     "save_results",
-    "load_results",
     "synthetic_signal",
     "join_workload",
     "JoinWorkload",

@@ -2,8 +2,7 @@
 
 The benchmark modules print the same rows/series the paper reports (tables
 1, 4 and 5; figures 9 and 10).  These helpers format those rows as aligned
-text tables and persist them as JSON so EXPERIMENTS.md can reference a
-stable record of the measured numbers.
+text tables and, for runs under ``pytest --record``, persist them as JSON.
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ def save_results(name: str, payload: dict) -> Path:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
     return path
-
-
-def load_results(name: str) -> dict | None:
-    """Load a previously saved result payload, or None if it does not exist."""
-    path = RESULTS_DIR / f"{name}.json"
-    if not path.exists():
-        return None
-    with open(path) as handle:
-        return json.load(handle)
 
 
 def _json_default(value):

@@ -141,16 +141,35 @@ class FWindow:
         if not 0 <= index < count:
             raise MemoryPlanError(f"subwindow index {index} out of range for count {count}")
         capacity = self.capacity // count
-        dimension = self.dimension // count
+        return self._alias(
+            index * capacity, capacity, self.sync_time + index * (self.dimension // count),
+            f"{self.name}[{index}]",
+        )
+
+    def prefix(self, dimension: int) -> "FWindow":
+        """Zero-copy view of the first *dimension* ticks of this window.
+
+        A run buffer sized for the longest run serves every shorter run
+        through such a view: the view slides on its own, clearing only its
+        own slots, and its writes land in the buffer's leading slots.
+        """
+        if not 0 < dimension <= self.dimension or dimension % self.period:
+            raise MemoryPlanError(
+                f"cannot take a prefix of dimension {dimension} from FWindow of "
+                f"dimension {self.dimension} (period {self.period})"
+            )
+        return self._alias(0, dimension // self.period, self.sync_time, self.name)
+
+    def _alias(self, low: int, capacity: int, sync_time: int, name: str) -> "FWindow":
+        """An untraced, non-monotonic window over slots ``[low, low + capacity)``."""
         view = FWindow.__new__(FWindow)
         view.descriptor = self.descriptor
-        view.dimension = dimension
+        view.dimension = capacity * self.period
         view.capacity = capacity
-        view.sync_time = self.sync_time + index * dimension
-        view.name = f"{self.name}[{index}]"
+        view.sync_time = sync_time
+        view.name = name
         view._monotonic = False
         view._has_slid = True
-        low = index * capacity
         view.values = self.values[low : low + capacity]
         view.durations = self.durations[low : low + capacity]
         view.bitvector = self.bitvector[low : low + capacity]

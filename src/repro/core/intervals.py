@@ -103,17 +103,30 @@ class IntervalSet:
 
         Consecutive events that are exactly one period apart are merged into
         a single interval; any larger gap starts a new interval.  Each event
-        covers ``[t, t + period)``.
+        covers ``[t, t + period)``.  Already-sorted input is not re-sorted.
         """
         arr = np.asarray(times, dtype=np.int64)
-        if arr.size == 0:
+        steps = np.diff(arr)
+        if steps.size and steps.min() < 0:
+            arr = np.sort(arr)
+            steps = np.diff(arr)
+        return IntervalSet.from_grid_gaps(arr, period, np.flatnonzero(steps > period))
+
+    @staticmethod
+    def from_grid_gaps(times: np.ndarray, period: int, gaps: np.ndarray) -> "IntervalSet":
+        """Coverage of *sorted* timestamps of a stream with a positive *period*.
+
+        *gaps* holds, in increasing order, every index ``i`` with
+        ``times[i + 1] - times[i] > period`` — callers that already scanned
+        the steps pass what they found instead of diffing again.
+        """
+        if times.size == 0:
             return IntervalSet.empty()
-        arr = np.sort(arr)
-        gaps = np.flatnonzero(np.diff(arr) > period)
-        starts = np.concatenate(([0], gaps + 1))
-        ends = np.concatenate((gaps, [arr.size - 1]))
-        intervals = [(int(arr[s]), int(arr[e]) + period) for s, e in zip(starts, ends)]
-        return IntervalSet(intervals)
+        starts = times[np.concatenate(([0], gaps + 1))]
+        ends = times[np.concatenate((gaps, [times.size - 1]))] + period
+        # Each interval's successor starts more than a period after its last
+        # timestamp, i.e. past its end: sorted, disjoint, never adjacent.
+        return IntervalSet.from_normalized(tuple(zip(starts.tolist(), ends.tolist())))
 
     @staticmethod
     def from_events(times: Sequence[int] | np.ndarray, durations: Sequence[int] | np.ndarray) -> "IntervalSet":

@@ -37,7 +37,6 @@ from repro.core.runtime.executor import (
 )
 from repro.core.runtime.result import StreamResult
 from repro.core.runtime.vectorized import (
-    DEFAULT_MAX_RUN_WINDOWS,
     RunExecutor,
     plan_vector_info,
     runs_for_starts,
@@ -278,9 +277,14 @@ class VectorizedBackend(ExecutionBackend):
     pulled through the graph once, with every stream materialised in one
     contiguous run buffer and every lowerable operator executing the whole
     run per :meth:`~repro.core.operators.base.Operator.compute_run` call.
-    The run length follows the coverage, and unlowerable operators degrade
-    *per node* to bit-identical window-by-window execution instead of
-    failing the whole plan over to serial.
+    The run length follows the coverage up to a cap, and unlowerable
+    operators degrade *per node* to bit-identical window-by-window execution
+    instead of failing the whole plan over to serial.
+
+    The cap defaults to :data:`~repro.core.runtime.vectorized.RUN_SLOT_BUDGET`
+    slots per run buffer over the plan's widest window (two one-minute
+    windows at 500 Hz, 131 one-second windows); *max_run_windows* sets it
+    explicitly instead.
 
     Plans where run execution is unsound (mixed dimensions, time-scaling
     operators) or useless (no operator lowers) run on the serial backend and
@@ -291,13 +295,34 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    def __init__(self, max_run_windows: int = DEFAULT_MAX_RUN_WINDOWS):
-        if max_run_windows < 1:
+    def __init__(self, max_run_windows: int | None = None):
+        if max_run_windows is not None and max_run_windows < 1:
             raise ExecutionError(f"max_run_windows must be positive, got {max_run_windows}")
-        self.max_run_windows = int(max_run_windows)
+        self.max_run_windows = None if max_run_windows is None else int(max_run_windows)
 
     def _active(self, plan: CompiledPlan) -> bool:
         return plan.tracer is None and plan_vector_info(plan).worthwhile
+
+    def runs(self, plan: CompiledPlan, starts) -> list[tuple[int, int]]:
+        """The ``(start, count)`` runs this backend executes for *starts*."""
+        cap = self.max_run_windows
+        if cap is None:
+            cap = plan_vector_info(plan).default_run_windows
+        return runs_for_starts(starts, plan.sink.dimension, cap)
+
+    @staticmethod
+    def _executor(plan: CompiledPlan, runs: list[tuple[int, int]]) -> RunExecutor:
+        """The plan's run executor, its buffers sized for the longest of *runs*.
+
+        Cached on the plan, so repeated executions and session ticks reuse
+        one set of run buffers.
+        """
+        executor = plan.__dict__.get("_run_executor")
+        if executor is None:
+            executor = plan.__dict__["_run_executor"] = RunExecutor(plan)
+        if runs:
+            executor.reserve(max(count for _, count in runs))
+        return executor
 
     def execute(
         self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
@@ -307,15 +332,10 @@ class VectorizedBackend(ExecutionBackend):
             result.stats.fallback_reason = vectorized_fallback_reason(plan)
             return result
         starts = _window_starts(plan, targeted)
-        runs = runs_for_starts(starts, plan.sink.dimension, self.max_run_windows)
+        runs = self.runs(plan, starts)
         for node in topological_order(plan.sink):
             node.reset()
-        # Run buffers are reused across executions of the same plan (the pool
-        # is keyed by run length, and repeated executions see the same run
-        # geometry), keeping the steady state allocation-free.
-        executor = plan.__dict__.get("_run_executor")
-        if executor is None:
-            executor = plan.__dict__["_run_executor"] = RunExecutor(plan)
+        executor = self._executor(plan, runs)
         executor.fallback_nodes.clear()
 
         collected_times: list[np.ndarray] = []
@@ -359,13 +379,12 @@ class VectorizedBackend(ExecutionBackend):
     ) -> tuple[int, bool]:
         if not self._active(plan):
             return super().session_tick(plan, starts, times, values, durations)
-        # One executor per session plan, cached on the plan so run buffers
-        # persist across ticks (ticks advance monotonically, like windows).
-        executor = plan.__dict__.get("_run_executor")
-        if executor is None:
-            executor = plan.__dict__["_run_executor"] = RunExecutor(plan)
+        # Ticks advance monotonically, like windows, so the plan's run
+        # buffers persist across them.
+        runs = self.runs(plan, starts)
+        executor = self._executor(plan, runs)
         events = 0
-        for start, count in runs_for_starts(starts, plan.sink.dimension, self.max_run_windows):
+        for start, count in runs:
             events += executor.execute_run(start, count, True, times, values, durations)
         return events, bool(executor.fallback_nodes)
 
@@ -393,11 +412,12 @@ def recommend_backend(
     info = plan_vector_info(plan)
     if plan.tracer is not None or not info.worthwhile:
         return SerialBackend(), vectorized_fallback_reason(plan)
+    backend = VectorizedBackend()
     starts = _window_starts(plan, targeted)
-    runs = runs_for_starts(starts, plan.sink.dimension)
-    return VectorizedBackend(), (
+    runs = backend.runs(plan, starts)
+    return backend, (
         f"{info.lowered_operators} of {info.operator_nodes} operator node(s) "
         f"lower to run kernels and coverage forms {len(runs)} run(s) over "
-        f"{len(starts)} window(s); run execution measured no slower than "
-        f"serial at any run length"
+        f"{len(starts)} window(s), at most {info.default_run_windows} per run; "
+        f"run execution measured no slower than serial at any run length"
     )

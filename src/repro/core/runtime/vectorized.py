@@ -15,7 +15,8 @@ This module lowers window loops onto that observation:
   **runs of consecutive windows** — disjoint, and exactly tiling the window
   starts the serial executor would visit;
 * :class:`RunExecutor` allocates one contiguous run buffer (an FWindow of
-  dimension ``count * D``) per run per stream — not per window — and pulls
+  dimension ``cap * D``) per stream — not per window, and not per run
+  length: a shorter run uses a prefix view of it — and pulls
   each run through the graph in a single walk, dispatching every lowerable
   operator's :meth:`~repro.core.operators.base.Operator.compute_run` as one
   NumPy array program over the whole run;
@@ -44,7 +45,7 @@ identically across run boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,11 +55,15 @@ from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator
 from repro.errors import ExecutionError
 
-#: Default cap on windows per run buffer.  Long eager spans are chunked into
-#: consecutive runs of at most this many windows, bounding run-buffer memory;
-#: chunking is exact (a chunk boundary is just another run boundary, and
-#: stateful operators carry across it exactly as they carry across windows).
-DEFAULT_MAX_RUN_WINDOWS = 512
+#: Grid slots one run buffer may hold.  The default cap on windows per run is
+#: this budget over the widest per-window slot count in the plan, so a run
+#: buffer costs about ``RUN_SLOT_BUDGET * 17`` bytes (value, duration and
+#: presence per slot) — cache-sized, whatever the window size.  Longer runs
+#: are chunked into consecutive runs of at most the cap; chunking is exact (a
+#: chunk boundary is just another run boundary, and stateful operators carry
+#: across it exactly as they carry across windows).  The value is measured:
+#: see the budget sweep in DESIGN.md.
+RUN_SLOT_BUDGET = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +143,9 @@ class VectorPlanInfo:
     operator_nodes: int
     #: Operator nodes with a lowered run kernel.
     lowered_operators: int
+    #: Default cap on windows per run: :data:`RUN_SLOT_BUDGET` over the slots
+    #: in one window of the plan's finest-period stream, at least one.
+    default_run_windows: int = 1
 
     @property
     def worthwhile(self) -> bool:
@@ -197,6 +205,9 @@ def analyze_plan(sink: PlanNode) -> VectorPlanInfo:
         lowered=lowered,
         operator_nodes=len(operators),
         lowered_operators=sum(lowered.values()),
+        default_run_windows=max(
+            1, RUN_SLOT_BUDGET // max(node.dimension // node.descriptor.period for node in nodes)
+        ),
     )
 
 
@@ -240,13 +251,14 @@ def plan_vector_info(plan) -> VectorPlanInfo:
 class RunExecutor:
     """Pulls runs of consecutive windows through a plan graph.
 
-    One contiguous run buffer (an FWindow of dimension ``count * D``) is
-    allocated per node and reused across runs of the same length; lowered
-    operators compute the whole run in one call, the rest fall back to the
-    window-by-window default over zero-copy subwindow views.  The executor
-    reads and advances the plan nodes' own ``state`` and
-    ``windows_computed``, so one-shot runs, resumed sessions and checkpoints
-    all see exactly the serial executor's bookkeeping.
+    One contiguous run buffer (an FWindow of dimension ``run_windows * D``)
+    is allocated per node and reused by every run, a shorter run filling a
+    zero-copy prefix view of it; lowered operators compute the whole run in
+    one call, the rest fall back to the window-by-window default over
+    zero-copy subwindow views.  The executor reads and advances the plan
+    nodes' own ``state`` and ``windows_computed``, so one-shot runs, resumed
+    sessions and checkpoints all see exactly the serial executor's
+    bookkeeping.
     """
 
     def __init__(self, plan, info: VectorPlanInfo | None = None) -> None:
@@ -262,12 +274,10 @@ class RunExecutor:
         self.fallback_nodes: set[str] = set()
         #: High-water mark of run-buffer bytes allocated by this executor.
         self.peak_buffer_bytes = 0
-        self._pool_bytes = 0
-        #: All buffers ever allocated, keyed by (node, run length) — coverage
-        #: gaps make run lengths alternate between a handful of values, and
-        #: reusing the matching buffer instead of reallocating keeps the
-        #: executor allocation-free in the steady state.
-        self._pool: dict[tuple[int, int], FWindow] = {}
+        #: Windows every node's run buffer holds (see :meth:`reserve`).
+        self.run_windows = 0
+        #: The run buffer of every node, keyed by ``id(node)``.
+        self._buffers: dict[int, FWindow] = {}
         #: Topologically ordered ``(node, offset)`` fill schedule: each
         #: node's fill position is ``run start + offset``.  With pure-shift
         #: time maps (``analyze_plan`` rejects everything else) the offset
@@ -275,23 +285,37 @@ class RunExecutor:
         #: ``start % D``, so one walk serves every run with the same phase.
         self._schedule: list[tuple[PlanNode, int]] | None = None
         self._schedule_phase: int | None = None
-        #: Per run-length bindings of the schedule to concrete run buffers.
+        #: Per run-length bindings of the schedule to (prefix views of) the
+        #: run buffers.
         self._bound: dict[int, list] = {}
 
+    def reserve(self, windows: int) -> None:
+        """Size the run buffers for runs of up to *windows* windows.
+
+        Buffers only grow.  Callers reserve the longest run they are about to
+        execute, so a one-shot execution allocates once, and a session
+        reallocates only when a tick brings a longer run than any before.
+        """
+        if windows <= self.run_windows:
+            return
+        self.run_windows = int(windows)
+        self._buffers.clear()
+        self._bound.clear()
+
     def _buffer(self, node: PlanNode, count: int) -> FWindow:
-        key = (id(node), count)
-        window = self._pool.get(key)
+        window = self._buffers.get(id(node))
         if window is None:
-            window = FWindow(
+            window = self._buffers[id(node)] = FWindow(
                 node.descriptor,
-                node.dimension * count,
+                node.dimension * self.run_windows,
                 name=f"{node.name}@run",
                 monotonic=False,
             )
-            self._pool[key] = window
-            self._pool_bytes += window.memory_bytes()
-            self.peak_buffer_bytes = max(self.peak_buffer_bytes, self._pool_bytes)
-        return window
+            allocated = sum(buffer.memory_bytes() for buffer in self._buffers.values())
+            self.peak_buffer_bytes = max(self.peak_buffer_bytes, allocated)
+        if count == self.run_windows:
+            return window
+        return window.prefix(node.dimension * count)
 
     def _build_schedule(self, start: int) -> list[tuple[PlanNode, int]]:
         """Walk the graph once, recording every node's offset from *start*.
@@ -353,6 +377,7 @@ class RunExecutor:
     ) -> int:
         """Execute ``count`` consecutive windows beginning at *start*.
 
+        *count* must not exceed :attr:`run_windows` (:meth:`reserve` first).
         Appends the sink's present events (in stream order) to the columnar
         accumulators when *collect* is set and returns the number appended.
         """

@@ -94,27 +94,36 @@ class ArraySource(StreamSource):
                     f"durations must have the same shape as times, got "
                     f"{durations.shape} and {times.shape}"
                 )
-        if times.size and np.any(np.diff(times) <= 0):
+        # One diff of the timestamps answers every structural question: order,
+        # duplicates, grid alignment and where the coverage gaps are.
+        steps = np.diff(times)
+        lowest = steps.min() if steps.size else 1
+        if lowest < 0:
             order = np.argsort(times, kind="stable")
             times = times[order]
             values = values[order]
             if durations is not None:
                 durations = durations[order]
-        duplicated = np.flatnonzero(np.diff(times) == 0) if times.size else np.empty(0, int)
-        if duplicated.size:
+            steps = np.diff(times)
+            lowest = steps.min()
+        if lowest == 0:
             if dedupe is not None:
                 # Stable sort preserved input order within equal timestamps,
                 # so "first"/"last" refer to the order events were supplied.
+                distinct = steps != 0
                 if dedupe == "last":
-                    keep = np.append(np.diff(times) != 0, True)
+                    keep = np.append(distinct, True)
                 else:
-                    keep = np.append(True, np.diff(times) != 0)
+                    keep = np.append(True, distinct)
                 times = times[keep]
                 values = values[keep]
                 if durations is not None:
                     durations = durations[keep]
+                # Within a run of equal timestamps every step is zero, so the
+                # survivors' steps are exactly the nonzero ones.
+                steps = steps[distinct]
             elif validate:
-                bad = int(times[duplicated[0]])
+                bad = int(times[np.argmin(steps)])
                 raise StreamDefinitionError(
                     f"duplicate timestamp {bad}: two events cannot share one grid "
                     f"slot of a periodic stream; pass dedupe='last' (or 'first') "
@@ -122,10 +131,21 @@ class ArraySource(StreamSource):
                 )
         if offset is None:
             offset = int(times[0] % period) if times.size else 0
+        # On a gappy periodic stream almost every step equals the period; only
+        # the others can leave the grid or open a coverage gap.
+        uneven = np.flatnonzero(steps != period)
+        uneven_steps = steps[uneven]
         if validate and times.size:
-            misaligned = (times - offset) % period
-            if np.any(misaligned != 0):
-                bad = int(times[np.flatnonzero(misaligned)[0]])
+            # Once the first timestamp is on the grid, the first one off it
+            # follows the first step that is not a multiple of the period.
+            off_grid = uneven[uneven_steps % period != 0]
+            if (times[0] - offset) % period != 0:
+                bad = int(times[0])
+            elif off_grid.size:
+                bad = int(times[off_grid[0] + 1])
+            else:
+                bad = None
+            if bad is not None:
                 raise StreamDefinitionError(
                     f"timestamp {bad} does not lie on the periodic grid "
                     f"(offset={offset}, period={period})"
@@ -141,7 +161,9 @@ class ArraySource(StreamSource):
         self._values = values
         if durations is None:
             self._durations = np.full(times.shape, period, dtype=np.int64)
-            self._coverage = IntervalSet.from_timestamps(times, period)
+            self._coverage = IntervalSet.from_grid_gaps(
+                times, period, uneven[uneven_steps > period]
+            )
         else:
             self._durations = np.asarray(durations, dtype=np.int64)
             self._coverage = IntervalSet.from_events(times, self._durations)
@@ -416,8 +438,9 @@ class PushSource(ReplaySource):
                 )
         if times.size == 0:
             return times, values, durations
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            bad = int(times[int(np.flatnonzero(np.diff(times) <= 0)[0]) + 1])
+        stalled = np.flatnonzero(np.diff(times) <= 0)
+        if stalled.size:
+            bad = int(times[stalled[0] + 1])
             raise StreamDefinitionError(
                 f"pushed timestamps must be strictly increasing; timestamp "
                 f"{bad} does not advance past its predecessor"

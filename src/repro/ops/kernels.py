@@ -39,7 +39,7 @@ def zscore_kernel() -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
             return np.zeros_like(values), present
         return (values - mean) / std, present
 
-    scratch: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _normalize_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Fully-present rows: `values[present]` is the whole row, so the
@@ -49,13 +49,13 @@ def zscore_kernel() -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
         # ``np.std`` bottom out in, with the same pairwise summation), and
         # the std is spelled out so the centered operand feeds the
         # normalisation directly instead of being recomputed.  The two
-        # whole-run temporaries are recycled per shape (runs alternate
-        # between a handful of lengths, so this stays bounded).
-        samples = rows.shape[1]
-        buffers = scratch.get(rows.shape)
-        if buffers is None:
-            buffers = scratch[rows.shape] = (np.empty_like(rows), np.empty_like(rows))
-        centered, squared = buffers
+        # whole-run temporaries are kept per row width at the largest row
+        # count seen; shorter runs use their leading rows.
+        count, samples = rows.shape
+        buffers = scratch.get(samples)
+        if buffers is None or buffers[0].shape[0] < count:
+            buffers = scratch[samples] = (np.empty_like(rows), np.empty_like(rows))
+        centered, squared = buffers[0][:count], buffers[1][:count]
         means = np.add.reduce(rows, axis=1) / samples
         np.subtract(rows, means[:, None], out=centered)
         np.multiply(centered, centered, out=squared)

@@ -46,6 +46,18 @@ class TestConstruction:
     def test_from_timestamps_empty(self):
         assert IntervalSet.from_timestamps(np.array([]), period=2).is_empty()
 
+    @given(
+        st.lists(st.integers(0, 200), max_size=40), st.sampled_from([1, 2, 5]), st.booleans()
+    )
+    @settings(max_examples=200)
+    def test_from_timestamps_is_the_union_of_event_spans(self, times, period, presorted):
+        # Sorted input skips the sort; either way duplicates and steps below
+        # the period merge, and only steps above it open a gap.
+        if presorted:
+            times = sorted(times)
+        expected = IntervalSet([(t, t + period) for t in times])
+        assert IntervalSet.from_timestamps(np.asarray(times, dtype=np.int64), period) == expected
+
     def test_equality_and_hash(self):
         a = IntervalSet([(0, 5), (10, 20)])
         b = IntervalSet([(10, 20), (0, 5)])

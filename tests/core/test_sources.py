@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.event import StreamDescriptor
 from repro.core.intervals import IntervalSet
 from repro.core.sources import (
     ArraySource,
@@ -135,6 +138,138 @@ class TestArraySource:
     def test_from_frequency(self):
         source = ArraySource.from_frequency(np.array([0, 2]), np.zeros(2), frequency_hz=500)
         assert source.descriptor.period == 2
+
+
+def _two_pass_construction(times, values, period, offset, durations, validate, dedupe):
+    """ArraySource's construction as separate passes — sort check, duplicate
+    scan, full-array grid modulo, re-sorting coverage build — returning
+    ``(times, values, durations, descriptor, coverage)`` or raising."""
+    times = np.asarray(times, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if durations is not None:
+        durations = np.asarray(durations, dtype=np.int64)
+    if times.size and np.any(np.diff(times) <= 0):
+        order = np.argsort(times, kind="stable")
+        times, values = times[order], values[order]
+        if durations is not None:
+            durations = durations[order]
+    duplicated = np.flatnonzero(np.diff(times) == 0)
+    if duplicated.size:
+        if dedupe is not None:
+            distinct = np.diff(times) != 0
+            keep = np.append(distinct, True) if dedupe == "last" else np.append(True, distinct)
+            times, values = times[keep], values[keep]
+            if durations is not None:
+                durations = durations[keep]
+        elif validate:
+            raise StreamDefinitionError(
+                f"duplicate timestamp {int(times[duplicated[0]])}: two events cannot "
+                f"share one grid slot of a periodic stream; pass dedupe='last' (or "
+                f"'first') to keep one event per slot"
+            )
+    if offset is None:
+        offset = int(times[0] % period) if times.size else 0
+    if validate and times.size:
+        misaligned = np.flatnonzero((times - offset) % period)
+        if misaligned.size:
+            raise StreamDefinitionError(
+                f"timestamp {int(times[misaligned[0]])} does not lie on the periodic "
+                f"grid (offset={offset}, period={period})"
+            )
+        if durations is not None and np.any(durations <= 0):
+            index = int(np.flatnonzero(durations <= 0)[0])
+            raise StreamDefinitionError(
+                f"duration {int(durations[index])} of the event at timestamp "
+                f"{int(times[index])} must be positive"
+            )
+    descriptor = StreamDescriptor(offset=offset, period=period)
+    if durations is None:
+        durations = np.full(times.shape, period, dtype=np.int64)
+        ordered = np.sort(times)
+        gaps = np.flatnonzero(np.diff(ordered) > period)
+        firsts = np.concatenate(([0], gaps + 1)) if times.size else []
+        lasts = np.concatenate((gaps, [ordered.size - 1])) if times.size else []
+        coverage = IntervalSet(
+            [(int(ordered[f]), int(ordered[last]) + period) for f, last in zip(firsts, lasts)]
+        )
+    else:
+        coverage = IntervalSet.from_events(times, durations)
+    return times, values, durations, descriptor, coverage
+
+
+def _outcome(build):
+    try:
+        return build()
+    except StreamDefinitionError as error:
+        return str(error)
+
+
+@st.composite
+def _array_source_inputs(draw):
+    """Timestamps sorted or not, with duplicates, gaps and off-grid samples."""
+    period = draw(st.sampled_from([1, 2, 3, 8]))
+    cells = draw(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2 * period)), max_size=30)
+    )
+    on_grid = draw(st.booleans())
+    times = [k * period + (0 if on_grid else jitter) for k, jitter in cells]
+    if draw(st.booleans()):
+        times.sort()
+    durations = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(-1, 12), min_size=len(times), max_size=len(times)),
+        )
+    )
+    return dict(
+        times=np.asarray(times, dtype=np.int64),
+        values=np.arange(len(times), dtype=np.float64),
+        period=period,
+        offset=draw(st.one_of(st.none(), st.integers(0, period - 1))),
+        durations=None if durations is None else np.asarray(durations, dtype=np.int64),
+        validate=draw(st.booleans()),
+        dedupe=draw(st.sampled_from([None, "first", "last"])),
+    )
+
+
+class TestArraySourceOnePassValidation:
+    """The one-pass constructor raises exactly what the multi-pass logic
+    raises, or builds the same arrays, descriptor and coverage."""
+
+    @given(_array_source_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_two_pass_construction(self, inputs):
+        expected = _outcome(lambda: _two_pass_construction(**inputs))
+
+        def build():
+            source = ArraySource(**inputs)
+            return (
+                source.times,
+                source.values,
+                source.read(-(2**40), 2**40)[2],
+                source.descriptor,
+                source.coverage(),
+            )
+
+        actual = _outcome(build)
+        if isinstance(expected, str):
+            assert actual == expected
+            return
+        assert not isinstance(actual, str), actual
+        for want, got in zip(expected[:3], actual[:3]):
+            np.testing.assert_array_equal(got, want)
+        assert actual[3:] == expected[3:]
+
+    def test_first_offending_timestamps_are_named(self):
+        # Off grid after a gap: the scan only takes the modulo of uneven steps.
+        with pytest.raises(StreamDefinitionError, match="timestamp 41 does not lie"):
+            ArraySource(np.array([0, 2, 4, 41, 43]), np.zeros(5), period=2)
+        # The first sample itself off an explicit grid.
+        with pytest.raises(StreamDefinitionError, match="timestamp 1 does not lie"):
+            ArraySource(np.array([1, 3]), np.zeros(2), period=2, offset=0)
+        # Unsorted input is checked in sorted order.
+        with pytest.raises(StreamDefinitionError, match="duplicate timestamp 4"):
+            ArraySource(np.array([8, 4, 0, 4]), np.zeros(4), period=2)
 
 
 class TestCsvSource:

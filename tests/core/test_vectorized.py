@@ -1,11 +1,15 @@
 """Unit and property tests for run-lowered (vectorized) execution.
 
 Covers the coverage → run conversion (maximal, disjoint, exactly tiling the
-targeted window starts), the zero-copy run-buffer subwindow views, the plan
-analysis that gates lowering, and the streaming-session parity guarantee
+targeted window starts), the zero-copy run-buffer subwindow and prefix
+views, the plan analysis that gates lowering, the run-buffer footprint (one
+buffer per node at the run cap, whatever the mix of run lengths), and the
+streaming-session parity guarantee
 (tick-by-tick vectorized execution is bit-identical to a one-shot serial
 run over the same data).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +19,13 @@ from hypothesis import strategies as st
 from repro.core.engine import LifeStreamEngine
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
+from repro.core.graph import topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
-from repro.core.runtime import SerialBackend, VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend, recommend_backend
 from repro.core.runtime.vectorized import (
+    RUN_SLOT_BUDGET,
+    RunExecutor,
     plan_vector_info,
     runs_for_coverage,
     runs_for_starts,
@@ -142,6 +149,26 @@ class TestSubwindowViews:
         with pytest.raises(MemoryPlanError):
             run.subwindow(0, 3)  # does not divide capacity
 
+    def test_prefix_views_slide_and_clear_only_their_slots(self):
+        run = self._run_buffer(count=4)
+        run.bitvector[:] = True
+        prefix = run.prefix(200)
+        assert (prefix.capacity, prefix.dimension) == (20, 200)
+        prefix.slide_to(5000)
+        assert prefix.sync_time == 5000
+        assert not run.bitvector[:20].any()
+        assert run.bitvector[20:].all()
+        prefix.values[:] = 3.0
+        assert np.all(run.values[:20] == 3.0)
+        # A prefix splits into windows like a run buffer of its own length.
+        assert prefix.subwindow(1, 2).sync_time == 5100
+
+    def test_invalid_prefixes_rejected(self):
+        run = self._run_buffer(count=4)
+        for dimension in (0, 405, 500):
+            with pytest.raises(MemoryPlanError):
+                run.prefix(dimension)
+
 
 # -- plan analysis ----------------------------------------------------------
 
@@ -180,6 +207,84 @@ class TestPlanAnalysis:
         assert info.runnable
         assert info.lowered_operators == 0
         assert not info.worthwhile
+
+
+# -- run-buffer footprint ---------------------------------------------------
+
+MINUTE = 60_000
+#: Slots per one-minute window at 500 Hz, and bytes per slot (value,
+#: duration, presence).
+MINUTE_SLOTS = MINUTE // 2
+SLOT_BYTES = 8 + 8 + 1
+#: Minutes of data between one-minute gaps: six distinct run lengths.
+SEGMENT_MINUTES = (3, 1, 6, 2, 5, 4)
+
+
+def _minute_segments_source():
+    times, start = [], 0
+    for minutes in SEGMENT_MINUTES:
+        times.append(np.arange(start, start + minutes * MINUTE, 2, dtype=np.int64))
+        start += (minutes + 1) * MINUTE
+    times = np.concatenate(times)
+    return ArraySource(times, np.sin(times * 1e-3), period=2)
+
+
+def _minute_plan():
+    query = Query.source("s", frequency_hz=500).select(lambda v: v * 2).where(lambda v: v > -1)
+    engine = LifeStreamEngine(window_size=MINUTE, optimization_level=0)
+    return engine.compile(query, {"s": _minute_segments_source()})
+
+
+class TestRunBufferFootprint:
+    def test_buffers_follow_the_cap_not_the_run_length_mix(self):
+        compiled = _minute_plan()
+        plan = compiled.plan
+        nodes = topological_order(plan.sink)
+        assert all(node.dimension // node.descriptor.period == MINUTE_SLOTS for node in nodes)
+        starts = list(plan.sink.coverage.iter_windows(MINUTE))
+        uncapped = runs_for_starts(starts, MINUTE)
+        assert sorted({count for _, count in uncapped}) == sorted(SEGMENT_MINUTES)
+
+        backend = VectorizedBackend()
+        cap = plan_vector_info(plan).default_run_windows
+        assert cap == RUN_SLOT_BUDGET // MINUTE_SLOTS == 2
+        result = compiled.run(backend=backend)
+        reference = compiled.run(backend=SerialBackend())
+        np.testing.assert_array_equal(reference.times, result.times)
+        np.testing.assert_array_equal(reference.values, result.values)
+        # The backend caches its executor on the plan.
+        executor = plan.__dict__["_run_executor"]
+        per_window = MINUTE_SLOTS * SLOT_BYTES
+        assert executor.peak_buffer_bytes == len(nodes) * cap * per_window
+        assert result.stats.preallocated_bytes == (
+            plan.memory_plan.total_bytes + executor.peak_buffer_bytes
+        )
+
+        # Above the longest run, the buffers hold the longest run — not the
+        # sum of the distinct lengths, as one buffer per length would.
+        wide = _minute_plan()
+        wide.run(backend=VectorizedBackend(max_run_windows=8))
+        assert wide.plan.__dict__["_run_executor"].peak_buffer_bytes == (
+            len(nodes) * max(SEGMENT_MINUTES) * per_window
+        )
+
+    def test_recommend_backend_reports_the_runs_it_executes(self, monkeypatch):
+        compiled = _minute_plan()
+        backend, reason = recommend_backend(compiled.plan, targeted=True)
+        assert backend.name == "vectorized"
+        executed = []
+        original = RunExecutor.execute_run
+
+        def counting(self, start, count, *args):
+            executed.append(count)
+            return original(self, start, count, *args)
+
+        monkeypatch.setattr(RunExecutor, "execute_run", counting)
+        compiled.run(backend=backend)
+        reported = int(re.search(r"(\d+) run\(s\)", reason).group(1))
+        assert reported == len(executed)
+        assert max(executed) == plan_vector_info(compiled.plan).default_run_windows
+        assert len(executed) > len(SEGMENT_MINUTES)  # long segments were chunked
 
 
 # -- session parity ---------------------------------------------------------

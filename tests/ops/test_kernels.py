@@ -160,6 +160,19 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(new_values, ref_values)
         np.testing.assert_array_equal(new_mask, ref_mask)
 
+    def test_zscore_scratch_serves_every_row_count(self):
+        # One kernel sees runs of varying length: shorter runs reuse the
+        # leading rows of the scratch sized for the longest, and a longer one
+        # regrows it.
+        kernel = zscore_kernel()
+        for seed, n_rows in enumerate((24, 7, 30, 4)):
+            values, mask = _random_rows(seed, n_rows=n_rows)
+            ref_values, ref_mask = _rowwise(kernel, values, mask)
+            out = np.empty_like(values)
+            new_values, new_mask = kernel.batched(values, mask, out=out)
+            np.testing.assert_array_equal(new_values, ref_values)
+            np.testing.assert_array_equal(new_mask, ref_mask)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("max_gap", [1, 4, 16])
     def test_fill_mean_batched_matches_rowwise(self, seed, max_gap):
