@@ -4,27 +4,19 @@ Paper result (32-core m5a.8xlarge): LifeStream scales to 32 threads and
 peaks ~6× above Trill and ~1.9× above NumLib; Trill crashes with OOM beyond
 12 threads; NumLib saturates around 24 threads.
 
-The reproduction (i) measures real data-parallel execution over a small
-patient cohort for the worker counts that fit a laptop, (ii) measures real
-*window-sharded* execution of the Figure 3 pipeline through the engine's
-MultiprocessBackend for 1–4 workers (intra-query parallelism, the closest
-analogue of the paper's per-machine thread scaling), and (iii) calibrates
-the analytic per-engine scaling model with the measured single-worker
-throughput to reproduce the full 1–48 thread curves (the documented
-substitution for the 32-core machine).
+The reproduction (i) measures real patient-level data-parallel execution
+of the Figure 3 pipeline over a small cohort (one patient per task, the
+paper's scale-out unit) at 1 and 2 workers, the counts that fit a laptop,
+and (ii) calibrates the analytic per-engine scaling model with the measured
+single-worker throughput to reproduce the full 1–48 thread curves (the
+documented substitution for the 32-core machine).
 """
 
 import pytest
 
 from benchmarks.conftest import get_report, timed_benchmark
-from repro.bench.workloads import e2e_dataset, scaling_cohort
-from repro.scaling import (
-    MEASURED_WORKER_COUNTS,
-    ScalingModel,
-    measure_multicore_lifestream,
-    measure_single_worker_throughput,
-    run_data_parallel,
-)
+from repro.bench.workloads import scaling_cohort
+from repro.scaling import ScalingModel, measure_single_worker_throughput, run_data_parallel
 
 THREAD_COUNTS = (1, 2, 4, 8, 12, 16, 24, 32, 48)
 
@@ -50,7 +42,7 @@ def _report(registry):
     )
 
 
-@pytest.mark.parametrize("workers", [1])
+@pytest.mark.parametrize("workers", [1, 2])
 def test_real_data_parallel_lifestream(benchmark, report_registry, cohort, workers):
     """Real multiprocessing execution for the worker counts that fit a laptop."""
     seconds, point = timed_benchmark(
@@ -61,31 +53,12 @@ def test_real_data_parallel_lifestream(benchmark, report_registry, cohort, worke
         ("lifestream (measured)", workers),
         ["lifestream (measured)", workers, point.throughput_events_per_second / 1e6, False],
     )
-    assert point.throughput_events_per_second > 0
-
-
-def test_measured_window_sharded_lifestream(benchmark, report_registry):
-    """Real Figure 10(c) points: MultiprocessBackend shards output windows.
-
-    Every point is a genuine measurement on the host; on boxes with fewer
-    cores than workers the curve is flat, which is the honest result (the
-    modelled curves below remain the substitute for the paper's machine).
-    """
-    ecg, abp = e2e_dataset(duration_seconds=120.0, seed=10)
-
-    _, result = timed_benchmark(
-        benchmark,
-        lambda: measure_multicore_lifestream(ecg, abp, worker_counts=MEASURED_WORKER_COUNTS),
-    )
-    report = _report(report_registry)
-    for point in result.points:
-        label = "lifestream (measured, window-sharded)"
-        report.record(
-            (label, point.workers),
-            [label, point.workers, point.throughput_events_per_second / 1e6, point.failed],
+    if workers > 1:
+        report.note(
+            f"The measured {workers}-worker point includes spawning its worker "
+            "processes, which dominates at this cohort size."
         )
-    assert len(result.points) == len(MEASURED_WORKER_COUNTS)
-    assert all(point.throughput_events_per_second > 0 for point in result.points)
+    assert point.throughput_events_per_second > 0
 
 
 @pytest.mark.parametrize("engine", ["lifestream", "trill", "numlib"])

@@ -29,7 +29,6 @@ from repro.core import (
     IntervalSet,
     LifeStreamEngine,
     LinearTimeMap,
-    MultiprocessBackend,
     Query,
     ReplaySource,
     SerialBackend,
@@ -69,7 +68,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",
     "StreamingService",

@@ -12,7 +12,7 @@ Three analyzers, one diagnostic vocabulary:
 - :mod:`repro.analysis.contracts` — registry-driven conformance checking of
   every :class:`~repro.core.operators.base.Operator` subclass: ``batch_safe``
   claims, ``compute_run`` parity, ``snapshot_state`` round trips and
-  ``warmup_windows`` sufficiency, validated by executing synthesized
+  ``coverage_reach`` locality, validated by executing synthesized
   geometries instead of trusting declarations.
 - :mod:`repro.analysis.async_lint` — an AST linter over the asyncio ingest
   tier catching blocking calls inside ``async def``, unawaited coroutines

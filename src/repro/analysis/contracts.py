@@ -6,19 +6,19 @@ window-widening invariance (run lowering treats a run buffer as one wider
 window on its word), ``compute_run`` promises bit-identity with per-window
 ``compute`` (the vectorized backend dispatches it on its word),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
-restore on its word), ``warmup_windows`` promises that replaying that
-many windows rebuilds mid-stream state (sharded workers replay exactly
-that much), and ``coverage_reach`` promises that output coverage past a
-cut depends on no input coverage further back than that (streaming sessions
-propagate only a trailing window of every source on its word).
+restore on its word), and ``coverage_reach`` promises that output
+coverage past a cut depends on no input coverage further back than that
+(streaming sessions propagate only a trailing window of every source on
+its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS201``–``LS206``, ``LS208``) instead of a bit-identity
-failure three layers away.  Checking is registry-driven: :func:`builtin_cases`
-holds one :class:`OperatorCase` per in-repo operator, and
-:func:`check_contracts` additionally discovers every ``Operator`` subclass
-so an operator without a case is itself reported (``LS207``).
+named diagnostic (``LS201``–``LS203``, ``LS205``, ``LS206``, ``LS208``)
+instead of a bit-identity failure three layers away.  Checking is
+registry-driven: :func:`builtin_cases` holds one :class:`OperatorCase` per
+in-repo operator, and :func:`check_contracts` additionally discovers every
+``Operator`` subclass so an operator without a case is itself reported
+(``LS207``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
 from repro.core.query import Query
-from repro.core.runtime.backends import (
-    VectorizedBackend,
-    plan_batch_safe,
-    plan_warmup_windows,
-)
+from repro.core.runtime.backends import VectorizedBackend, plan_batch_safe
 from repro.core.runtime.executor import (
     _window_starts,
     collect_sink_window,
@@ -213,12 +209,12 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
             return
 
 
-def _split_starts(plan: CompiledPlan, minimum: int = 6):
+def _split_starts(plan: CompiledPlan):
     starts = _window_starts(plan, targeted=True)
-    if len(starts) < minimum:
+    if len(starts) < 6:
         raise ValueError(
             f"synthesized geometry yields only {len(starts)} windows; "
-            f"state checks need at least {minimum} — widen the sources"
+            "state checks need at least 6 — widen the sources"
         )
     return starts, len(starts) // 2
 
@@ -274,32 +270,6 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
                 f"reproduce the stream ({reference_tail[0].size} vs "
                 f"{restored_tail[0].size} events after restore); either the "
                 "snapshot is incomplete or mutable state escaped it",
-                anchor=case.name,
-            )
-        )
-
-
-def _check_warmup(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate that the declared ``warmup_windows`` rebuilds mid-stream state."""
-    plan = _fresh(_compile(case))
-    warmup = plan_warmup_windows(plan)
-    starts, split = _split_starts(plan, minimum=max(6, warmup + 3))
-    split = max(split, warmup)
-    _drive(plan, starts[:split])
-    reference_tail = _drive(plan, starts[split:], collect=True)
-
-    resumed = _fresh(_compile(case))
-    _drive(resumed, starts[split - warmup : split])
-    resumed_tail = _drive(resumed, starts[split:], collect=True)
-    if not _same_events(reference_tail, resumed_tail):
-        out.append(
-            _contract(
-                "LS204",
-                "error",
-                f"{case.name} declares {warmup} warmup window(s) but "
-                f"replaying them mid-stream does not rebuild its state "
-                f"({reference_tail[0].size} vs {resumed_tail[0].size} "
-                "events); sharded execution would silently corrupt results",
                 anchor=case.name,
             )
         )
@@ -374,7 +344,6 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
         _check_batch_safety,
         _check_run_parity,
         _check_state_roundtrip,
-        _check_warmup,
         _check_coverage_locality,
     ):
         try:

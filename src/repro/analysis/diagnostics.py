@@ -50,8 +50,6 @@ CODES: dict[str, str] = {
     "with per-window compute on the same geometry",
     "LS203": "snapshot/restore round-trip failure: restored state does not "
     "reproduce the stream, or mutable state escaped the snapshot",
-    "LS204": "warmup_windows insufficiency: replaying the declared warmup "
-    "does not rebuild mid-stream state",
     "LS205": "conformance harness failure: the operator raised while its "
     "contract was being checked",
     "LS206": "batch_safe under-claim: the operator declares itself "

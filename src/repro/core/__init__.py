@@ -17,7 +17,6 @@ from repro.core.intervals import IntervalSet
 from repro.core.query import Query
 from repro.core.runtime.backends import (
     ExecutionBackend,
-    MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
     recommend_backend,
@@ -47,7 +46,6 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
     "recommend_backend",
     "StreamSource",

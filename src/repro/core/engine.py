@@ -18,12 +18,11 @@ Typical use::
     engine = LifeStreamEngine()
     result = engine.run(query, sources={"ecg": ecg})
 
-Scaling the same query up is a constructor argument away::
+Run execution is a constructor argument away::
 
-    from repro.core.runtime import MultiprocessBackend, VectorizedBackend
+    from repro.core.runtime import VectorizedBackend
 
     engine = LifeStreamEngine(backend=VectorizedBackend())
-    engine = LifeStreamEngine(backend=MultiprocessBackend(n_workers=4))
 """
 
 from __future__ import annotations

@@ -137,17 +137,6 @@ class Operator:
 
     # -- runtime interface --------------------------------------------------
 
-    def warmup_windows(self, dimension: int) -> int:
-        """Windows of history needed to rebuild this operator's state.
-
-        Execution backends that start mid-stream (a sharded worker, a
-        resumed range) replay this many preceding windows, discarding their
-        output, so the operator's cross-window state matches a run from the
-        beginning.  Stateless operators need none; the default for stateful
-        operators is one window (a single carried event, Section 6.3).
-        """
-        return 1 if self.stateful else 0
-
     def make_state(self):
         """Create the operator's constant-size cross-window state (or None)."""
         return None

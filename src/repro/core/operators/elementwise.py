@@ -124,13 +124,6 @@ class Shift(WindowAgnosticRun, Operator):
         # sync time while its coverage lands ``offset`` ticks later.
         return max(self.offset, 0)
 
-    def warmup_windows(self, dimension: int) -> int:
-        # The carry holds the last ``offset`` ticks of input, which may span
-        # several windows when the shift exceeds the FWindow dimension.
-        if self.offset <= 0:
-            return 0
-        return -(-self.offset // dimension)
-
     def make_state(self):
         return {"carry_values": None, "carry_bits": None, "carry_durations": None}
 

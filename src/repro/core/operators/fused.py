@@ -100,9 +100,6 @@ class FusedElementwise(WindowAgnosticRun, Operator):
 
     # -- runtime -----------------------------------------------------------
 
-    def warmup_windows(self, dimension: int) -> int:
-        return max(op.warmup_windows(dimension) for op, _ in self.stages)
-
     def make_state(self):
         return [op.make_state() for op, _ in self.stages]
 

@@ -2,11 +2,9 @@
 
 from repro.core.runtime.backends import (
     ExecutionBackend,
-    MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
     plan_batch_safe,
-    plan_warmup_windows,
     recommend_backend,
 )
 from repro.core.runtime.executor import eager_window_count, execute_plan, run_window_loop
@@ -24,10 +22,8 @@ __all__ = [
     "TickStats",
     "ExecutionBackend",
     "SerialBackend",
-    "MultiprocessBackend",
     "VectorizedBackend",
     "plan_batch_safe",
-    "plan_warmup_windows",
     "recommend_backend",
     "runs_for_coverage",
     "runs_for_starts",

@@ -8,21 +8,18 @@ A backend decides *how* a compiled plan's window loop is driven:
   to maximal runs of consecutive windows and executes each operator as a
   single NumPy array program over one contiguous run buffer per stream
   (:mod:`~repro.core.runtime.vectorized`), falling back per node to the
-  window-by-window semantics where lowering is not exact;
-* :class:`MultiprocessBackend` — shards disjoint output-window ranges
-  across worker processes and merges the per-shard ``StreamResult``s,
-  giving real multi-core execution for the Figure 10(c) study.
+  window-by-window semantics where lowering is not exact.
 
-All backends produce bit-identical :class:`~repro.core.runtime.result.StreamResult`
+Both backends produce bit-identical :class:`~repro.core.runtime.result.StreamResult`
 event columns for the same plan; the parity suite in
 ``tests/core/test_backends.py`` asserts this across operator-chain queries
-in both targeted and eager modes.
+in both targeted and eager modes.  Multi-core scale-out is patient-level
+(:func:`~repro.scaling.multicore.run_data_parallel` for one-shot cohorts,
+:class:`~repro.ingest.pool.IngestWorkerPool` for sessions), not a backend.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 
 import numpy as np
@@ -62,10 +59,7 @@ class ExecutionBackend:
 
         The default :meth:`session_tick` fills the sink one window at a
         time, so the default label is ``"serial"`` whatever the backend's
-        name; backends whose ticks run differently override both.  Backends
-        that cannot keep one long-lived plan alive across ticks
-        (multiprocess sharding) raise ``NotImplementedError`` here, which
-        refuses the session before it claims the plan.
+        name; backends whose ticks run differently override both.
         """
         return "serial"
 
@@ -131,122 +125,6 @@ def plan_batch_safe(plan: CompiledPlan) -> bool:
     contract analyzer verifies by recompiling at a wider window.
     """
     return batch_unsafe_node(plan) is None
-
-
-def plan_warmup_windows(plan: CompiledPlan) -> int:
-    """Windows of history a shard must replay to rebuild operator state."""
-    dimension = plan.sink.dimension
-    if dimension is None:
-        raise ExecutionError("plan has no dimensions assigned; was it compiled?")
-    needed = 0
-    for node in topological_order(plan.sink):
-        if isinstance(node, OperatorNode):
-            needed = max(needed, node.operator.warmup_windows(dimension))
-    return needed
-
-
-#: Per-process state handed to forked shard workers.  Set by the parent
-#: immediately before the pool is created; forked children inherit it (the
-#: plan graph holds lambdas and NumPy buffers, which cannot be pickled).
-#: Guarded by ``_SHARD_LOCK`` so concurrent multiprocess executions from
-#: different threads cannot observe each other's plan.
-_SHARD_STATE: tuple[CompiledPlan, list[int], bool, int] | None = None
-_SHARD_LOCK = threading.Lock()
-
-
-def _run_shard(bounds: tuple[int, int]):
-    """Worker: execute the start range ``[lo, hi)`` of the shared plan."""
-    plan, starts, collect, warmup = _SHARD_STATE
-    lo, hi = bounds
-    warmup_starts = starts[max(0, lo - warmup) : lo]
-    times, values, durations, _, windows_run = run_window_loop(
-        plan, starts[lo:hi], collect, warmup_starts=warmup_starts
-    )
-    per_node = {
-        node.name: node.windows_computed for node in topological_order(plan.sink)
-    }
-    return times, values, durations, windows_run, per_node
-
-
-def fork_available() -> bool:
-    """True when the platform supports the ``fork`` start method."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-class MultiprocessBackend(ExecutionBackend):
-    """Shard disjoint output-window ranges across worker processes.
-
-    The targeted window-start list is split into ``n_workers`` contiguous
-    shards.  Each worker (a forked child, so the unpicklable plan graph is
-    inherited rather than serialised) replays the few windows preceding its
-    shard to rebuild stateful operators' carries, executes its range, and
-    ships the columnar results back; the parent concatenates them in shard
-    order, which keeps the merged stream chronologically sorted.
-
-    Requires the ``fork`` start method; platforms without it (or runs with
-    ``n_workers=1``) fall back to serial in-process execution.
-    """
-
-    name = "multiprocess"
-
-    def __init__(self, n_workers: int = 2, warmup_windows: int | None = None):
-        if n_workers < 1:
-            raise ExecutionError(f"n_workers must be positive, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self.warmup_windows = warmup_windows
-
-    def session_mode(self, plan: CompiledPlan) -> str:
-        raise NotImplementedError(
-            "streaming sessions are not supported on the multiprocess backend: "
-            "sharding re-replays warm-up windows per run, which conflicts with "
-            "a single long-lived carry state; open the session with the serial "
-            "or vectorized backend instead"
-        )
-
-    def execute(
-        self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
-    ) -> StreamResult:
-        global _SHARD_STATE
-        starts = _window_starts(plan, targeted)
-        if self.n_workers == 1 or len(starts) < 2 * self.n_workers or not fork_available():
-            return SerialBackend().execute(plan, targeted=targeted, collect=collect)
-
-        warmup = (
-            self.warmup_windows
-            if self.warmup_windows is not None
-            else plan_warmup_windows(plan)
-        )
-        bounds = []
-        per_shard = -(-len(starts) // self.n_workers)
-        for lo in range(0, len(starts), per_shard):
-            bounds.append((lo, min(lo + per_shard, len(starts))))
-
-        began = time.perf_counter()
-        with _SHARD_LOCK:
-            _SHARD_STATE = (plan, starts, collect, warmup)
-            try:
-                context = multiprocessing.get_context("fork")
-                with context.Pool(len(bounds)) as pool:
-                    shard_results = pool.map(_run_shard, bounds)
-            finally:
-                _SHARD_STATE = None
-        elapsed = time.perf_counter() - began
-
-        times = np.concatenate([shard[0] for shard in shard_results])
-        values = np.concatenate([shard[1] for shard in shard_results])
-        durations = np.concatenate([shard[2] for shard in shard_results])
-        windows_run = sum(shard[3] for shard in shard_results)
-        stats = build_stats(plan, windows_run, int(times.size), elapsed, targeted)
-        stats.execution_mode = self.name
-        # The parent plan never executed; fold the workers' per-node counts
-        # (shard warm-up replays are included — they are real work done).
-        per_node: dict[str, int] = {}
-        for shard in shard_results:
-            for name, count in shard[4].items():
-                per_node[name] = per_node.get(name, 0) + count
-        stats.per_node_windows = per_node
-        stats.windows_computed = sum(per_node.values())
-        return StreamResult(times, values, durations, stats=stats)
 
 
 def vectorized_fallback_reason(plan: CompiledPlan) -> str:

@@ -16,8 +16,8 @@ produce output.  Eager mode exists for the ablation study (Figure 10(a))
 and for tests that check both modes produce identical results.
 
 This module provides the window-loop machinery; *how* the loop is driven
-(serially, in runs of consecutive windows, or sharded across processes) is
-the job of the pluggable :mod:`~repro.core.runtime.backends`.
+(serially or in runs of consecutive windows) is the job of the pluggable
+:mod:`~repro.core.runtime.backends`.
 """
 
 from __future__ import annotations
@@ -126,17 +126,11 @@ def run_window_loop(
     plan: CompiledPlan,
     starts: Sequence[int],
     collect: bool = True,
-    warmup_starts: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Drive the sink through *starts*, returning the collected columns.
 
-    The plan's runtime state is reset first.  ``warmup_starts`` are executed
-    before the collected range with their output discarded — backends that
-    enter the stream mid-way (sharded workers) use this to rebuild stateful
-    operators' carries exactly as a from-the-start run would have.
-
-    Returns ``(times, values, durations, elapsed_seconds, windows_run)``
-    where ``windows_run`` counts only the collected (non-warm-up) windows.
+    The plan's runtime state is reset first.  Returns ``(times, values,
+    durations, elapsed_seconds, windows_run)``.
     """
     sink = plan.sink
     nodes = topological_order(sink)
@@ -148,8 +142,6 @@ def run_window_loop(
     collected_durations: list[np.ndarray] = []
 
     began = time.perf_counter()
-    for start in warmup_starts:
-        sink.fill(start)
     for start in starts:
         sink.fill(start)
         if collect:

@@ -38,12 +38,11 @@ class ExecutionStats:
     #: Whether targeted query processing was enabled for this run.
     targeted: bool = True
     #: How the window loop was actually driven: ``"serial"``,
-    #: ``"multiprocess"``, ``"vectorized"`` or — when the vectorized backend
-    #: lowered some nodes to whole-run kernels but drove others window by
-    #: window — ``"vectorized+serial-fallback"``.  Backends that silently
-    #: fall back (a multiprocess run without fork or with too few windows, a
-    #: vectorized run of a plan with nothing to lower) report the mode that
-    #: really executed, not the one that was requested.
+    #: ``"vectorized"`` or — when the vectorized backend lowered some nodes
+    #: to whole-run kernels but drove others window by window —
+    #: ``"vectorized+serial-fallback"``.  A vectorized run of a plan with
+    #: nothing to lower reports the mode that really executed, not the one
+    #: that was requested.
     execution_mode: str = "serial"
     #: Why a backend fell back to a slower execution mode than requested
     #: (``None`` when it ran as asked): which node or property blocked it,

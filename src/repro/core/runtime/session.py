@@ -131,8 +131,7 @@ class StreamingSession:
         self._backend_name = self._backend.name
         self._plan = compiled.plan
         # The mode that really drives the ticks (a vectorized backend on a
-        # plan with nothing to lower ticks serially).  Backends that cannot
-        # drive sessions refuse here, before the plan is claimed.
+        # plan with nothing to lower ticks serially).
         self._execution_mode = self._backend.session_mode(self._plan)
         self._targeted = compiled.targeted if targeted is None else targeted
         self._nodes = topological_order(self._plan.sink)

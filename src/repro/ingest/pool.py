@@ -3,12 +3,11 @@
 The paper's scale-out story (Figure 10(c)/(d)) is patient-level data
 parallelism: many independent streams processed by identical plans side by
 side.  :class:`IngestWorkerPool` is how this repo hosts sessions in other
-processes.  The sharding unit is the *whole session*: every client's
-session lives entirely on one worker, so every operator carry stays on the
-worker that owns it and no state crosses a process boundary between ticks
-(per-window sharding, as in
-:class:`~repro.core.runtime.backends.MultiprocessBackend`, would re-replay
-warm-up state every tick, which is why that backend refuses sessions).
+processes (one-shot cohorts use
+:func:`~repro.scaling.multicore.run_data_parallel`).  The sharding unit is
+the *whole session*: every client's session lives entirely on one worker,
+so every operator carry stays on the worker that owns it and no state
+crosses a process boundary between ticks.
 
 **Fork and the catalog.**  Queries hold user lambdas and plans hold NumPy
 buffers — neither pickles — so workers are forked and inherit what they
@@ -51,7 +50,6 @@ import signal
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-from repro.core.runtime.backends import fork_available
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError
 from repro.ingest.types import QueryShape, batch_end, validate_push_batch
@@ -59,6 +57,11 @@ from repro.serve.service import ServicePumpReport, StreamingService
 
 #: Ticks between automatic session checkpoints on the workers.
 CHECKPOINT_EVERY_TICKS = 4
+
+
+def fork_available() -> bool:
+    """True when the platform supports the ``fork`` start method."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 #: One queued push (or heartbeat) on the wire and in the replay log:
 #: ``(stream, times, values, durations, watermark)``; ``times is None``

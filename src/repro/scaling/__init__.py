@@ -5,12 +5,10 @@ from repro.scaling.multicore import (
     ENGINE_PROFILES,
     M5A_8XLARGE_CORES,
     M5A_8XLARGE_MEMORY_BYTES,
-    MEASURED_WORKER_COUNTS,
     EngineScalingProfile,
     ScalingModel,
     ScalingPoint,
     ScalingResult,
-    measure_multicore_lifestream,
     measure_single_worker_throughput,
     run_data_parallel,
 )
@@ -22,9 +20,7 @@ __all__ = [
     "EngineScalingProfile",
     "ENGINE_PROFILES",
     "run_data_parallel",
-    "measure_multicore_lifestream",
     "measure_single_worker_throughput",
-    "MEASURED_WORKER_COUNTS",
     "ClusterModel",
     "ClusterConfig",
     "CLUSTER_THREADS",

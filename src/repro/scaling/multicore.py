@@ -2,17 +2,12 @@
 
 Physiological datasets hold data from thousands of patients and the
 pipelines process patients independently, so the computation parallelises
-across patients.  Three layers are provided:
+across patients.  Two layers are provided:
 
-* :func:`measure_multicore_lifestream` — **measured mode**: real
-  window-sharded execution of the Figure 3 pipeline through the engine's
-  :class:`~repro.core.runtime.backends.MultiprocessBackend`, producing one
-  measured Figure 10(c) point per worker count.  This is intra-query
-  parallelism (disjoint output-window ranges per worker), the closest
-  analogue of the paper's per-machine thread scaling.
 * :func:`run_data_parallel` — real data-parallel execution of the Figure 3
   pipeline over a cohort of patients using a ``multiprocessing`` pool
-  (inter-query parallelism: one patient per task).
+  (inter-query parallelism: one patient per task), producing the measured
+  Figure 10(c) points.
 * :class:`ScalingModel` — an analytic model that extrapolates measured
   single-worker throughput to arbitrary worker counts using each engine's
   memory behaviour (the Trill-like engine's per-worker join state exhausts
@@ -20,7 +15,8 @@ across patients.  Three layers are provided:
   LifeStream keeps scaling thanks to its pre-allocated, reused buffers).
   The Figure 10(c)/(d) benchmarks use the model for the full 1–48 thread
   curves beyond the host's core count; DESIGN.md documents this
-  substitution, alongside the measured points the two real modes produce.
+  substitution, alongside the measured points :func:`run_data_parallel`
+  produces.
 """
 
 from __future__ import annotations
@@ -31,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.runtime.backends import MultiprocessBackend, SerialBackend
-from repro.core.timeutil import TICKS_PER_SECOND
 from repro.data.dataset import PatientRecord
 from repro.errors import TrillOutOfMemoryError
-from repro.pipelines.e2e import run_e2e, run_lifestream_e2e
+from repro.pipelines.e2e import run_e2e
 
 #: Machine parameters of the paper's scaling experiments (AWS m5a.8xlarge).
 M5A_8XLARGE_CORES = 32
@@ -105,42 +99,6 @@ def run_data_parallel(
             pool.map(_process_patient, tasks)
     elapsed = time.perf_counter() - began
     return ScalingPoint(workers=n_workers, throughput_events_per_second=total_events / elapsed)
-
-
-#: Worker counts the measured Figure 10(c) mode sweeps by default.
-MEASURED_WORKER_COUNTS = (1, 2, 4)
-
-
-def measure_multicore_lifestream(
-    ecg: tuple[np.ndarray, np.ndarray],
-    abp: tuple[np.ndarray, np.ndarray],
-    worker_counts: tuple[int, ...] = MEASURED_WORKER_COUNTS,
-    window_size: int = TICKS_PER_SECOND,
-) -> ScalingResult:
-    """Measured Figure 10(c) points: window-sharded LifeStream execution.
-
-    Runs the Figure 3 pipeline once per worker count, executing through
-    :class:`~repro.core.runtime.backends.MultiprocessBackend` (``workers=1``
-    uses the serial backend, the calibration point).  The default
-    ``window_size`` of one second keeps the output-window count high enough
-    to shard meaningfully at benchmark data sizes.
-
-    These are *measured* throughputs on the host machine — on a box with
-    fewer cores than workers the curve will be flat, which is the honest
-    result; the analytic :class:`ScalingModel` remains the substitute for
-    the paper's 32-core machine.
-    """
-    points: list[ScalingPoint] = []
-    for workers in worker_counts:
-        backend = SerialBackend() if workers == 1 else MultiprocessBackend(n_workers=workers)
-        run = run_lifestream_e2e(ecg, abp, window_size=window_size, backend=backend)
-        points.append(
-            ScalingPoint(
-                workers=workers,
-                throughput_events_per_second=run.throughput_events_per_second,
-            )
-        )
-    return ScalingResult(engine="lifestream (measured, window-sharded)", points=points)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ class TestBuiltinRegistry:
     def test_every_registered_operator_conforms(self):
         # Acceptance criterion: the contract analyzer passes on every
         # in-repo operator — no over-claimed batch safety, no run-parity
-        # violations, no snapshot/restore or warmup gaps.
+        # violations, no snapshot/restore or coverage-reach gaps.
         diagnostics = check_contracts()
         assert not has_errors(diagnostics), [d.render() for d in diagnostics]
 

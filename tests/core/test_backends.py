@@ -1,8 +1,10 @@
 """Parity suite for the execution backends and operator fusion.
 
-Asserts that fused vs. unfused plans, and all three execution backends
-(serial, vectorized, multiprocess), produce bit-identical StreamResults
+Asserts that fused vs. unfused plans, and both execution backends (serial
+and vectorized, at several run caps), produce bit-identical StreamResults
 across operator-chain queries in both targeted and eager modes."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -11,21 +13,16 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import backends as backends_module
 from repro.core.runtime import (
-    MultiprocessBackend,
     SerialBackend,
     VectorizedBackend,
     plan_batch_safe,
-    plan_warmup_windows,
     recommend_backend,
 )
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
 from repro.errors import ExecutionError
-
-from tests.conftest import make_source
 
 
 def _gappy_source(n=12000, period=2, seed=7):
@@ -55,6 +52,11 @@ CHAIN_QUERIES = {
         .shift(1000)
         .where(lambda v: np.abs(v) < 9)
     ),
+    # A shift three windows long: the carry FIFO holds samples across
+    # several windows (and several runs at small run caps).
+    "long-shift": lambda: (
+        Query.source("s", frequency_hz=500).select(lambda v: v).shift(3000)
+    ),
     "aggregate": lambda: (
         Query.source("s", frequency_hz=500)
         .select(lambda v: v * 3)
@@ -77,8 +79,6 @@ CHAIN_QUERIES = {
 
 BACKENDS = {
     "serial": lambda: SerialBackend(),
-    "multiprocess-2": lambda: MultiprocessBackend(n_workers=2),
-    "multiprocess-3": lambda: MultiprocessBackend(n_workers=3),
     "vectorized": lambda: VectorizedBackend(),
     # Tiny run cap: every run is split, exercising run-boundary state carry.
     "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
@@ -172,29 +172,7 @@ class TestBackendParity:
         assert candidate.stats.execution_mode == "vectorized+serial-fallback"
         _assert_identical(reference, candidate, "unsafe plan per-node fallback")
 
-    def test_multiprocess_warmup_covers_long_shifts(self):
-        # A shift longer than one window needs several warm-up windows.
-        source = make_source(8000, period=2)
-        query = Query.source("s", frequency_hz=500).select(lambda v: v).shift(3000)
-        engine = LifeStreamEngine(window_size=1000)
-        compiled = engine.compile(query, {"s": source})
-        assert plan_warmup_windows(compiled.plan) == 3
-        reference = compiled.run()
-        candidate = compiled.run(backend=MultiprocessBackend(n_workers=3))
-        _assert_identical(reference, candidate, "long-shift sharding")
-
-    def test_multiprocess_single_worker_is_serial(self):
-        source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=1))
-        reference = LifeStreamEngine(window_size=1000).run(
-            CHAIN_QUERIES["elementwise"](), {"s": source}
-        )
-        candidate = engine.run(CHAIN_QUERIES["elementwise"](), {"s": source})
-        _assert_identical(reference, candidate, "single-worker multiprocess")
-
     def test_invalid_backend_parameters_rejected(self):
-        with pytest.raises(ExecutionError):
-            MultiprocessBackend(n_workers=0)
         with pytest.raises(ExecutionError):
             VectorizedBackend(max_run_windows=0)
 
@@ -222,12 +200,48 @@ class TestExecutionStatsAcrossBackends:
         )
         assert eager.stats.windows_skipped == 0
 
-    def test_multiprocess_stats_aggregate_worker_counts(self):
+    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    def test_stats_count_every_ingested_event(self, backend_name):
         source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
+        engine = LifeStreamEngine(window_size=1000, backend=BACKENDS[backend_name]())
         result = engine.run(CHAIN_QUERIES["aggregate"](), {"s": source})
         assert result.stats.windows_computed > 0
         assert result.stats.events_ingested == source.event_count()
+        assert result.stats.events_emitted == len(result)
+
+
+class TestTwoBackends:
+    @pytest.mark.parametrize("module", ["repro", "repro.core", "repro.core.runtime"])
+    def test_window_sharded_backend_not_exported(self, module):
+        imported = importlib.import_module(module)
+        assert not hasattr(imported, "MultiprocessBackend")
+        assert "MultiprocessBackend" not in imported.__all__
+
+    def test_backend_without_session_hooks_runs_sessions_serially(self):
+        # No backend refuses sessions: one that only implements execute()
+        # inherits the window-by-window tick and its honest "serial" label.
+        from repro.core.runtime.backends import ExecutionBackend
+        from repro.core.sources import ReplaySource
+
+        class OneShotOnly(ExecutionBackend):
+            name = "one-shot-only"
+
+            def execute(self, plan, targeted=True, collect=True):
+                return SerialBackend().execute(plan, targeted=targeted, collect=collect)
+
+        source = _gappy_source()
+        engine = LifeStreamEngine(window_size=1000, backend=OneShotOnly())
+        session = engine.open_session(
+            CHAIN_QUERIES["shift-chain"](), {"s": ReplaySource(source)}
+        )
+        session.finish()
+        result = session.result()
+        session.close()
+        assert result.stats.execution_mode == "serial"
+        reference = LifeStreamEngine(window_size=1000).run(
+            CHAIN_QUERIES["shift-chain"](), {"s": source}
+        )
+        _assert_identical(reference, result, "default session tick")
 
 
 class TestExecutionModeHonesty:
@@ -243,29 +257,6 @@ class TestExecutionModeHonesty:
         result = LifeStreamEngine(window_size=1000).run(
             CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
         )
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_reports_multiprocess_when_sharded(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "multiprocess"
-
-    def test_multiprocess_single_worker_reports_serial(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=1))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_too_few_windows_reports_serial(self):
-        # 4 windows < 2 * 3 workers: the shard split would be all warm-up.
-        source = make_source(2000, period=2)
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=3))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": source})
-        assert result.stats.execution_mode == "serial"
-
-    def test_multiprocess_without_fork_reports_serial(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "fork_available", lambda: False)
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
         assert result.stats.execution_mode == "serial"
 
     def test_vectorized_reports_vectorized_when_fully_lowered(self):

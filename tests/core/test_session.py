@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import MultiprocessBackend, SerialBackend, VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
@@ -33,7 +33,8 @@ def _source(period=2, seed=3):
 
 
 #: Queries covering every kind of cross-tick carry state: element-wise
-#: chains (fusion), Shift FIFOs, sliding-aggregate tails, join carries over
+#: chains (fusion), Shift FIFOs (within one window and across several),
+#: sliding-aggregate tails, join carries over
 #: multicast fan-out, chop carries, and a non-batch-safe interpolation (the
 #: vectorized backend's per-node window-by-window fallback).
 SESSION_QUERIES = {
@@ -47,6 +48,11 @@ SESSION_QUERIES = {
         .select(lambda v: v + 0.5)
         .shift(1000)
         .where(lambda v: np.abs(v) < 9)
+    ),
+    # A shift three windows long: its FIFO carries samples across several
+    # ticks, and through every checkpoint taken while they are in flight.
+    "long-shift": lambda: (
+        Query.source("s", frequency_hz=500).select(lambda v: v).shift(3000)
     ),
     "sliding": lambda: (
         Query.source("s", frequency_hz=500).sliding_window(200, 100).max()
@@ -625,13 +631,6 @@ class TestSessionLifecycle:
                      lambda: session.advance(1000)):
             with pytest.raises(ExecutionError, match="closed"):
                 call()
-
-    def test_multiprocess_backend_rejected(self):
-        engine = LifeStreamEngine(window_size=1000, backend=MultiprocessBackend(n_workers=2))
-        with pytest.raises(NotImplementedError, match="multiprocess"):
-            engine.open_session(
-                SESSION_QUERIES["elementwise"](), {"s": ReplaySource(_source())}
-            )
 
     def test_serial_backend_object_accepted(self):
         engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())

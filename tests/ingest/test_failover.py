@@ -13,9 +13,9 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime.backends import fork_available
 from repro.core.sources import ArraySource
 from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
+from repro.ingest.pool import fork_available
 from repro.pipelines.common import backend_from_name
 
 PERIOD = 2

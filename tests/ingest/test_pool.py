@@ -13,10 +13,10 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime.backends import fork_available
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError, StreamDefinitionError
 from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
+from repro.ingest.pool import fork_available
 
 PERIOD = 2
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro.ingest.pool as pool_module
-from repro.core.runtime.backends import fork_available
+from repro.ingest.pool import fork_available
 from repro.lang.__main__ import load_query_file
 from repro.pipelines.serve import serve_cohort
 

@@ -9,7 +9,7 @@ continue an earlier block's variables or need data files.
 
 The prose is held to the same standard where it can be checked: a
 backticked dotted reference that starts at a public ``repro`` name
-(``MultiprocessBackend.session_mode()``, ``repro.pipelines.serve``) has to
+(``VectorizedBackend.session_mode()``, ``repro.pipelines.serve``) has to
 resolve, and a backticked ``.py`` path (``ingest/pool.py``,
 ``tests/ingest/test_pool.py``) has to exist under the repository root or
 ``src/repro``.
