@@ -20,7 +20,7 @@ from benchmarks.conftest import get_report, timed_benchmark
 from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
-from repro.core.runtime import VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -56,7 +56,7 @@ def workload():
 def _compiled_queries(sources):
     query = lifestream_e2e_query(resample_mode="hold")
     serial_unfused = LifeStreamEngine(
-        window_size=TICKS_PER_SECOND, optimization_level=0
+        window_size=TICKS_PER_SECOND, optimization_level=0, backend=SerialBackend()
     ).compile(query, sources)
     vectorized = LifeStreamEngine(
         window_size=TICKS_PER_SECOND,

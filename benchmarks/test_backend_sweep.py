@@ -1,4 +1,4 @@
-"""The measurement behind ``recommend_backend``'s static rule.
+"""Why run execution is the engine default.
 
 Serial versus run (vectorized) execution of one compiled plan, by the
 length of the runs its targeted coverage forms.  Three plan shapes — the
@@ -11,12 +11,13 @@ and dense geometries on which the rule this sweep replaced (run execution
 only when windows >= 4 x runs) chose worst.
 
 Every cell is the best of interleaved trials on the same compiled plan, so
-the two backends see the same host.  The rule is sound while run execution
-is never meaningfully slower than serial: the test asserts that the backend
-``recommend_backend`` picks is within 1.25x of the faster one in every
-cell, and ``benchmarks/results/backend_sweep.json`` keeps the table.
+the two backends see the same host.  The recorded table
+(``benchmarks/results/backend_sweep.json``, summarised in DESIGN.md) found
+no cell where serial wins.  The test asserts only that both backends emit
+identical events; the timings are reported, not gated.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import get_report
@@ -24,7 +25,7 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import SerialBackend, VectorizedBackend, recommend_backend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.runtime.executor import _window_starts
 from repro.core.runtime.vectorized import runs_for_starts
 from repro.core.sources import ArraySource
@@ -40,12 +41,8 @@ HEADERS = [
     "serial ms",
     "vectorized ms",
     "vectorized / serial",
-    "recommended",
 ]
 
-#: The recommended backend may be at most this much slower than the faster
-#: of the two (the acceptance bound of the issue that removed the guess).
-TOLERANCE = 1.25
 TRIALS = 7
 
 SHAPES = {
@@ -69,7 +66,7 @@ CELLS = [
 
 @pytest.mark.slow
 @pytest.mark.parametrize("shape, data_seconds, gap_seconds", CELLS)
-def test_recommended_backend_is_never_far_from_the_faster(
+def test_serial_vs_run_execution_by_run_length(
     report_registry, shape, data_seconds, gap_seconds
 ):
     ecg, abp = duty_cycle_e2e_dataset(data_seconds, gap_seconds, seed=1)
@@ -84,11 +81,12 @@ def test_recommended_backend_is_never_far_from_the_faster(
     )
     starts = _window_starts(compiled.plan, True)
     runs = runs_for_starts(starts, compiled.plan.sink.dimension)
-    recommended, _reason = recommend_backend(compiled.plan, targeted=True)
 
     backends = {"serial": SerialBackend(), "vectorized": VectorizedBackend()}
-    for backend in backends.values():  # warm run buffers and caches
-        compiled.run(backend=backend)
+    # Warm run buffers and caches.
+    serial, vectorized = (compiled.run(backend=backend) for backend in backends.values())
+    for column in ("times", "values", "durations"):
+        np.testing.assert_array_equal(getattr(serial, column), getattr(vectorized, column))
     comparison = compare_backends(
         f"{shape} {data_seconds}/{gap_seconds}",
         lambda backend: compiled.run(backend=backend),
@@ -115,7 +113,5 @@ def test_recommended_backend_is_never_far_from_the_faster(
             best["serial"] * 1e3,
             best["vectorized"] * 1e3,
             best["vectorized"] / best["serial"],
-            recommended.name,
         ],
     )
-    assert best[recommended.name] <= TOLERANCE * min(best.values())

@@ -34,12 +34,13 @@ from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
 from repro.core.query import Query
-from repro.core.runtime.backends import VectorizedBackend, plan_batch_safe
-from repro.core.runtime.executor import (
-    _window_starts,
-    collect_sink_window,
-    execute_plan,
+from repro.core.runtime.backends import (
+    ExecutionBackend,
+    SerialBackend,
+    VectorizedBackend,
+    plan_batch_safe,
 )
+from repro.core.runtime.executor import _window_starts, collect_sink_window
 from repro.core.runtime.vectorized import plan_vector_info
 from repro.core.sources import ArraySource, StreamSource
 
@@ -93,8 +94,8 @@ def _source(n: int = 192, period: int = 2, offset: int = 0, seed: int = 3) -> Ar
     return ArraySource(times, values, period=period)
 
 
-def _events(plan: CompiledPlan, backend=None):
-    result = execute_plan(plan, targeted=True, backend=backend)
+def _events(plan: CompiledPlan, backend: ExecutionBackend):
+    result = backend.execute(plan, targeted=True)
     return result.times, result.values, result.durations
 
 
@@ -151,8 +152,8 @@ def _check_batch_safety(case: OperatorCase, out: list[Diagnostic]) -> None:
     """Validate ``batch_safe`` against an actually-widened execution."""
     plan = _compile(case)
     declared = plan_batch_safe(plan)
-    reference = _events(plan)
-    widened = _events(_compile(case, widen=case.widen_factor))
+    reference = _events(plan, SerialBackend())
+    widened = _events(_compile(case, widen=case.widen_factor), SerialBackend())
     identical = _same_events(reference, widened)
     if declared and not identical:
         out.append(
@@ -191,9 +192,9 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
     plan = _compile(case)
     if not (plan_vector_info(plan).runnable and plan_vector_info(plan).lowered_operators):
         return
-    reference = _events(plan)
+    reference = _events(plan, SerialBackend())
     for cap in (2, 5, 512, None):
-        lowered = _events(_compile(case), backend=VectorizedBackend(max_run_windows=cap))
+        lowered = _events(_compile(case), VectorizedBackend(max_run_windows=cap))
         if not _same_events(reference, lowered):
             out.append(
                 _contract(

@@ -181,6 +181,7 @@ class CompiledPlan:
         in a shared sources dict.
         """
         from repro.core.fwindow import FWindow
+        from repro.core.runtime.vectorized import share_vector_info
 
         replacements = dict(sources or {})
         rebound: set[str] = set()
@@ -229,7 +230,7 @@ class CompiledPlan:
             for node in sink.iter_nodes()
             if isinstance(node, SourceNode)
         }
-        return CompiledPlan(
+        clone = CompiledPlan(
             sink=sink,
             window_size=self.window_size,
             # Same node set, same descriptors, same dimensions -> the
@@ -246,6 +247,8 @@ class CompiledPlan:
             # shares with its template.
             diagnostics=self.diagnostics,
         )
+        share_vector_info(self, clone, memo)
+        return clone
 
     def explain(self) -> str:
         """Human-readable plan dump in the paper's ``(offset,period)[dim]`` notation."""

@@ -11,7 +11,7 @@ over an explicit plan IR, run by a :class:`PassManager`:
    consistent dimension (Section 5.2);
 4. ``fuse_elementwise``  — collapse element-wise operator chains into fused
    kernel nodes (:mod:`repro.core.compiler.fusion`);
-5. ``vectorize``         — mark which operator nodes lower to whole-run
+5. ``vectorize``         — report which operator nodes lower to whole-run
    array kernels (:mod:`repro.core.runtime.vectorized`), with per-node
    fallback for the rest;
 6. ``memory``            — static allocation of every FWindow buffer;
@@ -147,13 +147,12 @@ class FuseElementwisePass(CompilerPass):
 
 
 class VectorizePass(CompilerPass):
-    """Mark which operator nodes lower to whole-run array kernels.
+    """Report which operator nodes lower to whole-run array kernels.
 
-    Runs after fusion (fused chains lower as one kernel) and annotates each
-    operator node with a ``vectorizable`` flag; the summary lands in the
-    compiled plan's metadata so ``explain()`` shows what the vectorized
-    backend will lower and what falls back per node to window-by-window
-    execution.  Analysis only — the plan graph is not rewritten, so every
+    Runs after fusion (fused chains lower as one kernel); the summary lands
+    in the compiled plan's metadata so ``explain()`` shows what the
+    vectorized backend will lower and what falls back per node to
+    window-by-window execution.  Analysis only — the plan graph is not rewritten, so every
     backend (and level-0 compilations, where this pass still runs) executes
     the same graph.
     """
@@ -163,9 +162,9 @@ class VectorizePass(CompilerPass):
     def run(self, ctx: PassContext) -> None:
         # Imported lazily: the runtime package imports the compiler at module
         # load, so a module-level import here would cycle mid-initialisation.
-        from repro.core.runtime.vectorized import annotate_plan
+        from repro.core.runtime.vectorized import lowering_summary
 
-        ctx.metadata["vectorize"] = annotate_plan(ctx.require_sink())
+        ctx.metadata["vectorize"] = lowering_summary(ctx.require_sink())
 
 
 class MemoryPass(CompilerPass):

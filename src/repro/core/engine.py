@@ -18,11 +18,15 @@ Typical use::
     engine = LifeStreamEngine()
     result = engine.run(query, sources={"ecg": ecg})
 
-Run execution is a constructor argument away::
+The engine runs plans on :class:`~repro.core.runtime.VectorizedBackend`
+(run execution) unless told otherwise; this constructor is the one place
+that default is chosen, and every layer above (sessions, the serving
+service, the worker pool, the pipelines) inherits it.  The serial
+reference is an argument away::
 
-    from repro.core.runtime import VectorizedBackend
+    from repro.core.runtime import SerialBackend
 
-    engine = LifeStreamEngine(backend=VectorizedBackend())
+    engine = LifeStreamEngine(backend=SerialBackend())
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from repro.core.compiler import (
     propagate_coverage,
 )
 from repro.core.query import Query
-from repro.core.runtime.backends import ExecutionBackend
-from repro.core.runtime.executor import execute_plan
+from repro.core.runtime.backends import ExecutionBackend, VectorizedBackend
 from repro.core.runtime.result import StreamResult
 from repro.core.sources import StreamSource
 from repro.core.timeutil import TICKS_PER_MINUTE
@@ -49,7 +52,7 @@ class CompiledQuery:
         self,
         plan: CompiledPlan,
         targeted: bool,
-        backend: ExecutionBackend | None = None,
+        backend: ExecutionBackend,
     ) -> None:
         self._plan = plan
         self._targeted = targeted
@@ -74,8 +77,8 @@ class CompiledQuery:
         return self._plan.window_size
 
     @property
-    def backend(self) -> ExecutionBackend | None:
-        """The execution backend runs will use (None = serial)."""
+    def backend(self) -> ExecutionBackend:
+        """The execution backend runs and sessions use unless overridden."""
         return self._backend
 
     def explain(self) -> str:
@@ -93,7 +96,8 @@ class CompiledQuery:
         ``targeted`` overrides the engine-level setting for this run, which
         is how the ablation benchmarks compare targeted against eager
         processing on the same compiled plan; ``backend`` likewise overrides
-        the engine-level execution backend.
+        the engine-level execution backend.  With ``collect=False`` the
+        windows are still computed but no output events are materialised.
         """
         if self._session is not None:
             raise ExecutionError(
@@ -107,9 +111,7 @@ class CompiledQuery:
             self._coverage_trimmed = False
         use_targeted = self._targeted if targeted is None else targeted
         use_backend = self._backend if backend is None else backend
-        result = execute_plan(
-            self._plan, targeted=use_targeted, collect=collect, backend=use_backend
-        )
+        result = use_backend.execute(self._plan, targeted=use_targeted, collect=collect)
         self.last_stats = result.stats
         return result
 
@@ -128,10 +130,7 @@ class CompiledQuery:
         """
         from repro.core.runtime.session import StreamingSession
 
-        use_backend = self._backend if backend is None else backend
-        return StreamingSession(
-            self, targeted=targeted, backend=use_backend, checkpoint=checkpoint
-        )
+        return StreamingSession(self, targeted=targeted, backend=backend, checkpoint=checkpoint)
 
     def attach_session(self, session) -> None:
         """Record *session* as the exclusive owner of the plan's runtime state."""
@@ -169,7 +168,7 @@ class LifeStreamEngine:
         self.window_size = window_size
         self.targeted = targeted
         self.tracer = tracer
-        self.backend = backend
+        self.backend = VectorizedBackend() if backend is None else backend
         self.optimization_level = optimization_level
         #: Refuse plans whose verify pass found error-level diagnostics:
         #: every compile raises :class:`~repro.errors.PlanVerificationError`

@@ -63,7 +63,7 @@ class Aggregate(WindowAgnosticRun, Operator):
         self.func = func
         # Tumbling aggregates need no cross-window state; sliding ones carry
         # the previous tail (Table 2: stateful unless window == stride).
-        self.stateful = window != stride
+        self._sliding = window != stride
 
     # -- compile-time ------------------------------------------------------
 
@@ -96,7 +96,7 @@ class Aggregate(WindowAgnosticRun, Operator):
         # The tail buffer itself is created on first use (its length depends
         # on the input period, which is only known at runtime), but the dict
         # holding it is the constant-size state slot allocated up front.
-        return {} if self.stateful else None
+        return {} if self._sliding else None
 
     # -- runtime -----------------------------------------------------------
 
@@ -110,7 +110,7 @@ class Aggregate(WindowAgnosticRun, Operator):
 
         values = source.values
         mask = source.bitvector
-        if self.stateful:
+        if self._sliding:
             if not isinstance(state, dict):
                 raise QueryConstructionError("sliding aggregate state was not initialised")
             tail = state.get("tail")
@@ -121,7 +121,7 @@ class Aggregate(WindowAgnosticRun, Operator):
             mask = np.concatenate((tail.mask, mask))
 
         n_out = output.capacity
-        if self.stateful:
+        if self._sliding:
             # Sliding: window j covers samples [j*stride, j*stride + window).
             view = np.lib.stride_tricks.sliding_window_view(values, samples_per_window)
             mask_view = np.lib.stride_tricks.sliding_window_view(mask, samples_per_window)
@@ -138,7 +138,7 @@ class Aggregate(WindowAgnosticRun, Operator):
         output.durations[:] = self.window
         output.trace_write()
 
-        if self.stateful and tail_samples > 0:
+        if self._sliding and tail_samples > 0:
             tail = state["tail"]
             tail.values[:] = values[-tail_samples:]
             tail.mask[:] = mask[-tail_samples:]

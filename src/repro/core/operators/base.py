@@ -43,8 +43,6 @@ class Operator:
 
     #: Number of input streams the operator consumes (1 or 2).
     arity: int = 1
-    #: Whether the operator keeps cross-window state (Table 2, "Is stateful?").
-    stateful: bool = False
     #: Human-readable name used in plan dumps and error messages.
     name: str = "operator"
 

@@ -84,7 +84,6 @@ class Shift(WindowAgnosticRun, Operator):
     """
 
     name = "Shift"
-    stateful = True
 
     def __init__(self, offset: int):
         self.offset = int(offset)

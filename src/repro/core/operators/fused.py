@@ -56,7 +56,6 @@ class FusedElementwise(WindowAgnosticRun, Operator):
                     f"operator {op.name} is not element-wise and cannot be fused"
                 )
         self.stages = list(stages)
-        self.stateful = any(op.stateful for op, _ in self.stages)
         self.name = "Fused[" + "+".join(op.name for op, _ in self.stages) + "]"
 
     # -- compile-time ------------------------------------------------------

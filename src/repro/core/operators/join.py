@@ -70,7 +70,6 @@ class Join(WindowAgnosticRun, Operator):
 
     name = "Join"
     arity = 2
-    stateful = True
 
     def __init__(
         self,
@@ -192,7 +191,6 @@ class ClipJoin(Operator):
 
     name = "ClipJoin"
     arity = 2
-    stateful = True
 
     def __init__(self, combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
         self.combine = ensure_callable(combine, "ClipJoin combiner") if combine else _pair_left

@@ -121,7 +121,6 @@ class Chop(WindowAgnosticRun, Operator):
     """Split the interval of every event on period-*p* boundaries."""
 
     name = "Chop"
-    stateful = True
 
     def __init__(self, period: int):
         if period <= 0:

@@ -2,13 +2,13 @@
 
 A backend decides *how* a compiled plan's window loop is driven:
 
-* :class:`SerialBackend` — one window at a time, in-process (the engine's
-  historical semantics and the reference every parity suite compares to);
-* :class:`VectorizedBackend` — run execution: lowers the targeted coverage
-  to maximal runs of consecutive windows and executes each operator as a
-  single NumPy array program over one contiguous run buffer per stream
-  (:mod:`~repro.core.runtime.vectorized`), falling back per node to the
-  window-by-window semantics where lowering is not exact.
+* :class:`SerialBackend` — one window at a time, in-process: the reference
+  every parity suite and operator contract compares to;
+* :class:`VectorizedBackend` — the engine default, run execution: lowers
+  the targeted coverage to maximal runs of consecutive windows and executes
+  each operator as a single NumPy array program over one contiguous run
+  buffer per stream (:mod:`~repro.core.runtime.vectorized`), falling back
+  per node to the window-by-window semantics where lowering is not exact.
 
 Both backends produce bit-identical :class:`~repro.core.runtime.result.StreamResult`
 event columns for the same plan; the parity suite in
@@ -133,8 +133,7 @@ def vectorized_fallback_reason(plan: CompiledPlan) -> str:
     Names the specific blocking property — the cache tracer, the plan-level
     soundness failure (including which node scales time), or the absence of
     any lowerable operator — so the fallback is attributable in
-    :attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason` and in
-    ``--backend auto`` pipeline output.
+    :attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason`.
     """
     if plan.tracer is not None:
         return "plan carries a cache tracer, which models per-window buffer touches"
@@ -270,32 +269,10 @@ class VectorizedBackend(ExecutionBackend):
 def recommend_backend(
     plan: CompiledPlan, targeted: bool = True
 ) -> tuple[ExecutionBackend, str]:
-    """Choose an execution backend for *plan* and say why.
+    """The backend to run *plan* on, as ``(backend, reason)``.
 
-    Returns ``(backend, reason)`` — the reason is a human-readable sentence
-    surfaced by ``--backend auto`` pipelines, so backend choices are
-    auditable rather than silent.
-
-    The rule is the vectorized backend's own go/no-go: run execution
-    whenever the plan is run-lowerable and some operator lowers, serial
-    otherwise.  There is no coverage threshold because the recorded sweep
-    found no crossover (``benchmarks/results/backend_sweep.json``, written
-    by ``benchmarks/test_backend_sweep.py``: fully and partly lowered
-    Figure 3 plans and a single element-wise stage, at mean run lengths 1,
-    2, 4 and 16): on isolated single-window runs run execution takes 0.6x
-    (Figure 3 plans) to 1.0x (one element-wise stage) of serial's time, at
-    runs of 16 0.1-0.25x.  The choice is static: a session keeps the backend
-    it opened with.
+    Always :class:`VectorizedBackend`, the engine default, which itself runs
+    plans with nothing to lower serially; kept for callers written against
+    the ``(backend, reason)`` shape.
     """
-    info = plan_vector_info(plan)
-    if plan.tracer is not None or not info.worthwhile:
-        return SerialBackend(), vectorized_fallback_reason(plan)
-    backend = VectorizedBackend()
-    starts = _window_starts(plan, targeted)
-    runs = backend.runs(plan, starts)
-    return backend, (
-        f"{info.lowered_operators} of {info.operator_nodes} operator node(s) "
-        f"lower to run kernels and coverage forms {len(runs)} run(s) over "
-        f"{len(starts)} window(s), at most {info.default_run_windows} per run; "
-        f"run execution measured no slower than serial at any run length"
-    )
+    return VectorizedBackend(), "run execution is the engine default"

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.compiler import CompiledPlan
 from repro.core.graph import SourceNode, source_nodes, topological_order
 from repro.core.intervals import IntervalSet
-from repro.core.runtime.result import ExecutionStats, StreamResult
+from repro.core.runtime.result import ExecutionStats
 from repro.errors import ExecutionError
 
 
@@ -185,26 +185,3 @@ def build_stats(
         targeted=targeted,
         per_node_windows={node.name: node.windows_computed for node in nodes},
     )
-
-
-def execute_plan(
-    plan: CompiledPlan,
-    targeted: bool = True,
-    collect: bool = True,
-    backend=None,
-) -> StreamResult:
-    """Execute a compiled plan and return its result stream.
-
-    With ``collect=False`` the output events are not materialised (the
-    windows are still fully computed); benchmarks that only measure engine
-    throughput use this to keep result accumulation out of the measurement.
-
-    ``backend`` selects the execution strategy; ``None`` uses the serial
-    backend (the engine's historical semantics).
-    """
-    if backend is not None:
-        return backend.execute(plan, targeted=targeted, collect=collect)
-    starts = _window_starts(plan, targeted)
-    times, values, durations, elapsed, windows_run = run_window_loop(plan, starts, collect)
-    stats = build_stats(plan, windows_run, int(times.size), elapsed, targeted)
-    return StreamResult(times, values, durations, stats=stats)

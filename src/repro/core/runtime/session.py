@@ -53,7 +53,6 @@ import numpy as np
 from repro.core.compiler.lineage import propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
-from repro.core.runtime.backends import SerialBackend
 from repro.core.runtime.executor import coverage_span, span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.sources import ReplaySource
@@ -126,8 +125,7 @@ class StreamingSession:
         checkpoint: dict | str | Path | None = None,
     ) -> None:
         self._compiled = compiled
-        use_backend = compiled.backend if backend is None else backend
-        self._backend = SerialBackend() if use_backend is None else use_backend
+        self._backend = compiled.backend if backend is None else backend
         self._backend_name = self._backend.name
         self._plan = compiled.plan
         # The mode that really drives the ticks (a vectorized backend on a
@@ -649,9 +647,10 @@ class StreamingSession:
                 f"unrecognised checkpoint format {checkpoint.get('format')!r}; "
                 f"expected {CHECKPOINT_FORMAT!r}"
             )
+        # The backend is recorded but not checked: carries do not depend on
+        # it, so a checkpoint resumes under either backend.
         for field, actual in (
             ("targeted", self._targeted),
-            ("backend", self._backend_name),
             ("window_size", self._plan.window_size),
             ("sink_dimension", self._plan.sink.dimension),
         ):

@@ -16,7 +16,8 @@ This module lowers window loops onto that observation:
   starts the serial executor would visit;
 * :class:`RunExecutor` allocates one contiguous run buffer (an FWindow of
   dimension ``cap * D``) per stream — not per window, and not per run
-  length: a shorter run uses a prefix view of it — and pulls
+  length: a shorter run uses a prefix view of it, a one-window run the
+  stream's planned FWindow — and pulls
   each run through the graph in a single walk, dispatching every lowerable
   operator's :meth:`~repro.core.operators.base.Operator.compute_run` as one
   NumPy array program over the whole run;
@@ -44,7 +45,7 @@ identically across run boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -211,19 +212,13 @@ def analyze_plan(sink: PlanNode) -> VectorPlanInfo:
     )
 
 
-def annotate_plan(sink: PlanNode) -> str:
-    """Compile-time entry point for the ``vectorize`` pass.
+def lowering_summary(sink: PlanNode) -> str:
+    """The ``vectorize`` pass's one-line summary of :func:`analyze_plan`.
 
-    Marks every operator node with a ``vectorizable`` attribute (for plan
-    introspection) and returns the one-line summary stored in the pass
-    metadata.  The runtime re-derives the same analysis from the operators
-    themselves, so plans that skip the pass (or clones from
-    ``CompiledPlan.instantiate``) lower identically.
+    The runtime takes the analysis itself from :func:`plan_vector_info`, so
+    plans compiled without the pass lower identically.
     """
     info = analyze_plan(sink)
-    for node in topological_order(sink):
-        if isinstance(node, OperatorNode):
-            node.vectorizable = info.runnable and info.lowered.get(id(node), False)
     if not info.runnable:
         return f"not run-lowerable ({info.reason})"
     return (
@@ -243,6 +238,19 @@ def plan_vector_info(plan) -> VectorPlanInfo:
     return info
 
 
+def share_vector_info(template, clone, clones: dict[int, PlanNode]) -> None:
+    """Give *clone* the analysis of the *template* it was instantiated from.
+
+    Which nodes lower depends only on the plan's shape, which
+    :meth:`~repro.core.compiler.CompiledPlan.instantiate` copies, so the
+    template is analysed once and each clone gets that analysis re-keyed
+    through *clones* (``id(template node) -> clone node``).
+    """
+    info = plan_vector_info(template)
+    lowered = {id(clones[key]): flag for key, flag in info.lowered.items()}
+    clone.__dict__["_vector_info"] = replace(info, lowered=lowered)
+
+
 # ---------------------------------------------------------------------------
 # The run executor
 # ---------------------------------------------------------------------------
@@ -253,12 +261,13 @@ class RunExecutor:
 
     One contiguous run buffer (an FWindow of dimension ``run_windows * D``)
     is allocated per node and reused by every run, a shorter run filling a
-    zero-copy prefix view of it; lowered operators compute the whole run in
-    one call, the rest fall back to the window-by-window default over
-    zero-copy subwindow views.  The executor reads and advances the plan
-    nodes' own ``state`` and ``windows_computed``, so one-shot runs, resumed
-    sessions and checkpoints all see exactly the serial executor's
-    bookkeeping.
+    zero-copy prefix view of it and a one-window run filling the node's own
+    planned FWindow (so single-window ticks allocate nothing).  Lowered
+    operators compute the whole run in one call, the rest fall back to the
+    window-by-window default over zero-copy subwindow views.  The executor
+    reads and advances the plan nodes' own ``state`` and
+    ``windows_computed``, so one-shot runs, resumed sessions and checkpoints
+    all see exactly the serial executor's bookkeeping.
     """
 
     def __init__(self, plan, info: VectorPlanInfo | None = None) -> None:
@@ -303,6 +312,9 @@ class RunExecutor:
         self._bound.clear()
 
     def _buffer(self, node: PlanNode, count: int) -> FWindow:
+        if count == 1:
+            # A one-window run is exactly the node's own planned FWindow.
+            return node.fwindow
         window = self._buffers.get(id(node))
         if window is None:
             window = self._buffers[id(node)] = FWindow(

@@ -9,18 +9,11 @@ BACKEND_NAMES = ("serial", "vectorized")
 
 
 def backend_from_name(name: str):
-    """Build the execution backend the CLI flag *name* selects.
-
-    ``"serial"`` returns ``None`` (the engine default) so callers can pass
-    the result straight to :class:`~repro.core.engine.LifeStreamEngine`.
-    The special name ``"auto"`` is resolved per-plan by the callers that
-    support it (via :func:`~repro.core.runtime.backends.recommend_backend`)
-    and is deliberately rejected here.
-    """
-    from repro.core.runtime.backends import VectorizedBackend
+    """Build the execution backend the CLI flag *name* selects."""
+    from repro.core.runtime.backends import SerialBackend, VectorizedBackend
 
     if name == "serial":
-        return None
+        return SerialBackend()
     if name == "vectorized":
         return VectorizedBackend()
     raise ValueError(

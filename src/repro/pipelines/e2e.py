@@ -78,18 +78,16 @@ def run_lifestream_e2e(
 ) -> PipelineRun:
     """Run the Figure 3 pipeline on LifeStream.
 
-    ``backend`` selects the execution backend (serial when None) and
-    ``optimization_level`` the compiler pipeline's rewriting passes — the
-    knobs the backend-comparison and multi-core benchmarks sweep.  A string
-    backend is resolved by name (the CLI path); ``"auto"`` defers the choice
-    to :func:`~repro.core.runtime.backends.recommend_backend` once the
-    compiled plan's window geometry is known.
+    ``backend`` selects the execution backend (the engine default when
+    None; a string is resolved by CLI name) and ``optimization_level`` the
+    compiler pipeline's rewriting passes — the knobs the backend-comparison
+    and multi-core benchmarks sweep.  ``extra["backend"]`` is the mode that
+    actually ran (``result.stats.execution_mode``).
     """
     from repro.core.sources import ArraySource
     from repro.pipelines.common import backend_from_name
 
-    auto_backend = backend == "auto"
-    if isinstance(backend, str) and not auto_backend:
+    if isinstance(backend, str):
         backend = backend_from_name(backend)
     ecg_source = ArraySource(ecg[0], ecg[1], period=period_from_hz(ECG_HZ))
     abp_source = ArraySource(abp[0], abp[1], period=period_from_hz(ABP_HZ))
@@ -97,41 +95,21 @@ def run_lifestream_e2e(
         window_size=window_size,
         targeted=targeted,
         tracer=tracer,
-        backend=None if auto_backend else backend,
+        backend=backend,
         optimization_level=optimization_level,
     )
     query = lifestream_e2e_query(fill_gap=fill_gap, normalize_window=normalize_window)
 
     began = time.perf_counter()
-    compiled = engine.compile(query, sources={"ecg": ecg_source, "abp": abp_source})
-    backend_reason = None
-    if auto_backend:
-        from repro.core.runtime.backends import recommend_backend
-
-        backend, backend_reason = recommend_backend(compiled.plan, targeted=targeted)
-        result = compiled.run(backend=backend)
-    else:
-        result = compiled.run()
+    result = engine.compile(query, sources={"ecg": ecg_source, "abp": abp_source}).run()
     elapsed = time.perf_counter() - began
-    backend_label = getattr(backend, "name", "serial")
-    if backend_label == "vectorized":
-        # Label the path that actually executed (including partial
-        # fallback) so backend sweeps report honest numbers; the stats carry
-        # the blocking property in fallback_reason.
-        backend_label = result.stats.execution_mode
-        if backend_label == "serial":
-            backend_label = "serial (vectorized fallback)"
-    if auto_backend:
-        backend_label = f"{backend_label} (auto)"
     extra = {
         "windows_computed": result.stats.windows_computed,
         "windows_skipped": result.stats.windows_skipped,
         "preallocated_bytes": result.stats.preallocated_bytes,
         "targeted": targeted,
-        "backend": backend_label,
+        "backend": result.stats.execution_mode,
     }
-    if backend_reason is not None:
-        extra["backend_reason"] = backend_reason
     if result.stats.fallback_reason is not None:
         extra["fallback_reason"] = result.stats.fallback_reason
     return PipelineRun(
@@ -266,10 +244,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--engine", choices=E2E_ENGINES, default="lifestream")
     parser.add_argument(
         "--backend",
-        choices=BACKEND_NAMES + ("auto",),
-        default="serial",
-        help="LifeStream execution backend (auto picks per-plan; "
-        "ignored by the baseline engines)",
+        choices=BACKEND_NAMES,
+        default="vectorized",
+        help="LifeStream execution backend (ignored by the baseline engines)",
     )
     parser.add_argument("--duration", type=float, default=60.0, metavar="SECONDS")
     parser.add_argument("--seed", type=int, default=0)
@@ -325,8 +302,6 @@ def main(argv: list[str] | None = None) -> None:
         f"ingested={run.events_ingested}  emitted={run.events_emitted}  "
         f"throughput={run.throughput_events_per_second / 1e6:.2f} M events/s"
     )
-    if "backend_reason" in run.extra:
-        print(f"backend chosen because: {run.extra['backend_reason']}")
     if "fallback_reason" in run.extra:
         print(f"fell back because: {run.extra['fallback_reason']}")
 

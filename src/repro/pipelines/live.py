@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - demo scri
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
-        default="serial",
+        default="vectorized",
         help="execution backend driving the streaming session",
     )
     parser.add_argument("--duration", type=float, default=30.0, metavar="SECONDS")

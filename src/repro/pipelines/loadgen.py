@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - demo scri
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
-        default="serial",
+        default="vectorized",
         help="execution backend for pool-mode sessions",
     )
     parser.add_argument(

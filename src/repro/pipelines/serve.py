@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - demo scri
     parser.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
-        default="serial",
+        default="vectorized",
         help="execution backend every cohort session runs on",
     )
     parser.add_argument("--patients", type=int, default=12)

@@ -17,10 +17,9 @@ for its tick inside the batch.  Sessions with no history yet are assumed
 optimistically cheap (:data:`COLD_START_EXPECTED_SECONDS`).
 
 A session keeps the plan and backend it opened with for its whole life:
-there is no runtime re-planning.  Run execution is chosen statically
-(``backend=VectorizedBackend()`` or
-:func:`~repro.core.runtime.backends.recommend_backend`), which measured
-faster than re-planning from tick measurements (see DESIGN.md).
+there is no runtime re-planning.  Sessions run on the engine's backend —
+run execution unless ``backend=`` says otherwise — which measured faster
+than re-planning from tick measurements (see DESIGN.md).
 """
 
 from __future__ import annotations

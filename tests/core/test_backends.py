@@ -9,16 +9,11 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.bench.harness import compare_backends
 from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import (
-    SerialBackend,
-    VectorizedBackend,
-    plan_batch_safe,
-    recommend_backend,
-)
+from repro.core.runtime import SerialBackend, VectorizedBackend, plan_batch_safe
+from repro.core.runtime.vectorized import RunExecutor
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -82,8 +77,7 @@ BACKENDS = {
     "vectorized": lambda: VectorizedBackend(),
     # Tiny run cap: every run is split, exercising run-boundary state carry.
     "vectorized-small-runs": lambda: VectorizedBackend(max_run_windows=3),
-    # Every run a single window: the geometry of isolated-window coverage,
-    # which recommend_backend now also sends to run execution.
+    # Every run a single window: the geometry of isolated-window coverage.
     "vectorized-single-window-runs": lambda: VectorizedBackend(max_run_windows=1),
 }
 
@@ -114,9 +108,9 @@ class TestBackendParity:
     @pytest.mark.parametrize("targeted", [True, False])
     def test_backends_bit_identical(self, backend_name, query_name, targeted):
         source = _gappy_source()
-        reference = LifeStreamEngine(window_size=1000, optimization_level=0).run(
-            CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted
-        )
+        reference = LifeStreamEngine(
+            window_size=1000, optimization_level=0, backend=SerialBackend()
+        ).run(CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted)
         engine = LifeStreamEngine(window_size=1000, backend=BACKENDS[backend_name]())
         candidate = engine.run(CHAIN_QUERIES[query_name](), {"s": source}, targeted=targeted)
         _assert_identical(
@@ -125,7 +119,7 @@ class TestBackendParity:
 
     def test_backend_override_per_run(self):
         source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000)
+        engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
         compiled = engine.compile(CHAIN_QUERIES["elementwise"](), {"s": source})
         serial = compiled.run()
         vectorized = compiled.run(backend=VectorizedBackend())
@@ -238,7 +232,7 @@ class TestTwoBackends:
         result = session.result()
         session.close()
         assert result.stats.execution_mode == "serial"
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             CHAIN_QUERIES["shift-chain"](), {"s": source}
         )
         _assert_identical(reference, result, "default session tick")
@@ -253,11 +247,11 @@ class TestExecutionModeHonesty:
         result = engine.run(CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()})
         assert result.stats.execution_mode == "serial"
 
-    def test_default_backend_reports_serial(self):
+    def test_default_backend_reports_vectorized(self):
         result = LifeStreamEngine(window_size=1000).run(
             CHAIN_QUERIES["elementwise"](), {"s": _gappy_source()}
         )
-        assert result.stats.execution_mode == "serial"
+        assert result.stats.execution_mode == "vectorized"
 
     def test_vectorized_reports_vectorized_when_fully_lowered(self):
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
@@ -276,7 +270,9 @@ class TestExecutionModeHonesty:
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
         result = engine.run(query, {"s": _gappy_source()})
         assert result.stats.execution_mode == "vectorized+serial-fallback"
-        reference = LifeStreamEngine(window_size=1000).run(query, {"s": _gappy_source()})
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query, {"s": _gappy_source()}
+        )
         _assert_identical(reference, result, "partial fallback parity")
 
     def test_vectorized_worthless_plan_reports_serial(self):
@@ -319,13 +315,13 @@ class TestExecutionModeHonesty:
         session.close()
 
 
-class TestRecommendBackendOnSparseCoverage:
-    def test_isolated_windows_still_get_the_faster_backend(self):
-        """One second of data every eight: every run is a single window,
-        where a guessed `windows >= 4 x runs` rule used to send the plan to
-        a backend 2.3x slower than serial.  The rule now comes from the
-        recorded sweep (benchmarks/test_backend_sweep.py), which measures
-        run execution at ~0.6x serial's time on this geometry."""
+class TestDefaultBackendOnSparseCoverage:
+    def test_isolated_windows_run_as_single_window_runs(self, monkeypatch):
+        """One second of data every eight: every run is a single window, the
+        geometry where run execution gains least (the recorded sweep in
+        benchmarks/test_backend_sweep.py still has it ahead of serial).  The
+        default backend runs it as 60 one-window runs, bit-identical to
+        serial."""
         ecg, abp = duty_cycle_e2e_dataset(1, 7, duration_seconds=480.0, seed=1)
         sources = {
             "ecg": ArraySource(ecg[0], ecg[1], period=period_from_hz(ECG_HZ)),
@@ -334,22 +330,17 @@ class TestRecommendBackendOnSparseCoverage:
         compiled = LifeStreamEngine(window_size=TICKS_PER_SECOND).compile(
             lifestream_e2e_query(resample_mode="hold"), sources
         )
-        recommended, reason = recommend_backend(compiled.plan, targeted=True)
-        assert recommended.name == "vectorized"
-        assert "60 run(s) over 60 window(s)" in reason
+        runs = []
+        execute_run = RunExecutor.execute_run
 
-        backends = {"serial": SerialBackend(), "recommended": recommended}
-        for backend in backends.values():
-            compiled.run(backend=backend)
-        comparison = compare_backends(
-            "fig3 hold, 1 s data / 7 s gap",
-            lambda backend: compiled.run(backend=backend),
-            backends,
-            repeat=7,
-        )
+        def counting(self, start, count, *args):
+            runs.append(count)
+            return execute_run(self, start, count, *args)
+
+        monkeypatch.setattr(RunExecutor, "execute_run", counting)
+        result = compiled.run()
+        assert runs == [1] * 60
+        assert result.stats.execution_mode == "vectorized"
         _assert_identical(
-            compiled.run(backend=backends["serial"]),
-            compiled.run(backend=recommended),
-            "recommended backend parity",
+            compiled.run(backend=SerialBackend()), result, "default backend parity"
         )
-        assert comparison.speedup("recommended", "serial") >= 1 / 1.25

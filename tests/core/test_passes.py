@@ -23,6 +23,7 @@ from repro.core.compiler import (
 from repro.core.graph import operator_nodes
 from repro.core.operators import AlterDuration, FusedElementwise, Select, Shift
 from repro.core.query import Query, normalize_spec
+from repro.core.runtime import SerialBackend
 from repro.errors import CompilationError
 
 from tests.conftest import make_source
@@ -142,10 +143,8 @@ class TestNormalize:
         query = Query.source("s", frequency_hz=500).shift(100).shift(-60).select(lambda v: v + 1)
         engine_raw = compile_plan(query, {"s": ramp_500hz}, optimization_level=0)
         engine_norm = compile_plan(query, {"s": ramp_500hz}, optimization_level=1)
-        from repro.core.runtime.executor import execute_plan
-
-        raw = execute_plan(engine_raw)
-        norm = execute_plan(engine_norm)
+        raw = SerialBackend().execute(engine_raw)
+        norm = SerialBackend().execute(engine_norm)
         np.testing.assert_array_equal(raw.times, norm.times)
         np.testing.assert_array_equal(raw.values, norm.values)
 

@@ -70,7 +70,7 @@ SESSION_QUERIES = {
 }
 
 SESSION_BACKENDS = {
-    "serial": lambda: None,
+    "serial": lambda: SerialBackend(),
     # Tiny run cap: multi-window ticks split into several runs, so every
     # carry type crosses run boundaries inside a tick.
     "vectorized-3": lambda: VectorizedBackend(max_run_windows=3),
@@ -119,7 +119,7 @@ class TestSessionParity:
     @pytest.mark.parametrize("backend_name", sorted(SESSION_BACKENDS))
     @pytest.mark.parametrize("targeted", [True, False])
     def test_incremental_matches_one_shot(self, query_name, backend_name, targeted):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES[query_name](), {"s": _source()}, targeted=targeted
         )
         result, _ = _run_session(
@@ -150,7 +150,7 @@ class TestSessionParity:
         session.close()
 
     def test_tick_instrumentation(self):
-        result, session = _run_session(SESSION_QUERIES["sliding"], True, None)
+        result, session = _run_session(SESSION_QUERIES["sliding"], True, SerialBackend())
         ticks = session.ticks
         assert len(ticks) == len(WATERMARKS) + 1  # one per advance + finish
         assert [t.index for t in ticks] == list(range(1, len(ticks) + 1))
@@ -191,7 +191,7 @@ class TestSessionParity:
         session = engine.open_session(SESSION_QUERIES["elementwise"](), {"s": _source()})
         session.poll()
         session.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["elementwise"](), {"s": _source()}
         )
         _assert_identical(reference, session.result())
@@ -262,7 +262,7 @@ class TestLongLivedSessions:
     @pytest.mark.parametrize("query_name", sorted(LONG_QUERIES))
     def test_long_gappy_stream_matches_one_shot(self, query_name, backend_name, targeted):
         query = LONG_QUERIES[query_name]
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             query(), {"s": _long_source()}, targeted=targeted
         )
         watermarks = [997 * tick for tick in range(1, LONG_TICKS + 1)]
@@ -322,7 +322,7 @@ class TestTwoSourceSessions:
         return {"left": left, "right": right}
 
     def test_uneven_watermarks_match_one_shot(self):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             self._two_source_query(), self._sources(replay=False)
         )
         engine = LifeStreamEngine(window_size=1000)
@@ -349,7 +349,7 @@ class TestSessionCheckpoint:
     @pytest.mark.parametrize("query_name", sorted(SESSION_QUERIES))
     def test_checkpoint_restore_round_trip(self, query_name, tmp_path):
         """Kill/checkpoint/restore mid-stream reproduces the one-shot output."""
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES[query_name](), {"s": _source()}
         )
         result, _ = _run_session(
@@ -362,7 +362,7 @@ class TestSessionCheckpoint:
         _assert_identical(reference, result, f"{query_name} checkpoint round trip")
 
     def test_checkpoint_restore_vectorized(self, tmp_path):
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         result, _ = _run_session(
@@ -388,7 +388,7 @@ class TestSessionCheckpoint:
             checkpoint=state,
         )
         restored.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["sliding"](), {"s": _source()}
         )
         _assert_identical(reference, restored.result())
@@ -511,7 +511,7 @@ class TestCheckpointDurability:
         session.close()
 
     def test_checkpoint_hook_state_restores_bit_identically(self):
-        reference, _ = _run_session(SESSION_QUERIES["sliding"], True, None)
+        reference, _ = _run_session(SESSION_QUERIES["sliding"], True, SerialBackend())
         engine = LifeStreamEngine(window_size=1000)
         session = self._open(engine, targeted=True)
         states = []
@@ -558,7 +558,7 @@ class TestSessionLifecycle:
     def test_failed_second_open_does_not_corrupt_live_session(self):
         # Regression: the rejected open used to reset the shared plan's
         # operator carries before the exclusivity check fired.
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["shift-chain"](), {"s": _source()}
         )
         engine = LifeStreamEngine(window_size=1000)
@@ -603,7 +603,7 @@ class TestSessionLifecycle:
         assert repeat.windows_run == 0
         assert repeat.events_emitted == 0
         session.finish()
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             SESSION_QUERIES["elementwise"](), {"s": _source()}
         )
         _assert_identical(reference, session.result(), "after rejected regression")

@@ -3,17 +3,17 @@
 A session checkpointed mid-stream and restored onto a freshly compiled plan
 must go on to emit exactly the events a never-interrupted session emits —
 bit-identical times, values and durations — on every query kind, every
-execution backend and both coverage modes, at every tick boundary.  A
-restore whose configuration cannot resume the stream (another backend,
-another coverage mode, another plan shape) is refused before any state is
-adopted.
+execution backend and both coverage modes, at every tick boundary.  Carries
+do not depend on the backend, so a checkpoint resumes under either one; a
+restore whose configuration cannot resume the stream (another coverage
+mode, another plan shape) is refused before any state is adopted.
 """
 
 import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
 from tests.core.test_session import (
@@ -25,10 +25,9 @@ from tests.core.test_session import (
 )
 
 #: Backend factories (fresh objects per session: backends cache run
-#: executors on plans).  The vectorized entries differ only in run cap, so
-#: their checkpoints are interchangeable.
+#: executors on plans).  Checkpoints are interchangeable between all of them.
 BACKENDS = {
-    "serial": lambda: None,
+    "serial": lambda: SerialBackend(),
     "vectorized": lambda: VectorizedBackend(),
     **SESSION_BACKENDS,
 }
@@ -94,7 +93,7 @@ class TestRestoreParityMatrix:
         """The harshest schedule: crash and restore after *every* tick, so
         each restored session is itself checkpointed and restored again."""
         query = SESSION_QUERIES[query_name]
-        reference = LifeStreamEngine(window_size=1000).run(
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             query(), {"s": _source()}, targeted=targeted
         )
         factory = SESSION_BACKENDS[backend_name]
@@ -130,12 +129,15 @@ class TestRestoreParityMatrix:
             ("vectorized", "vectorized-3"),
             ("vectorized-3", "vectorized-1"),
             ("vectorized-1", "vectorized"),
+            ("serial", "vectorized"),
+            ("vectorized", "serial"),
         ],
     )
     def test_restore_across_run_caps_is_bit_identical(self, old_name, new_name):
-        """The run cap only groups windows into runs; a checkpoint taken
-        under one cap resumes under another with the same output."""
-        reference = _uninterrupted(_stateful_query, BACKENDS[old_name]())
+        """The run cap only groups windows into runs, and the backend only
+        drives the window loop; a checkpoint taken under one resumes under
+        another with the same output."""
+        reference = _uninterrupted(_stateful_query, SerialBackend())
         result = _restored_at(
             _stateful_query, 3, BACKENDS[old_name](), BACKENDS[new_name]()
         )
@@ -146,12 +148,10 @@ class TestRestoreRefusals:
     @pytest.mark.parametrize(
         "old, new, field",
         [
-            (("serial", True), ("vectorized", True), "backend"),
-            (("vectorized", True), ("serial", True), "backend"),
             (("serial", True), ("serial", False), "targeted"),
             (("serial", False), ("serial", True), "targeted"),
         ],
-        ids=["serial->vectorized", "vectorized->serial", "targeted->eager", "eager->targeted"],
+        ids=["targeted->eager", "eager->targeted"],
     )
     def test_configuration_change_is_refused(self, old, new, field):
         (old_name, old_targeted), (new_name, new_targeted) = old, new
@@ -182,7 +182,7 @@ class TestRestoreRefusals:
             _open(_stateful_query, checkpoint=state, optimization_level=0)
 
     def test_finished_checkpoint_restores_the_final_result(self):
-        reference = _uninterrupted(_stateful_query)
+        reference = _uninterrupted(_stateful_query, SerialBackend())
         session = _open(_stateful_query)
         for watermark in WATERMARKS:
             session.advance(watermark)

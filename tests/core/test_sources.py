@@ -460,6 +460,7 @@ class TestPushSource:
         # emits bit-identically to a one-shot run over the same data.
         from repro.core.engine import LifeStreamEngine
         from repro.core.query import Query
+        from repro.core.runtime import SerialBackend
 
         def query():
             return (
@@ -472,8 +473,10 @@ class TestPushSource:
         n = 4000
         times = np.arange(n, dtype=np.int64) * 2
         values = np.sin(np.arange(n) * 0.01) * 10
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query(), {"s": ArraySource(times, values, period=2)}
+        )
         engine = LifeStreamEngine(window_size=1000)
-        reference = engine.run(query(), {"s": ArraySource(times, values, period=2)})
 
         push = PushSource(period=2)
         session = engine.open_session(query(), {"s": push})

@@ -9,8 +9,6 @@ streaming-session parity guarantee
 run over the same data).
 """
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from repro.core.fwindow import FWindow
 from repro.core.graph import topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
-from repro.core.runtime import SerialBackend, VectorizedBackend, recommend_backend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.runtime.vectorized import (
     RUN_SLOT_BUDGET,
     RunExecutor,
@@ -268,10 +266,8 @@ class TestRunBufferFootprint:
             len(nodes) * max(SEGMENT_MINUTES) * per_window
         )
 
-    def test_recommend_backend_reports_the_runs_it_executes(self, monkeypatch):
+    def test_default_backend_chunks_runs_at_the_cap(self, monkeypatch):
         compiled = _minute_plan()
-        backend, reason = recommend_backend(compiled.plan, targeted=True)
-        assert backend.name == "vectorized"
         executed = []
         original = RunExecutor.execute_run
 
@@ -280,9 +276,7 @@ class TestRunBufferFootprint:
             return original(self, start, count, *args)
 
         monkeypatch.setattr(RunExecutor, "execute_run", counting)
-        compiled.run(backend=backend)
-        reported = int(re.search(r"(\d+) run\(s\)", reason).group(1))
-        assert reported == len(executed)
+        compiled.run()
         assert max(executed) == plan_vector_info(compiled.plan).default_run_windows
         assert len(executed) > len(SEGMENT_MINUTES)  # long segments were chunked
 
@@ -321,7 +315,9 @@ class TestSessionParity:
 
     def test_small_run_cap_sessions_stay_bit_identical(self):
         query = Query.source("s", frequency_hz=500).sliding_window(200, 100).max()
-        reference = LifeStreamEngine(window_size=1000).run(query, {"s": _gappy_source()})
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query, {"s": _gappy_source()}
+        )
         engine = LifeStreamEngine(
             window_size=1000, backend=VectorizedBackend(max_run_windows=2)
         )

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend
 from repro.core.sources import ArraySource
 from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
 from repro.ingest.pool import fork_available
@@ -48,14 +49,10 @@ def _signal(n=6000, seed=3):
     return times[keep], values[keep]
 
 
-def _backend(name):
-    return None if name == "serial" else backend_from_name(name)
-
-
-def _reference_results(streams, backend_name):
+def _reference_results(streams):
     results = {}
     for client_id, (times, values) in streams.items():
-        engine = LifeStreamEngine(window_size=1000, backend=_backend(backend_name))
+        engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
         results[client_id] = engine.run(
             _query(), sources={"s": ArraySource(times, values, period=PERIOD)}
         )
@@ -83,7 +80,7 @@ def _run_with_failure(streams, backend_name, kill_after_round, detect="heartbeat
         n_workers=2,
         checkpoint_every_ticks=2,
         window_size=1000,
-        backend=_backend(backend_name),
+        backend=backend_from_name(backend_name),
     )
     try:
         for client_id in streams:
@@ -127,7 +124,7 @@ class TestKilledWorkerFailover:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_bit_identical_recovery_after_heartbeat_detection(self, backend_name):
         streams = _streams()
-        reference = _reference_results(streams, backend_name)
+        reference = _reference_results(streams)
         results = _run_with_failure(streams, backend_name, kill_after_round=3)
         assert sorted(results) == sorted(streams)
         for client_id in streams:
@@ -140,7 +137,7 @@ class TestKilledWorkerFailover:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_mid_tick_death_is_recovered_inline(self, backend_name):
         streams = _streams()
-        reference = _reference_results(streams, backend_name)
+        reference = _reference_results(streams)
         results = _run_with_failure(
             streams, backend_name, kill_after_round=1, detect="tick"
         )
@@ -153,7 +150,7 @@ class TestKilledWorkerFailover:
 
     def test_death_before_any_checkpoint_replays_from_scratch(self):
         streams = _streams()
-        reference = _reference_results(streams, "serial")
+        reference = _reference_results(streams)
         # Killing during round 0 means no cadence checkpoint exists yet:
         # recovery must rebuild the sessions purely from the replay log.
         results = _run_with_failure(streams, "serial", kill_after_round=0)
@@ -171,7 +168,7 @@ class TestKilledWorkerFailover:
         # report and its cadence checkpoints) must still be harvested, and
         # only then is the victim recovered.
         streams = _streams()
-        reference = _reference_results(streams, "serial")
+        reference = _reference_results(streams)
         pool = IngestWorkerPool(
             CATALOG, n_workers=2, checkpoint_every_ticks=1, window_size=1000
         )
@@ -239,7 +236,7 @@ class TestKilledWorkerFailover:
             results = pool.results()
         finally:
             pool.close()
-        reference = _reference_results(streams, "serial")
+        reference = _reference_results(streams)
         _assert_identical(reference["solo"], results["solo"], "sole client")
 
 
@@ -252,7 +249,7 @@ class TestLocalWorkerFailover:
 
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
         streams = {"p0": _signal(seed=1), "p1": _signal(seed=2)}
-        reference = _reference_results(streams, "serial")
+        reference = _reference_results(streams)
         pool = IngestWorkerPool(
             CATALOG, n_workers=2, checkpoint_every_ticks=2, window_size=1000
         )

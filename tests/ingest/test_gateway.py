@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError, StreamDefinitionError
 from repro.ingest import (
@@ -46,7 +47,7 @@ def _signal(n=6000, seed=3):
 
 
 def _one_shot_reference(times, values):
-    engine = LifeStreamEngine(window_size=1000)
+    engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
     return engine.run(_query(), sources={"s": ArraySource(times, values, period=PERIOD)})
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError, StreamDefinitionError
 from repro.ingest import IngestWorkerPool, QueryShape, StreamSpec
@@ -46,7 +47,7 @@ def _signal(n=6000, seed=3):
 
 
 def _one_shot_reference(times, values):
-    engine = LifeStreamEngine(window_size=1000)
+    engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
     return engine.run(_query(), sources={"s": ArraySource(times, values, period=PERIOD)})
 
 
@@ -318,7 +319,11 @@ class TestScatterGather:
             assert report.windows_run == windows * len(client_ids)
             return elapsed
 
-        with IngestWorkerPool(catalog, n_workers=2, window_size=1000) as pool:
+        # Serial: the sleep is per window, and run execution would call the
+        # kernel once per run.
+        with IngestWorkerPool(
+            catalog, n_workers=2, window_size=1000, backend=SerialBackend()
+        ) as pool:
             assert pool.connect("a", "slow") != pool.connect("b", "slow")
             both = timed_tick(pool, ["a", "b"], slice(0, n))
             alone = timed_tick(pool, ["a"], slice(n, 2 * n))

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
-from repro.core.runtime import VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import CompilationError, ExecutionError, QueryConstructionError
 from repro.serve import (
@@ -65,7 +65,7 @@ def _join_query():
 WATERMARKS = (777, 2500, 4211, 7000, 9999, 12001)
 
 BACKENDS = {
-    "serial": lambda: None,
+    "serial": lambda: SerialBackend(),
     "vectorized-3": lambda: VectorizedBackend(max_run_windows=3),
 }
 

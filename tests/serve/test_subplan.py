@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import Query
-from repro.core.runtime import VectorizedBackend
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
 from repro.ops import combine
 from repro.serve import StreamingService
@@ -68,7 +68,7 @@ def _tenant_query(i):
 WATERMARKS = (1500, 3500, 6200)
 
 BACKENDS = {
-    "serial": lambda: None,
+    "serial": lambda: SerialBackend(),
     "vectorized": lambda: VectorizedBackend(),
 }
 
