@@ -10,15 +10,17 @@ newly-covered windows per tick while carrying operator state forward, so
 per-tick work is O(tick length).
 
 The benchmark replays the Figure 3 ECG+ABP workload tick-by-tick both
-ways, asserts the two final results are bit-identical to a one-shot batch
-run, and requires the session loop to beat per-tick re-running end-to-end.
+ways and asserts the shape by counts and identities: both final results
+are bit-identical to a one-shot batch run, the session's ticks together run
+exactly the one-shot run's output windows (each window once), and every
+sampled re-run from zero runs more windows than the one before it (its work
+grows with the stream's age).  Re-running from zero is quadratic in the
+stream length, so that side is sampled at every 30th watermark.
 
-It also checks that a session tick does not get slower as the stream ages:
-over 600 one-second ticks, the mean tick of the last tenth may be at most
-1.3x the mean tick of the first tenth (per-tick planning starts at the
-emission frontier, not at time zero).  Re-running from zero is quadratic in
-the stream length, so that side is sampled at every 30th watermark and the
-two are compared by mean tick.
+The timings are reported, not gated: the mean tick of both paths and the
+session's last-decile over first-decile mean tick over 600 one-second
+ticks.  ``tests/core/test_tick_age_independence.py`` pins that a tick's
+planning work does not grow with the stream's age.
 """
 
 import numpy as np
@@ -33,17 +35,13 @@ from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
 
 HEADERS = ["mode", "ticks", "total seconds", "mean tick ms", "max tick ms",
            "first-decile mean tick ms", "last-decile mean tick ms",
-           "speedup vs re-run"]
+           "windows run", "speedup vs re-run"]
 
 #: Replayed stream length and watermark step (one-second live ticks).
 DURATION_SECONDS = 600.0
 TICK = TICKS_PER_SECOND
 #: Re-running from zero costs O(stream age) per tick; time every Nth tick.
 RERUN_EVERY = 30
-#: The session's mean tick must beat recompile-and-re-run-from-zero.
-REQUIRED_SPEEDUP = 2.0
-#: Mean tick of the last tenth of the stream over that of the first tenth.
-MAX_AGE_RATIO = 1.3
 #: Session replays; each tick's latency is its fastest of these.
 ROUNDS = 3
 
@@ -84,13 +82,12 @@ def _run_session(ecg, abp, watermarks):
     session = engine.open_session(
         lifestream_e2e_query(resample_mode="hold"), _replay_sources(ecg, abp)
     )
-    for watermark in watermarks:
-        session.advance(watermark)
-    latencies = [t.elapsed_seconds for t in session.ticks]
-    session.finish()
+    ticks = [session.advance(watermark) for watermark in watermarks]
+    latencies = [t.elapsed_seconds for t in ticks]
+    ticks.append(session.finish())
     result = session.result()
     session.close()
-    return result, latencies
+    return result, latencies, sum(t.windows_run for t in ticks)
 
 
 def _run_rerun(ecg, abp, watermarks):
@@ -100,6 +97,7 @@ def _run_rerun(ecg, abp, watermarks):
     engine = LifeStreamEngine(window_size=TICKS_PER_SECOND)
     sources = _replay_sources(ecg, abp)
     latencies = []
+    windows = []
     result = None
     for watermark in watermarks:
         _advance(sources, watermark)
@@ -108,7 +106,8 @@ def _run_rerun(ecg, abp, watermarks):
         began = time.perf_counter()
         result = engine.run(lifestream_e2e_query(resample_mode="hold"), sources)
         latencies.append(time.perf_counter() - began)
-    return result, latencies
+        windows.append(result.stats.output_windows)
+    return result, latencies, windows
 
 
 def _assert_identical(reference, candidate, label):
@@ -128,16 +127,21 @@ def test_streaming_session_latency(benchmark, report_registry, workload):
     )
     reference = _batch_reference(ecg, abp)
 
-    rerun_result, rerun_latencies = _run_rerun(ecg, abp, watermarks)
+    rerun_result, rerun_latencies, rerun_windows = _run_rerun(ecg, abp, watermarks)
     _assert_identical(reference, rerun_result, "full re-run vs batch")
+    # Re-running from zero redoes the whole history: every sampled re-run
+    # runs more windows than the one before it.
+    assert all(a < b for a, b in zip(rerun_windows, rerun_windows[1:])), rerun_windows
 
     replays = []
     timed_benchmark(
         benchmark, lambda: replays.append(_run_session(ecg, abp, watermarks)), rounds=ROUNDS
     )
-    for session_result, _ in replays:
+    for session_result, _, windows_run in replays:
         _assert_identical(reference, session_result, "incremental session vs batch")
-    session_latencies = np.min([latencies for _, latencies in replays], axis=0)
+        # The ticks together run each of the one-shot run's windows once.
+        assert windows_run == reference.stats.output_windows
+    session_latencies = np.min([latencies for _, latencies, _ in replays], axis=0)
     assert session_latencies.size == len(watermarks) >= 600
 
     decile = session_latencies.size // 10
@@ -156,6 +160,7 @@ def test_streaming_session_latency(benchmark, report_registry, workload):
             round(1e3 * float(np.max(session_latencies)), 3),
             round(first_ms, 3),
             round(last_ms, 3),
+            replays[0][2],
             round(speedup, 2),
         ],
     )
@@ -169,20 +174,11 @@ def test_streaming_session_latency(benchmark, report_registry, workload):
             round(1e3 * np.max(rerun_latencies), 3),
             round(1e3 * rerun_latencies[0], 3),
             round(1e3 * rerun_latencies[-1], 3),
+            sum(rerun_windows),
             1.0,
         ],
     )
     report.note(
-        f"session last-decile / first-decile mean tick = {last_ms / first_ms:.2f} "
-        f"(must be <= {MAX_AGE_RATIO}); each tick is its fastest of {ROUNDS} replays"
-    )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"the incremental session's mean tick was only {speedup:.2f}x faster "
-        f"than re-running from zero (required {REQUIRED_SPEEDUP}x): "
-        f"{1e3 * session_mean:.3f} ms vs {1e3 * rerun_mean:.3f} ms"
-    )
-    assert last_ms <= MAX_AGE_RATIO * first_ms, (
-        f"session ticks slow down with stream age: last-decile mean "
-        f"{last_ms:.3f} ms vs first-decile {first_ms:.3f} ms "
-        f"(ratio {last_ms / first_ms:.2f}, allowed {MAX_AGE_RATIO})"
+        f"session last-decile / first-decile mean tick = {last_ms / first_ms:.2f}; "
+        f"each tick is its fastest of {ROUNDS} replays"
     )

@@ -71,8 +71,9 @@ class TickStats:
 
     ``plan_seconds`` covers the per-tick compile-side work (coverage
     refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop.  The serving layer orders its tick batches
-    shortest-job-first from them.
+    the backend window loop.  The session keeps none of these records:
+    each tick returns its own, and the session counts ticks
+    (:attr:`StreamingSession.tick_count`).
     """
 
     #: 1-based tick index within the session.
@@ -149,7 +150,7 @@ class StreamingSession:
         # span (a full-history fact: where the stream began, how far its
         # coverage reaches) is accumulated here instead of re-read from it.
         self._span = coverage_span(self._source_nodes, self._plan.sink)
-        self._ticks: list[TickStats] = []
+        self._tick_count = 0
         self._finished = False
         self._closed = False
         self._checkpoint_hook = None
@@ -176,18 +177,9 @@ class StreamingSession:
     # -- introspection -----------------------------------------------------
 
     @property
-    def ticks(self) -> list[TickStats]:
-        """Per-tick instrumentation records, oldest first."""
-        return list(self._ticks)
-
-    def recent_ticks(self, count: int) -> list[TickStats]:
-        """The newest *count* tick records, oldest first.
-
-        Unlike :attr:`ticks` this does not copy the whole history, so
-        schedulers polling a long-lived session's recent ticks every
-        batch pay O(count), not O(session age).
-        """
-        return self._ticks[-count:] if count > 0 else []
+    def tick_count(self) -> int:
+        """Ticks run so far (``advance``/``poll``/``finish``, no-ops included)."""
+        return self._tick_count
 
     @property
     def backend_name(self) -> str:
@@ -331,8 +323,9 @@ class StreamingSession:
             self._last_start = ready[-1]
         self._windows_run += len(ready)
         self._events_emitted += events
+        self._tick_count += 1
         stats = TickStats(
-            index=len(self._ticks) + 1,
+            index=self._tick_count,
             watermark=self.watermark,
             windows_run=len(ready),
             events_emitted=events,
@@ -344,7 +337,6 @@ class StreamingSession:
             cumulative_events=self._events_emitted,
             execution_mode=self._execution_mode,
         )
-        self._ticks.append(stats)
         self._elapsed_seconds += stats.elapsed_seconds
         self._maybe_auto_checkpoint()
         return stats
@@ -380,8 +372,9 @@ class StreamingSession:
         self._checkpoint_hook(self.checkpoint())
 
     def _empty_tick(self) -> TickStats:
-        stats = TickStats(
-            index=len(self._ticks) + 1,
+        self._tick_count += 1
+        return TickStats(
+            index=self._tick_count,
             watermark=self.watermark,
             windows_run=0,
             events_emitted=0,
@@ -393,8 +386,6 @@ class StreamingSession:
             cumulative_events=self._events_emitted,
             execution_mode=self._execution_mode,
         )
-        self._ticks.append(stats)
-        return stats
 
     def _input_syncs(self, start: int, reach: bool = False):
         """Yield ``(source node, sync time)`` for every path from the sink
@@ -697,5 +688,5 @@ class StreamingSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<StreamingSession {self._backend_name} frontier={self._last_start} "
-            f"ticks={len(self._ticks)} windows={self._windows_run}>"
+            f"ticks={self._tick_count} windows={self._windows_run}>"
         )

@@ -125,7 +125,7 @@ class IngestGateway:
 
     Built on a :class:`~repro.serve.service.StreamingService` (supplied or
     constructed from the ``service_kwargs``), so connected clients share
-    its plan cache and its shortest-job-first tick scheduling.
+    its plan cache and its batched ticks.
     """
 
     def __init__(
@@ -365,7 +365,7 @@ class IngestGateway:
                 self._apply_pending(client)
             report = self.service.poll([c.client_id for c in dirty])
             self.stats.passes += 1
-            self.stats.ticks += len(report.order)
+            self.stats.ticks += len(report.ticks)
             for tick in report.ticks.values():
                 self.stats.tick_seconds.append(tick.elapsed_seconds)
             for client in dirty:

@@ -176,9 +176,7 @@ class _PoolWorkerRuntime:
     def finish(self, client_ids) -> ServicePumpReport:
         report = ServicePumpReport()
         for client_id in client_ids or list(self.service.client_ids):
-            stats = self.service.session(client_id).finish()
-            report.order.append(client_id)
-            report.ticks[client_id] = stats
+            report.ticks[client_id] = self.service.session(client_id).finish()
         return report
 
     @staticmethod

@@ -98,15 +98,16 @@ def replay_e2e_live(
         int(ecg[0][0]) if ecg[0].size else 0,
         int(abp[0][0]) if abp[0].size else 0,
     )
-    for watermark in range(start + tick, end + tick, tick):
-        session.advance(watermark)
-    session.finish()
+    ticks = [
+        session.advance(watermark) for watermark in range(start + tick, end + tick, tick)
+    ]
+    ticks.append(session.finish())
     live = session.result()
     report = LiveReplayReport(
-        ticks=session.ticks,
+        ticks=ticks,
         events_emitted=int(live.times.size),
         events_ingested=live.stats.events_ingested,
-        session_seconds=sum(t.elapsed_seconds for t in session.ticks),
+        session_seconds=sum(t.elapsed_seconds for t in ticks),
         backend=session.backend_name,
     )
     session.close()

@@ -6,8 +6,8 @@ paper's patient-level-scale story:
 * :mod:`repro.serve.cache` — structural plan signatures and the LRU
   :class:`PlanCache` (compile a query shape once, serve every client);
 * :mod:`repro.serve.service` — :class:`StreamingService`, which multiplexes
-  many :class:`~repro.core.runtime.session.StreamingSession`s and batches
-  their ticks ready-first, cheapest-first;
+  many :class:`~repro.core.runtime.session.StreamingSession`s and ticks
+  each batch in the order it is given;
 * :mod:`repro.serve.subplan` — cross-tenant sub-plan sharing: tenants whose
   queries share a prefix sub-DAG over the same source objects execute that
   prefix once per tick (``StreamingService(subplan_sharing=True)``).

@@ -8,13 +8,12 @@ the same query shape cost one compile (the template) plus N cheap
 instantiations, and a single :meth:`StreamingService.pump` call ticks every
 session for the new watermarks.
 
-``pump`` is measurement-guided: sessions whose watermark actually moved (ready
-work) run before idle re-announcements, and among the ready sessions the
-accumulated per-tick :class:`~repro.core.runtime.session.TickStats` order
-the batch cheapest-expected-tick first — shortest-job-first over the
-observed plan+execute timings, which minimises the mean time a client waits
-for its tick inside the batch.  Sessions with no history yet are assumed
-optimistically cheap (:data:`COLD_START_EXPECTED_SECONDS`).
+``pump``, ``poll`` and ``finish`` tick the shared prefixes first and then
+the batch in the order it is given: the mapping's order, open order for a
+single watermark, the given list for ``poll`` and open order for
+``finish``.  The order never changes what a session emits, and a
+shortest-job-first order showed no measurable gain on the serving
+workloads, so the service does not reorder (see DESIGN.md).
 
 A session keeps the plan and backend it opened with for its whole life:
 there is no runtime re-planning.  Sessions run on the engine's backend —
@@ -45,16 +44,6 @@ from repro.serve.subplan import (
     prefix_fingerprints,
     rewrite_tail,
 )
-
-#: How many recent ticks inform a session's expected-cost estimate.
-PROFILE_WINDOW = 8
-
-#: Expected cost assumed for a session with no tick history.  Deliberately
-#: optimistic (zero): a cold session's first tick is usually a near-empty
-#: catch-up, and scheduling it early gets its profile started — after one
-#: tick it is ranked by real measurements like everyone else.  Shortest-
-#: job-first over *estimates* only mis-schedules a cold outlier once.
-COLD_START_EXPECTED_SECONDS = 0.0
 
 
 def _require_int_watermark(client_id, watermark) -> None:
@@ -90,9 +79,7 @@ class ClientRecord:
 class ServicePumpReport:
     """Outcome of one :meth:`StreamingService.pump` over a batch of sessions."""
 
-    #: Client ids in the order their sessions were ticked.
-    order: list[str] = field(default_factory=list)
-    #: Per-client tick instrumentation.
+    #: Per-client tick instrumentation, in the order the sessions ticked.
     ticks: dict[str, TickStats] = field(default_factory=dict)
     #: Per-group prefix tick instrumentation (``subplan_sharing`` only) —
     #: exactly one entry per sharing group whose members were in the batch,
@@ -127,7 +114,6 @@ class ServicePumpReport:
 
     def merge(self, other: "ServicePumpReport") -> None:
         """Fold *other*'s per-client records into this report."""
-        self.order.extend(other.order)
         self.ticks.update(other.ticks)
         self.prefix_ticks.update(other.prefix_ticks)
 
@@ -276,7 +262,7 @@ class StreamingService:
                 "group_id": group.group_id,
                 "feed": group.feed_name,
                 "members": group.member_ids,
-                "prefix_ticks": len(group.prefix_session.ticks),
+                "prefix_ticks": group.prefix_session.tick_count,
                 "operator_count": group.operator_count,
             }
             for group in self._groups
@@ -288,10 +274,9 @@ class StreamingService:
         """Advance a batch of sessions and run their newly-ready windows.
 
         *watermarks* is either one watermark for every open client or a
-        ``{client_id: watermark}`` mapping for a subset.  Sessions with
-        genuinely new data (watermark ahead of the session's clock) tick
-        first, ordered cheapest-expected-tick first from their accumulated
-        :class:`TickStats`; idle re-announcements tick last (no-ops).
+        ``{client_id: watermark}`` mapping for a subset.  The sessions tick
+        in the mapping's order (open order for a single watermark); a
+        re-announced watermark is a no-op tick.
 
         The batch is validated up front — an unknown client id or a non-int
         watermark raises :class:`ValueError` naming the offending key,
@@ -321,12 +306,11 @@ class StreamingService:
         report = ServicePumpReport()
         self._maybe_form_groups()
         grouped = self._tick_groups(batch, report)
-        for client_id in self._schedule(batch):
+        for client_id, watermark in batch.items():
             # A grouped member's origin sources were already advanced by its
             # group (shared objects, forward-only), so its tail ticks by
             # poll; advancing would trip the feed's finality watermark.
-            watermark = None if client_id in grouped else batch[client_id]
-            self._tick_client(client_id, report, watermark=watermark)
+            self._tick_client(client_id, report, None if client_id in grouped else watermark)
         self._pumps += 1
         return report
 
@@ -343,9 +327,9 @@ class StreamingService:
         watermark would trip the regression guard on the faster stream.
 
         *client_ids* is an iterable of clients to tick (default: every open,
-        unfinished client).  Unknown ids raise :class:`ValueError`, like
-        :meth:`pump`; an empty batch is a cheap no-op.  The batch runs
-        cheapest-expected-tick first, like ``pump``.
+        unfinished client), ticked in the given order.  Unknown ids raise
+        :class:`ValueError`, like :meth:`pump`; an empty batch is a cheap
+        no-op.
         """
         if client_ids is None:
             batch = [
@@ -364,7 +348,7 @@ class StreamingService:
         report = ServicePumpReport()
         self._maybe_form_groups()
         self._tick_groups({client_id: None for client_id in batch}, report)
-        for client_id in sorted(batch, key=self._expected_cost):
+        for client_id in batch:
             self._tick_client(client_id, report, watermark=None)
         self._pumps += 1
         return report
@@ -378,43 +362,19 @@ class StreamingService:
             stats = record.session.poll()
         else:
             stats = record.session.advance(watermark)
-        report.order.append(client_id)
         report.ticks[client_id] = stats
 
-    def _schedule(self, batch: dict[str, int]) -> list[str]:
-        """Tick order for *batch*: ready sessions first, cheapest first."""
-        ready: list[str] = []
-        idle: list[str] = []
-        for client_id, watermark in batch.items():
-            current = self._record(client_id).session.watermark
-            if current is None or watermark > current:
-                ready.append(client_id)
-            else:
-                idle.append(client_id)
-        ready.sort(key=self._expected_cost)
-        idle.sort(key=self._expected_cost)
-        return ready + idle
-
-    def _expected_cost(self, client_id: str) -> float:
-        """Shortest-job-first key: mean elapsed seconds of the session's
-        recent ticks, or :data:`COLD_START_EXPECTED_SECONDS` when it has no
-        history yet (so cold sessions run first and get measured)."""
-        ticks = self._clients[client_id].session.recent_ticks(PROFILE_WINDOW)
-        if not ticks:
-            return COLD_START_EXPECTED_SECONDS
-        return sum(t.elapsed_seconds for t in ticks) / len(ticks)
-
     def finish(self) -> ServicePumpReport:
-        """Drain every open session's deferred tail (see ``Session.finish``)."""
+        """Drain every open session's deferred tail (see ``Session.finish``),
+        in open order."""
         report = ServicePumpReport()
         self._maybe_form_groups()
         for group in self._groups:
             # Prefixes drain before their members: the members' finish must
             # see the feeds' full final coverage.
             report.prefix_ticks[group.group_id] = group.finish_prefix()
-        for client_id in sorted(self._clients, key=self._expected_cost):
-            report.order.append(client_id)
-            report.ticks[client_id] = self._clients[client_id].session.finish()
+        for client_id, record in self._clients.items():
+            report.ticks[client_id] = record.session.finish()
         self._pumps += 1
         return report
 
@@ -463,7 +423,7 @@ class StreamingService:
                 client_id in self._grouped
                 or session.finished
                 or session.frontier is not None
-                or session.ticks
+                or session.tick_count
                 or record.query is None
             ):
                 continue

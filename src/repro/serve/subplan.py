@@ -337,23 +337,22 @@ class SharedPrefixGroup:
         """Run the prefix once over whatever the origin sources now expose."""
         exact_from = self.prefix_session.output_complete_through
         stats = self.prefix_session.poll()
-        self._fan_out(exact_from)
+        self._fan_out(stats, exact_from)
         return stats
 
     def finish_prefix(self) -> "TickStats":
         """Drain the prefix and fan out its full final coverage."""
         exact_from = self.prefix_session.output_complete_through
         stats = self.prefix_session.finish()
-        self._fan_out(exact_from)
+        self._fan_out(stats, exact_from)
         return stats
 
-    def _fan_out(self, exact_from: int | None) -> None:
-        """Publish the last tick's delta; *exact_from* is the prefix's
-        ``output_complete_through`` from before that tick, the point past
-        which the tick re-derived the sink coverage exactly."""
+    def _fan_out(self, stats: "TickStats", exact_from: int | None) -> None:
+        """Publish the delta of the prefix tick *stats*; *exact_from* is the
+        prefix's ``output_complete_through`` from before that tick, the point
+        past which the tick re-derived the sink coverage exactly."""
         session = self.prefix_session
-        recent = session.recent_ticks(1)
-        total = recent[0].cumulative_events if recent else 0
+        total = stats.cumulative_events
         delta = total - self.published_events
         times, values, durations = session.recent_events(delta)
         feeds = list(self.feeds.values())

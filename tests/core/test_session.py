@@ -7,12 +7,15 @@ bit-identical times, values and durations — including when a session is
 checkpointed mid-stream and restored onto a freshly compiled plan.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
+from repro.core.runtime.session import TickStats
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 
@@ -150,9 +153,16 @@ class TestSessionParity:
         session.close()
 
     def test_tick_instrumentation(self):
-        result, session = _run_session(SESSION_QUERIES["sliding"], True, SerialBackend())
-        ticks = session.ticks
-        assert len(ticks) == len(WATERMARKS) + 1  # one per advance + finish
+        engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
+        session = engine.open_session(
+            SESSION_QUERIES["sliding"](), {"s": ReplaySource(_source())}
+        )
+        ticks = [session.advance(watermark) for watermark in WATERMARKS]
+        ticks.append(session.finish())
+        result = session.result()
+        session.close()
+        # One per advance + finish.
+        assert session.tick_count == len(ticks) == len(WATERMARKS) + 1
         assert [t.index for t in ticks] == list(range(1, len(ticks) + 1))
         assert ticks[-1].cumulative_events == len(result)
         assert ticks[-1].cumulative_windows == result.stats.output_windows
@@ -160,6 +170,27 @@ class TestSessionParity:
         assert all(t.backend == "serial" for t in ticks)
         # The no-new-data repeat advance must run nothing.
         assert ticks[2].windows_run == 0
+
+    def test_session_retains_no_tick_records(self):
+        # A session counts its ticks and keeps none of their records, so a
+        # long-lived stream's footprint does not grow with its age.
+        engine = LifeStreamEngine(window_size=1000)
+        session = engine.open_session(
+            SESSION_QUERIES["sliding"](), {"s": ReplaySource(_source())}
+        )
+
+        def live_records():
+            gc.collect()
+            return sum(isinstance(obj, TickStats) for obj in gc.get_objects())
+
+        for tick in range(1, 41):
+            session.advance(25 * tick)
+        after_40 = live_records()
+        for tick in range(41, 401):
+            session.advance(25 * tick)
+        assert session.tick_count == 400
+        assert live_records() == after_40
+        session.close()
 
     def test_cumulative_events_matches_result_after_every_tick(self):
         # The counter is kept incrementally (not re-summed from the emitted
@@ -276,7 +307,7 @@ class TestLongLivedSessions:
         session.finish()
         plain = session.result()
         session.close()
-        assert len(session.ticks) > 500
+        assert session.tick_count > 500
         _assert_identical(reference, plain, f"{query_name} on {backend_name}")
         assert _comparable(plain.stats) == _comparable(reference.stats)
 

@@ -199,7 +199,7 @@ class TestKilledWorkerFailover:
                 # (The victim's own reply is there too in the rare run where
                 # it answered before the signal landed; its death is then
                 # found by the next tick instead.)
-                assert set(survivors) <= set(report.order)
+                assert set(survivors) <= set(report.ticks)
                 for client_id in survivors:
                     client = pool._clients[client_id]
                     assert client.checkpoint_watermark == client.pushed_through["s"], (

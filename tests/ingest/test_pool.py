@@ -241,10 +241,10 @@ class TestScatterGather:
                 for client_id in healthy:
                     pool.push(client_id, "s", times[800:], values[800:])
                 report = pool.tick()
-                assert sorted(report.order) == healthy
+                assert sorted(report.ticks) == healthy
                 assert len(pool.cache_stats()) == 2
                 drained = pool.finish()
-                assert sorted(drained.order) == ["bad"] + healthy
+                assert sorted(drained.ticks) == ["bad"] + healthy
                 results = pool.results()
         finally:
             _FUSE["armed"] = False

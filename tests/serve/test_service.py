@@ -25,7 +25,6 @@ from repro.serve import (
     plan_signature,
     signature_digest,
 )
-from repro.serve.service import COLD_START_EXPECTED_SECONDS
 
 
 def _signal(n=6000, period=2, seed=3):
@@ -368,41 +367,30 @@ class TestStreamingService:
         assert all(service._clients[f"client-{i}"].cache_hit for i in range(1, 8))
         service.close_all()
 
-    def test_pump_orders_ready_before_idle(self):
+    def test_batch_order_is_tick_order(self):
         service = StreamingService(window_size=1000)
-        service.open("fresh", _cohort_query(), {"s": ReplaySource(_source(1))})
-        service.open("stale", _cohort_query(), {"s": ReplaySource(_source(2))})
-        service.pump({"stale": 5000})
-        # "stale" gets a re-announcement, "fresh" genuinely new data.
-        report = service.pump({"fresh": 4000, "stale": 5000})
-        assert report.order == ["fresh", "stale"]
-        assert report.ticks["stale"].windows_run == 0
-        assert report.ticks["fresh"].windows_run > 0
-        assert report.windows_run == report.ticks["fresh"].windows_run
+        for client_id, seed in (("a", 1), ("b", 2), ("c", 3)):
+            service.open(client_id, _cohort_query(), {"s": ReplaySource(_source(seed))})
+        # One watermark for everyone: open order.
+        assert list(service.pump(2000).ticks) == ["a", "b", "c"]
+        service.pump({"b": 5000})
+        # A mapping: its own order, re-announcements included (no-op ticks).
+        report = service.pump({"c": 4000, "b": 5000, "a": 4000})
+        assert list(report.ticks) == ["c", "b", "a"]
+        assert report.ticks["b"].windows_run == 0
+        assert report.ticks["a"].windows_run > 0 and report.ticks["c"].windows_run > 0
+        # poll: the given list.
+        assert list(service.poll(["b", "c", "a"]).ticks) == ["b", "c", "a"]
+        # finish: open order.
+        assert list(service.finish().ticks) == ["a", "b", "c"]
         service.close_all()
-
-    def test_cold_sessions_are_assumed_free(self):
-        assert COLD_START_EXPECTED_SECONDS == 0.0
-        with StreamingService(window_size=1000) as service:
-            service.open("cold", _cohort_query(), {"s": ReplaySource(_source())})
-            assert service._expected_cost("cold") == COLD_START_EXPECTED_SECONDS
-            service.pump(4000)
-            # After one real tick the estimate is measurement-based.
-            assert service._expected_cost("cold") > 0.0
-
-    def test_cold_session_is_scheduled_before_warm_ready_peers(self):
-        with StreamingService(window_size=1000) as service:
-            service.open("warm", _cohort_query(), {"s": ReplaySource(_source(1))})
-            service.pump({"warm": 4000})
-            service.open("cold", _cohort_query(), {"s": ReplaySource(_source(2))})
-            assert service._schedule({"warm": 8000, "cold": 8000})[0] == "cold"
 
     def test_pump_subset_and_unknown_clients(self):
         service = StreamingService(window_size=1000)
         service.open("a", _cohort_query(), {"s": ReplaySource(_source(1))})
         service.open("b", _cohort_query(), {"s": ReplaySource(_source(2))})
         report = service.pump({"a": 3000})
-        assert set(report.order) == {"a"}
+        assert list(report.ticks) == ["a"]
         assert service.session("b").watermark < 3000
         with pytest.raises(ValueError, match="unknown client.*'c'"):
             service.pump({"c": 1000})
@@ -423,13 +411,13 @@ class TestStreamingService:
         with pytest.raises(ValueError, match="watermark.*must be an integer"):
             service.pump(None)
         # Nothing above ticked the session.
-        assert service.session("a").ticks == []
+        assert service.session("a").tick_count == 0
         # numpy integers are integers.
         report = service.pump({"a": np.int64(3000)})
-        assert report.order == ["a"]
+        assert list(report.ticks) == ["a"]
         # Empty batch: no work, no error, empty report.
         empty = service.pump({})
-        assert empty.order == [] and empty.ticks == {}
+        assert empty.ticks == {}
         service.close_all()
 
     def test_watermark_regression_propagates(self):

@@ -268,6 +268,40 @@ class TestServiceSharing:
         for report in reports:
             assert list(report.prefix_ticks) == [group["group_id"]]
 
+    def test_pump_order_never_changes_answers(self):
+        # Batches tick in the order given.  The cohort holds one sharing
+        # group (c0-c2), two tenants that hand-share one ReplaySource
+        # without a common prefix (h0, h1) and a tenant on its own source.
+        def serve(order_seed):
+            grouped, hand_shared = _shared_replay(seed=7), _shared_replay(seed=11)
+            raw = Query.source("s", frequency_hz=500)
+            service = StreamingService(window_size=2000, subplan_sharing=True)
+            with service:
+                for i in range(3):
+                    service.open(f"c{i}", _tenant_query(i), {"s": grouped})
+                service.open("h0", raw.aggregate(600, func="mean"), {"s": hand_shared})
+                service.open("h1", raw.aggregate(400, func="max"), {"s": hand_shared})
+                service.open("solo", _tenant_query(2), {"s": _shared_replay(seed=13)})
+                # Group members may lag each other; hand-sharers may not.
+                lead = {"c0": 0, "c1": 300, "c2": -200, "h0": 100, "h1": 100, "solo": 500}
+                rng = np.random.default_rng(order_seed)
+                for watermark in WATERMARKS:
+                    ids = service.client_ids
+                    if order_seed is not None:
+                        ids = [ids[i] for i in rng.permutation(len(ids))]
+                    report = service.pump({cid: watermark + lead[cid] for cid in ids})
+                    assert list(report.ticks) == ids
+                service.finish()
+                assert len(service.sharing_groups) == 1
+                return service.results()
+
+        reference = serve(None)
+        for seed in range(3):
+            shuffled = serve(seed)
+            assert list(shuffled) == list(reference)
+            for client_id, expected in reference.items():
+                _assert_identical(expected, shuffled[client_id], f"{client_id} seed={seed}")
+
     def test_distinct_sources_never_group(self):
         service = StreamingService(window_size=2000, subplan_sharing=True)
         with service:
