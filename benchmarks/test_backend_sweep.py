@@ -2,9 +2,9 @@
 
 Serial versus run (vectorized) execution of one compiled plan, by the
 length of the runs its targeted coverage forms.  Three plan shapes — the
-hold-mode Figure 3 pipeline (every operator lowers), the paper's
-interpolating Figure 3 pipeline (the resample stage falls back to
-window-by-window execution inside each run) and a single element-wise stage
+hold-mode Figure 3 pipeline, the paper's interpolating Figure 3 pipeline
+(both lower every operator; interpolation through its window-clamped run
+kernel) and a single element-wise stage
 (the least per-window work a run can amortise) — at one-second windows over
 20 minutes of ECG+ABP whose duty cycle sets the run length, plus the sparse
 and dense geometries on which the rule this sweep replaced (run execution

@@ -2,9 +2,11 @@
 
 Every :class:`~repro.core.operators.base.Operator` makes compile-time
 *claims* the runtime trusts without checking: ``batch_safe`` promises
-window-widening invariance (run lowering treats a run buffer as one wider
-window on its word), ``compute_run`` promises bit-identity with per-window
-``compute`` (the vectorized backend dispatches it on its word),
+that ``compute_run`` is exact over a run of consecutive windows — for a
+kernel that is ``compute`` over the run buffer as one wider window, that
+is window-widening invariance — and ``compute_run`` promises bit-identity
+with per-window ``compute`` (the vectorized backend dispatches it on the
+word of both),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
 restore on its word), and ``coverage_reach`` promises that output
 coverage past a cut depends on no input coverage further back than that
@@ -33,6 +35,7 @@ from repro.core.compiler import CompiledPlan, compile_plan
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
+from repro.core.operators.base import WindowAgnosticRun
 from repro.core.query import Query
 from repro.core.runtime.backends import (
     ExecutionBackend,
@@ -40,7 +43,7 @@ from repro.core.runtime.backends import (
     VectorizedBackend,
     plan_batch_safe,
 )
-from repro.core.runtime.executor import _window_starts, collect_sink_window
+from repro.core.runtime.executor import _window_starts, fill_windows
 from repro.core.runtime.vectorized import plan_vector_info
 from repro.core.sources import ArraySource, StreamSource
 
@@ -114,23 +117,8 @@ def _compile(case: OperatorCase, widen: int = 1) -> CompiledPlan:
 
 def _drive(plan: CompiledPlan, starts, collect: bool = False):
     """Fill *starts* in order without resetting, optionally collecting events."""
-    sink = plan.sink
-    times: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    durations: list[np.ndarray] = []
-    for start in starts:
-        sink.fill(start)
-        if collect:
-            collect_sink_window(sink, times, values, durations)
-    if not collect:
-        return None
-    if times:
-        return np.concatenate(times), np.concatenate(values), np.concatenate(durations)
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int64),
-    )
+    columns = fill_windows(plan.sink, starts, collect)
+    return columns if collect else None
 
 
 def _fresh(plan: CompiledPlan) -> CompiledPlan:
@@ -148,9 +136,28 @@ def _operator_nodes(plan: CompiledPlan) -> list[OperatorNode]:
 # ---------------------------------------------------------------------------
 
 
+def _window_aware(operator: Operator) -> bool:
+    """True when *operator*'s run kernel handles window edges itself.
+
+    Such a ``compute_run`` is not ``compute`` over a wider window, so
+    widening says nothing about it; LS202 checks it alone.
+    """
+    return (
+        not isinstance(operator, WindowAgnosticRun)
+        and type(operator).compute_run is not Operator.compute_run
+    )
+
+
 def _check_batch_safety(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate ``batch_safe`` against an actually-widened execution."""
+    """Validate ``batch_safe`` against an actually-widened execution.
+
+    Applies to plans whose run kernels are all ``compute`` over the run
+    buffer (or the per-window default), where exactness over a run is
+    exactly widening invariance.
+    """
     plan = _compile(case)
+    if any(_window_aware(node.operator) for node in _operator_nodes(plan)):
+        return
     declared = plan_batch_safe(plan)
     reference = _events(plan, SerialBackend())
     widened = _events(_compile(case, widen=case.widen_factor), SerialBackend())
@@ -419,6 +426,15 @@ def builtin_cases() -> list[OperatorCase]:
             sources,
         )
 
+    def gappy_interpolate_case():
+        # Factor 4 over a 12-slot window, a third of the samples dropped:
+        # windows with one present sample, none, or gaps at either edge.
+        times, values = _signal(384, period=8)
+        keep = np.random.default_rng(4).random(times.size) > 0.35
+        return Query.source("s", period=8).alter_period(2, "interpolate"), {
+            "s": ArraySource(times[keep], values[keep], period=8)
+        }
+
     def shape_case():
         query, sources = _single(period=2, n=768, seed=5)
         shape = np.sin(np.linspace(0.0, np.pi, 12))
@@ -462,6 +478,9 @@ def builtin_cases() -> list[OperatorCase]:
             "AlterPeriod-interpolate-up",
             AlterPeriod,
             _apply(lambda q: q.alter_period(1, "interpolate")),
+        ),
+        OperatorCase(
+            "AlterPeriod-interpolate-up-x4-gappy", AlterPeriod, gappy_interpolate_case
         ),
         OperatorCase("AlterPeriod-down", AlterPeriod, _apply(lambda q: q.alter_period(4))),
         OperatorCase("Chop", Chop, _apply(lambda q: q.alter_duration(8).chop(2))),

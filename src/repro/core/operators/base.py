@@ -119,17 +119,22 @@ class Operator:
         return 0
 
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        """Whether per-window output is invariant to widening the FWindow.
+        """Whether :meth:`compute_run` is exact over a run of consecutive windows.
 
-        Run execution replaces N consecutive windows of dimension D with
-        one run buffer of dimension N*D.  That is only exact for operators
-        whose window boundaries are semantically invisible —
-        true for element-wise ops, chunk-local transforms, stride-aligned
-        aggregates and carry-correct joins, but **not** for operators whose
-        output near a boundary depends on how much of the stream the window
-        exposes (boundary-clamped interpolation, successor lookups, matching
-        normalised against the window's value range).  Those return False
-        and run window by window inside a run (the per-node fallback).
+        Run execution hands an operator N consecutive windows of dimension D
+        as one run buffer of dimension N*D, and dispatches its
+        ``compute_run`` over it only when this returns True.  For the
+        :class:`WindowAgnosticRun` family, whose run kernel is ``compute``
+        over the run buffer as one wider window, that is the same as
+        per-window output being invariant to widening the FWindow — true for
+        element-wise ops, chunk-local transforms, stride-aligned aggregates
+        and carry-correct joins.  A window-aware run kernel (interpolation,
+        which clamps at every window edge) answers for itself.  Operators
+        whose output near a boundary depends on how much of the stream the
+        window exposes and that have no such kernel (successor lookups,
+        matching normalised against the window's value range, resampling
+        between non-multiple periods) return False and run window by window
+        inside a run (the per-node fallback).
         """
         return True
 
@@ -172,10 +177,12 @@ class Operator:
         ordinary :meth:`compute` window-by-window over zero-copy
         :meth:`~repro.core.fwindow.FWindow.subwindow` views — exactly the
         serial executor's window sequence, so any operator is run-executable
-        (just not vectorized).  Operator families whose computation widens
-        cleanly override this with a single array program over the whole run;
-        the vectorized backend only dispatches such overrides when the
-        operator is also ``batch_safe`` for its inputs.
+        (just not vectorized).  Operators override this with a single array
+        program over the whole run — ``compute`` over one wider window
+        (:class:`WindowAgnosticRun`) or a kernel over a ``(windows, slots)``
+        view that keeps each window's edges; the vectorized backend only
+        dispatches such overrides when the operator is also ``batch_safe``
+        for its inputs.
         """
         if windows == 1:
             self.compute(output, inputs, state)
@@ -191,14 +198,15 @@ class Operator:
 class WindowAgnosticRun:
     """Mixin for operators whose ``compute`` never inspects window extent.
 
-    Batch-safe operators compute the same per-slot output whatever the
-    FWindow dimension (the invariant the contract analyzer's LS201 check
-    proves), so a run buffer of N consecutive windows is just one wider
-    window to them: ``compute_run`` is a single ``compute`` call over the
-    whole run.  Stateful members of these families (Shift carries, sliding
-    tails, join/chop carries) remain exact because their state transition is
-    likewise extent-invariant — a run of N windows leaves the state exactly
-    where N serial windows would.
+    Their ``compute`` gives the same per-slot output whatever the FWindow
+    dimension (the invariant the contract analyzer's LS201 check tests), so
+    a run buffer of N consecutive windows is just one wider window to them:
+    ``compute_run`` is a single ``compute`` call over the whole run, or an
+    override that computes exactly that (Join, Transform).  Stateful members
+    of these families (Shift carries, sliding tails, join/chop carries)
+    remain exact because their state transition is likewise extent-invariant
+    — a run of N windows leaves the state exactly where N serial windows
+    would.
 
     Must precede :class:`Operator` in the MRO.
     """

@@ -5,6 +5,10 @@ the Resample operation of Table 3): upsampling either holds the previous
 value or linearly interpolates between neighbouring samples; downsampling
 keeps one sample per new period.
 
+Interpolation clamps at each window edge, so a run of consecutive windows is
+not one wider window to it: :meth:`AlterPeriod.compute_run` reproduces the
+per-window clamp over a ``(windows, slots)`` view of the run buffer.
+
 ``Chop`` splits the active interval of every event on user-defined period
 boundaries (Table 2), which is how long-duration events (such as aggregate
 outputs whose duration equals the aggregation window) are broken back down
@@ -13,6 +17,7 @@ into per-period events.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +32,7 @@ from repro.errors import QueryConstructionError
 RESAMPLE_MODES = ("hold", "interpolate", "sample")
 
 
-class AlterPeriod(WindowAgnosticRun, Operator):
+class AlterPeriod(Operator):
     """Change the period of a stream, re-gridding its events."""
 
     name = "AlterPeriod"
@@ -49,19 +54,12 @@ class AlterPeriod(WindowAgnosticRun, Operator):
         return lcm(inputs[0].period, self.period)
 
     def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        in_period = inputs[0].period
-        if self.period == in_period:
-            return True
-        if self.period < in_period and in_period % self.period == 0:
-            # Upsampling: hold replicates values slot-locally, but linear
-            # interpolation clamps at the window edge, so widening the window
-            # changes the samples near every original boundary.
-            return self.mode != "interpolate"
-        if self.period > in_period and self.period % in_period == 0:
-            return True
+        # Integer factors are exact over a run: hold, sampling and downsampling
+        # are slot-local, and interpolation has its window-clamped run kernel.
         # Non-multiple periods fall back to carry-less active sampling, whose
         # boundary behaviour depends on the window extent.
-        return False
+        in_period = inputs[0].period
+        return in_period % self.period == 0 or self.period % in_period == 0
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
@@ -115,6 +113,93 @@ class AlterPeriod(WindowAgnosticRun, Operator):
         # mark the slot absent rather than inventing data.
         output.bitvector[:] = np.repeat(source.bitvector, factor)
         output.durations[:] = output.period
+
+    def compute_run(
+        self, output: FWindow, inputs: Sequence[FWindow], state, windows: int
+    ) -> None:
+        """Fill a run buffer of *windows* consecutive windows in one call.
+
+        Integer-factor interpolation runs :meth:`_interpolate_run`; every
+        other integer factor is slot-local, so one ``compute`` over the run
+        buffer is exact.  A run holding a non-finite sample takes the
+        per-window loop.
+        """
+        source = inputs[0]
+        factor, remainder = divmod(source.period, self.period)
+        interpolating = self.mode == "interpolate" and factor > 1 and not remainder
+        if windows == 1 or not interpolating:
+            self.compute(output, inputs, state)
+            return
+        present = source.present_indices()
+        samples = source.values[present]
+        if np.isfinite(samples).all():
+            self._interpolate_run(output, source, factor, windows, present, samples)
+        else:
+            Operator.compute_run(self, output, inputs, state, windows)
+
+    @staticmethod
+    def _interpolate_run(
+        output: FWindow,
+        source: FWindow,
+        factor: int,
+        windows: int,
+        present: np.ndarray,
+        samples: np.ndarray,
+    ) -> None:
+        """``np.interp`` inside each window of a run, as one array program.
+
+        Over the ``(windows, slots)`` view of the run, a present input slot
+        ``i`` whose next present slot in its window is ``n`` fills output
+        slots ``i*f + k`` with ``slope * (x - i) + v[i]``, where ``slope =
+        (v[n] - v[i]) / (n - i)`` and ``x = (i*f + k) / f`` — the operands
+        ``np.interp`` rounds, in its order.  Slot ``k = 0``, and every output
+        slot of a window's last present sample, get ``v[i]`` (the edge
+        clamp).  With finite *samples* (the present values, at *present*) a
+        slope may overflow to infinity but is never NaN, so ``np.interp``'s
+        NaN retry cannot fire.  Absent slots keep whatever the arithmetic
+        leaves there.
+        """
+        source.trace_read()
+        slots = source.capacity // windows
+        values = source.values.reshape(windows, slots)
+        out = output.values.reshape(windows, slots, factor)
+        with np.errstate(all="ignore"):
+            # Slope from each present sample to the next one in the run;
+            # where that one lies in a later window the clamp overrides it.
+            # Absent slots get 0, not garbage that may be slow subnormals.
+            slope = np.zeros(source.capacity)
+            slope[present[:-1]] = np.diff(samples) / np.diff(present)
+            slope = slope.reshape(windows, slots)
+            steps = _interpolation_steps(slots, factor)
+            ramp = np.empty_like(slope)
+            for k in range(1, factor):
+                np.multiply(slope, steps[k], out=ramp)
+                np.add(ramp, values, out=out[:, :, k])
+        out[:, :, 0] = values
+        # A window's last present sample holds its value to the window edge
+        # (an empty window repeats an earlier window's, which is harmless).
+        cuts = np.searchsorted(present, np.arange(1, windows + 1) * slots)
+        ends = present[cuts[cuts > 0] - 1]
+        out.reshape(-1, factor)[ends, 1:] = source.values[ends, None]
+        presence = output.bitvector.reshape(-1, factor)
+        for k in range(factor):
+            presence[:, k] = source.bitvector
+        output.durations[:] = output.period
+        output.trace_write()
+
+
+@lru_cache(maxsize=16)
+def _interpolation_steps(slots: int, factor: int) -> np.ndarray:
+    """``x - i`` for output slot ``i*factor + k`` of a *slots*-slot window.
+
+    Row ``k`` holds ``(i*factor + k) / factor - i`` for every input slot
+    ``i``, rounded as ``np.interp`` rounds it.  It depends on the window
+    shape alone, so a node builds it once, not once per run.
+    """
+    index = np.arange(slots)
+    steps = (index * factor + np.arange(factor)[:, None]) / factor - index
+    steps.flags.writeable = False
+    return steps
 
 
 class Chop(WindowAgnosticRun, Operator):

@@ -21,11 +21,11 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.operators.base import Operator, ensure_callable
+from repro.core.operators.base import Operator, WindowAgnosticRun, ensure_callable
 from repro.errors import QueryConstructionError
 
 
-class Transform(Operator):
+class Transform(WindowAgnosticRun, Operator):
     """Apply a user-defined transformation to fixed-size windows."""
 
     name = "Transform"

@@ -10,7 +10,7 @@ from repro.core.runtime.backends import (
 from repro.core.runtime.executor import eager_window_count, run_window_loop
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.runtime.session import StreamingSession, TickStats
-from repro.core.runtime.vectorized import runs_for_coverage, runs_for_starts
+from repro.core.runtime.vectorized import runs_for_starts
 
 __all__ = [
     "run_window_loop",
@@ -24,6 +24,5 @@ __all__ = [
     "VectorizedBackend",
     "plan_batch_safe",
     "recommend_backend",
-    "runs_for_coverage",
     "runs_for_starts",
 ]

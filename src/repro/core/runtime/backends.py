@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.compiler import CompiledPlan
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.runtime.executor import (
     _window_starts,
     build_stats,
-    collect_sink_window,
     run_window_loop,
+    shrink_columns,
+    sink_columns,
+    sink_events,
 )
 from repro.core.runtime.result import StreamResult
 from repro.core.runtime.vectorized import (
@@ -63,28 +63,22 @@ class ExecutionBackend:
         """
         return "serial"
 
-    def session_tick(
-        self,
-        plan: CompiledPlan,
-        starts,
-        times: list,
-        values: list,
-        durations: list,
-    ) -> tuple[int, bool]:
+    def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
         """Execute one session tick's ready window *starts* on *plan*.
 
-        Appends the emitted events to the columnar accumulators and returns
-        ``(events_emitted, fell_back)`` where ``fell_back`` reports whether
-        any node executed below this backend's nominal mode (used to demote
-        the session's ``execution_mode`` label).  The default drives the
-        plan's sink one window at a time — the serial semantics.
+        Returns ``(chunks, fell_back)``: the ``(times, values, durations)``
+        columns of the events each window (or run of windows) emitted, in
+        stream order, and whether any node executed below this backend's
+        nominal mode (used to demote the session's ``execution_mode``
+        label).  The default drives the plan's sink one window at a time —
+        the serial semantics.
         """
         sink = plan.sink
-        events = 0
+        chunks = []
         for start in starts:
             sink.fill(start)
-            events += collect_sink_window(sink, times, values, durations)
-        return events, False
+            chunks.append(sink_events(sink.fwindow))
+        return chunks, False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -215,24 +209,20 @@ class VectorizedBackend(ExecutionBackend):
         executor = self._executor(plan, runs)
         executor.fallback_nodes.clear()
 
-        collected_times: list[np.ndarray] = []
-        collected_values: list[np.ndarray] = []
-        collected_durations: list[np.ndarray] = []
+        # One slot per sink slot of every window run: each present event is
+        # written once, straight into the result.
+        columns = (
+            sink_columns(len(starts) * plan.sink.fwindow.capacity) if collect else None
+        )
+        cursor = 0
         began = time.perf_counter()
         for start, count in runs:
-            executor.execute_run(
-                start, count, collect, collected_times, collected_values, collected_durations
-            )
+            cursor = executor.execute_run(start, count, columns, cursor)
         elapsed = time.perf_counter() - began
 
-        if collected_times:
-            times = np.concatenate(collected_times)
-            values = np.concatenate(collected_values)
-            durations = np.concatenate(collected_durations)
-        else:
-            times = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.float64)
-            durations = np.empty(0, dtype=np.int64)
+        times, values, durations = (
+            shrink_columns(columns, cursor) if collect else sink_columns(0)
+        )
         stats = build_stats(plan, len(starts), int(times.size), elapsed, targeted)
         stats.execution_mode = (
             "vectorized+serial-fallback" if executor.fallback_nodes else self.name
@@ -246,24 +236,18 @@ class VectorizedBackend(ExecutionBackend):
     def session_mode(self, plan: CompiledPlan) -> str:
         return self.name if self._active(plan) else "serial"
 
-    def session_tick(
-        self,
-        plan: CompiledPlan,
-        starts,
-        times: list,
-        values: list,
-        durations: list,
-    ) -> tuple[int, bool]:
+    def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
         if not self._active(plan):
-            return super().session_tick(plan, starts, times, values, durations)
+            return super().session_tick(plan, starts)
         # Ticks advance monotonically, like windows, so the plan's run
         # buffers persist across them.
         runs = self.runs(plan, starts)
         executor = self._executor(plan, runs)
-        events = 0
+        chunks = []
         for start, count in runs:
-            events += executor.execute_run(start, count, True, times, values, durations)
-        return events, bool(executor.fallback_nodes)
+            executor.execute_run(start, count)
+            chunks.append(sink_events(executor.sink_window))
+        return chunks, bool(executor.fallback_nodes)
 
 
 def recommend_backend(

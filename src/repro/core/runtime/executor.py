@@ -101,25 +101,79 @@ def eager_window_count(plan: CompiledPlan) -> int:
     return span_window_count(plan, _eager_span(plan))
 
 
-def collect_sink_window(
-    sink,
-    times: list[np.ndarray],
-    values: list[np.ndarray],
-    durations: list[np.ndarray],
-) -> int:
-    """Append the sink FWindow's present events to the columnar accumulators.
+def sink_columns(events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised ``(times, values, durations)`` columns for *events* events.
 
-    The single materialisation point for output events — the window loop and
-    the incremental streaming session both emit through here, so their
-    results cannot drift apart.  Returns the number of events appended.
+    Sized for every slot the caller may fill, so a run writes each event
+    exactly once; :func:`shrink_columns` then trims them to what was written.
     """
-    window = sink.fwindow
+    return (
+        np.empty(events, dtype=np.int64),
+        np.empty(events, dtype=np.float64),
+        np.empty(events, dtype=np.int64),
+    )
+
+
+def write_sink_events(window, columns, cursor: int) -> int:
+    """Write *window*'s present events into *columns* from *cursor* on.
+
+    How a one-shot run materialises its output — the serial window loop
+    and run execution both emit through here, so a long result is written
+    once, in place.  Returns the cursor past the last event written.
+    """
     indices = window.present_indices()
-    if indices.size:
-        times.append(window.sync_time + indices * window.period)
-        values.append(window.values[indices].copy())
-        durations.append(window.durations[indices].copy())
-    return int(indices.size)
+    if not indices.size:
+        return cursor
+    end = cursor + indices.size
+    times, values, durations = columns
+    times = times[cursor:end]
+    np.multiply(indices, window.period, out=times)
+    times += window.sync_time
+    window.values.take(indices, out=values[cursor:end], mode="clip")
+    window.durations.take(indices, out=durations[cursor:end], mode="clip")
+    return end
+
+
+def sink_events(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """*window*'s present events as fresh ``(times, values, durations)`` columns.
+
+    How a session tick takes its events: one gather per column, sized
+    exactly, with no columns to reserve and trim for the handful of events
+    a tick emits.  Same events, same order as :func:`write_sink_events`.
+    """
+    indices = window.present_indices()
+    return (
+        window.sync_time + indices * window.period,
+        window.values[indices],
+        window.durations[indices],
+    )
+
+
+def shrink_columns(columns, events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trim *columns* in place to their first *events* entries.
+
+    ``ndarray.resize`` reallocates without copying what stays, so the
+    result owns exactly its events.  No view of the columns may outlive
+    this call.
+    """
+    for column in columns:
+        column.resize(events, refcheck=False)
+    return columns
+
+
+def fill_windows(sink, starts: Sequence[int], collect: bool = True):
+    """Fill *sink* at each of *starts* in order; return its present events.
+
+    The serial window loop: ``(times, values, durations)`` columns of every
+    event the sink emitted, empty when *collect* is off.
+    """
+    columns = sink_columns(len(starts) * sink.fwindow.capacity if collect else 0)
+    cursor = 0
+    for start in starts:
+        sink.fill(start)
+        if collect:
+            cursor = write_sink_events(sink.fwindow, columns, cursor)
+    return shrink_columns(columns, cursor)
 
 
 def run_window_loop(
@@ -137,25 +191,9 @@ def run_window_loop(
     for node in nodes:
         node.reset()
 
-    collected_times: list[np.ndarray] = []
-    collected_values: list[np.ndarray] = []
-    collected_durations: list[np.ndarray] = []
-
     began = time.perf_counter()
-    for start in starts:
-        sink.fill(start)
-        if collect:
-            collect_sink_window(sink, collected_times, collected_values, collected_durations)
+    times, values, durations = fill_windows(sink, starts, collect)
     elapsed = time.perf_counter() - began
-
-    if collected_times:
-        times = np.concatenate(collected_times)
-        values = np.concatenate(collected_values)
-        durations = np.concatenate(collected_durations)
-    else:
-        times = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-        durations = np.empty(0, dtype=np.int64)
     return times, values, durations, elapsed, len(starts)
 
 

@@ -308,13 +308,14 @@ class StreamingSession:
                 break
         planned = time.perf_counter()
 
-        events, fell_back = self._backend.session_tick(
-            self._plan,
-            ready,
-            self._collected_times,
-            self._collected_values,
-            self._collected_durations,
-        )
+        chunks, fell_back = self._backend.session_tick(self._plan, ready)
+        events = 0
+        for times, values, durations in chunks:
+            if times.size:
+                self._collected_times.append(times)
+                self._collected_values.append(values)
+                self._collected_durations.append(durations)
+                events += int(times.size)
         if fell_back and not self._execution_mode.endswith("+serial-fallback"):
             self._execution_mode = f"{self._execution_mode}+serial-fallback"
         executed = time.perf_counter()

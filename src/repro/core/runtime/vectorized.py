@@ -10,8 +10,8 @@ slots of one contiguous column buffer.
 
 This module lowers window loops onto that observation:
 
-* :func:`runs_for_coverage` / :func:`runs_for_starts` convert the targeted
-  coverage (an :class:`~repro.core.intervals.IntervalSet`) into maximal
+* :func:`runs_for_starts` groups the targeted window starts (those
+  ``IntervalSet.iter_windows`` yields for the sink's coverage) into maximal
   **runs of consecutive windows** — disjoint, and exactly tiling the window
   starts the serial executor would visit;
 * :class:`RunExecutor` allocates one contiguous run buffer (an FWindow of
@@ -20,9 +20,15 @@ This module lowers window loops onto that observation:
   stream's planned FWindow — and pulls
   each run through the graph in a single walk, dispatching every lowerable
   operator's :meth:`~repro.core.operators.base.Operator.compute_run` as one
-  NumPy array program over the whole run;
-* operators that are not lowerable (``batch_safe`` is False, or no
-  ``compute_run`` implementation) fall back **per node** to the serial
+  NumPy array program over the whole run, then writes the sink's present
+  events once, at a cursor, into result columns the caller sized;
+* an operator is lowerable when its ``compute_run`` is exact over a run of
+  consecutive windows (``batch_safe``) and it has one beyond the base
+  class's window loop.  Most run kernels are ``compute`` over the run
+  buffer as one wider window; a window-aware kernel (interpolation, which
+  clamps at every window edge) works on a ``(windows, slots)`` view of it;
+* operators that are not lowerable (clip join, shape matching, resampling
+  between non-multiple periods) fall back **per node** to the serial
   semantics: the default ``compute_run`` drives the operator's ordinary
   ``compute`` window-by-window over zero-copy views of the run buffer, so
   the fallback is bit-identical to serial execution by construction.
@@ -37,10 +43,10 @@ dimension ``D``, and every operator's time map is a pure shift (scale 1) —
 window ``k`` of an output run reads exactly window ``k`` of each input run:
 positioning each run buffer *once* positions every window in it.  Stateful
 operators (Shift carries, sliding-aggregate tails, join/chop carries) see
-the same window sequence in the same order as the serial loop — their
-``compute`` is already extent-invariant for batch-safe operators (the
-property the contract analyzer's LS201 check proves), so carries evolve
-identically across run boundaries.
+the same window sequence in the same order as the serial loop, and a
+lowered ``compute_run`` leaves their state exactly where that many serial
+windows would (the property the contract analyzer's LS202 check tests), so
+carries evolve identically across run boundaries.
 """
 
 from __future__ import annotations
@@ -48,12 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
-from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator
+from repro.core.runtime.executor import write_sink_events
 from repro.errors import ExecutionError
 
 #: Grid slots one run buffer may hold.  The default cap on windows per run is
@@ -105,22 +109,6 @@ def runs_for_starts(
     return runs
 
 
-def runs_for_coverage(
-    coverage: IntervalSet,
-    window: int,
-    offset: int = 0,
-    max_run_windows: int | None = None,
-) -> list[tuple[int, int]]:
-    """Convert *coverage* into maximal runs of consecutive windows.
-
-    The runs tile exactly the window starts
-    ``coverage.iter_windows(window, offset)`` yields — the set the targeted
-    serial executor visits — grouped greedily into maximal consecutive
-    stretches (optionally chunked at *max_run_windows*).
-    """
-    return runs_for_starts(coverage.iter_windows(window, offset), window, max_run_windows)
-
-
 # ---------------------------------------------------------------------------
 # Plan analysis
 # ---------------------------------------------------------------------------
@@ -164,9 +152,8 @@ def node_lowerable(node: OperatorNode) -> bool:
     """True when *node*'s operator has a whole-run kernel that is exact here.
 
     Requires both a ``compute_run`` implementation (beyond the base class's
-    window-by-window fallback) and ``batch_safe`` inputs — the run buffer is
-    a widened window, so only widening-invariant operators may compute it in
-    one call.
+    window-by-window fallback) and ``batch_safe`` inputs — the operator's
+    claim that this kernel is exact over a run of consecutive windows.
     """
     operator = node.operator
     if type(operator).compute_run is Operator.compute_run:
@@ -285,6 +272,8 @@ class RunExecutor:
         self.peak_buffer_bytes = 0
         #: Windows every node's run buffer holds (see :meth:`reserve`).
         self.run_windows = 0
+        #: The sink's run buffer after the last :meth:`execute_run`.
+        self.sink_window: FWindow | None = None
         #: The run buffer of every node, keyed by ``id(node)``.
         self._buffers: dict[int, FWindow] = {}
         #: Topologically ordered ``(node, offset)`` fill schedule: each
@@ -378,20 +367,14 @@ class RunExecutor:
         self._bound[count] = bound
         return bound
 
-    def execute_run(
-        self,
-        start: int,
-        count: int,
-        collect: bool,
-        times: list[np.ndarray],
-        values: list[np.ndarray],
-        durations: list[np.ndarray],
-    ) -> int:
+    def execute_run(self, start: int, count: int, columns=None, cursor: int = 0) -> int:
         """Execute ``count`` consecutive windows beginning at *start*.
 
         *count* must not exceed :attr:`run_windows` (:meth:`reserve` first).
-        Appends the sink's present events (in stream order) to the columnar
-        accumulators when *collect* is set and returns the number appended.
+        Writes the sink's present events (in stream order) into *columns*
+        from *cursor* on, when columns are given, and returns the cursor
+        past them; the events also stay readable in :attr:`sink_window`
+        until the next run.
         """
         start = int(start)
         count = int(count)
@@ -419,20 +402,13 @@ class RunExecutor:
             else:
                 # Force the base-class window-by-window fallback even if the
                 # operator defines a run kernel: lowering was rejected for
-                # this node (not batch-safe), so only the serial per-window
-                # semantics are exact.
+                # this node (its run kernel is not exact here), so only the
+                # serial per-window semantics are.
                 Operator.compute_run(operator, window, inputs, node.state, count)
                 self.fallback_nodes.add(node.name)
             node.windows_computed += count
 
-        if not collect:
-            return 0
-        indices = window.present_indices()
-        if not indices.size:
-            return 0
-        times.append(window.sync_time + indices * window.period)
-        # Fancy indexing already yields fresh arrays — safe to keep past the
-        # buffer's reuse in the next run.
-        values.append(window.values[indices])
-        durations.append(window.durations[indices])
-        return int(indices.size)
+        self.sink_window = window
+        if columns is None:
+            return cursor
+        return write_sink_events(window, columns, cursor)

@@ -1,6 +1,6 @@
 """Shared fixtures for the static-analysis tests.
 
-Defines three deliberately misbehaving operators the analyzers must catch:
+Defines four deliberately misbehaving operators the analyzers must catch:
 
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
@@ -9,7 +9,10 @@ Defines three deliberately misbehaving operators the analyzers must catch:
   the last present event of every window, so widening the window changes
   its output (the contract analyzer's LS201);
 - :class:`LyingReach` widens coverage 50 ticks to the right while leaving
-  ``coverage_reach()`` at its 0 default (the contract analyzer's LS208).
+  ``coverage_reach()`` at its 0 default (the contract analyzer's LS208);
+- :class:`LyingRunKernel` interpolates inside each window in ``compute``
+  but runs one ``np.interp`` over the whole run in ``compute_run``, ignoring
+  window edges (the contract analyzer's LS202).
 
 All live under ``tests.*``, so ``discover_operator_classes`` (which only
 considers ``repro.*`` operators) never reports them as uncovered.
@@ -82,6 +85,37 @@ class LyingReach(Operator):
         output.durations[:] = source.durations
         output.bitvector[:] = source.bitvector
         output.trace_write()
+
+
+class LyingRunKernel(Operator):
+    """Moves every present sample halfway toward the next one in its window.
+
+    ``compute`` clamps at the window edge, as interpolation does; the run
+    kernel interpolates across the whole run, so at every window edge it
+    reaches into the next window.  Its ``batch_safe`` (the True default)
+    is therefore a lie only LS202 can see: the kernel is window-aware, not
+    ``compute`` over a wider window.
+    """
+
+    name = "LyingRunKernel"
+
+    @staticmethod
+    def _halfway(output, source):
+        source.trace_read()
+        present = source.present_indices()
+        output.durations[:] = source.durations
+        output.bitvector[:] = source.bitvector
+        if present.size:
+            output.values[present] = np.interp(
+                present + 0.5, present.astype(np.float64), source.values[present]
+            )
+        output.trace_write()
+
+    def compute(self, output, inputs, state):
+        self._halfway(output, inputs[0])
+
+    def compute_run(self, output, inputs, state, windows):
+        self._halfway(output, inputs[0])
 
 
 def stretch_query_and_sources(n: int = 512):

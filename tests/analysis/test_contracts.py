@@ -10,7 +10,7 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.diagnostics import has_errors
 
-from tests.analysis.conftest import LyingReach, LyingTail
+from tests.analysis.conftest import LyingReach, LyingRunKernel, LyingTail
 
 
 class TestBuiltinRegistry:
@@ -56,6 +56,20 @@ class TestLyingOperatorIsCaught:
         assert not [
             d for d in diagnostics if d.severity == "error" and d.code != "LS201"
         ], [d.render() for d in diagnostics]
+
+    def test_window_edge_ignoring_run_kernel_detected(self):
+        # A window-aware run kernel is checked by LS202 alone: widening says
+        # nothing about it, so LS201 must stay silent.
+        case = OperatorCase(
+            name="LyingRunKernel",
+            operator_cls=LyingRunKernel,
+            build=_apply(lambda q: q._apply(LyingRunKernel())),
+        )
+        diagnostics = check_operator_case(case)
+        assert [d.code for d in diagnostics] == ["LS202"], [d.render() for d in diagnostics]
+        assert diagnostics[0].severity == "error"
+        assert diagnostics[0].anchor == "LyingRunKernel"
+        assert "compute_run" in diagnostics[0].message
 
     def test_undeclared_coverage_reach_detected(self):
         case = OperatorCase(

@@ -9,8 +9,10 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.bench.workloads import duty_cycle_e2e_dataset
+import repro.core.runtime.backends as backends_module
+from repro.bench.workloads import duty_cycle_e2e_dataset, e2e_dataset
 from repro.core.engine import LifeStreamEngine
+from repro.core.operators import AlterPeriod
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend, plan_batch_safe
 from repro.core.runtime.vectorized import RunExecutor
@@ -68,6 +70,12 @@ CHAIN_QUERIES = {
     "regrid-hold": lambda: (
         Query.source("s", frequency_hz=500)
         .alter_period(1, mode="hold")
+        .where(lambda v: v > 0)
+    ),
+    # Interpolation clamps at every window edge: its run kernel must too.
+    "regrid-interpolate": lambda: (
+        Query.source("s", frequency_hz=500)
+        .alter_period(1, mode="interpolate")
         .where(lambda v: v > 0)
     ),
 }
@@ -149,13 +157,14 @@ class TestBackendParity:
             np.testing.assert_array_equal(result.values, values)
 
     def test_window_sensitive_plan_falls_back_per_node(self):
-        # Interpolating resample is not widening-invariant, so it must not
-        # compute a whole run at once: it runs window by window inside the
-        # run while the rest of the plan stays lowered.
+        # Resampling between non-multiple periods samples the active event
+        # without a carry, so its output near a window edge depends on the
+        # window extent: it runs window by window inside the run while the
+        # rest of the plan stays lowered.
         source = _gappy_source()
         query = (
             Query.source("s", frequency_hz=500)
-            .alter_period(1, mode="interpolate")
+            .alter_period(3, mode="hold")
             .where(lambda v: v > 0)
         )
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
@@ -344,3 +353,115 @@ class TestDefaultBackendOnSparseCoverage:
         _assert_identical(
             compiled.run(backend=SerialBackend()), result, "default backend parity"
         )
+
+
+def _fig3_interpolate():
+    """The Figure 3 query (interpolating resample) over two minutes of
+    gappy ECG/ABP at one-second windows: runs of many windows."""
+    ecg, abp = e2e_dataset(duration_seconds=120.0, seed=3)
+    sources = {
+        "ecg": ArraySource(ecg[0], ecg[1], period=period_from_hz(ECG_HZ)),
+        "abp": ArraySource(abp[0], abp[1], period=period_from_hz(ABP_HZ)),
+    }
+    return LifeStreamEngine(window_size=TICKS_PER_SECOND).compile(
+        lifestream_e2e_query(resample_mode="interpolate"), sources
+    )
+
+
+class TestFigure3InOneArrayProgram:
+    def test_interpolating_resample_lowers_to_one_kernel_call_per_run(self, monkeypatch):
+        compiled = _fig3_interpolate()
+        runs, kernel_calls = [], []
+        execute_run = RunExecutor.execute_run
+        compute_run = AlterPeriod.compute_run
+
+        def counting_run(self, start, count, *args):
+            runs.append(count)
+            return execute_run(self, start, count, *args)
+
+        def counting_kernel(self, output, inputs, state, windows):
+            kernel_calls.append(windows)
+            return compute_run(self, output, inputs, state, windows)
+
+        window_calls = []
+        compute = AlterPeriod.compute
+
+        def counting_window(self, *args):
+            window_calls.append(1)
+            return compute(self, *args)
+
+        monkeypatch.setattr(RunExecutor, "execute_run", counting_run)
+        monkeypatch.setattr(AlterPeriod, "compute_run", counting_kernel)
+        monkeypatch.setattr(AlterPeriod, "compute", counting_window)
+        result = compiled.run()
+        assert result.stats.execution_mode == "vectorized"
+        assert not compiled.plan.__dict__["_run_executor"].fallback_nodes
+        assert max(runs) > 1
+        assert kernel_calls == runs
+        # Only one-window runs call the per-window compute: no window loop.
+        assert len(window_calls) == runs.count(1)
+
+    def test_result_columns_are_written_once_and_own_their_events(self, monkeypatch):
+        compiled = _fig3_interpolate()
+        concatenated = []
+        concatenate = np.concatenate
+
+        def spy(*args, **kwargs):
+            out = concatenate(*args, **kwargs)
+            concatenated.append(out)
+            return out
+
+        allocated = []
+        sink_columns = backends_module.sink_columns
+
+        def sized(events):
+            allocated.append(events)
+            columns = sink_columns(events)
+            allocated.append(columns)
+            return columns
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        monkeypatch.setattr(backends_module, "sink_columns", sized)
+        result = compiled.run()
+        assert len(result) == result.stats.events_emitted > 0
+        # One allocation at windows x sink slots, trimmed in place to the
+        # events written: the result columns are those very arrays.
+        events, columns = allocated
+        assert events == result.stats.output_windows * compiled.plan.sink.fwindow.capacity
+        assert events > len(result)
+        for column, result_column in zip(columns, (result.times, result.values, result.durations)):
+            assert result_column is column
+            assert column.base is None and column.flags.owndata
+            assert column.size == len(result)
+            assert not any(out is column for out in concatenated)
+
+    def test_bit_identical_at_every_run_cap_and_without_collection(self):
+        compiled = _fig3_interpolate()
+        reference = compiled.run(backend=SerialBackend())
+        for cap in (1, 2, 5, 512, None):
+            backend = VectorizedBackend(max_run_windows=cap)
+            _assert_identical(reference, compiled.run(backend=backend), f"cap {cap}")
+        uncollected = compiled.run(collect=False)
+        assert len(uncollected) == 0
+        assert uncollected.stats.output_windows == reference.stats.output_windows
+        assert uncollected.stats.windows_computed == reference.stats.windows_computed
+        _assert_identical(reference, compiled.run(), "collected after uncollected")
+
+    def test_sparse_sink_result_owns_only_its_events(self):
+        # A selective where over an hour of 500 Hz samples: the columns are
+        # reserved for every sink slot, and the result keeps only the
+        # handful of events written into them.
+        times = np.arange(1_800_000, dtype=np.int64) * 2
+        values = np.sin(times * 1e-3)
+        compiled = LifeStreamEngine(window_size=TICKS_PER_SECOND).compile(
+            Query.source("s", frequency_hz=500).where(lambda v: v > 0.999_999),
+            {"s": ArraySource(times, values, period=2)},
+        )
+        result = compiled.run()
+        reference = compiled.run(backend=SerialBackend())
+        _assert_identical(reference, result, "sparse sink")
+        slots = result.stats.output_windows * compiled.plan.sink.fwindow.capacity
+        assert 0 < len(result) < slots // 1000
+        for column in (result.times, result.values, result.durations):
+            assert column.base is None and column.flags.owndata
+            assert column.size == len(result)

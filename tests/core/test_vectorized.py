@@ -25,7 +25,6 @@ from repro.core.runtime.vectorized import (
     RUN_SLOT_BUDGET,
     RunExecutor,
     plan_vector_info,
-    runs_for_coverage,
     runs_for_starts,
 )
 from repro.core.sources import ArraySource, ReplaySource
@@ -53,7 +52,7 @@ class TestRunsForCoverage:
     @settings(max_examples=200)
     def test_runs_tile_exactly_the_targeted_starts(self, pairs, window, offset, cap):
         coverage = IntervalSet(pairs)
-        runs = runs_for_coverage(coverage, window, offset, cap)
+        runs = runs_for_starts(coverage.iter_windows(window, offset), window, cap)
         tiled = [
             start + k * window for start, count in runs for k in range(count)
         ]
@@ -63,7 +62,7 @@ class TestRunsForCoverage:
     @settings(max_examples=200)
     def test_runs_are_maximal_and_disjoint(self, pairs, window, offset):
         coverage = IntervalSet(pairs)
-        runs = runs_for_coverage(coverage, window, offset)
+        runs = runs_for_starts(coverage.iter_windows(window, offset), window)
         for (start, count), (next_start, _) in zip(runs, runs[1:]):
             # Disjoint and ordered: the next run starts after this one ends.
             assert next_start >= start + count * window
@@ -75,7 +74,7 @@ class TestRunsForCoverage:
     @settings(max_examples=200)
     def test_capped_runs_respect_the_cap(self, pairs, window, offset, cap):
         coverage = IntervalSet(pairs)
-        runs = runs_for_coverage(coverage, window, offset, cap)
+        runs = runs_for_starts(coverage.iter_windows(window, offset), window, cap)
         assert all(1 <= count <= cap for _, count in runs)
         # Only cap-length runs may be followed contiguously (the split).
         for (start, count), (next_start, _) in zip(runs, runs[1:]):
@@ -83,7 +82,7 @@ class TestRunsForCoverage:
                 assert count == cap
 
     def test_empty_coverage_yields_no_runs(self):
-        assert runs_for_coverage(IntervalSet(), 100) == []
+        assert runs_for_starts(IntervalSet().iter_windows(100, 0), 100) == []
 
     def test_known_grouping(self):
         starts = [0, 100, 200, 500, 600, 900]

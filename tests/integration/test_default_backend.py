@@ -3,8 +3,9 @@
 ``LifeStreamEngine(backend=None)`` is the one place a default backend is
 chosen; sessions, the serving service, the worker pool, the LSQL runner
 and the pipelines all inherit it.  Each entry point below runs the Figure 3
-plan with no backend argument and must report a run-execution mode; a plan
-carrying a cache tracer must report the serial fallback and say why.
+plan with no backend argument and must report ``vectorized`` — every node,
+the interpolating resample included, lowered; a plan carrying a cache
+tracer must report the serial fallback and say why.
 
 The default also has to stay cheap per cached clone: the run-lowering
 analysis is computed once per plan-cache template, and a one-window tick
@@ -33,7 +34,7 @@ from repro.pipelines.live import replay_e2e_live
 from repro.pipelines.serve import serve_cohort
 from repro.serve import PlanCache, StreamingService
 
-RUN_MODES = {"vectorized", "vectorized+serial-fallback"}
+RUN_MODES = {"vectorized"}
 ECG_PERIOD = period_from_hz(ECG_HZ)
 ABP_PERIOD = period_from_hz(ABP_HZ)
 DESCRIPTORS = {
