@@ -8,14 +8,17 @@ is window-widening invariance — and ``compute_run`` promises bit-identity
 with per-window ``compute`` (the vectorized backend dispatches it on the
 word of both),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
-restore on its word), and ``coverage_reach`` promises that output
+restore on its word), ``coverage_reach`` promises that output
 coverage past a cut depends on no input coverage further back than that
 (streaming sessions propagate only a trailing window of every source on
-its word).
+its word), and a stateless lowered operator promises to depend on its
+windows' contents and grid phase only, not on their position (serving
+stacks one window of many tenants into one ``compute_run`` on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS201``–``LS203``, ``LS205``, ``LS206``, ``LS208``)
+named diagnostic (``LS201``–``LS203``, ``LS205``, ``LS206``, ``LS208``,
+``LS209``)
 instead of a bit-identity failure three layers away.  Checking is
 registry-driven: :func:`builtin_cases` holds one :class:`OperatorCase` per
 in-repo operator, and :func:`check_contracts` additionally discovers every
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import CompiledPlan, compile_plan
+from repro.core.engine import CompiledQuery
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
@@ -44,8 +48,9 @@ from repro.core.runtime.backends import (
     plan_batch_safe,
 )
 from repro.core.runtime.executor import _window_starts, fill_windows
+from repro.core.runtime.session import tick_batch
 from repro.core.runtime.vectorized import plan_vector_info
-from repro.core.sources import ArraySource, StreamSource
+from repro.core.sources import ArraySource, ReplaySource, StreamSource
 
 
 @dataclass
@@ -345,6 +350,100 @@ def _check_coverage_locality(case: OperatorCase, out: list[Diagnostic]) -> None:
                 return
 
 
+#: Windows each LS209 clone's watermark runs ahead of the first clone's:
+#: cohort members then sit at distinct, out-of-order starts, never laid out
+#: like a run of consecutive windows.
+COHORT_LEADS = (0, 3, 1)
+
+
+def _gappy_copy(source: StreamSource, seed: int) -> ArraySource:
+    """*source*'s samples with a seeded quarter of them dropped."""
+    times, values, durations = source.read(*source.coverage().span())
+    keep = np.random.default_rng(seed).random(times.size) > 0.25
+    period = source.descriptor.period
+    return ArraySource(
+        times[keep],
+        values[keep],
+        period=period,
+        durations=None if (durations == period).all() else durations[keep],
+    )
+
+
+def _check_cohort_stack(case: OperatorCase, out: list[Diagnostic]) -> None:
+    """Validate stacking one window of many tenants into one array program.
+
+    Clones of one template over distinct seeded gappy inputs tick as one
+    cohort (:func:`~repro.core.runtime.session.tick_batch`), each advanced
+    its :data:`COHORT_LEADS` windows ahead so that a cohort holds windows
+    at different starts; each must emit exactly what the same clone emits
+    ticking alone.  A stateless lowered kernel that reads its window's
+    position instead of just its contents and grid phase differs.  A run
+    kernel LS202 already refuted is not checked again.
+    """
+    if any(d.code == "LS202" and d.anchor == case.name for d in out):
+        return
+    template = _compile(case)
+    if VectorizedBackend().session_mode(template) != VectorizedBackend.name:
+        return  # the plan ticks serially, so it never joins a cohort
+    dimension = template.sink.dimension
+    inputs = [
+        {name: _gappy_copy(source, 209 + clone) for name, source in template.sources.items()}
+        for clone in range(len(COHORT_LEADS))
+    ]
+    first = min(source.coverage().span()[0] for source in template.sources.values())
+    last = max(source.coverage().span()[1] for source in template.sources.values())
+    steps = range(first + dimension, last + max(COHORT_LEADS) * dimension, dimension)
+
+    def open_clones():
+        return [
+            CompiledQuery(
+                template.instantiate(
+                    {name: ReplaySource(source) for name, source in sources.items()}
+                ),
+                targeted=True,
+                backend=VectorizedBackend(),
+            ).open_session()
+            for sources in inputs
+        ]
+
+    together, alone = open_clones(), open_clones()
+    cohort_ticks = 0
+    for watermark in steps:
+        batch = [
+            (session, watermark + lead * dimension)
+            for lead, session in zip(COHORT_LEADS, together)
+        ]
+        cohort_ticks += sum(stats.cohort_size > 1 for stats in tick_batch(batch))
+        for session, clone_watermark in zip(alone, (w for _, w in batch)):
+            session.advance(clone_watermark)
+    if not cohort_ticks:
+        raise ValueError(
+            "synthesized geometry never formed a cohort; LS209 needs clones "
+            "with one ready window in the same batch"
+        )
+    for clone, (stacked, single) in enumerate(zip(together, alone)):
+        stacked.finish()
+        single.finish()
+        expected, got = single.result(), stacked.result()
+        if not _same_events(
+            (expected.times, expected.values, expected.durations),
+            (got.times, got.values, got.durations),
+        ):
+            out.append(
+                _contract(
+                    "LS209",
+                    "error",
+                    f"{case.name}: clone {clone} of a {len(COHORT_LEADS)}-tenant "
+                    f"cohort differs from the same clone ticked alone "
+                    f"({expected.times.size} vs {got.times.size} events); a "
+                    "stateless kernel reads its window's position, so serving "
+                    "would corrupt every tenant stacked after the first",
+                    anchor=case.name,
+                )
+            )
+            return
+
+
 def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
     """Run every contract check for one registered case."""
     diagnostics: list[Diagnostic] = []
@@ -353,6 +452,7 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
         _check_run_parity,
         _check_state_roundtrip,
         _check_coverage_locality,
+        _check_cohort_stack,
     ):
         try:
             check(case, diagnostics)

@@ -60,6 +60,8 @@ CODES: dict[str, str] = {
     "LS208": "coverage-locality violation: output coverage past a cut "
     "depends on input coverage further back than the operator's declared "
     "coverage_reach()",
+    "LS209": "cohort stack violation: clones of one plan ticked together "
+    "as a cross-tenant cohort differ from each clone ticked alone",
     # -- async safety (LS3xx) ---------------------------------------------
     "LS301": "blocking call inside 'async def': stalls the event loop and "
     "every client behind it",

@@ -151,6 +151,10 @@ class CompiledPlan:
     #: Findings from the verify pass (:class:`repro.analysis.Diagnostic`).
     #: Empty for clean plans and for custom pipelines without a verify pass.
     diagnostics: list = field(default_factory=list)
+    #: The plan this one was :meth:`instantiate`\ d from (None for a plan
+    #: compiled directly).  Clones of one template share its shape exactly,
+    #: which is what lets serving execute them together as a cohort.
+    template: "CompiledPlan | None" = field(default=None, repr=False, compare=False)
 
     def instantiate(
         self,
@@ -246,6 +250,7 @@ class CompiledPlan:
             # Verification is a property of the plan shape, which the clone
             # shares with its template.
             diagnostics=self.diagnostics,
+            template=self if self.template is None else self.template,
         )
         share_vector_info(self, clone, memo)
         return clone

@@ -163,7 +163,17 @@ class Operator:
         return copy.deepcopy(snapshot)
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
-        """Fill *output* from the already-positioned and filled *inputs*."""
+        """Fill *output* from the already-positioned and filled *inputs*.
+
+        A stateless operator (``make_state()`` returns None) may depend only
+        on its windows' contents and the grid phase, not on the absolute
+        window position: serving stacks one window from each of many
+        sessions into one buffer and, when the operator is lowered, fills
+        them all with a single :meth:`compute_run` positioned at the first
+        session's window (a cross-tenant cohort, see
+        :class:`~repro.core.runtime.vectorized.CohortExecutor`).  The
+        contract analyzer checks this (``LS209``).
+        """
         raise NotImplementedError
 
     def compute_run(

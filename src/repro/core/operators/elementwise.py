@@ -124,7 +124,12 @@ class Shift(WindowAgnosticRun, Operator):
         return max(self.offset, 0)
 
     def make_state(self):
-        return {"carry_values": None, "carry_bits": None, "carry_durations": None}
+        return {
+            "carry_values": None,
+            "carry_bits": None,
+            "carry_durations": None,
+            "next_sync": None,
+        }
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
@@ -137,29 +142,63 @@ class Shift(WindowAgnosticRun, Operator):
             output.bitvector[:] = source.bitvector
             output.trace_write()
             return
+        values, durations, bits = self.push_carry(
+            state, source.period, source.sync_time,
+            source.values, source.durations, source.bitvector,
+        )
+        output.values[:] = values
+        output.bitvector[:] = bits
+        output.durations[:] = durations
+        output.trace_write()
 
-        lag = self.offset // source.period
-        capacity = source.capacity
+    def push_carry(self, state, period, sync_time, values, durations, bits):
+        """Pass input slots starting at *sync_time* through the carry FIFO.
+
+        Returns the oldest ``len(values)`` slots of (carry + input) and keeps
+        the newest ``lag`` as the next carry.  This stays correct when the
+        shift exceeds the window (lag > capacity): samples then wait in the
+        carry for several windows instead of being clobbered by the newest
+        input.
+
+        The carry is valid for input resuming at ``state["next_sync"]``.
+        Targeted execution skips windows whose output coverage is empty, so
+        input may resume ``g`` slots later: the carry is then aged by ``g``
+        slots first (its oldest ``g`` would have been emitted in the skipped
+        windows, and the skipped input counts as absent).  A restored state
+        without ``next_sync`` is taken as contiguous.
+        """
+        lag = self.offset // period
         if state["carry_values"] is None:
             state["carry_values"] = np.zeros(lag, dtype=np.float64)
             state["carry_bits"] = np.zeros(lag, dtype=bool)
-            state["carry_durations"] = np.full(lag, source.period, dtype=np.int64)
-
-        # FIFO through the carry: the window emits the oldest ``capacity``
-        # samples of (carry + input) and retains the newest ``lag`` as the
-        # next carry.  This stays correct when the shift exceeds the window
-        # (lag > capacity): samples then wait in the carry for several
-        # windows instead of being clobbered by the newest input.
-        combined_values = np.concatenate((state["carry_values"], source.values))
-        combined_bits = np.concatenate((state["carry_bits"], source.bitvector))
-        combined_durations = np.concatenate((state["carry_durations"], source.durations))
-        output.values[:] = combined_values[:capacity]
-        output.bitvector[:] = combined_bits[:capacity]
-        output.durations[:] = combined_durations[:capacity]
+            state["carry_durations"] = np.full(lag, period, dtype=np.int64)
+        else:
+            next_sync = state.get("next_sync")
+            gap = 0 if next_sync is None else (sync_time - next_sync) // period
+            if gap > 0:
+                kept = max(lag - gap, 0)
+                for key, absent in (
+                    ("carry_values", 0.0),
+                    ("carry_bits", False),
+                    ("carry_durations", period),
+                ):
+                    carry = state[key]
+                    aged = np.full(lag, absent, dtype=carry.dtype)
+                    aged[:kept] = carry[lag - kept :]
+                    state[key] = aged
+        capacity = values.shape[0]
+        combined_values = np.concatenate((state["carry_values"], values))
+        combined_bits = np.concatenate((state["carry_bits"], bits))
+        combined_durations = np.concatenate((state["carry_durations"], durations))
         state["carry_values"] = combined_values[capacity:]
         state["carry_bits"] = combined_bits[capacity:]
         state["carry_durations"] = combined_durations[capacity:]
-        output.trace_write()
+        state["next_sync"] = sync_time + capacity * period
+        return (
+            combined_values[:capacity],
+            combined_durations[:capacity],
+            combined_bits[:capacity],
+        )
 
 
 class AlterDuration(WindowAgnosticRun, Operator):

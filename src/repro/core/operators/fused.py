@@ -17,6 +17,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -100,12 +101,19 @@ class FusedElementwise(WindowAgnosticRun, Operator):
     # -- runtime -----------------------------------------------------------
 
     def make_state(self):
-        return [op.make_state() for op, _ in self.stages]
+        # None when no stage keeps state, so the fused node counts as
+        # stateless (serving stacks stateless nodes across tenants).
+        states = [op.make_state() for op, _ in self.stages]
+        return None if all(state is None for state in states) else states
 
     def snapshot_state(self, state):
+        if state is None:
+            return None
         return [op.snapshot_state(s) for (op, _), s in zip(self.stages, state)]
 
     def restore_state(self, snapshot):
+        if snapshot is None:
+            return None
         return [op.restore_state(s) for (op, _), s in zip(self.stages, snapshot)]
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
@@ -115,8 +123,9 @@ class FusedElementwise(WindowAgnosticRun, Operator):
         durations = source.durations
         bits = source.bitvector
         capacity = source.capacity
+        states = repeat(None) if state is None else state
         with np.errstate(all="ignore"):
-            for (op, stage_input), stage_state in zip(self.stages, state):
+            for (op, stage_input), stage_state in zip(self.stages, states):
                 if isinstance(op, Select):
                     values = op.projection(values)
                 elif isinstance(op, Where):
@@ -124,55 +133,19 @@ class FusedElementwise(WindowAgnosticRun, Operator):
                 elif isinstance(op, AlterDuration):
                     durations = np.full(capacity, op.duration, dtype=np.int64)
                 elif isinstance(op, Shift):
-                    values, durations, bits = _apply_shift(
-                        op, stage_input, values, durations, bits, stage_state
-                    )
+                    # A non-carry shift repositioned the chain's input window
+                    # (the composed input_sync_time), so its slots already
+                    # line up; a carry shift rotates them through its FIFO.
+                    # Every stage sits a fixed number of slots from the
+                    # chain's input, so gaps measure the same from there.
+                    if op._uses_carry(stage_input.period):
+                        values, durations, bits = op.push_carry(
+                            stage_state, stage_input.period, source.sync_time,
+                            values, durations, bits,
+                        )
                 else:  # pragma: no cover - guarded by the constructor
                     raise CompilationError(f"unfusable stage {op.name}")
         output.values[:] = values
         output.durations[:] = durations
         output.bitvector[:] = bits
         output.trace_write()
-
-
-def _apply_shift(
-    op: Shift,
-    input_descriptor: StreamDescriptor,
-    values: np.ndarray,
-    durations: np.ndarray,
-    bits: np.ndarray,
-    state: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array-level equivalent of :meth:`Shift.compute`.
-
-    Non-carry shifts repositioned the chain's input window (via the composed
-    ``input_sync_time``), so slot *i* of the arrays already corresponds to
-    slot *i* of this stage's output.  Carry-based shifts rotate the arrays
-    through the bounded per-stage carry, exactly as the standalone operator
-    does with its input/output FWindow pair.
-    """
-    period = input_descriptor.period
-    if not op._uses_carry(period):
-        return values, durations, bits
-
-    lag = op.offset // period
-    capacity = values.shape[0]
-    if state["carry_values"] is None:
-        state["carry_values"] = np.zeros(lag, dtype=np.float64)
-        state["carry_bits"] = np.zeros(lag, dtype=bool)
-        state["carry_durations"] = np.full(lag, period, dtype=np.int64)
-
-    # Same FIFO as the standalone Shift: emit the oldest ``capacity`` samples
-    # of (carry + input), retain the newest ``lag`` — correct for any lag,
-    # including shifts longer than the window.
-    combined_values = np.concatenate((state["carry_values"], values))
-    combined_bits = np.concatenate((state["carry_bits"], bits))
-    combined_durations = np.concatenate((state["carry_durations"], durations))
-    state["carry_values"] = combined_values[capacity:]
-    state["carry_bits"] = combined_bits[capacity:]
-    state["carry_durations"] = combined_durations[capacity:]
-    return (
-        combined_values[:capacity],
-        combined_durations[:capacity],
-        combined_bits[:capacity],
-    )

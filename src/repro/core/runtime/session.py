@@ -31,6 +31,18 @@ Three mechanisms make the loop incremental:
   Windows straddling a watermark are deferred, never executed on partial
   data; :meth:`finish` drains them once the sources are exhausted.
 
+Every tick takes three steps — **plan** (the coverage refresh, frontier
+and readiness gating above), **execute** (the backend's window loop) and
+**commit** (collect the events, move the frontier, report
+:class:`TickStats`) — and every tick is reported by :meth:`advance`,
+:meth:`poll` or :meth:`finish`.  A serving batch may split them:
+:func:`tick_batch` plans every member,
+executes the one-window ticks of clones of one plan-cache template
+together as a cross-tenant cohort
+(:class:`~repro.core.runtime.vectorized.CohortExecutor`), and then
+:meth:`poll` commits each member's already-executed tick without planning
+again.
+
 Sessions checkpoint to disk (:meth:`checkpoint`) by snapshotting every
 operator's carry state via :meth:`~repro.core.operators.base.Operator.snapshot_state`
 together with the emission frontier, source watermarks and the events
@@ -53,8 +65,10 @@ import numpy as np
 from repro.core.compiler.lineage import propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
+from repro.core.runtime.backends import VectorizedBackend
 from repro.core.runtime.executor import coverage_span, span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
+from repro.core.runtime.vectorized import cohort_executor
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
 
@@ -71,7 +85,8 @@ class TickStats:
 
     ``plan_seconds`` covers the per-tick compile-side work (coverage
     refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop.  The session keeps none of these records:
+    the backend window loop, or this session's share of its cohort's
+    execution.  The session keeps none of these records:
     each tick returns its own, and the session counts ticks
     (:attr:`StreamingSession.tick_count`).
     """
@@ -101,11 +116,33 @@ class TickStats:
     #: Execution mode that really drove this tick (honest label, including
     #: any ``+serial-fallback`` suffix accrued so far).
     execution_mode: str = "serial"
+    #: Sessions whose windows executed together with this tick's (a
+    #: cross-tenant cohort, see :func:`tick_batch`); 1 when it ran alone.
+    cohort_size: int = 1
 
     @property
     def elapsed_seconds(self) -> float:
         """Total wall-clock seconds of this tick."""
         return self.plan_seconds + self.execute_seconds
+
+
+class _Tick:
+    """One planned tick: what :meth:`StreamingSession._commit` records."""
+
+    __slots__ = (
+        "ready", "deferred", "plan_seconds", "chunks", "fell_back",
+        "execute_seconds", "cohort_size",
+    )
+
+    def __init__(self, ready: list[int], deferred: int, plan_seconds: float) -> None:
+        self.ready = ready
+        self.deferred = deferred
+        self.plan_seconds = plan_seconds
+        #: Sink events per window run, set once the tick executed.
+        self.chunks: list | None = None
+        self.fell_back = False
+        self.execute_seconds = 0.0
+        self.cohort_size = 1
 
 
 class StreamingSession:
@@ -156,6 +193,15 @@ class StreamingSession:
         self._checkpoint_hook = None
         self._checkpoint_every = 1
         self._ticks_since_checkpoint = 0
+        # The plan-cache template a cohort is keyed by: only clones that run
+        # vectorized ticks join one.
+        self._template = (
+            self._plan.template if self._execution_mode == VectorizedBackend.name else None
+        )
+        #: The planned (and possibly executed) tick the next poll commits.
+        self._pending: _Tick | None = None
+        #: Why this session refuses to tick, or None (see :meth:`_break_on`).
+        self._broken: str | None = None
         # Claim exclusivity BEFORE touching any runtime state: if another
         # session already owns the plan, attach_session raises and the live
         # session's carries/watermarks are left untouched.
@@ -252,27 +298,31 @@ class StreamingSession:
         :class:`~repro.errors.ExecutionError` instead of being silently
         ignored; use :meth:`poll` after advancing sources independently.
         """
-        self._require_open()
-        if self._finished:
-            raise ExecutionError("session is finished; no more data can arrive")
-        for node in self._replay_nodes:
-            if watermark < node.source.watermark:
-                raise ExecutionError(
-                    f"watermark regression: source {node.name!r} is already at "
-                    f"{node.source.watermark} but advance() was asked to move it "
-                    f"back to {watermark}; watermarks only move forward "
-                    f"(re-announcing the current watermark is a no-op, and poll() "
-                    f"ticks without touching the sources)"
-                )
-        for node in self._replay_nodes:
-            if watermark > node.source.watermark:
-                node.source.advance(watermark)
+        self._advance_sources(watermark)
         return self.poll()
 
     def poll(self) -> TickStats:
-        """Execute every newly-covered, fully-ready output window."""
+        """Execute every newly-covered, fully-ready output window.
+
+        Commits the tick :func:`tick_batch` planned, if any (executed already
+        when it ran in a cohort), instead of planning a new one.
+        """
         self._require_open()
         return self._tick(drain=False)
+
+    def _prepare(self, watermark: int | None) -> None:
+        """Plan the next tick without executing it.
+
+        Advances the sources to *watermark* first (as :meth:`advance` does)
+        unless it is None.  The next :meth:`poll` executes the planned
+        windows — unless :func:`tick_batch` executed them in a cohort
+        meanwhile — and commits the tick.
+        """
+        if watermark is None:
+            self._require_open()
+        else:
+            self._advance_sources(watermark)
+        self._pending = self._plan_tick(drain=False)
 
     def finish(self) -> TickStats:
         """Declare the stream complete and drain all remaining windows.
@@ -292,7 +342,59 @@ class StreamingSession:
         self._finished = True
         return stats
 
+    def _advance_sources(self, watermark: int) -> None:
+        self._require_open()
+        if self._finished:
+            raise ExecutionError("session is finished; no more data can arrive")
+        for node in self._replay_nodes:
+            if watermark < node.source.watermark:
+                raise ExecutionError(
+                    f"watermark regression: source {node.name!r} is already at "
+                    f"{node.source.watermark} but advance() was asked to move it "
+                    f"back to {watermark}; watermarks only move forward "
+                    f"(re-announcing the current watermark is a no-op, and poll() "
+                    f"ticks without touching the sources)"
+                )
+        for node in self._replay_nodes:
+            if watermark > node.source.watermark:
+                node.source.advance(watermark)
+
+    # The tick is three steps — plan, execute, commit — and every tick takes
+    # all three through _tick; a cohort only executes some ticks early.
+
     def _tick(self, drain: bool) -> TickStats:
+        tick, self._pending = self._pending, None
+        if tick is None or (drain and tick.chunks is None):
+            tick = self._plan_tick(drain)
+        if tick.chunks is None:
+            began = time.perf_counter()
+            try:
+                tick.chunks, tick.fell_back = self._backend.session_tick(
+                    self._plan, tick.ready
+                )
+            except BaseException as error:
+                self._break_on(error)
+                raise
+            tick.execute_seconds = time.perf_counter() - began
+        return self._commit(tick)
+
+    def _break_on(self, error: BaseException) -> None:
+        """Refuse every further tick and checkpoint after a tick's execution
+        raised *error*, if the plan carries state from window to window.
+
+        Execution fills node by node and window by window, so the nodes
+        that ran before the failure may have moved their carries on
+        without a commit; planning the same windows again would run them
+        twice and emit wrong values.  A stateless plan just plans afresh.
+        """
+        if any(node.operator.make_state() is not None for node in self._operator_nodes):
+            self._broken = (
+                f"session state is inconsistent: a tick failed mid-execution "
+                f"({error!r}) after carries may have advanced; close the session "
+                f"and restore an earlier checkpoint"
+            )
+
+    def _plan_tick(self, drain: bool) -> "_Tick":
         began = time.perf_counter()
         self._refresh_coverage()
         new = self._new_window_starts()
@@ -306,20 +408,27 @@ class StreamingSession:
                 # everything past the first unready window waits too.
                 deferred = len(new) - len(ready)
                 break
-        planned = time.perf_counter()
+        return _Tick(ready, deferred, time.perf_counter() - began)
 
-        chunks, fell_back = self._backend.session_tick(self._plan, ready)
+    def _cohort_key(self):
+        """What a cohort is keyed by, or None when this tick runs alone: the
+        template, and the grid phase of exactly one ready window."""
+        tick = self._pending
+        if self._template is None or tick is None or len(tick.ready) != 1:
+            return None
+        return id(self._template), tick.ready[0] % self._plan.sink.dimension
+
+    def _commit(self, tick: "_Tick") -> TickStats:
         events = 0
-        for times, values, durations in chunks:
+        for times, values, durations in tick.chunks:
             if times.size:
                 self._collected_times.append(times)
                 self._collected_values.append(values)
                 self._collected_durations.append(durations)
                 events += int(times.size)
-        if fell_back and not self._execution_mode.endswith("+serial-fallback"):
+        if tick.fell_back and not self._execution_mode.endswith("+serial-fallback"):
             self._execution_mode = f"{self._execution_mode}+serial-fallback"
-        executed = time.perf_counter()
-
+        ready = tick.ready
         if ready:
             self._last_start = ready[-1]
         self._windows_run += len(ready)
@@ -330,13 +439,14 @@ class StreamingSession:
             watermark=self.watermark,
             windows_run=len(ready),
             events_emitted=events,
-            windows_deferred=deferred,
-            plan_seconds=planned - began,
-            execute_seconds=executed - planned,
+            windows_deferred=tick.deferred,
+            plan_seconds=tick.plan_seconds,
+            execute_seconds=tick.execute_seconds,
             backend=self._backend_name,
             cumulative_windows=self._windows_run,
             cumulative_events=self._events_emitted,
             execution_mode=self._execution_mode,
+            cohort_size=tick.cohort_size,
         )
         self._elapsed_seconds += stats.elapsed_seconds
         self._maybe_auto_checkpoint()
@@ -550,6 +660,8 @@ class StreamingSession:
     def _require_open(self) -> None:
         if self._closed:
             raise ExecutionError("session is closed")
+        if self._broken is not None:
+            raise ExecutionError(self._broken)
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -691,3 +803,79 @@ class StreamingSession:
             f"<StreamingSession {self._backend_name} frontier={self._last_start} "
             f"ticks={self._tick_count} windows={self._windows_run}>"
         )
+
+
+# -- cross-tenant cohorts ----------------------------------------------------
+
+
+def tick_batch(batch) -> list[TickStats]:
+    """Tick a batch of ``(session, watermark or None)`` pairs, in order.
+
+    Every session is planned first (advanced to its watermark, or polled
+    with None), then sessions cloned from one plan-cache template with
+    exactly one ready window on one grid phase execute together as a
+    cohort (:class:`~repro.core.runtime.vectorized.CohortExecutor`), and
+    finally every session's :meth:`~StreamingSession.poll` commits its tick
+    — executing it first when it ran in no cohort.  Results are
+    bit-identical to ticking each session alone, and each session still
+    reports exactly one tick.
+
+    A planning error (a watermark regression, say) at member *k* ticks the
+    members before it, leaves the later ones untouched and then raises.  An
+    error while executing the cohorts commits the members of cohorts that
+    completed and raises; the members of the cohort that failed are left
+    as a session whose own tick failed (:meth:`StreamingSession._break_on`).
+    """
+    prepared: list[StreamingSession] = []
+    try:
+        for session, watermark in batch:
+            session._prepare(watermark)
+            prepared.append(session)
+    except BaseException:
+        for session in prepared:
+            session.poll()
+        raise
+    try:
+        _execute_cohorts(prepared)
+    except BaseException:
+        # Members of cohorts that completed commit their tick (their carries
+        # already moved on); the others plan afresh on their next tick, or
+        # refuse it when their failed cohort may have moved carries.
+        for session in prepared:
+            tick = session._pending
+            if tick is not None and tick.chunks is not None:
+                session.poll()
+            else:
+                session._pending = None
+        raise
+    return [session.poll() for session in prepared]
+
+
+def _execute_cohorts(sessions: list[StreamingSession]) -> None:
+    """Execute the prepared ticks of *sessions* that form cohorts."""
+    cohorts: dict[tuple, list[StreamingSession]] = {}
+    # A session listed twice is one member; its second poll plans afresh.
+    for session in dict.fromkeys(sessions):
+        key = session._cohort_key()
+        if key is not None:
+            cohorts.setdefault(key, []).append(session)
+    for members in cohorts.values():
+        if len(members) < 2:
+            continue
+        executor = cohort_executor(members[0]._template)
+        began = time.perf_counter()
+        try:
+            events = executor.execute(
+                [(member._nodes, member._pending.ready[0]) for member in members]
+            )
+        except BaseException as error:
+            for member in members:
+                member._break_on(error)
+            raise
+        share = (time.perf_counter() - began) / len(members)
+        for member, chunk in zip(members, events):
+            tick = member._pending
+            tick.chunks = [chunk]
+            tick.fell_back = executor.fell_back
+            tick.execute_seconds = share
+            tick.cohort_size = len(members)

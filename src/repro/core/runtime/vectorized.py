@@ -33,6 +33,13 @@ This module lowers window loops onto that observation:
   ``compute`` window-by-window over zero-copy views of the run buffer, so
   the fallback is bit-identical to serial execution by construction.
 
+The same observation runs across tenants: serving holds many sessions
+cloned from one plan template, and :class:`CohortExecutor` stacks one ready
+window of each into the rows of one buffer per node, so a stateless
+lowered operator computes the whole cohort in one ``compute_run`` while
+stateful ones run per member over row views (cross-tenant cohorts, see
+DESIGN.md).
+
 Why runs are exact
 ------------------
 
@@ -52,7 +59,10 @@ carries evolve identically across run boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable
+
+import numpy as np
 
 from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
@@ -243,6 +253,43 @@ def share_vector_info(template, clone, clones: dict[int, PlanNode]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def fill_schedule(sink: PlanNode, start: int) -> list[tuple[PlanNode, int]]:
+    """Every node of the plan under *sink*, inputs first, with its offset
+    from a sink window at *start*.
+
+    Mirrors the serial executor's recursive fill (children before parents,
+    multicast nodes deduplicated like its ``_filled_at`` memo) as a flat
+    replayable list: each node's fill position is ``start + offset``.  With
+    pure-shift time maps (``analyze_plan`` rejects everything else) the
+    offsets depend only on ``start % D``, so one walk serves every window
+    with the same phase.
+    """
+    order: list[tuple[PlanNode, int]] = []
+    positions: dict[int, int] = {}
+
+    def visit(node: PlanNode, node_start: int) -> None:
+        key = id(node)
+        if key in positions:
+            if positions[key] != node_start:
+                raise ExecutionError(
+                    f"node {node.name} is multicast at inconsistent "
+                    f"positions {positions[key]} and {node_start}"
+                )
+            return
+        positions[key] = node_start
+        if isinstance(node, OperatorNode):
+            operator = node.operator
+            for index, upstream in enumerate(node.inputs):
+                visit(
+                    upstream,
+                    operator.input_sync_time(node_start, index, upstream.descriptor),
+                )
+        order.append((node, node_start - start))
+
+    visit(sink, start)
+    return order
+
+
 class RunExecutor:
     """Pulls runs of consecutive windows through a plan graph.
 
@@ -276,11 +323,7 @@ class RunExecutor:
         self.sink_window: FWindow | None = None
         #: The run buffer of every node, keyed by ``id(node)``.
         self._buffers: dict[int, FWindow] = {}
-        #: Topologically ordered ``(node, offset)`` fill schedule: each
-        #: node's fill position is ``run start + offset``.  With pure-shift
-        #: time maps (``analyze_plan`` rejects everything else) the offset
-        #: of ``align_down(start + shift)`` from ``start`` depends only on
-        #: ``start % D``, so one walk serves every run with the same phase.
+        #: The :func:`fill_schedule` of the current run phase.
         self._schedule: list[tuple[PlanNode, int]] | None = None
         self._schedule_phase: int | None = None
         #: Per run-length bindings of the schedule to (prefix views of) the
@@ -318,38 +361,6 @@ class RunExecutor:
             return window
         return window.prefix(node.dimension * count)
 
-    def _build_schedule(self, start: int) -> list[tuple[PlanNode, int]]:
-        """Walk the graph once, recording every node's offset from *start*.
-
-        Mirrors the serial executor's recursive fill (children before
-        parents, multicast nodes deduplicated like its ``_filled_at`` memo)
-        but replaces the per-run recursion with a flat replayable list.
-        """
-        order: list[tuple[PlanNode, int]] = []
-        positions: dict[int, int] = {}
-
-        def visit(node: PlanNode, node_start: int) -> None:
-            key = id(node)
-            if key in positions:
-                if positions[key] != node_start:
-                    raise ExecutionError(
-                        f"node {node.name} is multicast at inconsistent "
-                        f"positions {positions[key]} and {node_start}"
-                    )
-                return
-            positions[key] = node_start
-            if isinstance(node, OperatorNode):
-                operator = node.operator
-                for index, upstream in enumerate(node.inputs):
-                    visit(
-                        upstream,
-                        operator.input_sync_time(node_start, index, upstream.descriptor),
-                    )
-            order.append((node, node_start - start))
-
-        visit(self.plan.sink, start)
-        return order
-
     def _bind(self, count: int) -> list:
         """Bind the schedule to the run buffers for run length *count*."""
         windows = {
@@ -380,7 +391,7 @@ class RunExecutor:
         count = int(count)
         phase = start % self.plan.sink.dimension
         if self._schedule is None or self._schedule_phase != phase:
-            self._schedule = self._build_schedule(start)
+            self._schedule = fill_schedule(self.plan.sink, start)
             self._schedule_phase = phase
             self._bound.clear()
         bound = self._bound.get(count)
@@ -412,3 +423,185 @@ class RunExecutor:
         if columns is None:
             return cursor
         return write_sink_events(window, columns, cursor)
+
+
+# ---------------------------------------------------------------------------
+# Cross-tenant cohorts
+# ---------------------------------------------------------------------------
+
+
+class CohortExecutor:
+    """Executes one window of each of many clones of one template together.
+
+    Serving runs many sessions cloned from one
+    :class:`~repro.serve.cache.PlanCache` template; when several of them
+    have exactly one ready window in the same batch, they form a **cohort**
+    and execute along a tenant axis.  Every template node owns one stacked
+    FWindow of one row (window) per member; row *b* is a view positioned at
+    member *b*'s own window, whatever start each member sits at (all on one
+    grid phase).
+
+    * A node **stacks** when it is lowered and stateless
+      (``make_state()`` is None): one ``compute_run`` over all rows, as if
+      they were a run of consecutive windows.  A stateless kernel depends
+      only on its window's contents and the grid phase (the
+      :meth:`~repro.core.operators.base.Operator.compute` contract), so each
+      row is what that member computes alone.
+    * Every other node runs per member over its rows, with that member's
+      own state: bit-identical to the member ticking alone by construction.
+    * Source rows are filled from each member's own source, and the sink's
+      events are gathered once and split per member.
+
+    Buffers only grow, sized for the largest cohort seen, as
+    :meth:`RunExecutor.reserve` does.  The executor reads and advances the
+    members' node ``state`` and ``windows_computed``, never the template's.
+    It is cached on the template (:func:`cohort_executor`), so its buffers
+    are scratch shared by every session and service cloned from that
+    template: one plan cache's sessions may only tick from one thread at a
+    time.
+    """
+
+    def __init__(self, template) -> None:
+        info = plan_vector_info(template)
+        self.nodes = topological_order(template.sink)
+        self._position = {id(node): index for index, node in enumerate(self.nodes)}
+        #: Per node: ``"source"``, ``"stacked"`` (lowered and stateless: one
+        #: call for all rows), ``"lowered"`` (per member, run kernel) or
+        #: ``"window"`` (per member, window loop).
+        self._modes = [
+            "source" if isinstance(node, SourceNode)
+            else "window" if not info.lowered[id(node)]
+            else "stacked" if node.operator.make_state() is None
+            else "lowered"
+            for node in self.nodes
+        ]
+        #: Whether some operator node runs below its run kernel (the
+        #: per-window fallback), which demotes a session's execution mode.
+        self.fell_back = "window" in self._modes
+        #: Rows every stacked buffer holds (see :meth:`reserve`).
+        self.rows = 0
+        self._buffers: list[FWindow] = []
+        #: Per node, a view of each row of its buffer.
+        self._row_views: list[list[FWindow]] = []
+        #: Per cohort size, the stacked views of the first that many rows.
+        self._stacked: dict[int, list[FWindow]] = {}
+        self._schedule: list[tuple] | None = None
+        self._schedule_phase: int | None = None
+
+    def reserve(self, members: int) -> None:
+        """Size the stacked buffers for cohorts of up to *members* members."""
+        if members <= self.rows:
+            return
+        self.rows = int(members)
+        self._buffers = [
+            FWindow(
+                node.descriptor,
+                node.dimension * members,
+                name=f"{node.name}@cohort",
+                monotonic=False,
+            )
+            for node in self.nodes
+        ]
+        self._row_views = [
+            [buffer.subwindow(row, members) for row in range(members)]
+            for buffer in self._buffers
+        ]
+        self._stacked.clear()
+
+    def _views(self, count: int) -> list[FWindow]:
+        views = self._stacked.get(count)
+        if views is None:
+            views = self._stacked[count] = [
+                buffer if count == self.rows else buffer.prefix(node.dimension * count)
+                for node, buffer in zip(self.nodes, self._buffers)
+            ]
+        return views
+
+    def _bind_schedule(self, start: int) -> list[tuple]:
+        """``(index, offset, operator, input indices, mode)`` per node, in
+        fill order."""
+        schedule = []
+        for node, offset in fill_schedule(self.nodes[-1], start):
+            index = self._position[id(node)]
+            schedule.append((
+                index,
+                offset,
+                getattr(node, "operator", None),
+                tuple(self._position[id(upstream)] for upstream in node.inputs),
+                self._modes[index],
+            ))
+        return schedule
+
+    def execute(self, members: list[tuple[list[PlanNode], int]]) -> list[tuple]:
+        """Execute one window per member; return each member's sink events.
+
+        *members* holds ``(nodes, start)`` per member: the member plan's
+        nodes in the template's topological order and the start of its one
+        ready window.  Every start must lie on one phase of the sink grid.
+        Returns one ``(times, values, durations)`` triple per member, in
+        stream order, exactly as :func:`~repro.core.runtime.executor.sink_events`
+        would for that member alone.
+        """
+        count = len(members)
+        self.reserve(count)
+        first = members[0][1]
+        phase = first % self.nodes[-1].dimension
+        if self._schedule is None or self._schedule_phase != phase:
+            self._schedule = self._bind_schedule(first)
+            self._schedule_phase = phase
+        stacked = self._views(count)
+        rows = self._row_views
+        starts = [start for _, start in members]
+
+        for index, offset, operator, inputs, mode in self._schedule:
+            window = stacked[index]
+            window.clear()
+            window.sync_time = first + offset
+            node_rows = rows[index]
+            for row, start in zip(node_rows, starts):
+                row.sync_time = start + offset
+            if mode == "source":
+                for row, (nodes, _) in zip(node_rows, members):
+                    low = row.sync_time
+                    times, values, durations = nodes[index].source.read(
+                        low, low + row.dimension
+                    )
+                    if times.size:
+                        row.set_events(times, values, durations)
+            elif mode == "stacked":
+                operator.compute_run(window, [stacked[i] for i in inputs], None, count)
+            else:
+                kernel = operator.compute_run if mode == "lowered" else partial(
+                    Operator.compute_run, operator
+                )
+                input_rows = [rows[i] for i in inputs]
+                for member, (row, (nodes, _)) in enumerate(zip(node_rows, members)):
+                    kernel(row, [r[member] for r in input_rows], nodes[index].state, 1)
+            for nodes, _ in members:
+                nodes[index].windows_computed += 1
+        return self._split_sink(stacked[-1], starts)
+
+    def _split_sink(self, window: FWindow, starts: list[int]) -> list[tuple]:
+        """Gather the stacked sink's present events once; split per member."""
+        capacity = self._row_views[-1][0].capacity
+        indices = window.present_indices()
+        row_of = indices // capacity
+        times = np.asarray(starts, dtype=np.int64)[row_of] + (
+            indices - row_of * capacity
+        ) * window.period
+        values = window.values[indices]
+        durations = window.durations[indices]
+        bounds = [0, *np.searchsorted(row_of, range(1, len(starts))).tolist(), indices.size]
+        return [
+            (times[low:high], values[low:high], durations[low:high])
+            for low, high in zip(bounds, bounds[1:])
+        ]
+
+
+def cohort_executor(template) -> CohortExecutor:
+    """The :class:`CohortExecutor` of a plan-cache *template*, cached on it
+    (the only mutable thing a cached template holds)."""
+    executor = template.__dict__.get("_cohort_executor")
+    if executor is None:
+        executor = template.__dict__["_cohort_executor"] = CohortExecutor(template)
+    return executor

@@ -4,10 +4,13 @@ The deployment half of the paper's patient-level-scale story (Figure
 10(c)/(d)): every bedside monitor in a cohort streams into the same query
 shape, so the service compiles the plan once, instantiates a per-patient
 session from the cached template, and ticks the whole cohort with one
-``pump`` per watermark.  With ``n_workers > 1`` the cohort is hosted,
-whole sessions at a time, on the forked workers of an
-:class:`~repro.ingest.IngestWorkerPool`: each patient's samples are pushed
-one watermark slice at a time and the pool ticks all workers at once.
+``pump`` per watermark: sessions of one template with one ready window
+each execute together as a cross-tenant cohort.  With ``n_workers > 1``
+the cohort is hosted, whole sessions at a time, on the forked workers of
+an :class:`~repro.ingest.IngestWorkerPool`: each patient's samples are
+pushed one watermark slice at a time and the pool ticks all workers at
+once.  Either way every patient's served result is compared with a
+one-shot run over the same data (``parity``).
 
 Run as a script for a printed cohort trace::
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.sources import ArraySource, ReplaySource
 from repro.core.timeutil import TICKS_PER_SECOND
@@ -49,6 +53,12 @@ class CohortServeReport:
     session_seconds: float = 0.0
     #: Per-pump ``(watermark, windows, events)`` rows for the trace.
     pump_rows: list[tuple[int, int, int]] = field(default_factory=list)
+    #: Most sessions that executed one window together (a cross-tenant
+    #: cohort); 1 when every tick ran alone.
+    largest_cohort: int = 0
+    #: Whether every patient's served result is bit-identical to a one-shot
+    #: run of the same query over the same data.
+    parity: bool = False
 
 
 def cohort_query() -> Query:
@@ -75,6 +85,14 @@ def synthetic_patient(seed: int, duration_seconds: float = 8.0) -> ArraySource:
     for start in rng.integers(0, max(1, n - 400), size=3):
         keep[start : start + int(rng.integers(50, 300))] = False
     return ArraySource(times[keep], values[keep] * 3.0, period=2)
+
+
+def _identical(served, reference) -> bool:
+    return (
+        np.array_equal(served.times, reference.times)
+        and np.array_equal(served.values, reference.values, equal_nan=True)
+        and np.array_equal(served.durations, reference.durations)
+    )
 
 
 def serve_cohort(
@@ -128,8 +146,18 @@ def serve_cohort(
         report.windows_run += pumped.windows_run
         report.events_emitted += pumped.events_emitted
         report.session_seconds += pumped.elapsed_seconds
+        report.largest_cohort = max(
+            [report.largest_cohort, *(t.cohort_size for t in pumped.ticks.values())]
+        )
 
     cohort = {f"patient-{seed:03d}": patient_sources(seed) for seed in range(n_patients)}
+    one_shot = LifeStreamEngine(window_size=window_size, backend=backend)
+
+    def check_parity(served: dict) -> bool:
+        return all(
+            _identical(served[client_id], one_shot.run(patient_query(), sources))
+            for client_id, sources in cohort.items()
+        )
 
     if n_workers > 1:
         streams = {
@@ -166,6 +194,7 @@ def serve_cohort(
                 sent = watermark
                 account(pool.tick(), watermark)
             account(pool.finish())
+            report.parity = check_parity(pool.results())
             # Every worker inherits the parent's pre-warmed cache, so each
             # worker's miss counter repeats the same pre-fork compiles: the
             # global compile count is the per-worker maximum, while hits
@@ -186,6 +215,7 @@ def serve_cohort(
         for watermark in watermarks:
             account(service.pump(watermark), watermark)
         account(service.finish())
+        report.parity = check_parity(service.results())
         report.compiles = service.cache_stats.misses
         report.cache_hits = service.cache_stats.hits
     return report
@@ -237,7 +267,8 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - demo scri
         )
         print(
             f"\nmode={report.execution_mode}  patients={report.n_patients}  "
-            f"compiles={report.compiles}  cache hits={report.cache_hits}"
+            f"compiles={report.compiles}  cache hits={report.cache_hits}  "
+            f"largest cohort={report.largest_cohort}  parity={report.parity}"
         )
         print(f"{'watermark':>10} {'windows':>8} {'events':>8}")
         for watermark, windows, events in report.pump_rows:

@@ -280,9 +280,14 @@ class PlanCacheStats:
 class PlanCache:
     """A bounded LRU map from plan signatures to compiled plan templates.
 
-    Templates stored here are pristine: the engine never executes them, it
-    hands out per-client :meth:`~repro.core.compiler.CompiledPlan.instantiate`
-    clones, so a cached template's buffers are never aliased by two sessions.
+    The engine never executes a template stored here: it hands out
+    per-client :meth:`~repro.core.compiler.CompiledPlan.instantiate` clones,
+    each with its own node buffers and carries.  The one exception is the
+    template's cross-tenant cohort executor
+    (:func:`~repro.core.runtime.vectorized.cohort_executor`), whose stacked
+    buffers every clone's session writes when its batch executes as a
+    cohort.  The lock guards the map only: the sessions and services over
+    one cache may only tick from one thread at a time.
     """
 
     def __init__(self, capacity: int = 32) -> None:

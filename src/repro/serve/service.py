@@ -15,6 +15,17 @@ single watermark, the given list for ``poll`` and open order for
 shortest-job-first order showed no measurable gain on the serving
 workloads, so the service does not reorder (see DESIGN.md).
 
+Within a ``pump`` or ``poll`` batch, sessions cloned from one cache
+template that have exactly one ready window execute together as a
+cross-tenant **cohort**: every member is planned first (its sources
+advanced), each cohort then runs one array program per stateless plan node
+over a stacked buffer of one row per member, and finally every member's
+``poll`` commits its tick, in batch order
+(:func:`~repro.core.runtime.session.tick_batch`).  Output is bit-identical
+to ticking each session alone; ``TickStats.cohort_size`` says who ran
+together.  A batch of one session, serial sessions and ``finish`` tick
+each session alone.
+
 A session keeps the plan and backend it opened with for its whole life:
 there is no runtime re-planning.  Sessions run on the engine's backend —
 run execution unless ``backend=`` says otherwise — which measured faster
@@ -30,7 +41,7 @@ import numpy as np
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime.result import StreamResult
-from repro.core.runtime.session import StreamingSession, TickStats
+from repro.core.runtime.session import StreamingSession, TickStats, tick_batch
 from repro.core.sources import ReplaySource
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError
@@ -306,11 +317,16 @@ class StreamingService:
         report = ServicePumpReport()
         self._maybe_form_groups()
         grouped = self._tick_groups(batch, report)
-        for client_id, watermark in batch.items():
-            # A grouped member's origin sources were already advanced by its
-            # group (shared objects, forward-only), so its tail ticks by
-            # poll; advancing would trip the feed's finality watermark.
-            self._tick_client(client_id, report, None if client_id in grouped else watermark)
+        # A grouped member's origin sources were already advanced by its
+        # group (shared objects, forward-only), so its tail ticks by poll;
+        # advancing would trip the feed's finality watermark.
+        self._tick_batch(
+            [
+                (client_id, None if client_id in grouped else watermark)
+                for client_id, watermark in batch.items()
+            ],
+            report,
+        )
         self._pumps += 1
         return report
 
@@ -348,21 +364,19 @@ class StreamingService:
         report = ServicePumpReport()
         self._maybe_form_groups()
         self._tick_groups({client_id: None for client_id in batch}, report)
-        for client_id in batch:
-            self._tick_client(client_id, report, watermark=None)
+        self._tick_batch([(client_id, None) for client_id in batch], report)
         self._pumps += 1
         return report
 
-    def _tick_client(
-        self, client_id: str, report: ServicePumpReport, watermark=None
-    ) -> None:
-        """Advance (or poll) one client and fold the tick into *report*."""
-        record = self._clients[client_id]
-        if watermark is None:
-            stats = record.session.poll()
-        else:
-            stats = record.session.advance(watermark)
-        report.ticks[client_id] = stats
+    def _tick_batch(self, batch: list, report: ServicePumpReport) -> None:
+        """Tick ``(client_id, watermark or None)`` pairs as one batch
+        (:func:`~repro.core.runtime.session.tick_batch`: same-template
+        one-window ticks execute as cohorts) and fold them into *report*."""
+        ticks = tick_batch(
+            [(self._clients[client_id].session, watermark) for client_id, watermark in batch]
+        )
+        for (client_id, _), stats in zip(batch, ticks):
+            report.ticks[client_id] = stats
 
     def finish(self) -> ServicePumpReport:
         """Drain every open session's deferred tail (see ``Session.finish``),

@@ -1,6 +1,6 @@
 """Shared fixtures for the static-analysis tests.
 
-Defines four deliberately misbehaving operators the analyzers must catch:
+Defines five deliberately misbehaving operators the analyzers must catch:
 
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
@@ -12,7 +12,11 @@ Defines four deliberately misbehaving operators the analyzers must catch:
   ``coverage_reach()`` at its 0 default (the contract analyzer's LS208);
 - :class:`LyingRunKernel` interpolates inside each window in ``compute``
   but runs one ``np.interp`` over the whole run in ``compute_run``, ignoring
-  window edges (the contract analyzer's LS202).
+  window edges (the contract analyzer's LS202);
+- :class:`LyingSlotTimes` is stateless and run-exact but writes each
+  slot's absolute time as its value, so stacking windows of several tenants
+  into one ``compute_run`` gives every tenant after the first the first
+  one's times (the contract analyzer's LS209).
 
 All live under ``tests.*``, so ``discover_operator_classes`` (which only
 considers ``repro.*`` operators) never reports them as uncovered.
@@ -21,7 +25,7 @@ considers ``repro.*`` operators) never reports them as uncovered.
 import numpy as np
 
 from repro.core.event import StreamDescriptor
-from repro.core.operators.base import Operator
+from repro.core.operators.base import Operator, WindowAgnosticRun
 from repro.core.query import Query
 from repro.core.timeutil import LinearTimeMap
 
@@ -116,6 +120,26 @@ class LyingRunKernel(Operator):
 
     def compute_run(self, output, inputs, state, windows):
         self._halfway(output, inputs[0])
+
+
+class LyingSlotTimes(WindowAgnosticRun, Operator):
+    """Replaces every present value by its slot's sync time.
+
+    Stateless, and exact over a run of consecutive windows (a slot's time
+    does not depend on how wide the window is), so LS201–LS208 pass.  But
+    it reads the window's position, which a stateless kernel must not: a
+    cohort positions its stacked buffer at the first tenant's window.
+    """
+
+    name = "LyingSlotTimes"
+
+    def compute(self, output, inputs, state):
+        source = inputs[0]
+        source.trace_read()
+        output.values[:] = output.sync_times()
+        output.durations[:] = source.durations
+        output.bitvector[:] = source.bitvector
+        output.trace_write()
 
 
 def stretch_query_and_sources(n: int = 512):

@@ -10,7 +10,7 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.diagnostics import has_errors
 
-from tests.analysis.conftest import LyingReach, LyingRunKernel, LyingTail
+from tests.analysis.conftest import LyingReach, LyingRunKernel, LyingSlotTimes, LyingTail
 
 
 class TestBuiltinRegistry:
@@ -70,6 +70,19 @@ class TestLyingOperatorIsCaught:
         assert diagnostics[0].severity == "error"
         assert diagnostics[0].anchor == "LyingRunKernel"
         assert "compute_run" in diagnostics[0].message
+
+    def test_position_reading_stateless_kernel_detected(self):
+        # Run-exact and stateless: only stacking tenants shows the lie.
+        case = OperatorCase(
+            name="LyingSlotTimes",
+            operator_cls=LyingSlotTimes,
+            build=_apply(lambda q: q._apply(LyingSlotTimes())),
+        )
+        diagnostics = check_operator_case(case)
+        assert [d.code for d in diagnostics] == ["LS209"], [d.render() for d in diagnostics]
+        assert diagnostics[0].severity == "error"
+        assert diagnostics[0].anchor == "LyingSlotTimes"
+        assert "cohort" in diagnostics[0].message
 
     def test_undeclared_coverage_reach_detected(self):
         case = OperatorCase(

@@ -42,6 +42,7 @@ class TestCodeStability:
             "LS206",
             "LS207",
             "LS208",
+            "LS209",
             "LS301",
             "LS302",
             "LS303",

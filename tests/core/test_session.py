@@ -640,6 +640,51 @@ class TestSessionLifecycle:
         _assert_identical(reference, session.result(), "after rejected regression")
         session.close()
 
+    @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
+                             ids=["serial", "vectorized"])
+    @pytest.mark.parametrize("kind", ["shift-chain", "elementwise"])
+    def test_execution_error_after_a_carry_moved_breaks_the_session(self, kind, backend):
+        # A tick that raises mid-execution may leave carries moved without
+        # a commit (the shift's FIFO runs before the failing select), so a
+        # stateful session refuses to go on rather than run the same
+        # windows twice; a stateless one plans them afresh.
+        armed = {"raise": False}
+
+        def fragile(values):
+            if armed["raise"]:
+                raise RuntimeError("user function failed")
+            return values + 1.0
+
+        def query():
+            return SESSION_QUERIES[kind]().select(fragile)
+
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query(), {"s": _source()}
+        )
+        engine = LifeStreamEngine(window_size=1000, backend=backend)
+        session = engine.open_session(query(), {"s": ReplaySource(_source())})
+        session.advance(4000)
+        saved = session.checkpoint()
+        armed["raise"] = True
+        try:
+            with pytest.raises(RuntimeError, match="user function failed"):
+                session.advance(7000)
+        finally:
+            armed["raise"] = False
+        if kind == "shift-chain":
+            for call in (session.poll, session.finish, session.checkpoint,
+                         lambda: session.advance(8000)):
+                with pytest.raises(ExecutionError, match="failed mid-execution"):
+                    call()
+            session.close()
+            session = engine.open_session(
+                query(), {"s": ReplaySource(_source())}, checkpoint=saved
+            )
+        session.advance(12000)
+        session.finish()
+        _assert_identical(reference, session.result(), f"{kind} after a failed tick")
+        session.close()
+
     def test_advance_after_finish_rejected(self):
         engine = LifeStreamEngine(window_size=1000)
         session = engine.open_session(

@@ -1,20 +1,24 @@
-"""Known wrong answer: targeted and eager disagree on a multicast shift-join.
+"""Targeted and eager agree on a carry-FIFO shift under a join.
 
-A carry-FIFO ``Shift`` under a coverage-intersecting ``Join`` skips windows
-its carry needs under targeted enumeration.  The smallest stream found is
-two samples one empty window apart: ``shift(1000)`` moves ``t=0`` to
-``t=1000``, where the stream has no sample, so the join must emit nothing.
-Eager execution emits nothing; targeted execution skips the empty window
-``[1000, 2000)`` and emits an event at ``t=2000``.
+Under a coverage-intersecting ``Join``, targeted enumeration skips windows
+a carry-FIFO ``Shift`` has carried samples for.  The smallest stream that
+showed it is two samples one empty window apart: ``shift(1000)`` moves
+``t=0`` to ``t=1000``, where the stream has no sample, so the join must
+emit nothing.  Targeted execution skips the empty window ``[1000, 2000)``;
+before the shift aged its carry over skipped input, the stale sample leaked
+into the next window and was emitted at ``t=2000``.
 
-The ``xfail(strict=True)`` test turns green, and so fails the suite, once
-the divergence is fixed; the marker must then be removed.
+The differential check sweeps seeded bursty 500 Hz signals over shifts
+shorter than, equal to and several times the window, on both backends:
+targeted, eager and the direct count ``np.isin(t - shift, t).sum()`` agree,
+and so do a ``left_join`` against the shifted stream's values.
 """
 
 import numpy as np
 import pytest
 
 from repro import LifeStreamEngine, Query
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource
 
 TIMES = np.array([0, 2000], dtype=np.int64)
@@ -35,12 +39,55 @@ def test_eager_matches_the_direct_count():
     assert len(_run(targeted=False)) == expected
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="targeted enumeration skips a window the Shift carry needs under a Join",
-)
 def test_targeted_matches_eager():
     targeted, eager = _run(targeted=True), _run(targeted=False)
+    np.testing.assert_array_equal(targeted.times, eager.times)
+    np.testing.assert_array_equal(targeted.values, eager.values)
+    np.testing.assert_array_equal(targeted.durations, eager.durations)
+
+
+def _bursty(seed: int, seconds: float = 30.0):
+    """A 500 Hz signal in random bursts (20 ms to 3 s) and silences (up to 4 s)."""
+    rng = np.random.default_rng(seed)
+    end = int(seconds * 1000)
+    times = []
+    cursor = int(rng.integers(0, 2000)) * 2
+    while cursor < end:
+        burst = int(rng.integers(10, 1500)) * 2
+        times.append(np.arange(cursor, min(cursor + burst, end), 2, dtype=np.int64))
+        cursor += burst + int(rng.integers(1, 2000)) * 2
+    times = np.concatenate(times)
+    return times, rng.standard_normal(times.size)
+
+
+SHIFTS = (2, 500, 1000, 2500, 7000)
+BACKENDS = {"serial": SerialBackend, "vectorized": VectorizedBackend}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_join_matches_direct_count(seed, shift, backend):
+    times, values = _bursty(seed)
+    engine = LifeStreamEngine(window_size=1000, backend=BACKENDS[backend]())
+
+    def run(query, targeted):
+        source = ArraySource(times, values, period=2)
+        return engine.run(query, {"s": source}, targeted=targeted)
+
+    inner = Query.source("s", frequency_hz=500).multicast(
+        lambda s: s.join(s.shift(shift), lambda now, shifted: now - shifted)
+    )
+    expected = int(np.isin(times - shift, times).sum())
+    targeted, eager = run(inner, True), run(inner, False)
+    assert len(targeted) == len(eager) == expected
+    np.testing.assert_array_equal(targeted.times, eager.times)
+    np.testing.assert_array_equal(targeted.values, eager.values)
+
+    left = Query.source("s", frequency_hz=500).multicast(
+        lambda s: s.left_join(s.shift(1000), lambda now, shifted: now - shifted)
+    )
+    targeted, eager = run(left, True), run(left, False)
     np.testing.assert_array_equal(targeted.times, eager.times)
     np.testing.assert_array_equal(targeted.values, eager.values)
     np.testing.assert_array_equal(targeted.durations, eager.durations)

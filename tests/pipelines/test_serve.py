@@ -3,7 +3,8 @@
 ``serve_cohort(n_workers=1)`` pumps replayed sources through one in-process
 service; ``n_workers=2`` pushes the same samples, one watermark slice at a
 time, at an :class:`~repro.ingest.IngestWorkerPool`.  Both must execute the
-same windows and emit the same events.
+same windows and emit the same events, and every patient's served result
+must match a one-shot run (``parity``).
 """
 
 from pathlib import Path
@@ -25,6 +26,7 @@ def _assert_same_work(pooled, local):
     assert pooled.windows_run == local.windows_run
     assert pooled.events_emitted == local.events_emitted
     assert pooled.pump_rows == local.pump_rows
+    assert local.parity and pooled.parity
     # One compile for the whole cohort, wherever the sessions live.
     assert pooled.compiles == local.compiles == 1
 
@@ -39,6 +41,9 @@ class TestForkedCohort:
         _assert_same_work(pooled, local)
         # The pool's parent compiles before it forks, so every open is a hit.
         assert pooled.cache_hits == 5
+        # Same-template sessions tick as cohorts in-process and per worker.
+        assert local.largest_cohort == 5
+        assert pooled.largest_cohort >= 2
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
     def test_lsql_query(self, path):
@@ -62,3 +67,9 @@ def test_pool_without_fork_serves_in_process(monkeypatch):
     assert pooled.execution_mode == "in-process"
     # In-process workers share one cache; its hits are counted once.
     assert pooled.cache_hits == 4
+
+
+def test_serial_cohort_ticks_alone():
+    report = serve_cohort(n_patients=4, duration_seconds=3.0, backend="serial")
+    assert report.parity
+    assert report.largest_cohort == 1
