@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from repro.core.compiler.fusion import FusionReport, fuse_elementwise
 from repro.core.compiler.lineage import (
     backward_time_map,
+    coverage_program,
     forward_time_map,
     propagate_coverage,
     redundant_source_coverage,
@@ -228,7 +229,8 @@ class CompiledPlan:
                 f"{sorted(unmatched)} in the plan (available: "
                 f"{sorted(n.name for n in sink.iter_nodes() if isinstance(n, SourceNode))})"
             )
-        coverage = propagate_coverage(sink)
+        # Clones share the template's shape, so they share its coverage program.
+        coverage = propagate_coverage(sink, program=coverage_program(self))
         bound = {
             node.name: node.source
             for node in sink.iter_nodes()

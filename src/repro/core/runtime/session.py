@@ -43,6 +43,15 @@ together as a cross-tenant cohort
 :meth:`poll` commits each member's already-executed tick without planning
 again.
 
+Planning is shared by a template's clones as far as it depends only on
+the plan's shape.  The coverage refresh evaluates the template's flat
+:class:`~repro.core.compiler.lineage.CoverageProgram` (the one
+:func:`~repro.core.compiler.lineage.propagate_coverage` runs) over each
+session's own sources, and the sync tables of the frontier cut and of
+readiness (where each source sits for a given output window) are built
+once per template and window start in a batch and shared by its members
+(:meth:`StreamingSession._input_syncs`).
+
 Sessions checkpoint to disk (:meth:`checkpoint`) by snapshotting every
 operator's carry state via :meth:`~repro.core.operators.base.Operator.snapshot_state`
 together with the emission frontier, source watermarks and the events
@@ -62,7 +71,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.compiler.lineage import propagate_coverage
+from repro.core.compiler.lineage import coverage_program, propagate_coverage
 from repro.core.graph import OperatorNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.runtime.backends import VectorizedBackend
@@ -173,9 +182,16 @@ class StreamingSession:
         self._nodes = topological_order(self._plan.sink)
         self._operator_nodes = [n for n in self._nodes if isinstance(n, OperatorNode)]
         self._source_nodes = [n for n in self._nodes if isinstance(n, SourceNode)]
-        self._replay_nodes = [
-            n for n in self._source_nodes if isinstance(n.source, ReplaySource)
+        #: ``(topological index, node)`` of every replayed source.
+        self._replay_slots = [
+            (index, node)
+            for index, node in enumerate(self._nodes)
+            if isinstance(node, SourceNode) and isinstance(node.source, ReplaySource)
         ]
+        self._replay_nodes = [node for _, node in self._replay_slots]
+        # The lineage walk of the plan's shape, shared by every clone of its
+        # template (and keying the sync tables a batch shares).
+        self._program = coverage_program(self._plan)
         self._last_start: int | None = None
         self._collected_times: list[np.ndarray] = []
         self._collected_values: list[np.ndarray] = []
@@ -253,6 +269,11 @@ class StreamingSession:
         return self._closed
 
     @property
+    def events_emitted(self) -> int:
+        """Events emitted since the session (or its restored lineage) started."""
+        return self._events_emitted
+
+    @property
     def watermark(self) -> int | None:
         """Minimum watermark across the replayed sources (None if none)."""
         if not self._replay_nodes:
@@ -310,19 +331,20 @@ class StreamingSession:
         self._require_open()
         return self._tick(drain=False)
 
-    def _prepare(self, watermark: int | None) -> None:
+    def _prepare(self, watermark: int | None, tables: dict) -> None:
         """Plan the next tick without executing it.
 
         Advances the sources to *watermark* first (as :meth:`advance` does)
-        unless it is None.  The next :meth:`poll` executes the planned
-        windows — unless :func:`tick_batch` executed them in a cohort
-        meanwhile — and commits the tick.
+        unless it is None.  *tables* holds the sync tables of the batch
+        (see :meth:`_input_syncs`).  The next :meth:`poll` executes the
+        planned windows — unless :func:`tick_batch` executed them in a
+        cohort meanwhile — and commits the tick.
         """
         if watermark is None:
             self._require_open()
         else:
             self._advance_sources(watermark)
-        self._pending = self._plan_tick(drain=False)
+        self._pending = self._plan_tick(drain=False, tables=tables)
 
     def finish(self) -> TickStats:
         """Declare the stream complete and drain all remaining windows.
@@ -365,7 +387,7 @@ class StreamingSession:
     def _tick(self, drain: bool) -> TickStats:
         tick, self._pending = self._pending, None
         if tick is None or (drain and tick.chunks is None):
-            tick = self._plan_tick(drain)
+            tick = self._plan_tick(drain, tables={})
         if tick.chunks is None:
             began = time.perf_counter()
             try:
@@ -394,14 +416,14 @@ class StreamingSession:
                 f"and restore an earlier checkpoint"
             )
 
-    def _plan_tick(self, drain: bool) -> "_Tick":
+    def _plan_tick(self, drain: bool, tables: dict) -> "_Tick":
         began = time.perf_counter()
-        self._refresh_coverage()
+        self._refresh_coverage(tables)
         new = self._new_window_starts()
         ready: list[int] = []
         deferred = 0
         for start in new:
-            if drain or self._window_ready(start):
+            if drain or self._window_ready(start, tables):
                 ready.append(start)
             else:
                 # Windows must run in order (FWindows only slide forward);
@@ -498,27 +520,25 @@ class StreamingSession:
             execution_mode=self._execution_mode,
         )
 
-    def _input_syncs(self, start: int, reach: bool = False):
-        """Yield ``(source node, sync time)`` for every path from the sink
-        down: where each source's FWindow sits for the output window at
-        *start*.  With *reach*, each operator's ``coverage_reach()`` is taken
-        off on the way, giving the earliest source time whose coverage can
-        still matter to output coverage from *start* on."""
-        pending = [(self._plan.sink, start)]
-        while pending:
-            node, sync = pending.pop()
-            if isinstance(node, SourceNode):
-                yield node, sync
-                continue
-            operator = node.operator
-            if reach:
-                sync -= operator.coverage_reach()
-            for index, upstream in enumerate(node.inputs):
-                pending.append(
-                    (upstream, operator.input_sync_time(sync, index, upstream.descriptor))
-                )
+    def _input_syncs(self, tables: dict, start: int, reach: bool = False) -> dict[int, int]:
+        """The sync table of the output window at *start*
+        (:meth:`~repro.core.compiler.lineage.CoverageProgram.input_syncs`):
+        ``{topological index: sync}`` per source, the earliest position
+        with *reach* and the latest without.
 
-    def _refresh_coverage(self) -> None:
+        It depends only on the plan's shape and *start*, so it is memoised
+        in *tables*, keyed by the shape's program: the clones of one
+        template at one frontier in one :func:`tick_batch` walk the graph
+        once between them.  *tables* lives for one batch (a lone tick gets
+        a fresh one).
+        """
+        key = (self._program, start, reach)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = self._program.input_syncs(start, reach)
+        return table
+
+    def _refresh_coverage(self, tables: dict) -> None:
         """Re-propagate lineage coverage, from the emission frontier on.
 
         Before the first window has run the whole history is propagated, as
@@ -531,11 +551,12 @@ class StreamingSession:
         """
         since = None
         if self._last_start is not None:
-            since = {}
-            cut = self._last_start + self._plan.sink.dimension
-            for node, sync in self._input_syncs(cut, reach=True):
-                since[node] = min(sync, since.get(node, sync))
-        propagate_coverage(self._plan.sink, since=since, nodes=self._nodes)
+            since = self._input_syncs(
+                tables, self._last_start + self._plan.sink.dimension, reach=True
+            )
+        propagate_coverage(
+            self._plan.sink, since=since, nodes=self._nodes, program=self._program
+        )
         span = coverage_span(self._source_nodes, self._plan.sink)
         if self._span is None:
             self._span = span
@@ -572,13 +593,13 @@ class StreamingSession:
             return list(starts)
         return [s for s in starts if s > self._last_start]
 
-    def _window_ready(self, start: int) -> bool:
+    def _window_ready(self, start: int, tables: dict) -> bool:
         """True when every replayed source's watermark covers the full input
         span the output window starting at *start* would read."""
+        syncs = self._input_syncs(tables, start)
         return all(
-            sync + node.dimension <= node.source.watermark
-            for node, sync in self._input_syncs(start)
-            if isinstance(node.source, ReplaySource)
+            syncs[index] + node.dimension <= node.source.watermark
+            for index, node in self._replay_slots
         )
 
     # -- results -----------------------------------------------------------
@@ -827,9 +848,12 @@ def tick_batch(batch) -> list[TickStats]:
     as a session whose own tick failed (:meth:`StreamingSession._break_on`).
     """
     prepared: list[StreamingSession] = []
+    # Sync tables shared by the batch's clones of one template (see
+    # StreamingSession._input_syncs); they do not outlive the batch.
+    tables: dict = {}
     try:
         for session, watermark in batch:
-            session._prepare(watermark)
+            session._prepare(watermark, tables)
             prepared.append(session)
     except BaseException:
         for session in prepared:

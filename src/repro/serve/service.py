@@ -8,8 +8,9 @@ the same query shape cost one compile (the template) plus N cheap
 instantiations, and a single :meth:`StreamingService.pump` call ticks every
 session for the new watermarks.
 
-``pump``, ``poll`` and ``finish`` tick the shared prefixes first and then
-the batch in the order it is given: the mapping's order, open order for a
+``pump``, ``poll`` and ``finish`` tick the shared prefixes first (in
+``pump`` and ``poll`` all of them as one batch) and then the batch in the
+order it is given: the mapping's order, open order for a
 single watermark, the given list for ``poll`` and open order for
 ``finish``.  The order never changes what a session emits, and a
 shortest-job-first order showed no measurable gain on the serving
@@ -54,6 +55,7 @@ from repro.serve.subplan import (
     plan_sharing,
     prefix_fingerprints,
     rewrite_tail,
+    tick_prefixes,
 )
 
 
@@ -267,7 +269,14 @@ class StreamingService:
 
     @property
     def sharing_groups(self) -> list[dict]:
-        """One summary dict per active sub-plan sharing group."""
+        """One summary dict per active sub-plan sharing group.
+
+        ``"group_id"`` is unique per group (it covers the identity of the
+        prefix's source objects); ``"feed"``, the source name the tails
+        read, names only the prefix's structure, so groups running the same
+        prefix over different sources repeat it, and their same-shape tails
+        are clones of one template.
+        """
         return [
             {
                 "group_id": group.group_id,
@@ -397,15 +406,19 @@ class StreamingService:
     def _tick_groups(self, batch: dict, report: ServicePumpReport) -> set[str]:
         """Advance and tick the shared prefixes whose members are in *batch*.
 
-        For each group with at least one batch member: the batch members'
-        origin replay sources advance to their watermarks (forward-only —
-        the sources are shared objects, so the max wins, exactly as when
-        tenants hand-share sources in unshared serving), the prefix session
-        ticks exactly once, and the emitted delta plus the finality
-        watermark fan out to every member feed.  Returns the batch members
-        that belong to a group (their sessions then tick by ``poll``).
+        For every group with at least one batch member, the batch members'
+        origin replay sources advance to their watermarks first
+        (forward-only — the sources are shared objects, so the max wins,
+        exactly as when tenants hand-share sources in unshared serving).
+        Then every such prefix session ticks exactly once, all of them as
+        one batch (:func:`~repro.serve.subplan.tick_prefixes`: same-template
+        prefixes execute as a cohort), and each emitted delta plus its
+        finality watermark fans out to the group's member feeds.  Returns
+        the batch members that belong to a group (their sessions then tick
+        by ``poll``).
         """
         grouped: set[str] = set()
+        ticking: list[SharedPrefixGroup] = []
         for group in self._groups:
             members = [cid for cid in group.member_ids if cid in batch]
             if not members:
@@ -417,7 +430,9 @@ class StreamingService:
                 watermark = batch[client_id]
                 if watermark is not None:
                     group.advance_member_sources(client_id, watermark)
-            report.prefix_ticks[group.group_id] = group.tick_prefix()
+            ticking.append(group)
+        for group, stats in zip(ticking, tick_prefixes(ticking)):
+            report.prefix_ticks[group.group_id] = stats
         return grouped
 
     def _maybe_form_groups(self) -> None:

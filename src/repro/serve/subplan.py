@@ -20,7 +20,10 @@ Correctness rests on two contracts:
   sub-DAGs compute the same function over the very same input streams, so
   one execution can stand in for both.  Mere structural equality over
   *different* source objects is deliberately not enough: those prefixes
-  compute over different data and must keep executing separately.
+  compute over different data and must keep executing separately.  The
+  synthetic feed a tail reads is named by the structure alone
+  (:func:`feed_name`), so equal tails of different groups still compile to
+  one plan-cache template and tick as one cohort;
 * **output finality**
   (:attr:`~repro.core.runtime.session.StreamingSession.output_complete_through`)
   — the prefix session's emitted events below its frontier-window end can
@@ -39,18 +42,15 @@ The group runtime (:class:`SharedPrefixGroup`) is driven by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.intervals import CoverageLog, IntervalSet
 from repro.core.query import Query, QuerySpec
+from repro.core.runtime.session import TickStats, tick_batch
 from repro.core.sources import PushSource, ReplaySource, StreamSource
 from repro.serve.cache import fingerprint_operator, fingerprint_value, signature_digest
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.runtime.session import TickStats
 
 #: Sharing only pays off when a prefix replaces at least this many member
 #: executions per tick.
@@ -62,8 +62,22 @@ FEED_NAME_PREFIX = "__shared_prefix_"
 
 
 def feed_name(fingerprint: tuple) -> str:
-    """Deterministic synthetic source name for a shared prefix."""
-    return FEED_NAME_PREFIX + signature_digest(fingerprint)
+    """Deterministic synthetic source name for a shared prefix.
+
+    It hashes only the *structure* of the prefix (its fingerprint without
+    the identity of the bound source objects): the same prefix over another
+    group's sources gets the same feed name, so the same tail over either
+    group's feed compiles to one plan-cache template, and the tails of
+    different groups tick together as a cohort.
+    """
+    return FEED_NAME_PREFIX + signature_digest(_structural(fingerprint))
+
+
+def _structural(entry: tuple) -> tuple:
+    """A :func:`prefix_fingerprints` entry without its source identities."""
+    if entry[0] == "source":
+        return entry[:3]
+    return (entry[0], entry[1], tuple(_structural(child) for child in entry[2]))
 
 
 class SharedFeedSource(PushSource):
@@ -296,8 +310,9 @@ class SharedPrefixGroup:
 
     The owning :class:`~repro.serve.service.StreamingService` drives the
     group once per batch: advance the members' origin sources, tick the
-    prefix session exactly once, fan the emitted delta out to every member
-    feed, then tick the members' tail sessions via ``poll()``.  The feeds'
+    prefix session exactly once (together with the other groups' prefixes,
+    :func:`tick_prefixes`), fan the emitted delta out to every member feed,
+    then tick the members' tail sessions via ``poll()``.  The feeds'
     watermarks only ever reach the prefix's ``output_complete_through``, so
     tails never observe non-final prefix output.
     """
@@ -333,26 +348,19 @@ class SharedPrefixGroup:
             if watermark > source.watermark:
                 source.advance(watermark)
 
-    def tick_prefix(self) -> "TickStats":
-        """Run the prefix once over whatever the origin sources now expose."""
-        exact_from = self.prefix_session.output_complete_through
-        stats = self.prefix_session.poll()
-        self._fan_out(stats, exact_from)
-        return stats
-
-    def finish_prefix(self) -> "TickStats":
+    def finish_prefix(self) -> TickStats:
         """Drain the prefix and fan out its full final coverage."""
         exact_from = self.prefix_session.output_complete_through
         stats = self.prefix_session.finish()
-        self._fan_out(stats, exact_from)
+        self._fan_out(exact_from)
         return stats
 
-    def _fan_out(self, stats: "TickStats", exact_from: int | None) -> None:
-        """Publish the delta of the prefix tick *stats*; *exact_from* is the
+    def _fan_out(self, exact_from: int | None) -> None:
+        """Publish the delta of the prefix's last tick; *exact_from* is the
         prefix's ``output_complete_through`` from before that tick, the point
         past which the tick re-derived the sink coverage exactly."""
         session = self.prefix_session
-        total = stats.cumulative_events
+        total = session.events_emitted
         delta = total - self.published_events
         times, values, durations = session.recent_events(delta)
         feeds = list(self.feeds.values())
@@ -382,3 +390,28 @@ class SharedPrefixGroup:
 
     def close(self) -> None:
         self.prefix_session.close()
+
+
+def tick_prefixes(groups: list[SharedPrefixGroup]) -> list[TickStats]:
+    """Tick the prefix sessions of *groups* once each, as one batch.
+
+    The prefixes tick through :func:`~repro.core.runtime.session.tick_batch`,
+    so the prefixes of different groups that are clones of one template
+    execute as a cohort; then each fans its delta out with the
+    ``output_complete_through`` it had before the tick.  If the batch
+    raises, every prefix whose tick committed fans out before the error
+    propagates: its delta is final, and its feeds would otherwise never
+    see it.
+    """
+    sessions = [group.prefix_session for group in groups]
+    before = [(session.output_complete_through, session.tick_count) for session in sessions]
+    try:
+        ticks = tick_batch([(session, None) for session in sessions])
+    except BaseException:
+        for group, session, (exact_from, count) in zip(groups, sessions, before):
+            if session.tick_count > count:
+                group._fan_out(exact_from)
+        raise
+    for group, (exact_from, _) in zip(groups, before):
+        group._fan_out(exact_from)
+    return ticks

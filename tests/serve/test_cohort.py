@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.operators import Aggregate, FusedElementwise, Shift
+from repro.core.operators.base import Operator
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend
 from repro.core.runtime.vectorized import CohortExecutor
@@ -219,6 +220,130 @@ class TestCohortsAreBitIdentical:
         for client_id, arrays in clients.items():
             expected = _alone(_shift_under_join(), arrays, watermarks)
             _assert_identical(expected, results[client_id], client_id)
+
+
+def _group_prefix():
+    return Query.source("s", frequency_hz=500).select(_scale).where(_keep)
+
+
+#: Two tail shapes over the sharing-group prefix.
+GROUP_TAILS = {
+    "x": lambda prefix: prefix.aggregate(500, func="mean"),
+    "y": lambda prefix: prefix.aggregate(250, func="max"),
+}
+
+
+class TestCrossGroupTails:
+    def test_same_tail_over_two_groups_is_one_cohort(self):
+        # Two groups, each over its own source object, with the same two
+        # tails: the tails of one shape share a template across the groups,
+        # and so do the two prefixes.
+        origins = {"a": _gappy(11), "b": _gappy(12)}
+        clients = {f"{group}{tail}": (group, tail) for group in origins for tail in GROUP_TAILS}
+
+        def query(client_id):
+            group, tail = clients[client_id]
+            return GROUP_TAILS[tail](_group_prefix())
+
+        def open_all(service):
+            replays = {group: ReplaySource(arrays) for group, arrays in origins.items()}
+            for client_id, (group, _) in clients.items():
+                service.open(client_id, query(client_id), {"s": replays[group]})
+
+        watermarks = [WINDOW * pump for pump in PUMPS]
+        half = len(watermarks) // 2
+        with StreamingService(window_size=WINDOW) as unshared:
+            open_all(unshared)
+            for watermark in watermarks:
+                unshared.pump(watermark)
+            unshared.finish()
+            expected = unshared.results()
+
+        shared = StreamingService(window_size=WINDOW, subplan_sharing=True)
+        fresh = StreamingService(window_size=WINDOW)
+        with shared, fresh:
+            open_all(shared)
+            tail_cohorts, prefix_cohorts = [], []
+            for watermark in watermarks[:half]:
+                report = shared.pump(watermark)
+                tail_cohorts += [t.cohort_size for t in report.ticks.values()]
+                prefix_cohorts += [t.cohort_size for t in report.prefix_ticks.values()]
+            groups = shared.sharing_groups
+            assert len({group["group_id"] for group in groups}) == 2
+            assert len({group["feed"] for group in groups}) == 1
+            for tail in GROUP_TAILS:
+                plans = [shared.compiled_query(f"{group}{tail}").plan for group in origins]
+                assert plans[0].template is plans[1].template
+            assert max(tail_cohorts) == 2
+            assert max(prefix_cohorts) == 2
+
+            # The "x" tails move to a fresh service, restored from their
+            # checkpoints over the same feeds; their old sessions stay open
+            # (never ticked again) so that the groups keep publishing.
+            moved = [f"{group}x" for group in origins]
+            for client_id in moved:
+                compiled = shared.compiled_query(client_id)
+                fresh.open(
+                    client_id,
+                    compiled.plan.query,
+                    compiled.plan.sources,
+                    checkpoint=shared.session(client_id).checkpoint(),
+                )
+            staying = [client_id for client_id in clients if client_id not in moved]
+            moved_cohorts = []
+            for watermark in watermarks[half:]:
+                shared.pump({client_id: watermark for client_id in staying})
+                moved_cohorts += [t.cohort_size for t in fresh.poll().ticks.values()]
+            shared.finish()
+            fresh.finish()
+            plans = [fresh.compiled_query(client_id).plan for client_id in moved]
+            assert plans[0].template is plans[1].template
+            assert max(moved_cohorts) == 2
+            results = {client_id: shared.result(client_id) for client_id in staying}
+            results.update(fresh.results())
+
+        engine = LifeStreamEngine(window_size=WINDOW)
+        for client_id, (group, _) in clients.items():
+            _assert_identical(expected[client_id], results[client_id], client_id)
+            one_shot = engine.run(query(client_id), {"s": origins[group]})
+            _assert_identical(one_shot, results[client_id], client_id)
+
+
+class TestPlanningOnce:
+    def test_clones_at_one_frontier_walk_the_lineage_once(self, monkeypatch):
+        counting = {"on": False, "calls": 0}
+        original = Operator.input_sync_time
+
+        def spy(self, *args):
+            counting["calls"] += counting["on"]
+            return original(self, *args)
+
+        monkeypatch.setattr(Operator, "input_sync_time", spy)
+        calls = {}
+        for members in (1, 8):
+            clients = {f"c{i}": _arrays("join", seed=50 + i, dense=True) for i in range(members)}
+            with StreamingService(window_size=WINDOW) as service:
+                for client_id, arrays in clients.items():
+                    service.open(client_id, _two_stream_join(), _replay(arrays))
+                # Warm up: the executors bind their fill schedules once.
+                for pump in range(1, 4):
+                    service.pump(WINDOW * pump)
+                counting["on"], counting["calls"] = True, 0
+                report = service.pump(WINDOW * 4)
+                counting["on"] = False
+                calls[members] = counting["calls"]
+                assert {t.windows_run for t in report.ticks.values()} == {1}
+                assert {t.cohort_size for t in report.ticks.values()} == {members}
+                for pump in PUMPS[4:]:
+                    service.pump(WINDOW * pump)
+                service.finish()
+                results = service.results()
+            watermarks = [WINDOW * pump for pump in PUMPS]
+            for client_id, arrays in clients.items():
+                expected = _alone(_two_stream_join(), arrays, watermarks)
+                _assert_identical(expected, results[client_id], client_id)
+        assert calls[1] > 0
+        assert calls[8] == calls[1]
 
 
 def _counting(monkeypatch, cls, calls):
@@ -438,3 +563,43 @@ class TestMidBatchError:
         for client_id, arrays in clients.items():
             expected = engine.run(_stateless(), dict(arrays))
             _assert_identical(expected, results[client_id], client_id)
+
+
+    def test_prefix_error_fans_out_the_committed_prefixes(self):
+        # Two sharing groups whose prefixes are different templates; the
+        # second group's prefix select raises after the first committed.
+        origins = {"a": _gappy(13, dense=True), "b": _gappy(14, dense=True)}
+        selects = {"a": _scale, "b": _fragile}
+        clients = {f"{group}{tail}": (group, tail) for group in origins for tail in GROUP_TAILS}
+
+        def query(client_id):
+            group, tail = clients[client_id]
+            prefix = Query.source("s", frequency_hz=500).select(selects[group]).where(_keep)
+            return GROUP_TAILS[tail](prefix)
+
+        def serve(sharing, fail_at=None):
+            service = StreamingService(window_size=WINDOW, subplan_sharing=sharing)
+            with service:
+                replays = {group: ReplaySource(arrays) for group, arrays in origins.items()}
+                for client_id, (group, _) in clients.items():
+                    service.open(client_id, query(client_id), {"s": replays[group]})
+                for pump in PUMPS:
+                    if pump != fail_at:
+                        service.pump(WINDOW * pump)
+                        continue
+                    ticks = [group["prefix_ticks"] for group in service.sharing_groups]
+                    FRAGILE["raise"] = True
+                    try:
+                        with pytest.raises(RuntimeError, match="user function failed"):
+                            service.pump(WINDOW * pump)
+                    finally:
+                        FRAGILE["raise"] = False
+                    after = [group["prefix_ticks"] for group in service.sharing_groups]
+                    assert after == [ticks[0] + 1, ticks[1]]
+                service.finish()
+                return service.results()
+
+        expected = serve(sharing=False)
+        results = serve(sharing=True, fail_at=4)
+        for client_id in clients:
+            _assert_identical(expected[client_id], results[client_id], client_id)
