@@ -27,9 +27,14 @@ from repro.lang.runner import run_resolved, synthesize_sources
 
 
 def load_query_file(path: str | Path) -> ResolvedProgram:
-    """Parse and resolve the LSQL file at *path*."""
+    """Parse and resolve the LSQL file at *path*.
+
+    Bytes that are not UTF-8 decode to U+FFFD, which the tokenizer reports
+    as LS401 at the first bad byte; a UTF-8 byte-order mark is dropped.
+    """
     path = Path(path)
-    return compile_text(path.read_text(), filename=path.name)
+    text = path.read_text(encoding="utf-8-sig", errors="replace")
+    return compile_text(text, filename=path.name)
 
 
 def _diagnostics_payload(resolved: ResolvedProgram) -> dict:

@@ -53,7 +53,9 @@ class _ParseError(Exception):
 
 class _Parser:
     def __init__(self, stream: T.TokenStream, filename: str) -> None:
-        self.tokens = stream.tokens
+        # ``take`` never moves past the EOF token and ``peek`` looks at most
+        # one token ahead, so one more EOF lets both index the list directly.
+        self.tokens = [*stream.tokens, stream.tokens[-1]]
         self.pos = 0
         self.filename = filename
         self.diagnostics = list(stream.diagnostics)
@@ -61,17 +63,16 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> T.Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + ahead]
 
     def take(self) -> T.Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != T.EOF:
             self.pos += 1
         return token
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def error(self, message: str, token: T.Token) -> _ParseError:
         self.diagnostics.append(
@@ -86,11 +87,12 @@ class _Parser:
         return _ParseError()
 
     def expect(self, kind: str, what: str) -> T.Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             found = repr(token.text) if token.text else "end of file"
             raise self.error(f"expected {what}, found {found}", token)
-        return self.take()
+        self.pos += 1  # *kind* is never EOF: callers expect real tokens
+        return token
 
     def synchronise(self) -> None:
         """Skip to just past the next ``;`` (or to EOF)."""

@@ -1,16 +1,28 @@
 """The LSQL tokenizer.
 
 Turns query text into a flat token stream with 1-based line/column
-positions.  The tokenizer is *total*: it never raises on bad input —
+positions.  The scanner is one compiled alternation of named groups
+(``_TOKEN``), matched at each position in turn; line and column come from
+a running line-start index, bumped at each newline.  The tokenizer is
+*total*: it never raises on bad input.  The alternation's last branch
+matches any character, so every position matches something, and
 characters it cannot form a token from become ``LS401`` diagnostics (one
 per offending run, so byte soup produces a bounded report, not one finding
-per byte) and scanning continues, which is what lets the parser recover and
-report several errors per file.
+per byte) and scanning continues, which is what lets the parser recover
+and report several errors per file.
+
+An identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
+with ``str.isalnum`` characters or ``_`` (the regex ``\\w``).  The regex
+start class ``[^\\W\\d]`` also admits numerals that are not decimal digits
+(``²``, ``½``); the scanner turns a word or unit that starts with one back
+into a run of unrecognised characters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.diagnostics import Diagnostic
 
@@ -32,8 +44,7 @@ MINUS = "minus"
 EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its source position (1-based line and column)."""
 
     kind: str
@@ -54,21 +65,47 @@ class TokenStream:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def _is_digit(ch: str) -> bool:
-    # Not str.isdigit(): that accepts characters like '²' which int()/float()
-    # reject, and the number grammar is ASCII-only anyway.
-    return "0" <= ch <= "9"
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
+_PUNCT = {"(": LPAREN, ")": RPAREN, ",": COMMA, ";": SEMI, "=": EQUALS, "-": MINUS}
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("space", r"[ \t\r]+"),
+            ("ident", r"[^\W\d]\w*"),
+            ("punct", r"[(),;=\-]"),
+            ("pipe", r"\|>"),
+            # The number grammar is ASCII: [0-9], not \d, which also takes '٣'.
+            ("number", r"(?P<digits>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?P<unit>[^\W\d]\w*)?"),
+            ("newline", r"\n"),
+            ("string", r'"(?:[^"\\\n]|\\.?)*(?P<closed>")?'),
+            ("comment", r"#[^\n]*"),
+            ("stray_pipe", r"\|"),
+            ("junk", r"."),
+        )
+    )
+)
+# A run of characters no token starts with, up to the next one that might.
+_JUNK = re.compile(r'(?:(?![^\W\d])[^ \t\r\n#|(),;="\-0-9])*')
+_ESCAPE = re.compile(r"\\(.?)")
+# Token(...) goes through a generated __new__ that fills in the defaults and
+# costs twice as much as building the tuple directly; the scanner makes ~50
+# tokens per program, so it passes all six fields to tuple.__new__.
+_new = tuple.__new__
+
+
+def _junk_end(text: str, index: int) -> int:
+    """End of the run of unrecognisable characters starting at *index*."""
+    while True:
+        index = _JUNK.match(text, index).end()
+        # _JUNK stops at every [^\W\d] character; the non-ASCII ones that
+        # are not letters (numerals such as '²') cannot start a word either.
+        if index < len(text) and not text[index].isascii() and not text[index].isalpha():
+            index += 1
+        else:
+            return index
 
 
 def tokenize(text: str, filename: str = "<query>") -> TokenStream:
@@ -76,163 +113,88 @@ def tokenize(text: str, filename: str = "<query>") -> TokenStream:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     line = 1
-    col = 1
+    line_start = 0
     index = 0
     length = len(text)
+    match = _TOKEN.match
 
-    def error(message: str, at_line: int, at_col: int) -> None:
+    def error(message: str, col: int) -> None:
         diagnostics.append(
             Diagnostic(
-                "LS401",
-                "error",
-                message,
-                anchor=f"{filename}:{at_line}:{at_col}",
-                check="lang",
+                "LS401", "error", message, anchor=f"{filename}:{line}:{col}", check="lang"
             )
         )
 
-    def advance(count: int = 1) -> None:
-        nonlocal index, line, col
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            index += 1
-
     while index < length:
-        ch = text[index]
-        if ch in " \t\r\n":
-            advance()
+        found = match(text, index)
+        kind = found.lastgroup
+        start = index
+        index = found.end()
+        if kind == "space":
             continue
-        if ch == "#":
-            while index < length and text[index] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == "|":
-            if index + 1 < length and text[index + 1] == ">":
-                tokens.append(Token(PIPE, "|>", start_line, start_col))
-                advance(2)
-            else:
-                error("stray '|' (the pipeline operator is '|>')", start_line, start_col)
-                advance()
-            continue
-        if ch in "(),;=-":
-            kind = {
-                "(": LPAREN,
-                ")": RPAREN,
-                ",": COMMA,
-                ";": SEMI,
-                "=": EQUALS,
-                "-": MINUS,
-            }[ch]
-            tokens.append(Token(kind, ch, start_line, start_col))
-            advance()
-            continue
-        if ch == '"':
-            raw_begin = index
-            advance()
-            chars: list[str] = []
-            closed = False
-            while index < length:
-                current = text[index]
-                if current == '"':
-                    advance()
-                    closed = True
-                    break
-                if current == "\n":
-                    break
-                if current == "\\":
-                    if index + 1 < length and text[index + 1] in _ESCAPES:
-                        chars.append(_ESCAPES[text[index + 1]])
-                        advance(2)
-                        continue
-                    error(
-                        "unknown string escape (supported: \\\" \\\\ \\n \\t)",
-                        line,
-                        col,
-                    )
-                    advance()
-                    continue
-                chars.append(current)
-                advance()
-            if not closed:
-                error("unterminated string literal", start_line, start_col)
+        col = start - line_start + 1
+        if kind == "ident":
+            word = found.group()
+            if word[0].isalpha() or word[0] == "_":
+                tokens.append(_new(Token, (IDENT, word, line, col, word, None)))
                 continue
-            tokens.append(
-                Token(
-                    STRING,
-                    text[raw_begin:index],
-                    start_line,
-                    start_col,
-                    value="".join(chars),
-                )
-            )
-            continue
-        if _is_digit(ch):
-            begin = index
-            while index < length and _is_digit(text[index]):
-                advance()
-            is_float = False
-            if (
-                index < length
-                and text[index] == "."
-                and index + 1 < length
-                and _is_digit(text[index + 1])
-            ):
-                is_float = True
-                advance()
-                while index < length and _is_digit(text[index]):
-                    advance()
-            if index < length and text[index] in "eE":
-                peek = index + 1
-                if peek < length and text[peek] in "+-":
-                    peek += 1
-                if peek < length and _is_digit(text[peek]):
-                    is_float = True
-                    advance(peek - index)
-                    while index < length and _is_digit(text[index]):
-                        advance()
-            digits = text[begin:index]
-            unit = None
-            if index < length and _is_ident_start(text[index]):
-                unit_begin = index
-                while index < length and _is_ident_part(text[index]):
-                    advance()
-                unit = text[unit_begin:index]
-                if unit not in UNITS:
+            # A numeral such as '²' opens a run of unrecognisable characters.
+            index = _junk_end(text, start)
+            error(f"unexpected character(s) {text[start:index]!r}", col)
+        elif kind == "punct":
+            char = found.group()
+            tokens.append(_new(Token, (_PUNCT[char], char, line, col, None, None)))
+        elif kind == "pipe":
+            tokens.append(_new(Token, (PIPE, "|>", line, col, None, None)))
+        elif kind == "number":
+            digits, unit = found.group("digits", "unit")
+            if unit is not None and unit not in UNITS:
+                if unit[0].isalpha() or unit[0] == "_":
                     error(
                         f"unknown unit suffix {unit!r} on number {digits!r} "
                         f"(supported: {', '.join(UNITS)})",
-                        start_line,
-                        start_col,
+                        col,
                     )
                     continue
-            value = float(digits) if is_float else int(digits)
-            tokens.append(
-                Token(NUMBER, digits + (unit or ""), start_line, start_col, value=value, unit=unit)
-            )
-            continue
-        if _is_ident_start(ch):
-            begin = index
-            while index < length and _is_ident_part(text[index]):
-                advance()
-            word = text[begin:index]
-            tokens.append(Token(IDENT, word, start_line, start_col, value=word))
-            continue
-        # A run of unrecognisable characters is reported once, not per byte.
-        begin = index
-        while (
-            index < length
-            and text[index] not in " \t\r\n#|(),;=-\""
-            and not _is_digit(text[index])
-            and not _is_ident_start(text[index])
-        ):
-            advance()
-        run = text[begin:index]
-        error(f"unexpected character(s) {run!r}", start_line, start_col)
+                # A numeral is no unit: the number ends before it.
+                unit = None
+                index = found.start("unit")
+            value = int(digits) if digits.isdigit() else float(digits)
+            tokens.append(_new(Token, (NUMBER, digits + (unit or ""), line, col, value, unit)))
+        elif kind == "newline":
+            line += 1
+            line_start = index
+        elif kind == "string":
+            raw = found.group()
+            closed = found.group("closed") is not None
+            body = raw[1:-1] if closed else raw[1:]
+            if "\\" in body:
+                pieces = []
+                last = 0
+                for escape in _ESCAPE.finditer(body):
+                    pieces.append(body[last : escape.start()])
+                    code = escape.group(1)
+                    if code in _ESCAPES:
+                        pieces.append(_ESCAPES[code])
+                    else:
+                        error(
+                            "unknown string escape (supported: \\\" \\\\ \\n \\t)",
+                            col + 1 + escape.start(),
+                        )
+                        pieces.append(code)
+                    last = escape.end()
+                pieces.append(body[last:])
+                body = "".join(pieces)
+            if closed:
+                tokens.append(_new(Token, (STRING, raw, line, col, body, None)))
+            else:
+                error("unterminated string literal", col)
+        elif kind == "stray_pipe":
+            error("stray '|' (the pipeline operator is '|>')", col)
+        elif kind == "junk":
+            index = _junk_end(text, start)
+            error(f"unexpected character(s) {text[start:index]!r}", col)
+        # "comment": skipped to the end of its line.
 
-    tokens.append(Token(EOF, "", line, col))
+    tokens.append(Token(EOF, "", line, length - line_start + 1))
     return TokenStream(tokens=tokens, diagnostics=diagnostics)

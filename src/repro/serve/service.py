@@ -219,7 +219,14 @@ class StreamingService:
         return session
 
     def session(self, client_id: str) -> StreamingSession:
-        """The open session of *client_id*."""
+        """The open session of *client_id*.
+
+        For a member of a sharing group this is the session of its
+        rewritten tail, so its ``checkpoint()`` restores only as that tail
+        over the same live feed, not as the original query in another
+        service (a known gap; see DESIGN.md, "Query language & sub-plan
+        sharing").
+        """
         return self._record(client_id).session
 
     def compiled_query(self, client_id: str):

@@ -6,7 +6,11 @@ becomes LS401 (lexical) / LS402 (syntax) diagnostics anchored at
 the statements after it.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.lang import tokens as T
+from repro.lang.__main__ import main
 from repro.lang.ast import (
     Arg,
     Call,
@@ -20,6 +24,7 @@ from repro.lang.ast import (
     StringLit,
 )
 from repro.lang.parser import parse
+from tests.lang.test_roundtrip import _lsqlish
 
 
 def codes(diagnostics):
@@ -80,6 +85,70 @@ class TestTokenizer:
     def test_string_escapes_decode(self):
         stream = T.tokenize('"a\\"b\\\\c\\nd\\te"')
         assert stream.tokens[0].value == 'a"b\\c\nd\te'
+
+
+def lexemes(text):
+    """(kind, text, line, col) of every token but EOF, and LS401 anchors."""
+    stream = T.tokenize(text)
+    tokens = [(t.kind, t.text, t.line, t.col) for t in stream.tokens[:-1]]
+    return tokens, [d.anchor.removeprefix("<query>:") for d in stream.diagnostics]
+
+
+class TestTokenizerUnicode:
+    """Identifiers start with ``str.isalpha`` or ``_`` and go on with
+    ``str.isalnum``; numbers are ASCII digits; columns count code points."""
+
+    def test_letters_and_numerals_inside_a_word(self):
+        for word in ("µs", "x²", "x٣", "ǅ"):
+            assert lexemes(word) == ([(T.IDENT, word, 1, 1)], []), word
+
+    def test_a_numeral_does_not_start_a_word(self):
+        for numeral in ("²", "٣"):
+            assert lexemes(numeral) == ([], ["1:1"]), numeral
+
+    def test_a_numeral_is_not_a_unit(self):
+        assert lexemes("1²") == ([(T.NUMBER, "1", 1, 1)], ["1:2"])
+
+    def test_a_letter_ligature_is_an_unknown_unit(self):
+        stream = T.tokenize("5ﬁ")
+        assert codes(stream.diagnostics) == ["LS401"]
+        assert "unknown unit suffix 'ﬁ'" in stream.diagnostics[0].message
+
+    def test_a_combining_mark_splits_a_word(self):
+        assert lexemes("a\u0301b") == (
+            [(T.IDENT, "a", 1, 1), (T.IDENT, "b", 1, 3)],
+            ["1:2"],
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=60), _lsqlish))
+    def test_positions_point_into_the_source(self, text):
+        line_starts = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]
+        stream = T.tokenize(text)
+        *tokens, eof = stream.tokens
+        for token in tokens:
+            offset = line_starts[token.line - 1] + token.col - 1
+            assert token.text and text.startswith(token.text, offset), token
+        assert line_starts[eof.line - 1] + eof.col - 1 == len(text)
+        for diagnostic in stream.diagnostics:
+            line, col = map(int, diagnostic.anchor.rsplit(":", 2)[1:])
+            assert 1 <= line <= len(line_starts) and col >= 1
+            assert line_starts[line - 1] + col - 1 <= len(text), diagnostic
+
+
+class TestQueryFile:
+    def test_non_utf8_bytes_are_ls401_not_a_crash(self, tmp_path, capsys):
+        path = tmp_path / "soup.lsq"
+        path.write_bytes(b"\xff\xfe bad")
+        assert main(["parse", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "LS401 [soup.lsq:1:1]" in out
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "bom.lsq"
+        path.write_bytes(b"\xef\xbb\xbfsource s rate 500hz;\nsink out = s;\n")
+        assert main(["parse", str(path)]) == 0
+        assert "LS4" not in capsys.readouterr().out
 
 
 class TestParser:

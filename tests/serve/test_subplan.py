@@ -13,6 +13,7 @@ import pytest
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ReplaySource
+from repro.errors import ExecutionError
 from repro.ops import combine
 from repro.serve import StreamingService
 from repro.serve.subplan import (
@@ -428,3 +429,30 @@ class TestLaggingTail:
             assert (
                 shared[client_id].stats.output_windows == reference.stats.output_windows
             )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ExecutionError,
+    reason="a grouped member's checkpoint holds its rewritten tail plan, which "
+    "does not restore over the member's original query in another service",
+)
+def test_grouped_member_checkpoint_restores_in_fresh_service():
+    def query():
+        return _prefix().shift(4)
+
+    with StreamingService(window_size=2000, subplan_sharing=True) as service:
+        source = _shared_replay()
+        for client_id in ("a", "b"):
+            service.open(client_id, query(), {"s": source})
+        for watermark in WATERMARKS:
+            service.pump(watermark)
+        assert service.sharing_groups
+        state = service.session("a").checkpoint()
+        service.finish()
+        expected = service.result("a")
+
+    with StreamingService(window_size=2000) as fresh:
+        fresh.open("a", query(), {"s": _shared_replay()}, checkpoint=state)
+        fresh.finish()
+        _assert_identical(expected, fresh.result("a"), "restored member")
