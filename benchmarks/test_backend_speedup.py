@@ -23,7 +23,6 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.runtime import SerialBackend, VectorizedBackend
-from repro.core.runtime.executor import _window_starts
 from repro.core.runtime.vectorized import RunExecutor
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
@@ -94,12 +93,18 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _targeted_starts(plan) -> list[int]:
+    """The output windows a targeted run of *plan* visits."""
+    sink = plan.sink
+    return list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
+
+
 def test_vectorized_runs_and_serial_windows(workload, monkeypatch):
     sources, _ = workload
     serial_unfused, vectorized = _compiled_queries(sources)
 
     plan = vectorized.plan
-    runs = vectorized.backend.runs(plan, _window_starts(plan, True))
+    runs = vectorized.backend.runs(plan, _targeted_starts(plan))
     with monkeypatch.context() as patch:
         run_calls = _count_calls(patch, RunExecutor, "execute_run")
         result = vectorized.run()
@@ -111,7 +116,7 @@ def test_vectorized_runs_and_serial_windows(workload, monkeypatch):
     with monkeypatch.context() as patch:
         fills = _count_calls(patch, plan.sink, "fill")
         result = serial_unfused.run()
-    assert len(fills) == len(_window_starts(plan, True)) == result.stats.output_windows
+    assert len(fills) == len(_targeted_starts(plan)) == result.stats.output_windows
 
 
 def test_vectorized_speedup(benchmark, report_registry, workload):

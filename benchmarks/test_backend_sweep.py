@@ -26,7 +26,6 @@ from repro.bench.workloads import duty_cycle_e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
-from repro.core.runtime.executor import _window_starts
 from repro.core.runtime.vectorized import runs_for_starts
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
@@ -79,8 +78,9 @@ def test_serial_vs_run_execution_by_run_length(
     compiled = LifeStreamEngine(window_size=TICKS_PER_SECOND).compile(
         SHAPES[shape](), sources
     )
-    starts = _window_starts(compiled.plan, True)
-    runs = runs_for_starts(starts, compiled.plan.sink.dimension)
+    sink = compiled.plan.sink
+    starts = list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
+    runs = runs_for_starts(starts, sink.dimension)
 
     backends = {"serial": SerialBackend(), "vectorized": VectorizedBackend()}
     # Warm run buffers and caches.

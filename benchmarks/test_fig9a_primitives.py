@@ -55,7 +55,7 @@ def _lifestream_unary(signal, query_builder):
     engine = LifeStreamEngine()
 
     def run():
-        return engine.run(query, sources={"s": source}, collect=False)
+        return engine.run(query, sources={"s": source})
 
     return run
 
@@ -137,7 +137,7 @@ def test_clipjoin_lifestream(benchmark, report_registry, joinable):
     engine = LifeStreamEngine()
 
     def run():
-        return engine.run(query, sources={"l": left, "r": right}, collect=False)
+        return engine.run(query, sources={"l": left, "r": right})
 
     _record(report_registry, ("clipjoin", "lifestream"), benchmark, run, workload.total_events)
 
@@ -171,7 +171,7 @@ def test_join_lifestream(benchmark, report_registry, joinable):
     engine = LifeStreamEngine()
 
     def run():
-        return engine.run(query, sources={"l": left, "r": right}, collect=False)
+        return engine.run(query, sources={"l": left, "r": right})
 
     _record(report_registry, ("join", "lifestream"), benchmark, run, workload.total_events)
 

@@ -43,7 +43,7 @@ def test_operation_lifestream(benchmark, report_registry, ecg, operation):
     engine = LifeStreamEngine(window_size=60_000)
 
     def run():
-        return engine.run(query, sources={"ecg": source}, collect=False)
+        return engine.run(query, sources={"ecg": source})
 
     _record(report_registry, (operation, "lifestream"), benchmark, run, times.size)
 

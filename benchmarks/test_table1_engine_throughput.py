@@ -96,7 +96,7 @@ def test_join_lifestream(benchmark, report_registry, fast_workload):
     engine = LifeStreamEngine()
 
     def run():
-        return engine.run(query, sources={"left": left, "right": right}, collect=False)
+        return engine.run(query, sources={"left": left, "right": right})
 
     _record(report_registry, ("join", "lifestream"), benchmark, run, workload.total_events)
 
@@ -146,7 +146,7 @@ def test_upsample_lifestream(benchmark, report_registry, fast_workload):
     engine = LifeStreamEngine()
 
     def run():
-        return engine.run(query, sources={"s": source}, collect=False)
+        return engine.run(query, sources={"s": source})
 
     _record(
         report_registry,

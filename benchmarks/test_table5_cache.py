@@ -61,7 +61,7 @@ def test_cache_lifestream(benchmark, report_registry, n_events):
     def run():
         tracer = _make_tracer()
         engine = LifeStreamEngine(window_size=60_000, tracer=tracer)
-        engine.run(query, sources={"s": source}, collect=False)
+        engine.run(query, sources={"s": source})
         return tracer
 
     _record(report_registry, (n_events, "lifestream"), benchmark, run, n_events)
@@ -92,7 +92,7 @@ def test_lifestream_misses_stay_flat_while_trill_grows(benchmark, report_registr
         if engine_name == "lifestream":
             engine = LifeStreamEngine(window_size=60_000, tracer=tracer)
             query = lifestream_operation("normalize", "s", frequency_hz=1000, window=WINDOW)
-            engine.run(query, sources={"s": ArraySource(times, values, period=1)}, collect=False)
+            engine.run(query, sources={"s": ArraySource(times, values, period=1)})
         else:
             engine = TrillEngine(batch_size=4096, tracer=tracer)
             engine.run_unary(

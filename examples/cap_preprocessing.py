@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.bench.reporting import format_table
 from repro.data import make_cap_patient
-from repro.pipelines import cap_query, run_lifestream_cap, run_trill_cap
+from repro.pipelines.cap import cap_query, run_lifestream_cap, run_trill_cap
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import sys
 
 from repro.bench.reporting import format_table
 from repro.data import generate_abp, generate_ecg, inject_burst_gaps
-from repro.pipelines import run_lifestream_e2e, run_numlib_e2e, run_trill_e2e
+from repro.pipelines.e2e import run_lifestream_e2e, run_numlib_e2e, run_trill_e2e
 
 
 def build_dataset(duration_seconds: float):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro import ArraySource, LifeStreamEngine, Query
 from repro.data import generate_abp, inject_line_zero, line_zero_template
-from repro.pipelines import evaluate_linezero_accuracy, run_lifestream_linezero
+from repro.pipelines.linezero import evaluate_linezero_accuracy, run_lifestream_linezero
 
 
 def main() -> None:

@@ -47,7 +47,7 @@ from repro.core.runtime.backends import (
     VectorizedBackend,
     plan_batch_safe,
 )
-from repro.core.runtime.executor import _window_starts, fill_windows
+from repro.core.runtime.executor import fill_windows
 from repro.core.runtime.session import tick_batch
 from repro.core.runtime.vectorized import plan_vector_info
 from repro.core.sources import ArraySource, ReplaySource, StreamSource
@@ -103,7 +103,7 @@ def _source(n: int = 192, period: int = 2, offset: int = 0, seed: int = 3) -> Ar
 
 
 def _events(plan: CompiledPlan, backend: ExecutionBackend):
-    result = backend.execute(plan, targeted=True)
+    result = CompiledQuery(plan, targeted=True, backend=backend).run()
     return result.times, result.values, result.durations
 
 
@@ -118,12 +118,6 @@ def _same_events(a, b) -> bool:
 def _compile(case: OperatorCase, widen: int = 1) -> CompiledPlan:
     query, sources = case.build()
     return compile_plan(query, sources, window_size=case.window_size * widen)
-
-
-def _drive(plan: CompiledPlan, starts, collect: bool = False):
-    """Fill *starts* in order without resetting, optionally collecting events."""
-    columns = fill_windows(plan.sink, starts, collect)
-    return columns if collect else None
 
 
 def _fresh(plan: CompiledPlan) -> CompiledPlan:
@@ -223,7 +217,8 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
 
 
 def _split_starts(plan: CompiledPlan):
-    starts = _window_starts(plan, targeted=True)
+    sink = plan.sink
+    starts = list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
     if len(starts) < 6:
         raise ValueError(
             f"synthesized geometry yields only {len(starts)} windows; "
@@ -242,11 +237,11 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
     """
     plan = _fresh(_compile(case))
     starts, split = _split_starts(plan)
-    _drive(plan, starts[:split])
-    reference_tail = _drive(plan, starts[split:], collect=True)
+    fill_windows(plan.sink, starts[:split])
+    reference_tail = fill_windows(plan.sink, starts[split:])
 
     live = _fresh(_compile(case))
-    _drive(live, starts[:split])
+    fill_windows(live.sink, starts[:split])
     # Snapshots are keyed by topological position: each build() constructs a
     # fresh query whose generated node names differ, but the node *order* of
     # structurally identical plans is stable.
@@ -268,12 +263,12 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
         snapshots.append(snapshot)
     # Keep executing: if any mutable state aliases the snapshot, this
     # corrupts it — exactly what a checkpointed-then-continued session does.
-    _drive(live, starts[split:])
+    fill_windows(live.sink, starts[split:])
 
     restored = _fresh(_compile(case))
     for node, snapshot in zip(_operator_nodes(restored), snapshots):
         node.state = node.operator.restore_state(snapshot)
-    restored_tail = _drive(restored, starts[split:], collect=True)
+    restored_tail = fill_windows(restored.sink, starts[split:])
     if not _same_events(reference_tail, restored_tail):
         out.append(
             _contract(

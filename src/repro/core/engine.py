@@ -5,7 +5,10 @@ the compile-time configuration (window size, targeted execution, the
 optimization level of the pass pipeline, optional cache tracer) and the
 runtime configuration (the execution backend), compiles queries into
 :class:`CompiledQuery` objects, and runs them against concrete stream
-sources.
+sources.  A one-shot ``run()`` is a
+:class:`~repro.core.runtime.session.StreamingSession` drained in one tick,
+so one-shot and incremental execution enumerate and execute windows
+through one path.
 
 Typical use::
 
@@ -31,12 +34,7 @@ reference is an argument away::
 
 from __future__ import annotations
 
-from repro.core.compiler import (
-    MAX_OPTIMIZATION_LEVEL,
-    CompiledPlan,
-    compile_plan,
-    propagate_coverage,
-)
+from repro.core.compiler import MAX_OPTIMIZATION_LEVEL, CompiledPlan, compile_plan
 from repro.core.query import Query
 from repro.core.runtime.backends import ExecutionBackend, VectorizedBackend
 from repro.core.runtime.result import StreamResult
@@ -58,7 +56,6 @@ class CompiledQuery:
         self._targeted = targeted
         self._backend = backend
         self._session = None
-        self._coverage_trimmed = False
         self.last_stats = None
 
     @property
@@ -88,30 +85,25 @@ class CompiledQuery:
     def run(
         self,
         targeted: bool | None = None,
-        collect: bool = True,
         backend: ExecutionBackend | None = None,
     ) -> StreamResult:
         """Execute the plan and return the output stream.
 
-        ``targeted`` overrides the engine-level setting for this run, which
-        is how the ablation benchmarks compare targeted against eager
-        processing on the same compiled plan; ``backend`` likewise overrides
-        the engine-level execution backend.  With ``collect=False`` the
-        windows are still computed but no output events are materialised.
+        A one-shot run is a :class:`~repro.core.runtime.session.StreamingSession`
+        drained in one tick: every window the sources cover runs, and the
+        session is closed again, so the plan is free for the next run or
+        session even when this one raised.  Replayed sources are not
+        advanced; a run covers what they have released.  ``targeted``
+        overrides the engine-level setting for this run, which is how the
+        ablation benchmarks compare targeted against eager processing on the
+        same compiled plan; ``backend`` likewise overrides the engine-level
+        execution backend.
         """
-        if self._session is not None:
-            raise ExecutionError(
-                "this compiled query has an open StreamingSession, which owns "
-                "the plan's runtime state (FWindow positions, operator carries); "
-                "close the session before running one-shot, or compile a "
-                "separate copy of the query"
-            )
-        if self._coverage_trimmed:
-            propagate_coverage(self._plan.sink)
-            self._coverage_trimmed = False
-        use_targeted = self._targeted if targeted is None else targeted
-        use_backend = self._backend if backend is None else backend
-        result = use_backend.execute(self._plan, targeted=use_targeted, collect=collect)
+        session = self.open_session(targeted=targeted, backend=backend)
+        try:
+            result = session._run_once()
+        finally:
+            session.close()
         self.last_stats = result.stats
         return result
 
@@ -136,8 +128,10 @@ class CompiledQuery:
         """Record *session* as the exclusive owner of the plan's runtime state."""
         if self._session is not None:
             raise ExecutionError(
-                "this compiled query already has an open StreamingSession; "
-                "close it before opening another"
+                "this compiled query already has an open StreamingSession, which "
+                "owns the plan's runtime state (FWindow positions, operator "
+                "carries); close it before running the query or opening another "
+                "session, or compile a separate copy of the query"
             )
         self._session = session
 
@@ -145,9 +139,6 @@ class CompiledQuery:
         """Release the plan (called by :meth:`StreamingSession.close`)."""
         if self._session is session:
             self._session = None
-            # Session ticks leave every node's coverage trimmed to the last
-            # frontier; the next one-shot run re-derives the whole history.
-            self._coverage_trimmed = True
 
 
 class LifeStreamEngine:
@@ -261,11 +252,10 @@ class LifeStreamEngine:
         query: Query,
         sources: dict[str, StreamSource] | None = None,
         targeted: bool | None = None,
-        collect: bool = True,
     ) -> StreamResult:
         """Compile and execute *query* in one call."""
         compiled = self.compile(query, sources)
-        return compiled.run(targeted=targeted, collect=collect)
+        return compiled.run(targeted=targeted)
 
     def open_session(
         self,

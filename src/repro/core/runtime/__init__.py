@@ -7,14 +7,11 @@ from repro.core.runtime.backends import (
     plan_batch_safe,
     recommend_backend,
 )
-from repro.core.runtime.executor import eager_window_count, run_window_loop
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.runtime.session import StreamingSession, TickStats
 from repro.core.runtime.vectorized import runs_for_starts
 
 __all__ = [
-    "run_window_loop",
-    "eager_window_count",
     "ExecutionStats",
     "StreamResult",
     "StreamingSession",

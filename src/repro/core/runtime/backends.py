@@ -1,11 +1,13 @@
 """Pluggable execution backends.
 
-A backend decides *how* a compiled plan's window loop is driven:
+A backend decides *how* a compiled plan's ready windows are driven, one
+session tick at a time (a one-shot ``CompiledQuery.run()`` is a session
+drained in one tick):
 
 * :class:`SerialBackend` — one window at a time, in-process: the reference
   every parity suite and operator contract compares to;
 * :class:`VectorizedBackend` — the engine default, run execution: lowers
-  the targeted coverage to maximal runs of consecutive windows and executes
+  the ready windows to maximal runs of consecutive windows and executes
   each operator as a single NumPy array program over one contiguous run
   buffer per stream (:mod:`~repro.core.runtime.vectorized`), falling back
   per node to the window-by-window semantics where lowering is not exact.
@@ -20,19 +22,14 @@ in both targeted and eager modes.  Multi-core scale-out is patient-level
 
 from __future__ import annotations
 
-import time
-
 from repro.core.compiler import CompiledPlan
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.runtime.executor import (
-    _window_starts,
-    build_stats,
-    run_window_loop,
+    fill_windows,
     shrink_columns,
     sink_columns,
     sink_events,
 )
-from repro.core.runtime.result import StreamResult
 from repro.core.runtime.vectorized import (
     RunExecutor,
     plan_vector_info,
@@ -47,12 +44,6 @@ class ExecutionBackend:
     #: Short name used in stats, benchmarks and error messages.
     name = "backend"
 
-    def execute(
-        self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
-    ) -> StreamResult:
-        """Run *plan* and return its result stream."""
-        raise NotImplementedError
-
     def session_mode(self, plan: CompiledPlan) -> str:
         """Honest execution-mode label for a session driving *plan* through
         this backend, asked once when the session opens.
@@ -63,17 +54,26 @@ class ExecutionBackend:
         """
         return "serial"
 
+    def fallback_reason(self, plan: CompiledPlan) -> str | None:
+        """Why ticks of *plan* run wholly below this backend's nominal mode
+        (:attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason`),
+        or None when they run as asked."""
+        return None
+
     def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
         """Execute one session tick's ready window *starts* on *plan*.
 
         Returns ``(chunks, fell_back)``: the ``(times, values, durations)``
-        columns of the events each window (or run of windows) emitted, in
-        stream order, and whether any node executed below this backend's
-        nominal mode (used to demote the session's ``execution_mode``
-        label).  The default drives the plan's sink one window at a time —
-        the serial semantics.
+        columns of the events the tick emitted, in stream order, and whether
+        any node executed below this backend's nominal mode (used to demote
+        the session's ``execution_mode`` label).  The default drives the
+        plan's sink one window at a time — the serial semantics — and, like
+        every backend, gathers the events of a one-window tick and writes
+        those of a longer one once, into one chunk.
         """
         sink = plan.sink
+        if len(starts) > 1:
+            return [fill_windows(sink, starts)], False
         chunks = []
         for start in starts:
             sink.fill(start)
@@ -88,14 +88,6 @@ class SerialBackend(ExecutionBackend):
     """Execute every window in order, in the calling process."""
 
     name = "serial"
-
-    def execute(
-        self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
-    ) -> StreamResult:
-        starts = _window_starts(plan, targeted)
-        times, values, durations, elapsed, windows_run = run_window_loop(plan, starts, collect)
-        stats = build_stats(plan, windows_run, int(times.size), elapsed, targeted)
-        return StreamResult(times, values, durations, stats=stats)
 
 
 def batch_unsafe_node(plan: CompiledPlan) -> OperatorNode | None:
@@ -195,46 +187,11 @@ class VectorizedBackend(ExecutionBackend):
             executor.reserve(max(count for _, count in runs))
         return executor
 
-    def execute(
-        self, plan: CompiledPlan, targeted: bool = True, collect: bool = True
-    ) -> StreamResult:
-        if not self._active(plan):
-            result = SerialBackend().execute(plan, targeted=targeted, collect=collect)
-            result.stats.fallback_reason = vectorized_fallback_reason(plan)
-            return result
-        starts = _window_starts(plan, targeted)
-        runs = self.runs(plan, starts)
-        for node in topological_order(plan.sink):
-            node.reset()
-        executor = self._executor(plan, runs)
-        executor.fallback_nodes.clear()
-
-        # One slot per sink slot of every window run: each present event is
-        # written once, straight into the result.
-        columns = (
-            sink_columns(len(starts) * plan.sink.fwindow.capacity) if collect else None
-        )
-        cursor = 0
-        began = time.perf_counter()
-        for start, count in runs:
-            cursor = executor.execute_run(start, count, columns, cursor)
-        elapsed = time.perf_counter() - began
-
-        times, values, durations = (
-            shrink_columns(columns, cursor) if collect else sink_columns(0)
-        )
-        stats = build_stats(plan, len(starts), int(times.size), elapsed, targeted)
-        stats.execution_mode = (
-            "vectorized+serial-fallback" if executor.fallback_nodes else self.name
-        )
-        # The statically planned per-window FWindows stay allocated (sessions
-        # and other backends share the plan); the run buffers are this
-        # execution's own extra footprint.
-        stats.preallocated_bytes = plan.memory_plan.total_bytes + executor.peak_buffer_bytes
-        return StreamResult(times, values, durations, stats=stats)
-
     def session_mode(self, plan: CompiledPlan) -> str:
         return self.name if self._active(plan) else "serial"
+
+    def fallback_reason(self, plan: CompiledPlan) -> str | None:
+        return None if self._active(plan) else vectorized_fallback_reason(plan)
 
     def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
         if not self._active(plan):
@@ -243,6 +200,14 @@ class VectorizedBackend(ExecutionBackend):
         # buffers persist across them.
         runs = self.runs(plan, starts)
         executor = self._executor(plan, runs)
+        if len(runs) > 1:
+            # One slot per sink slot of every window: each present event is
+            # written once, straight into the tick's one chunk.
+            columns = sink_columns(len(starts) * plan.sink.fwindow.capacity)
+            cursor = 0
+            for start, count in runs:
+                cursor = executor.execute_run(start, count, columns, cursor)
+            return [shrink_columns(columns, cursor)], bool(executor.fallback_nodes)
         chunks = []
         for start, count in runs:
             executor.execute_run(start, count)

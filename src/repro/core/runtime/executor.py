@@ -1,36 +1,39 @@
-"""Plan execution: targeted (default) and eager modes.
+"""Window-loop machinery: the eager span and the sink's result columns.
 
-The executor drives a compiled plan by sliding the sink's FWindow forward
-through the output time domain and pulling each window's contents through
-the operator graph.
+A compiled plan executes by sliding the sink's FWindow forward through the
+output time domain and pulling each window's contents through the operator
+graph.  Every execution is a :class:`~repro.core.runtime.session.StreamingSession`
+tick — a one-shot ``CompiledQuery.run()`` is a session drained in one tick —
+and the session enumerates the windows:
 
-In **targeted** mode (the paper's targeted query processing, Section 5.3)
-only the windows that intersect the output coverage computed by lineage
-analysis are executed; everything else — in particular upstream transforms
-on signal regions that a downstream join would discard — is skipped
-entirely.
+* in **targeted** mode (the paper's targeted query processing, Section 5.3)
+  only the windows that intersect the output coverage computed by lineage
+  analysis are executed; everything else — in particular upstream
+  transforms on signal regions that a downstream join would discard — is
+  skipped entirely;
+* in **eager** mode the executor mimics conventional engines: every window
+  in the union of the sources' data spans (:func:`coverage_span`) is
+  processed, whether or not it can produce output.  Eager mode exists for
+  the ablation study (Figure 10(a)) and for tests that check both modes
+  produce identical results.
 
-In **eager** mode the executor mimics conventional engines: every window in
-the union of the sources' data spans is processed, whether or not it can
-produce output.  Eager mode exists for the ablation study (Figure 10(a))
-and for tests that check both modes produce identical results.
-
-This module provides the window-loop machinery; *how* the loop is driven
-(serially or in runs of consecutive windows) is the job of the pluggable
-:mod:`~repro.core.runtime.backends`.
+*How* a tick's windows are driven (serially or in runs of consecutive
+windows) is the job of the pluggable :mod:`~repro.core.runtime.backends`;
+this module holds how they emit.  A tick of one window or run gathers its
+events (:func:`sink_events`); a tick of more than one reserves columns
+(:func:`sink_columns`), writes every window or run into them at a cursor
+(:func:`write_sink_events`) and trims them (:func:`shrink_columns`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.compiler import CompiledPlan
-from repro.core.graph import SourceNode, source_nodes, topological_order
+from repro.core.graph import SourceNode
 from repro.core.intervals import IntervalSet
-from repro.core.runtime.result import ExecutionStats
 from repro.errors import ExecutionError
 
 
@@ -56,30 +59,6 @@ def coverage_span(sources: Sequence[SourceNode], sink) -> tuple[int, int] | None
     return start, end
 
 
-def _eager_span(plan: CompiledPlan) -> tuple[int, int] | None:
-    """:func:`coverage_span` of a whole plan."""
-    return coverage_span(source_nodes(plan.sink), plan.sink)
-
-
-def _window_starts(plan: CompiledPlan, targeted: bool) -> list[int]:
-    """Output-window start times the executor will visit, in increasing order."""
-    sink = plan.sink
-    dimension = sink.dimension
-    if dimension is None:
-        raise ExecutionError("plan has no dimensions assigned; was it compiled?")
-    offset = sink.descriptor.offset
-    if targeted:
-        coverage = sink.coverage
-    else:
-        # Eager processing: walk every window in the union of the sources'
-        # spans, exactly as a push-based engine would ingest everything.
-        span = _eager_span(plan)
-        if span is None:
-            return []
-        coverage = IntervalSet.single(*span)
-    return list(coverage.iter_windows(dimension, offset))
-
-
 def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:
     """Number of output windows an eager walk of *span* visits, by arithmetic."""
     sink = plan.sink
@@ -88,17 +67,6 @@ def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:
     if span is None:
         return 0
     return IntervalSet.single(*span).count_windows(sink.dimension, sink.descriptor.offset)
-
-
-def eager_window_count(plan: CompiledPlan) -> int:
-    """Number of windows an eager run would visit, by pure arithmetic.
-
-    Equivalent to ``len(_window_starts(plan, targeted=False))`` but derived
-    from the sources' span and the sink dimension without materialising a
-    window-start list, so the targeted executor can report how many windows
-    it skipped at no per-run cost.
-    """
-    return span_window_count(plan, _eager_span(plan))
 
 
 def sink_columns(events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,9 +85,10 @@ def sink_columns(events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def write_sink_events(window, columns, cursor: int) -> int:
     """Write *window*'s present events into *columns* from *cursor* on.
 
-    How a one-shot run materialises its output — the serial window loop
-    and run execution both emit through here, so a long result is written
-    once, in place.  Returns the cursor past the last event written.
+    How a tick of more than one window or run — a one-shot run, a session
+    catching up — materialises its output: the serial window loop and run
+    execution both emit through here, so a long result is written once, in
+    place.  Returns the cursor past the last event written.
     """
     indices = window.present_indices()
     if not indices.size:
@@ -137,9 +106,10 @@ def write_sink_events(window, columns, cursor: int) -> int:
 def sink_events(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """*window*'s present events as fresh ``(times, values, durations)`` columns.
 
-    How a session tick takes its events: one gather per column, sized
-    exactly, with no columns to reserve and trim for the handful of events
-    a tick emits.  Same events, same order as :func:`write_sink_events`.
+    How a tick of one window or run takes its events: one gather per
+    column, sized exactly, with no columns to reserve and trim for the
+    handful of events a live tick emits.  Same events, same order as
+    :func:`write_sink_events`.
     """
     indices = window.present_indices()
     return (
@@ -161,65 +131,15 @@ def shrink_columns(columns, events: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return columns
 
 
-def fill_windows(sink, starts: Sequence[int], collect: bool = True):
+def fill_windows(sink, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill *sink* at each of *starts* in order; return its present events.
 
     The serial window loop: ``(times, values, durations)`` columns of every
-    event the sink emitted, empty when *collect* is off.
+    event the sink emitted, each written once.
     """
-    columns = sink_columns(len(starts) * sink.fwindow.capacity if collect else 0)
+    columns = sink_columns(len(starts) * sink.fwindow.capacity)
     cursor = 0
     for start in starts:
         sink.fill(start)
-        if collect:
-            cursor = write_sink_events(sink.fwindow, columns, cursor)
+        cursor = write_sink_events(sink.fwindow, columns, cursor)
     return shrink_columns(columns, cursor)
-
-
-def run_window_loop(
-    plan: CompiledPlan,
-    starts: Sequence[int],
-    collect: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Drive the sink through *starts*, returning the collected columns.
-
-    The plan's runtime state is reset first.  Returns ``(times, values,
-    durations, elapsed_seconds, windows_run)``.
-    """
-    sink = plan.sink
-    nodes = topological_order(sink)
-    for node in nodes:
-        node.reset()
-
-    began = time.perf_counter()
-    times, values, durations = fill_windows(sink, starts, collect)
-    elapsed = time.perf_counter() - began
-    return times, values, durations, elapsed, len(starts)
-
-
-def build_stats(
-    plan: CompiledPlan,
-    output_windows: int,
-    events_emitted: int,
-    elapsed: float,
-    targeted: bool,
-) -> ExecutionStats:
-    """Assemble the :class:`ExecutionStats` for a completed run."""
-    nodes = topological_order(plan.sink)
-    if targeted:
-        skipped = max(0, eager_window_count(plan) - output_windows)
-    else:
-        skipped = 0
-    return ExecutionStats(
-        output_windows=output_windows,
-        windows_computed=sum(node.windows_computed for node in nodes),
-        windows_skipped=skipped,
-        events_emitted=events_emitted,
-        events_ingested=sum(
-            node.source.event_count() for node in nodes if isinstance(node, SourceNode)
-        ),
-        preallocated_bytes=plan.memory_plan.total_bytes,
-        elapsed_seconds=elapsed,
-        targeted=targeted,
-        per_node_windows={node.name: node.windows_computed for node in nodes},
-    )

@@ -33,7 +33,8 @@ class ExecutionStats:
     events_ingested: int = 0
     #: Bytes of FWindow buffers pre-allocated by the static memory planner.
     preallocated_bytes: int = 0
-    #: Wall-clock seconds spent in the executor.
+    #: Wall-clock seconds spent in ticks: planning (coverage, window
+    #: enumeration) and execution.
     elapsed_seconds: float = 0.0
     #: Whether targeted query processing was enabled for this run.
     targeted: bool = True

@@ -5,10 +5,11 @@ replayed) sources and turns the Section-4 FWindow slide into a long-lived
 loop: every :meth:`advance`/:meth:`poll` executes only the output windows
 that became newly computable since the previous tick, while the stateful
 operators' carries (Shift FIFOs, sliding-aggregate tails, join carries)
-persist in the plan graph between ticks.  A one-shot ``engine.run`` over
-the same final coverage and an incremental session that reached the same
-watermark produce bit-identical results — the parity suite in
-``tests/core/test_session.py`` asserts this across backends and modes.
+persist in the plan graph between ticks.  A one-shot ``engine.run`` is a
+session drained in one tick, so it and an incremental session that
+reached the same watermark produce bit-identical results — the parity
+suite in ``tests/core/test_session.py`` asserts this across backends and
+modes.
 
 Three mechanisms make the loop incremental:
 
@@ -35,8 +36,9 @@ Every tick takes three steps — **plan** (the coverage refresh, frontier
 and readiness gating above), **execute** (the backend's window loop) and
 **commit** (collect the events, move the frontier, report
 :class:`TickStats`) — and every tick is reported by :meth:`advance`,
-:meth:`poll` or :meth:`finish`.  A serving batch may split them:
-:func:`tick_batch` plans every member,
+:meth:`poll` or :meth:`finish`, except the one drain tick of a one-shot
+``CompiledQuery.run()``, whose result is the whole report.  A serving
+batch may split them: :func:`tick_batch` plans every member,
 executes the one-window ticks of clones of one plan-cache template
 together as a cross-tenant cohort
 (:class:`~repro.core.runtime.vectorized.CohortExecutor`), and then
@@ -225,10 +227,11 @@ class StreamingSession:
         try:
             for node in self._nodes:
                 node.reset()
-            # A previous session on this plan may have cached a run executor
-            # (vectorized ticks); its buffers sit at that session's frontier
-            # and would reject this session's earlier windows.
-            self._plan.__dict__.pop("_run_executor", None)
+            # A run executor an earlier session cached on the plan keeps its
+            # buffers (they slide anywhere), not its record of fallbacks.
+            executor = self._plan.__dict__.get("_run_executor")
+            if executor is not None:
+                executor.fallback_nodes.clear()
             if checkpoint is not None:
                 self._apply_checkpoint(checkpoint)
         except BaseException:
@@ -363,6 +366,26 @@ class StreamingSession:
         stats = self._tick(drain=True)
         self._finished = True
         return stats
+
+    def _run_once(self) -> StreamResult:
+        """Run every covered window in one drain tick and hand back the
+        result: how :meth:`~repro.core.engine.CompiledQuery.run` executes.
+
+        Unlike :meth:`finish` it leaves replayed sources where they are, and
+        it is not one of the public ticks tracing counts.  The tick's one
+        chunk becomes the result's columns uncopied, so the caller closes
+        the session right after and never ticks it again.
+        """
+        self._tick(drain=True)
+        if len(self._collected_times) != 1:
+            return self.result()
+        times = self._collected_times[0]
+        return StreamResult(
+            times,
+            self._collected_values[0],
+            self._collected_durations[0],
+            stats=self._stats(int(times.size)),
+        )
 
     def _advance_sources(self, watermark: int) -> None:
         self._require_open()
@@ -614,7 +637,18 @@ class StreamingSession:
             times = np.empty(0, dtype=np.int64)
             values = np.empty(0, dtype=np.float64)
             durations = np.empty(0, dtype=np.int64)
-        stats = ExecutionStats(
+        return StreamResult(times, values, durations, stats=self._stats(int(times.size)))
+
+    def _stats(self, events: int) -> ExecutionStats:
+        """The :class:`ExecutionStats` of everything run so far, *events*
+        events emitted."""
+        preallocated = self._plan.memory_plan.total_bytes
+        executor = self._plan.__dict__.get("_run_executor")
+        if executor is not None and self._execution_mode != "serial":
+            # The run buffers are what run execution adds to the planned
+            # per-window FWindows.
+            preallocated += executor.peak_buffer_bytes
+        return ExecutionStats(
             output_windows=self._windows_run,
             windows_computed=sum(node.windows_computed for node in self._nodes),
             windows_skipped=(
@@ -622,15 +656,15 @@ class StreamingSession:
                 if self._targeted
                 else 0
             ),
-            events_emitted=int(times.size),
+            events_emitted=events,
             events_ingested=sum(node.source.event_count() for node in self._source_nodes),
-            preallocated_bytes=self._plan.memory_plan.total_bytes,
+            preallocated_bytes=preallocated,
             elapsed_seconds=self._elapsed_seconds,
             targeted=self._targeted,
             execution_mode=self._execution_mode,
+            fallback_reason=self._backend.fallback_reason(self._plan),
             per_node_windows={node.name: node.windows_computed for node in self._nodes},
         )
-        return StreamResult(times, values, durations, stats=stats)
 
     def recent_events(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The newest *count* emitted events as ``(times, values, durations)``.

@@ -1,38 +1,7 @@
-"""End-to-end application pipelines (Sections 8.3 and 8.4 of the paper)."""
+"""End-to-end application pipelines (Sections 8.3 and 8.4 of the paper).
 
-from repro.pipelines.cap import cap_query, run_lifestream_cap, run_trill_cap
-from repro.pipelines.common import PipelineRun
-from repro.pipelines.e2e import (
-    E2E_ENGINES,
-    lifestream_e2e_query,
-    run_e2e,
-    run_lifestream_e2e,
-    run_numlib_e2e,
-    run_trill_e2e,
-)
-from repro.pipelines.linezero import (
-    evaluate_linezero_accuracy,
-    linezero_query,
-    run_lifestream_linezero,
-    run_trill_linezero,
-)
-from repro.pipelines.live import LiveReplayReport, replay_e2e_live
-
-__all__ = [
-    "PipelineRun",
-    "lifestream_e2e_query",
-    "run_e2e",
-    "run_lifestream_e2e",
-    "run_trill_e2e",
-    "run_numlib_e2e",
-    "E2E_ENGINES",
-    "LiveReplayReport",
-    "replay_e2e_live",
-    "linezero_query",
-    "run_lifestream_linezero",
-    "run_trill_linezero",
-    "evaluate_linezero_accuracy",
-    "cap_query",
-    "run_lifestream_cap",
-    "run_trill_cap",
-]
+Import from the submodules (``repro.pipelines.e2e``, ``.cap``,
+``.linezero``, ``.live``, …): the package imports none of them, so
+``python -m repro.pipelines.<name>`` runs a module that was not imported
+before.
+"""

@@ -179,14 +179,6 @@ class TestBackendParity:
         with pytest.raises(ExecutionError):
             VectorizedBackend(max_run_windows=0)
 
-    def test_collect_false_supported_by_all_backends(self):
-        source = _gappy_source()
-        for factory in BACKENDS.values():
-            engine = LifeStreamEngine(window_size=1000, backend=factory())
-            result = engine.run(CHAIN_QUERIES["aggregate"](), {"s": source}, collect=False)
-            assert len(result) == 0
-            assert result.stats.output_windows > 0
-
 
 class TestExecutionStatsAcrossBackends:
     def test_windows_skipped_matches_eager_arithmetic(self):
@@ -220,31 +212,31 @@ class TestTwoBackends:
         assert not hasattr(imported, "MultiprocessBackend")
         assert "MultiprocessBackend" not in imported.__all__
 
-    def test_backend_without_session_hooks_runs_sessions_serially(self):
-        # No backend refuses sessions: one that only implements execute()
-        # inherits the window-by-window tick and its honest "serial" label.
+    def test_backend_without_hooks_ticks_serially(self):
+        # A backend that overrides nothing inherits the window-by-window
+        # tick and its honest "serial" label, in sessions and one-shot runs.
         from repro.core.runtime.backends import ExecutionBackend
         from repro.core.sources import ReplaySource
 
-        class OneShotOnly(ExecutionBackend):
-            name = "one-shot-only"
-
-            def execute(self, plan, targeted=True, collect=True):
-                return SerialBackend().execute(plan, targeted=targeted, collect=collect)
+        class NoHooks(ExecutionBackend):
+            name = "no-hooks"
 
         source = _gappy_source()
-        engine = LifeStreamEngine(window_size=1000, backend=OneShotOnly())
+        engine = LifeStreamEngine(window_size=1000, backend=NoHooks())
         session = engine.open_session(
             CHAIN_QUERIES["shift-chain"](), {"s": ReplaySource(source)}
         )
         session.finish()
         result = session.result()
         session.close()
-        assert result.stats.execution_mode == "serial"
+        one_shot = engine.run(CHAIN_QUERIES["shift-chain"](), {"s": source})
         reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
             CHAIN_QUERIES["shift-chain"](), {"s": source}
         )
-        _assert_identical(reference, result, "default session tick")
+        for candidate in (result, one_shot):
+            assert candidate.stats.execution_mode == "serial"
+            assert candidate.stats.fallback_reason is None
+            _assert_identical(reference, candidate, "default session tick")
 
 
 class TestExecutionModeHonesty:
@@ -435,17 +427,58 @@ class TestFigure3InOneArrayProgram:
             assert column.size == len(result)
             assert not any(out is column for out in concatenated)
 
-    def test_bit_identical_at_every_run_cap_and_without_collection(self):
+    @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
+                             ids=["serial", "vectorized"])
+    def test_multi_window_ticks_write_once_into_reserved_columns(self, backend, monkeypatch):
+        # A session advanced over many windows at once, and a restored
+        # session catching up, write each tick's events once, into columns
+        # reserved for every sink slot of its windows: one chunk per tick.
+        from repro.core.runtime import executor as executor_module
+        from repro.core.sources import ReplaySource
+
+        def open_session(checkpoint=None):
+            plan = _fig3_interpolate().plan
+            sources = {name: ReplaySource(source) for name, source in plan.sources.items()}
+            compiled = LifeStreamEngine(window_size=TICKS_PER_SECOND, backend=backend).compile(
+                lifestream_e2e_query(resample_mode="interpolate"), sources
+            )
+            return compiled, compiled.open_session(checkpoint=checkpoint)
+
+        allocated = []
+        sink_columns = executor_module.sink_columns
+
+        def sized(events):
+            allocated.append(events)
+            return sink_columns(events)
+
+        monkeypatch.setattr(executor_module, "sink_columns", sized)
+        monkeypatch.setattr(backends_module, "sink_columns", sized)
+        compiled, session = open_session()
+        capacity = compiled.plan.sink.fwindow.capacity
+        first = session.advance(60_000)
+        saved = session.checkpoint()
+        assert first.windows_run > 1
+        assert allocated == [first.windows_run * capacity]
+        assert len(session._collected_times) == 1
+        session.close()
+
+        allocated.clear()
+        _, restored = open_session(checkpoint=saved)
+        tail = restored.finish()
+        assert tail.windows_run > 1
+        assert allocated == [tail.windows_run * capacity]
+        # The checkpointed events and the tail's one chunk.
+        assert len(restored._collected_times) == 2
+        reference = _fig3_interpolate().run(backend=SerialBackend())
+        _assert_identical(reference, restored.result(), "restored session")
+        restored.close()
+
+    def test_bit_identical_at_every_run_cap(self):
         compiled = _fig3_interpolate()
         reference = compiled.run(backend=SerialBackend())
         for cap in (1, 2, 5, 512, None):
             backend = VectorizedBackend(max_run_windows=cap)
             _assert_identical(reference, compiled.run(backend=backend), f"cap {cap}")
-        uncollected = compiled.run(collect=False)
-        assert len(uncollected) == 0
-        assert uncollected.stats.output_windows == reference.stats.output_windows
-        assert uncollected.stats.windows_computed == reference.stats.windows_computed
-        _assert_identical(reference, compiled.run(), "collected after uncollected")
 
     def test_sparse_sink_result_owns_only_its_events(self):
         # A selective where over an hour of 500 Hz samples: the columns are

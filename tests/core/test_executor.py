@@ -95,13 +95,6 @@ class TestExecutionStats:
         assert stats.throughput_events_per_second == 2000
         assert ExecutionStats().throughput_events_per_second == 0.0
 
-    def test_collect_false_still_counts_windows(self, engine, ramp_500hz):
-        query = Query.source("s", frequency_hz=500).select(lambda v: v)
-        compiled = engine.compile(query, sources={"s": ramp_500hz})
-        result = compiled.run(collect=False)
-        assert len(result) == 0
-        assert result.stats.output_windows > 0
-
 
 class TestRepeatability:
     def test_compiled_query_can_run_twice(self, engine, ramp_500hz):

@@ -20,6 +20,7 @@ from repro.core.compiler import (
     compile_plan,
     fuse_elementwise,
 )
+from repro.core.engine import CompiledQuery
 from repro.core.graph import operator_nodes
 from repro.core.operators import AlterDuration, FusedElementwise, Select, Shift
 from repro.core.query import Query, normalize_spec
@@ -143,8 +144,8 @@ class TestNormalize:
         query = Query.source("s", frequency_hz=500).shift(100).shift(-60).select(lambda v: v + 1)
         engine_raw = compile_plan(query, {"s": ramp_500hz}, optimization_level=0)
         engine_norm = compile_plan(query, {"s": ramp_500hz}, optimization_level=1)
-        raw = SerialBackend().execute(engine_raw)
-        norm = SerialBackend().execute(engine_norm)
+        raw = CompiledQuery(engine_raw, targeted=True, backend=SerialBackend()).run()
+        norm = CompiledQuery(engine_norm, targeted=True, backend=SerialBackend()).run()
         np.testing.assert_array_equal(raw.times, norm.times)
         np.testing.assert_array_equal(raw.values, norm.values)
 

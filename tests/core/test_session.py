@@ -616,6 +616,36 @@ class TestSessionLifecycle:
         session.finish()
         session.close()
 
+    @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
+                             ids=["serial", "vectorized"])
+    def test_failed_run_releases_the_plan(self, backend):
+        # A one-shot run is a session drained in one tick: when an operator
+        # raises, that session must still let go of the plan, so the next
+        # run and the next session start afresh.
+        armed = {"raise": True}
+
+        def fragile(values):
+            if armed["raise"]:
+                raise RuntimeError("user function failed")
+            return values + 1.0
+
+        def query():
+            return SESSION_QUERIES["shift-chain"]().select(fragile)
+
+        engine = LifeStreamEngine(window_size=1000, backend=backend)
+        compiled = engine.compile(query(), {"s": _source()})
+        with pytest.raises(RuntimeError, match="user function failed"):
+            compiled.run()
+        armed["raise"] = False
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query(), {"s": _source()}
+        )
+        _assert_identical(reference, compiled.run(), "run after a failed run")
+        session = compiled.open_session()
+        session.finish()
+        _assert_identical(reference, session.result(), "session after a failed run")
+        session.close()
+
     def test_watermark_regression_rejected(self):
         # Regression: a watermark behind a source's clock used to be silently
         # ignored; it must raise, while re-announcing the current watermark
