@@ -4,7 +4,7 @@ Acceptance measurement for run-lowered execution: ``VectorizedBackend``
 with the ``fuse_elementwise`` pass enabled against ``SerialBackend`` with
 rewriting passes disabled, on the Figure 9(c) ECG+ABP dataset.  The outputs
 must be bit-identical, and the shape is asserted by counting: the
-vectorized side makes one ``RunExecutor.execute_run`` call per run with no
+vectorized side executes one block per run with no
 node falling back to per-window execution, and the serial side fills the
 sink once per window.  The speedup is reported, not gated.
 
@@ -23,7 +23,7 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.runtime import SerialBackend, VectorizedBackend
-from repro.core.runtime.vectorized import RunExecutor
+from repro.core.runtime.vectorized import BlockExecutor, block_executor
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -106,10 +106,10 @@ def test_vectorized_runs_and_serial_windows(workload, monkeypatch):
     plan = vectorized.plan
     runs = vectorized.backend.runs(plan, _targeted_starts(plan))
     with monkeypatch.context() as patch:
-        run_calls = _count_calls(patch, RunExecutor, "execute_run")
+        run_calls = _count_calls(patch, BlockExecutor, "execute")
         result = vectorized.run()
     assert len(run_calls) == len(runs) < result.stats.output_windows
-    assert not plan.__dict__["_run_executor"].fallback_nodes
+    assert not block_executor(plan).fell_back
     assert result.stats.execution_mode == "vectorized"
 
     plan = serial_unfused.plan

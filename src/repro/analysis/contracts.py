@@ -192,7 +192,7 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
 
     Only meaningful when the plan actually lowers (a run kernel on a
     batch-unsafe operator is unreachable in production).  Short run caps
-    exercise run boundaries and prefix views of longer run buffers, a cap
+    exercise run boundaries and views of longer run buffers, a cap
     of 512 long runs, and ``None`` the slot-budget default.
     """
     plan = _compile(case)

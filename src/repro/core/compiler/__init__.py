@@ -26,6 +26,7 @@ error-level diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.compiler.fusion import FusionReport, fuse_elementwise
 from repro.core.compiler.lineage import (
@@ -52,7 +53,7 @@ from repro.core.compiler.passes import (
     VectorizePass,
     VerifyPass,
 )
-from repro.core.graph import OperatorNode, PlanNode, SourceNode
+from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query, QuerySpec
 from repro.core.sources import StreamSource
@@ -157,6 +158,12 @@ class CompiledPlan:
     #: which is what lets serving execute them together as a cohort.
     template: "CompiledPlan | None" = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def nodes(self) -> list[PlanNode]:
+        """Every node of the plan, inputs before consumers (topological
+        order; a clone lists its nodes in its template's order)."""
+        return topological_order(self.sink)
+
     def instantiate(
         self,
         sources: dict[str, StreamSource] | None = None,
@@ -186,7 +193,6 @@ class CompiledPlan:
         in a shared sources dict.
         """
         from repro.core.fwindow import FWindow
-        from repro.core.runtime.vectorized import share_vector_info
 
         replacements = dict(sources or {})
         rebound: set[str] = set()
@@ -254,7 +260,6 @@ class CompiledPlan:
             diagnostics=self.diagnostics,
             template=self if self.template is None else self.template,
         )
-        share_vector_info(self, clone, memo)
         return clone
 
     def explain(self) -> str:

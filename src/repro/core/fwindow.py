@@ -146,19 +146,25 @@ class FWindow:
             f"{self.name}[{index}]",
         )
 
-    def prefix(self, dimension: int) -> "FWindow":
-        """Zero-copy view of the first *dimension* ticks of this window.
+    def view(self, offset: int, dimension: int) -> "FWindow":
+        """Zero-copy view of the *dimension* ticks from *offset* on.
 
-        A run buffer sized for the longest run serves every shorter run
-        through such a view: the view slides on its own, clearing only its
-        own slots, and its writes land in the buffer's leading slots.
+        A buffer sized for the largest block serves every smaller block, and
+        each of its segments, through such views: a view slides on its own,
+        clearing only its own slots, and its writes land in the buffer's.
         """
-        if not 0 < dimension <= self.dimension or dimension % self.period:
+        if (
+            not 0 <= offset < offset + dimension <= self.dimension
+            or offset % self.period
+            or dimension % self.period
+        ):
             raise MemoryPlanError(
-                f"cannot take a prefix of dimension {dimension} from FWindow of "
-                f"dimension {self.dimension} (period {self.period})"
+                f"cannot take a view of dimension {dimension} at offset {offset} "
+                f"from FWindow of dimension {self.dimension} (period {self.period})"
             )
-        return self._alias(0, dimension // self.period, self.sync_time, self.name)
+        return self._alias(
+            offset // self.period, dimension // self.period, self.sync_time + offset, self.name
+        )
 
     def _alias(self, low: int, capacity: int, sync_time: int, name: str) -> "FWindow":
         """An untraced, non-monotonic window over slots ``[low, low + capacity)``."""

@@ -170,8 +170,8 @@ class Operator:
         window position: serving stacks one window from each of many
         sessions into one buffer and, when the operator is lowered, fills
         them all with a single :meth:`compute_run` positioned at the first
-        session's window (a cross-tenant cohort, see
-        :class:`~repro.core.runtime.vectorized.CohortExecutor`).  The
+        session's window (a cross-tenant cohort, one block of
+        :class:`~repro.core.runtime.vectorized.BlockExecutor`).  The
         contract analyzer checks this (``LS209``).
         """
         raise NotImplementedError

@@ -31,7 +31,7 @@ from repro.core.runtime.executor import (
     sink_events,
 )
 from repro.core.runtime.vectorized import (
-    RunExecutor,
+    block_executor,
     plan_vector_info,
     runs_for_starts,
 )
@@ -173,20 +173,6 @@ class VectorizedBackend(ExecutionBackend):
             cap = plan_vector_info(plan).default_run_windows
         return runs_for_starts(starts, plan.sink.dimension, cap)
 
-    @staticmethod
-    def _executor(plan: CompiledPlan, runs: list[tuple[int, int]]) -> RunExecutor:
-        """The plan's run executor, its buffers sized for the longest of *runs*.
-
-        Cached on the plan, so repeated executions and session ticks reuse
-        one set of run buffers.
-        """
-        executor = plan.__dict__.get("_run_executor")
-        if executor is None:
-            executor = plan.__dict__["_run_executor"] = RunExecutor(plan)
-        if runs:
-            executor.reserve(max(count for _, count in runs))
-        return executor
-
     def session_mode(self, plan: CompiledPlan) -> str:
         return self.name if self._active(plan) else "serial"
 
@@ -196,23 +182,22 @@ class VectorizedBackend(ExecutionBackend):
     def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
         if not self._active(plan):
             return super().session_tick(plan, starts)
-        # Ticks advance monotonically, like windows, so the plan's run
-        # buffers persist across them.
+        # Each run is a block of one segment on the template's executor.
         runs = self.runs(plan, starts)
-        executor = self._executor(plan, runs)
+        executor = block_executor(plan)
+        nodes = plan.nodes
         if len(runs) > 1:
             # One slot per sink slot of every window: each present event is
             # written once, straight into the tick's one chunk.
             columns = sink_columns(len(starts) * plan.sink.fwindow.capacity)
             cursor = 0
             for start, count in runs:
-                cursor = executor.execute_run(start, count, columns, cursor)
-            return [shrink_columns(columns, cursor)], bool(executor.fallback_nodes)
-        chunks = []
-        for start, count in runs:
-            executor.execute_run(start, count)
-            chunks.append(sink_events(executor.sink_window))
-        return chunks, bool(executor.fallback_nodes)
+                cursor = executor.execute([(nodes, start, count)], columns, cursor)
+            return [shrink_columns(columns, cursor)], executor.fell_back
+        chunks = [
+            chunk for start, count in runs for chunk in executor.execute([(nodes, start, count)])
+        ]
+        return chunks, executor.fell_back and bool(runs)
 
 
 def recommend_backend(

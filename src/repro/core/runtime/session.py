@@ -36,14 +36,16 @@ Every tick takes three steps — **plan** (the coverage refresh, frontier
 and readiness gating above), **execute** (the backend's window loop) and
 **commit** (collect the events, move the frontier, report
 :class:`TickStats`) — and every tick is reported by :meth:`advance`,
-:meth:`poll` or :meth:`finish`, except the one drain tick of a one-shot
+:meth:`poll` or :meth:`finish`, except the one tick of a one-shot
 ``CompiledQuery.run()``, whose result is the whole report.  A serving
 batch may split them: :func:`tick_batch` plans every member,
 executes the one-window ticks of clones of one plan-cache template
-together as a cross-tenant cohort
-(:class:`~repro.core.runtime.vectorized.CohortExecutor`), and then
-:meth:`poll` commits each member's already-executed tick without planning
-again.
+together as a cross-tenant cohort, and then :meth:`poll` commits each
+member's already-executed tick without planning again.  On the vectorized
+backend one executor per template
+(:class:`~repro.core.runtime.vectorized.BlockExecutor`) runs both: a
+session's run of consecutive windows is a block of one segment, a cohort a
+block of one one-window segment per member.
 
 Planning is shared by a template's clones as far as it depends only on
 the plan's shape.  The coverage refresh evaluates the template's flat
@@ -74,12 +76,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.compiler.lineage import coverage_program, propagate_coverage
-from repro.core.graph import OperatorNode, SourceNode, topological_order
+from repro.core.graph import OperatorNode, SourceNode
 from repro.core.intervals import IntervalSet
 from repro.core.runtime.backends import VectorizedBackend
 from repro.core.runtime.executor import coverage_span, span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
-from repro.core.runtime.vectorized import cohort_executor
+from repro.core.runtime.vectorized import block_executor
 from repro.core.sources import ReplaySource
 from repro.errors import ExecutionError
 
@@ -181,7 +183,7 @@ class StreamingSession:
         # plan with nothing to lower ticks serially).
         self._execution_mode = self._backend.session_mode(self._plan)
         self._targeted = compiled.targeted if targeted is None else targeted
-        self._nodes = topological_order(self._plan.sink)
+        self._nodes = self._plan.nodes
         self._operator_nodes = [n for n in self._nodes if isinstance(n, OperatorNode)]
         self._source_nodes = [n for n in self._nodes if isinstance(n, SourceNode)]
         #: ``(topological index, node)`` of every replayed source.
@@ -227,11 +229,6 @@ class StreamingSession:
         try:
             for node in self._nodes:
                 node.reset()
-            # A run executor an earlier session cached on the plan keeps its
-            # buffers (they slide anywhere), not its record of fallbacks.
-            executor = self._plan.__dict__.get("_run_executor")
-            if executor is not None:
-                executor.fallback_nodes.clear()
             if checkpoint is not None:
                 self._apply_checkpoint(checkpoint)
         except BaseException:
@@ -368,15 +365,19 @@ class StreamingSession:
         return stats
 
     def _run_once(self) -> StreamResult:
-        """Run every covered window in one drain tick and hand back the
+        """Run every final covered window in one tick and hand back the
         result: how :meth:`~repro.core.engine.CompiledQuery.run` executes.
 
-        Unlike :meth:`finish` it leaves replayed sources where they are, and
-        it is not one of the public ticks tracing counts.  The tick's one
-        chunk becomes the result's columns uncopied, so the caller closes
-        the session right after and never ticks it again.
+        The tick drains, as :meth:`finish` does, only once every replayed
+        source exposes all its data; until then it gates readiness, as
+        :meth:`poll` does, so a window whose input crosses a watermark is
+        not run on partial data.  Unlike :meth:`finish` it leaves replayed
+        sources where they are, and it is not one of the public ticks
+        tracing counts.  The tick's one chunk becomes the result's columns
+        uncopied, so the caller closes the session right after and never
+        ticks it again.
         """
-        self._tick(drain=True)
+        self._tick(drain=all(node.source.at_end for node in self._replay_nodes))
         if len(self._collected_times) != 1:
             return self.result()
         times = self._collected_times[0]
@@ -643,11 +644,10 @@ class StreamingSession:
         """The :class:`ExecutionStats` of everything run so far, *events*
         events emitted."""
         preallocated = self._plan.memory_plan.total_bytes
-        executor = self._plan.__dict__.get("_run_executor")
-        if executor is not None and self._execution_mode != "serial":
-            # The run buffers are what run execution adds to the planned
-            # per-window FWindows.
-            preallocated += executor.peak_buffer_bytes
+        if self._execution_mode != "serial":
+            # The template executor's buffers are what run execution adds
+            # to the planned per-window FWindows.
+            preallocated += block_executor(self._plan).peak_buffer_bytes
         return ExecutionStats(
             output_windows=self._windows_run,
             windows_computed=sum(node.windows_computed for node in self._nodes),
@@ -869,7 +869,8 @@ def tick_batch(batch) -> list[TickStats]:
     Every session is planned first (advanced to its watermark, or polled
     with None), then sessions cloned from one plan-cache template with
     exactly one ready window on one grid phase execute together as a
-    cohort (:class:`~repro.core.runtime.vectorized.CohortExecutor`), and
+    cohort (one block of the template's
+    :class:`~repro.core.runtime.vectorized.BlockExecutor`), and
     finally every session's :meth:`~StreamingSession.poll` commits its tick
     — executing it first when it ran in no cohort.  Results are
     bit-identical to ticking each session alone, and each session still
@@ -920,11 +921,11 @@ def _execute_cohorts(sessions: list[StreamingSession]) -> None:
     for members in cohorts.values():
         if len(members) < 2:
             continue
-        executor = cohort_executor(members[0]._template)
+        executor = block_executor(members[0]._plan)
         began = time.perf_counter()
         try:
             events = executor.execute(
-                [(member._nodes, member._pending.ready[0]) for member in members]
+                [(member._nodes, member._pending.ready[0], 1) for member in members]
             )
         except BaseException as error:
             for member in members:

@@ -14,14 +14,15 @@ This module lowers window loops onto that observation:
   ``IntervalSet.iter_windows`` yields for the sink's coverage) into maximal
   **runs of consecutive windows** — disjoint, and exactly tiling the window
   starts the serial executor would visit;
-* :class:`RunExecutor` allocates one contiguous run buffer (an FWindow of
-  dimension ``cap * D``) per stream — not per window, and not per run
-  length: a shorter run uses a prefix view of it, a one-window run the
-  stream's planned FWindow — and pulls
-  each run through the graph in a single walk, dispatching every lowerable
-  operator's :meth:`~repro.core.operators.base.Operator.compute_run` as one
-  NumPy array program over the whole run, then writes the sink's present
-  events once, at a cursor, into result columns the caller sized;
+* :class:`BlockExecutor` allocates one contiguous buffer (an FWindow of
+  dimension ``rows * D``) per stream of a plan template — not per window,
+  not per run length and not per clone: a run uses a view of it — and
+  pulls each run through the graph in a single walk, dispatching every
+  lowerable operator's
+  :meth:`~repro.core.operators.base.Operator.compute_run` as one NumPy
+  array program over the whole run, then gathers the sink's present
+  events, or writes them once, at a cursor, into result columns the caller
+  sized;
 * an operator is lowerable when its ``compute_run`` is exact over a run of
   consecutive windows (``batch_safe``) and it has one beyond the base
   class's window loop.  Most run kernels are ``compute`` over the run
@@ -34,11 +35,11 @@ This module lowers window loops onto that observation:
   the fallback is bit-identical to serial execution by construction.
 
 The same observation runs across tenants: serving holds many sessions
-cloned from one plan template, and :class:`CohortExecutor` stacks one ready
-window of each into the rows of one buffer per node, so a stateless
-lowered operator computes the whole cohort in one ``compute_run`` while
-stateful ones run per member over row views (cross-tenant cohorts, see
-DESIGN.md).
+cloned from one plan template, and the executor stacks one ready window of
+each into the rows of the same buffers, so a stateless lowered operator
+computes the whole cohort in one ``compute_run`` while stateful ones run
+per member over row views (cross-tenant cohorts, see DESIGN.md).  A run is
+the one-member case of such a block.
 
 Why runs are exact
 ------------------
@@ -58,8 +59,7 @@ carries evolve identically across run boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -67,7 +67,7 @@ import numpy as np
 from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.operators.base import Operator
-from repro.core.runtime.executor import write_sink_events
+from repro.core.runtime.executor import sink_events, write_sink_events
 from repro.errors import ExecutionError
 
 #: Grid slots one run buffer may hold.  The default cap on windows per run is
@@ -134,10 +134,12 @@ class VectorPlanInfo:
     runnable: bool
     #: Human-readable reason when not runnable (empty otherwise).
     reason: str
-    #: ``id(node) -> True`` for operator nodes whose ``compute_run`` is
-    #: dispatched as one array program over the run; False means the node
-    #: executes window-by-window (per-node serial fallback).
-    lowered: dict[int, bool]
+    #: Per node, by topological index: True for operator nodes whose
+    #: ``compute_run`` is dispatched as one array program over the run;
+    #: False for sources and for operator nodes that execute window by
+    #: window (per-node serial fallback).  Positional, so every clone of a
+    #: template reads the template's analysis.
+    lowered: tuple[bool, ...]
     #: Total operator nodes in the plan.
     operator_nodes: int
     #: Operator nodes with a lowered run kernel.
@@ -176,10 +178,10 @@ def analyze_plan(sink: PlanNode) -> VectorPlanInfo:
     nodes = topological_order(sink)
     dimensions = {node.dimension for node in nodes}
     if None in dimensions:
-        return VectorPlanInfo(False, "plan has no dimensions assigned", {}, 0, 0)
+        return VectorPlanInfo(False, "plan has no dimensions assigned", (), 0, 0)
     if len(dimensions) != 1:
         return VectorPlanInfo(
-            False, f"plan mixes FWindow dimensions {sorted(dimensions)}", {}, 0, 0
+            False, f"plan mixes FWindow dimensions {sorted(dimensions)}", (), 0, 0
         )
     operators = [node for node in nodes if isinstance(node, OperatorNode)]
     for node in operators:
@@ -192,17 +194,19 @@ def analyze_plan(sink: PlanNode) -> VectorPlanInfo:
                     False,
                     f"operator {node.name} scales time "
                     f"(map {node.operator.time_map(index)})",
-                    {},
+                    (),
                     len(operators),
                     0,
                 )
-    lowered = {id(node): node_lowerable(node) for node in operators}
+    lowered = tuple(
+        isinstance(node, OperatorNode) and node_lowerable(node) for node in nodes
+    )
     return VectorPlanInfo(
         runnable=True,
         reason="",
         lowered=lowered,
         operator_nodes=len(operators),
-        lowered_operators=sum(lowered.values()),
+        lowered_operators=sum(lowered),
         default_run_windows=max(
             1, RUN_SLOT_BUDGET // max(node.dimension // node.descriptor.period for node in nodes)
         ),
@@ -227,29 +231,21 @@ def lowering_summary(sink: PlanNode) -> str:
 def plan_vector_info(plan) -> VectorPlanInfo:
     """The (cached) run-lowering analysis for a compiled plan.
 
-    Cached on the plan object itself so its lifetime is tied to the plan's.
+    Which nodes lower depends only on the plan's shape, which
+    :meth:`~repro.core.compiler.CompiledPlan.instantiate` copies, so a clone
+    reads its template's analysis: it is computed once per template (or per
+    directly compiled plan) and cached on it, tying its lifetime to the
+    template's.
     """
-    info = plan.__dict__.get("_vector_info")
+    owner = plan.template or plan
+    info = owner.__dict__.get("_vector_info")
     if info is None:
-        info = plan.__dict__["_vector_info"] = analyze_plan(plan.sink)
+        info = owner.__dict__["_vector_info"] = analyze_plan(owner.sink)
     return info
 
 
-def share_vector_info(template, clone, clones: dict[int, PlanNode]) -> None:
-    """Give *clone* the analysis of the *template* it was instantiated from.
-
-    Which nodes lower depends only on the plan's shape, which
-    :meth:`~repro.core.compiler.CompiledPlan.instantiate` copies, so the
-    template is analysed once and each clone gets that analysis re-keyed
-    through *clones* (``id(template node) -> clone node``).
-    """
-    info = plan_vector_info(template)
-    lowered = {id(clones[key]): flag for key, flag in info.lowered.items()}
-    clone.__dict__["_vector_info"] = replace(info, lowered=lowered)
-
-
 # ---------------------------------------------------------------------------
-# The run executor
+# The block executor
 # ---------------------------------------------------------------------------
 
 
@@ -290,318 +286,204 @@ def fill_schedule(sink: PlanNode, start: int) -> list[tuple[PlanNode, int]]:
     return order
 
 
-class RunExecutor:
-    """Pulls runs of consecutive windows through a plan graph.
-
-    One contiguous run buffer (an FWindow of dimension ``run_windows * D``)
-    is allocated per node and reused by every run, a shorter run filling a
-    zero-copy prefix view of it and a one-window run filling the node's own
-    planned FWindow (so single-window ticks allocate nothing).  Lowered
-    operators compute the whole run in one call, the rest fall back to the
-    window-by-window default over zero-copy subwindow views.  The executor
-    reads and advances the plan nodes' own ``state`` and
-    ``windows_computed``, so one-shot runs, resumed sessions and checkpoints
-    all see exactly the serial executor's bookkeeping.
-    """
-
-    def __init__(self, plan, info: VectorPlanInfo | None = None) -> None:
-        self.plan = plan
-        self.info = plan_vector_info(plan) if info is None else info
-        if not self.info.runnable:
-            raise ExecutionError(
-                f"plan is not run-lowerable: {self.info.reason}; "
-                f"execute it with the serial backend instead"
-            )
-        #: Names of operator nodes that executed window-by-window (at least
-        #: once) — the honest-execution-mode report reads this.
-        self.fallback_nodes: set[str] = set()
-        #: High-water mark of run-buffer bytes allocated by this executor.
-        self.peak_buffer_bytes = 0
-        #: Windows every node's run buffer holds (see :meth:`reserve`).
-        self.run_windows = 0
-        #: The sink's run buffer after the last :meth:`execute_run`.
-        self.sink_window: FWindow | None = None
-        #: The run buffer of every node, keyed by ``id(node)``.
-        self._buffers: dict[int, FWindow] = {}
-        #: The :func:`fill_schedule` of the current run phase.
-        self._schedule: list[tuple[PlanNode, int]] | None = None
-        self._schedule_phase: int | None = None
-        #: Per run-length bindings of the schedule to (prefix views of) the
-        #: run buffers.
-        self._bound: dict[int, list] = {}
-
-    def reserve(self, windows: int) -> None:
-        """Size the run buffers for runs of up to *windows* windows.
-
-        Buffers only grow.  Callers reserve the longest run they are about to
-        execute, so a one-shot execution allocates once, and a session
-        reallocates only when a tick brings a longer run than any before.
-        """
-        if windows <= self.run_windows:
-            return
-        self.run_windows = int(windows)
-        self._buffers.clear()
-        self._bound.clear()
-
-    def _buffer(self, node: PlanNode, count: int) -> FWindow:
-        if count == 1:
-            # A one-window run is exactly the node's own planned FWindow.
-            return node.fwindow
-        window = self._buffers.get(id(node))
-        if window is None:
-            window = self._buffers[id(node)] = FWindow(
-                node.descriptor,
-                node.dimension * self.run_windows,
-                name=f"{node.name}@run",
-                monotonic=False,
-            )
-            allocated = sum(buffer.memory_bytes() for buffer in self._buffers.values())
-            self.peak_buffer_bytes = max(self.peak_buffer_bytes, allocated)
-        if count == self.run_windows:
-            return window
-        return window.prefix(node.dimension * count)
-
-    def _bind(self, count: int) -> list:
-        """Bind the schedule to the run buffers for run length *count*."""
-        windows = {
-            id(node): self._buffer(node, count) for node, _ in self._schedule
-        }
-        bound = []
-        for node, offset in self._schedule:
-            window = windows[id(node)]
-            if isinstance(node, SourceNode):
-                bound.append((node, offset, window, None, None, False))
-            else:
-                inputs = [windows[id(upstream)] for upstream in node.inputs]
-                lowered = bool(self.info.lowered.get(id(node), False))
-                bound.append((node, offset, window, node.operator, inputs, lowered))
-        self._bound[count] = bound
-        return bound
-
-    def execute_run(self, start: int, count: int, columns=None, cursor: int = 0) -> int:
-        """Execute ``count`` consecutive windows beginning at *start*.
-
-        *count* must not exceed :attr:`run_windows` (:meth:`reserve` first).
-        Writes the sink's present events (in stream order) into *columns*
-        from *cursor* on, when columns are given, and returns the cursor
-        past them; the events also stay readable in :attr:`sink_window`
-        until the next run.
-        """
-        start = int(start)
-        count = int(count)
-        phase = start % self.plan.sink.dimension
-        if self._schedule is None or self._schedule_phase != phase:
-            self._schedule = fill_schedule(self.plan.sink, start)
-            self._schedule_phase = phase
-            self._bound.clear()
-        bound = self._bound.get(count)
-        if bound is None:
-            bound = self._bind(count)
-
-        window = None
-        for node, offset, window, operator, inputs, lowered in bound:
-            node_start = start + offset
-            window.slide_to(node_start)
-            if operator is None:
-                read_times, read_values, read_durations = node.source.read(
-                    node_start, node_start + node.dimension * count
-                )
-                if read_times.size:
-                    window.set_events(read_times, read_values, read_durations)
-            elif lowered:
-                operator.compute_run(window, inputs, node.state, count)
-            else:
-                # Force the base-class window-by-window fallback even if the
-                # operator defines a run kernel: lowering was rejected for
-                # this node (its run kernel is not exact here), so only the
-                # serial per-window semantics are.
-                Operator.compute_run(operator, window, inputs, node.state, count)
-                self.fallback_nodes.add(node.name)
-            node.windows_computed += count
-
-        self.sink_window = window
-        if columns is None:
-            return cursor
-        return write_sink_events(window, columns, cursor)
+#: How :class:`BlockExecutor` runs a node: read its source, one kernel call
+#: over the whole block, its run kernel per segment, or the base class's
+#: window loop per segment.
+SOURCE, STACKED, LOWERED, WINDOW = "source", "stacked", "lowered", "window"
 
 
-# ---------------------------------------------------------------------------
-# Cross-tenant cohorts
-# ---------------------------------------------------------------------------
+class BlockExecutor:
+    """Executes blocks of windows of the clones of one plan template.
 
+    A **block** is a list of segments ``(nodes, start, count)``: ``count``
+    consecutive windows from *start* on of one member plan, whose nodes
+    *nodes* lists in the template's topological order.  Every start of a
+    block lies on one phase of the sink grid.  A session's run of
+    consecutive windows is a block of one segment; a cross-tenant cohort —
+    sessions cloned from one :class:`~repro.serve.cache.PlanCache` template
+    with one ready window each — is a block of one-window segments, one per
+    member.
 
-class CohortExecutor:
-    """Executes one window of each of many clones of one template together.
+    Every template node owns one buffer FWindow of one row (window) per
+    window of the block, the segments' rows back to back; a segment's rows
+    are a zero-copy view positioned at its member's own start.  Per node:
 
-    Serving runs many sessions cloned from one
-    :class:`~repro.serve.cache.PlanCache` template; when several of them
-    have exactly one ready window in the same batch, they form a **cohort**
-    and execute along a tenant axis.  Every template node owns one stacked
-    FWindow of one row (window) per member; row *b* is a view positioned at
-    member *b*'s own window, whatever start each member sits at (all on one
-    grid phase).
-
-    * A node **stacks** when it is lowered and stateless
-      (``make_state()`` is None): one ``compute_run`` over all rows, as if
-      they were a run of consecutive windows.  A stateless kernel depends
-      only on its window's contents and the grid phase (the
+    * a source fills each segment's rows from that member's own source, in
+      one read over its windows;
+    * a node **stacks** when it is lowered and stateless (``make_state()``
+      is None): one ``compute_run`` over all rows of the block, as if they
+      were one run.  A stateless kernel depends only on its window's
+      contents and the grid phase (the
       :meth:`~repro.core.operators.base.Operator.compute` contract), so each
-      row is what that member computes alone.
-    * Every other node runs per member over its rows, with that member's
-      own state: bit-identical to the member ticking alone by construction.
-    * Source rows are filled from each member's own source, and the sink's
-      events are gathered once and split per member.
+      row is what its member computes alone;
+    * any other lowered node runs ``compute_run`` once per segment, with
+      that member's own state, and a node that is not lowered runs the base
+      class's window loop per segment over zero-copy window views:
+      bit-identical to the member running alone by construction.
 
-    Buffers only grow, sized for the largest cohort seen, as
-    :meth:`RunExecutor.reserve` does.  The executor reads and advances the
-    members' node ``state`` and ``windows_computed``, never the template's.
-    It is cached on the template (:func:`cohort_executor`), so its buffers
-    are scratch shared by every session and service cloned from that
-    template: one plan cache's sessions may only tick from one thread at a
-    time.
+    The sink's present events are gathered once and split per segment, or
+    written at the caller's cursor.  The buffers only grow, sized for the
+    largest block so far.  The executor reads and advances the members' node
+    ``state`` and ``windows_computed``, so one-shot runs, resumed sessions
+    and checkpoints all see exactly the serial executor's bookkeeping; it
+    never touches the template's.  It is cached on the template
+    (:func:`block_executor`), so its buffers are scratch shared by every
+    session and service cloned from that template: one plan cache's
+    sessions may only tick from one thread at a time.
     """
 
     def __init__(self, template) -> None:
         info = plan_vector_info(template)
-        self.nodes = topological_order(template.sink)
-        self._position = {id(node): index for index, node in enumerate(self.nodes)}
-        #: Per node: ``"source"``, ``"stacked"`` (lowered and stateless: one
-        #: call for all rows), ``"lowered"`` (per member, run kernel) or
-        #: ``"window"`` (per member, window loop).
+        if not info.runnable:
+            raise ExecutionError(
+                f"plan is not run-lowerable: {info.reason}; "
+                f"execute it with the serial backend instead"
+            )
+        self._nodes = template.nodes
+        self._dimension = template.sink.dimension
+        self._position = {id(node): index for index, node in enumerate(self._nodes)}
         self._modes = [
-            "source" if isinstance(node, SourceNode)
-            else "window" if not info.lowered[id(node)]
-            else "stacked" if node.operator.make_state() is None
-            else "lowered"
-            for node in self.nodes
+            SOURCE if isinstance(node, SourceNode)
+            else WINDOW if not lowered
+            else STACKED if node.operator.make_state() is None
+            else LOWERED
+            for node, lowered in zip(self._nodes, info.lowered)
         ]
         #: Whether some operator node runs below its run kernel (the
         #: per-window fallback), which demotes a session's execution mode.
-        self.fell_back = "window" in self._modes
-        #: Rows every stacked buffer holds (see :meth:`reserve`).
+        self.fell_back = WINDOW in self._modes
+        #: Rows (windows) every buffer holds (see :meth:`reserve`).
         self.rows = 0
+        #: High-water mark of buffer bytes allocated by this executor.
+        self.peak_buffer_bytes = 0
         self._buffers: list[FWindow] = []
-        #: Per node, a view of each row of its buffer.
-        self._row_views: list[list[FWindow]] = []
-        #: Per cohort size, the stacked views of the first that many rows.
-        self._stacked: dict[int, list[FWindow]] = {}
-        self._schedule: list[tuple] | None = None
-        self._schedule_phase: int | None = None
+        #: ``(first row, rows)`` -> per node, a view of those rows of its
+        #: buffer, and per node the views of its inputs.
+        self._views: dict[tuple[int, int], tuple[list, list]] = {}
+        #: ``(topological index, offset, mode, operator)`` per node in fill
+        #: order, for the grid phase ``_phase``.
+        self._schedule: list[tuple] = []
+        self._phase: int | None = None
 
-    def reserve(self, members: int) -> None:
-        """Size the stacked buffers for cohorts of up to *members* members."""
-        if members <= self.rows:
+    def reserve(self, rows: int) -> None:
+        """Size the buffers for blocks of up to *rows* windows."""
+        if rows <= self.rows:
             return
-        self.rows = int(members)
+        self.rows = int(rows)
         self._buffers = [
             FWindow(
                 node.descriptor,
-                node.dimension * members,
-                name=f"{node.name}@cohort",
+                self._dimension * self.rows,
+                name=f"{node.name}@block",
                 monotonic=False,
             )
-            for node in self.nodes
+            for node in self._nodes
         ]
-        self._row_views = [
-            [buffer.subwindow(row, members) for row in range(members)]
-            for buffer in self._buffers
-        ]
-        self._stacked.clear()
+        self._views.clear()
+        allocated = sum(buffer.memory_bytes() for buffer in self._buffers)
+        self.peak_buffer_bytes = max(self.peak_buffer_bytes, allocated)
 
-    def _views(self, count: int) -> list[FWindow]:
-        views = self._stacked.get(count)
+    def _view(self, row: int, rows: int) -> tuple[list, list]:
+        key = (row, rows)
+        views = self._views.get(key)
         if views is None:
-            views = self._stacked[count] = [
-                buffer if count == self.rows else buffer.prefix(node.dimension * count)
-                for node, buffer in zip(self.nodes, self._buffers)
+            low, dimension = row * self._dimension, rows * self._dimension
+            windows = [buffer.view(low, dimension) for buffer in self._buffers]
+            inputs = [
+                [windows[self._position[id(upstream)]] for upstream in node.inputs]
+                for node in self._nodes
             ]
+            views = self._views[key] = (windows, inputs)
         return views
 
-    def _bind_schedule(self, start: int) -> list[tuple]:
-        """``(index, offset, operator, input indices, mode)`` per node, in
-        fill order."""
-        schedule = []
-        for node, offset in fill_schedule(self.nodes[-1], start):
-            index = self._position[id(node)]
-            schedule.append((
-                index,
-                offset,
-                getattr(node, "operator", None),
-                tuple(self._position[id(upstream)] for upstream in node.inputs),
-                self._modes[index],
-            ))
-        return schedule
+    def execute(self, segments, columns=None, cursor: int = 0):
+        """Execute the block *segments*: ``(nodes, start, count)`` each.
 
-    def execute(self, members: list[tuple[list[PlanNode], int]]) -> list[tuple]:
-        """Execute one window per member; return each member's sink events.
-
-        *members* holds ``(nodes, start)`` per member: the member plan's
-        nodes in the template's topological order and the start of its one
-        ready window.  Every start must lie on one phase of the sink grid.
-        Returns one ``(times, values, durations)`` triple per member, in
+        Returns one ``(times, values, durations)`` triple per segment, in
         stream order, exactly as :func:`~repro.core.runtime.executor.sink_events`
-        would for that member alone.
+        would for that member's windows run alone.  When *columns* are
+        given, writes every segment's events into them from *cursor* on
+        instead and returns the cursor past them.
         """
-        count = len(members)
-        self.reserve(count)
+        rows = sum(count for _, _, count in segments)
+        self.reserve(rows)
+        views = self._views
+        members = []
+        row = 0
+        for nodes, start, count in segments:
+            view = views.get((row, count)) or self._view(row, count)
+            members.append((nodes, int(start), count, row, view))
+            row += count
         first = members[0][1]
-        phase = first % self.nodes[-1].dimension
-        if self._schedule is None or self._schedule_phase != phase:
-            self._schedule = self._bind_schedule(first)
-            self._schedule_phase = phase
-        stacked = self._views(count)
-        rows = self._row_views
-        starts = [start for _, start in members]
+        phase = first % self._dimension
+        if phase != self._phase:
+            self._schedule = []
+            for node, offset in fill_schedule(self._nodes[-1], first):
+                index = self._position[id(node)]
+                operator = getattr(node, "operator", None)
+                self._schedule.append((index, offset, self._modes[index], operator))
+            self._phase = phase
+        block, block_inputs = self._view(0, rows)
 
-        for index, offset, operator, inputs, mode in self._schedule:
-            window = stacked[index]
+        for index, offset, mode, operator in self._schedule:
+            window = block[index]
             window.clear()
             window.sync_time = first + offset
-            node_rows = rows[index]
-            for row, start in zip(node_rows, starts):
-                row.sync_time = start + offset
-            if mode == "source":
-                for row, (nodes, _) in zip(node_rows, members):
-                    low = row.sync_time
-                    times, values, durations = nodes[index].source.read(
-                        low, low + row.dimension
-                    )
+            if mode == STACKED:
+                operator.compute_run(window, block_inputs[index], None, rows)
+            for nodes, start, count, _, (windows, inputs) in members:
+                node = nodes[index]
+                window = windows[index]
+                low = window.sync_time = start + offset
+                if mode == SOURCE:
+                    times, values, durations = node.source.read(low, low + window.dimension)
                     if times.size:
-                        row.set_events(times, values, durations)
-            elif mode == "stacked":
-                operator.compute_run(window, [stacked[i] for i in inputs], None, count)
-            else:
-                kernel = operator.compute_run if mode == "lowered" else partial(
-                    Operator.compute_run, operator
-                )
-                input_rows = [rows[i] for i in inputs]
-                for member, (row, (nodes, _)) in enumerate(zip(node_rows, members)):
-                    kernel(row, [r[member] for r in input_rows], nodes[index].state, 1)
-            for nodes, _ in members:
-                nodes[index].windows_computed += 1
-        return self._split_sink(stacked[-1], starts)
+                        window.set_events(times, values, durations)
+                elif mode == LOWERED:
+                    operator.compute_run(window, inputs[index], node.state, count)
+                elif mode == WINDOW:
+                    # The base-class window loop even if the operator defines
+                    # a run kernel: lowering was rejected for this node (its
+                    # run kernel is not exact here), so only the serial
+                    # per-window semantics are.
+                    Operator.compute_run(operator, window, inputs[index], node.state, count)
+                node.windows_computed += count
 
-    def _split_sink(self, window: FWindow, starts: list[int]) -> list[tuple]:
-        """Gather the stacked sink's present events once; split per member."""
-        capacity = self._row_views[-1][0].capacity
+        if columns is not None:
+            for *_, (windows, _) in members:
+                cursor = write_sink_events(windows[-1], columns, cursor)
+            return cursor
+        if len(members) == 1:
+            return [sink_events(block[-1])]
+        return self._split_sink(block[-1], members)
+
+    def _split_sink(self, window: FWindow, members: list[tuple]) -> list[tuple]:
+        """Gather the block's sink events once; split them per segment."""
         indices = window.present_indices()
-        row_of = indices // capacity
-        times = np.asarray(starts, dtype=np.int64)[row_of] + (
-            indices - row_of * capacity
-        ) * window.period
+        row_of = indices // (self._dimension // window.period)
+        # Row r of a segment whose rows begin at row `first` holds the window
+        # at start + (r - first) * D, so one base per row turns slot indices
+        # into times.
+        bases = []
+        for _, start, count, first, _ in members:
+            bases += [start - first * self._dimension] * count
+        times = np.asarray(bases)[row_of] + indices * window.period
         values = window.values[indices]
         durations = window.durations[indices]
-        bounds = [0, *np.searchsorted(row_of, range(1, len(starts))).tolist(), indices.size]
+        firsts = [member[3] for member in members]
+        bounds = [*np.searchsorted(row_of, firsts).tolist(), indices.size]
         return [
             (times[low:high], values[low:high], durations[low:high])
             for low, high in zip(bounds, bounds[1:])
         ]
 
 
-def cohort_executor(template) -> CohortExecutor:
-    """The :class:`CohortExecutor` of a plan-cache *template*, cached on it
-    (the only mutable thing a cached template holds)."""
-    executor = template.__dict__.get("_cohort_executor")
+def block_executor(plan) -> BlockExecutor:
+    """The :class:`BlockExecutor` of *plan*'s template, or of *plan* itself
+    when it was compiled directly, cached on it (the only mutable thing a
+    cached template holds)."""
+    owner = plan.template or plan
+    executor = owner.__dict__.get("_block_executor")
     if executor is None:
-        executor = template.__dict__["_cohort_executor"] = CohortExecutor(template)
+        executor = owner.__dict__["_block_executor"] = BlockExecutor(owner)
     return executor

@@ -316,6 +316,12 @@ class ReplaySource(StreamSource):
         """Expose the entire underlying source (never moves the watermark back)."""
         self._watermark = max(self._watermark, self._inner.coverage().span()[1])
 
+    @property
+    def at_end(self) -> bool:
+        """True once the watermark exposes all the data, as after
+        :meth:`advance_to_end`."""
+        return self._watermark >= self._inner.coverage().span()[1]
+
     def coverage(self, since: int | None = None) -> IntervalSet:
         return self._inner.coverage().window(since, self._watermark)
 
@@ -507,6 +513,11 @@ class PushSource(ReplaySource):
         """Expose everything appended so far (used by ``session.finish()``)."""
         if self._coverage:
             self._watermark = max(self._watermark, self._coverage.span()[1])
+
+    @property
+    def at_end(self) -> bool:
+        """True once the watermark exposes everything appended so far."""
+        return self._watermark >= self._coverage.span()[1]
 
     def coverage(self, since: int | None = None) -> IntervalSet:
         return self._coverage.window(since, self._watermark)

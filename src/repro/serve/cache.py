@@ -282,11 +282,10 @@ class PlanCache:
 
     The engine never executes a template stored here: it hands out
     per-client :meth:`~repro.core.compiler.CompiledPlan.instantiate` clones,
-    each with its own node buffers and carries.  The one exception is the
-    template's cross-tenant cohort executor
-    (:func:`~repro.core.runtime.vectorized.cohort_executor`), whose stacked
-    buffers every clone's session writes when its batch executes as a
-    cohort.  The lock guards the map only: the sessions and services over
+    each with its own carries.  The one exception is the template's
+    executor (:func:`~repro.core.runtime.vectorized.block_executor`), whose
+    buffers every clone's vectorized session writes as scratch, alone or in
+    a cohort.  The lock guards the map only: the sessions and services over
     one cache may only tick from one thread at a time.
     """
 

@@ -143,6 +143,11 @@ class SharedFeedSource(PushSource):
         if self._assigned:
             self._watermark = max(self._watermark, self._assigned.span()[1])
 
+    @property
+    def at_end(self) -> bool:
+        """True once the watermark exposes the full assigned coverage."""
+        return self._watermark >= self._assigned.span()[1]
+
 
 def prefix_fingerprints(
     query: Query, sources: dict[str, StreamSource] | None

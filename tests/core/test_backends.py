@@ -15,7 +15,7 @@ from repro.core.engine import LifeStreamEngine
 from repro.core.operators import AlterPeriod
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend, plan_batch_safe
-from repro.core.runtime.vectorized import RunExecutor
+from repro.core.runtime.vectorized import BlockExecutor, block_executor
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -332,13 +332,13 @@ class TestDefaultBackendOnSparseCoverage:
             lifestream_e2e_query(resample_mode="hold"), sources
         )
         runs = []
-        execute_run = RunExecutor.execute_run
+        execute = BlockExecutor.execute
 
-        def counting(self, start, count, *args):
-            runs.append(count)
-            return execute_run(self, start, count, *args)
+        def counting(self, segments, *args):
+            runs.extend(count for _, _, count in segments)
+            return execute(self, segments, *args)
 
-        monkeypatch.setattr(RunExecutor, "execute_run", counting)
+        monkeypatch.setattr(BlockExecutor, "execute", counting)
         result = compiled.run()
         assert runs == [1] * 60
         assert result.stats.execution_mode == "vectorized"
@@ -364,12 +364,12 @@ class TestFigure3InOneArrayProgram:
     def test_interpolating_resample_lowers_to_one_kernel_call_per_run(self, monkeypatch):
         compiled = _fig3_interpolate()
         runs, kernel_calls = [], []
-        execute_run = RunExecutor.execute_run
+        execute = BlockExecutor.execute
         compute_run = AlterPeriod.compute_run
 
-        def counting_run(self, start, count, *args):
-            runs.append(count)
-            return execute_run(self, start, count, *args)
+        def counting_run(self, segments, *args):
+            runs.extend(count for _, _, count in segments)
+            return execute(self, segments, *args)
 
         def counting_kernel(self, output, inputs, state, windows):
             kernel_calls.append(windows)
@@ -382,12 +382,12 @@ class TestFigure3InOneArrayProgram:
             window_calls.append(1)
             return compute(self, *args)
 
-        monkeypatch.setattr(RunExecutor, "execute_run", counting_run)
+        monkeypatch.setattr(BlockExecutor, "execute", counting_run)
         monkeypatch.setattr(AlterPeriod, "compute_run", counting_kernel)
         monkeypatch.setattr(AlterPeriod, "compute", counting_window)
         result = compiled.run()
         assert result.stats.execution_mode == "vectorized"
-        assert not compiled.plan.__dict__["_run_executor"].fallback_nodes
+        assert not block_executor(compiled.plan).fell_back
         assert max(runs) > 1
         assert kernel_calls == runs
         # Only one-window runs call the per-window compute: no window loop.

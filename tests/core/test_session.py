@@ -152,6 +152,29 @@ class TestSessionParity:
         assert session.frontier == 1000
         session.close()
 
+    @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
+                             ids=["serial", "vectorized"])
+    def test_one_shot_over_unfinished_replay_runs_only_ready_windows(self, backend):
+        """A one-shot over a replayed source short of its end returns what a
+        session at the same watermark emits: the window whose input crosses
+        the watermark waits.  Once the source is at its end it drains."""
+        times = np.arange(6000, dtype=np.int64) * 2  # 12 s at 500 Hz
+        values = np.sin(np.arange(6000) * 0.01) * 10
+        query = Query.source("s", frequency_hz=500).tumbling_window(1000).mean()
+        engine = LifeStreamEngine(window_size=1000, backend=backend)
+        replay = ReplaySource(ArraySource(times, values, period=2), watermark=4500)
+        compiled = engine.compile(query, {"s": replay})
+        one_shot = compiled.run()
+        session = compiled.open_session()
+        assert session.advance(4500).windows_deferred == 1
+        _assert_identical(session.result(), one_shot)
+        assert one_shot.times.tolist() == [0, 1000, 2000, 3000]
+        session.close()
+        replay.advance_to_end()
+        full = engine.run(query, {"s": ArraySource(times, values, period=2)})
+        _assert_identical(full, compiled.run())
+        assert full.times[-1] == 11000
+
     def test_tick_instrumentation(self):
         engine = LifeStreamEngine(window_size=1000, backend=SerialBackend())
         session = engine.open_session(

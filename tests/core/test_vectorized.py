@@ -23,7 +23,8 @@ from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.runtime.vectorized import (
     RUN_SLOT_BUDGET,
-    RunExecutor,
+    BlockExecutor,
+    block_executor,
     plan_vector_info,
     runs_for_starts,
 )
@@ -149,7 +150,7 @@ class TestSubwindowViews:
     def test_prefix_views_slide_and_clear_only_their_slots(self):
         run = self._run_buffer(count=4)
         run.bitvector[:] = True
-        prefix = run.prefix(200)
+        prefix = run.view(0, 200)
         assert (prefix.capacity, prefix.dimension) == (20, 200)
         prefix.slide_to(5000)
         assert prefix.sync_time == 5000
@@ -159,12 +160,20 @@ class TestSubwindowViews:
         assert np.all(run.values[:20] == 3.0)
         # A prefix splits into windows like a run buffer of its own length.
         assert prefix.subwindow(1, 2).sync_time == 5100
+        # A view further in aliases its own slots, positioned at its offset.
+        middle = run.view(200, 100)
+        assert (middle.capacity, middle.sync_time) == (10, run.sync_time + 200)
+        middle.clear()
+        assert not run.bitvector[20:30].any() and run.bitvector[30:].all()
 
     def test_invalid_prefixes_rejected(self):
         run = self._run_buffer(count=4)
         for dimension in (0, 405, 500):
             with pytest.raises(MemoryPlanError):
-                run.prefix(dimension)
+                run.view(0, dimension)
+        for offset in (-10, 5, 350):
+            with pytest.raises(MemoryPlanError):
+                run.view(offset, 100)
 
 
 # -- plan analysis ----------------------------------------------------------
@@ -249,8 +258,9 @@ class TestRunBufferFootprint:
         reference = compiled.run(backend=SerialBackend())
         np.testing.assert_array_equal(reference.times, result.times)
         np.testing.assert_array_equal(reference.values, result.values)
-        # The backend caches its executor on the plan.
-        executor = plan.__dict__["_run_executor"]
+        # The backend caches its executor on the plan (compiled directly,
+        # the plan is its own template).
+        executor = block_executor(plan)
         per_window = MINUTE_SLOTS * SLOT_BYTES
         assert executor.peak_buffer_bytes == len(nodes) * cap * per_window
         assert result.stats.preallocated_bytes == (
@@ -261,20 +271,20 @@ class TestRunBufferFootprint:
         # sum of the distinct lengths, as one buffer per length would.
         wide = _minute_plan()
         wide.run(backend=VectorizedBackend(max_run_windows=8))
-        assert wide.plan.__dict__["_run_executor"].peak_buffer_bytes == (
+        assert block_executor(wide.plan).peak_buffer_bytes == (
             len(nodes) * max(SEGMENT_MINUTES) * per_window
         )
 
     def test_default_backend_chunks_runs_at_the_cap(self, monkeypatch):
         compiled = _minute_plan()
         executed = []
-        original = RunExecutor.execute_run
+        original = BlockExecutor.execute
 
-        def counting(self, start, count, *args):
-            executed.append(count)
-            return original(self, start, count, *args)
+        def counting(self, segments, *args):
+            executed.extend(count for _, _, count in segments)
+            return original(self, segments, *args)
 
-        monkeypatch.setattr(RunExecutor, "execute_run", counting)
+        monkeypatch.setattr(BlockExecutor, "execute", counting)
         compiled.run()
         assert max(executed) == plan_vector_info(compiled.plan).default_run_windows
         assert len(executed) > len(SEGMENT_MINUTES)  # long segments were chunked

@@ -204,10 +204,15 @@ def test_clones_of_one_template_share_one_lowering_analysis(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_window_ticks_allocate_no_run_buffers(monkeypatch):
-    engine = LifeStreamEngine(window_size=1000)
-    compiled = engine.compile(_lowerable_query(), {"s": ReplaySource(_signal(0))})
-    session = compiled.open_session()
+def test_one_window_ticks_allocate_run_rows_once_per_template(monkeypatch):
+    """Clones share their template's executor: N clones ticking one window
+    at a time allocate its one row per node once in total, never per clone
+    and never per tick."""
+    engine = LifeStreamEngine(window_size=1000, plan_cache=PlanCache())
+    sessions = [
+        engine.open_session(_lowerable_query(), {"s": ReplaySource(_signal(seed))})
+        for seed in range(4)
+    ]
     allocated = []
     init = FWindow.__init__
 
@@ -216,9 +221,19 @@ def test_one_window_ticks_allocate_no_run_buffers(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FWindow, "__init__", counting)
-    ticks = [session.advance(watermark) for watermark in range(1000, 8001, 1000)]
+    ticks = [
+        session.advance(watermark)
+        for watermark in range(1000, 8001, 1000)
+        for session in sessions
+    ]
     assert {tick.windows_run for tick in ticks} == {1}
+    assert {tick.cohort_size for tick in ticks} == {1}
     assert {tick.execution_mode for tick in ticks} == {"vectorized"}
-    assert allocated == []
-    assert compiled.plan.__dict__["_run_executor"].peak_buffer_bytes == 0
-    session.close()
+    plan = sessions[0]._plan
+    assert plan.template is not None
+    assert len(allocated) == len(plan.nodes)
+    executor = vectorized_module.block_executor(plan)
+    assert executor is vectorized_module.block_executor(sessions[-1]._plan)
+    assert executor.peak_buffer_bytes == sum(node.fwindow.memory_bytes() for node in plan.nodes)
+    for session in sessions:
+        session.close()

@@ -2,12 +2,14 @@
 
 When a batch holds several sessions cloned from one ``PlanCache`` template
 with exactly one ready window each, the service executes them as one
-cohort (:class:`~repro.core.runtime.vectorized.CohortExecutor`): stateless
-lowered nodes run one ``compute_run`` over a stacked buffer, everything
-else runs per member.  The guarantee is that every tenant's output is
+cohort, one block of one-window segments on the template's
+:class:`~repro.core.runtime.vectorized.BlockExecutor`: stateless lowered
+nodes run one ``compute_run`` over a stacked buffer, everything else runs
+per member.  The guarantee is that every tenant's output is
 bit-identical to the same tenant ticked alone, whatever mix of 0, 1 or
 more ready windows the members of a batch hold, and that the fixed paths
-(one-session batches, serial sessions) never reach the cohort executor.
+(one-session batches, serial sessions) never execute a block of more than
+one segment.
 """
 
 import numpy as np
@@ -17,12 +19,13 @@ from repro.core.engine import LifeStreamEngine
 from repro.core.operators import Aggregate, FusedElementwise, Shift
 from repro.core.operators.base import Operator
 from repro.core.query import Query
-from repro.core.runtime import SerialBackend
-from repro.core.runtime.vectorized import CohortExecutor
+from repro.core.runtime import SerialBackend, VectorizedBackend
+from repro.core.runtime.session import tick_batch
+from repro.core.runtime.vectorized import BlockExecutor, block_executor
 from repro.core.sources import ArraySource, ReplaySource
 from repro.errors import ExecutionError
 from repro.ops import combine, kernels
-from repro.serve import StreamingService
+from repro.serve import PlanCache, StreamingService
 
 WINDOW = 1000
 SECONDS = 14
@@ -389,17 +392,83 @@ class TestCohortExecution:
         assert all(t.cohort_size == 3 for t in report.ticks.values())
 
 
+def _scratch_query():
+    """Two grids whose fill offsets depend on the grid phase (a 125 Hz
+    stream meets a 500 Hz one), stacked transforms, then a stateful join
+    and sliding mean."""
+    return _two_stream_join().sliding_window(500, 250).mean()
+
+
+class TestSharedScratch:
+    def test_interleaved_clones_match_serial(self):
+        """Clones of one template share its executor's buffers.  Interleave
+        lone one-window ticks at two grid phases, a restored clone's
+        multi-window catch-up and a cohort: each clone still emits exactly
+        its serial run."""
+        engine = LifeStreamEngine(window_size=WINDOW, plan_cache=PlanCache())
+        arrays = {name: _arrays("join", seed, dense=True) for name, seed in (
+            ("lone", 1), ("c1", 2), ("c2", 3), ("restored", 4), ("phase", 5)
+        )}
+
+        def compiled(name):
+            return engine.compile(_scratch_query(), _replay(arrays[name]))
+
+        queries = {name: compiled(name) for name in ("lone", "c1", "c2")}
+        sessions = {name: query.open_session() for name, query in queries.items()}
+        restored = compiled("restored").open_session()
+        for pump in range(1, 4):
+            restored.advance(pump * WINDOW)  # one-window ticks: the buffers hold one row
+        saved = restored.checkpoint()
+        restored.close()
+        # Sessions of one template share one grid phase, so the second phase
+        # drives the backend's tick directly: windows half a window off the
+        # sink grid, against the serial backend on a twin clone.
+        shifted = engine.compile(_scratch_query(), arrays["phase"]).plan
+        twin = engine.compile(_scratch_query(), arrays["phase"]).plan
+        assert shifted.template is twin.template is queries["lone"].plan.template
+        executor = block_executor(shifted)
+        assert executor is block_executor(queries["c1"].plan)
+
+        cohorts, catch_up = [], None
+        for pump in range(1, SECONDS + 1):
+            watermark = pump * WINDOW
+            assert sessions["lone"].advance(watermark).cohort_size == 1
+            start = watermark - WINDOW // 2
+            (got,), _ = VectorizedBackend().session_tick(shifted, [start])
+            (expected,), _ = SerialBackend().session_tick(twin, [start])
+            for column, (want, have) in enumerate(zip(expected, got)):
+                np.testing.assert_array_equal(want, have, err_msg=f"{start} column {column}")
+            if pump == 7:
+                sessions["restored"] = compiled("restored").open_session(checkpoint=saved)
+                catch_up = sessions["restored"].advance(watermark)
+            elif "restored" in sessions:
+                sessions["restored"].advance(watermark)
+            ticks = tick_batch([(sessions["c1"], watermark), (sessions["c2"], watermark)])
+            cohorts += [tick.cohort_size for tick in ticks]
+        assert catch_up.windows_run > 1 and catch_up.cohort_size == 1
+        assert max(cohorts) == 2
+        assert executor.rows > 1
+
+        serial = LifeStreamEngine(window_size=WINDOW, backend=SerialBackend())
+        for name, session in sessions.items():
+            session.finish()
+            expected = serial.run(_scratch_query(), dict(arrays[name]))
+            _assert_identical(expected, session.result(), name)
+            session.close()
+
+
 class TestFixedPaths:
     @pytest.fixture
     def executions(self, monkeypatch):
+        """Segments per executed block."""
         seen = []
-        original = CohortExecutor.execute
+        original = BlockExecutor.execute
 
-        def spy(self, members):
-            seen.append(len(members))
-            return original(self, members)
+        def spy(self, segments, *args):
+            seen.append(len(segments))
+            return original(self, segments, *args)
 
-        monkeypatch.setattr(CohortExecutor, "execute", spy)
+        monkeypatch.setattr(BlockExecutor, "execute", spy)
         return seen
 
     def test_one_session_batch_never_stacks(self, executions):
@@ -410,7 +479,8 @@ class TestFixedPaths:
                 report = service.pump({"c1": WINDOW * pump})
                 assert [t.cohort_size for t in report.ticks.values()] == [1]
             service.poll(["c2"])
-        assert executions == []
+        # Every tick ran alone: a block of one segment each.
+        assert executions and set(executions) == {1}
 
     def test_serial_sessions_never_stack(self, executions):
         with StreamingService(window_size=WINDOW, backend=SerialBackend()) as service:
