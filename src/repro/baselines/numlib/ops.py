@@ -12,7 +12,6 @@ performance problem the paper describes in Section 3.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as scipy_signal
 
 
 def normalize(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -38,6 +37,8 @@ def normalize(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 def design_fir_taps(numtaps: int, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
     """Design a low-pass FIR filter (Hamming window method, as scipy.firwin does)."""
+    from scipy import signal as scipy_signal
+
     return scipy_signal.firwin(numtaps, cutoff_hz, fs=sample_rate_hz)
 
 
@@ -48,6 +49,8 @@ def passfilter(
     sample_rate_hz: float = 500.0,
 ) -> np.ndarray:
     """Finite-impulse-response frequency filtering (Table 3: PassFilter)."""
+    from scipy import signal as scipy_signal
+
     taps = design_fir_taps(numtaps, cutoff_hz, sample_rate_hz)
     return scipy_signal.lfilter(taps, 1.0, np.asarray(values, dtype=np.float64))
 

@@ -458,11 +458,12 @@ class StreamingSession:
 
     def _cohort_key(self):
         """What a cohort is keyed by, or None when this tick runs alone: the
-        template, and the grid phase of exactly one ready window."""
+        template of a tick with exactly one ready window.  Clones share the
+        sink descriptor, so their windows all start on one grid."""
         tick = self._pending
         if self._template is None or tick is None or len(tick.ready) != 1:
             return None
-        return id(self._template), tick.ready[0] % self._plan.sink.dimension
+        return id(self._template)
 
     def _commit(self, tick: "_Tick") -> TickStats:
         events = 0
@@ -868,7 +869,7 @@ def tick_batch(batch) -> list[TickStats]:
 
     Every session is planned first (advanced to its watermark, or polled
     with None), then sessions cloned from one plan-cache template with
-    exactly one ready window on one grid phase execute together as a
+    exactly one ready window execute together as a
     cohort (one block of the template's
     :class:`~repro.core.runtime.vectorized.BlockExecutor`), and
     finally every session's :meth:`~StreamingSession.poll` commits its tick
@@ -912,7 +913,7 @@ def tick_batch(batch) -> list[TickStats]:
 
 def _execute_cohorts(sessions: list[StreamingSession]) -> None:
     """Execute the prepared ticks of *sessions* that form cohorts."""
-    cohorts: dict[tuple, list[StreamingSession]] = {}
+    cohorts: dict[int, list[StreamingSession]] = {}
     # A session listed twice is one member; its second poll plans afresh.
     for session in dict.fromkeys(sessions):
         key = session._cohort_key()

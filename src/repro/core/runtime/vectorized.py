@@ -297,12 +297,14 @@ class BlockExecutor:
 
     A **block** is a list of segments ``(nodes, start, count)``: ``count``
     consecutive windows from *start* on of one member plan, whose nodes
-    *nodes* lists in the template's topological order.  Every start of a
-    block lies on one phase of the sink grid.  A session's run of
+    *nodes* lists in the template's topological order.  A session's run of
     consecutive windows is a block of one segment; a cross-tenant cohort —
     sessions cloned from one :class:`~repro.serve.cache.PlanCache` template
     with one ready window each — is a block of one-window segments, one per
-    member.
+    member.  Clones share the sink descriptor, so every block start lies on
+    the template's one sink grid ``offset + k * D``; the fill schedule is
+    bound to that grid once, and a start off it is an
+    :class:`~repro.errors.ExecutionError`.
 
     Every template node owns one buffer FWindow of one row (window) per
     window of the block, the segments' rows back to back; a segment's rows
@@ -360,10 +362,15 @@ class BlockExecutor:
         #: ``(first row, rows)`` -> per node, a view of those rows of its
         #: buffer, and per node the views of its inputs.
         self._views: dict[tuple[int, int], tuple[list, list]] = {}
+        #: The sink grid's phase: every block start is ``_phase`` modulo D.
+        self._phase = template.sink.descriptor.offset % self._dimension
         #: ``(topological index, offset, mode, operator)`` per node in fill
-        #: order, for the grid phase ``_phase``.
+        #: order (the offsets depend only on the phase).
         self._schedule: list[tuple] = []
-        self._phase: int | None = None
+        for node, offset in fill_schedule(template.sink, self._phase):
+            index = self._position[id(node)]
+            operator = getattr(node, "operator", None)
+            self._schedule.append((index, offset, self._modes[index], operator))
 
     def reserve(self, rows: int) -> None:
         """Size the buffers for blocks of up to *rows* windows."""
@@ -411,18 +418,16 @@ class BlockExecutor:
         members = []
         row = 0
         for nodes, start, count in segments:
+            if start % self._dimension != self._phase:
+                raise ExecutionError(
+                    f"block start {start} is off the sink grid "
+                    f"({self._phase} + k * {self._dimension}); windows of a "
+                    f"plan start only on its sink grid"
+                )
             view = views.get((row, count)) or self._view(row, count)
             members.append((nodes, int(start), count, row, view))
             row += count
         first = members[0][1]
-        phase = first % self._dimension
-        if phase != self._phase:
-            self._schedule = []
-            for node, offset in fill_schedule(self._nodes[-1], first):
-                index = self._position[id(node)]
-                operator = getattr(node, "operator", None)
-                self._schedule.append((index, offset, self._modes[index], operator))
-            self._phase = phase
         block, block_inputs = self._view(0, rows)
 
         for index, offset, mode, operator in self._schedule:

@@ -43,7 +43,12 @@ class StreamSource:
         raise NotImplementedError
 
     def read(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(times, values, durations)`` for events in ``[start, end)``."""
+        """Return ``(times, values, durations)`` for events in ``[start, end)``.
+
+        The arrays may be read-only views of the source's storage (the
+        durations of a stream whose events all last one period are a
+        zero-stride view of that period); copy them before writing.
+        """
         raise NotImplementedError
 
     def event_count(self) -> int:
@@ -55,6 +60,16 @@ class StreamSource:
 DEDUPE_POLICIES = ("first", "last")
 
 
+def period_column(period: int, size: int) -> np.ndarray:
+    """*size* durations of one *period* each, as a read-only zero-stride view.
+
+    On a periodic stream an event lasts one period unless it says otherwise,
+    so a source stores no duration column for such events: this view costs
+    one scalar however long the stream is.
+    """
+    return np.broadcast_to(np.int64(period), (size,))
+
+
 class ArraySource(StreamSource):
     """A source backed by in-memory NumPy arrays of timestamps and values.
 
@@ -64,6 +79,10 @@ class ArraySource(StreamSource):
     ``dedupe="last"`` (or ``"first"``) to opt into keeping one event per
     slot instead.  ``validate=False`` disables duplicate, grid-alignment and
     duration checks entirely.
+
+    Without ``durations=`` every event lasts one period and the source holds
+    no duration column: :meth:`read` returns a read-only zero-stride view of
+    the period (:func:`period_column`).
     """
 
     def __init__(
@@ -160,7 +179,8 @@ class ArraySource(StreamSource):
         self._times = times
         self._values = values
         if durations is None:
-            self._durations = np.full(times.shape, period, dtype=np.int64)
+            # Every event lasts one period: a zero-stride view, not a column.
+            self._durations = period_column(period, times.size)
             self._coverage = IntervalSet.from_grid_gaps(
                 times, period, uneven[uneven_steps > period]
             )
@@ -332,6 +352,147 @@ class ReplaySource(StreamSource):
         return self._inner.read(start, min(end, self._watermark))
 
 
+def check_batch(
+    offset: int,
+    period: int,
+    times,
+    values,
+    durations=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Check one pushed batch on the grid ``offset + k * period``.
+
+    The rules every push path shares: matching shapes, positive durations,
+    strictly increasing on-grid timestamps.  Returns the batch as typed
+    arrays; raises :class:`~repro.errors.StreamDefinitionError` naming the
+    offending sample otherwise.  Where the batch may start relative to
+    earlier ones is the caller's rule.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.shape != values.shape:
+        raise StreamDefinitionError(
+            f"times and values must have the same shape, got {times.shape} "
+            f"and {values.shape}"
+        )
+    if durations is not None:
+        durations = np.asarray(durations, dtype=np.int64)
+        if durations.shape != times.shape:
+            raise StreamDefinitionError(
+                f"durations must have the same shape as times, got "
+                f"{durations.shape} and {times.shape}"
+            )
+        if durations.size and np.any(durations <= 0):
+            index = int(np.flatnonzero(durations <= 0)[0])
+            raise StreamDefinitionError(
+                f"duration {int(durations[index])} of the pushed event at "
+                f"timestamp {int(times[index])} must be positive"
+            )
+    if times.size == 0:
+        return times, values, durations
+    stalled = np.flatnonzero(np.diff(times) <= 0)
+    if stalled.size:
+        bad = int(times[stalled[0] + 1])
+        raise StreamDefinitionError(
+            f"pushed timestamps must be strictly increasing; timestamp "
+            f"{bad} does not advance past its predecessor"
+        )
+    misaligned = (times - offset) % period
+    if np.any(misaligned != 0):
+        bad = int(times[np.flatnonzero(misaligned)[0]])
+        raise StreamDefinitionError(
+            f"pushed timestamp {bad} does not lie on the periodic grid "
+            f"(offset={offset}, period={period})"
+        )
+    return times, values, durations
+
+
+class ColumnLog:
+    """The append-only event columns of one periodic stream.
+
+    Times and values are amortised-growth buffers (capacity doubles), so a
+    long-lived stream pays O(1) per appended sample, not O(history).
+    Durations are implicit: until a batch carries a duration other than the
+    period, the log stores none and :meth:`read` returns a read-only
+    zero-stride view of the period (:func:`period_column`).  The first such
+    batch creates the duration column, back-filled with the period.
+
+    A log can back several sources: the member feeds of a sharing group all
+    read one log, each behind its own watermark.  Batches are checked by
+    :meth:`validate` before :meth:`append` stores them.
+    """
+
+    __slots__ = ("descriptor", "size", "_times", "_values", "_durations", "_implicit")
+
+    def __init__(self, descriptor: StreamDescriptor) -> None:
+        self.descriptor = descriptor
+        #: Events appended so far.
+        self.size = 0
+        self._times = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.float64)
+        self._durations: np.ndarray | None = None
+        self._implicit = period_column(descriptor.period, 0)
+
+    def validate(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        durations: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Check one batch against the append rules without storing it:
+        :func:`check_batch`, and a first event past the last stored one."""
+        descriptor = self.descriptor
+        times, values, durations = check_batch(
+            descriptor.offset, descriptor.period, times, values, durations
+        )
+        if times.size and self.size and int(times[0]) <= int(self._times[self.size - 1]):
+            raise StreamDefinitionError(
+                f"pushed batch starts at timestamp {int(times[0])} but the "
+                f"stream already holds data through "
+                f"{int(self._times[self.size - 1])}; batches must arrive in "
+                f"time order (data behind the watermark may already have "
+                f"been executed and cannot be amended)"
+            )
+        return times, values, durations
+
+    def append(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        durations: np.ndarray | None = None,
+    ) -> None:
+        """Store one batch that :meth:`validate` accepted."""
+        start, end = self.size, self.size + times.size
+        if end > self._times.size:
+            self._grow(end)
+        self._times[start:end] = times
+        self._values[start:end] = values
+        period = self.descriptor.period
+        if self._durations is None and durations is not None and np.any(durations != period):
+            self._durations = np.full(self._times.size, period, dtype=np.int64)
+        if self._durations is not None:
+            self._durations[start:end] = period if durations is None else durations
+        self.size = end
+
+    def _grow(self, needed: int) -> None:
+        """Grow the columns to hold at least *needed* events (amortised)."""
+        capacity = max(needed, 2 * self._times.size, 1024)
+        for name in ("_times", "_values", "_durations"):
+            column = getattr(self, name)
+            if column is not None:
+                grown = np.empty(capacity, dtype=column.dtype)
+                grown[: self.size] = column[: self.size]
+                setattr(self, name, grown)
+        self._implicit = period_column(self.descriptor.period, capacity)
+
+    def read(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(times, values, durations)`` of the events in ``[start, end)``."""
+        times = self._times[: self.size]
+        lo = int(np.searchsorted(times, start, side="left"))
+        hi = int(np.searchsorted(times, end, side="left"))
+        durations = self._implicit if self._durations is None else self._durations
+        return times[lo:hi], self._values[lo:hi], durations[lo:hi]
+
+
 class PushSource(ReplaySource):
     """An appendable, watermark-gated source for push-based ingestion.
 
@@ -352,9 +513,11 @@ class PushSource(ReplaySource):
     watermark-only progress announcements (heartbeat punctuation: "no data
     through *t*"), letting windows that end in a silence flush.
 
-    Storage is a pair of amortised-growth column buffers (capacity doubles)
-    and a :class:`~repro.core.intervals.CoverageLog` extended at its tail, so
-    a long-lived session pays O(1) per appended sample, not O(history).
+    The events live in a :class:`ColumnLog` (:attr:`log`), which keeps a
+    duration column only once a batch carries a duration other than the
+    period, and the coverage in a :class:`~repro.core.intervals.CoverageLog`
+    extended at its tail, so a long-lived session pays O(1) per appended
+    sample, not O(history).
     """
 
     def __init__(
@@ -370,10 +533,8 @@ class PushSource(ReplaySource):
         if period <= 0:
             raise StreamDefinitionError(f"period must be positive, got {period}")
         self.descriptor = StreamDescriptor(offset=offset, period=period)
-        self._times = np.empty(0, dtype=np.int64)
-        self._values = np.empty(0, dtype=np.float64)
-        self._durations = np.empty(0, dtype=np.int64)
-        self._size = 0
+        #: The event columns this source reads.
+        self.log = ColumnLog(self.descriptor)
         self._coverage = CoverageLog()
         self._watermark = int(offset) if watermark is None else int(watermark)
 
@@ -394,105 +555,22 @@ class PushSource(ReplaySource):
         (``time + duration``, duration defaulting to the period).  An empty
         batch is a no-op returning the current watermark.
         """
-        times, values, durations = self.validate_batch(times, values, durations)
+        times, values, durations = self.log.validate(times, values, durations)
         if times.size == 0:
             return self._watermark
+        period = self.descriptor.period
         if durations is None:
-            durations = np.full(times.shape, self.descriptor.period, dtype=np.int64)
-            chunk_coverage = IntervalSet.from_timestamps(times, self.descriptor.period)
+            chunk_coverage = IntervalSet.from_timestamps(times, period)
+            last_duration = period
         else:
             chunk_coverage = IntervalSet.from_events(times, durations)
-        self._store(times, values, durations)
+            last_duration = int(durations[-1])
+        self.log.append(times, values, durations)
         # Batches arrive in time order, so the chunk can only touch the
         # history at its tail.
         self._coverage.extend(chunk_coverage)
-        appended_through = int(times[-1]) + int(durations[-1])
-        self._watermark = max(self._watermark, appended_through)
+        self._watermark = max(self._watermark, int(times[-1]) + last_duration)
         return self._watermark
-
-    def validate_batch(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        durations: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Check one batch against this stream's append rules without storing it.
-
-        Returns the batch as typed arrays; raises
-        :class:`~repro.errors.StreamDefinitionError` naming the offending
-        sample otherwise.
-        """
-        times = np.asarray(times, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape:
-            raise StreamDefinitionError(
-                f"times and values must have the same shape, got {times.shape} "
-                f"and {values.shape}"
-            )
-        if durations is not None:
-            durations = np.asarray(durations, dtype=np.int64)
-            if durations.shape != times.shape:
-                raise StreamDefinitionError(
-                    f"durations must have the same shape as times, got "
-                    f"{durations.shape} and {times.shape}"
-                )
-            if durations.size and np.any(durations <= 0):
-                index = int(np.flatnonzero(durations <= 0)[0])
-                raise StreamDefinitionError(
-                    f"duration {int(durations[index])} of the pushed event at "
-                    f"timestamp {int(times[index])} must be positive"
-                )
-        if times.size == 0:
-            return times, values, durations
-        stalled = np.flatnonzero(np.diff(times) <= 0)
-        if stalled.size:
-            bad = int(times[stalled[0] + 1])
-            raise StreamDefinitionError(
-                f"pushed timestamps must be strictly increasing; timestamp "
-                f"{bad} does not advance past its predecessor"
-            )
-        descriptor = self.descriptor
-        misaligned = (times - descriptor.offset) % descriptor.period
-        if np.any(misaligned != 0):
-            bad = int(times[np.flatnonzero(misaligned)[0]])
-            raise StreamDefinitionError(
-                f"pushed timestamp {bad} does not lie on the periodic grid "
-                f"(offset={descriptor.offset}, period={descriptor.period})"
-            )
-        if self._size and int(times[0]) <= int(self._times[self._size - 1]):
-            raise StreamDefinitionError(
-                f"pushed batch starts at timestamp {int(times[0])} but the "
-                f"stream already holds data through "
-                f"{int(self._times[self._size - 1])}; batches must arrive in "
-                f"time order (data behind the watermark may already have "
-                f"been executed and cannot be amended)"
-            )
-        return times, values, durations
-
-    def _store(self, times: np.ndarray, values: np.ndarray, durations: np.ndarray) -> None:
-        """Write one validated batch into the column buffers."""
-        self._reserve(times.size)
-        end = self._size + times.size
-        self._times[self._size : end] = times
-        self._values[self._size : end] = values
-        self._durations[self._size : end] = durations
-        self._size = end
-
-    def _reserve(self, extra: int) -> None:
-        """Grow the column buffers to hold *extra* more samples (amortised)."""
-        needed = self._size + extra
-        capacity = self._times.size
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, 2 * capacity, 1024)
-        for name, dtype in (
-            ("_times", np.int64),
-            ("_values", np.float64),
-            ("_durations", np.int64),
-        ):
-            grown = np.empty(new_capacity, dtype=dtype)
-            grown[: self._size] = getattr(self, name)[: self._size]
-            setattr(self, name, grown)
 
     # -- the ReplaySource contract -----------------------------------------
 
@@ -523,17 +601,10 @@ class PushSource(ReplaySource):
         return self._coverage.window(since, self._watermark)
 
     def event_count(self) -> int:
-        return int(self._size)
+        return self.log.size
 
     def read(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        times = self._times[: self._size]
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, min(end, self._watermark), side="left"))
-        return (
-            times[lo:hi],
-            self._values[: self._size][lo:hi],
-            self._durations[: self._size][lo:hi],
-        )
+        return self.log.read(start, min(end, self._watermark))
 
 
 def write_csv(path: str | Path, times: np.ndarray, values: np.ndarray) -> Path:

@@ -44,6 +44,7 @@ emitted stream is bit-identical, with zero lost or duplicated events.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -206,6 +207,10 @@ class _PoolWorkerRuntime:
 
 def _pool_worker_main(conn, engine, catalog, checkpoint_every, foreign_conns=()) -> None:
     """Forked worker loop: answer commands until EOF or ``close``."""
+    # Leave the heap inherited from the parent out of this worker's garbage
+    # collections: a full collection walks every tracked object, which on a
+    # forked heap copies each page it touches, and it ran inside a tick.
+    gc.freeze()
     for foreign in foreign_conns:
         foreign.close()
     runtime = _PoolWorkerRuntime(engine, catalog, checkpoint_every)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.event import StreamDescriptor
-from repro.core.sources import PushSource
+from repro.core.sources import PushSource, check_batch
 from repro.errors import StreamDefinitionError
 
 
@@ -131,48 +131,14 @@ def validate_push_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Validate one pushed batch *eagerly*, at the producer's call site.
 
-    The same rules :meth:`PushSource.append` enforces — matching shapes,
-    strictly increasing on-grid timestamps, positive durations, strictly
-    after *pushed_through* — checked before the batch is queued, so a
+    The rules :meth:`PushSource.append` enforces
+    (:func:`~repro.core.sources.check_batch`), with the batch starting no
+    earlier than *pushed_through*, checked before the batch is queued, so a
     malformed push fails the producer that sent it instead of the shared
     dispatch loop that would apply it later.  Returns the normalized arrays.
     """
-    times = np.asarray(times, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.shape != values.shape:
-        raise StreamDefinitionError(
-            f"times and values must have the same shape, got {times.shape} "
-            f"and {values.shape}"
-        )
-    if durations is not None:
-        durations = np.asarray(durations, dtype=np.int64)
-        if durations.shape != times.shape:
-            raise StreamDefinitionError(
-                f"durations must have the same shape as times, got "
-                f"{durations.shape} and {times.shape}"
-            )
-        if durations.size and np.any(durations <= 0):
-            index = int(np.flatnonzero(durations <= 0)[0])
-            raise StreamDefinitionError(
-                f"duration {int(durations[index])} of the pushed event at "
-                f"timestamp {int(times[index])} must be positive"
-            )
-    if times.size == 0:
-        return times, values, durations
-    if times.size > 1 and np.any(np.diff(times) <= 0):
-        bad = int(times[int(np.flatnonzero(np.diff(times) <= 0)[0]) + 1])
-        raise StreamDefinitionError(
-            f"pushed timestamps must be strictly increasing; timestamp "
-            f"{bad} does not advance past its predecessor"
-        )
-    misaligned = (times - spec.offset) % spec.period
-    if np.any(misaligned != 0):
-        bad = int(times[np.flatnonzero(misaligned)[0]])
-        raise StreamDefinitionError(
-            f"pushed timestamp {bad} does not lie on the periodic grid "
-            f"(offset={spec.offset}, period={spec.period})"
-        )
-    if pushed_through is not None and int(times[0]) < pushed_through:
+    times, values, durations = check_batch(spec.offset, spec.period, times, values, durations)
+    if times.size and pushed_through is not None and int(times[0]) < pushed_through:
         raise StreamDefinitionError(
             f"pushed batch starts at timestamp {int(times[0])} but the "
             f"stream was already pushed through {pushed_through}; batches "

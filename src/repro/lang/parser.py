@@ -86,10 +86,14 @@ class _Parser:
         )
         return _ParseError()
 
-    def expect(self, kind: str, what: str) -> T.Token:
+    def expect(self, kind: str, what: str, *args) -> T.Token:
+        """Take a *kind* token, or report ``expected <what>``; *what* is
+        formatted with *args* (``str.format``) only then."""
         token = self.tokens[self.pos]
         if token.kind != kind:
             found = repr(token.text) if token.text else "end of file"
+            if args:
+                what = what.format(*args)
             raise self.error(f"expected {what}, found {found}", token)
         self.pos += 1  # *kind* is never EOF: callers expect real tokens
         return token
@@ -135,7 +139,7 @@ class _Parser:
                     f"duplicate {clause.value!r} clause in source {name.value!r}",
                     clause,
                 )
-            clauses[clause.value] = self.number(f"a number after {clause.value!r}")
+            clauses[clause.value] = self.number("a number after {!r}", clause.value)
         self.expect(T.SEMI, "';' ending the source declaration")
         return SourceDecl(
             name=name.value,
@@ -148,10 +152,10 @@ class _Parser:
 
     def binding_decl(self, node_type, keyword_name: str):
         keyword = self.take()  # 'let' / 'sink'
-        name = self.expect(T.IDENT, f"a name after {keyword_name!r}")
-        self.expect(T.EQUALS, f"'=' after the {keyword_name} name")
+        name = self.expect(T.IDENT, "a name after {!r}", keyword_name)
+        self.expect(T.EQUALS, "'=' after the {} name", keyword_name)
         chain = self.chain()
-        self.expect(T.SEMI, f"';' ending the {keyword_name} statement")
+        self.expect(T.SEMI, "';' ending the {} statement", keyword_name)
         return node_type(
             name=name.value, chain=chain, line=keyword.line, col=keyword.col
         )
@@ -185,14 +189,14 @@ class _Parser:
 
     def op_call(self) -> Call:
         name = self.expect(T.IDENT, "an operator name")
-        self.expect(T.LPAREN, f"'(' after {name.value!r}")
+        self.expect(T.LPAREN, "'(' after {!r}", name.value)
         args: list[Arg] = []
         if not self.at(T.RPAREN):
             args.append(self.argument())
             while self.at(T.COMMA):
                 self.take()
                 args.append(self.argument())
-        self.expect(T.RPAREN, f"')' closing the arguments of {name.value!r}")
+        self.expect(T.RPAREN, "')' closing the arguments of {!r}", name.value)
         return Call(name=name.value, args=tuple(args), line=name.line, col=name.col)
 
     def argument(self) -> Arg:
@@ -222,13 +226,13 @@ class _Parser:
             token,
         )
 
-    def number(self, what: str) -> NumberLit:
+    def number(self, what: str, *args) -> NumberLit:
         negative = False
         start = self.peek()
         if self.at(T.MINUS):
             self.take()
             negative = True
-        token = self.expect(T.NUMBER, what)
+        token = self.expect(T.NUMBER, what, *args)
         value = -token.value if negative else token.value
         return NumberLit(value=value, unit=token.unit, line=start.line, col=start.col)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import signal as scipy_signal
 
 
 def zscore_kernel() -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -103,7 +102,13 @@ def zscore_kernel() -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
 def fir_filter_kernel(
     numtaps: int, cutoff_hz: float, sample_rate_hz: float
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Low-pass FIR frequency filtering of a window (Table 3: PassFilter)."""
+    """Low-pass FIR frequency filtering of a window (Table 3: PassFilter).
+
+    The only kernel that needs SciPy, so it is imported here, not with the
+    module: importing :mod:`repro` does not load ``scipy.signal``.
+    """
+    from scipy import signal as scipy_signal
+
     taps = scipy_signal.firwin(numtaps, cutoff_hz, fs=sample_rate_hz)
 
     def kernel(values: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime.result import StreamResult
 from repro.core.runtime.session import StreamingSession, TickStats, tick_batch
-from repro.core.sources import ReplaySource
+from repro.core.sources import ColumnLog, ReplaySource
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError
 from repro.serve.cache import PlanCache, PlanCacheStats, signature_digest
@@ -491,6 +491,7 @@ class StreamingService:
             ):
                 return None
             descriptor = prefix_compiled.plan.sink.descriptor
+            log = ColumnLog(descriptor)
             feed_spec = Query.source(
                 plan.feed_name, period=descriptor.period, offset=descriptor.offset
             ).spec
@@ -500,7 +501,7 @@ class StreamingService:
                 tail_query = rewrite_tail(
                     record.query, fingerprints, plan.fingerprint, feed_spec
                 )
-                feed = SharedFeedSource(descriptor)
+                feed = SharedFeedSource(log)
                 tail_sources = dict(record.sources or {})
                 tail_sources[plan.feed_name] = feed
                 tail_compiled = engine.compile(tail_query, tail_sources)
@@ -534,6 +535,7 @@ class StreamingService:
             feed_name=plan.feed_name,
             prefix_session=prefix_session,
             prefix_compiled=prefix_compiled,
+            log=log,
             feeds=feeds,
             member_origins=origins,
             operator_count=plan.operator_count,

@@ -8,8 +8,10 @@ joins).  The :class:`~repro.serve.cache.PlanCache` already deduplicates the
 share a structurally-identical prefix over the *same source objects* are
 regrouped so the prefix runs once per service tick in its own
 :class:`~repro.core.runtime.session.StreamingSession`, and its output is
-fanned out into one :class:`SharedFeedSource` per tenant, over which each
-tenant's rewritten *tail* query runs as before.
+appended once to a column log the group owns
+(:class:`~repro.core.sources.ColumnLog`).  Each tenant's rewritten *tail*
+query runs as before over its own :class:`SharedFeedSource`: a view of that
+one log behind the tenant's own watermark.
 
 Correctness rests on two contracts:
 
@@ -43,13 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from repro.core.event import StreamDescriptor
 from repro.core.intervals import CoverageLog, IntervalSet
 from repro.core.query import Query, QuerySpec
 from repro.core.runtime.session import TickStats, tick_batch
-from repro.core.sources import PushSource, ReplaySource, StreamSource
+from repro.core.sources import ColumnLog, PushSource, ReplaySource, StreamSource
 from repro.serve.cache import fingerprint_operator, fingerprint_value, signature_digest
 
 #: Sharing only pays off when a prefix replaces at least this many member
@@ -83,6 +82,12 @@ def _structural(entry: tuple) -> tuple:
 class SharedFeedSource(PushSource):
     """The bridge stream between a shared prefix session and one tail.
 
+    Its events are the group's :class:`~repro.core.sources.ColumnLog`,
+    shared by every member feed and appended to once per delta by the group
+    (:meth:`SharedPrefixGroup._fan_out`); the feed itself holds only its
+    watermark and its assigned coverage, so members still drain and finish
+    independently.
+
     A regular :class:`~repro.core.sources.PushSource` derives its coverage
     and watermark from the appended batches — correct for raw ingests, but
     wrong for a stream that *stands in* for an interior plan node: there,
@@ -106,31 +111,26 @@ class SharedFeedSource(PushSource):
     finds its older windows covered.
     """
 
-    def __init__(self, descriptor: StreamDescriptor) -> None:
+    def __init__(self, log: ColumnLog) -> None:
+        descriptor = log.descriptor
         super().__init__(period=descriptor.period, offset=descriptor.offset)
+        self.log = log
         self._assigned = CoverageLog()
 
     def publish(
         self,
-        times: np.ndarray,
-        values: np.ndarray,
-        durations: np.ndarray,
         coverage: IntervalSet,
         complete_through: int | None,
         exact_from: int | None = None,
     ) -> None:
-        """Fan one prefix delta into this feed and adopt the prefix's clocks.
+        """Adopt the prefix's clocks after a delta reached the shared log.
 
-        The delta is stored as given — the group validates it once
-        (:meth:`~repro.core.sources.PushSource.validate_batch`), not once
-        per member feed.  *coverage* replaces the assigned lineage coverage
-        from *exact_from* on (``None``: all of it).  The watermark moves to
+        *coverage* replaces the assigned lineage coverage from *exact_from*
+        on (``None``: all of it).  The watermark moves to
         ``complete_through`` and no further, even when the last event's
         duration stretches past the prefix frontier (forward-only — the
         prefix frontier is monotone, so this never regresses).
         """
-        if times.size:
-            self._store(times, values, durations)
         self._assigned.splice(exact_from, coverage)
         if complete_through is not None:
             self._watermark = max(self._watermark, int(complete_through))
@@ -311,15 +311,17 @@ def rewrite_tail(
 
 @dataclass
 class SharedPrefixGroup:
-    """The runtime of one sharing group: prefix session + per-member feeds.
+    """The runtime of one sharing group: prefix session, one column log,
+    per-member feeds.
 
     The owning :class:`~repro.serve.service.StreamingService` drives the
     group once per batch: advance the members' origin sources, tick the
     prefix session exactly once (together with the other groups' prefixes,
-    :func:`tick_prefixes`), fan the emitted delta out to every member feed,
-    then tick the members' tail sessions via ``poll()``.  The feeds'
-    watermarks only ever reach the prefix's ``output_complete_through``, so
-    tails never observe non-final prefix output.
+    :func:`tick_prefixes`), append the emitted delta once to the group's
+    :attr:`log` and move every member feed's clocks, then tick the members'
+    tail sessions via ``poll()``.  The feeds' watermarks only ever reach
+    the prefix's ``output_complete_through``, so tails never observe
+    non-final prefix output.
     """
 
     group_id: str
@@ -327,8 +329,10 @@ class SharedPrefixGroup:
     feed_name: str
     prefix_session: object
     prefix_compiled: object
-    #: One private feed per member: members drain and finish independently,
-    #: so they must not share watermark state.
+    #: The prefix output, held once for the whole group: every feed reads it.
+    log: ColumnLog
+    #: One feed per member over :attr:`log`: members drain and finish
+    #: independently, so each keeps its own watermark.
     feeds: dict[str, SharedFeedSource]
     #: Each member's origin replay sources (the pre-rewrite sources dict),
     #: advanced on the member's behalf since grouped members tick by poll.
@@ -367,12 +371,9 @@ class SharedPrefixGroup:
         session = self.prefix_session
         total = session.events_emitted
         delta = total - self.published_events
-        times, values, durations = session.recent_events(delta)
-        feeds = list(self.feeds.values())
-        if feeds:
-            # Every feed of a group has received exactly the same deltas, so
-            # one feed's append rules stand for all of them.
-            times, values, durations = feeds[0].validate_batch(times, values, durations)
+        if delta:
+            batch = self.log.validate(*session.recent_events(delta))
+            self.log.append(*batch)
         # The session drives this very plan, and the tick that precedes every
         # fan-out has just refreshed its lineage coverage.
         sink = self.prefix_compiled.plan.sink
@@ -383,8 +384,8 @@ class SharedPrefixGroup:
             complete = max(
                 complete if complete is not None else 0, sink.coverage.span()[1]
             )
-        for feed in feeds:
-            feed.publish(times, values, durations, sink.coverage, complete, exact_from)
+        for feed in self.feeds.values():
+            feed.publish(sink.coverage, complete, exact_from)
         self.published_events = total
 
     def forget(self, client_id: str) -> None:

@@ -135,6 +135,27 @@ class TestArraySource:
                 durations=np.array([10, 10, 10]),
             )
 
+    def test_implicit_durations_hold_no_column(self):
+        """Every event lasts one period: the source keeps times and values
+        only, and reads back a read-only zero-stride view of the period."""
+        import tracemalloc
+
+        n = 1_000_000
+        times = np.arange(n, dtype=np.int64) * 2
+        values = np.ones(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            source = ArraySource(times, values, period=2)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert allocated < 1 << 20
+        _, _, durations = source.read(100, 1_000_100)
+        assert durations.shape == (500_000,) and durations.strides == (0,)
+        assert not durations.flags.writeable
+        assert set(np.unique(durations).tolist()) == {2}
+
     def test_from_frequency(self):
         source = ArraySource.from_frequency(np.array([0, 2]), np.zeros(2), frequency_hz=500)
         assert source.descriptor.period == 2
@@ -454,6 +475,65 @@ class TestPushSource:
         times, values, _ = push.read(0, total)
         np.testing.assert_array_equal(times, np.arange(total))
         np.testing.assert_array_equal(values, np.arange(total, dtype=np.float64))
+
+    def test_durations_column_only_after_a_non_period_duration(self):
+        """Period-only batches store no duration column; the first longer
+        event creates one, back-filled with the period; later period-only
+        batches fill it with the period.  Reads return exactly what was
+        appended."""
+        push = PushSource(period=2)
+        push.append(np.arange(0, 20, 2), np.zeros(10))
+        push.append(np.arange(20, 30, 2), np.zeros(5), durations=np.full(5, 2))
+        _, _, durations = push.read(0, 30)
+        assert durations.strides == (0,) and not durations.flags.writeable
+        push.append(np.asarray([30, 32]), np.zeros(2), durations=np.asarray([2, 6]))
+        push.append(np.arange(38, 50, 2), np.zeros(6))
+        _, _, durations = push.read(0, 100)
+        np.testing.assert_array_equal(durations, [2] * 16 + [6] + [2] * 6)
+        assert push.watermark == 50
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_mixed_durations_survive_checkpoint_restore(self, backend):
+        """A session over a push stream whose durations switch from the
+        period to a longer one and back, checkpointed and restored midway,
+        emits exactly the one-shot run over the same events."""
+        from repro.core.engine import LifeStreamEngine
+        from repro.core.query import Query
+        from repro.core.runtime import SerialBackend, VectorizedBackend
+
+        def query():
+            return Query.source("s", frequency_hz=500).select(lambda v: v * 3 - 1)
+
+        n = 3000
+        times = np.arange(n, dtype=np.int64) * 2
+        values = np.cos(np.arange(n) * 0.02)
+        durations = np.full(n, 2, dtype=np.int64)
+        durations[1700] = 5
+        make = SerialBackend if backend == "serial" else VectorizedBackend
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query(), {"s": ArraySource(times, values, period=2, durations=durations)}
+        )
+        engine = LifeStreamEngine(window_size=1000, backend=make())
+        push = PushSource(period=2)
+        batches = [(0, 1200), (1200, 1300), (1300, 1600), (1600, 1800), (1800, n)]
+        session = engine.open_session(query(), {"s": push})
+        for index, (lo, hi) in enumerate(batches):
+            # Batch 1 spells out durations that all equal the period; batch
+            # 3 carries the 5-tick event; the others pass none.
+            push.append(times[lo:hi], values[lo:hi], durations[lo:hi] if index in (1, 3) else None)
+            session.poll()
+            if index == 2:
+                saved = session.checkpoint()
+                session.close()
+                session = engine.open_session(query(), {"s": push}, checkpoint=saved)
+        session.finish()
+        result = session.result()
+        np.testing.assert_array_equal(push.read(0, 2 * n)[2], durations)
+        np.testing.assert_array_equal(reference.times, result.times)
+        np.testing.assert_array_equal(reference.values, result.values)
+        np.testing.assert_array_equal(reference.durations, result.durations)
+        assert set(result.durations.tolist()) == {2, 5}
+        session.close()
 
     def test_session_over_pushed_stream_matches_one_shot(self):
         # The core push-path guarantee: a session fed by incremental appends

@@ -6,6 +6,7 @@ start placement, push/tick round trips, graceful retirement, and parity
 with a one-shot run.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -215,6 +216,13 @@ def _slow_query():
 SLEEP_PER_WINDOW = 0.2
 
 
+def _freeze_count_query():
+    """Emits, for every sample, how many objects the process that built the
+    query had frozen out of its garbage collections at that point."""
+    frozen = float(gc.get_freeze_count())
+    return Query.source("s", frequency_hz=500).select(lambda v: v * 0.0 + frozen)
+
+
 @pytest.mark.skipif(not fork_available(), reason="needs forked workers")
 class TestScatterGather:
     """Pool-wide commands go to every worker before any reply is read."""
@@ -332,3 +340,18 @@ class TestScatterGather:
             f"two workers took {both:.2f}s for one tick, one worker {alone:.2f}s: "
             f"the workers are not running concurrently"
         )
+
+    def test_workers_leave_the_inherited_heap_out_of_collections(self):
+        """A forked worker freezes the heap it inherits, so none of its
+        garbage collections walks (and copies) the parent's pages inside a
+        tick; the parent's collector is left as it was."""
+        before = gc.get_freeze_count()
+        catalog = {"frozen": QueryShape(_freeze_count_query, {"s": StreamSpec(PERIOD)})}
+        times, values = _signal(n=1000)
+        with IngestWorkerPool(catalog, n_workers=1) as pool:
+            pool.connect("c", "frozen")
+            pool.push("c", "s", times, values)
+            pool.finish()
+            result = pool.results()["c"]
+        assert gc.get_freeze_count() == before
+        assert result.values.size and (result.values > before).all()

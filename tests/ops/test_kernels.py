@@ -109,6 +109,19 @@ class TestFirFilterKernel:
         # After the filter warm-up the DC level is preserved.
         np.testing.assert_allclose(filtered[100:], 3.0, atol=1e-6)
 
+    def test_filters_exactly_as_scipy_lfilter(self):
+        """SciPy is imported inside the kernel factory; the kernel still
+        zero-fills absent samples and runs SciPy's FIR exactly."""
+        from scipy import signal
+
+        kernel = fir_filter_kernel(51, 40.0, 500.0)
+        values = np.random.default_rng(3).standard_normal(1000)
+        mask = mask_with_gap(1000, slice(300, 340))
+        filtered, _ = kernel(values, mask)
+        taps = signal.firwin(51, 40.0, fs=500.0)
+        expected = signal.lfilter(taps, 1.0, np.where(mask, values, 0.0))
+        np.testing.assert_array_equal(filtered, expected)
+
 
 class TestClampKernel:
     def test_masks_out_of_range_values(self):

@@ -402,12 +402,11 @@ def _scratch_query():
 class TestSharedScratch:
     def test_interleaved_clones_match_serial(self):
         """Clones of one template share its executor's buffers.  Interleave
-        lone one-window ticks at two grid phases, a restored clone's
-        multi-window catch-up and a cohort: each clone still emits exactly
-        its serial run."""
+        lone one-window ticks, a restored clone's multi-window catch-up and
+        a cohort: each clone still emits exactly its serial run."""
         engine = LifeStreamEngine(window_size=WINDOW, plan_cache=PlanCache())
         arrays = {name: _arrays("join", seed, dense=True) for name, seed in (
-            ("lone", 1), ("c1", 2), ("c2", 3), ("restored", 4), ("phase", 5)
+            ("lone", 1), ("c1", 2), ("c2", 3), ("restored", 4)
         )}
 
         def compiled(name):
@@ -420,24 +419,13 @@ class TestSharedScratch:
             restored.advance(pump * WINDOW)  # one-window ticks: the buffers hold one row
         saved = restored.checkpoint()
         restored.close()
-        # Sessions of one template share one grid phase, so the second phase
-        # drives the backend's tick directly: windows half a window off the
-        # sink grid, against the serial backend on a twin clone.
-        shifted = engine.compile(_scratch_query(), arrays["phase"]).plan
-        twin = engine.compile(_scratch_query(), arrays["phase"]).plan
-        assert shifted.template is twin.template is queries["lone"].plan.template
-        executor = block_executor(shifted)
+        executor = block_executor(queries["lone"].plan)
         assert executor is block_executor(queries["c1"].plan)
 
         cohorts, catch_up = [], None
         for pump in range(1, SECONDS + 1):
             watermark = pump * WINDOW
             assert sessions["lone"].advance(watermark).cohort_size == 1
-            start = watermark - WINDOW // 2
-            (got,), _ = VectorizedBackend().session_tick(shifted, [start])
-            (expected,), _ = SerialBackend().session_tick(twin, [start])
-            for column, (want, have) in enumerate(zip(expected, got)):
-                np.testing.assert_array_equal(want, have, err_msg=f"{start} column {column}")
             if pump == 7:
                 sessions["restored"] = compiled("restored").open_session(checkpoint=saved)
                 catch_up = sessions["restored"].advance(watermark)
@@ -455,6 +443,18 @@ class TestSharedScratch:
             expected = serial.run(_scratch_query(), dict(arrays[name]))
             _assert_identical(expected, session.result(), name)
             session.close()
+
+    def test_block_start_off_the_sink_grid_is_an_error(self):
+        """Clones share the sink grid, so the executor binds its schedule to
+        it once: a window start half a window off it is refused, not run
+        with the wrong fill offsets."""
+        engine = LifeStreamEngine(window_size=WINDOW, plan_cache=PlanCache())
+        plan = engine.compile(_scratch_query(), _arrays("join", 5, dense=True)).plan
+        backend = VectorizedBackend()
+        with pytest.raises(ExecutionError, match="off the sink grid"):
+            backend.session_tick(plan, [WINDOW + WINDOW // 2])
+        (got,), _ = backend.session_tick(plan, [WINDOW])
+        assert got[0].size
 
 
 class TestFixedPaths:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
-from repro.core.sources import ArraySource, ReplaySource
+from repro.core.sources import ArraySource, ColumnLog, ReplaySource
 from repro.errors import ExecutionError
 from repro.ops import combine
 from repro.serve import StreamingService
@@ -198,48 +198,34 @@ class TestRewriteTail:
 
 class TestSharedFeedSource:
     def _feed(self):
-        descriptor = _shared_replay().descriptor
-        return SharedFeedSource(descriptor)
+        return SharedFeedSource(ColumnLog(_shared_replay().descriptor))
 
     def test_coverage_is_assigned_clipped_to_watermark(self):
         from repro.core.intervals import IntervalSet
 
         feed = self._feed()
-        times = np.array([0, 2, 4], dtype=np.int64)
-        values = np.ones(3)
-        durations = np.full(3, 2, dtype=np.int64)
-        feed.publish(times, values, durations, IntervalSet([(0, 100)]), complete_through=4)
+        feed.log.append(np.array([0, 2, 4], dtype=np.int64), np.ones(3))
+        feed.publish(IntervalSet([(0, 100)]), complete_through=4)
         assert feed.coverage().span() == (0, 4)
-        feed.publish(
-            np.array([], dtype=np.int64),
-            np.array([]),
-            np.array([], dtype=np.int64),
-            IntervalSet([(0, 100)]),
-            complete_through=50,
-        )
+        feed.publish(IntervalSet([(0, 100)]), complete_through=50)
         assert feed.coverage().span() == (0, 50)
 
     def test_none_complete_through_keeps_watermark(self):
         from repro.core.intervals import IntervalSet
 
         feed = self._feed()
-        times = np.array([0, 2], dtype=np.int64)
-        feed.publish(
-            times, np.ones(2), np.full(2, 2, dtype=np.int64),
-            IntervalSet([(0, 40)]), complete_through=None,
-        )
-        # append() alone would have advanced the watermark to the last
-        # event's end; publish pins it back when nothing is final yet.
+        feed.log.append(np.array([0, 2], dtype=np.int64), np.ones(2))
+        feed.publish(IntervalSet([(0, 40)]), complete_through=None)
+        # The log's events move no feed's watermark: with nothing final
+        # yet, publish keeps it where it was.
         assert feed.coverage().span() is None or feed.coverage().span()[1] <= 0
 
     def test_advance_to_end_exposes_assigned_coverage(self):
         from repro.core.intervals import IntervalSet
 
         feed = self._feed()
-        feed.publish(
-            np.array([0], dtype=np.int64), np.ones(1), np.array([2], dtype=np.int64),
-            IntervalSet([(0, 80)]), complete_through=2,
-        )
+        feed.log.append(np.array([0], dtype=np.int64), np.ones(1))
+        feed.publish(IntervalSet([(0, 80)]), complete_through=2)
         feed.advance_to_end()
         assert feed.coverage().span() == (0, 80)
 
@@ -259,6 +245,64 @@ class TestServiceSharing:
             _assert_identical(
                 reference, shared[client_id], f"{client_id} [{backend}]"
             )
+
+    def test_sixteen_members_hold_one_column_log(self):
+        """The prefix output is stored once per group: every member feed
+        reads the group's log, behind its own watermark."""
+        source = _shared_replay()
+        service = StreamingService(window_size=2000, subplan_sharing=True)
+        with service:
+            for i in range(16):
+                service.open(f"c{i}", _tenant_query(i), {"s": source})
+            service.pump(WATERMARKS[0])
+            (group,) = service._groups
+            feeds = list(group.feeds.values())
+            assert len(feeds) == 16 and len({id(feed) for feed in feeds}) == 16
+            assert all(feed.log is group.log for feed in feeds)
+            service.pump(WATERMARKS[1])
+            assert group.log.size == group.published_events > 0
+            assert all(feed.event_count() == group.log.size for feed in feeds)
+            # Members keep their own clocks: draining one feed moves no
+            # other feed's watermark.
+            watermark = feeds[1].watermark
+            feeds[0].advance_to_end()
+            assert feeds[0].watermark > watermark == feeds[1].watermark
+            service.finish()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_prefix_with_longer_durations_is_bit_identical(self, backend):
+        """A prefix ending in alter_duration emits events longer than the
+        period, so the group's log holds a duration column; shared serving
+        still equals unshared serving bit for bit."""
+
+        def serve(sharing):
+            source = _shared_replay()
+            prefix = _prefix().alter_duration(5)
+            tails = [
+                prefix.aggregate(400, func="mean"),
+                prefix.aggregate(600, func="max"),
+                prefix.join(Query.source("s", frequency_hz=500), combine.sub),
+            ]
+            service = StreamingService(
+                window_size=2000, backend=BACKENDS[backend](), subplan_sharing=sharing
+            )
+            with service:
+                for i, tail in enumerate(tails):
+                    service.open(f"c{i}", tail, {"s": source})
+                for watermark in WATERMARKS:
+                    service.pump(watermark)
+                if sharing:
+                    (group,) = service._groups
+                    assert set(group.log.read(0, 10**9)[2].tolist()) == {5}
+                service.finish()
+                return service.results(), service.sharing_groups
+
+        unshared, no_groups = serve(False)
+        shared, groups = serve(True)
+        assert no_groups == [] and len(groups) == 1
+        for client_id, reference in unshared.items():
+            assert reference.times.size
+            _assert_identical(reference, shared[client_id], f"{client_id} [{backend}]")
 
     def test_prefix_ticks_exactly_once_per_batch(self):
         _, groups, reports = _serve_cohort(True, BACKENDS["serial"], True)
