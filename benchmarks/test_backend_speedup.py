@@ -23,7 +23,7 @@ from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.runtime import SerialBackend, VectorizedBackend
-from repro.core.runtime.vectorized import BlockExecutor, block_executor
+from repro.core.runtime.vectorized import BlockExecutor, plan_vector_info
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -109,7 +109,8 @@ def test_vectorized_runs_and_serial_windows(workload, monkeypatch):
         run_calls = _count_calls(patch, BlockExecutor, "execute")
         result = vectorized.run()
     assert len(run_calls) == len(runs) < result.stats.output_windows
-    assert not block_executor(plan).fell_back
+    info = plan_vector_info(plan)
+    assert info.lowered_operators == info.operator_nodes
     assert result.stats.execution_mode == "vectorized"
 
     plan = serial_unfused.plan

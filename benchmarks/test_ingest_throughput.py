@@ -16,7 +16,7 @@ session report registry; CI uploads that file as a build artifact.
 import pytest
 
 from benchmarks.conftest import get_report
-from repro.pipelines.loadgen import run_gateway_load, run_pool_load
+from repro.pipelines.loadgen import run_gateway_load, run_pool_load, synthetic_stream
 
 HEADERS = [
     "mode",
@@ -63,6 +63,15 @@ def _record(report, label, result):
     )
 
 
+def _ticks_issued(n_sessions):
+    """Session ticks a run issues: one per session per round that pushed it
+    samples (the load generator pushes each stream in ``ROUNDS`` equal
+    chunks of the longest), and one per session when it finishes."""
+    lengths = [len(synthetic_stream(seed, DURATION_SECONDS)[0]) for seed in range(n_sessions)]
+    chunk = -(-max(lengths) // ROUNDS)
+    return sum(min(ROUNDS, -(-length // chunk)) for length in lengths) + n_sessions
+
+
 def _check(result, n_sessions):
     assert result.n_sessions == n_sessions
     assert result.samples_pushed >= n_sessions * 500  # gappy 2 s @ 500 Hz
@@ -70,8 +79,14 @@ def _check(result, n_sessions):
     # empty a couple of windows but never most of them.
     assert result.events_emitted >= n_sessions * 4
     assert result.samples_per_second > 0
-    assert result.tick_seconds, "no per-session tick latencies were collected"
-    assert result.p99_tick_seconds >= result.mean_tick_seconds >= 0.0
+    # Every issued tick reports its latency, except the ticks of the
+    # sessions on a worker killed mid-round (they are restored, not ticked).
+    lost = _ticks_issued(n_sessions) - len(result.tick_seconds)
+    if result.recoveries:
+        assert 0 < lost <= n_sessions
+    else:
+        assert lost == 0
+    assert result.mean_tick_seconds >= 0.0
 
 
 def test_pool_smoke_with_failover(report_registry):

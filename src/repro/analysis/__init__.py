@@ -10,10 +10,10 @@ Three analyzers, one diagnostic vocabulary:
   surface through :attr:`CompiledPlan.diagnostics`, ``explain()`` and the
   ``strict=True`` compile mode.
 - :mod:`repro.analysis.contracts` — registry-driven conformance checking of
-  every :class:`~repro.core.operators.base.Operator` subclass: ``batch_safe``
-  claims, ``compute_run`` parity, ``snapshot_state`` round trips and
-  ``coverage_reach`` locality, validated by executing synthesized
-  geometries instead of trusting declarations.
+  every :class:`~repro.core.operators.base.Operator` subclass:
+  ``compute_run`` parity, ``snapshot_state`` round trips,
+  ``coverage_reach`` locality and cross-tenant stacking, validated by
+  executing synthesized geometries instead of trusting declarations.
 - :mod:`repro.analysis.async_lint` — an AST linter over the asyncio ingest
   tier catching blocking calls inside ``async def``, unawaited coroutines
   and unbounded queue constructions.

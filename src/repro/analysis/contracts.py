@@ -1,12 +1,10 @@
 """Operator-contract conformance analysis (the ``LS2xx`` diagnostics).
 
 Every :class:`~repro.core.operators.base.Operator` makes compile-time
-*claims* the runtime trusts without checking: ``batch_safe`` promises
-that ``compute_run`` is exact over a run of consecutive windows — for a
-kernel that is ``compute`` over the run buffer as one wider window, that
-is window-widening invariance — and ``compute_run`` promises bit-identity
-with per-window ``compute`` (the vectorized backend dispatches it on the
-word of both),
+*claims* the runtime trusts without checking: a ``compute_run`` override
+promises bit-identity with per-window ``compute`` over a run of
+consecutive windows, for every input geometry the operator accepts (the
+vectorized backend lowers a node on the word of the override alone),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
 restore on its word), ``coverage_reach`` promises that output
 coverage past a cut depends on no input coverage further back than that
@@ -17,8 +15,7 @@ stacks one window of many tenants into one ``compute_run`` on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS201``–``LS203``, ``LS205``, ``LS206``, ``LS208``,
-``LS209``)
+named diagnostic (``LS202``, ``LS203``, ``LS205``, ``LS208``, ``LS209``)
 instead of a bit-identity failure three layers away.  Checking is
 registry-driven: :func:`builtin_cases` holds one :class:`OperatorCase` per
 in-repo operator, and :func:`check_contracts` additionally discovers every
@@ -39,14 +36,8 @@ from repro.core.engine import CompiledQuery
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
-from repro.core.operators.base import WindowAgnosticRun
 from repro.core.query import Query
-from repro.core.runtime.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    VectorizedBackend,
-    plan_batch_safe,
-)
+from repro.core.runtime.backends import ExecutionBackend, SerialBackend, VectorizedBackend
 from repro.core.runtime.executor import fill_windows
 from repro.core.runtime.session import tick_batch
 from repro.core.runtime.vectorized import plan_vector_info
@@ -58,18 +49,16 @@ class OperatorCase:
     """One registered conformance case: an operator in a runnable plan.
 
     ``build`` returns a fresh ``(query, sources)`` pair each call — the
-    checks compile the plan several times (reference, widened recompile,
-    restored continuation) and each compile must start from pristine
-    state.  ``window_size`` must satisfy every dimension constraint of the
-    built plan.
+    checks compile the plan several times (reference, run-lowered
+    recompiles, restored continuation) and each compile must start from
+    pristine state.  ``window_size`` must satisfy every dimension
+    constraint of the built plan.
     """
 
     name: str
     operator_cls: type
     build: Callable[[], tuple[Query, dict[str, StreamSource]]]
     window_size: int = 96
-    #: Widening factor for the batch-safety property check.
-    widen_factor: int = 3
 
 
 def _contract(code: str, severity: str, message: str, anchor: str) -> Diagnostic:
@@ -85,8 +74,8 @@ def _signal(n: int, period: int, offset: int = 0, gap_at: float = 0.45, seed: in
     """A deterministic test signal: a wavy ramp with one mid-stream gap.
 
     The gap makes targeted coverage non-trivial (runs of consecutive
-    windows with a hole between them), which is exactly where widened and
-    run-lowered execution must still agree with serial.
+    windows with a hole between them), which is exactly where run-lowered
+    execution must still agree with serial.
     """
     times = offset + period * np.arange(n, dtype=np.int64)
     values = np.sin(np.arange(n) * 0.37 + seed) * 5.0 + np.arange(n) * 0.25
@@ -115,9 +104,9 @@ def _same_events(a, b) -> bool:
     )
 
 
-def _compile(case: OperatorCase, widen: int = 1) -> CompiledPlan:
+def _compile(case: OperatorCase) -> CompiledPlan:
     query, sources = case.build()
-    return compile_plan(query, sources, window_size=case.window_size * widen)
+    return compile_plan(query, sources, window_size=case.window_size)
 
 
 def _fresh(plan: CompiledPlan) -> CompiledPlan:
@@ -135,65 +124,13 @@ def _operator_nodes(plan: CompiledPlan) -> list[OperatorNode]:
 # ---------------------------------------------------------------------------
 
 
-def _window_aware(operator: Operator) -> bool:
-    """True when *operator*'s run kernel handles window edges itself.
-
-    Such a ``compute_run`` is not ``compute`` over a wider window, so
-    widening says nothing about it; LS202 checks it alone.
-    """
-    return (
-        not isinstance(operator, WindowAgnosticRun)
-        and type(operator).compute_run is not Operator.compute_run
-    )
-
-
-def _check_batch_safety(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate ``batch_safe`` against an actually-widened execution.
-
-    Applies to plans whose run kernels are all ``compute`` over the run
-    buffer (or the per-window default), where exactness over a run is
-    exactly widening invariance.
-    """
-    plan = _compile(case)
-    if any(_window_aware(node.operator) for node in _operator_nodes(plan)):
-        return
-    declared = plan_batch_safe(plan)
-    reference = _events(plan, SerialBackend())
-    widened = _events(_compile(case, widen=case.widen_factor), SerialBackend())
-    identical = _same_events(reference, widened)
-    if declared and not identical:
-        out.append(
-            _contract(
-                "LS201",
-                "error",
-                f"{case.name} declares batch_safe=True but widening the "
-                f"window {case.widen_factor}x changed its output "
-                f"({reference[0].size} vs {widened[0].size} events); run "
-                "execution would silently corrupt results",
-                anchor=case.name,
-            )
-        )
-    elif not declared and identical:
-        out.append(
-            _contract(
-                "LS206",
-                "info",
-                f"{case.name} declares batch_safe=False but widened "
-                "execution was bit-identical on the synthesized geometry; "
-                "the declaration may be over-conservative (safety cannot be "
-                "proven by example, so this is informational)",
-                anchor=case.name,
-            )
-        )
-
-
 def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
     """Validate ``compute_run`` against per-window ``compute``.
 
-    Only meaningful when the plan actually lowers (a run kernel on a
-    batch-unsafe operator is unreachable in production).  Short run caps
-    exercise run boundaries and views of longer run buffers, a cap
-    of 512 long runs, and ``None`` the slot-budget default.
+    Only meaningful when the plan actually lowers (a plan with no run
+    kernel executes serially).  Short run caps exercise run boundaries and
+    views of longer run buffers, a cap of 512 long runs, and ``None`` the
+    slot-budget default.
     """
     plan = _compile(case)
     if not (plan_vector_info(plan).runnable and plan_vector_info(plan).lowered_operators):
@@ -378,7 +315,7 @@ def _check_cohort_stack(case: OperatorCase, out: list[Diagnostic]) -> None:
     if any(d.code == "LS202" and d.anchor == case.name for d in out):
         return
     template = _compile(case)
-    if VectorizedBackend().session_mode(template) != VectorizedBackend.name:
+    if not VectorizedBackend().session_mode(template).startswith(VectorizedBackend.name):
         return  # the plan ticks serially, so it never joins a cohort
     dimension = template.sink.dimension
     inputs = [
@@ -443,7 +380,6 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
     """Run every contract check for one registered case."""
     diagnostics: list[Diagnostic] = []
     for check in (
-        _check_batch_safety,
         _check_run_parity,
         _check_state_roundtrip,
         _check_coverage_locality,
@@ -530,6 +466,19 @@ def builtin_cases() -> list[OperatorCase]:
             "s": ArraySource(times[keep], values[keep], period=8)
         }
 
+    def non_multiple_case():
+        # Period 2 -> 3 samples the active event without a carry.  Events
+        # that outlive their period, a third of them dropped, leave windows
+        # that start in a gap an event of the window before still covers:
+        # only there does the output depend on where windows end.
+        times, values = _signal(768, period=2)
+        keep = np.random.default_rng(5).random(times.size) > 0.35
+        return Query.source("s", period=2).alter_period(3), {
+            "s": ArraySource(
+                times[keep], values[keep], period=2, durations=np.full(keep.sum(), 5)
+            )
+        }
+
     def shape_case():
         query, sources = _single(period=2, n=768, seed=5)
         shape = np.sin(np.linspace(0.0, np.pi, 12))
@@ -578,6 +527,7 @@ def builtin_cases() -> list[OperatorCase]:
             "AlterPeriod-interpolate-up-x4-gappy", AlterPeriod, gappy_interpolate_case
         ),
         OperatorCase("AlterPeriod-down", AlterPeriod, _apply(lambda q: q.alter_period(4))),
+        OperatorCase("AlterPeriod-non-multiple", AlterPeriod, non_multiple_case),
         OperatorCase("Chop", Chop, _apply(lambda q: q.alter_duration(8).chop(2))),
         OperatorCase(
             "Transform",

@@ -44,17 +44,12 @@ CODES: dict[str, str] = {
     "LS108": "vectorized lowering unavailable: the plan will execute "
     "entirely window-by-window (the reason says which property failed)",
     # -- operator contracts (LS2xx) ---------------------------------------
-    "LS201": "batch_safe over-claim: the operator declares window-widening "
-    "invariance but widened execution changed its output",
     "LS202": "compute_run parity violation: the whole-run kernel disagrees "
     "with per-window compute on the same geometry",
     "LS203": "snapshot/restore round-trip failure: restored state does not "
     "reproduce the stream, or mutable state escaped the snapshot",
     "LS205": "conformance harness failure: the operator raised while its "
     "contract was being checked",
-    "LS206": "batch_safe under-claim: the operator declares itself "
-    "boundary-sensitive but widened execution was bit-identical on the "
-    "synthesized geometries",
     "LS207": "unchecked operator: an Operator subclass has no registered "
     "conformance case",
     "LS208": "coverage-locality violation: output coverage past a cut "

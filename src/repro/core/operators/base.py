@@ -118,26 +118,6 @@ class Operator:
         """
         return 0
 
-    def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        """Whether :meth:`compute_run` is exact over a run of consecutive windows.
-
-        Run execution hands an operator N consecutive windows of dimension D
-        as one run buffer of dimension N*D, and dispatches its
-        ``compute_run`` over it only when this returns True.  For the
-        :class:`WindowAgnosticRun` family, whose run kernel is ``compute``
-        over the run buffer as one wider window, that is the same as
-        per-window output being invariant to widening the FWindow — true for
-        element-wise ops, chunk-local transforms, stride-aligned aggregates
-        and carry-correct joins.  A window-aware run kernel (interpolation,
-        which clamps at every window edge) answers for itself.  Operators
-        whose output near a boundary depends on how much of the stream the
-        window exposes and that have no such kernel (successor lookups,
-        matching normalised against the window's value range, resampling
-        between non-multiple periods) return False and run window by window
-        inside a run (the per-node fallback).
-        """
-        return True
-
     # -- runtime interface --------------------------------------------------
 
     def make_state(self):
@@ -190,9 +170,12 @@ class Operator:
         (just not vectorized).  Operators override this with a single array
         program over the whole run — ``compute`` over one wider window
         (:class:`WindowAgnosticRun`) or a kernel over a ``(windows, slots)``
-        view that keeps each window's edges; the vectorized backend only
-        dispatches such overrides when the operator is also ``batch_safe``
-        for its inputs.
+        view that keeps each window's edges.  The vectorized backend lowers
+        a node exactly when its operator overrides this, so an override must
+        be exact for every input geometry the operator accepts: where its
+        array program is not (resampling between non-multiple periods, say),
+        it calls this default loop itself.  The contract analyzer checks the
+        override against per-window ``compute`` (``LS202``).
         """
         if windows == 1:
             self.compute(output, inputs, state)
@@ -209,14 +192,14 @@ class WindowAgnosticRun:
     """Mixin for operators whose ``compute`` never inspects window extent.
 
     Their ``compute`` gives the same per-slot output whatever the FWindow
-    dimension (the invariant the contract analyzer's LS201 check tests), so
-    a run buffer of N consecutive windows is just one wider window to them:
-    ``compute_run`` is a single ``compute`` call over the whole run, or an
-    override that computes exactly that (Join, Transform).  Stateful members
+    dimension, so a run buffer of N consecutive windows is just one wider
+    window to them: ``compute_run`` is a single ``compute`` call over the
+    whole run, or an override that computes exactly that (Join, Transform).  Stateful members
     of these families (Shift carries, sliding tails, join/chop carries)
     remain exact because their state transition is likewise extent-invariant
     — a run of N windows leaves the state exactly where N serial windows
-    would.
+    would.  The mixin is that claim: the contract analyzer's run-parity
+    check (``LS202``) compares the run with per-window ``compute``.
 
     Must precede :class:`Operator` in the MRO.
     """

@@ -95,9 +95,6 @@ class FusedElementwise(WindowAgnosticRun, Operator):
     def coverage_reach(self) -> int:
         return sum(op.coverage_reach() for op, _ in self.stages)
 
-    def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        return all(op.batch_safe([stage_input]) for op, stage_input in self.stages)
-
     # -- runtime -----------------------------------------------------------
 
     def make_state(self):

@@ -186,7 +186,9 @@ class ClipJoin(Operator):
     succeeding right event falls beyond the current FWindow is dropped (the
     streaming engine cannot look into the future); in the periodic,
     densely-packed signals this operator is used on, that affects at most
-    one event per window boundary.
+    one event per window boundary.  Which events survive therefore depends
+    on where windows end, and the operator has no run kernel: the
+    vectorized backend runs it window by window.
     """
 
     name = "ClipJoin"
@@ -204,12 +206,6 @@ class ClipJoin(Operator):
 
     def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
         return coverages[0]
-
-    def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        # A left event's successor may lie beyond the current window, in
-        # which case it is dropped — widening the window changes which
-        # events survive.
-        return False
 
     def make_state(self):
         return {}

@@ -7,7 +7,9 @@ keeps one sample per new period.
 
 Interpolation clamps at each window edge, so a run of consecutive windows is
 not one wider window to it: :meth:`AlterPeriod.compute_run` reproduces the
-per-window clamp over a ``(windows, slots)`` view of the run buffer.
+per-window clamp over a ``(windows, slots)`` view of the run buffer.  Between
+non-multiple periods the same method runs the window loop, the only exact
+schedule there.
 
 ``Chop`` splits the active interval of every event on user-defined period
 boundaries (Table 2), which is how long-duration events (such as aggregate
@@ -52,14 +54,6 @@ class AlterPeriod(Operator):
 
     def dimension_constraint(self, inputs: Sequence[StreamDescriptor]) -> int:
         return lcm(inputs[0].period, self.period)
-
-    def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        # Integer factors are exact over a run: hold, sampling and downsampling
-        # are slot-local, and interpolation has its window-clamped run kernel.
-        # Non-multiple periods fall back to carry-less active sampling, whose
-        # boundary behaviour depends on the window extent.
-        in_period = inputs[0].period
-        return in_period % self.period == 0 or self.period % in_period == 0
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
@@ -121,11 +115,16 @@ class AlterPeriod(Operator):
 
         Integer-factor interpolation runs :meth:`_interpolate_run`; every
         other integer factor is slot-local, so one ``compute`` over the run
-        buffer is exact.  A run holding a non-finite sample takes the
-        per-window loop.
+        buffer is exact.  Between non-multiple periods, and for a run
+        holding a non-finite sample, only the per-window loop is exact.
         """
         source = inputs[0]
         factor, remainder = divmod(source.period, self.period)
+        if remainder and self.period % source.period:
+            # Carry-less active sampling: an event that began in the window
+            # before is lost, so the output depends on where windows end.
+            Operator.compute_run(self, output, inputs, state, windows)
+            return
         interpolating = self.mode == "interpolate" and factor > 1 and not remainder
         if windows == 1 or not interpolating:
             self.compute(output, inputs, state)

@@ -26,7 +26,13 @@ SHAPE_MODES = ("remove", "keep", "mark")
 
 
 class ShapeWhere(Operator):
-    """Filter or mark stream regions matching a query shape."""
+    """Filter or mark stream regions matching a query shape.
+
+    Matching normalises against the window's own value range and scans its
+    populated span, both of which change with the window's extent, so the
+    operator has no run kernel: the vectorized backend runs it window by
+    window.
+    """
 
     name = "ShapeWhere"
 
@@ -66,12 +72,6 @@ class ShapeWhere(Operator):
     def dimension_constraint(self, inputs: Sequence[StreamDescriptor]) -> int:
         # The FWindow must be able to hold at least one full candidate shape.
         return self.shape.size * inputs[0].period
-
-    def batch_safe(self, inputs: Sequence[StreamDescriptor]) -> bool:
-        # Matching normalises against the window's own value range and scans
-        # the window's populated span, both of which change with the window
-        # extent.
-        return False
 
     def make_state(self):
         # Bounded cross-window state: the trailing (shape length - 1) samples

@@ -4,7 +4,6 @@ from repro.core.runtime.backends import (
     ExecutionBackend,
     SerialBackend,
     VectorizedBackend,
-    plan_batch_safe,
     recommend_backend,
 )
 from repro.core.runtime.result import ExecutionStats, StreamResult
@@ -19,7 +18,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "VectorizedBackend",
-    "plan_batch_safe",
     "recommend_backend",
     "runs_for_starts",
 ]

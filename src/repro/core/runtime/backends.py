@@ -9,8 +9,8 @@ drained in one tick):
 * :class:`VectorizedBackend` — the engine default, run execution: lowers
   the ready windows to maximal runs of consecutive windows and executes
   each operator as a single NumPy array program over one contiguous run
-  buffer per stream (:mod:`~repro.core.runtime.vectorized`), falling back
-  per node to the window-by-window semantics where lowering is not exact.
+  buffer per stream (:mod:`~repro.core.runtime.vectorized`); an operator
+  without a run kernel runs window by window inside each run.
 
 Both backends produce bit-identical :class:`~repro.core.runtime.result.StreamResult`
 event columns for the same plan; the parity suite in
@@ -23,7 +23,6 @@ in both targeted and eager modes.  Multi-core scale-out is patient-level
 from __future__ import annotations
 
 from repro.core.compiler import CompiledPlan
-from repro.core.graph import OperatorNode, topological_order
 from repro.core.runtime.executor import (
     fill_windows,
     shrink_columns,
@@ -60,25 +59,23 @@ class ExecutionBackend:
         or None when they run as asked."""
         return None
 
-    def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
+    def session_tick(self, plan: CompiledPlan, starts) -> list:
         """Execute one session tick's ready window *starts* on *plan*.
 
-        Returns ``(chunks, fell_back)``: the ``(times, values, durations)``
-        columns of the events the tick emitted, in stream order, and whether
-        any node executed below this backend's nominal mode (used to demote
-        the session's ``execution_mode`` label).  The default drives the
-        plan's sink one window at a time — the serial semantics — and, like
-        every backend, gathers the events of a one-window tick and writes
-        those of a longer one once, into one chunk.
+        Returns the ``(times, values, durations)`` columns of the events the
+        tick emitted, in stream order.  The default drives the plan's sink
+        one window at a time — the serial semantics — and, like every
+        backend, gathers the events of a one-window tick and writes those of
+        a longer one once, into one chunk.
         """
         sink = plan.sink
         if len(starts) > 1:
-            return [fill_windows(sink, starts)], False
+            return [fill_windows(sink, starts)]
         chunks = []
         for start in starts:
             sink.fill(start)
             chunks.append(sink_events(sink.fwindow))
-        return chunks, False
+        return chunks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -88,29 +85,6 @@ class SerialBackend(ExecutionBackend):
     """Execute every window in order, in the calling process."""
 
     name = "serial"
-
-
-def batch_unsafe_node(plan: CompiledPlan) -> OperatorNode | None:
-    """The first operator node whose output is not widening-invariant.
-
-    Returns None when the whole plan is batch-safe (:func:`plan_batch_safe`).
-    """
-    for node in topological_order(plan.sink):
-        if isinstance(node, OperatorNode):
-            inputs = [inp.descriptor for inp in node.inputs]
-            if not node.operator.batch_safe(inputs):
-                return node
-    return None
-
-
-def plan_batch_safe(plan: CompiledPlan) -> bool:
-    """True when every operator's output is invariant to window widening.
-
-    Checked via :meth:`~repro.core.operators.base.Operator.batch_safe`, the
-    claim run lowering rests on (a run buffer is a widened window) and the
-    contract analyzer verifies by recompiling at a wider window.
-    """
-    return batch_unsafe_node(plan) is None
 
 
 def vectorized_fallback_reason(plan: CompiledPlan) -> str:
@@ -140,9 +114,9 @@ class VectorizedBackend(ExecutionBackend):
     pulled through the graph once, with every stream materialised in one
     contiguous run buffer and every lowerable operator executing the whole
     run per :meth:`~repro.core.operators.base.Operator.compute_run` call.
-    The run length follows the coverage up to a cap, and unlowerable
-    operators degrade *per node* to bit-identical window-by-window execution
-    instead of failing the whole plan over to serial.
+    The run length follows the coverage up to a cap, and an operator without
+    a run kernel runs *per node* window by window inside each run,
+    bit-identically, instead of failing the whole plan over to serial.
 
     The cap defaults to :data:`~repro.core.runtime.vectorized.RUN_SLOT_BUDGET`
     slots per run buffer over the plan's widest window (two one-minute
@@ -151,9 +125,10 @@ class VectorizedBackend(ExecutionBackend):
 
     Plans where run execution is unsound (mixed dimensions, time-scaling
     operators) or useless (no operator lowers) run on the serial backend and
-    honestly report ``execution_mode == "serial"``; runs with any per-node
-    fallback report ``"vectorized+serial-fallback"``.  Cache-tracing plans
-    always run serially — the tracer models per-window buffer touches.
+    honestly report ``execution_mode == "serial"``; plans with some operator
+    node that has no run kernel report ``"vectorized+serial-fallback"``, a
+    fact of the plan decided once per session.  Cache-tracing plans always
+    run serially — the tracer models per-window buffer touches.
     """
 
     name = "vectorized"
@@ -174,12 +149,17 @@ class VectorizedBackend(ExecutionBackend):
         return runs_for_starts(starts, plan.sink.dimension, cap)
 
     def session_mode(self, plan: CompiledPlan) -> str:
-        return self.name if self._active(plan) else "serial"
+        if not self._active(plan):
+            return "serial"
+        info = plan_vector_info(plan)
+        if info.lowered_operators < info.operator_nodes:
+            return f"{self.name}+serial-fallback"
+        return self.name
 
     def fallback_reason(self, plan: CompiledPlan) -> str | None:
         return None if self._active(plan) else vectorized_fallback_reason(plan)
 
-    def session_tick(self, plan: CompiledPlan, starts) -> tuple[list, bool]:
+    def session_tick(self, plan: CompiledPlan, starts) -> list:
         if not self._active(plan):
             return super().session_tick(plan, starts)
         # Each run is a block of one segment on the template's executor.
@@ -193,11 +173,10 @@ class VectorizedBackend(ExecutionBackend):
             cursor = 0
             for start, count in runs:
                 cursor = executor.execute([(nodes, start, count)], columns, cursor)
-            return [shrink_columns(columns, cursor)], executor.fell_back
-        chunks = [
+            return [shrink_columns(columns, cursor)]
+        return [
             chunk for start, count in runs for chunk in executor.execute([(nodes, start, count)])
         ]
-        return chunks, executor.fell_back and bool(runs)
 
 
 def recommend_backend(

@@ -126,8 +126,9 @@ class TickStats:
     cumulative_windows: int
     #: Events emitted since the session (or its restored lineage) started.
     cumulative_events: int
-    #: Execution mode that really drove this tick (honest label, including
-    #: any ``+serial-fallback`` suffix accrued so far).
+    #: Execution mode that really drives the session's ticks (honest label,
+    #: with a ``+serial-fallback`` suffix when some operator of the plan
+    #: has no run kernel).
     execution_mode: str = "serial"
     #: Sessions whose windows executed together with this tick's (a
     #: cross-tenant cohort, see :func:`tick_batch`); 1 when it ran alone.
@@ -143,8 +144,8 @@ class _Tick:
     """One planned tick: what :meth:`StreamingSession._commit` records."""
 
     __slots__ = (
-        "ready", "deferred", "plan_seconds", "chunks", "fell_back",
-        "execute_seconds", "cohort_size",
+        "ready", "deferred", "plan_seconds", "chunks", "execute_seconds",
+        "cohort_size",
     )
 
     def __init__(self, ready: list[int], deferred: int, plan_seconds: float) -> None:
@@ -153,7 +154,6 @@ class _Tick:
         self.plan_seconds = plan_seconds
         #: Sink events per window run, set once the tick executed.
         self.chunks: list | None = None
-        self.fell_back = False
         self.execute_seconds = 0.0
         self.cohort_size = 1
 
@@ -216,7 +216,9 @@ class StreamingSession:
         # The plan-cache template a cohort is keyed by: only clones that run
         # vectorized ticks join one.
         self._template = (
-            self._plan.template if self._execution_mode == VectorizedBackend.name else None
+            self._plan.template
+            if self._execution_mode.startswith(VectorizedBackend.name)
+            else None
         )
         #: The planned (and possibly executed) tick the next poll commits.
         self._pending: _Tick | None = None
@@ -415,9 +417,7 @@ class StreamingSession:
         if tick.chunks is None:
             began = time.perf_counter()
             try:
-                tick.chunks, tick.fell_back = self._backend.session_tick(
-                    self._plan, tick.ready
-                )
+                tick.chunks = self._backend.session_tick(self._plan, tick.ready)
             except BaseException as error:
                 self._break_on(error)
                 raise
@@ -473,8 +473,6 @@ class StreamingSession:
                 self._collected_values.append(values)
                 self._collected_durations.append(durations)
                 events += int(times.size)
-        if tick.fell_back and not self._execution_mode.endswith("+serial-fallback"):
-            self._execution_mode = f"{self._execution_mode}+serial-fallback"
         ready = tick.ready
         if ready:
             self._last_start = ready[-1]
@@ -936,6 +934,5 @@ def _execute_cohorts(sessions: list[StreamingSession]) -> None:
         for member, chunk in zip(members, events):
             tick = member._pending
             tick.chunks = [chunk]
-            tick.fell_back = executor.fell_back
             tick.execute_seconds = share
             tick.cohort_size = len(members)

@@ -23,16 +23,18 @@ This module lowers window loops onto that observation:
   array program over the whole run, then gathers the sink's present
   events, or writes them once, at a cursor, into result columns the caller
   sized;
-* an operator is lowerable when its ``compute_run`` is exact over a run of
-  consecutive windows (``batch_safe``) and it has one beyond the base
-  class's window loop.  Most run kernels are ``compute`` over the run
-  buffer as one wider window; a window-aware kernel (interpolation, which
-  clamps at every window edge) works on a ``(windows, slots)`` view of it;
-* operators that are not lowerable (clip join, shape matching, resampling
-  between non-multiple periods) fall back **per node** to the serial
-  semantics: the default ``compute_run`` drives the operator's ordinary
+* an operator is lowered when it has a run kernel: a ``compute_run``
+  beyond the base class's window loop, which must be exact over a run of
+  consecutive windows for every input it accepts.  Most run kernels are
+  ``compute`` over the run buffer as one wider window; a window-aware
+  kernel (interpolation, which clamps at every window edge) works on a
+  ``(windows, slots)`` view of it; where no array program is exact
+  (resampling between non-multiple periods) the kernel runs the window
+  loop itself;
+* operators without a run kernel (clip join, shape matching) run the
+  base class's ``compute_run``, which drives the operator's ordinary
   ``compute`` window-by-window over zero-copy views of the run buffer, so
-  the fallback is bit-identical to serial execution by construction.
+  they are bit-identical to serial execution by construction.
 
 The same observation runs across tenants: serving holds many sessions
 cloned from one plan template, and the executor stacks one ready window of
@@ -134,11 +136,10 @@ class VectorPlanInfo:
     runnable: bool
     #: Human-readable reason when not runnable (empty otherwise).
     reason: str
-    #: Per node, by topological index: True for operator nodes whose
-    #: ``compute_run`` is dispatched as one array program over the run;
-    #: False for sources and for operator nodes that execute window by
-    #: window (per-node serial fallback).  Positional, so every clone of a
-    #: template reads the template's analysis.
+    #: Per node, by topological index: True for operator nodes with a run
+    #: kernel; False for sources and for operator nodes that execute window
+    #: by window (the base class's ``compute_run``).  Positional, so every
+    #: clone of a template reads the template's analysis.
     lowered: tuple[bool, ...]
     #: Total operator nodes in the plan.
     operator_nodes: int
@@ -161,16 +162,10 @@ class VectorPlanInfo:
 
 
 def node_lowerable(node: OperatorNode) -> bool:
-    """True when *node*'s operator has a whole-run kernel that is exact here.
-
-    Requires both a ``compute_run`` implementation (beyond the base class's
-    window-by-window fallback) and ``batch_safe`` inputs — the operator's
-    claim that this kernel is exact over a run of consecutive windows.
-    """
-    operator = node.operator
-    if type(operator).compute_run is Operator.compute_run:
-        return False
-    return operator.batch_safe([inp.descriptor for inp in node.inputs])
+    """True when *node*'s operator has a run kernel: a ``compute_run``
+    beyond the base class's window loop.  The kernel decides its own
+    exactness, falling back to that loop where it must."""
+    return type(node.operator).compute_run is not Operator.compute_run
 
 
 def analyze_plan(sink: PlanNode) -> VectorPlanInfo:
@@ -286,10 +281,9 @@ def fill_schedule(sink: PlanNode, start: int) -> list[tuple[PlanNode, int]]:
     return order
 
 
-#: How :class:`BlockExecutor` runs a node: read its source, one kernel call
-#: over the whole block, its run kernel per segment, or the base class's
-#: window loop per segment.
-SOURCE, STACKED, LOWERED, WINDOW = "source", "stacked", "lowered", "window"
+#: How :class:`BlockExecutor` runs a node: read its source, one
+#: ``compute_run`` over the whole block, or one per segment.
+SOURCE, STACKED, SEGMENT = "source", "stacked", "segment"
 
 
 class BlockExecutor:
@@ -318,9 +312,9 @@ class BlockExecutor:
       contents and the grid phase (the
       :meth:`~repro.core.operators.base.Operator.compute` contract), so each
       row is what its member computes alone;
-    * any other lowered node runs ``compute_run`` once per segment, with
-      that member's own state, and a node that is not lowered runs the base
-      class's window loop per segment over zero-copy window views:
+    * any other node runs ``compute_run`` once per segment, with that
+      member's own state: its run kernel, or for an operator without one
+      the base class's window loop over zero-copy window views,
       bit-identical to the member running alone by construction.
 
     The sink's present events are gathered once and split per segment, or
@@ -346,14 +340,10 @@ class BlockExecutor:
         self._position = {id(node): index for index, node in enumerate(self._nodes)}
         self._modes = [
             SOURCE if isinstance(node, SourceNode)
-            else WINDOW if not lowered
-            else STACKED if node.operator.make_state() is None
-            else LOWERED
+            else STACKED if lowered and node.operator.make_state() is None
+            else SEGMENT
             for node, lowered in zip(self._nodes, info.lowered)
         ]
-        #: Whether some operator node runs below its run kernel (the
-        #: per-window fallback), which demotes a session's execution mode.
-        self.fell_back = WINDOW in self._modes
         #: Rows (windows) every buffer holds (see :meth:`reserve`).
         self.rows = 0
         #: High-water mark of buffer bytes allocated by this executor.
@@ -444,14 +434,8 @@ class BlockExecutor:
                     times, values, durations = node.source.read(low, low + window.dimension)
                     if times.size:
                         window.set_events(times, values, durations)
-                elif mode == LOWERED:
+                elif mode == SEGMENT:
                     operator.compute_run(window, inputs[index], node.state, count)
-                elif mode == WINDOW:
-                    # The base-class window loop even if the operator defines
-                    # a run kernel: lowering was rejected for this node (its
-                    # run kernel is not exact here), so only the serial
-                    # per-window semantics are.
-                    Operator.compute_run(operator, window, inputs[index], node.state, count)
                 node.windows_computed += count
 
         if columns is not None:

@@ -5,9 +5,10 @@ Defines five deliberately misbehaving operators the analyzers must catch:
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
   verifier's LS102);
-- :class:`LyingTail` declares ``batch_safe`` (the default) while rewriting
-  the last present event of every window, so widening the window changes
-  its output (the contract analyzer's LS201);
+- :class:`LyingTail` claims, by the ``WindowAgnosticRun`` mixin, that its
+  ``compute`` over a run is exact while rewriting the last present event of
+  every window, so a run's output differs from its windows' (the contract
+  analyzer's LS202);
 - :class:`LyingReach` widens coverage 50 ticks to the right while leaving
   ``coverage_reach()`` at its 0 default (the contract analyzer's LS208);
 - :class:`LyingRunKernel` interpolates inside each window in ``compute``
@@ -50,12 +51,13 @@ class TimeStretch(Operator):
         output.trace_write()
 
 
-class LyingTail(Operator):
+class LyingTail(WindowAgnosticRun, Operator):
     """Copies its input but rewrites the last present event of each window.
 
     Which event is "last" depends on where the window boundary falls, so
-    the output is *not* widening-invariant — yet ``batch_safe`` is left at
-    its True default.  The contract analyzer must refute the claim.
+    ``compute`` over a run rewrites one event where the windows rewrite one
+    each — yet the mixin claims it is exact.  The contract analyzer must
+    refute the claim.
     """
 
     name = "LyingTail"
@@ -96,9 +98,7 @@ class LyingRunKernel(Operator):
 
     ``compute`` clamps at the window edge, as interpolation does; the run
     kernel interpolates across the whole run, so at every window edge it
-    reaches into the next window.  Its ``batch_safe`` (the True default)
-    is therefore a lie only LS202 can see: the kernel is window-aware, not
-    ``compute`` over a wider window.
+    reaches into the next window, a lie LS202 must see.
     """
 
     name = "LyingRunKernel"
@@ -126,7 +126,7 @@ class LyingSlotTimes(WindowAgnosticRun, Operator):
     """Replaces every present value by its slot's sync time.
 
     Stateless, and exact over a run of consecutive windows (a slot's time
-    does not depend on how wide the window is), so LS201–LS208 pass.  But
+    does not depend on how wide the window is), so LS202–LS208 pass.  But
     it reads the window's position, which a stateless kernel must not: a
     cohort positions its stacked buffer at the first tenant's window.
     """

@@ -16,8 +16,8 @@ from tests.analysis.conftest import LyingReach, LyingRunKernel, LyingSlotTimes, 
 class TestBuiltinRegistry:
     def test_every_registered_operator_conforms(self):
         # Acceptance criterion: the contract analyzer passes on every
-        # in-repo operator — no over-claimed batch safety, no run-parity
-        # violations, no snapshot/restore or coverage-reach gaps.
+        # in-repo operator — no run-parity violations, no snapshot/restore,
+        # coverage-reach or cohort-stacking gaps.
         diagnostics = check_contracts()
         assert not has_errors(diagnostics), [d.render() for d in diagnostics]
 
@@ -40,26 +40,21 @@ class TestBuiltinRegistry:
 
 
 class TestLyingOperatorIsCaught:
-    def test_batch_safe_over_claim_detected(self):
+    def test_window_agnostic_over_claim_detected(self):
+        # The mixin's run kernel is compute over the whole run; LS202 sees
+        # that it rewrites one event per run, not one per window.
         case = OperatorCase(
             name="LyingTail",
             operator_cls=LyingTail,
             build=_apply(lambda q: q._apply(LyingTail())),
         )
         diagnostics = check_operator_case(case)
-        ls201 = [d for d in diagnostics if d.code == "LS201"]
-        assert len(ls201) == 1, [d.render() for d in diagnostics]
-        assert ls201[0].severity == "error"
-        assert ls201[0].anchor == "LyingTail"
-        assert "batch_safe" in ls201[0].message
-        # The lie is the only contract violation this operator commits.
-        assert not [
-            d for d in diagnostics if d.severity == "error" and d.code != "LS201"
-        ], [d.render() for d in diagnostics]
+        errors = [d for d in diagnostics if d.severity == "error"]
+        assert [d.code for d in errors] == ["LS202"], [d.render() for d in diagnostics]
+        assert errors[0].anchor == "LyingTail"
+        assert "compute_run" in errors[0].message
 
     def test_window_edge_ignoring_run_kernel_detected(self):
-        # A window-aware run kernel is checked by LS202 alone: widening says
-        # nothing about it, so LS201 must stay silent.
         case = OperatorCase(
             name="LyingRunKernel",
             operator_cls=LyingRunKernel,

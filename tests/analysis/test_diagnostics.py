@@ -32,14 +32,15 @@ class TestCodeStability:
             "LS106",
             "LS107",
             "LS108",
-            "LS201",
+            # LS201/LS206 (batch_safe over/under-claim by widening the
+            # window): retired with batch_safe; a run kernel's exactness
+            # is LS202's to check.
             "LS202",
             "LS203",
             # LS204 (warmup_windows sufficiency): retired with the
             # window-sharded backend, the only code path that replayed
             # warm-up windows.
             "LS205",
-            "LS206",
             "LS207",
             "LS208",
             "LS209",
@@ -79,12 +80,12 @@ class TestDiagnostic:
         assert d.render() == "info LS108: no lowering"
 
     def test_to_dict_carries_the_code_title(self):
-        d = Diagnostic("LS201", "error", "over-claim", anchor="Chop", check="contract")
+        d = Diagnostic("LS202", "error", "run parity", anchor="Chop", check="contract")
         payload = d.to_dict()
-        assert payload["code"] == "LS201"
+        assert payload["code"] == "LS202"
         assert payload["anchor"] == "Chop"
         assert payload["check"] == "contract"
-        assert payload["title"] == CODES["LS201"]
+        assert payload["title"] == CODES["LS202"]
 
 
 class TestReports:

@@ -14,8 +14,8 @@ from repro.bench.workloads import duty_cycle_e2e_dataset, e2e_dataset
 from repro.core.engine import LifeStreamEngine
 from repro.core.operators import AlterPeriod
 from repro.core.query import Query
-from repro.core.runtime import SerialBackend, VectorizedBackend, plan_batch_safe
-from repro.core.runtime.vectorized import BlockExecutor, block_executor
+from repro.core.runtime import SerialBackend, VectorizedBackend
+from repro.core.runtime.vectorized import BlockExecutor, plan_vector_info
 from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_SECOND, period_from_hz
 from repro.pipelines.e2e import ABP_HZ, ECG_HZ, lifestream_e2e_query
@@ -156,11 +156,11 @@ class TestBackendParity:
             np.testing.assert_array_equal(result.times, times + offset)
             np.testing.assert_array_equal(result.values, values)
 
-    def test_window_sensitive_plan_falls_back_per_node(self):
+    def test_window_sensitive_plan_falls_back_per_node(self, monkeypatch):
         # Resampling between non-multiple periods samples the active event
         # without a carry, so its output near a window edge depends on the
-        # window extent: it runs window by window inside the run while the
-        # rest of the plan stays lowered.
+        # window extent: its run kernel runs the window loop, one compute
+        # per window of the run, while the rest of the plan stays lowered.
         source = _gappy_source()
         query = (
             Query.source("s", frequency_hz=500)
@@ -169,11 +169,27 @@ class TestBackendParity:
         )
         engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
         compiled = engine.compile(query, {"s": source})
-        assert not plan_batch_safe(compiled.plan)
         reference = compiled.run(backend=SerialBackend())
+
+        kernel_windows, window_calls = [], []
+        compute_run, compute = AlterPeriod.compute_run, AlterPeriod.compute
+
+        def counting_kernel(self, output, inputs, state, windows):
+            kernel_windows.append(windows)
+            before = len(window_calls)
+            compute_run(self, output, inputs, state, windows)
+            assert len(window_calls) - before == windows
+
+        def counting_window(self, *args):
+            window_calls.append(1)
+            return compute(self, *args)
+
+        monkeypatch.setattr(AlterPeriod, "compute_run", counting_kernel)
+        monkeypatch.setattr(AlterPeriod, "compute", counting_window)
         candidate = compiled.run()
-        assert candidate.stats.execution_mode == "vectorized+serial-fallback"
-        _assert_identical(reference, candidate, "unsafe plan per-node fallback")
+        _assert_identical(reference, candidate, "non-multiple resample window loop")
+        assert max(kernel_windows) > 1
+        assert len(window_calls) == sum(kernel_windows)
 
     def test_invalid_backend_parameters_rejected(self):
         with pytest.raises(ExecutionError):
@@ -387,7 +403,8 @@ class TestFigure3InOneArrayProgram:
         monkeypatch.setattr(AlterPeriod, "compute", counting_window)
         result = compiled.run()
         assert result.stats.execution_mode == "vectorized"
-        assert not block_executor(compiled.plan).fell_back
+        info = plan_vector_info(compiled.plan)
+        assert info.lowered_operators == info.operator_nodes
         assert max(runs) > 1
         assert kernel_calls == runs
         # Only one-window runs call the per-window compute: no window loop.

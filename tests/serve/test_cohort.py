@@ -161,6 +161,33 @@ class TestCohortsAreBitIdentical:
             expected = _alone(QUERIES[kind](), arrays, schedule[client_id])
             _assert_identical(expected, results[client_id], f"{kind} {client_id}")
 
+    def test_clip_join_clones_cohort_on_the_window_loop(self):
+        # ClipJoin has no run kernel: its node runs the window loop for each
+        # member, every tick says so, and the cohort still matches serial.
+        def query():
+            return Query.source("s", frequency_hz=500).multicast(
+                lambda s: s.select(_scale).clip_join(s.where(_keep), combine.sub)
+            )
+
+        clients = {f"c{i}": {"s": _gappy(i)} for i in range(4)}
+        cohorts, modes = [], set()
+        with StreamingService(window_size=WINDOW) as service:
+            for client_id, arrays in clients.items():
+                service.open(client_id, query(), _replay(arrays))
+            for pump in PUMPS:
+                report = service.pump(WINDOW * pump)
+                cohorts += [t.cohort_size for t in report.ticks.values()]
+                modes |= {t.execution_mode for t in report.ticks.values()}
+            service.finish()
+            results = service.results()
+        assert max(cohorts) == len(clients)
+        assert modes == {"vectorized+serial-fallback"}
+        serial = LifeStreamEngine(window_size=WINDOW, backend=SerialBackend())
+        for client_id, arrays in clients.items():
+            expected = serial.run(query(), dict(arrays))
+            _assert_identical(expected, results[client_id], f"clip_join {client_id}")
+            assert results[client_id].stats.execution_mode == "vectorized+serial-fallback"
+
     def test_sharing_groups_and_hand_shared_source(self):
         # Four dashboards share one source object and a cleaning prefix
         # (one sharing group; two tail shapes, so two tail templates); two
@@ -453,7 +480,7 @@ class TestSharedScratch:
         backend = VectorizedBackend()
         with pytest.raises(ExecutionError, match="off the sink grid"):
             backend.session_tick(plan, [WINDOW + WINDOW // 2])
-        (got,), _ = backend.session_tick(plan, [WINDOW])
+        (got,) = backend.session_tick(plan, [WINDOW])
         assert got[0].size
 
 
