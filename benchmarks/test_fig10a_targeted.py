@@ -8,13 +8,16 @@ discard while Trill eagerly processes everything.
 
 The reproduction sweeps the overlap fraction with the controlled-overlap
 generator and reports both the LifeStream-vs-Trill speedup and the
-targeted-vs-eager speedup on LifeStream itself (the pure ablation).
+targeted-vs-eager speedup on LifeStream itself (the pure ablation).  What
+it checks is the mechanism, by count: ``ExecutionStats.windows_skipped``
+falls strictly as the overlap grows; the speedups are reported, not gated.
 """
 
 import pytest
 
 from benchmarks.conftest import get_report, timed_benchmark
 from repro.bench.workloads import overlap_dataset
+from repro.core.timeutil import TICKS_PER_SECOND
 from repro.pipelines.e2e import run_lifestream_e2e, run_trill_e2e
 
 #: Overlap fractions swept (1.0 = the two signals fully overlap).
@@ -84,36 +87,38 @@ def test_trill_baseline(benchmark, report_registry, datasets, overlap):
     )
 
 
-def test_speedup_grows_as_overlap_shrinks(benchmark, report_registry, datasets):
-    """The Figure 10(a) trend: less overlap ⇒ larger LifeStream advantage."""
+def test_skipped_windows_fall_as_overlap_grows(report_registry, datasets):
+    """The Figure 10(a) mechanism, counted: the more the two signals
+    overlap, the fewer output windows targeted processing can skip.
 
-    def run():
-        speedups = {}
-        for overlap in (OVERLAPS[0], OVERLAPS[-1]):
-            ecg, abp = datasets[overlap]
-            lifestream = run_lifestream_e2e(ecg, abp, targeted=True)
-            trill = run_trill_e2e(ecg, abp)
-            speedups[overlap] = trill.elapsed_seconds / lifestream.elapsed_seconds
-        return speedups
-
-    _, speedups = timed_benchmark(benchmark, run)
+    Counted on one-second windows: the 360 s signals span only six
+    one-minute windows, too few to tell 100 % from 75 % overlap apart.  The
+    timed speedups over Trill are only reported, from the rows the timed
+    tests above recorded.
+    """
+    skipped = {}
+    for overlap in OVERLAPS:
+        ecg, abp = datasets[overlap]
+        run = run_lifestream_e2e(ecg, abp, window_size=TICKS_PER_SECOND, targeted=True)
+        skipped[overlap] = run.extra["windows_skipped"]
+    by_overlap = [skipped[overlap] for overlap in sorted(OVERLAPS)]
+    assert all(fewer < more for more, fewer in zip(by_overlap, by_overlap[1:])), skipped
     report = get_report(
         report_registry, "fig10a_targeted", "Figure 10(a) — targeted query processing", HEADERS
     )
-    # Quote speedups computed from the table's own recorded rows when they
-    # exist, so the published note always matches the numbers in the same
-    # file; the fresh paired measurement above is the fallback when this
-    # test runs in isolation.
-    recorded = {}
+    report.note(
+        "one-second windows skipped by targeted processing: "
+        + ", ".join(f"{overlap:.0%} overlap {skipped[overlap]}" for overlap in OVERLAPS)
+    )
+    speedups = {}
     for overlap in (OVERLAPS[0], OVERLAPS[-1]):
         targeted_key = (overlap, "lifestream-targeted")
         trill_key = (overlap, "trill")
         if targeted_key in report.rows and trill_key in report.rows:
-            recorded[overlap] = report.rows[trill_key][3] / report.rows[targeted_key][3]
-    if len(recorded) == 2:
-        speedups = recorded
-    assert speedups[OVERLAPS[-1]] > speedups[OVERLAPS[0]]
-    report.note(
-        f"speedup over the Trill baseline grows from {speedups[OVERLAPS[0]]:.1f}x at "
-        f"{OVERLAPS[0]:.0%} overlap to {speedups[OVERLAPS[-1]]:.1f}x at {OVERLAPS[-1]:.0%} overlap"
-    )
+            speedups[overlap] = report.rows[trill_key][3] / report.rows[targeted_key][3]
+    if len(speedups) == 2:
+        report.note(
+            f"speedup over the Trill baseline: {speedups[OVERLAPS[0]]:.1f}x at "
+            f"{OVERLAPS[0]:.0%} overlap, {speedups[OVERLAPS[-1]]:.1f}x at "
+            f"{OVERLAPS[-1]:.0%} overlap"
+        )

@@ -8,14 +8,17 @@ vectorized backend lowers a node on the word of the override alone),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
 restore on its word), ``coverage_reach`` promises that output
 coverage past a cut depends on no input coverage further back than that
-(streaming sessions propagate only a trailing window of every source on
-its word), and a stateless lowered operator promises to depend on its
+(streaming sessions read only a trailing window of every source on its
+word), ``coverage_rows`` promises to mark every window of the sink grid
+that ``propagate_coverage`` covers (a streaming tick runs only the windows
+it marks), and a stateless lowered operator promises to depend on its
 windows' contents and grid phase only, not on their position (serving
 stacks one window of many tenants into one ``compute_run`` on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
-named diagnostic (``LS202``, ``LS203``, ``LS205``, ``LS208``, ``LS209``)
+named diagnostic (``LS202``, ``LS203``, ``LS205``, ``LS208``, ``LS209``,
+``LS210``)
 instead of a bit-identity failure three layers away.  Checking is
 registry-driven: :func:`builtin_cases` holds one :class:`OperatorCase` per
 in-repo operator, and :func:`check_contracts` additionally discovers every
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import CompiledPlan, compile_plan
+from repro.core.compiler.lineage import coverage_program
 from repro.core.engine import CompiledQuery
 from repro.core.graph import OperatorNode, topological_order
 from repro.core.intervals import IntervalSet
@@ -282,6 +286,67 @@ def _check_coverage_locality(case: OperatorCase, out: list[Diagnostic]) -> None:
                 return
 
 
+def _check_row_superset(case: OperatorCase, out: list[Diagnostic]) -> None:
+    """Validate ``coverage_rows`` against ``propagate_coverage`` itself.
+
+    For every operator node of the case's plan, on the windows of the sink
+    grid at the node's position in the plan, and on randomized gappy input
+    coverage: each input's row is True where its coverage meets the span the
+    node reads from it for that window (``input_sync_time``, the input's
+    dimension), exactly as a streaming tick builds it; every window that the
+    propagated output coverage meets must then be marked.  The default rule
+    spreads marks by ``coverage_reach()``, so a reach LS208 already refuted
+    is not checked again.
+    """
+    if any(d.code == "LS208" and d.anchor == case.name for d in out):
+        return
+    plan = _compile(case)
+    program = coverage_program(plan)
+    dimension = program.dimension
+    rng = np.random.default_rng(210)
+    for index, node in enumerate(plan.nodes):
+        if not isinstance(node, OperatorNode):
+            continue
+        operator = node.operator
+        starts = [
+            program.phase + program.offsets[index] + window * dimension
+            for window in range(-4, 4400 // dimension + 4)
+        ]
+        for trial in range(60):
+            coverages = [
+                _gappy_coverage(rng, longest=(12, 60, 400)[trial % 3]) for _ in node.inputs
+            ]
+            rows = []
+            for position, (coverage, upstream) in enumerate(zip(coverages, node.inputs)):
+                reads = [
+                    operator.input_sync_time(start, position, upstream.descriptor)
+                    for start in starts
+                ]
+                rows.append(
+                    np.array([[coverage.overlaps(read, read + upstream.dimension) for read in reads]])
+                )
+            marked = operator.coverage_rows(rows, dimension)[0]
+            covered = operator.propagate_coverage(coverages)
+            missed = [
+                start
+                for start, mark in zip(starts, marked)
+                if not mark and covered.overlaps(start, start + dimension)
+            ]
+            if missed:
+                out.append(
+                    _contract(
+                        "LS210",
+                        "error",
+                        f"{case.name}: {operator.name}.coverage_rows leaves the "
+                        f"window at t={missed[0]} unmarked ({len(missed)} window(s) "
+                        "in all) though propagate_coverage covers it; a streaming "
+                        "tick would skip a window that can emit",
+                        anchor=case.name,
+                    )
+                )
+                return
+
+
 #: Windows each LS209 clone's watermark runs ahead of the first clone's:
 #: cohort members then sit at distinct, out-of-order starts, never laid out
 #: like a run of consecutive windows.
@@ -383,6 +448,7 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
         _check_run_parity,
         _check_state_roundtrip,
         _check_coverage_locality,
+        _check_row_superset,
         _check_cohort_stack,
     ):
         try:

@@ -57,6 +57,9 @@ CODES: dict[str, str] = {
     "coverage_reach()",
     "LS209": "cohort stack violation: clones of one plan ticked together "
     "as a cross-tenant cohort differ from each clone ticked alone",
+    "LS210": "coverage-row under-marking: an operator's coverage_rows leaves "
+    "a window unmarked that its propagate_coverage covers, so a streaming "
+    "tick would skip a window that can emit",
     # -- async safety (LS3xx) ---------------------------------------------
     "LS301": "blocking call inside 'async def': stalls the event loop and "
     "every client behind it",

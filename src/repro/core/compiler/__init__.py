@@ -140,7 +140,10 @@ class CompiledPlan:
     sink: PlanNode
     window_size: int
     memory_plan: MemoryPlan
-    output_coverage: IntervalSet
+    #: The sink's lineage coverage over the sources compiled with; None on
+    #: a clone (:meth:`instantiate`), whose ticks plan on window rows
+    #: instead (:meth:`explain` propagates it on demand).
+    output_coverage: IntervalSet | None
     #: Timed record of the pass pipeline that produced this plan.
     pass_timings: list[PassTiming] = field(default_factory=list)
     #: Free-form per-pass facts (e.g. fusion statistics).
@@ -186,8 +189,10 @@ class CompiledPlan:
         one source name from separate spec nodes); unnamed nodes keep the
         template's source.  A replacement source must have the template
         descriptor (same offset and period) — the traced dimensions are only
-        valid on that grid.  Coverage is re-propagated over the clone, since
-        each client's data has its own gaps.  With ``strict`` (the default)
+        valid on that grid.  Coverage is not propagated over the clone: its
+        sessions plan every tick from their sources' coverage on window rows
+        (:meth:`~repro.core.compiler.lineage.CoverageProgram.rows`), so the
+        clone's ``output_coverage`` is None.  With ``strict`` (the default)
         replacement names that match no source node raise; ``strict=False``
         ignores them, matching ``build_plan``'s tolerance of extra entries
         in a shared sources dict.
@@ -235,8 +240,6 @@ class CompiledPlan:
                 f"{sorted(unmatched)} in the plan (available: "
                 f"{sorted(n.name for n in sink.iter_nodes() if isinstance(n, SourceNode))})"
             )
-        # Clones share the template's shape, so they share its coverage program.
-        coverage = propagate_coverage(sink, program=coverage_program(self))
         bound = {
             node.name: node.source
             for node in sink.iter_nodes()
@@ -248,7 +251,7 @@ class CompiledPlan:
             # Same node set, same descriptors, same dimensions -> the
             # template's (frozen) memory plan describes the clone exactly.
             memory_plan=self.memory_plan,
-            output_coverage=coverage,
+            output_coverage=None,
             pass_timings=self.pass_timings,
             pass_metadata=self.pass_metadata,
             query=self.query,
@@ -266,10 +269,14 @@ class CompiledPlan:
         """Human-readable plan dump in the paper's ``(offset,period)[dim]`` notation."""
         from repro.core.graph import describe_plan
 
+        coverage = self.output_coverage
+        if coverage is None:
+            # Clones share the template's shape, so they share its program.
+            coverage = propagate_coverage(self.sink, program=coverage_program(self))
         header = (
             f"window size: {self.window_size} ticks, "
             f"pre-allocated: {self.memory_plan.total_bytes} bytes, "
-            f"output coverage: {self.output_coverage.total_length()} ticks"
+            f"output coverage: {coverage.total_length()} ticks"
         )
         lines = [header, describe_plan(self.sink)]
         if self.pass_timings:

@@ -3,9 +3,11 @@
 An :class:`IntervalSet` is a sorted collection of disjoint half-open integer
 intervals ``[start, end)``.  Sources report where data actually exists as an
 interval set; the compiler propagates those sets through the query graph
-(intersecting them at joins) and the runtime only executes windows whose
-span intersects the final output coverage.  This is the mechanism behind the
-paper's *targeted query processing* (Section 5.3).
+(intersecting them at joins) at compile time; a streaming tick reads each
+source's coverage from just before its frontier on and plans its windows
+on boolean rows over the sink's window grid (:func:`roll_windows` and
+:func:`spread_windows` move marks along it).  This is the mechanism behind
+the paper's *targeted query processing* (Section 5.3).
 """
 
 from __future__ import annotations
@@ -280,10 +282,6 @@ class IntervalSet:
             )
         )
 
-    def clip(self, start: int, end: int) -> "IntervalSet":
-        """Intersect the set with the single interval ``[start, end)``."""
-        return self.window(start, end)
-
     # -- iteration helpers ------------------------------------------------
 
     def iter_windows(self, window: int, offset: int = 0) -> Iterator[int]:
@@ -322,6 +320,29 @@ class IntervalSet:
                 count += here
                 next_free = first + here * window
         return count
+
+
+def roll_windows(rows: np.ndarray, by: int) -> np.ndarray:
+    """*rows* (a boolean block, one column per window of a grid) moved *by*
+    windows along the grid: column ``j`` of the result is column ``j - by``
+    of *rows*, and columns that come from outside the block are False."""
+    if by == 0:
+        return rows
+    rolled = np.zeros_like(rows)
+    if by > 0:
+        rolled[..., by:] = rows[..., :-by]
+    else:
+        rolled[..., :by] = rows[..., -by:]
+    return rolled
+
+
+def spread_windows(rows: np.ndarray, windows: int) -> np.ndarray:
+    """*rows* ORed with its copies moved 1 to ``|windows|`` windows along
+    the grid: later for a positive *windows*, earlier for a negative one."""
+    spread = rows
+    for by in range(1, min(abs(windows), rows.shape[-1]) + 1):
+        spread = spread | roll_windows(rows, by if windows > 0 else -by)
+    return spread
 
 
 class CoverageLog:

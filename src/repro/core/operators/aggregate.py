@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalSet, spread_windows
 from repro.core.operators.base import Operator, WindowAgnosticRun, masked_reduce
 from repro.core.timeutil import lcm
 from repro.errors import QueryConstructionError
@@ -36,6 +36,14 @@ class _SlidingTail:
     def __init__(self, samples: int):
         self.values = np.zeros(samples, dtype=np.float64)
         self.mask = np.zeros(samples, dtype=bool)
+
+    def age(self, samples: int) -> None:
+        """Slide the tail over *samples* skipped input samples, as absent."""
+        kept = max(self.values.size - samples, 0)
+        self.values[:kept] = self.values[self.values.size - kept :].copy()
+        self.mask[:kept] = self.mask[self.mask.size - kept :].copy()
+        self.values[kept:] = 0.0
+        self.mask[kept:] = False
 
 
 class Aggregate(WindowAgnosticRun, Operator):
@@ -92,6 +100,11 @@ class Aggregate(WindowAgnosticRun, Operator):
         # or past b + lookback: strictly less than b + window.
         return self.window
 
+    def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
+        # Windows are whole strides, so the grid rounding stays inside the
+        # window: only the lookback reaches into later windows.
+        return spread_windows(rows[0], -(-(self.window - self.stride) // dimension))
+
     def make_state(self):
         # The tail buffer itself is created on first use (its length depends
         # on the input period, which is only known at runtime), but the dict
@@ -117,6 +130,13 @@ class Aggregate(WindowAgnosticRun, Operator):
             if tail is None:
                 tail = _SlidingTail(tail_samples)
                 state["tail"] = tail
+            # Targeted execution skips windows whose input is absent (a
+            # warm-up window runs where it is present), so input resuming
+            # later than the tail is valid for ages it first.
+            next_sync = state.get("next_sync")
+            if next_sync is not None and source.sync_time > next_sync:
+                tail.age((source.sync_time - next_sync) // period)
+            state["next_sync"] = source.sync_time + source.capacity * period
             values = np.concatenate((tail.values, values))
             mask = np.concatenate((tail.mask, mask))
 

@@ -17,11 +17,12 @@ An operator contributes these pieces of information:
 ``input_sync_time``
     where the input FWindow(s) must be positioned to produce a given output
     window — the event-lineage map used by targeted query processing;
-``propagate_coverage`` / ``coverage_reach``
+``propagate_coverage`` / ``coverage_reach`` / ``coverage_rows``
     how data availability flows through the operator, again for targeted
-    query processing (Section 5.3), and how far back along the input that
-    flow can reach — the bound that lets a streaming session re-derive
-    coverage from its emission frontier instead of from time zero.
+    query processing (Section 5.3): as interval sets at compile time, and
+    as boolean rows on the sink's window grid when a session plans a tick,
+    with ``coverage_reach`` bounding how many windows back that flow can
+    reach.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalSet, spread_windows
 from repro.core.timeutil import LinearTimeMap
 from repro.errors import QueryConstructionError
 
@@ -82,10 +83,10 @@ class Operator:
         """Sync time at which input *input_index*'s FWindow must be positioned.
 
         An operator's time map is fixed at construction, but this translation
-        runs once per input per window per run — and in streaming sessions
-        the readiness walk repeats it every tick.  The inverted map is
-        therefore memoised (as plain floats) on first use; ``_inverse_maps``
-        is a pure cache, invisible to plan signatures and never snapshotted.
+        runs once per input per window in the serial window loop.  The
+        inverted map is therefore memoised (as plain floats) on first use;
+        ``_inverse_maps`` is a pure cache, invisible to plan signatures and
+        never snapshotted.
         """
         cache = self.__dict__.get("_inverse_maps")
         if cache is None:
@@ -110,13 +111,33 @@ class Operator:
 
         The lineage map is local: output coverage from an output time ``c``
         on depends only on input coverage from ``input_sync_time(c -
-        coverage_reach())`` on.  Streaming sessions rely on this to propagate
-        only a trailing window of every source each tick, so an operator
-        whose ``propagate_coverage`` widens intervals to the right (or to a
-        grid) must declare by how much; interval-by-interval maps reach 0.
+        coverage_reach())`` on.  Streaming sessions rely on this to read
+        only a trailing window of every source each tick, and the default
+        :meth:`coverage_rows` spreads each input window's mark over the
+        windows that many ticks span, so an operator whose
+        ``propagate_coverage`` widens intervals to the right (or to a grid)
+        must declare by how much; interval-by-interval maps reach 0.
         The contract analyzer checks the claim (``LS208``).
         """
         return 0
+
+    def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
+        """Which output windows can hold coverage, given which input windows do.
+
+        ``rows[i]`` is a boolean block, one row per session and one column
+        per window of the sink grid (*dimension* ticks apart): True where
+        input *i* has coverage in the span this operator reads from it for
+        that window.  The result must be True wherever
+        :meth:`propagate_coverage` covers any of the output window — a
+        superset is exact, since it only runs windows an eager run runs too
+        (the contract analyzer checks this, ``LS210``).  The default marks
+        a window when any input is marked in it or in the
+        ``ceil(coverage_reach() / dimension)`` windows before it.
+        """
+        row = rows[0]
+        for other in rows[1:]:
+            row = row | other
+        return spread_windows(row, -(-self.coverage_reach() // dimension))
 
     # -- runtime interface --------------------------------------------------
 

@@ -106,6 +106,14 @@ class Join(WindowAgnosticRun, Operator):
             return left
         return left.union(right)
 
+    def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
+        left, right = rows
+        if self.how == "inner":
+            return left & right
+        if self.how == "left":
+            return left
+        return left | right
+
     def make_state(self):
         return {"left_carry": None, "right_carry": None}
 
@@ -206,6 +214,9 @@ class ClipJoin(Operator):
 
     def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
         return coverages[0]
+
+    def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
+        return rows[0]
 
     def make_state(self):
         return {}

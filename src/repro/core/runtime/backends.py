@@ -23,6 +23,7 @@ in both targeted and eager modes.  Multi-core scale-out is patient-level
 from __future__ import annotations
 
 from repro.core.compiler import CompiledPlan
+from repro.core.graph import OperatorNode
 from repro.core.runtime.executor import (
     fill_windows,
     shrink_columns,
@@ -54,7 +55,8 @@ class ExecutionBackend:
         return "serial"
 
     def fallback_reason(self, plan: CompiledPlan) -> str | None:
-        """Why ticks of *plan* run wholly below this backend's nominal mode
+        """Why ticks of *plan* run, wholly or in part, below this backend's
+        nominal mode
         (:attr:`~repro.core.runtime.result.ExecutionStats.fallback_reason`),
         or None when they run as asked."""
         return None
@@ -157,7 +159,15 @@ class VectorizedBackend(ExecutionBackend):
         return self.name
 
     def fallback_reason(self, plan: CompiledPlan) -> str | None:
-        return None if self._active(plan) else vectorized_fallback_reason(plan)
+        if not self._active(plan):
+            return vectorized_fallback_reason(plan)
+        for node, lowered in zip(plan.nodes, plan_vector_info(plan).lowered):
+            if isinstance(node, OperatorNode) and not lowered:
+                return (
+                    f"operator node {node.name} ({node.operator.name}) has no run "
+                    "kernel and runs window by window"
+                )
+        return None
 
     def session_tick(self, plan: CompiledPlan, starts) -> list:
         if not self._active(plan):

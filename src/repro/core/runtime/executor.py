@@ -4,18 +4,21 @@ A compiled plan executes by sliding the sink's FWindow forward through the
 output time domain and pulling each window's contents through the operator
 graph.  Every execution is a :class:`~repro.core.runtime.session.StreamingSession`
 tick — a one-shot ``CompiledQuery.run()`` is a session drained in one tick —
-and the session enumerates the windows:
+and the session plans the windows on the sink's window grid
+(:meth:`~repro.core.compiler.lineage.CoverageProgram.rows`):
 
 * in **targeted** mode (the paper's targeted query processing, Section 5.3)
-  only the windows that intersect the output coverage computed by lineage
-  analysis are executed; everything else — in particular upstream
-  transforms on signal regions that a downstream join would discard — is
-  skipped entirely;
+  only the windows the lineage rows mark as able to emit (plus the warm-up
+  windows a stateful node's carry needs) are executed; everything else —
+  in particular upstream transforms on signal regions that a downstream
+  join would discard — is skipped entirely;
 * in **eager** mode the executor mimics conventional engines: every window
-  in the union of the sources' data spans (:func:`coverage_span`) is
-  processed, whether or not it can produce output.  Eager mode exists for
-  the ablation study (Figure 10(a)) and for tests that check both modes
-  produce identical results.
+  of the span from the sources' first data to the last window their data
+  or the output coverage reaches is processed, whether or not it can
+  produce output.  Eager mode exists for the ablation study (Figure
+  10(a)) and for tests that check both modes produce identical results;
+  :func:`span_window_count` counts its windows, which is what
+  ``windows_skipped`` is measured against.
 
 *How* a tick's windows are driven (serially or in runs of consecutive
 windows) is the job of the pluggable :mod:`~repro.core.runtime.backends`;
@@ -32,31 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.compiler import CompiledPlan
-from repro.core.graph import SourceNode
 from repro.core.intervals import IntervalSet
 from repro.errors import ExecutionError
-
-
-def coverage_span(sources: Sequence[SourceNode], sink) -> tuple[int, int] | None:
-    """Time range an eager run must walk (None when every source is empty).
-
-    The union of the sources' data spans, widened to include the sink's
-    output coverage: stateful operators (shifts, sliding aggregates) can
-    emit events beyond the last source sample, and the eager walk must visit
-    those tail windows no matter what window geometry the backend uses —
-    this is what keeps eager results identical to targeted ones.
-    """
-    spans = [node.coverage.span() for node in sources if node.coverage]
-    if not spans:
-        return None
-    start = min(span[0] for span in spans)
-    end = max(span[1] for span in spans)
-    sink_coverage = sink.coverage
-    if sink_coverage:
-        coverage_start, coverage_end = sink_coverage.span()
-        start = min(start, coverage_start)
-        end = max(end, coverage_end)
-    return start, end
 
 
 def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:

@@ -45,10 +45,12 @@ class ExecutionStats:
     #: nothing to lower reports the mode that really executed, not the one
     #: that was requested.
     execution_mode: str = "serial"
-    #: Why a backend fell back to a slower execution mode than requested
-    #: (``None`` when it ran as asked): which node or property blocked it,
-    #: e.g. ``"plan carries a cache tracer ..."`` or ``"operator shift_3
-    #: scales time ..."``.  Pairs with ``execution_mode`` so the fallback is
+    #: Why a backend fell back, wholly or in part, to a slower execution
+    #: mode than requested (``None`` when it ran as asked): which node or
+    #: property blocked it, e.g. ``"plan carries a cache tracer ..."``,
+    #: ``"operator shift_3 scales time ..."`` or, for
+    #: ``"vectorized+serial-fallback"``, the first operator node without a
+    #: run kernel.  Pairs with ``execution_mode`` so the fallback is
     #: attributable, not just visible.
     fallback_reason: str | None = None
     #: Per-node window counts, keyed by node name.

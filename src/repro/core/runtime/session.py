@@ -13,48 +13,45 @@ modes.
 
 Three mechanisms make the loop incremental:
 
-* **coverage refresh** — :class:`~repro.core.sources.ReplaySource` reports
-  coverage clipped to its watermark, so re-running the compiler's lineage
-  propagation over the live plan graph each tick yields exactly the output
-  windows the targeted executor would visit if the stream ended now.  The
-  lineage map is local, so a tick propagates only a trailing window of
-  every source: the next window's input position (the readiness walk below)
-  minus what the operators on the way declare via ``coverage_reach()``.
-  Coverage past the emission frontier is then exact, and per-tick planning
-  costs the same whatever the stream's age;
+* **window rows** — each tick asks one question on the sink's window grid:
+  which windows past the frontier can emit, and which of them are ready?
+  The plan's :class:`~repro.core.compiler.lineage.CoverageProgram`
+  answers the first with boolean rows, one column per window: a source's
+  row is where its coverage (clipped to its watermark, read from a few
+  windows before the frontier on) meets the span a fill of that window
+  reads, and every operator maps its inputs' rows to its own
+  (``Operator.coverage_rows``: joins ``&``/``|``, everything else a spread
+  over its ``coverage_reach()``).  The rows may mark a window the interval
+  sets of compile-time lineage leave out, never the reverse; running it is
+  what an eager run does, so results do not change.  A stateful node whose
+  carry reaches back also gets its **warm-up windows**: earlier windows
+  within its reach of a scheduled one in which its input has data;
 * **the emission frontier** — the session remembers the last window start
   it executed and only runs strictly later windows.  Coverage only ever
   grows forward as watermarks advance, so the union of per-tick frontiers
   equals the one-shot window list;
 * **readiness gating** — a window is only executed once every replayed
   source's watermark has passed the *entire* input span that window reads
-  (computed by walking the graph with each operator's event-lineage map).
-  Windows straddling a watermark are deferred, never executed on partial
-  data; :meth:`finish` drains them once the sources are exhausted.
+  (where the program's fill positions put each source's window, plus its
+  dimension).  Windows straddling a watermark are deferred, never executed
+  on partial data; :meth:`finish` drains them once the sources are
+  exhausted.
 
-Every tick takes three steps — **plan** (the coverage refresh, frontier
-and readiness gating above), **execute** (the backend's window loop) and
-**commit** (collect the events, move the frontier, report
-:class:`TickStats`) — and every tick is reported by :meth:`advance`,
-:meth:`poll` or :meth:`finish`, except the one tick of a one-shot
-``CompiledQuery.run()``, whose result is the whole report.  A serving
-batch may split them: :func:`tick_batch` plans every member,
-executes the one-window ticks of clones of one plan-cache template
-together as a cross-tenant cohort, and then :meth:`poll` commits each
+Every tick takes three steps — **plan** (the rows, frontier and readiness
+above), **execute** (the backend's window loop) and **commit** (collect the
+events, move the frontier, report :class:`TickStats`) — and every tick is
+reported by :meth:`advance`, :meth:`poll` or :meth:`finish`, except the one
+tick of a one-shot ``CompiledQuery.run()``, whose result is the whole
+report.  Planning is one code path for a lone tick and a serving batch:
+:func:`tick_batch` plans the sessions cloned from one plan-cache template
+as one boolean block (members × windows, :func:`_plan_block`), a lone tick
+being a block of one row; it then executes the one-window ticks of one
+template together as a cross-tenant cohort, and :meth:`poll` commits each
 member's already-executed tick without planning again.  On the vectorized
 backend one executor per template
 (:class:`~repro.core.runtime.vectorized.BlockExecutor`) runs both: a
 session's run of consecutive windows is a block of one segment, a cohort a
 block of one one-window segment per member.
-
-Planning is shared by a template's clones as far as it depends only on
-the plan's shape.  The coverage refresh evaluates the template's flat
-:class:`~repro.core.compiler.lineage.CoverageProgram` (the one
-:func:`~repro.core.compiler.lineage.propagate_coverage` runs) over each
-session's own sources, and the sync tables of the frontier cut and of
-readiness (where each source sits for a given output window) are built
-once per template and window start in a batch and shared by its members
-(:meth:`StreamingSession._input_syncs`).
 
 Sessions checkpoint to disk (:meth:`checkpoint`) by snapshotting every
 operator's carry state via :meth:`~repro.core.operators.base.Operator.snapshot_state`
@@ -69,17 +66,18 @@ import os
 import pickle
 import tempfile
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.compiler.lineage import coverage_program, propagate_coverage
+from repro.core.compiler.lineage import coverage_program
 from repro.core.graph import OperatorNode, SourceNode
 from repro.core.intervals import IntervalSet
 from repro.core.runtime.backends import VectorizedBackend
-from repro.core.runtime.executor import coverage_span, span_window_count
+from repro.core.runtime.executor import span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.runtime.vectorized import block_executor
 from repro.core.sources import ReplaySource
@@ -96,10 +94,10 @@ CHECKPOINT_FORMAT = "lifestream-session-checkpoint/v1"
 class TickStats:
     """Instrumentation record of one session tick.
 
-    ``plan_seconds`` covers the per-tick compile-side work (coverage
-    refresh, frontier computation, readiness gating); ``execute_seconds``
-    the backend window loop, or this session's share of its cohort's
-    execution.  The session keeps none of these records:
+    ``plan_seconds`` covers the per-tick planning (window rows, frontier,
+    readiness gating), or this session's share of its block's;
+    ``execute_seconds`` the backend window loop, or this session's share of
+    its cohort's execution.  The session keeps none of these records:
     each tick returns its own, and the session counts ticks
     (:attr:`StreamingSession.tick_count`).
     """
@@ -116,7 +114,7 @@ class TickStats:
     #: Newly-covered windows deferred because their input span still crosses
     #: a watermark (they run on a later tick).
     windows_deferred: int
-    #: Seconds spent refreshing coverage and computing the ready frontier.
+    #: Seconds spent planning the tick's windows (a share of its block's).
     plan_seconds: float
     #: Seconds spent in the window loop.
     execute_seconds: float
@@ -186,16 +184,22 @@ class StreamingSession:
         self._nodes = self._plan.nodes
         self._operator_nodes = [n for n in self._nodes if isinstance(n, OperatorNode)]
         self._source_nodes = [n for n in self._nodes if isinstance(n, SourceNode)]
-        #: ``(topological index, node)`` of every replayed source.
-        self._replay_slots = [
-            (index, node)
+        # The lineage of the plan's shape, shared by every clone of its
+        # template: a batch plans the clones of one template as one block.
+        self._program = program = coverage_program(self._plan)
+        #: The sources the program's rows read, in its order.
+        self._row_sources = [self._nodes[slot].source for slot, _, _ in program.sources]
+        replayed = [
+            index
             for index, node in enumerate(self._nodes)
             if isinstance(node, SourceNode) and isinstance(node.source, ReplaySource)
         ]
-        self._replay_nodes = [node for _, node in self._replay_slots]
-        # The lineage walk of the plan's shape, shared by every clone of its
-        # template (and keying the sync tables a batch shares).
-        self._program = coverage_program(self._plan)
+        self._replay_nodes = [self._nodes[index] for index in replayed]
+        #: ``(source, offset)`` per replayed source: a window is ready once
+        #: every such source's watermark reaches its start plus the offset.
+        self._readiness = [
+            (self._nodes[index].source, program.ready_offsets[index]) for index in replayed
+        ]
         self._last_start: int | None = None
         self._collected_times: list[np.ndarray] = []
         self._collected_values: list[np.ndarray] = []
@@ -203,10 +207,13 @@ class StreamingSession:
         self._windows_run = 0
         self._events_emitted = 0
         self._elapsed_seconds = 0.0
-        # Ticks leave node coverage trimmed to the frontier, so the eager
-        # span (a full-history fact: where the stream began, how far its
-        # coverage reaches) is accumulated here instead of re-read from it.
-        self._span = coverage_span(self._source_nodes, self._plan.sink)
+        # The eager span (where the stream began, how far its data and its
+        # covered windows reach) is accumulated tick by tick: a tick reads
+        # its sources only from a little before the frontier on.
+        self._span: tuple[int, int] | None = None
+        #: ``(first window start, covered block, row, first column, stop)``
+        #: of the last planned tick: its covered windows past the frontier.
+        self._planned: tuple | None = None
         self._tick_count = 0
         self._finished = False
         self._closed = False
@@ -333,21 +340,6 @@ class StreamingSession:
         self._require_open()
         return self._tick(drain=False)
 
-    def _prepare(self, watermark: int | None, tables: dict) -> None:
-        """Plan the next tick without executing it.
-
-        Advances the sources to *watermark* first (as :meth:`advance` does)
-        unless it is None.  *tables* holds the sync tables of the batch
-        (see :meth:`_input_syncs`).  The next :meth:`poll` executes the
-        planned windows — unless :func:`tick_batch` executed them in a
-        cohort meanwhile — and commits the tick.
-        """
-        if watermark is None:
-            self._require_open()
-        else:
-            self._advance_sources(watermark)
-        self._pending = self._plan_tick(drain=False, tables=tables)
-
     def finish(self) -> TickStats:
         """Declare the stream complete and drain all remaining windows.
 
@@ -411,9 +403,9 @@ class StreamingSession:
     # all three through _tick; a cohort only executes some ticks early.
 
     def _tick(self, drain: bool) -> TickStats:
+        if self._pending is None or (drain and self._pending.chunks is None):
+            _plan_ticks([self], drain)
         tick, self._pending = self._pending, None
-        if tick is None or (drain and tick.chunks is None):
-            tick = self._plan_tick(drain, tables={})
         if tick.chunks is None:
             began = time.perf_counter()
             try:
@@ -439,22 +431,6 @@ class StreamingSession:
                 f"({error!r}) after carries may have advanced; close the session "
                 f"and restore an earlier checkpoint"
             )
-
-    def _plan_tick(self, drain: bool, tables: dict) -> "_Tick":
-        began = time.perf_counter()
-        self._refresh_coverage(tables)
-        new = self._new_window_starts()
-        ready: list[int] = []
-        deferred = 0
-        for start in new:
-            if drain or self._window_ready(start, tables):
-                ready.append(start)
-            else:
-                # Windows must run in order (FWindows only slide forward);
-                # everything past the first unready window waits too.
-                deferred = len(new) - len(ready)
-                break
-        return _Tick(ready, deferred, time.perf_counter() - began)
 
     def _cohort_key(self):
         """What a cohort is keyed by, or None when this tick runs alone: the
@@ -543,87 +519,49 @@ class StreamingSession:
             execution_mode=self._execution_mode,
         )
 
-    def _input_syncs(self, tables: dict, start: int, reach: bool = False) -> dict[int, int]:
-        """The sync table of the output window at *start*
-        (:meth:`~repro.core.compiler.lineage.CoverageProgram.input_syncs`):
-        ``{topological index: sync}`` per source, the earliest position
-        with *reach* and the latest without.
+    def _widen_span(self, begin: int, end: int) -> None:
+        """Fold ``[begin, end)`` into the eager span."""
+        span = self._span
+        self._span = (begin, end) if span is None else (min(span[0], begin), max(span[1], end))
 
-        It depends only on the plan's shape and *start*, so it is memoised
-        in *tables*, keyed by the shape's program: the clones of one
-        template at one frontier in one :func:`tick_batch` walk the graph
-        once between them.  *tables* lives for one batch (a lone tick gets
-        a fresh one).
-        """
-        key = (self._program, start, reach)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = self._program.input_syncs(start, reach)
-        return table
-
-    def _refresh_coverage(self, tables: dict) -> None:
-        """Re-propagate lineage coverage, from the emission frontier on.
-
-        Before the first window has run the whole history is propagated, as
-        at compile time.  After that every source is asked only for its
-        coverage from the next window's input position (less the operators'
-        reach) on, which leaves every node's coverage exact past the
-        frontier — all a tick reads — at a cost proportional to the new
-        coverage.  Source coverage only grows forward, so folding each
-        trimmed span into ``_span`` keeps the full-history eager span.
-        """
-        since = None
-        if self._last_start is not None:
-            since = self._input_syncs(
-                tables, self._last_start + self._plan.sink.dimension, reach=True
+    def _eager_windows(self, low: int, high: int, limit: int) -> tuple[list[int], int]:
+        """An eager tick's ``(ready starts, deferred count)``: every window
+        of the span among windows *low* to *high* (indices on the sink
+        grid), the ones before *limit* ready.  The span takes in the
+        covered windows first (an aggregate's lookback, say, covers windows
+        past the last sample)."""
+        program = self._program
+        dimension, phase = program.dimension, program.phase
+        start, covered, row, first, stop = self._planned
+        marks = np.flatnonzero(covered[row, first:stop])
+        if marks.size:
+            self._widen_span(
+                start + int(marks[0]) * dimension, start + (int(marks[-1]) + 1) * dimension
             )
-        propagate_coverage(
-            self._plan.sink, since=since, nodes=self._nodes, program=self._program
-        )
-        span = coverage_span(self._source_nodes, self._plan.sink)
         if self._span is None:
-            self._span = span
-        elif span is not None:
-            self._span = (min(self._span[0], span[0]), max(self._span[1], span[1]))
+            return [], 0
+        begin, end = self._span
+        low = max(low, (begin - phase) // dimension)
+        high = min(high, (end - 1 - phase) // dimension + 1)
+        ready = max(min(limit, high) - low, 0)
+        return [phase + k * dimension for k in range(low, low + ready)], max(high - low - ready, 0)
 
-    def _new_window_starts(self) -> list[int]:
-        """Output-window starts past the emission frontier, in order.
+    @property
+    def planned_coverage(self) -> IntervalSet:
+        """The sink windows the last planned tick found covered, from the
+        first window past the frontier it planned from on, as intervals of
+        whole windows on the sink grid.
 
-        :meth:`_refresh_coverage` has propagated coverage from the frontier
-        on only, and the sink coverage is clipped to the frontier before
-        windows are enumerated, so per-tick planning cost is proportional
-        to the *new* coverage, not to the stream's age — a session alive
-        for weeks pays the same per tick as one opened a second ago.
+        A superset of the lineage coverage there, exact enough to plan on:
+        a sharing group publishes it to its tails as the prefix output's
+        coverage (:mod:`repro.serve.subplan`).
         """
-        sink = self._plan.sink
-        dimension = sink.dimension
-        if self._targeted:
-            coverage = sink.coverage
-        else:
-            coverage = (
-                IntervalSet.empty() if self._span is None else IntervalSet.single(*self._span)
-            )
-        if self._last_start is not None and coverage:
-            end = coverage.span()[1]
-            # Windows at starts > frontier lie entirely past frontier + dim
-            # (starts sit on the dimension grid), so clipping there drops all
-            # already-executed coverage without losing any new window.
-            if end <= self._last_start + dimension:
-                return []
-            coverage = coverage.clip(self._last_start + dimension, end)
-        starts = coverage.iter_windows(dimension, sink.descriptor.offset)
-        if self._last_start is None:
-            return list(starts)
-        return [s for s in starts if s > self._last_start]
-
-    def _window_ready(self, start: int, tables: dict) -> bool:
-        """True when every replayed source's watermark covers the full input
-        span the output window starting at *start* would read."""
-        syncs = self._input_syncs(tables, start)
-        return all(
-            syncs[index] + node.dimension <= node.source.watermark
-            for index, node in self._replay_slots
-        )
+        if self._planned is None:
+            return IntervalSet.empty()
+        start, covered, row, first, stop = self._planned
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], covered[row, first:stop], [0])).astype(np.int8)))
+        bounds = (start + edges * self._plan.sink.dimension).tolist()
+        return IntervalSet.from_normalized(tuple(zip(bounds[::2], bounds[1::2])))
 
     # -- results -----------------------------------------------------------
 
@@ -865,48 +803,172 @@ class StreamingSession:
 def tick_batch(batch) -> list[TickStats]:
     """Tick a batch of ``(session, watermark or None)`` pairs, in order.
 
-    Every session is planned first (advanced to its watermark, or polled
-    with None), then sessions cloned from one plan-cache template with
-    exactly one ready window execute together as a
-    cohort (one block of the template's
-    :class:`~repro.core.runtime.vectorized.BlockExecutor`), and
+    Every session is advanced to its watermark (or just polled, with None)
+    first; then the sessions cloned from one plan-cache template are
+    planned together as one block (:func:`_plan_block`), the ones with
+    exactly one ready window execute together as a cohort (one block of the
+    template's :class:`~repro.core.runtime.vectorized.BlockExecutor`), and
     finally every session's :meth:`~StreamingSession.poll` commits its tick
     — executing it first when it ran in no cohort.  Results are
     bit-identical to ticking each session alone, and each session still
     reports exactly one tick.
 
-    A planning error (a watermark regression, say) at member *k* ticks the
+    An error advancing member *k* (a watermark regression, say) ticks the
     members before it, leaves the later ones untouched and then raises.  An
     error while executing the cohorts commits the members of cohorts that
     completed and raises; the members of the cohort that failed are left
     as a session whose own tick failed (:meth:`StreamingSession._break_on`).
     """
-    prepared: list[StreamingSession] = []
-    # Sync tables shared by the batch's clones of one template (see
-    # StreamingSession._input_syncs); they do not outlive the batch.
-    tables: dict = {}
+    sessions: list[StreamingSession] = []
     try:
         for session, watermark in batch:
-            session._prepare(watermark, tables)
-            prepared.append(session)
+            if watermark is None:
+                session._require_open()
+            else:
+                session._advance_sources(watermark)
+            sessions.append(session)
     except BaseException:
-        for session in prepared:
+        for session in sessions:
             session.poll()
         raise
+    # A session listed twice is planned once; its second poll plans afresh.
+    _plan_ticks(list(dict.fromkeys(sessions)), drain=False)
     try:
-        _execute_cohorts(prepared)
+        _execute_cohorts(sessions)
     except BaseException:
         # Members of cohorts that completed commit their tick (their carries
         # already moved on); the others plan afresh on their next tick, or
         # refuse it when their failed cohort may have moved carries.
-        for session in prepared:
+        for session in sessions:
             tick = session._pending
             if tick is not None and tick.chunks is not None:
                 session.poll()
             else:
                 session._pending = None
         raise
-    return [session.poll() for session in prepared]
+    return [session.poll() for session in sessions]
+
+
+def _plan_ticks(sessions: list[StreamingSession], drain: bool) -> None:
+    """Plan the next tick of each of *sessions* (each listed once): one
+    block per plan shape, so a lone tick is a block of one row."""
+    blocks: dict = {}
+    for session in sessions:
+        blocks.setdefault(session._program, []).append(session)
+    for program, members in blocks.items():
+        _plan_block(program, members, drain)
+
+
+def _plan_block(program, members: list[StreamingSession], drain: bool) -> None:
+    """Plan one tick of every session of *members*, clones of *program*'s
+    plan shape, as one boolean block on the sink's window grid (window
+    ``k`` starts at ``phase + k * dimension``).
+
+    A member's candidates run from the window past its frontier (before any
+    window ran: from where its sources' data begins) to where that data,
+    spread by the program, can reach; its block columns start
+    :attr:`~repro.core.compiler.lineage.CoverageProgram.spread` windows
+    earlier, so marks spreading from there count.  It runs its marked
+    windows (an eager member: every window of its span) up to the first
+    one whose input some watermark has not passed, all of them when
+    *drain*.
+    """
+    began = time.perf_counter()
+    dimension, phase, spread = program.dimension, program.phase, program.spread
+    sources = program.sources
+    # One coverage lookup per member and source, from the member's first
+    # block column on; the member's candidates, in windows.
+    found = []
+    lows: list = []
+    highs: list = []
+    for session in members:
+        if session._last_start is None:
+            first = None
+            covers = [source.coverage().intervals for source in session._row_sources]
+        else:
+            first = (session._last_start - phase) // dimension + 1
+            since = phase + (first - spread) * dimension
+            covers = [
+                source.coverage(since + offset).intervals
+                for source, (_, offset, _) in zip(session._row_sources, sources)
+            ]
+        low = high = begin = end = None
+        for intervals in covers:
+            if intervals:
+                if begin is None or intervals[0][0] < begin:
+                    begin = intervals[0][0]
+                if end is None or intervals[-1][1] > end:
+                    end = intervals[-1][1]
+        if begin is not None:
+            session._widen_span(begin, end)
+            # From the first window some source read meets the data in, less
+            # the windows marks can move earlier, to the last, plus those
+            # they can move later.
+            low = (begin - program.read_end - phase) // dimension + 1 - program.early
+            high = (end - 1 - program.read_start - phase) // dimension + 1 + spread
+        if not session._targeted and session._span is not None:
+            begin, end = session._span
+            here, there = (begin - phase) // dimension, (end - 1 - phase) // dimension + 1
+            low = here if low is None else min(low, here)
+            high = there if high is None else max(high, there)
+        if first is not None:
+            low = first
+        if high is None or high <= low:
+            low = high = 0
+        found.append(covers)
+        lows.append(low)
+        highs.append(high)
+    columns = max(high - low for low, high in zip(lows, highs)) + spread
+    # A source's row: every window whose read meets one of its intervals.
+    source_rows = []
+    for index, (_, offset, width) in enumerate(sources):
+        cells: list[int] = []
+        for row, (covers, low, high) in enumerate(zip(found, lows, highs)):
+            if high == low:
+                continue
+            # The flat index of window k of this member's row.
+            base = row * columns - (low - spread)
+            for begin, end in covers[index]:
+                here = (begin - width - offset - phase) // dimension + 1
+                there = (end - 1 - offset - phase) // dimension + 1
+                cells.extend(range(base + here, base + there))
+        block = np.zeros((len(members), columns), dtype=bool)
+        block.flat[cells] = True
+        source_rows.append(block)
+    covered, scheduled = program.rows(source_rows)
+    # Each member runs its marked windows up to its last ready one; the
+    # marked windows past that are deferred.
+    which, at = np.nonzero(scheduled)
+    which, at = which.tolist(), at.tolist()
+    stop = 0
+    for row, (session, low, high) in enumerate(zip(members, lows, highs)):
+        # This member's marks are at[start:stop], by column.
+        start = stop
+        while stop < len(which) and which[stop] == row:
+            stop += 1
+        # The window after the last whose whole input every replayed
+        # source's watermark has passed.
+        limit = high
+        if not drain:
+            for source, offset in session._readiness:
+                window = (source.watermark - offset - phase) // dimension + 1
+                if window < limit:
+                    limit = window
+        session._planned = (phase + low * dimension, covered, row, spread, spread + high - low)
+        if not session._targeted:
+            planned, deferred = session._eager_windows(low, high, limit)
+        else:
+            # The first `spread` columns lie before the first candidate.
+            start = bisect_left(at, spread, start, stop)
+            ready = bisect_left(at, limit - low + spread, start, stop)
+            planned = [phase + (low - spread + column) * dimension for column in at[start:ready]]
+            deferred = stop - ready
+            if planned:
+                session._widen_span(planned[0], planned[-1] + dimension)
+        session._pending = _Tick(planned, deferred, 0.0)
+    share = (time.perf_counter() - began) / len(members)
+    for session in members:
+        session._pending.plan_seconds = share
 
 
 def _execute_cohorts(sessions: list[StreamingSession]) -> None:

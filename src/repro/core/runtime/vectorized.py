@@ -10,8 +10,8 @@ slots of one contiguous column buffer.
 
 This module lowers window loops onto that observation:
 
-* :func:`runs_for_starts` groups the targeted window starts (those
-  ``IntervalSet.iter_windows`` yields for the sink's coverage) into maximal
+* :func:`runs_for_starts` groups the window starts a session tick planned
+  (:meth:`~repro.core.compiler.lineage.CoverageProgram.rows`) into maximal
   **runs of consecutive windows** — disjoint, and exactly tiling the window
   starts the serial executor would visit;
 * :class:`BlockExecutor` allocates one contiguous buffer (an FWindow of
@@ -66,6 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.compiler.lineage import coverage_program
 from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.operators.base import Operator
@@ -244,43 +245,6 @@ def plan_vector_info(plan) -> VectorPlanInfo:
 # ---------------------------------------------------------------------------
 
 
-def fill_schedule(sink: PlanNode, start: int) -> list[tuple[PlanNode, int]]:
-    """Every node of the plan under *sink*, inputs first, with its offset
-    from a sink window at *start*.
-
-    Mirrors the serial executor's recursive fill (children before parents,
-    multicast nodes deduplicated like its ``_filled_at`` memo) as a flat
-    replayable list: each node's fill position is ``start + offset``.  With
-    pure-shift time maps (``analyze_plan`` rejects everything else) the
-    offsets depend only on ``start % D``, so one walk serves every window
-    with the same phase.
-    """
-    order: list[tuple[PlanNode, int]] = []
-    positions: dict[int, int] = {}
-
-    def visit(node: PlanNode, node_start: int) -> None:
-        key = id(node)
-        if key in positions:
-            if positions[key] != node_start:
-                raise ExecutionError(
-                    f"node {node.name} is multicast at inconsistent "
-                    f"positions {positions[key]} and {node_start}"
-                )
-            return
-        positions[key] = node_start
-        if isinstance(node, OperatorNode):
-            operator = node.operator
-            for index, upstream in enumerate(node.inputs):
-                visit(
-                    upstream,
-                    operator.input_sync_time(node_start, index, upstream.descriptor),
-                )
-        order.append((node, node_start - start))
-
-    visit(sink, start)
-    return order
-
-
 #: How :class:`BlockExecutor` runs a node: read its source, one
 #: ``compute_run`` over the whole block, or one per segment.
 SOURCE, STACKED, SEGMENT = "source", "stacked", "segment"
@@ -355,12 +319,19 @@ class BlockExecutor:
         #: The sink grid's phase: every block start is ``_phase`` modulo D.
         self._phase = template.sink.descriptor.offset % self._dimension
         #: ``(topological index, offset, mode, operator)`` per node in fill
-        #: order (the offsets depend only on the phase).
+        #: order (inputs first), the offset from the block's sink window at
+        #: which that node fills: where the template's coverage program
+        #: reads it (with pure-shift time maps it depends only on the phase).
         self._schedule: list[tuple] = []
-        for node, offset in fill_schedule(template.sink, self._phase):
-            index = self._position[id(node)]
+        program = coverage_program(template)
+        for index, (node, reads) in enumerate(zip(self._nodes, program.reads)):
+            if len(reads) > 1:
+                raise ExecutionError(
+                    f"node {node.name} is multicast at inconsistent positions "
+                    f"{sorted(reads)} from the sink window; it can only run serially"
+                )
             operator = getattr(node, "operator", None)
-            self._schedule.append((index, offset, self._modes[index], operator))
+            self._schedule.append((index, reads[0], self._modes[index], operator))
 
     def reserve(self, rows: int) -> None:
         """Size the buffers for blocks of up to *rows* windows."""

@@ -99,16 +99,19 @@ class SharedFeedSource(PushSource):
 
     The feed therefore takes both the coverage and the watermark *assigned*
     by the group runtime on every :meth:`publish`: coverage is the prefix
-    sink's propagated lineage coverage, the watermark is the prefix
-    session's ``output_complete_through`` — never further than the prefix
-    output is final.
+    session's covered windows as whole windows of its sink grid
+    (:attr:`~repro.core.runtime.session.StreamingSession.planned_coverage`,
+    a superset of its lineage coverage, so a tail runs at most windows an
+    eager run would), the watermark is the prefix session's
+    ``output_complete_through`` — never further than the prefix output is
+    final.
 
-    The prefix session re-derives its coverage each tick only from its
-    emission frontier on, so what it hands over is exact *past that
-    frontier* and says nothing about the past.  The feed keeps the history
-    itself: every publish splices the exact part onto what it already
-    holds, and a tail whose own frontier lags behind the prefix's still
-    finds its older windows covered.
+    The prefix session plans each tick only from its emission frontier on,
+    so what it hands over is exact *past that frontier* and says nothing
+    about the past.  The feed keeps the history itself: every publish
+    splices the exact part onto what it already holds, and a tail whose own
+    frontier lags behind the prefix's still finds its older windows
+    covered.
     """
 
     def __init__(self, log: ColumnLog) -> None:
@@ -367,25 +370,23 @@ class SharedPrefixGroup:
     def _fan_out(self, exact_from: int | None) -> None:
         """Publish the delta of the prefix's last tick; *exact_from* is the
         prefix's ``output_complete_through`` from before that tick, the point
-        past which the tick re-derived the sink coverage exactly."""
+        past which the tick planned the covered windows afresh."""
         session = self.prefix_session
         total = session.events_emitted
         delta = total - self.published_events
         if delta:
             batch = self.log.validate(*session.recent_events(delta))
             self.log.append(*batch)
-        # The session drives this very plan, and the tick that precedes every
-        # fan-out has just refreshed its lineage coverage.
-        sink = self.prefix_compiled.plan.sink
+        # The tick that precedes every fan-out has just planned the prefix's
+        # covered windows past the frontier it started from.
+        coverage = session.planned_coverage
         complete = session.output_complete_through
-        if session.finished and sink.coverage:
-            # The drain ran every covered window; the whole lineage
-            # coverage is final even past the last full frontier window.
-            complete = max(
-                complete if complete is not None else 0, sink.coverage.span()[1]
-            )
+        if session.finished and coverage:
+            # The drain ran every covered window; the whole coverage is
+            # final even past the last full frontier window.
+            complete = max(complete if complete is not None else 0, coverage.span()[1])
         for feed in self.feeds.values():
-            feed.publish(sink.coverage, complete, exact_from)
+            feed.publish(coverage, complete, exact_from)
         self.published_events = total
 
     def forget(self, client_id: str) -> None:

@@ -1,6 +1,6 @@
 """Shared fixtures for the static-analysis tests.
 
-Defines five deliberately misbehaving operators the analyzers must catch:
+Defines six deliberately misbehaving operators the analyzers must catch:
 
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
@@ -11,6 +11,10 @@ Defines five deliberately misbehaving operators the analyzers must catch:
   analyzer's LS202);
 - :class:`LyingReach` widens coverage 50 ticks to the right while leaving
   ``coverage_reach()`` at its 0 default (the contract analyzer's LS208);
+- :class:`LyingRows` widens coverage 50 ticks to the right and declares
+  that reach, but its ``coverage_rows`` marks only the windows its input is
+  marked in, never the window the widening spills into (the contract
+  analyzer's LS210);
 - :class:`LyingRunKernel` interpolates inside each window in ``compute``
   but runs one ``np.interp`` over the whole run in ``compute_run``, ignoring
   window edges (the contract analyzer's LS202);
@@ -83,6 +87,31 @@ class LyingReach(Operator):
 
     def propagate_coverage(self, coverages):
         return coverages[0].dilate(0, 50)
+
+    def compute(self, output, inputs, state):
+        source = inputs[0]
+        source.trace_read()
+        output.values[:] = source.values
+        output.durations[:] = source.durations
+        output.bitvector[:] = source.bitvector
+        output.trace_write()
+
+
+class LyingRows(Operator):
+    """Copies its input and claims the 50 ticks after every data stretch,
+    with the reach declared, but marks no window past its input's: a tick
+    would never run the window that coverage spills into."""
+
+    name = "LyingRows"
+
+    def propagate_coverage(self, coverages):
+        return coverages[0].dilate(0, 50)
+
+    def coverage_reach(self) -> int:
+        return 50
+
+    def coverage_rows(self, rows, dimension):
+        return rows[0]
 
     def compute(self, output, inputs, state):
         source = inputs[0]

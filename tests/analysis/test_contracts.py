@@ -10,7 +10,13 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.diagnostics import has_errors
 
-from tests.analysis.conftest import LyingReach, LyingRunKernel, LyingSlotTimes, LyingTail
+from tests.analysis.conftest import (
+    LyingReach,
+    LyingRows,
+    LyingRunKernel,
+    LyingSlotTimes,
+    LyingTail,
+)
 
 
 class TestBuiltinRegistry:
@@ -94,3 +100,16 @@ class TestLyingOperatorIsCaught:
         assert not [
             d for d in diagnostics if d.severity == "error" and d.code != "LS208"
         ], [d.render() for d in diagnostics]
+
+    def test_under_marking_coverage_rows_detected(self):
+        # The reach is declared (LS208 passes); only the row rule lies.
+        case = OperatorCase(
+            name="LyingRows",
+            operator_cls=LyingRows,
+            build=_apply(lambda q: q._apply(LyingRows())),
+        )
+        diagnostics = check_operator_case(case)
+        assert [d.code for d in diagnostics] == ["LS210"], [d.render() for d in diagnostics]
+        assert diagnostics[0].severity == "error"
+        assert diagnostics[0].anchor == "LyingRows"
+        assert "coverage_rows" in diagnostics[0].message

@@ -44,6 +44,7 @@ class TestCodeStability:
             "LS207",
             "LS208",
             "LS209",
+            "LS210",
             "LS301",
             "LS302",
             "LS303",

@@ -292,6 +292,21 @@ class TestExecutionModeHonesty:
         )
         _assert_identical(reference, result, "partial fallback parity")
 
+    def test_partial_fallback_names_the_window_loop_node(self):
+        query = Query.source("s", frequency_hz=500).multicast(
+            lambda s: s.select(lambda v: v * 2).clip_join(
+                s.where(lambda v: v > 0), lambda a, b: a + b
+            )
+        )
+        engine = LifeStreamEngine(window_size=1000, backend=VectorizedBackend())
+        compiled = engine.compile(query, {"s": _gappy_source()})
+        (clip,) = [n for n in compiled.plan.nodes if getattr(n, "operator", None) is not None
+                   and n.operator.name == "ClipJoin"]
+        result = compiled.run()
+        assert result.stats.execution_mode == "vectorized+serial-fallback"
+        assert clip.name in result.stats.fallback_reason
+        assert "ClipJoin" in result.stats.fallback_reason
+
     def test_vectorized_worthless_plan_reports_serial(self):
         # Every operator refuses to lower: run execution would be pure
         # overhead, so the backend runs (and reports) serial.

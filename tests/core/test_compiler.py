@@ -136,6 +136,21 @@ class TestLineageAndCoverage:
         plan = compile_plan(query, {"a": left, "b": right}, window_size=500)
         assert plan.output_coverage == IntervalSet([(1000, 2000)])
 
+    def test_clone_propagates_coverage_only_when_explained(self):
+        # Clones plan their ticks on window rows: instantiate propagates
+        # nothing, and explain() derives the clone's own coverage on demand.
+        query = Query.source("a", frequency_hz=500).join(Query.source("b", frequency_hz=500))
+        template = compile_plan(
+            query, {"a": make_source(1000, period=2), "b": make_source(1000, period=2)},
+            window_size=500,
+        )
+        clone = template.instantiate(
+            {"a": make_source(1000, period=2), "b": make_source(500, period=2)}
+        )
+        assert clone.output_coverage is None
+        assert "output coverage: 1000 ticks" in clone.explain()
+        assert "output coverage: 2000 ticks" in template.explain()
+
     def test_shift_translates_coverage(self, ramp_500hz):
         query = Query.source("s", frequency_hz=500).shift(500)
         plan = compile_plan(query, {"s": ramp_500hz}, window_size=1000)

@@ -136,7 +136,7 @@ class TestTransformations:
         assert IntervalSet([(6, 17)]).align_to_grid(10, offset=5).intervals == ((5, 25),)
 
     def test_clip(self):
-        assert IntervalSet([(0, 100)]).clip(10, 20).intervals == ((10, 20),)
+        assert IntervalSet([(0, 100)]).window(10, 20).intervals == ((10, 20),)
 
 
 class TestWindowIteration:
@@ -190,14 +190,14 @@ class TestBisectedPrimitives:
         interval_set = IntervalSet(raw)
         reference = interval_set.intersect(IntervalSet([(start, end)]))
         assert interval_set.window(start, end) == reference
-        assert interval_set.clip(start, end) == reference
+        assert interval_set.window(start, end) == reference
 
     @given(_raw_intervals, _points)
     def test_open_ended_windows(self, raw, point):
         interval_set = IntervalSet(raw)
         lo, hi = interval_set.span()
-        assert interval_set.window(point) == interval_set.clip(point, max(hi, point))
-        assert interval_set.window(None, point) == interval_set.clip(min(lo, point), point)
+        assert interval_set.window(point) == interval_set.window(point, max(hi, point))
+        assert interval_set.window(None, point) == interval_set.window(min(lo, point), point)
         assert interval_set.window() == interval_set
 
     @given(_raw_intervals)
@@ -252,7 +252,7 @@ class TestCoverageLog:
             log.extend([(cursor, cursor + length)])
             reference = reference.union(IntervalSet([(cursor, cursor + length)]))
         assert log.window() == reference
-        assert log.window(start, end) == reference.clip(start, end)
+        assert log.window(start, end) == reference.window(start, end)
         assert log.span() == reference.span()
         assert bool(log) == bool(reference)
 

@@ -13,10 +13,13 @@ shorter than, equal to and several times the window, on both backends:
 targeted, eager and the direct count ``np.isin(t - shift, t).sum()`` agree,
 and so do a ``left_join`` against the shifted stream's values.
 
-Two streams are still wrong, and a strict xfail pins it: in
-``a.join(b.shift(600))`` the join skips a window where only ``b`` has data,
-and the shift's carry then pads those ``b`` samples as absent (400 events
-targeted, 700 eager and direct).
+Two streams need more than aging: in ``a.join(b.shift(600))`` the join
+covers no output in a window where only ``b`` has data, and aging would pad
+those ``b`` samples as absent (400 events instead of 700).  Targeted
+planning therefore runs such a window as the shift's warm-up window: an
+earlier window within the shift's reach of a scheduled one, in which its
+input has data.  A sliding aggregate's tail ages the same way over windows
+skipped where its input is absent.
 """
 
 import numpy as np
@@ -98,15 +101,11 @@ def test_shift_join_matches_direct_count(seed, shift, backend):
     np.testing.assert_array_equal(targeted.durations, eager.durations)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="two-stream carry gap: targeted enumeration skips the windows where "
-    "only the shifted stream has data, and the Shift carry pads them as absent",
-)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_two_stream_shift_join_matches_direct_count(backend):
     # ``a`` has data in windows 0 and 2 only, ``b`` everywhere: the join
-    # skips window 1, whose ``b`` samples window 2 reads through the shift.
+    # covers no output in window 1, whose ``b`` samples window 2 reads
+    # through the shift, so window 1 runs as the shift's warm-up window.
     a = np.concatenate([np.arange(0, 1000, 2), np.arange(2000, 3000, 2)]).astype(np.int64)
     b = np.arange(0, 3000, 2, dtype=np.int64)
     query = Query.source("a", frequency_hz=500).join(
@@ -125,3 +124,30 @@ def test_two_stream_shift_join_matches_direct_count(backend):
     assert expected == 700
     assert run(targeted=False) == expected
     assert run(targeted=True) == expected
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_sliding_aggregate_tail_ages_over_a_skipped_gap(backend):
+    # Both streams pause for two windows.  The join covers nothing there, so
+    # targeted skips them; the sliding sum's tail must not carry the samples
+    # from before the pause into the window after it.
+    times = np.arange(0, 8000, 2, dtype=np.int64)
+    times = times[(times < 3000) | (times >= 5000)]
+    query = Query.source("a", frequency_hz=500).join(
+        Query.source("b", frequency_hz=500).sliding_window(500, 100).sum(),
+        lambda now, total: total,
+    )
+    engine = LifeStreamEngine(window_size=1000, backend=BACKENDS[backend]())
+
+    def run(targeted):
+        sources = {
+            "a": ArraySource(times, np.ones(times.size), period=2),
+            "b": ArraySource(times, np.ones(times.size), period=2),
+        }
+        return engine.run(query, sources, targeted=targeted)
+
+    targeted, eager = run(True), run(False)
+    np.testing.assert_array_equal(targeted.times, eager.times)
+    np.testing.assert_array_equal(targeted.values, eager.values)
+    # The sum at t = 5000 covers input [4600, 5100): the 50 samples from 5000.
+    assert targeted.values[targeted.times == 5000].tolist() == [50.0]

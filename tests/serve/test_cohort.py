@@ -15,9 +15,9 @@ one segment.
 import numpy as np
 import pytest
 
+from repro.core.compiler.lineage import CoverageProgram
 from repro.core.engine import LifeStreamEngine
 from repro.core.operators import Aggregate, FusedElementwise, Shift
-from repro.core.operators.base import Operator
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.runtime.session import tick_batch
@@ -341,14 +341,18 @@ class TestCrossGroupTails:
 
 class TestPlanningOnce:
     def test_clones_at_one_frontier_walk_the_lineage_once(self, monkeypatch):
-        counting = {"on": False, "calls": 0}
-        original = Operator.input_sync_time
+        # A pump plans the clones of one template as one block: one walk of
+        # the coverage program, one row per member.
+        counting = {"on": False, "calls": 0, "rows": 0}
+        original = CoverageProgram.rows
 
-        def spy(self, *args):
-            counting["calls"] += counting["on"]
-            return original(self, *args)
+        def spy(self, source_rows):
+            if counting["on"]:
+                counting["calls"] += 1
+                counting["rows"] += source_rows[0].shape[0]
+            return original(self, source_rows)
 
-        monkeypatch.setattr(Operator, "input_sync_time", spy)
+        monkeypatch.setattr(CoverageProgram, "rows", spy)
         calls = {}
         for members in (1, 8):
             clients = {f"c{i}": _arrays("join", seed=50 + i, dense=True) for i in range(members)}
@@ -358,10 +362,11 @@ class TestPlanningOnce:
                 # Warm up: the executors bind their fill schedules once.
                 for pump in range(1, 4):
                     service.pump(WINDOW * pump)
-                counting["on"], counting["calls"] = True, 0
+                counting.update(on=True, calls=0, rows=0)
                 report = service.pump(WINDOW * 4)
                 counting["on"] = False
                 calls[members] = counting["calls"]
+                assert counting["rows"] == members
                 assert {t.windows_run for t in report.ticks.values()} == {1}
                 assert {t.cohort_size for t in report.ticks.values()} == {members}
                 for pump in PUMPS[4:]:
@@ -372,8 +377,7 @@ class TestPlanningOnce:
             for client_id, arrays in clients.items():
                 expected = _alone(_two_stream_join(), arrays, watermarks)
                 _assert_identical(expected, results[client_id], client_id)
-        assert calls[1] > 0
-        assert calls[8] == calls[1]
+        assert calls[1] == calls[8] == 1
 
 
 def _counting(monkeypatch, cls, calls):
