@@ -80,7 +80,9 @@ def test_modelled_scaling_curve(benchmark, report_registry, single_worker_throug
 
 
 def test_paper_claims_hold_on_modelled_curves(benchmark, report_registry, single_worker_throughputs):
-    """LifeStream peaks above both baselines; Trill fails beyond 12 workers."""
+    """The model's own shape, not measured times: LifeStream gains the most
+    over its single worker, Trill fails only beyond 12 workers, and NumLib
+    saturates at 24.  The measured peak ratio is a report note."""
 
     def run():
         curves = {
@@ -92,13 +94,20 @@ def test_paper_claims_hold_on_modelled_curves(benchmark, report_registry, single
         return curves
 
     _, curves = timed_benchmark(benchmark, run)
-    assert curves["lifestream"].peak_throughput() > curves["trill"].peak_throughput()
-    assert curves["lifestream"].peak_throughput() > curves["numlib"].peak_throughput()
+    gain = {
+        engine: curve.peak_throughput() / single_worker_throughputs[engine]
+        for engine, curve in curves.items()
+    }
+    assert gain["lifestream"] > gain["trill"]
+    assert gain["lifestream"] > gain["numlib"]
     trill_failures = [p.workers for p in curves["trill"].points if p.failed]
     assert trill_failures and min(trill_failures) > 12
+    numlib = {p.workers: p.throughput_events_per_second for p in curves["numlib"].points}
+    assert numlib[16] < numlib[24] == numlib[32] == numlib[48]
     report = _report(report_registry)
     report.note(
         "LifeStream peak / Trill peak = "
-        f"{curves['lifestream'].peak_throughput() / curves['trill'].peak_throughput():.2f}x; "
-        "Trill OOMs beyond 12 workers; NumLib saturates at 24."
+        f"{curves['lifestream'].peak_throughput() / curves['trill'].peak_throughput():.2f}x "
+        "(measured single-worker throughputs); Trill OOMs beyond 12 workers; "
+        "NumLib saturates at 24."
     )

@@ -217,9 +217,15 @@ class LifeStreamEngine:
         if self.plan_cache is None:
             return None
         # Imported here: repro.serve sits above the engine in the layering.
-        from repro.serve.cache import has_bound_sources, plan_signature
+        from repro.serve.cache import plan_signature
 
-        if has_bound_sources(query):
+        key = plan_signature(
+            query,
+            sources=sources,
+            window_size=self.window_size,
+            optimization_level=self.optimization_level,
+        )
+        if key is None:
             return None
         # A cache hit skips build_plan, so its missing-source check (and its
         # error) must be replicated for clients that forgot a stream.
@@ -229,12 +235,6 @@ class LifeStreamEngine:
                 f"query references source {sorted(missing)[0]!r} but no such "
                 f"source was provided (available: {sorted(sources or {})})"
             )
-        key = plan_signature(
-            query,
-            sources=sources,
-            window_size=self.window_size,
-            optimization_level=self.optimization_level,
-        )
         return self.plan_cache.get_or_compile(
             key,
             lambda: compile_plan(

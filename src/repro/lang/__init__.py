@@ -15,8 +15,8 @@ operators with ``|>``, and names one sink — the query root::
     sink joined = join(ecg_clean, abp_norm, combine=sub);
 
 :func:`compile_text` parses and resolves a program into the same query spec
-DAG the Python builders produce — verified by
-:func:`~repro.serve.cache.plan_signature` equality, so the serving layer's
+DAG the Python builders produce — verified by equal spec digests
+(:func:`~repro.serve.cache.plan_signature`), so the serving layer's
 :class:`~repro.serve.cache.PlanCache` shares compiled templates across the
 two authoring paths.  All parse/resolve failures are
 :class:`~repro.analysis.diagnostics.Diagnostic` findings (stable ``LS4xx``

@@ -5,7 +5,7 @@ combiners (``sub``) and element-wise functions (``scale(2.0)``).  The
 registries map those names onto *the same module-level factory objects the
 Python builders use* — :mod:`repro.ops.kernels`, :mod:`repro.ops.combine`,
 :mod:`repro.data.artifacts` — so a resolved query's callables fingerprint
-identically to builder-made ones and
+identically to builder-made ones, every node digests the same and
 :func:`~repro.serve.cache.plan_signature` equality holds across the two
 authoring paths (the :class:`~repro.serve.cache.PlanCache` then shares one
 compiled template between them).

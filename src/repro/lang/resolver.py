@@ -3,8 +3,8 @@
 Resolution turns a parsed :class:`~repro.lang.ast.Program` into exactly the
 :class:`~repro.core.query.Query` the Python builders would construct —
 same operator classes, same constructor arguments, same callables (via the
-shared registries) — so :func:`~repro.serve.cache.plan_signature` equality
-holds between the two authoring paths.
+shared registries) — so both authoring paths give every node the same
+digest and the same :func:`~repro.serve.cache.plan_signature`.
 
 Like the parser, the resolver is total: unknown names become ``LS403``,
 argument mistakes (including values the operator constructors reject)

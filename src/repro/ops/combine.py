@@ -3,8 +3,8 @@
 Joins take a ``combine(left, right)`` callable.  Inline lambdas work, but
 every lambda is a distinct code object compiled at a distinct site, so two
 authoring paths building "the same" join (the Python builders and the LSQL
-front-end) would produce plans with different
-:func:`~repro.serve.cache.plan_signature`\\ s and the
+front-end) would produce specs with different digests, so different
+:func:`~repro.serve.cache.plan_signature`\\ s, and the
 :class:`~repro.serve.cache.PlanCache` could never share them.  Referencing
 one of these module-level functions from both paths makes the fingerprints
 trivially identical — the LSQL resolver maps the combiner names of the

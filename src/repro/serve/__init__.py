@@ -22,9 +22,9 @@ from repro.serve.cache import (
     PlanCacheStats,
     fingerprint_operator,
     fingerprint_value,
-    has_bound_sources,
     plan_signature,
     signature_digest,
+    spec_digests,
 )
 from repro.serve.service import ClientRecord, ServicePumpReport, StreamingService
 from repro.serve.subplan import (
@@ -32,7 +32,6 @@ from repro.serve.subplan import (
     SharedPrefixGroup,
     SharedPrefixPlan,
     plan_sharing,
-    prefix_fingerprints,
     rewrite_tail,
 )
 
@@ -43,7 +42,7 @@ __all__ = [
     "signature_digest",
     "fingerprint_operator",
     "fingerprint_value",
-    "has_bound_sources",
+    "spec_digests",
     "StreamingService",
     "ServicePumpReport",
     "ClientRecord",
@@ -51,6 +50,5 @@ __all__ = [
     "SharedPrefixGroup",
     "SharedPrefixPlan",
     "plan_sharing",
-    "prefix_fingerprints",
     "rewrite_tail",
 ]

@@ -15,18 +15,30 @@ Queries hold user callables (selections, predicates, custom aggregates), so
 structural equality cannot rely on object identity: two clients typically
 rebuild the same query from the same template function, producing distinct
 lambda objects with identical code.  Callables are therefore fingerprinted
-by their code object, closure values and defaults — equal code compiles to
-equal plans.  Anything that cannot be fingerprinted stably degrades to a
-conservative cache miss, never to a false hit.
+by their code object (and the code nested in it), closure values, defaults
+and the globals they name — equal code compiles to equal plans.  Anything
+that cannot be fingerprinted stably degrades to a conservative cache miss,
+never to a false hit.
+
+One walk, :func:`spec_digests`, gives every node of a spec DAG its SHA-256
+digests: the plan cache keys on the digest of the whole normalized DAG
+(:func:`plan_signature`), and sub-plan sharing (:mod:`repro.serve.subplan`)
+groups tenants by per-node digests that also cover the source objects read,
+and names feeds by the structure digests.  Keys compare full digests; a
+16-hex prefix only names a feed, a group or a log line.  The walk runs on
+every open and every sharing pass, never once per query: a closure or
+global changed after the query was built must change the key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import threading
 import types
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -41,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compiler import CompiledPlan
 
 #: Signature format identifier (bump when the key layout changes).
-SIGNATURE_FORMAT = "lifestream-plan-signature/v1"
+SIGNATURE_FORMAT = "lifestream-plan-signature/v2"
 
 
 def _fingerprint_callable(fn, seen: frozenset) -> tuple:
@@ -52,8 +64,9 @@ def _fingerprint_callable(fn, seen: frozenset) -> tuple:
     vs ``Scaler(5).apply``) or through module globals (``lambda v: v * GAIN``
     under two values of ``GAIN``).  The fingerprint therefore also covers
     the bound ``__self__``, the closure cells, the defaults and the values
-    of every global the code references — and anything unfingerprintable in
-    those degrades to identity, i.e. a conservative miss.
+    of every global the code or its nested code references — and anything
+    unfingerprintable in those degrades to identity, i.e. a conservative
+    miss.
     """
     bound = getattr(fn, "__self__", None)
     inner = getattr(fn, "__func__", fn)
@@ -64,7 +77,7 @@ def _fingerprint_callable(fn, seen: frozenset) -> tuple:
         # builtin (e.g. rng.random) still carries its receiver's state.
         name = getattr(fn, "__qualname__", None)
         if name and bound is None:
-            return ("builtin", getattr(fn, "__module__", None), name)
+            return ("builtin", str(getattr(fn, "__module__", None)), str(name))
         # Only identity is trustworthy: two clients' distinct callables
         # then never collide (conservative miss).
         return ("opaque-callable", id(fn))
@@ -77,18 +90,29 @@ def _fingerprint_callable(fn, seen: frozenset) -> tuple:
         _fingerprint(cell.cell_contents, seen) for cell in (inner.__closure__ or ())
     )
     defaults = tuple(_fingerprint(value, seen) for value in (inner.__defaults__ or ()))
-    # Values of the globals the code actually names (modules and other
-    # unfingerprintable objects key on identity, which is stable within a
-    # process, so e.g. `np` never causes a spurious miss).
+    # Values of the globals the code and its nested code objects name
+    # (modules and other unfingerprintable objects key on identity, which
+    # is stable within a process, so e.g. `np` never causes a spurious miss).
     fn_globals = getattr(inner, "__globals__", {})
     globals_used = tuple(
         (name, _fingerprint(fn_globals[name], seen))
-        for name in code.co_names
+        for name in _global_names(code)
         if name in fn_globals
     )
     receiver = () if bound is None else (_fingerprint(bound, seen),)
     return ("code", code.co_code, _fingerprint(code.co_consts, seen), code.co_names,
             closure, defaults, globals_used, receiver)
+
+
+def _global_names(code: types.CodeType) -> dict[str, None]:
+    """Names *code* may look up as globals, with those of every code object
+    nested in it (generator expressions, inner lambdas, comprehensions
+    before Python 3.12), which share the outer function's globals."""
+    names = dict.fromkeys(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names.update(_global_names(const))
+    return names
 
 
 def fingerprint_operator(operator: Operator) -> tuple:
@@ -110,21 +134,30 @@ def fingerprint_operator(operator: Operator) -> tuple:
 
 
 def fingerprint_value(value) -> object:
-    """Hashable, structure-preserving fingerprint of an arbitrary value."""
+    """Structure-preserving fingerprint of an arbitrary value: nested
+    tuples of ``None`` and builtin scalars, which :func:`_encode` writes."""
     return _fingerprint(value, frozenset())
 
 
 def _fingerprint(value, seen: frozenset) -> object:
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+    if value is None or type(value) in (bool, int, float, str, bytes):
         return value
+    # An instance of a subclass (IntEnum, np.float64) keys as its builtin
+    # value, taken by the builtin's own conversion, which it cannot override.
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
     if isinstance(value, np.ndarray):
         return ("ndarray", value.shape, str(value.dtype), value.tobytes())
     if isinstance(value, np.generic):
-        return ("npscalar", str(value.dtype), value.item())
+        return ("npscalar", str(value.dtype), _fingerprint(value.item(), seen))
     if isinstance(value, types.CodeType):
-        return ("co", value.co_code, _fingerprint(value.co_consts, seen))
+        return ("co", value.co_code, value.co_names, _fingerprint(value.co_consts, seen))
     if isinstance(value, StreamDescriptor):
-        return ("descriptor", value.offset, value.period)
+        return ("descriptor", int(value.offset), int(value.period))
     if isinstance(value, Operator):
         return fingerprint_operator(value)
     if isinstance(value, (tuple, list)):
@@ -143,25 +176,108 @@ def _fingerprint(value, seen: frozenset) -> object:
     return ("opaque", type(value).__qualname__, id(value))
 
 
-def has_bound_sources(query: Query) -> bool:
-    """True when any source of *query* is bound to a concrete object.
+def _encode(value) -> bytes:
+    """The one serializer of fingerprints and keys: ``marshal`` format 2
+    tags every value with its type and strings with their length (so
+    ``("ab", "c")`` and ``("a", "bc")`` differ), and is the last format
+    without back-references or interned-string flags, so equal values encode
+    equally in any object layout and process."""
+    return marshal.dumps(value, 2)
 
-    Bound sources (``Query.from_source``) bake client data into the query
-    itself under an auto-generated node name, so a cached template could not
-    be rebound to another client's stream; such queries bypass the plan
-    cache and compile directly.
+
+@dataclass
+class SpecDigests:
+    """What one walk over a spec DAG reports.  The per-node maps (keyed by
+    ``id(spec)``) are derived from the walk's heads on first use, so a
+    plan-cache lookup, which needs only :attr:`dag`, does not pay for them.
     """
-    seen: set[int] = set()
 
-    def walk(spec: QuerySpec) -> bool:
-        if id(spec) in seen:
-            return False
-        seen.add(id(spec))
-        if spec.kind == "source" and spec.bound_source is not None:
-            return True
-        return any(walk(child) for child in spec.inputs)
+    #: Every node once, inputs before their consumers.
+    postorder: list[QuerySpec]
+    #: Per node in postorder: its kind and its source name and grid or its
+    #: operator's fingerprint.
+    heads: list[tuple]
+    #: Per node in postorder: its inputs' positions in :attr:`postorder`.
+    inputs: list[tuple[int, ...]]
+    #: Per node in postorder: the identity of the stream object a source
+    #: node reads (empty for operator nodes).
+    reads: list[bytes]
+    #: The SHA-256 of the whole DAG as the compiler builds it: every node's
+    #: head with its inputs' positions, so a node shared by reference and
+    #: two equal copies of it (two plan nodes) differ.
+    dag: bytes = b""
+    #: True when a source is bound to a concrete object
+    #: (``Query.from_source``).
+    bound: bool = False
 
-    return walk(query.spec)
+    @cached_property
+    def structure(self) -> dict[int, bytes]:
+        """Per node: SHA-256 of its encoded head and inputs' digests."""
+        return self._merkle(with_reads=False)
+
+    @cached_property
+    def identity(self) -> dict[int, bytes]:
+        """:attr:`structure`, with each source keyed also by the stream
+        object it reads: the sharing-group key."""
+        return self._merkle(with_reads=True)
+
+    @cached_property
+    def operator_counts(self) -> dict[int, int]:
+        """Operator nodes in each node's sub-DAG."""
+        counts: list[int] = []
+        for spec, inputs in zip(self.postorder, self.inputs):
+            counts.append((spec.kind == "operator") + sum(counts[i] for i in inputs))
+        return {id(spec): count for spec, count in zip(self.postorder, counts)}
+
+    def _merkle(self, with_reads: bool) -> dict[int, bytes]:
+        digests: list[bytes] = []
+        for head, inputs, reads in zip(self.heads, self.inputs, self.reads):
+            below = b"".join([digests[i] for i in inputs])
+            encoded = _encode(head) + (reads if with_reads else b"") + below
+            digests.append(hashlib.sha256(encoded).digest())
+        return {id(spec): digest for spec, digest in zip(self.postorder, digests)}
+
+
+def spec_digests(query: Query, sources: dict[str, StreamSource] | None = None) -> SpecDigests:
+    """Walk *query*'s spec DAG once, fingerprinting every node once.
+
+    A node's digests cover its kind, its source name and grid or its
+    operator's fingerprint, and its inputs' digests, as :func:`_encode`
+    writes them.  A source's grid is its stream's descriptor (bound, else
+    ``sources[name]``), else the declared one.  Callables are fingerprinted
+    as they are *now*: a closure or global changed since the query was
+    built changes the digests.
+    """
+    sources = sources or {}
+    found = SpecDigests([], [], [], [])
+    position: dict[int, int] = {}
+
+    def visit(spec: QuerySpec) -> int:
+        known = position.get(id(spec))
+        if known is not None:
+            return known
+        if spec.kind == "source":
+            source = spec.bound_source or sources.get(spec.source_name)
+            descriptor = (
+                source.descriptor if source is not None else spec.declared_descriptor
+            )
+            head = ("source", spec.source_name, fingerprint_value(descriptor))
+            inputs = ()
+            found.reads.append(b"unbound" if source is None else b"bound:%d" % id(source))
+            found.bound = found.bound or spec.bound_source is not None
+        else:
+            inputs = tuple(visit(child) for child in spec.inputs)
+            head = ("operator", fingerprint_operator(spec.operator))
+            found.reads.append(b"")
+        position[id(spec)] = len(found.postorder)
+        found.postorder.append(spec)
+        found.heads.append(head)
+        found.inputs.append(inputs)
+        return position[id(spec)]
+
+    visit(query.spec)
+    found.dag = hashlib.sha256(_encode((found.heads, found.inputs))).digest()
+    return found
 
 
 def plan_signature(
@@ -169,8 +285,8 @@ def plan_signature(
     sources: dict[str, StreamSource] | None = None,
     window_size: int = 0,
     optimization_level: int = 0,
-) -> tuple:
-    """Structural cache key: normalized query spec + grids + compile config.
+) -> tuple | None:
+    """Structural cache key: compile config + the normalized spec's digest.
 
     Two queries produce the same signature exactly when compiling them (at
     the given window size and optimization level, against sources on the
@@ -178,81 +294,26 @@ def plan_signature(
     whenever the optimization level would normalize it during compilation,
     so e.g. ``shift(2).shift(3)`` and ``shift(5)`` share one cache entry at
     the default level but not at level 0.
+
+    None when a source is bound (``Query.from_source``): its data is baked
+    into the query under an auto-generated name, so a template could not be
+    rebound to another client's stream, and such queries compile directly.
     """
-    root = (query.normalized() if optimization_level >= 1 else query).spec
-    sources = sources or {}
-    entries: list[tuple] = []
-    index: dict[int, int] = {}
-
-    def visit(spec: QuerySpec) -> int:
-        existing = index.get(id(spec))
-        if existing is not None:
-            return existing
-        if spec.kind == "source":
-            descriptor = None
-            source = spec.bound_source or sources.get(spec.source_name)
-            if source is not None:
-                descriptor = source.descriptor
-            elif spec.declared_descriptor is not None:
-                descriptor = spec.declared_descriptor
-            entry = (
-                "source",
-                spec.source_name,
-                fingerprint_value(descriptor),
-            )
-        else:
-            inputs = tuple(visit(child) for child in spec.inputs)
-            entry = ("operator", fingerprint_operator(spec.operator), inputs)
-        entries.append(entry)
-        index[id(spec)] = len(entries) - 1
-        return index[id(spec)]
-
-    visit(root)
-    return (SIGNATURE_FORMAT, window_size, optimization_level, tuple(entries))
+    root = query.normalized() if optimization_level >= 1 else query
+    digests = spec_digests(root, sources)
+    if digests.bound:
+        return None
+    return (SIGNATURE_FORMAT, window_size, optimization_level, digests.dag)
 
 
 def signature_digest(signature: tuple) -> str:
-    """Short stable hex digest of a plan signature (or any fingerprint tuple).
-
-    Signatures are deeply nested tuples of primitives — too bulky for log
-    lines, JSON keys or file names.  The digest feeds the structure into
-    SHA-256 with explicit type tags and lengths (so e.g. ``("ab", "c")`` and
-    ``("a", "bc")`` cannot collide) and returns the first 16 hex characters.
-
-    Digests of purely structural signatures are stable across processes;
-    signatures containing an identity-fingerprinted component (opaque
-    callables/objects) are only stable within a process — exactly the cases
-    where the cache itself degrades to conservative misses.
+    """Short hex name of a plan signature (or any value) for log lines,
+    JSON keys and file names: a name, not a key (the cache compares full
+    signatures).  Stable across processes for purely structural values,
+    and within one process for those holding opaque callables or objects,
+    which key on identity.
     """
-    hasher = hashlib.sha256()
-
-    def feed(value) -> None:
-        if value is None:
-            hasher.update(b"N;")
-        elif isinstance(value, bool):
-            hasher.update(b"B1;" if value else b"B0;")
-        elif isinstance(value, int):
-            data = str(value).encode()
-            hasher.update(b"I%d:%s;" % (len(data), data))
-        elif isinstance(value, float):
-            data = repr(value).encode()
-            hasher.update(b"F%d:%s;" % (len(data), data))
-        elif isinstance(value, str):
-            data = value.encode()
-            hasher.update(b"S%d:%s;" % (len(data), data))
-        elif isinstance(value, bytes):
-            hasher.update(b"Y%d:%s;" % (len(value), value))
-        elif isinstance(value, (tuple, list)):
-            hasher.update(b"T%d:" % len(value))
-            for item in value:
-                feed(item)
-            hasher.update(b";")
-        else:
-            data = f"{type(value).__qualname__}:{value!r}".encode()
-            hasher.update(b"O%d:%s;" % (len(data), data))
-
-    feed(signature)
-    return hasher.hexdigest()[:16]
+    return hashlib.sha256(_encode(fingerprint_value(signature))).hexdigest()[:16]
 
 
 @dataclass

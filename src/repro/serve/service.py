@@ -46,14 +46,13 @@ from repro.core.runtime.session import StreamingSession, TickStats, tick_batch
 from repro.core.sources import ColumnLog, ReplaySource
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import ExecutionError
-from repro.serve.cache import PlanCache, PlanCacheStats, signature_digest
+from repro.serve.cache import PlanCache, PlanCacheStats
 from repro.serve.subplan import (
     MIN_GROUP_SIZE,
     SharedFeedSource,
     SharedPrefixGroup,
     SharedPrefixPlan,
     plan_sharing,
-    prefix_fingerprints,
     rewrite_tail,
     tick_prefixes,
 )
@@ -497,9 +496,8 @@ class StreamingService:
             ).spec
             for client_id in plan.members:
                 record = self._clients[client_id]
-                fingerprints, _, _ = prefix_fingerprints(record.query, record.sources)
                 tail_query = rewrite_tail(
-                    record.query, fingerprints, plan.fingerprint, feed_spec
+                    record.query, plan.member_digests[client_id], plan.digest, feed_spec
                 )
                 feed = SharedFeedSource(log)
                 tail_sources = dict(record.sources or {})
@@ -530,8 +528,7 @@ class StreamingService:
                 if name != plan.feed_name and isinstance(source, ReplaySource)
             ]
         return SharedPrefixGroup(
-            group_id=f"shared:{signature_digest(plan.fingerprint)}",
-            fingerprint=plan.fingerprint,
+            group_id=f"shared:{plan.digest.hex()[:16]}",
             feed_name=plan.feed_name,
             prefix_session=prefix_session,
             prefix_compiled=prefix_compiled,

@@ -15,17 +15,18 @@ one log behind the tenant's own watermark.
 
 Correctness rests on two contracts:
 
-* **prefix fingerprints** (:func:`prefix_fingerprints`) — a per-node
-  structural fingerprint built from the same operator/callable
-  fingerprinting as :func:`~repro.serve.cache.plan_signature`, *plus the
-  identity of the bound source objects*.  Equal fingerprints mean the two
-  sub-DAGs compute the same function over the very same input streams, so
-  one execution can stand in for both.  Mere structural equality over
-  *different* source objects is deliberately not enough: those prefixes
-  compute over different data and must keep executing separately.  The
-  synthetic feed a tail reads is named by the structure alone
-  (:func:`feed_name`), so equal tails of different groups still compile to
-  one plan-cache template and tick as one cohort;
+* **identity digests** — the per-node digests of
+  :func:`~repro.serve.cache.spec_digests`, the walk that also keys the
+  plan cache, which cover *the identity of the source objects read*.
+  Equal digests mean the two sub-DAGs compute the same function over the
+  very same input streams, so one execution can stand in for both.  Mere
+  structural equality over *different* source objects is deliberately not
+  enough: those prefixes compute over different data and must keep
+  executing separately.  :func:`plan_sharing` walks each candidate once,
+  and the group rewrite (:func:`rewrite_tail`) reuses that walk.  The
+  synthetic feed a tail reads is named by the structure digest alone, so
+  equal tails of different groups still compile to one plan-cache template
+  and tick as one cohort;
 * **output finality**
   (:attr:`~repro.core.runtime.session.StreamingSession.output_complete_through`)
   — the prefix session's emitted events below its frontier-window end can
@@ -49,7 +50,7 @@ from repro.core.intervals import CoverageLog, IntervalSet
 from repro.core.query import Query, QuerySpec
 from repro.core.runtime.session import TickStats, tick_batch
 from repro.core.sources import ColumnLog, PushSource, ReplaySource, StreamSource
-from repro.serve.cache import fingerprint_operator, fingerprint_value, signature_digest
+from repro.serve.cache import SpecDigests, spec_digests
 
 #: Sharing only pays off when a prefix replaces at least this many member
 #: executions per tick.
@@ -58,25 +59,6 @@ MIN_GROUP_SIZE = 2
 #: Prefix of the synthetic source name the rewritten tails read from.  The
 #: double underscore keeps it out of any plausible user namespace.
 FEED_NAME_PREFIX = "__shared_prefix_"
-
-
-def feed_name(fingerprint: tuple) -> str:
-    """Deterministic synthetic source name for a shared prefix.
-
-    It hashes only the *structure* of the prefix (its fingerprint without
-    the identity of the bound source objects): the same prefix over another
-    group's sources gets the same feed name, so the same tail over either
-    group's feed compiles to one plan-cache template, and the tails of
-    different groups tick together as a cohort.
-    """
-    return FEED_NAME_PREFIX + signature_digest(_structural(fingerprint))
-
-
-def _structural(entry: tuple) -> tuple:
-    """A :func:`prefix_fingerprints` entry without its source identities."""
-    if entry[0] == "source":
-        return entry[:3]
-    return (entry[0], entry[1], tuple(_structural(child) for child in entry[2]))
 
 
 class SharedFeedSource(PushSource):
@@ -152,59 +134,13 @@ class SharedFeedSource(PushSource):
         return self._watermark >= self._assigned.span()[1]
 
 
-def prefix_fingerprints(
-    query: Query, sources: dict[str, StreamSource] | None
-) -> tuple[dict[int, tuple], dict[int, int], list[QuerySpec]]:
-    """Per-node structural prefix fingerprints of *query*'s spec DAG.
-
-    Returns ``(fingerprints, operator_counts, postorder)``, all keyed (or
-    ordered) by spec-node identity.  A node's fingerprint covers its whole
-    sub-DAG: operator fingerprints (via the plan-cache machinery, so user
-    callables compare by code/closure, not identity) plus — unlike
-    :func:`~repro.serve.cache.plan_signature` — the *identity* of each
-    bound source object.  Two equal fingerprints therefore denote the same
-    computation over the same physical streams: the precondition for
-    executing one of them and fanning the output out to both.
-    """
-    sources = sources or {}
-    fingerprints: dict[int, tuple] = {}
-    counts: dict[int, int] = {}
-    postorder: list[QuerySpec] = []
-
-    def visit(spec: QuerySpec) -> tuple:
-        known = fingerprints.get(id(spec))
-        if known is not None:
-            return known
-        if spec.kind == "source":
-            source = spec.bound_source or sources.get(spec.source_name)
-            descriptor = (
-                source.descriptor if source is not None else spec.declared_descriptor
-            )
-            entry = (
-                "source",
-                spec.source_name,
-                fingerprint_value(descriptor),
-                ("bound", id(source)) if source is not None else ("unbound",),
-            )
-            counts[id(spec)] = 0
-        else:
-            inputs = tuple(visit(child) for child in spec.inputs)
-            entry = ("operator", fingerprint_operator(spec.operator), inputs)
-            counts[id(spec)] = 1 + sum(counts[id(child)] for child in spec.inputs)
-        fingerprints[id(spec)] = entry
-        postorder.append(spec)
-        return entry
-
-    visit(query.spec)
-    return fingerprints, counts, postorder
-
-
 @dataclass
 class SharedPrefixPlan:
     """One planned sharing group: which tenants share which prefix."""
 
-    #: Structural fingerprint of the shared prefix sub-DAG.
-    fingerprint: tuple
+    #: Identity digest of the shared prefix sub-DAG (structure plus the
+    #: source objects it reads): the group key.
+    digest: bytes
     #: Synthetic source name the rewritten tails read the prefix output from.
     feed_name: str
     #: A representative spec node of the prefix (any member's copy — they
@@ -214,6 +150,9 @@ class SharedPrefixPlan:
     members: list[str]
     #: Operator nodes the prefix folds away per member execution.
     operator_count: int = 0
+    #: Each member's per-node identity digests from the planning walk, which
+    #: :func:`rewrite_tail` matches against :attr:`digest`.
+    member_digests: dict[str, dict[int, bytes]] = field(default_factory=dict)
 
 
 def plan_sharing(
@@ -228,51 +167,54 @@ def plan_sharing(
     serve per-tenant, and whole-plan duplicates are already deduplicated by
     the plan cache at compile time.
     """
-    per_client: dict[str, tuple[dict[int, tuple], dict[int, int], list[QuerySpec]]] = {}
-    occupants: dict[tuple, list[str]] = {}
-    spec_for: dict[tuple, QuerySpec] = {}
-    size_for: dict[tuple, int] = {}
-    ordered: list[tuple] = []
+    walks: dict[str, SpecDigests] = {}
+    occupants: dict[bytes, list[str]] = {}
+    # First occurrence of each shareable digest, in candidate order:
+    # (spec node, operator count, structure digest).
+    first: dict[bytes, tuple[QuerySpec, int, bytes]] = {}
     for client_id, query, sources in candidates:
-        fingerprints, counts, postorder = prefix_fingerprints(query, sources)
-        per_client[client_id] = (fingerprints, counts, postorder)
-        root = fingerprints[id(query.spec)]
-        seen: set[tuple] = set()
-        for spec in postorder:
-            entry = fingerprints[id(spec)]
+        walk = walks[client_id] = spec_digests(query, sources)
+        root = walk.identity[id(query.spec)]
+        seen: set[bytes] = set()
+        for spec in walk.postorder:
+            digest = walk.identity[id(spec)]
             # Only operator nodes below the root are shareable: a bare
             # source is already shared by object identity, and the root has
-            # no tail.  One vote per client per fingerprint (multicast and
+            # no tail.  One vote per client per digest (multicast and
             # equal-duplicate nodes collapse).
-            if spec.kind != "operator" or entry == root or entry in seen:
+            if spec.kind != "operator" or digest == root or digest in seen:
                 continue
-            seen.add(entry)
-            if entry not in occupants:
-                occupants[entry] = []
-                spec_for[entry] = spec
-                size_for[entry] = counts[id(spec)]
-                ordered.append(entry)
-            occupants[entry].append(client_id)
+            seen.add(digest)
+            if digest not in first:
+                first[digest] = (
+                    spec, walk.operator_counts[id(spec)], walk.structure[id(spec)]
+                )
+                occupants[digest] = []
+            occupants[digest].append(client_id)
 
     # Largest prefix first; insertion order breaks ties deterministically.
-    ranked = sorted(
-        range(len(ordered)), key=lambda i: (-size_for[ordered[i]], i)
-    )
+    ordered = list(first)
+    ranked = sorted(range(len(ordered)), key=lambda i: (-first[ordered[i]][1], i))
     grouped: set[str] = set()
     plans: list[SharedPrefixPlan] = []
     for position in ranked:
-        entry = ordered[position]
-        members = [cid for cid in occupants[entry] if cid not in grouped]
+        digest = ordered[position]
+        members = [cid for cid in occupants[digest] if cid not in grouped]
         if len(members) < MIN_GROUP_SIZE:
             continue
         grouped.update(members)
+        spec, count, structure = first[digest]
         plans.append(
             SharedPrefixPlan(
-                fingerprint=entry,
-                feed_name=feed_name(entry),
-                prefix_spec=spec_for[entry],
+                digest=digest,
+                # Named by structure alone: the same prefix over another
+                # group's sources gets the same name, so equal tails of two
+                # groups are one plan-cache template and tick as a cohort.
+                feed_name=FEED_NAME_PREFIX + structure.hex()[:16],
+                prefix_spec=spec,
                 members=members,
-                operator_count=size_for[entry],
+                operator_count=count,
+                member_digests={cid: walks[cid].identity for cid in members},
             )
         )
     return plans
@@ -280,11 +222,12 @@ def plan_sharing(
 
 def rewrite_tail(
     query: Query,
-    fingerprints: dict[int, tuple],
-    target: tuple,
+    digests: dict[int, bytes],
+    target: bytes,
     feed_spec: QuerySpec,
 ) -> Query:
-    """Rewrite *query* so every node fingerprinting to *target* reads
+    """Rewrite *query* so every node whose identity digest (in *digests*,
+    from :func:`~repro.serve.cache.spec_digests`) is *target* reads
     *feed_spec* instead of recomputing the prefix.
 
     Shared-by-reference nodes (multicast) and equal-but-distinct duplicates
@@ -298,7 +241,7 @@ def rewrite_tail(
         known = memo.get(id(spec))
         if known is not None:
             return known
-        if fingerprints[id(spec)] == target:
+        if digests[id(spec)] == target:
             memo[id(spec)] = feed_spec
             return feed_spec
         if spec.kind == "source":
@@ -328,7 +271,6 @@ class SharedPrefixGroup:
     """
 
     group_id: str
-    fingerprint: tuple
     feed_name: str
     prefix_session: object
     prefix_compiled: object

@@ -10,6 +10,10 @@ multiplexer — it never changes what any single session would have emitted;
 hand-opened session.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,9 +25,9 @@ from repro.errors import CompilationError, ExecutionError, QueryConstructionErro
 from repro.serve import (
     PlanCache,
     StreamingService,
-    has_bound_sources,
     plan_signature,
     signature_digest,
+    spec_digests,
 )
 
 
@@ -200,10 +204,11 @@ class TestPlanSignature:
             high, sources, 1000, 2
         )
 
-    def test_has_bound_sources(self):
-        assert not has_bound_sources(_cohort_query())
+    def test_bound_sources_have_no_signature(self):
+        assert not spec_digests(_cohort_query()).bound
         bound = Query.from_source(_source()).select(lambda v: v)
-        assert has_bound_sources(bound)
+        assert spec_digests(bound).bound
+        assert plan_signature(bound, {}, 1000, 2) is None
 
     def test_signature_digest_is_stable_and_discriminating(self):
         signature = plan_signature(_cohort_query(), {"s": _source()}, 1000, 1)
@@ -336,6 +341,154 @@ class TestEngineCachePlumbing:
         assert not first_windows & second_windows
         # ...but they do share the immutable pass output.
         assert first.plan.memory_plan is second.plan.memory_plan
+
+
+#: Module globals read only by *nested* code (a generator expression, an
+#: inner lambda): the outer function's own code never names them.
+NESTED_A = 2.0
+NESTED_B = 7.0
+
+
+def _genexpr_a(v):
+    return np.fromiter((NESTED_A * x for x in v), float, len(v))
+
+
+def _genexpr_b(v):
+    return np.fromiter((NESTED_B * x for x in v), float, len(v))
+
+
+class TestCallableStateAtOpen:
+    """The key covers what a callable computes *when the query is opened*,
+    not when it was built: state read through closures, globals or nested
+    code must never turn into a false hit."""
+
+    def _engine(self):
+        return LifeStreamEngine(window_size=1000, plan_cache=PlanCache())
+
+    def test_closure_mutated_between_build_and_open_misses(self):
+        def make(box):
+            return Query.source("s", frequency_hz=500).select(lambda v: v * box[0])
+
+        box_a, box_b = [2.0], [2.0]
+        query_a, query_b = make(box_a), make(box_b)
+        box_b[0] = 7.0
+        engine = self._engine()
+        engine.run(query_a, {"s": _source()})
+        result = engine.run(query_b, {"s": _source()})
+        stats = engine.plan_cache.stats
+        assert (stats.hits, stats.misses) == (0, 2)
+        _assert_identical(
+            LifeStreamEngine(window_size=1000).run(make([7.0]), {"s": _source()}),
+            result,
+        )
+
+    def test_global_changed_between_two_opens_misses(self):
+        namespace = {}
+        exec("GAIN = 2.0\ndef scale(v):\n    return v * GAIN\n", namespace)
+        query = Query.source("s", frequency_hz=500).select(namespace["scale"])
+        engine = self._engine()
+        first = engine.run(query, {"s": _source()})
+        namespace["GAIN"] = 5.0
+        second = engine.run(query, {"s": _source()})
+        assert engine.plan_cache.stats.misses == 2
+        np.testing.assert_allclose(second.values, first.values * 2.5)
+
+    @pytest.mark.parametrize(
+        "fns",
+        [
+            (_genexpr_a, _genexpr_b),
+            (lambda v: (lambda: NESTED_A)() * v, lambda v: (lambda: NESTED_B)() * v),
+        ],
+        ids=["generator-expression", "nested-lambda"],
+    )
+    def test_globals_named_by_nested_code_distinguish(self, fns):
+        low, high = (Query.source("s", frequency_hz=500).select(fn) for fn in fns)
+        assert plan_signature(low, {"s": _source()}, 1000, 2) != plan_signature(
+            high, {"s": _source()}, 1000, 2
+        )
+        engine = self._engine()
+        engine.run(low, {"s": _source()})
+        result = engine.run(high, {"s": _source()})
+        assert engine.plan_cache.stats.hits == 0
+        times, values = _signal()
+        keep = np.isin(times, result.times)
+        np.testing.assert_allclose(result.values, values[keep] * NESTED_B)
+
+    @pytest.mark.parametrize(
+        "fns",
+        [
+            (_genexpr_a, _genexpr_b),
+            (lambda v: (lambda: NESTED_A)() * v, lambda v: (lambda: NESTED_B)() * v),
+        ],
+        ids=["generator-expression", "nested-lambda"],
+    )
+    def test_globals_named_by_nested_code_split_sharing_groups(self, fns):
+        def query(i):
+            prefix = Query.source("s", frequency_hz=500).select(fns[i // 2])
+            return prefix.shift(4).aggregate(300 + 100 * (i % 2), func="mean")
+
+        source = ReplaySource(_source())
+        service = StreamingService(window_size=1000, subplan_sharing=True)
+        with service:
+            for i in range(4):
+                service.open(f"c{i}", query(i), {"s": source})
+            service.pump(WATERMARKS[2])
+            service.finish()
+            groups = [group["members"] for group in service.sharing_groups]
+            results = service.results()
+        assert groups == [["c0", "c1"], ["c2", "c3"]]
+        for i in range(4):
+            reference = LifeStreamEngine(window_size=1000).run(query(i), {"s": _source()})
+            _assert_identical(reference, results[f"c{i}"], f"c{i}")
+
+    def test_closure_changed_before_the_sharing_pass_stays_out(self):
+        def make(box):
+            prefix = Query.source("s", frequency_hz=500).select(lambda v: v * box[0])
+            return prefix.where(lambda v: v > -5).tumbling_window(100).mean()
+
+        boxes = [[2.0], [2.0], [2.0]]
+        source = ReplaySource(_source())
+        service = StreamingService(window_size=1000, subplan_sharing=True)
+        with service:
+            for i, box in enumerate(boxes):
+                service.open(f"c{i}", make(box), {"s": source})
+            boxes[2][0] = 7.0
+            service.pump(WATERMARKS[0])
+            assert [group["members"] for group in service.sharing_groups] == [["c0", "c1"]]
+            service.finish()
+
+    def test_digests_are_stable_across_processes(self):
+        # Fresh interpreters under two hash seeds must print the in-process
+        # digests: no builtin hash() or object identity leaks into a key.
+        script = (
+            "import numpy as np\n"
+            "from repro.core.query import Query\n"
+            "from repro.core.sources import ArraySource, ReplaySource\n"
+            "from repro.serve.cache import plan_signature, signature_digest\n"
+            "from repro.serve.subplan import plan_sharing\n"
+            "def queries():\n"
+            "    base = Query.source('s', frequency_hz=500).select(lambda v: v * 2.0 + 1)\n"
+            "    base = base.where(lambda v: v > -0.5).shift(6)\n"
+            "    return [base.tumbling_window(200).mean(), base.aggregate(400, func='max')]\n"
+            "source = ReplaySource(ArraySource(np.arange(50, dtype=np.int64) * 2,"
+            " np.zeros(50), period=2))\n"
+            "first = queries()[0]\n"
+            "signature = signature_digest(plan_signature(first, {'s': source}, 1000, 2))\n"
+            "(plan,) = plan_sharing([(f'c{i}', q, {'s': source})"
+            " for i, q in enumerate(queries())])\n"
+            "print(signature, plan.feed_name)\n"
+        )
+        namespace = {}
+        exec(script.replace("print(", "result = ("), namespace)
+        expected = f"{namespace['signature']} {namespace['plan'].feed_name}"
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+            printed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            ).stdout.strip()
+            assert printed == expected, f"PYTHONHASHSEED={seed}"
 
 
 class TestStreamingService:

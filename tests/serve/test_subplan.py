@@ -15,12 +15,12 @@ from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, ColumnLog, ReplaySource
 from repro.errors import ExecutionError
 from repro.ops import combine
-from repro.serve import StreamingService
+from repro.serve import StreamingService, cache
+from repro.serve.cache import spec_digests
 from repro.serve.subplan import (
     MIN_GROUP_SIZE,
     SharedFeedSource,
     plan_sharing,
-    prefix_fingerprints,
     rewrite_tail,
 )
 
@@ -105,33 +105,39 @@ def _assert_identical(reference, candidate, label):
 # -- unit: fingerprints, planning, rewriting --------------------------------
 
 
-class TestPrefixFingerprints:
-    def test_fingerprints_cover_source_identity(self):
+class TestSpecDigests:
+    def test_identity_digests_cover_source_identity(self):
         same = _shared_replay(seed=7)
         other = _shared_replay(seed=7)  # identical data, different object
         query_a, query_b, query_c = _prefix(), _prefix(), _prefix()
-        fps_a, _, _ = prefix_fingerprints(query_a, {"s": same})
-        fps_b, _, _ = prefix_fingerprints(query_b, {"s": same})
-        fps_c, _, _ = prefix_fingerprints(query_c, {"s": other})
-        # Equal structure over the same source object: equal fingerprints.
-        assert fps_a[id(query_a.spec)] == fps_b[id(query_b.spec)]
+        walk_a = spec_digests(query_a, {"s": same})
+        walk_b = spec_digests(query_b, {"s": same})
+        walk_c = spec_digests(query_c, {"s": other})
+        root_a, root_b, root_c = (id(q.spec) for q in (query_a, query_b, query_c))
+        # Equal structure over the same source object: equal digests.
+        assert walk_a.identity[root_a] == walk_b.identity[root_b]
         # Equal structure over a *different* source object: different —
-        # those prefixes compute over different data.
-        assert fps_a[id(query_a.spec)] != fps_c[id(query_c.spec)]
+        # those prefixes compute over different data — under one structure
+        # digest, which names the feed.
+        assert walk_a.identity[root_a] != walk_c.identity[root_c]
+        assert walk_a.structure[root_a] == walk_c.structure[root_c]
 
-    def test_prefixes_of_different_tails_fingerprint_equal(self):
+    def test_prefixes_of_different_tails_digest_equal(self):
         source = _shared_replay()
         agg, join = _tenant_query(0), _tenant_query(2)
-        fps_agg, _, _ = prefix_fingerprints(agg, {"s": source})
-        fps_join, _, _ = prefix_fingerprints(join, {"s": source})
-        assert fps_agg[id(agg.spec.inputs[0])] == fps_join[id(join.spec.inputs[0])]
+        walk_agg = spec_digests(agg, {"s": source})
+        walk_join = spec_digests(join, {"s": source})
+        assert (
+            walk_agg.identity[id(agg.spec.inputs[0])]
+            == walk_join.identity[id(join.spec.inputs[0])]
+        )
 
     def test_operator_counts_are_subtree_sizes(self):
         query = _prefix()
-        _, counts, postorder = prefix_fingerprints(query, {"s": _shared_replay()})
-        by_kind = {spec.kind: counts[id(spec)] for spec in postorder}
+        walk = spec_digests(query, {"s": _shared_replay()})
+        by_kind = {spec.kind: walk.operator_counts[id(spec)] for spec in walk.postorder}
         assert by_kind["source"] == 0
-        assert counts[id(query.spec)] == 2  # select + where
+        assert walk.operator_counts[id(query.spec)] == 2  # select + where
 
 
 class TestPlanSharing:
@@ -173,25 +179,83 @@ class TestPlanSharing:
         assert sorted(plans[0].members) == ["t0", "t1"]
 
 
+class TestOneWalkPerCall:
+    """Every operator is fingerprinted once per walk, and a group's rewrite
+    reuses the digests its sharing pass computed."""
+
+    @pytest.fixture
+    def fingerprints(self, monkeypatch):
+        """Operators fingerprinted outside ``plan_signature``, and the
+        number of ``plan_signature`` calls (one per cached compile)."""
+        outside: list = []
+        signatures: list = []
+        fingerprint, signature = cache.fingerprint_operator, cache.plan_signature
+
+        def counting_fingerprint(operator):
+            outside.append(operator)
+            return fingerprint(operator)
+
+        def uncounted_signature(*args, **kwargs):
+            before = len(outside)
+            key = signature(*args, **kwargs)
+            signatures.append(len(outside) - before)
+            del outside[before:]
+            return key
+
+        monkeypatch.setattr(cache, "fingerprint_operator", counting_fingerprint)
+        monkeypatch.setattr(cache, "plan_signature", uncounted_signature)
+        return outside, signatures
+
+    @staticmethod
+    def _operator_nodes(query):
+        return sum(spec.kind == "operator" for spec in spec_digests(query).postorder)
+
+    def test_one_open_fingerprints_each_operator_once(self, fingerprints):
+        _, signatures = fingerprints
+        service = StreamingService(window_size=2000)
+        with service:
+            for client_id in ("a", "b"):  # a miss, then a hit
+                service.open(client_id, _tenant_query(0), {"s": _shared_replay()})
+        assert signatures == [self._operator_nodes(_tenant_query(0))] * 2 == [3, 3]
+
+    def test_sharing_pass_walks_each_candidate_once(self, fingerprints):
+        outside, signatures = fingerprints
+        nodes = sum(self._operator_nodes(_tenant_query(i)) for i in range(4))
+        source = _shared_replay()
+        service = StreamingService(window_size=2000, subplan_sharing=True)
+        with service:
+            for i in range(4):
+                service.open(f"c{i}", _tenant_query(i), {"s": source})
+            del outside[:], signatures[:]
+            # plan_sharing: one walk per candidate; _build_group: none (its
+            # only fingerprints are the compiles' cache keys: the prefix
+            # and one tail per member).
+            service.pump(WATERMARKS[0])
+            assert len(service.sharing_groups) == 1
+            assert len(outside) == nodes == 12
+            assert len(signatures) == 1 + 4
+            service.finish()
+
+
 class TestRewriteTail:
     def test_prefix_replaced_by_feed_node(self):
         source = _shared_replay()
         query = _tenant_query(0)
-        fingerprints, _, _ = prefix_fingerprints(query, {"s": source})
-        target = fingerprints[id(query.spec.inputs[0])]
+        digests = spec_digests(query, {"s": source}).identity
+        target = digests[id(query.spec.inputs[0])]
         feed_spec = Query.source("__feed", period=2).spec
-        tail = rewrite_tail(query, fingerprints, target, feed_spec)
+        tail = rewrite_tail(query, digests, target, feed_spec)
         assert tail.spec.kind == "operator"
         assert tail.spec.inputs[0] is feed_spec
 
     def test_untouched_subdags_reused_by_reference(self):
         source = _shared_replay()
         query = _tenant_query(2)  # join(prefix, raw source)
-        fingerprints, _, postorder = prefix_fingerprints(query, {"s": source})
+        digests = spec_digests(query, {"s": source}).identity
         where_spec = query.spec.inputs[0]
         raw_spec = query.spec.inputs[1]
         feed_spec = Query.source("__feed", period=2).spec
-        tail = rewrite_tail(query, fingerprints, fingerprints[id(where_spec)], feed_spec)
+        tail = rewrite_tail(query, digests, digests[id(where_spec)], feed_spec)
         assert tail.spec.inputs[0] is feed_spec
         assert tail.spec.inputs[1] is raw_spec
 
