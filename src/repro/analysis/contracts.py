@@ -545,6 +545,19 @@ def builtin_cases() -> list[OperatorCase]:
             )
         }
 
+    def phased_join_case():
+        # b's period-4 grid sits two ticks off the output's, so the join
+        # reads b's windows two ticks early, at another phase: the output's
+        # last slots of every window lie past the b window it reads.  A left
+        # join, whose coverage is the left input's: an inner join's
+        # intersection would also count those slots, which no window reads.
+        left = Query.source("a", period=2)
+        right = Query.source("b", period=4, offset=2)
+        return left.left_join(right, lambda x, y: x - y), {
+            "a": _source(n=768, period=2, seed=3),
+            "b": _source(n=384, period=4, offset=2, seed=11),
+        }
+
     def shape_case():
         query, sources = _single(period=2, n=768, seed=5)
         shape = np.sin(np.linspace(0.0, np.pi, 12))
@@ -578,6 +591,7 @@ def builtin_cases() -> list[OperatorCase]:
         OperatorCase(
             "Join-outer", Join, _pair(lambda a, b: a.outer_join(b, lambda x, y: x + y))
         ),
+        OperatorCase("Join-left-phased", Join, phased_join_case),
         OperatorCase(
             "ClipJoin", ClipJoin, _pair(lambda a, b: a.clip_join(b, lambda x, y: x - y))
         ),

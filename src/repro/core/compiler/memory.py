@@ -38,10 +38,12 @@ class MemoryPlan:
 
 
 def estimate_footprint(sink: PlanNode) -> int:
-    """Upper bound (in bytes) of the plan's intermediate-result memory.
+    """Bytes the plan's intermediate-result buffers take when allocated.
 
     Uses the bounded-memory property only — it can be called before the
-    buffers are allocated, as long as locality tracing has run.
+    buffers are allocated, as long as locality tracing has run.  A window
+    whose events' durations vary adds a duration column (8 bytes a slot)
+    on first use.
     """
     total = 0
     for node in topological_order(sink):
@@ -50,8 +52,9 @@ def estimate_footprint(sink: PlanNode) -> int:
                 f"node {node.name} has no dimension; run locality tracing first"
             )
         capacity = node.dimension // node.descriptor.period
-        # values (float64) + durations (int64) + bitvector (bool)
-        total += capacity * (8 + 8 + 1)
+        # values (float64) + bitvector (bool); a window holds one duration
+        # until its events' durations vary (FWindow.vary_durations).
+        total += capacity * (8 + 1)
     return total
 
 

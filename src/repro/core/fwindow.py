@@ -2,16 +2,22 @@
 
 The FWindow is LifeStream's central runtime construct (Section 4 of the
 paper).  It is a columnar buffer holding every grid slot of a periodic
-stream inside a fixed-size time interval:
+stream inside a fixed-size time interval, in two columns plus a duration:
 
 * ``values``     — the event payloads,
-* ``durations``  — per-event active lifetimes,
 * ``bitvector``  — presence flags marking which grid slots actually hold an
-  event (gaps in the physiological signal leave their slot absent).
+  event (gaps in the physiological signal leave their slot absent),
+* ``duration``   — how many ticks every present event lasts.
 
 Because the stream is periodic, the sync time of the event in slot ``i`` is
 simply ``sync_time + i * period`` — no per-event timestamp column is needed
-and index ↔ time conversion is pure arithmetic.
+and index ↔ time conversion is pure arithmetic.  Durations get the same
+treatment: on a periodic stream an event lasts one period unless it says
+otherwise, and an operator's output events mostly share one duration (an
+aggregate's window, say), so the window holds one scalar.  Only a window
+whose events' durations vary allocates a duration column, on first use
+(:meth:`FWindow.vary_durations`); while the scalar holds, ``durations`` is
+a read-only zero-stride view of it.
 
 Operators slide an FWindow forward through the stream by updating its
 ``sync_time``.  The buffers themselves are allocated exactly once by the
@@ -24,7 +30,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.event import Event, StreamDescriptor
+from repro.core.sources import period_column
 from repro.errors import MemoryPlanError, NonMonotonicProgressError, StreamDefinitionError
+
+
+class _Durations:
+    """The duration state of a buffer, shared by the views of it."""
+
+    __slots__ = ("duration", "fresh", "size", "column")
+
+    def __init__(self, period: int, size: int) -> None:
+        #: The one duration of every present event, None once they vary.
+        self.duration: int | None = period
+        #: Whether no duration was written since the last clear.
+        self.fresh = True
+        #: Slots of the buffer.
+        self.size = size
+        #: The duration column, allocated only when durations first vary.
+        self.column: np.ndarray | None = None
 
 
 class FWindow:
@@ -36,9 +59,10 @@ class FWindow:
         "capacity",
         "sync_time",
         "values",
-        "durations",
         "bitvector",
         "name",
+        "_shared",
+        "_low",
         "_tracer",
         "_values_buffer",
         "_durations_buffer",
@@ -72,12 +96,15 @@ class FWindow:
         # before the descriptor offset, e.g. for warm-up windows of stateful
         # operators); monotonic progress is enforced from then on.
         self._has_slid = False
-        # The three columnar fields.  They are allocated here, once, and are
+        # The two columnar fields.  They are allocated here, once, and are
         # never reallocated: operators overwrite them in place as the window
         # slides forward.
         self.values = np.zeros(self.capacity, dtype=np.float64)
-        self.durations = np.full(self.capacity, descriptor.period, dtype=np.int64)
         self.bitvector = np.zeros(self.capacity, dtype=bool)
+        # The duration state, which views share with the window they alias
+        # (this window's slots start at ``_low`` of it).
+        self._shared = _Durations(descriptor.period, self.capacity)
+        self._low = 0
         self._tracer = tracer
         self._values_buffer = None
         self._durations_buffer = None
@@ -85,7 +112,7 @@ class FWindow:
         if tracer is not None:
             label = name or "fwindow"
             self._values_buffer = tracer.allocate(self.values.nbytes, f"{label}.values")
-            self._durations_buffer = tracer.allocate(self.durations.nbytes, f"{label}.durations")
+            self._durations_buffer = tracer.allocate(8 * self.capacity, f"{label}.durations")
             self._bitvector_buffer = tracer.allocate(self.bitvector.nbytes, f"{label}.bitvector")
 
     # -- geometry ----------------------------------------------------------
@@ -152,6 +179,7 @@ class FWindow:
         A buffer sized for the largest block serves every smaller block, and
         each of its segments, through such views: a view slides on its own,
         clearing only its own slots, and its writes land in the buffer's.
+        Views share the buffer's duration state (:meth:`clear`).
         """
         if (
             not 0 <= offset < offset + dimension <= self.dimension
@@ -177,8 +205,9 @@ class FWindow:
         view._monotonic = False
         view._has_slid = True
         view.values = self.values[low : low + capacity]
-        view.durations = self.durations[low : low + capacity]
         view.bitvector = self.bitvector[low : low + capacity]
+        view._shared = self._shared
+        view._low = self._low + low
         view._tracer = None
         view._values_buffer = None
         view._durations_buffer = None
@@ -213,8 +242,78 @@ class FWindow:
         self.clear()
 
     def clear(self) -> None:
-        """Mark every slot absent.  Values/durations are left as garbage."""
+        """Mark every slot absent; the duration is the period again.
+
+        Values (and a duration column) are left as garbage.  Clearing a view
+        resets the duration its whole buffer shares, so only a view over
+        every slot in use may be cleared.
+        """
         self.bitvector[:] = False
+        shared = self._shared
+        shared.duration = self.descriptor.period
+        shared.fresh = True
+
+    # -- durations -----------------------------------------------------------
+
+    @property
+    def duration(self) -> int | None:
+        """Ticks every present event lasts, or None when their durations vary
+        (then :attr:`durations` holds one per slot)."""
+        return self._shared.duration
+
+    @duration.setter
+    def duration(self, ticks: int) -> None:
+        """Declare that every present event of this window lasts *ticks*."""
+        shared = self._shared
+        if self.capacity == shared.size:
+            # Every slot of the buffer is declared: none holds another.
+            shared.duration = ticks
+            shared.fresh = False
+        else:
+            self._hold(ticks, slice(None))
+
+    @property
+    def durations(self) -> np.ndarray:
+        """Per-slot durations: the duration column, or while every present
+        event lasts :attr:`duration` ticks a read-only zero-stride view of
+        it, so a writer that does not call :meth:`vary_durations` raises."""
+        shared = self._shared
+        if shared.duration is None:
+            return shared.column[self._low : self._low + self.capacity]
+        return period_column(shared.duration, self.capacity)
+
+    def vary_durations(self) -> np.ndarray:
+        """The writable duration column of this window, for durations that vary.
+
+        The one entry point that allocates a column: the first call creates
+        it for the whole buffer and back-fills the current duration, so
+        events already written keep theirs.
+        """
+        shared = self._shared
+        if shared.duration is not None:
+            if shared.column is None:
+                shared.column = np.empty(shared.size, dtype=np.int64)
+            shared.column.fill(shared.duration)
+            shared.duration = None
+            shared.fresh = False
+        return shared.column[self._low : self._low + self.capacity]
+
+    def copy_durations(self, source: "FWindow") -> None:
+        """Give this window's events *source*'s durations, slot for slot."""
+        if source.duration is None:
+            self.vary_durations()[:] = source.durations
+        else:
+            self.duration = source.duration
+
+    def _hold(self, ticks: int, slots) -> None:
+        """Record that the events just written at *slots* last *ticks*."""
+        shared = self._shared
+        if shared.fresh or shared.duration == ticks:
+            shared.duration = ticks
+            shared.fresh = False
+        else:
+            # Other slots of the buffer already hold other durations.
+            self.vary_durations()[slots] = ticks
 
     # -- event access ------------------------------------------------------
 
@@ -233,6 +332,14 @@ class FWindow:
         values = np.asarray(values, dtype=np.float64)
         if times.size == 0:
             return
+        # One duration for every event (a zero-stride read, or a column that
+        # does not vary) is held as the scalar: no column is written.
+        duration = self.period
+        if durations is not None:
+            durations = np.asarray(durations, dtype=np.int64)
+            duration = int(durations[0])
+            if durations.strides[0] and (durations != duration).any():
+                duration = None
         # Fast path: a contiguous run of events entirely inside the window
         # (the common case when a source reads a dense region) maps to a
         # single slice assignment.
@@ -240,35 +347,30 @@ class FWindow:
         contiguous = times.size == (last - first) // self.period + 1
         if contiguous and first >= self.sync_time and last < self.end_time:
             start = (first - self.sync_time) // self.period
-            stop = start + times.size
-            self.values[start:stop] = values
-            self.bitvector[start:stop] = True
-            if durations is None:
-                self.durations[start:stop] = self.period
-            else:
-                self.durations[start:stop] = np.asarray(durations, dtype=np.int64)
-            self.trace_write()
-            return
-        mask = (times >= self.sync_time) & (times < self.end_time)
-        if not mask.any():
-            return
-        selected_times = times[mask]
-        indices = (selected_times - self.sync_time) // self.period
-        self.values[indices] = values[mask]
-        self.bitvector[indices] = True
-        if durations is None:
-            self.durations[indices] = self.period
+            slots = slice(start, start + times.size)
+            self.values[slots] = values
+            self.bitvector[slots] = True
         else:
-            durations = np.asarray(durations, dtype=np.int64)
-            self.durations[indices] = durations[mask]
+            mask = (times >= self.sync_time) & (times < self.end_time)
+            if not mask.any():
+                return
+            slots = (times[mask] - self.sync_time) // self.period
+            self.values[slots] = values[mask]
+            self.bitvector[slots] = True
+            if duration is None:
+                durations = durations[mask]
+        if duration is None:
+            self.vary_durations()[slots] = durations
+        else:
+            self._hold(duration, slots)
         self.trace_write()
 
     def set_event(self, sync_time: int, value: float, duration: int | None = None) -> None:
         """Place a single event into the window (row-wise convenience)."""
         index = self.index_of(sync_time)
         self.values[index] = value
-        self.durations[index] = duration if duration is not None else self.period
         self.bitvector[index] = True
+        self._hold(self.period if duration is None else int(duration), index)
 
     def present_indices(self) -> np.ndarray:
         """Indices of slots that hold an event."""
@@ -324,8 +426,10 @@ class FWindow:
         return holes / self.capacity
 
     def memory_bytes(self) -> int:
-        """Total bytes held by the three columnar buffers."""
-        return int(self.values.nbytes + self.durations.nbytes + self.bitvector.nbytes)
+        """Total bytes held by the window's columns: values and presence,
+        plus durations once they vary."""
+        column = 0 if self._shared.column is None else 8 * self.capacity
+        return int(self.values.nbytes + self.bitvector.nbytes + column)
 
     # -- cache tracing hooks -------------------------------------------------
 
@@ -339,7 +443,7 @@ class FWindow:
         """Report a sequential write of the window's buffers to the tracer."""
         if self._tracer is not None:
             self._tracer.touch(self._values_buffer, 0, self.values.nbytes)
-            self._tracer.touch(self._durations_buffer, 0, self.durations.nbytes)
+            self._tracer.touch(self._durations_buffer, 0, 8 * self.capacity)
             self._tracer.touch(self._bitvector_buffer, 0, self.bitvector.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -155,7 +155,7 @@ class Aggregate(WindowAgnosticRun, Operator):
         result, present = masked_reduce(windows, masks, self.func)
         output.values[:] = result
         output.bitvector[:] = present
-        output.durations[:] = self.window
+        output.duration = self.window
         output.trace_write()
 
         if self._sliding and tail_samples > 0:

@@ -194,8 +194,8 @@ class Operator:
         view that keeps each window's edges.  The vectorized backend lowers
         a node exactly when its operator overrides this, so an override must
         be exact for every input geometry the operator accepts: where its
-        array program is not (resampling between non-multiple periods, say),
-        it calls this default loop itself.  The contract analyzer checks the
+        array program is not (resampling long events between non-multiple
+        periods, say), it calls this default loop itself.  The contract analyzer checks the
         override against per-window ``compute`` (``LS202``).
         """
         if windows == 1:
@@ -263,7 +263,7 @@ def sample_active(
     # overwhelmingly common case for periodic signals, gaps included).  An
     # event then covers exactly its own grid slot, so the active event index
     # is pure arithmetic — no search — and a gap is simply an absent slot.
-    if source.capacity > 0 and bool((source.durations == source.period).all()):
+    if source.capacity > 0 and source.duration == source.period:
         indices = (out_times - source.sync_time) // source.period
         in_range = (indices >= 0) & (indices < source.capacity)
         clipped = np.clip(indices, 0, source.capacity - 1)
@@ -301,7 +301,7 @@ def sample_active(
         new_carry = (
             int(source.sync_time + last_index * source.period),
             float(source.values[last_index]),
-            int(source.durations[last_index]),
+            source.period,
         )
         return active, sampled, new_carry
 

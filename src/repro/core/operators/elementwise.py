@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
 from repro.core.operators.base import Operator, WindowAgnosticRun, ensure_callable
+from repro.core.sources import period_column
 from repro.core.timeutil import LinearTimeMap
 
 
@@ -36,7 +37,7 @@ class Select(WindowAgnosticRun, Operator):
         with np.errstate(all="ignore"):
             result = self.projection(source.values)
         output.values[:] = result
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()
 
@@ -61,7 +62,7 @@ class Where(WindowAgnosticRun, Operator):
         with np.errstate(all="ignore"):
             keep = np.asarray(self.predicate(source.values), dtype=bool)
         output.values[:] = source.values
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector & keep
         output.trace_write()
 
@@ -138,17 +139,17 @@ class Shift(WindowAgnosticRun, Operator):
             # The compiler positioned the input window at (output sync -
             # offset), so slot i of the input is exactly slot i of the output.
             output.values[:] = source.values
-            output.durations[:] = source.durations
+            output.copy_durations(source)
             output.bitvector[:] = source.bitvector
             output.trace_write()
             return
         values, durations, bits = self.push_carry(
             state, source.period, source.sync_time,
-            source.values, source.durations, source.bitvector,
+            source.values, durations_of(source), source.bitvector,
         )
         output.values[:] = values
         output.bitvector[:] = bits
-        output.durations[:] = durations
+        write_durations(output, durations)
         output.trace_write()
 
     def push_carry(self, state, period, sync_time, values, durations, bits):
@@ -158,7 +159,9 @@ class Shift(WindowAgnosticRun, Operator):
         the newest ``lag`` as the next carry.  This stays correct when the
         shift exceeds the window (lag > capacity): samples then wait in the
         carry for several windows instead of being clobbered by the newest
-        input.
+        input.  *durations* is one duration for every input event or a
+        column of them; the result's is one duration too when the input's
+        is and every carried event has it.
 
         The carry is valid for input resuming at ``state["next_sync"]``.
         Targeted execution skips windows whose output coverage is empty, so
@@ -187,6 +190,12 @@ class Shift(WindowAgnosticRun, Operator):
                     aged[:kept] = carry[lag - kept :]
                     state[key] = aged
         capacity = values.shape[0]
+        uniform = None
+        if not isinstance(durations, np.ndarray):
+            carried = state["carry_durations"][state["carry_bits"]]
+            if not (carried != durations).any():
+                uniform = durations
+            durations = period_column(durations, capacity)
         combined_values = np.concatenate((state["carry_values"], values))
         combined_bits = np.concatenate((state["carry_bits"], bits))
         combined_durations = np.concatenate((state["carry_durations"], durations))
@@ -196,9 +205,22 @@ class Shift(WindowAgnosticRun, Operator):
         state["next_sync"] = sync_time + capacity * period
         return (
             combined_values[:capacity],
-            combined_durations[:capacity],
+            combined_durations[:capacity] if uniform is None else uniform,
             combined_bits[:capacity],
         )
+
+
+def durations_of(window: FWindow) -> int | np.ndarray:
+    """*window*'s one duration, or its duration column when they vary."""
+    return window.durations if window.duration is None else window.duration
+
+
+def write_durations(output: FWindow, durations: int | np.ndarray) -> None:
+    """Give *output*'s events one duration, or a column of them."""
+    if isinstance(durations, np.ndarray):
+        output.vary_durations()[:] = durations
+    else:
+        output.duration = durations
 
 
 class AlterDuration(WindowAgnosticRun, Operator):
@@ -230,6 +252,6 @@ class AlterDuration(WindowAgnosticRun, Operator):
         source = inputs[0]
         source.trace_read()
         output.values[:] = source.values
-        output.durations[:] = self.duration
+        output.duration = self.duration
         output.bitvector[:] = source.bitvector
         output.trace_write()

@@ -26,7 +26,14 @@ from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
 from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator, WindowAgnosticRun
-from repro.core.operators.elementwise import AlterDuration, Select, Shift, Where
+from repro.core.operators.elementwise import (
+    AlterDuration,
+    Select,
+    Shift,
+    Where,
+    durations_of,
+    write_durations,
+)
 from repro.core.timeutil import LinearTimeMap
 from repro.errors import CompilationError
 
@@ -117,9 +124,8 @@ class FusedElementwise(WindowAgnosticRun, Operator):
         source = inputs[0]
         source.trace_read()
         values = source.values
-        durations = source.durations
+        durations = durations_of(source)
         bits = source.bitvector
-        capacity = source.capacity
         states = repeat(None) if state is None else state
         with np.errstate(all="ignore"):
             for (op, stage_input), stage_state in zip(self.stages, states):
@@ -128,7 +134,7 @@ class FusedElementwise(WindowAgnosticRun, Operator):
                 elif isinstance(op, Where):
                     bits = bits & np.asarray(op.predicate(values), dtype=bool)
                 elif isinstance(op, AlterDuration):
-                    durations = np.full(capacity, op.duration, dtype=np.int64)
+                    durations = op.duration
                 elif isinstance(op, Shift):
                     # A non-carry shift repositioned the chain's input window
                     # (the composed input_sync_time), so its slots already
@@ -143,6 +149,6 @@ class FusedElementwise(WindowAgnosticRun, Operator):
                 else:  # pragma: no cover - guarded by the constructor
                     raise CompilationError(f"unfusable stage {op.name}")
         output.values[:] = values
-        output.durations[:] = durations
+        write_durations(output, durations)
         output.bitvector[:] = bits
         output.trace_write()

@@ -46,7 +46,8 @@ def _pair_left(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _grid_carry(
     source: FWindow, carry: tuple[int, float, int] | None
 ) -> tuple[int, float, int] | None:
-    """The carry :func:`sample_active` would leave after an aligned window.
+    """The carry :func:`sample_active` would leave after an aligned window
+    of one-period events.
 
     The last present event of the window, or the existing carry when the
     window holds no events at all.
@@ -61,7 +62,7 @@ def _grid_carry(
     return (
         int(source.sync_time + last_index * source.period),
         float(source.values[last_index]),
-        int(source.durations[last_index]),
+        source.period,
     )
 
 
@@ -143,35 +144,40 @@ class Join(WindowAgnosticRun, Operator):
             combined = self.combine(left_values, right_values)
         output.values[:] = combined
         output.bitvector[:] = present
-        output.durations[:] = output.period
+        output.duration = output.period
         output.trace_write()
 
     def compute_run(
         self, output: FWindow, inputs: Sequence[FWindow], state, windows: int
     ) -> None:
-        """Whole-run inner join without materialising the sampling grid.
+        """Whole-run join, one array program where that is exact.
 
         When both inputs live on exactly the output grid and every event
         spans one period (the common periodic-signal case,
         :func:`~repro.core.operators.base.sample_active`'s identity fast
-        path), sampling each side is the identity: the join reduces to an
-        AND of the bitvectors plus one combine over the value columns, and
-        the per-side carries are the windows' last present events.  Any
-        other geometry falls back to one ``compute`` over the run (the
+        path), sampling each side is the identity: an inner join reduces to
+        an AND of the bitvectors plus one combine over the value columns,
+        and the per-side carries are the windows' last present events.
+        Inputs at the output's phase take one ``compute`` over the run (the
         :class:`~repro.core.operators.base.WindowAgnosticRun` behaviour).
+        An input window at another phase than the output's starts past
+        output slots that only a carry can cover, and whether the carry
+        still covers them depends on where windows end: that runs the
+        window loop.
         """
         left, right = inputs
+        if left.sync_time != output.sync_time or right.sync_time != output.sync_time:
+            Operator.compute_run(self, output, inputs, state, windows)
+            return
         if (
             self.how == "inner"
             and output.capacity > 0
             and left.capacity == output.capacity
             and left.period == output.period
-            and left.sync_time == output.sync_time
             and right.capacity == output.capacity
             and right.period == output.period
-            and right.sync_time == output.sync_time
-            and bool((left.durations == left.period).all())
-            and bool((right.durations == right.period).all())
+            and left.duration == left.period
+            and right.duration == right.period
         ):
             left.trace_read()
             right.trace_read()
@@ -179,7 +185,7 @@ class Join(WindowAgnosticRun, Operator):
                 combined = self.combine(left.values, right.values)
             output.values[:] = combined
             np.logical_and(left.bitvector, right.bitvector, out=output.bitvector)
-            output.durations[:] = output.period
+            output.duration = output.period
             state["left_carry"] = _grid_carry(left, state["left_carry"])
             state["right_carry"] = _grid_carry(right, state["right_carry"])
             output.trace_write()
@@ -247,6 +253,6 @@ class ClipJoin(Operator):
         out_indices = (left_times - output.sync_time) // output.period
         valid = has_successor & (out_indices >= 0) & (out_indices < output.capacity)
         output.values[out_indices[valid]] = combined[valid]
-        output.durations[out_indices[valid]] = output.period
         output.bitvector[out_indices[valid]] = True
+        output.duration = output.period
         output.trace_write()

@@ -9,7 +9,7 @@ Interpolation clamps at each window edge, so a run of consecutive windows is
 not one wider window to it: :meth:`AlterPeriod.compute_run` reproduces the
 per-window clamp over a ``(windows, slots)`` view of the run buffer.  Between
 non-multiple periods the same method runs the window loop, the only exact
-schedule there.
+schedule there, unless every event lasts one period.
 
 ``Chop`` splits the active interval of every event on user-defined period
 boundaries (Table 2), which is how long-duration events (such as aggregate
@@ -64,7 +64,7 @@ class AlterPeriod(Operator):
         if out_period == in_period:
             output.values[:] = source.values
             output.bitvector[:] = source.bitvector
-            output.durations[:] = out_period
+            output.duration = out_period
             output.trace_write()
             return
 
@@ -75,12 +75,12 @@ class AlterPeriod(Operator):
             else:
                 output.values[:] = np.repeat(source.values, factor)
                 output.bitvector[:] = np.repeat(source.bitvector, factor)
-                output.durations[:] = out_period
+                output.duration = out_period
         elif out_period > in_period and out_period % in_period == 0:
             factor = out_period // in_period
             output.values[:] = source.values[::factor]
             output.bitvector[:] = source.bitvector[::factor]
-            output.durations[:] = out_period
+            output.duration = out_period
         else:
             # Periods are not integer multiples of each other: fall back to
             # sampling the active event at each output slot.
@@ -88,7 +88,7 @@ class AlterPeriod(Operator):
             active, values, _ = sample_active(out_times, source, None)
             output.values[:] = values
             output.bitvector[:] = active
-            output.durations[:] = out_period
+            output.duration = out_period
         output.trace_write()
 
     @staticmethod
@@ -98,7 +98,7 @@ class AlterPeriod(Operator):
         out_positions = np.arange(output.capacity, dtype=np.float64) / factor
         if present.size == 0:
             output.bitvector[:] = False
-            output.durations[:] = output.period
+            output.duration = output.period
             return
         interpolated = np.interp(out_positions, present.astype(np.float64), source.values[present])
         output.values[:] = interpolated
@@ -106,7 +106,7 @@ class AlterPeriod(Operator):
         # samples are present; outside the populated span or across a gap we
         # mark the slot absent rather than inventing data.
         output.bitvector[:] = np.repeat(source.bitvector, factor)
-        output.durations[:] = output.period
+        output.duration = output.period
 
     def compute_run(
         self, output: FWindow, inputs: Sequence[FWindow], state, windows: int
@@ -115,12 +115,15 @@ class AlterPeriod(Operator):
 
         Integer-factor interpolation runs :meth:`_interpolate_run`; every
         other integer factor is slot-local, so one ``compute`` over the run
-        buffer is exact.  Between non-multiple periods, and for a run
-        holding a non-finite sample, only the per-window loop is exact.
+        buffer is exact.  So is sampling between non-multiple periods while
+        every event lasts one period: each output slot then reads the input
+        slot it falls in, and window starts lie on both grids.  For events
+        that last longer there, and for a run holding a non-finite sample
+        to interpolate, only the per-window loop is exact.
         """
         source = inputs[0]
         factor, remainder = divmod(source.period, self.period)
-        if remainder and self.period % source.period:
+        if remainder and self.period % source.period and source.duration != source.period:
             # Carry-less active sampling: an event that began in the window
             # before is lost, so the output depends on where windows end.
             Operator.compute_run(self, output, inputs, state, windows)
@@ -183,7 +186,7 @@ class AlterPeriod(Operator):
         presence = output.bitvector.reshape(-1, factor)
         for k in range(factor):
             presence[:, k] = source.bitvector
-        output.durations[:] = output.period
+        output.duration = output.period
         output.trace_write()
 
 
@@ -227,5 +230,5 @@ class Chop(WindowAgnosticRun, Operator):
         active, values, state["carry"] = sample_active(out_times, source, state["carry"])
         output.values[:] = values
         output.bitvector[:] = active
-        output.durations[:] = self.period
+        output.duration = self.period
         output.trace_write()

@@ -127,7 +127,7 @@ class ShapeWhere(Operator):
             state["tail_values"] = None
 
         output.values[:] = source.values
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         if self.mode == "remove":
             output.bitvector[:] = source.bitvector & ~matched
         elif self.mode == "keep":

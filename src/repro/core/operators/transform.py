@@ -72,7 +72,7 @@ class Transform(WindowAgnosticRun, Operator):
             else:
                 output.values[lo:hi] = result
                 output.bitvector[lo:hi] = chunk_mask
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.trace_write()
 
     def compute_run(
@@ -118,5 +118,5 @@ class Transform(WindowAgnosticRun, Operator):
             if result is not out_values:
                 output.values[:] = np.asarray(result).reshape(-1)
             output.bitvector[:] = source.bitvector
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.trace_write()

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.compiler import CompiledPlan
 from repro.core.intervals import IntervalSet
+from repro.core.sources import period_column
 from repro.errors import ExecutionError
 
 
@@ -49,20 +50,38 @@ def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:
     return IntervalSet.single(*span).count_windows(sink.dimension, sink.descriptor.offset)
 
 
-def sink_columns(events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialised ``(times, values, durations)`` columns for *events* events.
+class SinkColumns:
+    """Result columns a tick of more than one window or run writes into.
+
+    Times and values are reserved for every slot the tick may fill, so each
+    event is written once, at a cursor.  Durations follow the FWindow's
+    rule: while every event written so far lasts one :attr:`duration`, no
+    column exists; the first window whose events' durations differ from it
+    creates one, back-filled.
+    """
+
+    __slots__ = ("times", "values", "duration", "durations")
+
+    def __init__(self, events: int) -> None:
+        self.times = np.empty(events, dtype=np.int64)
+        self.values = np.empty(events, dtype=np.float64)
+        #: The one duration of every event written so far (None before any,
+        #: or once :attr:`durations` exists).
+        self.duration: int | None = None
+        #: The duration column, once events' durations differ.
+        self.durations: np.ndarray | None = None
+
+
+def sink_columns(events: int) -> SinkColumns:
+    """Uninitialised result columns for *events* events.
 
     Sized for every slot the caller may fill, so a run writes each event
     exactly once; :func:`shrink_columns` then trims them to what was written.
     """
-    return (
-        np.empty(events, dtype=np.int64),
-        np.empty(events, dtype=np.float64),
-        np.empty(events, dtype=np.int64),
-    )
+    return SinkColumns(events)
 
 
-def write_sink_events(window, columns, cursor: int) -> int:
+def write_sink_events(window, columns: SinkColumns, cursor: int) -> int:
     """Write *window*'s present events into *columns* from *cursor* on.
 
     How a tick of more than one window or run — a one-shot run, a session
@@ -74,12 +93,20 @@ def write_sink_events(window, columns, cursor: int) -> int:
     if not indices.size:
         return cursor
     end = cursor + indices.size
-    times, values, durations = columns
-    times = times[cursor:end]
+    times = columns.times[cursor:end]
     np.multiply(indices, window.period, out=times)
     times += window.sync_time
-    window.values.take(indices, out=values[cursor:end], mode="clip")
-    window.durations.take(indices, out=durations[cursor:end], mode="clip")
+    window.values.take(indices, out=columns.values[cursor:end], mode="clip")
+    duration = window.duration
+    if columns.durations is None:
+        if duration is not None and columns.duration in (None, duration):
+            columns.duration = duration
+            return end
+        columns.durations = np.empty(columns.times.size, dtype=np.int64)
+        if cursor:
+            columns.durations[:cursor] = columns.duration
+        columns.duration = None
+    window.durations.take(indices, out=columns.durations[cursor:end], mode="clip")
     return end
 
 
@@ -88,27 +115,36 @@ def sink_events(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     How a tick of one window or run takes its events: one gather per
     column, sized exactly, with no columns to reserve and trim for the
-    handful of events a live tick emits.  Same events, same order as
-    :func:`write_sink_events`.
+    handful of events a live tick emits; one duration for every event is a
+    zero-stride view.  Same events, same order as :func:`write_sink_events`.
     """
     indices = window.present_indices()
+    duration = window.duration
     return (
         window.sync_time + indices * window.period,
         window.values[indices],
-        window.durations[indices],
+        window.durations[indices] if duration is None else period_column(duration, indices.size),
     )
 
 
-def shrink_columns(columns, events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trim *columns* in place to their first *events* entries.
+def shrink_columns(columns: SinkColumns, events: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trim *columns* in place to their first *events* entries, as
+    ``(times, values, durations)``.
 
     ``ndarray.resize`` reallocates without copying what stays, so the
-    result owns exactly its events.  No view of the columns may outlive
-    this call.
+    result owns exactly its events; one duration for every event is a
+    zero-stride view.  No view of the columns may outlive this call.
     """
-    for column in columns:
+    durations = columns.durations
+    if durations is not None:
+        durations.resize(events, refcheck=False)
+    elif events:
+        durations = period_column(columns.duration, events)
+    else:
+        durations = np.empty(0, dtype=np.int64)
+    for column in (columns.times, columns.values):
         column.resize(events, refcheck=False)
-    return columns
+    return columns.times, columns.values, durations
 
 
 def fill_windows(sink, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

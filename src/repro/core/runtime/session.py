@@ -80,7 +80,7 @@ from repro.core.runtime.backends import VectorizedBackend
 from repro.core.runtime.executor import span_window_count
 from repro.core.runtime.result import ExecutionStats, StreamResult
 from repro.core.runtime.vectorized import block_executor
-from repro.core.sources import ReplaySource
+from repro.core.sources import ReplaySource, period_column
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -570,7 +570,7 @@ class StreamingSession:
         if self._collected_times:
             times = np.concatenate(self._collected_times)
             values = np.concatenate(self._collected_values)
-            durations = np.concatenate(self._collected_durations)
+            durations = _concatenate_durations(self._collected_durations, times.size)
         else:
             times = np.empty(0, dtype=np.int64)
             values = np.empty(0, dtype=np.float64)
@@ -795,6 +795,15 @@ class StreamingSession:
             f"<StreamingSession {self._backend_name} frontier={self._last_start} "
             f"ticks={self._tick_count} windows={self._windows_run}>"
         )
+
+
+def _concatenate_durations(chunks: list[np.ndarray], events: int) -> np.ndarray:
+    """The duration columns of *chunks* back to back: one zero-stride view
+    when every chunk is one of the same duration, as a periodic sink's are."""
+    duration = chunks[0][0]
+    if all(not chunk.strides[0] and chunk[0] == duration for chunk in chunks):
+        return period_column(int(duration), events)
+    return np.concatenate(chunks)
 
 
 # -- cross-tenant cohorts ----------------------------------------------------

@@ -29,8 +29,9 @@ This module lowers window loops onto that observation:
   ``compute`` over the run buffer as one wider window; a window-aware
   kernel (interpolation, which clamps at every window edge) works on a
   ``(windows, slots)`` view of it; where no array program is exact
-  (resampling between non-multiple periods) the kernel runs the window
-  loop itself;
+  (resampling events that outlive their period between non-multiple
+  periods, a join reading an input at another phase) the kernel runs the
+  window loop itself;
 * operators without a run kernel (clip join, shape matching) run the
   base class's ``compute_run``, which drives the operator's ordinary
   ``compute`` window-by-window over zero-copy views of the run buffer, so
@@ -71,15 +72,17 @@ from repro.core.fwindow import FWindow
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.operators.base import Operator
 from repro.core.runtime.executor import sink_events, write_sink_events
+from repro.core.sources import period_column
 from repro.errors import ExecutionError
 
 #: Grid slots one run buffer may hold.  The default cap on windows per run is
 #: this budget over the widest per-window slot count in the plan, so a run
-#: buffer costs about ``RUN_SLOT_BUDGET * 17`` bytes (value, duration and
-#: presence per slot) — cache-sized, whatever the window size.  Longer runs
-#: are chunked into consecutive runs of at most the cap; chunking is exact (a
-#: chunk boundary is just another run boundary, and stateful operators carry
-#: across it exactly as they carry across windows).  The value is measured:
+#: buffer costs about ``RUN_SLOT_BUDGET * 9`` bytes (value and presence per
+#: slot; a duration column only where durations vary) — cache-sized,
+#: whatever the window size.  Longer runs are chunked into consecutive runs
+#: of at most the cap; chunking is exact (a chunk boundary is just another
+#: run boundary, and stateful operators carry across it exactly as they
+#: carry across windows).  The value is measured:
 #: see the budget sweep in DESIGN.md.
 RUN_SLOT_BUDGET = 65_536
 
@@ -429,11 +432,16 @@ class BlockExecutor:
             bases += [start - first * self._dimension] * count
         times = np.asarray(bases)[row_of] + indices * window.period
         values = window.values[indices]
-        durations = window.durations[indices]
+        duration = window.duration
+        durations = window.durations[indices] if duration is None else None
         firsts = [member[3] for member in members]
         bounds = [*np.searchsorted(row_of, firsts).tolist(), indices.size]
         return [
-            (times[low:high], values[low:high], durations[low:high])
+            (
+                times[low:high],
+                values[low:high],
+                period_column(duration, high - low) if durations is None else durations[low:high],
+            )
             for low, high in zip(bounds, bounds[1:])
         ]
 

@@ -91,8 +91,8 @@ def _fingerprint_callable(fn, seen: frozenset) -> tuple:
     )
     defaults = tuple(_fingerprint(value, seen) for value in (inner.__defaults__ or ()))
     # Values of the globals the code and its nested code objects name
-    # (modules and other unfingerprintable objects key on identity, which
-    # is stable within a process, so e.g. `np` never causes a spurious miss).
+    # (modules key on their name; other unfingerprintable objects on
+    # identity, which is stable within a process).
     fn_globals = getattr(inner, "__globals__", {})
     globals_used = tuple(
         (name, _fingerprint(fn_globals[name], seen))
@@ -160,6 +160,11 @@ def _fingerprint(value, seen: frozenset) -> object:
         return ("descriptor", int(value.offset), int(value.period))
     if isinstance(value, Operator):
         return fingerprint_operator(value)
+    if isinstance(value, types.ModuleType):
+        # A module a callable names (``np``) is the one module of that name
+        # in every process: key it by name, not identity, so the key of a
+        # query whose function calls ``np.abs`` is one across processes.
+        return ("module", value.__name__)
     if isinstance(value, (tuple, list)):
         return ("seq", tuple(_fingerprint(item, seen) for item in value))
     if isinstance(value, dict):

@@ -70,7 +70,7 @@ class LyingTail(WindowAgnosticRun, Operator):
         source = inputs[0]
         source.trace_read()
         output.values[:] = source.values
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         present = np.flatnonzero(source.bitvector)
         if present.size:
@@ -92,7 +92,7 @@ class LyingReach(Operator):
         source = inputs[0]
         source.trace_read()
         output.values[:] = source.values
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()
 
@@ -117,7 +117,7 @@ class LyingRows(Operator):
         source = inputs[0]
         source.trace_read()
         output.values[:] = source.values
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()
 
@@ -136,7 +136,7 @@ class LyingRunKernel(Operator):
     def _halfway(output, source):
         source.trace_read()
         present = source.present_indices()
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         if present.size:
             output.values[present] = np.interp(
@@ -166,7 +166,7 @@ class LyingSlotTimes(WindowAgnosticRun, Operator):
         source = inputs[0]
         source.trace_read()
         output.values[:] = output.sync_times()
-        output.durations[:] = source.durations
+        output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()
 

@@ -158,10 +158,13 @@ class TestBackendParity:
 
     def test_window_sensitive_plan_falls_back_per_node(self, monkeypatch):
         # Resampling between non-multiple periods samples the active event
-        # without a carry, so its output near a window edge depends on the
-        # window extent: its run kernel runs the window loop, one compute
-        # per window of the run, while the rest of the plan stays lowered.
-        source = _gappy_source()
+        # without a carry, so when events outlive their period its output
+        # near a window edge depends on the window extent: its run kernel
+        # runs the window loop, one compute per window of the run, while the
+        # rest of the plan stays lowered.
+        gappy = _gappy_source()
+        times, values, _ = gappy.read(*gappy.coverage().span())
+        source = ArraySource(times, values, period=2, durations=np.full(times.size, 5))
         query = (
             Query.source("s", frequency_hz=500)
             .alter_period(3, mode="hold")
@@ -190,6 +193,40 @@ class TestBackendParity:
         _assert_identical(reference, candidate, "non-multiple resample window loop")
         assert max(kernel_windows) > 1
         assert len(window_calls) == sum(kernel_windows)
+
+    @pytest.mark.parametrize("mode", ["hold", "sample", "interpolate"])
+    def test_non_multiple_resample_of_one_period_events_is_one_compute_per_run(
+        self, mode, monkeypatch
+    ):
+        # Events that last one period each cover exactly their own slot, so
+        # sampling them onto a non-multiple grid is slot-local and one
+        # compute over the whole run is exact.
+        source = _gappy_source()
+        compute = AlterPeriod.compute
+        for period in (3, 5, 7):
+            query = Query.source("s", frequency_hz=500).alter_period(period, mode=mode)
+            engine = LifeStreamEngine(window_size=2 * period * 500)
+            compiled = engine.compile(query, {"s": source})
+            reference = compiled.run(backend=SerialBackend())
+            runs, window_calls = [], []
+            runs_for = VectorizedBackend.runs
+
+            def spy_runs(self, plan, starts, runs_for=runs_for):
+                found = runs_for(self, plan, starts)
+                runs.extend(found)
+                return found
+
+            def counting_window(self, *args):
+                window_calls.append(1)
+                return compute(self, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(VectorizedBackend, "runs", spy_runs)
+                patch.setattr(AlterPeriod, "compute", counting_window)
+                candidate = compiled.run(backend=VectorizedBackend())
+            _assert_identical(reference, candidate, f"2 -> {period} {mode}")
+            assert max(count for _, count in runs) > 1
+            assert len(window_calls) == len(runs)
 
     def test_invalid_backend_parameters_rejected(self):
         with pytest.raises(ExecutionError):
@@ -453,11 +490,15 @@ class TestFigure3InOneArrayProgram:
         events, columns = allocated
         assert events == result.stats.output_windows * compiled.plan.sink.fwindow.capacity
         assert events > len(result)
-        for column, result_column in zip(columns, (result.times, result.values, result.durations)):
+        for column, result_column in ((columns.times, result.times), (columns.values, result.values)):
             assert result_column is column
             assert column.base is None and column.flags.owndata
             assert column.size == len(result)
             assert not any(out is column for out in concatenated)
+        # Every joined event lasts one period: no duration column at all.
+        assert columns.durations is None
+        assert result.durations.strides == (0,) and not result.durations.flags.writeable
+        assert set(result.durations.tolist()) == {compiled.plan.sink.descriptor.period}
 
     @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
                              ids=["serial", "vectorized"])
@@ -527,6 +568,8 @@ class TestFigure3InOneArrayProgram:
         _assert_identical(reference, result, "sparse sink")
         slots = result.stats.output_windows * compiled.plan.sink.fwindow.capacity
         assert 0 < len(result) < slots // 1000
-        for column in (result.times, result.values, result.durations):
+        for column in (result.times, result.values):
             assert column.base is None and column.flags.owndata
             assert column.size == len(result)
+        # One period for every event: a zero-stride view, no column.
+        assert result.durations.size == len(result) and result.durations.strides == (0,)

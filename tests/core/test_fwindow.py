@@ -49,7 +49,11 @@ class TestGeometry:
         assert not window.contains_time(100)
 
     def test_memory_bytes_matches_bounded_footprint(self, window):
-        # 50 slots * (8 bytes value + 8 bytes duration + 1 byte bitvector).
+        # 50 slots * (8 bytes value + 1 byte bitvector): one duration for
+        # the window, until durations vary and a column of 8 bytes a slot
+        # joins them.
+        assert window.memory_bytes() == 50 * 9
+        window.vary_durations()
         assert window.memory_bytes() == 50 * 17
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend, VectorizedBackend
+from repro.core.sources import ArraySource
 from repro.errors import QueryConstructionError
 
 from tests.conftest import make_source
@@ -150,3 +152,39 @@ class TestClipJoin:
     def test_clip_join_requires_query_argument(self):
         with pytest.raises(QueryConstructionError):
             Query.source("a", frequency_hz=500).clip_join(42)
+
+
+def _bursty(seed: int, seconds: float = 60.0):
+    """A 500 Hz signal in random bursts (20 ms to 3 s) and silences (up to 4 s)."""
+    rng = np.random.default_rng(seed)
+    end = int(seconds * 1000)
+    times = []
+    cursor = int(rng.integers(0, 2000)) * 2
+    while cursor < end:
+        burst = int(rng.integers(10, 1500)) * 2
+        times.append(np.arange(cursor, min(cursor + burst, end), 2, dtype=np.int64))
+        cursor += burst + int(rng.integers(1, 2000)) * 2
+    times = np.concatenate(times)
+    return ArraySource(times, rng.standard_normal(times.size), period=2)
+
+
+class TestJoinAtAnotherPhase:
+    # ``b.shift(2)`` puts the aggregate's windows two ticks after the
+    # output's: the output's first slot of every window is covered only by
+    # the carried aggregate event, whose fate depends on where windows end.
+    @pytest.mark.parametrize("cap", [1, 2, None])
+    def test_vectorized_matches_serial_at_every_run_cap(self, cap):
+        query = Query.source("a", frequency_hz=500).join(
+            Query.source("b", frequency_hz=500).shift(2).tumbling_window(100).mean()
+        )
+        engine = LifeStreamEngine(window_size=1000)
+        for seed in range(3):
+            sources = {"a": _bursty(seed), "b": _bursty(seed + 100)}
+            compiled = engine.compile(query, sources)
+            reference = compiled.run(backend=SerialBackend())
+            result = compiled.run(backend=VectorizedBackend(max_run_windows=cap))
+            assert result.stats.execution_mode == "vectorized"
+            assert len(reference) > 0
+            np.testing.assert_array_equal(reference.times, result.times)
+            np.testing.assert_array_equal(reference.values, result.values)
+            np.testing.assert_array_equal(reference.durations, result.durations)

@@ -218,10 +218,10 @@ class TestPlanAnalysis:
 # -- run-buffer footprint ---------------------------------------------------
 
 MINUTE = 60_000
-#: Slots per one-minute window at 500 Hz, and bytes per slot (value,
-#: duration, presence).
+#: Slots per one-minute window at 500 Hz, and bytes per slot (value and
+#: presence; every duration here is the period, held once per buffer).
 MINUTE_SLOTS = MINUTE // 2
-SLOT_BYTES = 8 + 8 + 1
+SLOT_BYTES = 8 + 1
 #: Minutes of data between one-minute gaps: six distinct run lengths.
 SEGMENT_MINUTES = (3, 1, 6, 2, 5, 4)
 

@@ -491,6 +491,29 @@ class TestCallableStateAtOpen:
             assert printed == expected, f"PYTHONHASHSEED={seed}"
 
 
+    def test_digest_of_a_callable_naming_a_module_is_stable_across_processes(self):
+        # The callable reads the global ``np``: a module keys by its name.
+        script = (
+            "import numpy as np\n"
+            "from repro.core.query import Query\n"
+            "from repro.serve.cache import plan_signature, signature_digest\n"
+            "def despike(values):\n"
+            "    return np.abs(values) < 8.0\n"
+            "query = Query.source('s', frequency_hz=500).where(despike).tumbling_window(250).mean()\n"
+            "print(signature_digest(plan_signature(query, None, 1000, 2)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            ).stdout.strip()
+            for _ in range(2)
+        }
+        assert len(printed) == 1 and len(printed.pop()) == 16
+
+
 class TestStreamingService:
     @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
     def test_service_sessions_bit_identical_to_independent_ones(self, backend_name):
