@@ -21,6 +21,7 @@ import pytest
 from benchmarks.conftest import get_report, timed_benchmark
 from repro.bench.harness import compare_backends
 from repro.bench.workloads import e2e_dataset
+from repro.core.compiler import covered_windows
 from repro.core.engine import LifeStreamEngine
 from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.runtime.vectorized import BlockExecutor, plan_vector_info
@@ -95,8 +96,7 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 def _targeted_starts(plan) -> list[int]:
     """The output windows a targeted run of *plan* visits."""
-    sink = plan.sink
-    return list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
+    return covered_windows(plan).tolist()
 
 
 def test_vectorized_runs_and_serial_windows(workload, monkeypatch):

@@ -23,6 +23,7 @@ import pytest
 from benchmarks.conftest import get_report
 from repro.bench.harness import compare_backends
 from repro.bench.workloads import duty_cycle_e2e_dataset
+from repro.core.compiler import covered_windows
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend, VectorizedBackend
@@ -79,7 +80,7 @@ def test_serial_vs_run_execution_by_run_length(
         SHAPES[shape](), sources
     )
     sink = compiled.plan.sink
-    starts = list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
+    starts = covered_windows(compiled.plan).tolist()
     runs = runs_for_starts(starts, sink.dimension)
 
     backends = {"serial": SerialBackend(), "vectorized": VectorizedBackend()}

@@ -10,6 +10,7 @@ of the plan.
 
 
 from benchmarks.conftest import get_report, timed_benchmark
+from repro.core.compiler import covered_windows
 from repro.core.engine import LifeStreamEngine
 from repro.core.graph import topological_order
 from repro.core.query import Query
@@ -37,7 +38,7 @@ def _max_fragmentation(times, values) -> float:
     worst = 0.0
     sink = compiled.plan.sink
     dimension = sink.dimension
-    for start in compiled.plan.output_coverage.iter_windows(dimension, sink.descriptor.offset):
+    for start in covered_windows(compiled.plan).tolist():
         sink.fill(start)
         for node in topological_order(sink):
             worst = max(worst, node.fwindow.fragmentation())

@@ -10,16 +10,18 @@
     python -m repro.analysis --format json         # machine-readable report
 
 Exits 1 when any error-level diagnostic is found (warnings and info do not
-fail the build), 2 on usage errors.
+fail the build), 2 on usage errors.  With ``--contracts`` the report also
+gives the checks' wall seconds and how many plan runs they made.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
+from repro.analysis import contracts
 from repro.analysis.async_lint import lint_async_paths
-from repro.analysis.contracts import check_contracts
 from repro.analysis.diagnostics import (
     Diagnostic,
     count_by_severity,
@@ -123,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     run_all = not (args.plan or args.contracts or args.lint_async)
     diagnostics: list[Diagnostic] = []
     checks_run: list[str] = []
+    extra: dict = {}
 
     plans = args.plan if args.plan else (sorted(PLAN_BUILDERS) if run_all else [])
     for name in plans:
@@ -150,7 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         checks_run.append(f"plan:{name}")
 
     if args.contracts or run_all:
-        diagnostics.extend(check_contracts())
+        runs, began = contracts.plan_runs, time.perf_counter()
+        diagnostics.extend(contracts.check_contracts())
+        extra["contracts"] = {
+            "seconds": round(time.perf_counter() - began, 2),
+            "plan_runs": contracts.plan_runs - runs,
+        }
         checks_run.append("contracts")
 
     if args.lint_async or run_all or args.lint_path:
@@ -158,9 +166,14 @@ def main(argv: list[str] | None = None) -> int:
         checks_run.append("lint-async")
 
     if args.format == "json":
-        print(render_json(diagnostics, extra={"checks": checks_run}))
+        print(render_json(diagnostics, extra={"checks": checks_run, **extra}))
     else:
         print(f"checks: {', '.join(checks_run)}")
+        if "contracts" in extra:
+            print(
+                f"contracts: {extra['contracts']['plan_runs']} plan runs in "
+                f"{extra['contracts']['seconds']} s"
+            )
         print(render_text(diagnostics))
 
     counts = count_by_severity(diagnostics)

@@ -6,20 +6,22 @@ promises bit-identity with per-window ``compute`` over a run of
 consecutive windows, for every input geometry the operator accepts (the
 vectorized backend lowers a node on the word of the override alone),
 ``snapshot_state`` promises a complete deep copy (checkpoints and failover
-restore on its word), ``coverage_reach`` promises that output
-coverage past a cut depends on no input coverage further back than that
-(streaming sessions read only a trailing window of every source on its
-word), ``coverage_rows`` promises to mark every window of the sink grid
-that ``propagate_coverage`` covers (a streaming tick runs only the windows
-it marks), and a stateless lowered operator promises to depend on its
-windows' contents and grid phase only, not on their position (serving
-stacks one window of many tenants into one ``compute_run`` on its word).
+restore on its word), ``coverage_rows`` — by default a spread over
+``coverage_reach`` — promises to mark every sink window in which the
+operator can emit (a targeted tick runs only the windows it marks, a
+session reads its sources only that reach deep), a stateful operator
+promises that its carry over skipped windows is its carry through them
+(targeted execution skips what eager runs), and a stateless lowered
+operator promises to depend on its windows' contents and grid phase only,
+not on their position (serving stacks one window of many tenants into one
+``compute_run`` on its word).
 
 This module validates those claims *by execution on synthesized
 geometries* instead of trusting them, so a wrong declaration becomes a
 named diagnostic (``LS202``, ``LS203``, ``LS205``, ``LS208``, ``LS209``,
-``LS210``)
-instead of a bit-identity failure three layers away.  Checking is
+``LS210``, ``LS211``) instead of a bit-identity failure three layers away.
+The lineage claims are checked against the eager serial run, which never
+skips a window, on seeded gappy copies of each case's sources.  Checking is
 registry-driven: :func:`builtin_cases` holds one :class:`OperatorCase` per
 in-repo operator, and :func:`check_contracts` additionally discovers every
 ``Operator`` subclass so an operator without a case is itself reported
@@ -35,10 +37,9 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import CompiledPlan, compile_plan
-from repro.core.compiler.lineage import coverage_program
+from repro.core.compiler.lineage import covered_windows
 from repro.core.engine import CompiledQuery
 from repro.core.graph import OperatorNode, topological_order
-from repro.core.intervals import IntervalSet
 from repro.core.operators import Operator
 from repro.core.query import Query
 from repro.core.runtime.backends import ExecutionBackend, SerialBackend, VectorizedBackend
@@ -95,8 +96,19 @@ def _source(n: int = 192, period: int = 2, offset: int = 0, seed: int = 3) -> Ar
     return ArraySource(times, values, period=period)
 
 
-def _events(plan: CompiledPlan, backend: ExecutionBackend):
-    result = CompiledQuery(plan, targeted=True, backend=backend).run()
+#: Plans the checks executed in this process (one-shot runs, sessions and
+#: window loops); ``python -m repro.analysis`` reports it.
+plan_runs = 0
+
+
+def _counted(runs: int = 1) -> None:
+    global plan_runs
+    plan_runs += runs
+
+
+def _events(plan: CompiledPlan, backend: ExecutionBackend, targeted: bool = True):
+    _counted()
+    result = CompiledQuery(plan, targeted=targeted, backend=backend).run()
     return result.times, result.values, result.durations
 
 
@@ -158,8 +170,7 @@ def _check_run_parity(case: OperatorCase, out: list[Diagnostic]) -> None:
 
 
 def _split_starts(plan: CompiledPlan):
-    sink = plan.sink
-    starts = list(sink.coverage.iter_windows(sink.dimension, sink.descriptor.offset))
+    starts = covered_windows(plan).tolist()
     if len(starts) < 6:
         raise ValueError(
             f"synthesized geometry yields only {len(starts)} windows; "
@@ -178,6 +189,7 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
     """
     plan = _fresh(_compile(case))
     starts, split = _split_starts(plan)
+    _counted(3)
     fill_windows(plan.sink, starts[:split])
     reference_tail = fill_windows(plan.sink, starts[split:])
 
@@ -224,146 +236,152 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
         )
 
 
-def _gappy_coverage(rng: np.random.Generator, longest: int, span: int = 4000) -> IntervalSet:
-    """Random off-grid coverage: data stretches and gaps of 1..*longest* ticks."""
-    intervals = []
-    cursor = int(rng.integers(0, longest))
-    while cursor < span:
-        end = cursor + int(rng.integers(1, longest + 1))
-        intervals.append((cursor, end))
-        cursor = end + int(rng.integers(1, longest + 1))
-    return IntervalSet(intervals)
+class _Recording(SerialBackend):
+    """The serial backend, noting the start of every window it runs."""
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+
+    def session_tick(self, plan, starts):
+        self.starts.extend(starts)
+        return super().session_tick(plan, starts)
 
 
-def _check_coverage_locality(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate ``coverage_reach`` against ``propagate_coverage`` itself.
+#: Seeds of the gappy inputs the lineage checks run every case on.
+LINEAGE_SEEDS = range(6)
 
-    For every operator node of the case's plan: trimming each input's
-    coverage at ``input_sync_time(cut - coverage_reach())`` and then
-    propagating must give, past the cut, exactly what propagating the whole
-    history gives — on randomized gappy coverage (fine- and coarse-grained)
-    and cut points, most of them placed just around the end of a data
-    stretch, where a too-small reach shows.  This is the formula a streaming
-    session trims its sources with every tick.
+
+def _gappy_input(source: StreamSource, seed: int, dimension: int, phase: int) -> ArraySource:
+    """*source*'s events with seeded gaps cut out: gaps from one tick to
+    four windows of the grid ``phase + k * dimension``, between stretches
+    of half a window to three windows.  Half the gaps open at most 31 ticks
+    before a window of the grid ends, log-uniformly (most within a few
+    ticks), where output that outlives its input by a short reach spills
+    into the next window."""
+    begin, end = source.coverage().span()
+    times, values, durations = source.read(begin, end)
+    rng = np.random.default_rng(seed)
+    keep = np.ones(times.size, dtype=bool)
+    cursor = begin + int(rng.integers(0, 2 * dimension))
+    while cursor < end:
+        if rng.random() < 0.5:
+            cursor += (phase - cursor) % dimension - int(rng.integers(0, 2 ** int(rng.integers(1, 6))))
+        gap = int(rng.integers(1, 4 * dimension))
+        keep &= (times < cursor) | (times >= cursor + gap)
+        cursor += gap + int(rng.integers(dimension // 2, 3 * dimension))
+    period = source.descriptor.period
+    return ArraySource(
+        times[keep],
+        values[keep],
+        period=period,
+        offset=source.descriptor.offset,
+        durations=None if (durations == period).all() else durations[keep],
+    )
+
+
+def _window_events(events, start: int, dimension: int):
+    """The events of *events* (stream-ordered columns) in ``[start, start + dimension)``."""
+    low, high = np.searchsorted(events[0], (start, start + dimension))
+    return tuple(column[low:high] for column in events)
+
+
+def _check_lineage(case: OperatorCase, out: list[Diagnostic]) -> None:
+    """Validate the lineage claims against the eager serial run.
+
+    On seeded gappy copies of the case's sources (:func:`_gappy_input`),
+    a one-shot targeted run must run every window in which the eager run
+    emits — ``LS210`` when the case's operator has its own
+    ``coverage_rows``, ``LS208`` when the default rule spreads its marks
+    by ``coverage_reach`` — and emit the same events in every window both
+    ran (``LS211``, the carry gap).  A session over ``ReplaySource``
+    copies, ticked half a window at a time, must emit what the one-shot
+    run emits (``LS208``: a tick reads its sources only
+    ``coverage_reach`` deep).  The first finding of each code is reported.
     """
-    rng = np.random.default_rng(208)
-    for node in _operator_nodes(_compile(case)):
-        operator = node.operator
-        reach = operator.coverage_reach()
-        for trial in range(120):
-            coverages = [
-                _gappy_coverage(rng, longest=(12, 60, 400)[trial % 3]) for _ in node.inputs
-            ]
-            if trial % 4:
-                stretches = coverages[trial % len(coverages)].intervals
-                stretch_end = stretches[int(rng.integers(len(stretches)))][1]
-                cut = stretch_end + int(rng.integers(-8, reach + 48))
-            else:
-                cut = int(rng.integers(-200, 4400))
-            whole = operator.propagate_coverage(coverages).window(cut)
-            trimmed = operator.propagate_coverage(
-                [
-                    coverage.window(
-                        operator.input_sync_time(cut - reach, index, upstream.descriptor)
+    template = _compile(case)
+    dimension, phase = template.sink.dimension, template.sink.descriptor.offset
+    if case.operator_cls.coverage_rows is not Operator.coverage_rows:
+        code, rule = "LS210", "its coverage_rows leaves it unmarked"
+    else:
+        reach = next(
+            node.operator.coverage_reach()
+            for node in _operator_nodes(template)
+            if isinstance(node.operator, case.operator_cls)
+        )
+        code = "LS208"
+        rule = f"the default row rule, spread by its coverage_reach()={reach}, leaves it unmarked"
+    found: dict[str, str] = {}
+    for seed in LINEAGE_SEEDS:
+        inputs = {
+            name: _gappy_input(source, 1000 * seed + index, dimension, phase)
+            for index, (name, source) in enumerate(sorted(template.sources.items()))
+        }
+        eager_backend, targeted_backend = _Recording(), _Recording()
+        eager = _events(template.instantiate(inputs), eager_backend, targeted=False)
+        targeted = _events(template.instantiate(inputs), targeted_backend)
+        ran = set(targeted_backend.starts)
+        emitting = np.unique(eager[0] - (eager[0] - phase) % dimension)
+        missed = [int(start) for start in emitting if int(start) not in ran]
+        if missed and code not in found:
+            found[code] = (
+                f"{case.name}: a targeted run never runs the window at "
+                f"t={missed[0]} in which the eager run emits ({len(missed)} "
+                f"window(s) in all, gappy input {seed}); for "
+                f"{case.operator_cls.__name__} {rule}, so a streaming tick "
+                "skips a window that can emit"
+            )
+        if "LS211" not in found:
+            for start in sorted(ran.intersection(eager_backend.starts)):
+                if not _same_events(
+                    _window_events(eager, start, dimension),
+                    _window_events(targeted, start, dimension),
+                ):
+                    found["LS211"] = (
+                        f"{case.name}: the window at t={start}, which both the "
+                        f"targeted and the eager schedule ran, emits different "
+                        f"events (gappy input {seed}); state carried over the "
+                        "windows targeted skipped is not the state carried "
+                        "through them"
                     )
-                    for index, (coverage, upstream) in enumerate(zip(coverages, node.inputs))
-                ]
-            ).window(cut)
-            if trimmed != whole:
-                out.append(
-                    _contract(
-                        "LS208",
-                        "error",
-                        f"{case.name}: {operator.name} declares "
-                        f"coverage_reach()={reach} but its output coverage past "
-                        f"t={cut} changes when input coverage before "
-                        f"input_sync_time({cut} - {reach}) is dropped "
-                        f"({len(whole)} vs {len(trimmed)} interval(s)); a "
-                        "long-lived session would skip or invent windows",
-                        anchor=case.name,
-                    )
+                    break
+        if "LS208" not in found:
+            ticked = _ticked_events(template, inputs, dimension)
+            if not _same_events(ticked, targeted):
+                found["LS208"] = (
+                    f"{case.name}: a session ticked half a window at a time "
+                    f"emits {ticked[0].size} events where the one-shot run "
+                    f"emits {targeted[0].size} (gappy input {seed}); a tick "
+                    "reads its sources only coverage_reach() deep"
                 )
-                return
+    for code in sorted(found):
+        out.append(_contract(code, "error", found[code], anchor=case.name))
 
 
-def _check_row_superset(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate ``coverage_rows`` against ``propagate_coverage`` itself.
-
-    For every operator node of the case's plan, on the windows of the sink
-    grid at the node's position in the plan, and on randomized gappy input
-    coverage: each input's row is True where its coverage meets the span the
-    node reads from it for that window (``input_sync_time``, the input's
-    dimension), exactly as a streaming tick builds it; every window that the
-    propagated output coverage meets must then be marked.  The default rule
-    spreads marks by ``coverage_reach()``, so a reach LS208 already refuted
-    is not checked again.
-    """
-    if any(d.code == "LS208" and d.anchor == case.name for d in out):
-        return
-    plan = _compile(case)
-    program = coverage_program(plan)
-    dimension = program.dimension
-    rng = np.random.default_rng(210)
-    for index, node in enumerate(plan.nodes):
-        if not isinstance(node, OperatorNode):
-            continue
-        operator = node.operator
-        starts = [
-            program.phase + program.offsets[index] + window * dimension
-            for window in range(-4, 4400 // dimension + 4)
-        ]
-        for trial in range(60):
-            coverages = [
-                _gappy_coverage(rng, longest=(12, 60, 400)[trial % 3]) for _ in node.inputs
-            ]
-            rows = []
-            for position, (coverage, upstream) in enumerate(zip(coverages, node.inputs)):
-                reads = [
-                    operator.input_sync_time(start, position, upstream.descriptor)
-                    for start in starts
-                ]
-                rows.append(
-                    np.array([[coverage.overlaps(read, read + upstream.dimension) for read in reads]])
-                )
-            marked = operator.coverage_rows(rows, dimension)[0]
-            covered = operator.propagate_coverage(coverages)
-            missed = [
-                start
-                for start, mark in zip(starts, marked)
-                if not mark and covered.overlaps(start, start + dimension)
-            ]
-            if missed:
-                out.append(
-                    _contract(
-                        "LS210",
-                        "error",
-                        f"{case.name}: {operator.name}.coverage_rows leaves the "
-                        f"window at t={missed[0]} unmarked ({len(missed)} window(s) "
-                        "in all) though propagate_coverage covers it; a streaming "
-                        "tick would skip a window that can emit",
-                        anchor=case.name,
-                    )
-                )
-                return
+def _ticked_events(template: CompiledPlan, inputs: dict, dimension: int):
+    """The events of a targeted serial session over replayed *inputs*,
+    advanced half a window per tick and then finished."""
+    _counted()
+    session = CompiledQuery(
+        template.instantiate({name: ReplaySource(source) for name, source in inputs.items()}),
+        targeted=True,
+        backend=SerialBackend(),
+    ).open_session()
+    first = min(source.coverage().span()[0] for source in inputs.values())
+    last = max(source.coverage().span()[1] for source in inputs.values())
+    try:
+        for watermark in range(first + dimension // 2, last, dimension // 2):
+            session.advance(watermark)
+        session.finish()
+        result = session.result()
+    finally:
+        session.close()
+    return result.times, result.values, result.durations
 
 
 #: Windows each LS209 clone's watermark runs ahead of the first clone's:
 #: cohort members then sit at distinct, out-of-order starts, never laid out
 #: like a run of consecutive windows.
 COHORT_LEADS = (0, 3, 1)
-
-
-def _gappy_copy(source: StreamSource, seed: int) -> ArraySource:
-    """*source*'s samples with a seeded quarter of them dropped."""
-    times, values, durations = source.read(*source.coverage().span())
-    keep = np.random.default_rng(seed).random(times.size) > 0.25
-    period = source.descriptor.period
-    return ArraySource(
-        times[keep],
-        values[keep],
-        period=period,
-        durations=None if (durations == period).all() else durations[keep],
-    )
 
 
 def _check_cohort_stack(case: OperatorCase, out: list[Diagnostic]) -> None:
@@ -384,7 +402,10 @@ def _check_cohort_stack(case: OperatorCase, out: list[Diagnostic]) -> None:
         return  # the plan ticks serially, so it never joins a cohort
     dimension = template.sink.dimension
     inputs = [
-        {name: _gappy_copy(source, 209 + clone) for name, source in template.sources.items()}
+        {
+            name: _gappy_input(source, 209 + clone, dimension, template.sink.descriptor.offset)
+            for name, source in template.sources.items()
+        }
         for clone in range(len(COHORT_LEADS))
     ]
     first = min(source.coverage().span()[0] for source in template.sources.values())
@@ -392,6 +413,7 @@ def _check_cohort_stack(case: OperatorCase, out: list[Diagnostic]) -> None:
     steps = range(first + dimension, last + max(COHORT_LEADS) * dimension, dimension)
 
     def open_clones():
+        _counted(len(inputs))
         return [
             CompiledQuery(
                 template.instantiate(
@@ -447,8 +469,7 @@ def check_operator_case(case: OperatorCase) -> list[Diagnostic]:
     for check in (
         _check_run_parity,
         _check_state_roundtrip,
-        _check_coverage_locality,
-        _check_row_superset,
+        _check_lineage,
         _check_cohort_stack,
     ):
         try:
@@ -545,18 +566,24 @@ def builtin_cases() -> list[OperatorCase]:
             )
         }
 
-    def phased_join_case():
+    def phased(join):
         # b's period-4 grid sits two ticks off the output's, so the join
         # reads b's windows two ticks early, at another phase: the output's
-        # last slots of every window lie past the b window it reads.  A left
-        # join, whose coverage is the left input's: an inner join's
-        # intersection would also count those slots, which no window reads.
-        left = Query.source("a", period=2)
-        right = Query.source("b", period=4, offset=2)
-        return left.left_join(right, lambda x, y: x - y), {
-            "a": _source(n=768, period=2, seed=3),
-            "b": _source(n=384, period=4, offset=2, seed=11),
-        }
+        # last slots of every window lie past the b window it reads.
+        def build():
+            left = Query.source("a", period=2)
+            right = Query.source("b", period=4, offset=2)
+            return join(left, right), {
+                "a": _source(n=768, period=2, seed=3),
+                "b": _source(n=384, period=4, offset=2, seed=11),
+            }
+
+        return build
+
+    def off_period_shift_case():
+        # A shift that is not a multiple of the period repositions its
+        # input window instead of carrying.
+        return Query.source("b", period=4).shift(2), {"b": _source(n=384, period=4, seed=11)}
 
     def shape_case():
         query, sources = _single(period=2, n=768, seed=5)
@@ -567,6 +594,7 @@ def builtin_cases() -> list[OperatorCase]:
         OperatorCase("Select", Select, _apply(lambda q: q.select(lambda v: v * 3.0 + 1.0))),
         OperatorCase("Where", Where, _apply(lambda q: q.where(lambda v: v > 2.0))),
         OperatorCase("Shift", Shift, _apply(lambda q: q.shift(4))),
+        OperatorCase("Shift-off-period", Shift, off_period_shift_case),
         OperatorCase(
             "Shift-multiwindow",
             Shift,
@@ -591,7 +619,20 @@ def builtin_cases() -> list[OperatorCase]:
         OperatorCase(
             "Join-outer", Join, _pair(lambda a, b: a.outer_join(b, lambda x, y: x + y))
         ),
-        OperatorCase("Join-left-phased", Join, phased_join_case),
+        OperatorCase(
+            "Join-left-phased", Join, phased(lambda a, b: a.left_join(b, lambda x, y: x - y))
+        ),
+        OperatorCase(
+            "Join-inner-phased", Join, phased(lambda a, b: a.join(b, lambda x, y: x - y))
+        ),
+        OperatorCase(
+            "Join-shifted", Join, _pair(lambda a, b: a.join(b.shift(2), lambda x, y: x - y))
+        ),
+        OperatorCase(
+            "Join-shifted-aggregate",
+            Join,
+            _pair(lambda a, b: a.join(b.shift(2).tumbling_window(16).mean(), lambda x, y: x - y)),
+        ),
         OperatorCase(
             "ClipJoin", ClipJoin, _pair(lambda a, b: a.clip_join(b, lambda x, y: x - y))
         ),

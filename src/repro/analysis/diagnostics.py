@@ -32,8 +32,9 @@ CODES: dict[str, str] = {
     "LS103": "join grid misalignment: join inputs live on different "
     "(offset, period) grids, so instant-sampling semantics apply and the "
     "aligned-grid run fast path cannot",
-    "LS104": "dead operator: lineage coverage proves the node can never "
-    "produce output, so targeted execution never computes it",
+    "LS104": "dead operator: the node's lineage row marks no window over "
+    "the whole history of its sources, so it can never produce output and "
+    "targeted execution never computes it",
     "LS105": "illegal fused chain: a FusedElementwise node violates fusion "
     "legality (fewer than two stages, or a stage that is not element-wise)",
     "LS106": "time-map off grid: an operator's time map has a non-integral "
@@ -52,14 +53,18 @@ CODES: dict[str, str] = {
     "contract was being checked",
     "LS207": "unchecked operator: an Operator subclass has no registered "
     "conformance case",
-    "LS208": "coverage-locality violation: output coverage past a cut "
-    "depends on input coverage further back than the operator's declared "
-    "coverage_reach()",
+    "LS208": "coverage-reach violation: a targeted run skips a window an "
+    "eager run emits in, under the default row rule the operator's "
+    "coverage_reach() drives, or a session ticked half a window at a time "
+    "differs from the one-shot run",
     "LS209": "cohort stack violation: clones of one plan ticked together "
     "as a cross-tenant cohort differ from each clone ticked alone",
-    "LS210": "coverage-row under-marking: an operator's coverage_rows leaves "
-    "a window unmarked that its propagate_coverage covers, so a streaming "
-    "tick would skip a window that can emit",
+    "LS210": "coverage-row under-marking: a targeted run skips a window an "
+    "eager run emits in, because the operator's own coverage_rows leaves "
+    "it unmarked",
+    "LS211": "carry gap: a window both the targeted and the eager schedule "
+    "ran emits different events, so state carried over skipped windows "
+    "differs from state carried through them",
     # -- async safety (LS3xx) ---------------------------------------------
     "LS301": "blocking call inside 'async def': stalls the event loop and "
     "every client behind it",

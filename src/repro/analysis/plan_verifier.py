@@ -1,8 +1,7 @@
 """Static verification of compiled plans (the ``LS1xx`` diagnostics).
 
 ``verify_plan_graph`` is a pure function over the plan IR after the
-standard passes have run (coverage propagated, dimensions assigned, chains
-fused): it proves or refutes soundness properties *before* a single window
+standard passes have run (dimensions assigned, chains fused): it proves or refutes soundness properties *before* a single window
 executes.  The ``verify`` pass (:class:`repro.core.compiler.passes.VerifyPass`)
 runs it at the end of the default pipeline; the findings land on
 :attr:`CompiledPlan.diagnostics`, in ``explain()``, and — under
@@ -23,8 +22,9 @@ Checked properties:
 - **Join grid alignment** (LS103): join inputs whose grids never share an
   instant get instant-sampling semantics only and lose the aligned-grid run
   fast path.
-- **Dead operators** (LS104): lineage coverage proves the node can never
-  produce output.
+- **Dead operators** (LS104): the node's lineage row over the whole
+  history of the bound sources marks no window, so it can never produce
+  output.
 - **Fused-chain legality** (LS105): every ``FusedElementwise`` node holds
   at least two stages, all of them element-wise.
 - **Watermark assumptions** (LS107): mixing watermark-gated and static
@@ -38,6 +38,7 @@ from __future__ import annotations
 from math import gcd
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.core.compiler.lineage import CoverageProgram
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
 from repro.core.operators import FUSABLE_OPERATORS, FusedElementwise
 from repro.core.sources import PushSource, ReplaySource
@@ -149,23 +150,22 @@ def _check_join_alignment(node: OperatorNode, out: list[Diagnostic]) -> None:
         )
 
 
-def _check_dead_operators(
-    nodes: list[PlanNode], out: list[Diagnostic]
-) -> None:
-    any_source_data = any(
-        node.coverage for node in nodes if isinstance(node, SourceNode)
-    )
-    if not any_source_data:
+def _check_dead_operators(nodes: list[PlanNode], program, out: list[Diagnostic]) -> None:
+    if program is None or program.grid_error is not None:
+        return  # no dimensions (LS101) or no window grid (LS102)
+    _, rows = program.history(nodes[slot].source for slot, _, _ in program.sources)
+    if not any(rows[slot].any() for slot, _, _ in program.sources):
         return
-    for node in nodes:
-        if isinstance(node, OperatorNode) and node.coverage is not None and not node.coverage:
+    for node, row in zip(nodes, rows):
+        if isinstance(node, OperatorNode) and not row.any():
             out.append(
                 _plan(
                     "LS104",
                     "warning",
-                    f"{node.operator.name} has empty lineage coverage while "
-                    "its sources hold data: it can never produce output and "
-                    "targeted execution will never compute it",
+                    f"{node.operator.name} marks no window over the whole "
+                    "history while its sources hold data: it can never "
+                    "produce output and targeted execution will never "
+                    "compute it",
                     anchor=node.name,
                 )
             )
@@ -254,15 +254,19 @@ def _check_vectorized_lowering(sink: PlanNode, out: list[Diagnostic]) -> None:
         )
 
 
-def verify_plan_graph(sink: PlanNode) -> list[Diagnostic]:
+def verify_plan_graph(sink: PlanNode, program=None) -> list[Diagnostic]:
     """Verify the plan rooted at *sink*, returning every finding.
 
     Pure: the graph is only read.  Expects the standard passes to have run
-    (coverage propagated, dimensions assigned); missing pass output is
-    itself reported rather than assumed.
+    (dimensions assigned); missing pass output is itself reported rather
+    than assumed.  *program* is the plan's
+    :class:`~repro.core.compiler.lineage.CoverageProgram`, built here when
+    not given and every node has a dimension.
     """
     diagnostics: list[Diagnostic] = []
     nodes = topological_order(sink)
+    if program is None and all(node.dimension is not None for node in nodes):
+        program = CoverageProgram(nodes)
     for node in nodes:
         if not isinstance(node, OperatorNode):
             continue
@@ -270,7 +274,7 @@ def verify_plan_graph(sink: PlanNode) -> list[Diagnostic]:
         _check_time_maps(node, diagnostics)
         _check_join_alignment(node, diagnostics)
         _check_fused_chains(node, diagnostics)
-    _check_dead_operators(nodes, diagnostics)
+    _check_dead_operators(nodes, program, diagnostics)
     _check_source_liveness(nodes, diagnostics)
     _check_vectorized_lowering(sink, diagnostics)
     return diagnostics

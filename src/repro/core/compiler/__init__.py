@@ -6,11 +6,11 @@ into a graph of plan nodes, binding named sources to concrete
 drives the ordered pass pipeline of :mod:`repro.core.compiler.passes`:
 
 1. ``normalize``        — spec canonicalisation + plan-IR construction,
-2. ``lineage``          — coverage propagation for targeted query
-   processing (:mod:`repro.core.compiler.lineage`),
-3. ``locality``         — locality tracing (:mod:`repro.core.compiler.locality`),
-4. ``fuse_elementwise`` — element-wise operator fusion
+2. ``locality``         — locality tracing (:mod:`repro.core.compiler.locality`),
+3. ``fuse_elementwise`` — element-wise operator fusion
    (:mod:`repro.core.compiler.fusion`),
+4. ``vectorize``        — which nodes lower to run kernels
+   (:mod:`repro.core.runtime.vectorized`),
 5. ``memory``           — static memory allocation
    (:mod:`repro.core.compiler.memory`),
 6. ``verify``           — static plan verification
@@ -18,6 +18,9 @@ drives the ordered pass pipeline of :mod:`repro.core.compiler.passes`:
    :attr:`CompiledPlan.diagnostics`.
 
 Every pass is timed; :meth:`CompiledPlan.explain` reports the timeline.
+The finished plan's lineage on the sink's window grid
+(:class:`~repro.core.compiler.lineage.CoverageProgram`) is built once per
+compile, read by the verifier and kept on :attr:`CompiledPlan.program`.
 ``compile_plan(..., strict=True)`` raises
 :class:`~repro.errors.PlanVerificationError` when verification produces
 error-level diagnostics.
@@ -29,21 +32,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.compiler.fusion import FusionReport, fuse_elementwise
-from repro.core.compiler.lineage import (
-    backward_time_map,
-    coverage_program,
-    forward_time_map,
-    propagate_coverage,
-    redundant_source_coverage,
-    trace_output_to_source,
-)
+from repro.core.compiler.lineage import CoverageProgram, coverage_program, covered_windows
 from repro.core.compiler.locality import assign_dimensions, trace_dimensions, uniform_dimension
 from repro.core.compiler.memory import MemoryPlan, allocate, estimate_footprint
 from repro.core.compiler.passes import (
     MAX_OPTIMIZATION_LEVEL,
     CompilerPass,
     FuseElementwisePass,
-    LineagePass,
     LocalityPass,
     MemoryPass,
     NormalizePass,
@@ -54,7 +49,6 @@ from repro.core.compiler.passes import (
     VerifyPass,
 )
 from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
-from repro.core.intervals import IntervalSet
 from repro.core.query import Query, QuerySpec
 from repro.core.sources import StreamSource
 from repro.core.timeutil import TICKS_PER_MINUTE
@@ -70,7 +64,6 @@ __all__ = [
     "PassTiming",
     "CompilerPass",
     "NormalizePass",
-    "LineagePass",
     "LocalityPass",
     "FuseElementwisePass",
     "MemoryPass",
@@ -84,11 +77,9 @@ __all__ = [
     "uniform_dimension",
     "allocate",
     "estimate_footprint",
-    "propagate_coverage",
-    "forward_time_map",
-    "backward_time_map",
-    "trace_output_to_source",
-    "redundant_source_coverage",
+    "CoverageProgram",
+    "coverage_program",
+    "covered_windows",
 ]
 
 
@@ -140,10 +131,6 @@ class CompiledPlan:
     sink: PlanNode
     window_size: int
     memory_plan: MemoryPlan
-    #: The sink's lineage coverage over the sources compiled with; None on
-    #: a clone (:meth:`instantiate`), whose ticks plan on window rows
-    #: instead (:meth:`explain` propagates it on demand).
-    output_coverage: IntervalSet | None
     #: Timed record of the pass pipeline that produced this plan.
     pass_timings: list[PassTiming] = field(default_factory=list)
     #: Free-form per-pass facts (e.g. fusion statistics).
@@ -160,6 +147,10 @@ class CompiledPlan:
     #: compiled directly).  Clones of one template share its shape exactly,
     #: which is what lets serving execute them together as a cohort.
     template: "CompiledPlan | None" = field(default=None, repr=False, compare=False)
+    #: The plan shape's lineage on window rows, built once per compile;
+    #: None on a clone, which plans on its template's
+    #: (:func:`~repro.core.compiler.lineage.coverage_program`).
+    program: CoverageProgram | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def nodes(self) -> list[PlanNode]:
@@ -189,10 +180,10 @@ class CompiledPlan:
         one source name from separate spec nodes); unnamed nodes keep the
         template's source.  A replacement source must have the template
         descriptor (same offset and period) — the traced dimensions are only
-        valid on that grid.  Coverage is not propagated over the clone: its
-        sessions plan every tick from their sources' coverage on window rows
-        (:meth:`~repro.core.compiler.lineage.CoverageProgram.rows`), so the
-        clone's ``output_coverage`` is None.  With ``strict`` (the default)
+        valid on that grid.  The clone's sessions plan every tick on its
+        template's lineage program
+        (:meth:`~repro.core.compiler.lineage.CoverageProgram.rows`), from
+        their own sources' coverage.  With ``strict`` (the default)
         replacement names that match no source node raise; ``strict=False``
         ignores them, matching ``build_plan``'s tolerance of extra entries
         in a shared sources dict.
@@ -251,7 +242,6 @@ class CompiledPlan:
             # Same node set, same descriptors, same dimensions -> the
             # template's (frozen) memory plan describes the clone exactly.
             memory_plan=self.memory_plan,
-            output_coverage=None,
             pass_timings=self.pass_timings,
             pass_metadata=self.pass_metadata,
             query=self.query,
@@ -269,14 +259,13 @@ class CompiledPlan:
         """Human-readable plan dump in the paper's ``(offset,period)[dim]`` notation."""
         from repro.core.graph import describe_plan
 
-        coverage = self.output_coverage
-        if coverage is None:
-            # Clones share the template's shape, so they share its program.
-            coverage = propagate_coverage(self.sink, program=coverage_program(self))
+        if coverage_program(self).grid_error is None:
+            covered = f"covered windows: {covered_windows(self).size}"
+        else:
+            covered = "covered windows: none planned (the plan cannot be ticked, LS102)"
         header = (
             f"window size: {self.window_size} ticks, "
-            f"pre-allocated: {self.memory_plan.total_bytes} bytes, "
-            f"output coverage: {coverage.total_length()} ticks"
+            f"pre-allocated: {self.memory_plan.total_bytes} bytes, {covered}"
         )
         lines = [header, describe_plan(self.sink)]
         if self.pass_timings:
@@ -327,14 +316,12 @@ def compile_plan(
     sink = ctx.require_sink()
     if ctx.memory_plan is None:
         raise CompilationError("pass pipeline did not allocate memory for the plan")
-    if ctx.coverage is None:
-        raise CompilationError("pass pipeline did not compute output coverage")
     diagnostics = ctx.diagnostics
     if strict:
         if "verify" not in manager.pass_names:
             from repro.analysis.plan_verifier import verify_plan_graph
 
-            diagnostics = verify_plan_graph(sink)
+            diagnostics = verify_plan_graph(sink, ctx.coverage_program())
         errors = [d for d in diagnostics if d.severity == "error"]
         if errors:
             raise PlanVerificationError(
@@ -346,7 +333,6 @@ def compile_plan(
         sink=sink,
         window_size=window_size,
         memory_plan=ctx.memory_plan,
-        output_coverage=ctx.coverage,
         pass_timings=timings,
         pass_metadata=ctx.metadata,
         query=query,
@@ -354,4 +340,5 @@ def compile_plan(
         tracer=tracer,
         optimization_level=optimization_level,
         diagnostics=diagnostics,
+        program=ctx.coverage_program(),
     )

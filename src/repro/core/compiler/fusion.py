@@ -7,8 +7,8 @@ graph, replacing every maximal single-consumer chain of two or more such
 nodes with one node carrying a
 :class:`~repro.core.operators.fused.FusedElementwise` operator.
 
-The pass runs after locality tracing and lineage analysis, so the fused
-node inherits the chain head's dimension and coverage verbatim; the fused
+The pass runs after locality tracing, so the fused node inherits the
+chain head's dimension verbatim; the fused
 operator recomputes the composed descriptor and checks it against the
 chain's (defence in depth).  Nodes with more than one consumer — multicast
 fan-out points — are never absorbed into a chain, so a shared stream is
@@ -90,7 +90,6 @@ def fuse_elementwise(sink: PlanNode) -> FusionReport:
                 f"original head descriptor {node.descriptor}"
             )
         fused.dimension = node.dimension
-        fused.coverage = node.coverage
         chains_fused += 1
         nodes_eliminated += len(chain)
         for parent in node_parents:

@@ -1,19 +1,23 @@
-"""Event lineage tracking and coverage propagation (Sections 5.1 and 5.3).
+"""Event lineage on the sink's window grid (Sections 5.1 and 5.3).
 
 The linearity property of temporal operators on periodic streams means that
 every output event can be mapped back to its parent input events, and —
-composed across the whole query — every region of the final output can be
-mapped back to regions of the sources.  LifeStream uses the *forward*
-direction of this mapping at compile time: each source reports the interval
-set where data actually exists (its *coverage*), and each operator
-transforms its inputs' coverage into output coverage.  Joins intersect
-coverage, which is exactly what lets targeted query processing skip the
-expensive upstream transforms on data that a downstream join would discard.
+composed across the whole query — every output window can be mapped back
+to the spans of the sources it reads.  LifeStream uses the *forward*
+direction of this mapping: each source reports the interval set where data
+actually exists (its *coverage*), and each operator maps which of its
+inputs' windows hold data to which of its own windows can (its
+``coverage_rows``).  Joins intersect, which is exactly what lets targeted
+query processing skip the expensive upstream transforms on data that a
+downstream join would discard.
 
-The same lineage runs twice: over interval sets and the whole history at
-compile time (:func:`propagate_coverage`), and over boolean rows on the
-sink's window grid for every streaming tick (:meth:`CoverageProgram.rows`),
-where a block of sessions cloned from one template is one array program.
+The lineage is one boolean row per node on the sink's window grid
+(:class:`CoverageProgram`).  Every streaming tick asks it which windows
+past its frontier can emit (:meth:`CoverageProgram.rows`), a block of
+sessions cloned from one template as one array program; ``explain()``, the
+plan verifier and the contracts ask it once over the whole history of a
+plan's sources (:meth:`CoverageProgram.history`, :func:`covered_windows`).
+Both questions build their source rows with :meth:`CoverageProgram.source_rows`.
 """
 
 from __future__ import annotations
@@ -22,44 +26,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.graph import OperatorNode, PlanNode, SourceNode, topological_order
-from repro.core.intervals import IntervalSet, roll_windows, spread_windows
+from repro.core.graph import OperatorNode, PlanNode, SourceNode
+from repro.core.intervals import roll_windows, spread_windows
 from repro.core.operators.base import Operator
-from repro.core.timeutil import LinearTimeMap
 from repro.errors import CompilationError, ExecutionError
-
-
-def propagate_coverage(
-    sink: PlanNode,
-    nodes: Sequence[PlanNode] | None = None,
-    program: "CoverageProgram | None" = None,
-) -> IntervalSet:
-    """Compute and store the data coverage of every node in the plan.
-
-    Returns the coverage of the sink (the final output stream), the whole
-    history of it: the compiler's lineage pass, the plan verifier and
-    ``explain()`` read it.  *nodes* is the plan's topological order and
-    *program* its :class:`CoverageProgram`, for callers that already hold
-    them.  A streaming session plans its ticks on window rows instead
-    (:meth:`CoverageProgram.rows`).
-    """
-    nodes = topological_order(sink) if nodes is None else nodes
-    if program is None:
-        program = CoverageProgram(nodes)
-    return program.run(nodes)
-
-
-#: Step kinds of a :class:`CoverageProgram`.
-_SOURCE, _CALL, _ALIAS = range(3)
-
-
-def _aliases_input(operator: Operator) -> bool:
-    """True when *operator*'s output coverage is its input 0's coverage."""
-    return (
-        type(operator).propagate_coverage is Operator.propagate_coverage
-        and type(operator).coverage_rows is Operator.coverage_rows
-        and operator.time_map(0).is_identity()
-    )
 
 
 def _rebase(row, windows: int, straddles: bool):
@@ -72,16 +42,13 @@ def _rebase(row, windows: int, straddles: bool):
 class CoverageProgram:
     """The lineage of one plan shape, flattened once into one step per node.
 
-    The steps, in topological order, are: read a source's coverage, call an
-    operator on its input slots, or alias input 0 for an operator that keeps
-    the base class's identity coverage map.  :meth:`run` evaluates them on
-    :class:`~repro.core.intervals.IntervalSet` coverage over the whole
-    history (the compiler's lineage pass); :meth:`rows` on boolean rows,
-    one row per session and one column per sink window, True where a node
-    has coverage in the span a fill of that window reads from it — the
-    question a streaming tick asks.  Rows may mark windows the interval
-    sets leave out, never the reverse; running such a window is what an
-    eager run does.
+    The steps, in topological order, are: read a source's row, or map an
+    operator's input rows to its own (``Operator.coverage_rows``).  A row
+    holds one column per sink window and is True where the node has
+    coverage in the span a fill of that window reads from it; a block of
+    rows, one per session, is the question a streaming tick asks
+    (:meth:`rows`).  Rows may mark windows that cannot emit, never leave
+    out one that can; running such a window is what an eager run does.
 
     A row is evaluated at the node's own read position, so time maps cost
     nothing on the grid; a consumer that reads the node elsewhere (a
@@ -93,41 +60,21 @@ class CoverageProgram:
 
     def __init__(self, nodes: Sequence[PlanNode]) -> None:
         slot = {id(node): index for index, node in enumerate(nodes)}
-        #: ``(kind, operator, input slots)`` per node.
-        self.steps: list[tuple[int, Operator | None, tuple[int, ...]]] = []
+        #: ``(operator or None for a source, input slots)`` per node.
+        self.steps: list[tuple[Operator | None, tuple[int, ...]]] = []
         for node in nodes:
             if isinstance(node, SourceNode):
-                self.steps.append((_SOURCE, None, ()))
+                self.steps.append((None, ()))
             elif isinstance(node, OperatorNode):
-                operator = node.operator
-                self.steps.append((
-                    _ALIAS if _aliases_input(operator) else _CALL,
-                    operator,
-                    tuple(slot[id(upstream)] for upstream in node.inputs),
-                ))
+                self.steps.append(
+                    (node.operator, tuple(slot[id(upstream)] for upstream in node.inputs))
+                )
             else:  # pragma: no cover - defensive
                 raise CompilationError(f"unknown node type {type(node).__name__}")
         self._descriptors = [node.descriptor for node in nodes]
-        #: Window dimension of the sink grid (None before locality tracing,
-        #: when the program can only :meth:`run`).
-        self.dimension: int | None = nodes[-1].dimension
-        if self.dimension is not None:
-            self._bind_grid(nodes)
-
-    def run(self, nodes: Sequence[PlanNode]) -> IntervalSet:
-        """Store the coverage of every node of *nodes* (a plan of this
-        program's shape, in topological order); return the sink's."""
-        coverages: list[IntervalSet] = []
-        for node, (kind, operator, inputs) in zip(nodes, self.steps):
-            if kind == _SOURCE:
-                coverage = node.source.coverage()
-            elif kind == _ALIAS:
-                coverage = coverages[inputs[0]]
-            else:
-                coverage = operator.propagate_coverage([coverages[i] for i in inputs])
-            node.coverage = coverage
-            coverages.append(coverage)
-        return coverages[-1]
+        #: Window dimension of the sink grid.
+        self.dimension: int = nodes[-1].dimension
+        self._bind_grid(nodes)
 
     # -- the window grid -----------------------------------------------------
 
@@ -140,7 +87,7 @@ class CoverageProgram:
             if position - start in reads[index]:
                 return
             reads[index].append(position - start)
-            _, operator, inputs = self.steps[index]
+            operator, inputs = self.steps[index]
             for position_in, upstream in enumerate(inputs):
                 visit(
                     upstream,
@@ -175,8 +122,8 @@ class CoverageProgram:
         #: ``(slot, offset, width)`` of every source, in topological order.
         self.sources = [
             (index, self.offsets[index], node.dimension)
-            for index, (node, (kind, _, _)) in enumerate(zip(nodes, self.steps))
-            if kind == _SOURCE
+            for index, (node, (operator, _)) in enumerate(zip(nodes, self.steps))
+            if operator is None
         ]
         #: Where the earliest source read of a window starts and the latest
         #: ends, as offsets from the window's start.
@@ -190,8 +137,8 @@ class CoverageProgram:
         #: Windows a mark can move later (and that many columns a block needs
         #: before its first candidate); windows it can move earlier.
         self.spread = self.early = 0
-        for index, (kind, operator, inputs) in enumerate(self.steps):
-            if kind == _SOURCE:
+        for index, (operator, inputs) in enumerate(self.steps):
+            if operator is None:
                 continue
             edges = []
             for position_in, upstream in enumerate(inputs):
@@ -205,7 +152,7 @@ class CoverageProgram:
             reach = -(-operator.coverage_reach() // dimension)
             self.spread += reach
             default = type(operator).coverage_rows is Operator.coverage_rows
-            alias = kind == _ALIAS or (default and len(inputs) == 1 and not reach)
+            alias = default and len(inputs) == 1 and not reach
             self._row_steps.append((index, None if alias else operator, edges))
         #: ``(slot, reach in windows)`` of every stateful node whose carry
         #: reaches back, sink first: the warm-up rule of :meth:`rows`.
@@ -215,6 +162,72 @@ class CoverageProgram:
             if nodes[index].operator.make_state() is not None
             and nodes[index].operator.coverage_reach() > 0
         ]
+
+    # -- source rows ---------------------------------------------------------
+
+    def candidates(self, covers: Sequence[Sequence[tuple[int, int]]]):
+        """``(begin, end, low, high)`` for one member whose sources (in
+        :attr:`sources` order) hold the intervals *covers*: where their data
+        begins and ends, and the sink windows ``low`` to ``high`` (indices on
+        the grid) its marks can reach — from the first window some source
+        read meets the data in, less the windows marks can move earlier, to
+        the last, plus those they can move later.  None without data."""
+        begin = end = None
+        for intervals in covers:
+            if intervals:
+                if begin is None or intervals[0][0] < begin:
+                    begin = intervals[0][0]
+                if end is None or intervals[-1][1] > end:
+                    end = intervals[-1][1]
+        if begin is None:
+            return None
+        dimension, phase = self.dimension, self.phase
+        low = (begin - self.read_end - phase) // dimension + 1 - self.early
+        high = (end - 1 - self.read_start - phase) // dimension + 1 + self.spread
+        return begin, end, low, high
+
+    def source_rows(self, covers: Sequence, lows: Sequence[int], highs: Sequence[int]):
+        """One boolean block (members × columns) per source: member *m*'s
+        row marks every window whose read of the source meets one of the
+        intervals ``covers[m][source]``, column 0 being window
+        ``lows[m] - spread`` (a member with ``low == high`` has no marks)."""
+        dimension, phase, spread = self.dimension, self.phase, self.spread
+        columns = max(high - low for low, high in zip(lows, highs)) + spread
+        blocks = []
+        for index, (_, offset, width) in enumerate(self.sources):
+            cells: list[int] = []
+            for row, (member, low, high) in enumerate(zip(covers, lows, highs)):
+                if high == low:
+                    continue
+                # The flat index of window k of this member's row.
+                base = row * columns - (low - spread)
+                for begin, end in member[index]:
+                    here = (begin - width - offset - phase) // dimension + 1
+                    there = (end - 1 - offset - phase) // dimension + 1
+                    cells.extend(range(base + here, base + there))
+            block = np.zeros((len(covers), columns), dtype=bool)
+            block.flat[cells] = True
+            blocks.append(block)
+        return blocks
+
+    # -- evaluation ----------------------------------------------------------
+
+    def _evaluate(self, source_rows: Sequence[np.ndarray]) -> tuple[list, dict]:
+        """Every node's row, and every operator node's input rows as it
+        reads them, from one block per source."""
+        if self.grid_error is not None:
+            raise ExecutionError(self.grid_error)
+        rows: list = [None] * len(self.steps)
+        for (index, _, _), row in zip(self.sources, source_rows):
+            rows[index] = row
+        inputs: dict[int, list] = {}
+        for index, operator, edges in self._row_steps:
+            read = inputs[index] = [
+                _rebase(rows[upstream], windows, straddles)
+                for upstream, windows, straddles in edges
+            ]
+            rows[index] = read[0] if operator is None else operator.coverage_rows(read, self.dimension)
+        return rows, inputs
 
     def rows(self, source_rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the program on window rows: ``(covered, scheduled)``.
@@ -228,19 +241,7 @@ class CoverageProgram:
         too — sink first, so a downstream node's warm-ups warm the nodes
         above it.
         """
-        if self.grid_error is not None:
-            raise ExecutionError(self.grid_error)
-        rows: list = [None] * len(self.steps)
-        for (index, _, _), row in zip(self.sources, source_rows):
-            rows[index] = row
-        # Each operator node's input rows, as it reads them.
-        inputs: dict[int, list] = {}
-        for index, operator, edges in self._row_steps:
-            read = inputs[index] = [
-                _rebase(rows[upstream], windows, straddles)
-                for upstream, windows, straddles in edges
-            ]
-            rows[index] = read[0] if operator is None else operator.coverage_rows(read, self.dimension)
+        rows, inputs = self._evaluate(source_rows)
         covered = scheduled = rows[-1]
         for index, reach in self._warmups:
             present = inputs[index][0]
@@ -249,77 +250,34 @@ class CoverageProgram:
             scheduled = scheduled | (spread_windows(scheduled, -reach) & present)
         return covered, scheduled
 
+    def history(self, sources) -> tuple[int, list[np.ndarray]]:
+        """The rows over the whole history of *sources* (one per entry of
+        :attr:`sources`), as a first tick of a one-shot run plans them:
+        ``(first, rows)``, where ``rows[slot]`` is node *slot*'s row and its
+        column *k* is the sink window starting at ``first + k * dimension``.
+        Raises, as :meth:`rows` does, when the plan cannot be ticked
+        (:attr:`grid_error`)."""
+        covers = [source.coverage().intervals for source in sources]
+        found = self.candidates(covers)
+        low, high = (0, 0) if found is None else found[2:]
+        rows, _ = self._evaluate(self.source_rows([covers], [low], [high]))
+        return self.phase + low * self.dimension, [row[0, self.spread:] for row in rows]
+
 
 def coverage_program(plan) -> CoverageProgram:
-    """The :class:`CoverageProgram` of a compiled *plan*'s shape, cached on
-    its plan-cache template (on *plan* itself when it was compiled directly)."""
+    """The :class:`CoverageProgram` of a compiled *plan*'s shape: the one
+    its compile built, held by its plan-cache template (by *plan* itself
+    when it was compiled directly)."""
     shape = plan if plan.template is None else plan.template
-    program = shape.__dict__.get("_coverage_program")
-    if program is None:
-        program = shape.__dict__["_coverage_program"] = CoverageProgram(
-            topological_order(shape.sink)
-        )
-    return program
+    if shape.program is None:
+        shape.program = CoverageProgram(shape.nodes)
+    return shape.program
 
 
-def forward_time_map(sink: PlanNode, source: SourceNode) -> LinearTimeMap:
-    """Compose the linear time map from *source*'s domain to *sink*'s domain.
-
-    Follows the first path found from the source to the sink.  Operators
-    whose time map is the identity contribute nothing; shifts accumulate.
-    This is the event-lineage map of Section 5.1 in closed form.
-    """
-    path = _find_path(sink, source)
-    if path is None:
-        raise CompilationError(f"source {source.name} is not an input of the plan")
-    composed = LinearTimeMap.identity()
-    # path is ordered source -> ... -> sink; each interior node is an operator
-    # node whose time map takes its input's domain to its output's domain.
-    for node in path[1:]:
-        assert isinstance(node, OperatorNode)
-        composed = node.operator.time_map(0).compose(composed)
-    return composed
-
-
-def backward_time_map(sink: PlanNode, source: SourceNode) -> LinearTimeMap:
-    """Map from the sink's time domain back to the source's time domain."""
-    return forward_time_map(sink, source).invert()
-
-
-def trace_output_to_source(
-    sink: PlanNode, source: SourceNode, output_interval: tuple[int, int]
-) -> tuple[int, int]:
-    """Map an output time interval back to the source interval that produced it."""
-    return backward_time_map(sink, source).apply_interval(output_interval)
-
-
-def _find_path(sink: PlanNode, target: SourceNode) -> list[PlanNode] | None:
-    """Depth-first search for a path from *target* up to *sink* (ordered source→sink)."""
-    if sink is target:
-        return [sink]
-    for child in sink.inputs:
-        sub = _find_path(child, target)
-        if sub is not None:
-            return sub + [sink]
-    return None
-
-
-def redundant_source_coverage(sink: PlanNode) -> dict[str, IntervalSet]:
-    """Per-source coverage that targeted processing will skip.
-
-    For every source, this is the part of its data whose lineage never
-    reaches the output (for example ECG regions with no overlapping ABP
-    data, which an inner join downstream would discard).  The benchmark for
-    Figure 10(a) uses this to report how much computation was pruned.
-    """
-    output_coverage = sink.coverage
-    skipped: dict[str, IntervalSet] = {}
-    for node in topological_order(sink):
-        if not isinstance(node, SourceNode):
-            continue
-        backward = backward_time_map(sink, node)
-        useful = IntervalSet(
-            [backward.apply_interval(interval) for interval in output_coverage]
-        )
-        skipped[node.name] = node.coverage.difference(useful)
-    return skipped
+def covered_windows(plan) -> np.ndarray:
+    """The start of every sink window that can emit over the whole history
+    of *plan*'s sources: the windows a one-shot targeted run plans, less
+    warm-ups."""
+    program = coverage_program(plan)
+    first, rows = program.history(plan.nodes[slot].source for slot, _, _ in program.sources)
+    return first + np.flatnonzero(rows[-1]) * program.dimension

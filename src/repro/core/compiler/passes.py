@@ -5,20 +5,23 @@ over an explicit plan IR, run by a :class:`PassManager`:
 
 1. ``normalize``         — canonicalise the query spec and build the plan
    graph (shift merging, no-op elision; :func:`repro.core.query.normalize_spec`);
-2. ``lineage``           — propagate source coverage through the graph for
-   targeted query processing (Section 5.3);
-3. ``locality``          — locality tracing: assign every FWindow a
+2. ``locality``          — locality tracing: assign every FWindow a
    consistent dimension (Section 5.2);
-4. ``fuse_elementwise``  — collapse element-wise operator chains into fused
+3. ``fuse_elementwise``  — collapse element-wise operator chains into fused
    kernel nodes (:mod:`repro.core.compiler.fusion`);
-5. ``vectorize``         — report which operator nodes lower to whole-run
+4. ``vectorize``         — report which operator nodes lower to whole-run
    array kernels (:mod:`repro.core.runtime.vectorized`), with per-node
    fallback for the rest;
-6. ``memory``            — static allocation of every FWindow buffer;
-7. ``verify``            — static plan verification
+5. ``memory``            — static allocation of every FWindow buffer;
+6. ``verify``            — static plan verification
    (:mod:`repro.analysis.plan_verifier`): re-prove the invariants the
    earlier passes are supposed to establish and surface the findings as
    structured diagnostics on the compiled plan.
+
+The finished plan's lineage for targeted query processing (Section 5.3)
+is not a pass: it is the plan's
+:class:`~repro.core.compiler.lineage.CoverageProgram`, built once from the
+finished graph (:meth:`PassContext.coverage_program`).
 
 Each pass is timed; the timeline is stored on the resulting
 :class:`~repro.core.compiler.CompiledPlan` and reported by its
@@ -33,11 +36,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.compiler.fusion import fuse_elementwise
-from repro.core.compiler.lineage import propagate_coverage
+from repro.core.compiler.lineage import CoverageProgram
 from repro.core.compiler.locality import assign_dimensions
 from repro.core.compiler.memory import MemoryPlan, allocate
-from repro.core.graph import PlanNode
-from repro.core.intervals import IntervalSet
+from repro.core.graph import PlanNode, topological_order
 from repro.core.query import Query
 from repro.core.sources import StreamSource
 from repro.errors import CompilationError
@@ -59,7 +61,7 @@ class PassContext:
     """Mutable state threaded through the pass pipeline.
 
     ``normalize`` populates ``sink`` (the plan IR); later passes refine it
-    and fill in ``coverage`` and ``memory_plan``.  ``metadata`` carries
+    and fill in ``memory_plan``.  ``metadata`` carries
     free-form per-pass facts (e.g. fusion statistics) into the compiled
     plan's explanation.
     """
@@ -70,12 +72,13 @@ class PassContext:
     tracer: object = None
     optimization_level: int = MAX_OPTIMIZATION_LEVEL
     sink: PlanNode | None = None
-    coverage: IntervalSet | None = None
     memory_plan: MemoryPlan | None = None
     metadata: dict = field(default_factory=dict)
     #: Findings from the verify pass (:class:`repro.analysis.Diagnostic`),
     #: carried onto :attr:`CompiledPlan.diagnostics`.
     diagnostics: list = field(default_factory=list)
+    #: The finished plan's lineage program (:meth:`coverage_program`).
+    program: CoverageProgram | None = None
 
     def require_sink(self) -> PlanNode:
         """The plan IR, raising if no plan-building pass has run yet."""
@@ -84,6 +87,18 @@ class PassContext:
                 "pass pipeline has no plan graph yet; the normalize pass must run first"
             )
         return self.sink
+
+    def coverage_program(self) -> CoverageProgram:
+        """The finished plan's lineage on window rows, built on first use:
+        only once no pass rewrites the graph any more."""
+        if self.program is None:
+            sink = self.require_sink()
+            if sink.dimension is None:
+                raise CompilationError(
+                    "pass pipeline assigned no window dimensions; the locality pass must run"
+                )
+            self.program = CoverageProgram(topological_order(sink))
+        return self.program
 
 
 class CompilerPass:
@@ -110,15 +125,6 @@ class NormalizePass(CompilerPass):
         if ctx.optimization_level >= 1:
             query = query.normalized()
         ctx.sink = build_plan(query, ctx.sources)
-
-
-class LineagePass(CompilerPass):
-    """Propagate source coverage through the graph (targeted processing)."""
-
-    name = "lineage"
-
-    def run(self, ctx: PassContext) -> None:
-        ctx.coverage = propagate_coverage(ctx.require_sink())
 
 
 class LocalityPass(CompilerPass):
@@ -196,7 +202,9 @@ class VerifyPass(CompilerPass):
         from repro.analysis.diagnostics import summarize
         from repro.analysis.plan_verifier import verify_plan_graph
 
-        findings = verify_plan_graph(ctx.require_sink())
+        sink = ctx.require_sink()
+        program = None if sink.dimension is None else ctx.coverage_program()
+        findings = verify_plan_graph(sink, program)
         ctx.diagnostics.extend(findings)
         ctx.metadata["verify"] = summarize(findings)
 
@@ -218,7 +226,6 @@ class PassManager:
         return PassManager(
             [
                 NormalizePass(),
-                LineagePass(),
                 LocalityPass(),
                 FuseElementwisePass(),
                 VectorizePass(),

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator
 from repro.core.sources import StreamSource
 from repro.errors import CompilationError, ExecutionError
@@ -35,7 +34,6 @@ class PlanNode:
         self.descriptor: StreamDescriptor | None = None
         self.dimension: int | None = None
         self.fwindow: FWindow | None = None
-        self.coverage: IntervalSet = IntervalSet.empty()
         self._filled_at: int | None = None
         #: Number of windows this node actually computed during the last run;
         #: used by the targeted-query-processing ablation.

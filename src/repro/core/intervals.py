@@ -2,12 +2,12 @@
 
 An :class:`IntervalSet` is a sorted collection of disjoint half-open integer
 intervals ``[start, end)``.  Sources report where data actually exists as an
-interval set; the compiler propagates those sets through the query graph
-(intersecting them at joins) at compile time; a streaming tick reads each
-source's coverage from just before its frontier on and plans its windows
-on boolean rows over the sink's window grid (:func:`roll_windows` and
-:func:`spread_windows` move marks along it).  This is the mechanism behind
-the paper's *targeted query processing* (Section 5.3).
+interval set; planning reads each source's coverage (a streaming tick from
+just before its frontier on) and marks the windows it meets on boolean
+rows over the sink's window grid (:func:`roll_windows` and
+:func:`spread_windows` move marks along it), which the plan's lineage maps
+to the sink (:mod:`repro.core.compiler.lineage`).  This is the mechanism
+behind the paper's *targeted query processing* (Section 5.3).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class IntervalSet:
         free of empty intervals, skipping the normalisation pass.
 
         The trusted constructor for results whose shape the algebra itself
-        guarantees (``intersect``, ``shift``, ``window``, ...); feeding it
+        guarantees (``intersect``, ``window``, ...); feeding it
         anything else breaks every bisecting query.
         """
         trusted = object.__new__(cls)
@@ -91,13 +91,6 @@ class IntervalSet:
     def empty() -> "IntervalSet":
         """The empty interval set."""
         return IntervalSet.from_normalized(())
-
-    @staticmethod
-    def single(start: int, end: int) -> "IntervalSet":
-        """An interval set containing the single interval ``[start, end)``."""
-        return IntervalSet.from_normalized(
-            ((int(start), int(end)),) if end > start else ()
-        )
 
     @staticmethod
     def from_timestamps(times: Sequence[int] | np.ndarray, period: int) -> "IntervalSet":
@@ -181,10 +174,6 @@ class IntervalSet:
 
     # -- queries ----------------------------------------------------------
 
-    def is_empty(self) -> bool:
-        """True when the set contains no intervals."""
-        return not self._intervals
-
     def total_length(self) -> int:
         """Sum of the lengths of all intervals."""
         return sum(end - start for start, end in self._intervals)
@@ -194,16 +183,6 @@ class IntervalSet:
         if not self._intervals:
             return (0, 0)
         return (self._intervals[0][0], self._intervals[-1][1])
-
-    def contains(self, timestamp: int) -> bool:
-        """True when *timestamp* lies inside one of the intervals."""
-        index = bisect_right(self._intervals, (timestamp, _INF))
-        return index > 0 and self._intervals[index - 1][1] > timestamp
-
-    def overlaps(self, start: int, end: int) -> bool:
-        """True when ``[start, end)`` intersects any interval in the set."""
-        index = _first_ending_after(self._intervals, start)
-        return index < len(self._intervals) and self._intervals[index][0] < end
 
     # -- set algebra ------------------------------------------------------
 
@@ -227,47 +206,6 @@ class IntervalSet:
                 j += 1
         return IntervalSet.from_normalized(tuple(result))
 
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Intervals of *self* with every interval of *other* removed."""
-        result: list[tuple[int, int]] = []
-        holes = other._intervals
-        j = 0
-        for start, end in self._intervals:
-            # Both sides are sorted: holes ending at or before this interval's
-            # start can never cut a later interval either.
-            while j < len(holes) and holes[j][1] <= start:
-                j += 1
-            k = j
-            while k < len(holes) and holes[k][0] < end:
-                if holes[k][0] > start:
-                    result.append((start, holes[k][0]))
-                start = holes[k][1]
-                k += 1
-            if start < end:
-                result.append((start, end))
-        return IntervalSet.from_normalized(tuple(result))
-
-    # -- transformations --------------------------------------------------
-
-    def shift(self, offset: int) -> "IntervalSet":
-        """Translate every interval by *offset* ticks."""
-        return IntervalSet.from_normalized(
-            tuple((s + offset, e + offset) for s, e in self._intervals)
-        )
-
-    def dilate(self, before: int, after: int) -> "IntervalSet":
-        """Grow every interval by *before* ticks on the left and *after* on the right."""
-        return IntervalSet([(s - before, e + after) for s, e in self._intervals])
-
-    def align_to_grid(self, step: int, offset: int = 0) -> "IntervalSet":
-        """Round every interval outward to the grid ``offset + k * step``."""
-        aligned = []
-        for start, end in self._intervals:
-            lo = offset + ((start - offset) // step) * step
-            hi = offset + -((offset - end) // step) * step
-            aligned.append((lo, hi))
-        return IntervalSet(aligned)
-
     def window(self, start: int | None = None, end: int | None = None) -> "IntervalSet":
         """The part of the set inside ``[start, end)``; ``None`` leaves a side open.
 
@@ -281,45 +219,6 @@ class IntervalSet:
                 None if end is None else int(end),
             )
         )
-
-    # -- iteration helpers ------------------------------------------------
-
-    def iter_windows(self, window: int, offset: int = 0) -> Iterator[int]:
-        """Yield window start times on the grid ``offset + k * window``.
-
-        Every window ``[t, t + window)`` that intersects at least one
-        interval of the set is yielded exactly once, in increasing order of
-        ``t``.  This is how the targeted executor enumerates the output
-        FWindows worth computing.
-        """
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        last_yielded: int | None = None
-        for start, end in self._intervals:
-            first = offset + ((start - offset) // window) * window
-            t = first
-            if last_yielded is not None and t <= last_yielded:
-                t = last_yielded + window
-            while t < end:
-                yield t
-                last_yielded = t
-                t += window
-
-    def count_windows(self, window: int, offset: int = 0) -> int:
-        """Number of windows :meth:`iter_windows` would yield (by arithmetic)."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        count = 0
-        next_free: int | None = None
-        for start, end in self._intervals:
-            first = offset + ((start - offset) // window) * window
-            if next_free is not None and first < next_free:
-                first = next_free
-            if first < end:
-                here = -(-(end - first) // window)
-                count += here
-                next_free = first + here * window
-        return count
 
 
 def roll_windows(rows: np.ndarray, by: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet, spread_windows
+from repro.core.intervals import spread_windows
 from repro.core.operators.base import Operator, WindowAgnosticRun, masked_reduce
 from repro.core.timeutil import lcm
 from repro.errors import QueryConstructionError
@@ -87,21 +87,15 @@ class Aggregate(WindowAgnosticRun, Operator):
     def dimension_constraint(self, inputs: Sequence[StreamDescriptor]) -> int:
         return lcm(self.window, self.stride)
 
-    def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
+    def coverage_reach(self) -> int:
         # The output event at time t aggregates the trailing input window
         # ending at t + stride, so outputs can exist up to (window - stride)
-        # ticks beyond the end of the input data.  Round the result outward
-        # to the stride grid so targeted execution never misses a window.
-        lookback = self.window - self.stride
-        return coverages[0].dilate(0, lookback).align_to_grid(self.stride)
-
-    def coverage_reach(self) -> int:
-        # An interval ending at b covers outputs up to the stride boundary at
-        # or past b + lookback: strictly less than b + window.
+        # ticks past the input's data, on the stride grid: strictly less
+        # than window ticks past it.
         return self.window
 
     def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
-        # Windows are whole strides, so the grid rounding stays inside the
+        # Windows are whole strides, so the stride grid stays inside the
         # window: only the lookback reaches into later windows.
         return spread_windows(rows[0], -(-(self.window - self.stride) // dimension))
 

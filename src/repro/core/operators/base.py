@@ -17,12 +17,11 @@ An operator contributes these pieces of information:
 ``input_sync_time``
     where the input FWindow(s) must be positioned to produce a given output
     window — the event-lineage map used by targeted query processing;
-``propagate_coverage`` / ``coverage_reach`` / ``coverage_rows``
+``coverage_reach`` / ``coverage_rows``
     how data availability flows through the operator, again for targeted
-    query processing (Section 5.3): as interval sets at compile time, and
-    as boolean rows on the sink's window grid when a session plans a tick,
-    with ``coverage_reach`` bounding how many windows back that flow can
-    reach.
+    query processing (Section 5.3): as boolean rows on the sink's window
+    grid, one column per window, with ``coverage_reach`` bounding how far
+    past its input's data the operator's output can reach.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet, spread_windows
+from repro.core.intervals import spread_windows
 from repro.core.timeutil import LinearTimeMap
 from repro.errors import QueryConstructionError
 
@@ -99,40 +98,36 @@ class Operator:
         scale, shift = entry
         return input_descriptor.align_down(int(scale * output_sync_time + shift))
 
-    def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
-        """Output data coverage given the input coverages."""
-        mapped = self.time_map(0)
-        if mapped.is_identity():
-            return coverages[0]
-        return IntervalSet([mapped.apply_interval(iv) for iv in coverages[0]])
-
     def coverage_reach(self) -> int:
-        """How many ticks before an input cut :meth:`propagate_coverage` reads.
+        """How many ticks past its input's data the output can emit.
 
-        The lineage map is local: output coverage from an output time ``c``
-        on depends only on input coverage from ``input_sync_time(c -
-        coverage_reach())`` on.  Streaming sessions rely on this to read
-        only a trailing window of every source each tick, and the default
-        :meth:`coverage_rows` spreads each input window's mark over the
-        windows that many ticks span, so an operator whose
-        ``propagate_coverage`` widens intervals to the right (or to a grid)
-        must declare by how much; interval-by-interval maps reach 0.
-        The contract analyzer checks the claim (``LS208``).
+        Every window that can emit must be marked.  The default
+        :meth:`coverage_rows` marks a window when an input is marked in it
+        or in the windows this many ticks span before it, so an operator
+        whose output outlives its input (a carry, a lookback, a stretched
+        duration) must declare by how much; an operator that emits only
+        where its input has data reaches 0.  Streaming sessions read only a
+        trailing stretch of every source each tick, that many ticks deep,
+        and a stateful operator with a reach gets warm-up windows before
+        each scheduled one.  The contract analyzer checks the claim by
+        execution (``LS208``): a targeted run must run every window in
+        which an eager run emits.
         """
         return 0
 
     def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
-        """Which output windows can hold coverage, given which input windows do.
+        """Which output windows can emit, given which input windows hold data.
 
         ``rows[i]`` is a boolean block, one row per session and one column
         per window of the sink grid (*dimension* ticks apart): True where
         input *i* has coverage in the span this operator reads from it for
-        that window.  The result must be True wherever
-        :meth:`propagate_coverage` covers any of the output window — a
-        superset is exact, since it only runs windows an eager run runs too
-        (the contract analyzer checks this, ``LS210``).  The default marks
-        a window when any input is marked in it or in the
-        ``ceil(coverage_reach() / dimension)`` windows before it.
+        that window.  Every window in which the operator can emit must be
+        marked — a superset is exact, since it only runs windows an eager
+        run runs too.  The contract analyzer checks this by execution
+        against an eager run (``LS210`` for an override, ``LS208`` for the
+        default).  The default marks a window when any input is marked in
+        it or in the ``ceil(coverage_reach() / dimension)`` windows before
+        it.
         """
         row = rows[0]
         for other in rows[1:]:

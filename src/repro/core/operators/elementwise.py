@@ -109,16 +109,6 @@ class Shift(WindowAgnosticRun, Operator):
             return input_descriptor.align_down(output_sync_time)
         return super().input_sync_time(output_sync_time, input_index, input_descriptor)
 
-    def propagate_coverage(self, coverages):
-        shifted = super().propagate_coverage(coverages)
-        if self.offset > 0:
-            # The carry-based execution strategy needs the window *preceding*
-            # each covered region to have been processed so the carried tail
-            # is populated; extend coverage left by the shift amount so the
-            # targeted executor schedules that warm-up window.
-            return shifted.dilate(self.offset, 0)
-        return shifted
-
     def coverage_reach(self) -> int:
         # With the carry strategy the input window sits at the output's own
         # sync time while its coverage lands ``offset`` ticks later.
@@ -233,19 +223,12 @@ class AlterDuration(WindowAgnosticRun, Operator):
             raise ValueError(f"duration must be positive, got {duration}")
         self.duration = int(duration)
 
-    def propagate_coverage(self, coverages):
-        covered = super().propagate_coverage(coverages)
+    def coverage_reach(self) -> int:
         # Sync times are unchanged but every event now stays active for
         # ``duration`` ticks, so data extends up to ``duration - 1`` ticks
-        # past each covered interval (the input period is not visible here;
-        # period >= 1 bounds the overhang).  Without the dilation a
-        # downstream interval consumer — Chop splitting the stretched tail
-        # of the last event, say — produces events past the declared
-        # coverage, and targeted execution never schedules the window that
-        # would emit them.
-        return covered.dilate(0, self.duration - 1)
-
-    def coverage_reach(self) -> int:
+        # past the input's (period >= 1 bounds the overhang).  A downstream
+        # interval consumer — Chop splitting the stretched tail of the last
+        # event, say — emits there, so those windows must be marked.
         return self.duration - 1
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:

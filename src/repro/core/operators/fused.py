@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet
 from repro.core.operators.base import Operator, WindowAgnosticRun
 from repro.core.operators.elementwise import (
     AlterDuration,
@@ -46,8 +45,8 @@ class FusedElementwise(WindowAgnosticRun, Operator):
 
     ``stages`` is an ordered list of ``(operator, input_descriptor)`` pairs,
     innermost (closest to the source) first.  The input descriptor of each
-    stage is recorded at fusion time so sync-time and coverage translation
-    can be composed without the intermediate plan nodes.
+    stage is recorded at fusion time so sync-time translation can be
+    composed without the intermediate plan nodes.
     """
 
     name = "FusedElementwise"
@@ -92,12 +91,6 @@ class FusedElementwise(WindowAgnosticRun, Operator):
         for op, stage_input in reversed(self.stages):
             sync = op.input_sync_time(sync, 0, stage_input)
         return sync
-
-    def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
-        coverage = coverages[0]
-        for op, _ in self.stages:
-            coverage = op.propagate_coverage([coverage])
-        return coverage
 
     def coverage_reach(self) -> int:
         return sum(op.coverage_reach() for op, _ in self.stages)

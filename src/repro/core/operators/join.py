@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.intervals import IntervalSet
 from repro.core.operators.base import (
     Operator,
     WindowAgnosticRun,
@@ -98,14 +97,6 @@ class Join(WindowAgnosticRun, Operator):
         left, right = inputs
         # Table 2: [out] <- LCM([left], [right]).
         return lcm(left.period, right.period)
-
-    def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
-        left, right = coverages
-        if self.how == "inner":
-            return left.intersect(right)
-        if self.how == "left":
-            return left
-        return left.union(right)
 
     def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
         left, right = rows
@@ -217,9 +208,6 @@ class ClipJoin(Operator):
     def dimension_constraint(self, inputs: Sequence[StreamDescriptor]) -> int:
         left, right = inputs
         return lcm(left.period, right.period)
-
-    def propagate_coverage(self, coverages: Sequence[IntervalSet]) -> IntervalSet:
-        return coverages[0]
 
     def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
         return rows[0]

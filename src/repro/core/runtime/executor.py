@@ -14,7 +14,7 @@ and the session plans the windows on the sink's window grid
   join would discard — is skipped entirely;
 * in **eager** mode the executor mimics conventional engines: every window
   of the span from the sources' first data to the last window their data
-  or the output coverage reaches is processed, whether or not it can
+  or the covered windows reach is processed, whether or not it can
   produce output.  Eager mode exists for the ablation study (Figure
   10(a)) and for tests that check both modes produce identical results;
   :func:`span_window_count` counts its windows, which is what
@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.compiler import CompiledPlan
-from repro.core.intervals import IntervalSet
 from repro.core.sources import period_column
 from repro.errors import ExecutionError
 
@@ -45,9 +44,12 @@ def span_window_count(plan: CompiledPlan, span: tuple[int, int] | None) -> int:
     sink = plan.sink
     if sink.dimension is None:
         raise ExecutionError("plan has no dimensions assigned; was it compiled?")
-    if span is None:
+    if span is None or span[1] <= span[0]:
         return 0
-    return IntervalSet.single(*span).count_windows(sink.dimension, sink.descriptor.offset)
+    begin, end = span
+    dimension, offset = sink.dimension, sink.descriptor.offset
+    first = offset + (begin - offset) // dimension * dimension
+    return -(-(end - first) // dimension)
 
 
 class SinkColumns:

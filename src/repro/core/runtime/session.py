@@ -21,9 +21,9 @@ Three mechanisms make the loop incremental:
   windows before the frontier on) meets the span a fill of that window
   reads, and every operator maps its inputs' rows to its own
   (``Operator.coverage_rows``: joins ``&``/``|``, everything else a spread
-  over its ``coverage_reach()``).  The rows may mark a window the interval
-  sets of compile-time lineage leave out, never the reverse; running it is
-  what an eager run does, so results do not change.  A stateful node whose
+  over its ``coverage_reach()``).  The rows may mark a window that cannot
+  emit, never leave out one that can; running it is what an eager run
+  does, so results do not change.  A stateful node whose
   carry reaches back also gets its **warm-up windows**: earlier windows
   within its reach of a scheduled one in which its input has data;
 * **the emission frontier** — the session remembers the last window start
@@ -552,7 +552,7 @@ class StreamingSession:
         first window past the frontier it planned from on, as intervals of
         whole windows on the sink grid.
 
-        A superset of the lineage coverage there, exact enough to plan on:
+        Every window that can emit there, exact enough to plan on:
         a sharing group publishes it to its tails as the prefix output's
         coverage (:mod:`repro.serve.subplan`).
         """
@@ -901,20 +901,11 @@ def _plan_block(program, members: list[StreamingSession], drain: bool) -> None:
                 source.coverage(since + offset).intervals
                 for source, (_, offset, _) in zip(session._row_sources, sources)
             ]
-        low = high = begin = end = None
-        for intervals in covers:
-            if intervals:
-                if begin is None or intervals[0][0] < begin:
-                    begin = intervals[0][0]
-                if end is None or intervals[-1][1] > end:
-                    end = intervals[-1][1]
-        if begin is not None:
+        low = high = None
+        reach = program.candidates(covers)
+        if reach is not None:
+            begin, end, low, high = reach
             session._widen_span(begin, end)
-            # From the first window some source read meets the data in, less
-            # the windows marks can move earlier, to the last, plus those
-            # they can move later.
-            low = (begin - program.read_end - phase) // dimension + 1 - program.early
-            high = (end - 1 - program.read_start - phase) // dimension + 1 + spread
         if not session._targeted and session._span is not None:
             begin, end = session._span
             here, there = (begin - phase) // dimension, (end - 1 - phase) // dimension + 1
@@ -927,23 +918,7 @@ def _plan_block(program, members: list[StreamingSession], drain: bool) -> None:
         found.append(covers)
         lows.append(low)
         highs.append(high)
-    columns = max(high - low for low, high in zip(lows, highs)) + spread
-    # A source's row: every window whose read meets one of its intervals.
-    source_rows = []
-    for index, (_, offset, width) in enumerate(sources):
-        cells: list[int] = []
-        for row, (covers, low, high) in enumerate(zip(found, lows, highs)):
-            if high == low:
-                continue
-            # The flat index of window k of this member's row.
-            base = row * columns - (low - spread)
-            for begin, end in covers[index]:
-                here = (begin - width - offset - phase) // dimension + 1
-                there = (end - 1 - offset - phase) // dimension + 1
-                cells.extend(range(base + here, base + there))
-        block = np.zeros((len(members), columns), dtype=bool)
-        block.flat[cells] = True
-        source_rows.append(block)
+    source_rows = program.source_rows(found, lows, highs)
     covered, scheduled = program.rows(source_rows)
     # Each member runs its marked windows up to its last ready one; the
     # marked windows past that are deferred.

@@ -102,9 +102,9 @@ class LinearTimeMap:
     ``t_out = scale * t_in + shift`` where *scale* is an exact rational.
     The identity map has ``scale == 1`` and ``shift == 0``.
 
-    The map is the building block of event lineage tracking: composing the
-    maps of every operator along a path in the query graph yields the map
-    from any intermediate stream back to the query's sources.
+    Inverted, it positions an operator's input windows for an output
+    window (:meth:`~repro.core.operators.base.Operator.input_sync_time`);
+    composed, a fused chain's.
     """
 
     scale: Fraction = Fraction(1)
@@ -125,19 +125,6 @@ class LinearTimeMap:
         """A pure scaling map ``t_out = (numerator / denominator) * t_in``."""
         return LinearTimeMap(Fraction(numerator, denominator), Fraction(0))
 
-    def apply(self, timestamp: int) -> int:
-        """Map a single timestamp forward.  The result must be integral."""
-        value = self.scale * timestamp + self.shift
-        if value.denominator != 1:
-            raise ValueError(
-                f"time map {self} applied to {timestamp} produces non-integer {value}"
-            )
-        return int(value)
-
-    def apply_float(self, timestamp: float) -> float:
-        """Map a timestamp forward without requiring an integral result."""
-        return float(self.scale) * timestamp + float(self.shift)
-
     def invert(self) -> "LinearTimeMap":
         """Return the inverse map (output domain back to input domain)."""
         if self.scale == 0:
@@ -149,22 +136,10 @@ class LinearTimeMap:
         """Return the map equivalent to applying *inner* first, then *self*."""
         return LinearTimeMap(self.scale * inner.scale, self.scale * inner.shift + self.shift)
 
-    def apply_interval(self, interval: tuple[int, int]) -> tuple[int, int]:
-        """Map a half-open interval forward, preserving orientation."""
-        start, end = interval
-        a = self.apply_float(start)
-        b = self.apply_float(end)
-        lo, hi = (a, b) if a <= b else (b, a)
-        return int(lo), int(-(-hi // 1))
-
-    def is_identity(self) -> bool:
-        """True when this map leaves every timestamp unchanged."""
-        return self.scale == 1 and self.shift == 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearTimeMap(t_out = {self.scale} * t_in + {self.shift})"
 
 
-# Coverage propagation asks every identity-mapped operator for its time map
-# on every session tick; building two Fractions each time dominated that.
+# Most operators map time by the identity; building two Fractions for
+# each of them on every call is waste.
 _IDENTITY = LinearTimeMap()

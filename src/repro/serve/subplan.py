@@ -83,8 +83,8 @@ class SharedFeedSource(PushSource):
     by the group runtime on every :meth:`publish`: coverage is the prefix
     session's covered windows as whole windows of its sink grid
     (:attr:`~repro.core.runtime.session.StreamingSession.planned_coverage`,
-    a superset of its lineage coverage, so a tail runs at most windows an
-    eager run would), the watermark is the prefix session's
+    every window that can emit, so a tail runs at most windows an eager run
+    would), the watermark is the prefix session's
     ``output_complete_through`` — never further than the prefix output is
     final.
 

@@ -1,6 +1,6 @@
 """Shared fixtures for the static-analysis tests.
 
-Defines six deliberately misbehaving operators the analyzers must catch:
+Defines seven deliberately misbehaving operators the analyzers must catch:
 
 - :class:`TimeStretch` scales time by 2, which breaks the
   consecutive-window invariant run lowering depends on (the plan
@@ -9,12 +9,16 @@ Defines six deliberately misbehaving operators the analyzers must catch:
   ``compute`` over a run is exact while rewriting the last present event of
   every window, so a run's output differs from its windows' (the contract
   analyzer's LS202);
-- :class:`LyingReach` widens coverage 50 ticks to the right while leaving
-  ``coverage_reach()`` at its 0 default (the contract analyzer's LS208);
-- :class:`LyingRows` widens coverage 50 ticks to the right and declares
-  that reach, but its ``coverage_rows`` marks only the windows its input is
-  marked in, never the window the widening spills into (the contract
-  analyzer's LS210);
+- :class:`LyingReach` emits each window's input one window later, into a
+  window whose own input may be absent, while leaving ``coverage_reach()``
+  at its 0 default, so the default row rule never marks that window (the
+  contract analyzer's LS208);
+- :class:`LyingRows` does the same and declares the reach, but its
+  ``coverage_rows`` marks only the windows its input is marked in, never
+  the window the output spills into (the contract analyzer's LS210);
+- :class:`LyingCount` emits, at every present slot, how many windows it
+  has computed: a count that differs between a schedule that skips windows
+  and one that runs them all (the contract analyzer's LS211);
 - :class:`LyingRunKernel` interpolates inside each window in ``compute``
   but runs one ``np.interp`` over the whole run in ``compute_run``, ignoring
   window edges (the contract analyzer's LS202);
@@ -79,44 +83,65 @@ class LyingTail(WindowAgnosticRun, Operator):
 
 
 class LyingReach(Operator):
-    """Copies its input and claims the 50 ticks after every data stretch
-    too — without declaring that reach, so a session trimming its input at
-    the frontier would lose that coverage."""
+    """Emits each window's input one window later — a delay by one window,
+    carried as state — but declares no reach, so the window after the last
+    one with data is never marked though it emits.
+
+    The carry ages over a skipped window as a ``Shift`` carry does (a
+    skipped window's input counts as absent), so the windows both a
+    targeted and an eager schedule run agree.
+    """
 
     name = "LyingReach"
 
-    def propagate_coverage(self, coverages):
-        return coverages[0].dilate(0, 50)
+    def make_state(self):
+        return {"values": None, "bits": None, "next_sync": None}
 
     def compute(self, output, inputs, state):
         source = inputs[0]
         source.trace_read()
-        output.values[:] = source.values
-        output.copy_durations(source)
-        output.bitvector[:] = source.bitvector
+        if state["next_sync"] == source.sync_time:
+            output.values[:] = state["values"]
+            output.bitvector[:] = state["bits"]
+        else:
+            output.values[:] = 0.0
+            output.bitvector[:] = False
+        output.duration = source.period
+        state["values"] = source.values.copy()
+        state["bits"] = source.bitvector.copy()
+        state["next_sync"] = source.sync_time + source.capacity * source.period
         output.trace_write()
 
 
-class LyingRows(Operator):
-    """Copies its input and claims the 50 ticks after every data stretch,
-    with the reach declared, but marks no window past its input's: a tick
-    would never run the window that coverage spills into."""
+class LyingRows(LyingReach):
+    """:class:`LyingReach` with its reach declared (one 96-tick window),
+    but a row rule that marks only the windows its input is marked in:
+    never the window its output spills into."""
 
     name = "LyingRows"
 
-    def propagate_coverage(self, coverages):
-        return coverages[0].dilate(0, 50)
-
     def coverage_reach(self) -> int:
-        return 50
+        return 96
 
     def coverage_rows(self, rows, dimension):
         return rows[0]
 
+
+class LyingCount(Operator):
+    """Replaces every present value by the number of windows computed so
+    far: a carry that skipping a window changes, so a window both a
+    targeted and an eager schedule ran emits different values."""
+
+    name = "LyingCount"
+
+    def make_state(self):
+        return {"windows": 0}
+
     def compute(self, output, inputs, state):
         source = inputs[0]
         source.trace_read()
-        output.values[:] = source.values
+        state["windows"] += 1
+        output.values[:] = state["windows"]
         output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()

@@ -45,6 +45,7 @@ class TestCodeStability:
             "LS208",
             "LS209",
             "LS210",
+            "LS211",
             "LS301",
             "LS302",
             "LS303",

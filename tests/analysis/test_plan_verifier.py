@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.plan_verifier import verify_compiled_plan
 from repro.core.compiler import (
     FuseElementwisePass,
-    LineagePass,
     LocalityPass,
     MemoryPass,
     NormalizePass,
@@ -45,7 +44,6 @@ class TestTimeScaling:
         manager = PassManager(
             [
                 NormalizePass(),
-                LineagePass(),
                 LocalityPass(),
                 FuseElementwisePass(),
                 VectorizePass(),
@@ -62,6 +60,31 @@ class TestTimeScaling:
         text = plan.explain()
         assert "diagnostics:" in text
         assert "LS102" in text
+        assert "the plan cannot be ticked" in text
+
+
+class TestDeadOperators:
+    @staticmethod
+    def _join(b_offset: int):
+        query = Query.source("a", period=2).join(
+            Query.source("b", period=2), lambda a, b: a - b
+        )
+        sources = {
+            "a": make_source(500, period=2),
+            "b": make_source(500, period=2, offset=b_offset),
+        }
+        return compile_plan(query, sources, window_size=96)
+
+    def test_inner_join_over_disjoint_data_warns_ls104_naming_the_join(self):
+        plan = self._join(b_offset=5000)
+        findings = [d for d in plan.diagnostics if d.code == "LS104"]
+        assert [d.anchor for d in findings] == [plan.sink.name]
+        assert findings[0].severity == "warning"
+        assert "Join" in findings[0].message
+
+    def test_inner_join_over_overlapping_data_is_clean(self):
+        plan = self._join(b_offset=400)
+        assert not [d for d in plan.diagnostics if d.code == "LS104"]
 
 
 class TestGridAndLiveness:

@@ -1,24 +1,23 @@
 """Unit tests for the compiler passes: locality tracing, static memory
-allocation and lineage/coverage propagation."""
+allocation, and the lineage's covered windows."""
 
 import pytest
 
 from repro.core.compiler import (
-    backward_time_map,
     build_plan,
     compile_plan,
+    coverage_program,
+    covered_windows,
     estimate_footprint,
-    forward_time_map,
-    propagate_coverage,
-    redundant_source_coverage,
     trace_dimensions,
     uniform_dimension,
 )
 from repro.core.compiler.locality import assign_dimensions
 from repro.core.compiler.memory import allocate
-from repro.core.graph import describe_plan, source_nodes, total_preallocated_bytes
-from repro.core.intervals import IntervalSet
+from repro.core.engine import CompiledQuery
+from repro.core.graph import describe_plan, total_preallocated_bytes
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import LocalityTracingError, MemoryPlanError
 
@@ -124,21 +123,22 @@ class TestStaticMemoryAllocation:
 
 
 class TestLineageAndCoverage:
-    def test_source_coverage_propagates_through_elementwise_ops(self, gappy_500hz):
+    def test_elementwise_ops_cover_the_windows_their_source_meets(self, gappy_500hz):
         query = Query.source("s", frequency_hz=500).select(lambda v: v).where(lambda v: v > 0)
         plan = compile_plan(query, {"s": gappy_500hz}, window_size=1000)
-        assert plan.output_coverage == gappy_500hz.coverage()
+        # Data in [0, 2000) and [6000, 10000).
+        assert covered_windows(plan).tolist() == [0, 1000, 6000, 7000, 8000, 9000]
 
     def test_inner_join_intersects_coverage(self):
         left = make_source(1000, period=2)  # covers [0, 2000)
         right = make_source(1000, period=2, offset=1000)  # covers [1000, 3000)
         query = Query.source("a", frequency_hz=500).join(Query.source("b", frequency_hz=500))
         plan = compile_plan(query, {"a": left, "b": right}, window_size=500)
-        assert plan.output_coverage == IntervalSet([(1000, 2000)])
+        assert covered_windows(plan).tolist() == [1000, 1500]
 
-    def test_clone_propagates_coverage_only_when_explained(self):
-        # Clones plan their ticks on window rows: instantiate propagates
-        # nothing, and explain() derives the clone's own coverage on demand.
+    def test_clone_plans_on_its_templates_program(self):
+        # A compile builds the program once; clones reuse their template's,
+        # and explain() asks it about the clone's own sources.
         query = Query.source("a", frequency_hz=500).join(Query.source("b", frequency_hz=500))
         template = compile_plan(
             query, {"a": make_source(1000, period=2), "b": make_source(1000, period=2)},
@@ -147,41 +147,35 @@ class TestLineageAndCoverage:
         clone = template.instantiate(
             {"a": make_source(1000, period=2), "b": make_source(500, period=2)}
         )
-        assert clone.output_coverage is None
-        assert "output coverage: 1000 ticks" in clone.explain()
-        assert "output coverage: 2000 ticks" in template.explain()
+        assert template.program is not None and clone.program is None
+        assert coverage_program(clone) is template.program
+        assert "covered windows: 2" in clone.explain()
+        assert "covered windows: 4" in template.explain()
 
-    def test_shift_translates_coverage(self, ramp_500hz):
+    def test_shift_moves_the_covered_windows(self, ramp_500hz):
         query = Query.source("s", frequency_hz=500).shift(500)
         plan = compile_plan(query, {"s": ramp_500hz}, window_size=1000)
-        start, end = plan.output_coverage.span()
-        assert end == 10_000 + 500
-        assert start <= 500
+        windows = covered_windows(plan)
+        # Output data lies in [500, 10500), on a grid of phase 500; the rows
+        # may mark a window more at either end, never one less.
+        assert ((windows - 500) % 1000 == 0).all()
+        assert windows[0] <= 500 and windows[-1] + 1000 >= 10_500
+        assert windows.size == (windows[-1] - windows[0]) // 1000 + 1
 
-    def test_forward_and_backward_time_maps_compose(self, ramp_500hz):
-        query = Query.source("s", frequency_hz=500).shift(100).shift(23)
-        plan = compile_plan(query, {"s": ramp_500hz}, window_size=1000)
-        source = source_nodes(plan.sink)[0]
-        forward = forward_time_map(plan.sink, source)
-        backward = backward_time_map(plan.sink, source)
-        assert forward.apply(0) == 123
-        assert backward.apply(forward.apply(4200)) == 4200
-
-    def test_redundant_source_coverage_identifies_skippable_data(self):
+    def test_targeted_run_skips_the_unjoinable_source_data(self):
         # ECG exists everywhere, ABP only in the first half: half of the ECG
         # can never reach the output of an inner join.
         ecg = make_source(2000, period=2)  # [0, 4000)
         abp = make_source(250, period=8)  # [0, 2000)
         query = Query.source("ecg", frequency_hz=500).join(Query.source("abp", frequency_hz=125))
         plan = compile_plan(query, {"ecg": ecg, "abp": abp}, window_size=1000)
-        propagate_coverage(plan.sink)
-        skipped = redundant_source_coverage(plan.sink)
-        ecg_node = next(n for n in source_nodes(plan.sink) if n.source is ecg)
-        assert skipped[ecg_node.name].total_length() == 2000
+        assert covered_windows(plan).tolist() == [0, 1000]
+        stats = CompiledQuery(plan, targeted=True, backend=SerialBackend()).run().stats
+        assert stats.windows_skipped == 2
 
     def test_compiled_plan_explain_mentions_coverage_and_memory(self, ramp_500hz):
         query = Query.source("s", frequency_hz=500).select(lambda v: v)
         plan = compile_plan(query, {"s": ramp_500hz}, window_size=1000)
         text = plan.explain()
         assert "pre-allocated" in text
-        assert "coverage" in text
+        assert "covered windows: 10" in text

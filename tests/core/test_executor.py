@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.compiler import compile_plan
 from repro.core.engine import LifeStreamEngine
 from repro.core.query import Query
+from repro.core.runtime.executor import span_window_count
 from repro.core.runtime.result import StreamResult
 from repro.core.sources import ArraySource
 from repro.errors import ExecutionError
@@ -151,3 +155,24 @@ class TestStreamResult:
     def test_window_size_must_be_positive(self):
         with pytest.raises(ExecutionError):
             LifeStreamEngine(window_size=0)
+
+
+class TestSpanWindowCount:
+    @given(st.integers(-500, 500), st.integers(0, 400), st.sampled_from([0, 3, 30]))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_the_grid_windows_a_span_meets(self, begin, length, offset):
+        source = ArraySource(
+            np.arange(offset, offset + 200, 2, dtype=np.int64), np.zeros(100), period=2
+        )
+        plan = compile_plan(
+            Query.source("s", period=2).select(lambda v: v), {"s": source}, window_size=10
+        )
+        dimension, phase = plan.sink.dimension, plan.sink.descriptor.offset
+        met = {
+            phase + (t - phase) // dimension * dimension for t in range(begin, begin + length)
+        }
+        assert span_window_count(plan, (begin, begin + length)) == len(met)
+
+    def test_no_span_no_windows(self, ramp_500hz):
+        plan = compile_plan(Query.source("s", period=2), {"s": ramp_500hz}, window_size=10)
+        assert span_window_count(plan, None) == 0

@@ -188,3 +188,35 @@ class TestJoinAtAnotherPhase:
             np.testing.assert_array_equal(reference.times, result.times)
             np.testing.assert_array_equal(reference.values, result.values)
             np.testing.assert_array_equal(reference.durations, result.durations)
+
+
+class TestPhasedInnerJoin:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="Join.compute drops the pairs at each window end when an input "
+        "sits at another phase than the output (b on (2,4) under a (0,2) output)",
+    )
+    def test_pairs_every_left_event_a_right_event_covers(self):
+        from repro.analysis.contracts import builtin_cases
+        from repro.core.compiler import compile_plan
+        from repro.core.engine import CompiledQuery
+
+        case = next(c for c in builtin_cases() if c.name == "Join-inner-phased")
+        query, sources = case.build()
+        left = sources["a"].read(*sources["a"].coverage().span())[0]
+        right, _, durations = sources["b"].read(*sources["b"].coverage().span())
+        # The b event active at each a time, if any.
+        active = np.searchsorted(right, left, side="right") - 1
+        covered = (active >= 0) & (left < right[active] + durations[active])
+        counts = [
+            len(
+                CompiledQuery(
+                    compile_plan(query, sources, window_size=96),
+                    targeted=True,
+                    backend=backend,
+                ).run()
+            )
+            for backend in (SerialBackend(), VectorizedBackend())
+        ]
+        assert counts == [int(covered.sum())] * 2

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.compiler import (
     FuseElementwisePass,
-    LineagePass,
     LocalityPass,
     MemoryPass,
     NormalizePass,
@@ -18,6 +17,7 @@ from repro.core.compiler import (
     VerifyPass,
     build_plan,
     compile_plan,
+    covered_windows,
     fuse_elementwise,
 )
 from repro.core.engine import CompiledQuery
@@ -45,7 +45,6 @@ class TestPassManager:
         manager = PassManager.default_pipeline()
         assert manager.pass_names == [
             "normalize",
-            "lineage",
             "locality",
             "fuse_elementwise",
             "vectorize",
@@ -69,8 +68,6 @@ class TestPassManager:
         ctx = PassContext(query=chain_query(), sources={"s": ramp_500hz}, window_size=1000)
         NormalizePass().run(ctx)
         assert ctx.sink is not None
-        LineagePass().run(ctx)
-        assert ctx.coverage is not None
         LocalityPass().run(ctx)
         assert all(n.dimension is not None for n in ctx.sink.iter_nodes())
         FuseElementwisePass().run(ctx)
@@ -80,14 +77,16 @@ class TestPassManager:
         VerifyPass().run(ctx)
         assert ctx.metadata["verify"] == "clean"
         assert ctx.diagnostics == []
+        # Verification built the finished plan's lineage program, once.
+        assert ctx.program is not None and ctx.coverage_program() is ctx.program
 
     def test_pass_requiring_plan_rejects_empty_context(self, ramp_500hz):
         ctx = PassContext(query=chain_query(), sources={"s": ramp_500hz}, window_size=1000)
         with pytest.raises(CompilationError):
-            LineagePass().run(ctx)
+            LocalityPass().run(ctx)
 
     def test_custom_pipeline_must_allocate_memory(self, ramp_500hz):
-        manager = PassManager([NormalizePass(), LineagePass(), LocalityPass()])
+        manager = PassManager([NormalizePass(), LocalityPass()])
         with pytest.raises(CompilationError):
             compile_plan(chain_query(), {"s": ramp_500hz}, pass_manager=manager)
 
@@ -193,13 +192,12 @@ class TestFusion:
         )
         assert fused_plan.sink.descriptor == unfused_plan.sink.descriptor
         assert fused_plan.sink.dimension == unfused_plan.sink.dimension
-        assert fused_plan.output_coverage == unfused_plan.output_coverage
+        assert covered_windows(fused_plan).tolist() == covered_windows(unfused_plan).tolist()
 
     def test_direct_fusion_rewrite_reports_counts(self, ramp_500hz):
         sink = build_plan(chain_query().normalized(), {"s": ramp_500hz})
-        from repro.core.compiler import assign_dimensions, propagate_coverage
+        from repro.core.compiler import assign_dimensions
 
-        propagate_coverage(sink)
         assign_dimensions(sink, 1000)
         report = fuse_elementwise(sink)
         assert report.chains_fused == 1

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiler import compile_plan
+from repro.core.compiler import compile_plan, covered_windows
 from repro.core.engine import LifeStreamEngine
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
@@ -73,47 +73,40 @@ class TestIntervalSetProperties:
             == left.total_length() + right.total_length() - intersection.total_length()
         )
 
-    @given(intervals_strategy, intervals_strategy)
-    def test_difference_disjoint_from_subtrahend(self, a, b):
-        left, right = IntervalSet(a), IntervalSet(b)
-        difference = left.difference(right)
-        assert difference.intersect(right).is_empty()
-        assert difference.union(left.intersect(right)) == left
-
-    @given(intervals_strategy, st.integers(-1000, 1000))
-    def test_shift_preserves_length(self, a, offset):
-        interval_set = IntervalSet(a)
-        assert interval_set.shift(offset).total_length() == interval_set.total_length()
-
-    @given(intervals_strategy, st.integers(1, 50))
-    def test_window_iteration_covers_every_interval(self, a, window):
-        interval_set = IntervalSet(a)
-        starts = list(interval_set.iter_windows(window))
-        assert starts == sorted(set(starts))
-        for start, end in interval_set:
-            for t in range(start, end):
-                assert any(w <= t < w + window for w in starts)
 
 
 # -- linear time maps --------------------------------------------------------
 
 
 class TestLinearTimeMapProperties:
-    @given(st.integers(-10_000, 10_000), st.integers(-500, 500), st.integers(-500, 500))
-    def test_shift_composition_is_additive(self, t, a, b):
+    @given(st.integers(-500, 500), st.integers(-500, 500))
+    def test_shift_composition_is_additive(self, a, b):
         composed = LinearTimeMap.shifted(a).compose(LinearTimeMap.shifted(b))
-        assert composed.apply(t) == t + a + b
+        assert composed == LinearTimeMap.shifted(a + b)
 
-    @given(st.integers(-10_000, 10_000), st.integers(1, 20), st.integers(-500, 500))
-    def test_invert_round_trips(self, t, scale, shift):
+    @given(st.integers(1, 20), st.integers(-500, 500))
+    def test_invert_round_trips(self, scale, shift):
         time_map = LinearTimeMap.scaled(scale).compose(LinearTimeMap.shifted(shift))
-        assert time_map.invert().apply(time_map.apply(t)) == t
+        assert time_map.invert().compose(time_map) == LinearTimeMap.identity()
 
 
 # -- engine-level invariants ---------------------------------------------------
 
 
 class TestEngineProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(periodic_stream(period=2), st.sampled_from([2, 10, 64]))
+    def test_covered_windows_hold_every_event(self, stream, window_size):
+        period, times, values = stream
+        plan = compile_plan(
+            Query.source("s", period=period).select(lambda v: v),
+            {"s": ArraySource(times, values, period=period)},
+            window_size=window_size,
+        )
+        starts = covered_windows(plan)
+        assert (np.diff(starts) > 0).all()
+        assert np.isin(times - times % plan.sink.dimension, starts).all()
+
     @settings(max_examples=25, deadline=None)
     @given(periodic_stream(period=2))
     def test_select_preserves_event_count_and_times(self, stream):

@@ -397,7 +397,7 @@ class TestPushSource:
     def test_starts_empty_and_grows_with_appends(self):
         push = PushSource(period=2)
         assert push.event_count() == 0
-        assert push.coverage().is_empty()
+        assert not push.coverage()
         assert push.watermark == 0
         watermark = push.append(np.arange(0, 10, 2), np.arange(5.0))
         assert watermark == 10 and push.watermark == 10

@@ -99,47 +99,29 @@ class TestGridAlignment:
 
 class TestLinearTimeMap:
     def test_identity(self):
-        time_map = LinearTimeMap.identity()
-        assert time_map.apply(1234) == 1234
-        assert time_map.is_identity()
+        assert LinearTimeMap.identity() == LinearTimeMap(Fraction(1), Fraction(0))
 
     def test_shift(self):
-        time_map = LinearTimeMap.shifted(100)
-        assert time_map.apply(50) == 150
-        assert not time_map.is_identity()
+        assert LinearTimeMap.shifted(100) == LinearTimeMap(Fraction(1), Fraction(100))
 
     def test_scale(self):
-        time_map = LinearTimeMap.scaled(1, 4)
-        assert time_map.apply(8) == 2
+        assert LinearTimeMap.scaled(1, 4).scale == Fraction(1, 4)
 
     def test_invert_shift(self):
-        time_map = LinearTimeMap.shifted(100)
-        assert time_map.invert().apply(150) == 50
+        assert LinearTimeMap.shifted(100).invert() == LinearTimeMap.shifted(-100)
 
     def test_invert_scale(self):
-        time_map = LinearTimeMap.scaled(3)
-        assert time_map.invert().apply(9) == 3
+        assert LinearTimeMap.scaled(3).invert() == LinearTimeMap.scaled(1, 3)
 
     def test_compose(self):
         shift = LinearTimeMap.shifted(10)
         scale = LinearTimeMap.scaled(2)
-        composed = scale.compose(shift)  # scale after shift
-        assert composed.apply(5) == (5 + 10) * 2
+        composed = scale.compose(shift)  # scale after shift: (t + 10) * 2
+        assert composed == LinearTimeMap(Fraction(2), Fraction(20))
 
     def test_compose_then_invert_round_trips(self):
         composed = LinearTimeMap.scaled(2).compose(LinearTimeMap.shifted(7))
-        inverse = composed.invert()
-        for value in (0, 3, 11, 100):
-            assert inverse.apply(composed.apply(value)) == value
-
-    def test_apply_interval(self):
-        time_map = LinearTimeMap.shifted(10)
-        assert time_map.apply_interval((0, 5)) == (10, 15)
-
-    def test_non_integer_result_rejected(self):
-        time_map = LinearTimeMap(Fraction(1, 3))
-        with pytest.raises(ValueError):
-            time_map.apply(1)
+        assert composed.invert().compose(composed) == LinearTimeMap.identity()
 
     def test_zero_scale_cannot_invert(self):
         with pytest.raises(ValueError):

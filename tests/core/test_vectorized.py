@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compiler import covered_windows
 from repro.core.engine import LifeStreamEngine
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
@@ -48,22 +49,33 @@ caps = st.one_of(st.none(), st.integers(1, 7))
 # -- coverage -> runs -------------------------------------------------------
 
 
+def _window_starts(pairs, window: int, offset: int) -> list[int]:
+    """Every start ``offset + k * window`` of a window that meets one of
+    the intervals *pairs*, in order: a targeted run's starts."""
+    return sorted(
+        {
+            offset + k * window
+            for start, end in IntervalSet(pairs)
+            for k in range((start - offset) // window, (end - 1 - offset) // window + 1)
+        }
+    )
+
+
 class TestRunsForCoverage:
     @given(intervals_strategy, windows, offsets, caps)
     @settings(max_examples=200)
     def test_runs_tile_exactly_the_targeted_starts(self, pairs, window, offset, cap):
-        coverage = IntervalSet(pairs)
-        runs = runs_for_starts(coverage.iter_windows(window, offset), window, cap)
+        starts = _window_starts(pairs, window, offset)
+        runs = runs_for_starts(starts, window, cap)
         tiled = [
             start + k * window for start, count in runs for k in range(count)
         ]
-        assert tiled == list(coverage.iter_windows(window, offset))
+        assert tiled == starts
 
     @given(intervals_strategy, windows, offsets)
     @settings(max_examples=200)
     def test_runs_are_maximal_and_disjoint(self, pairs, window, offset):
-        coverage = IntervalSet(pairs)
-        runs = runs_for_starts(coverage.iter_windows(window, offset), window)
+        runs = runs_for_starts(_window_starts(pairs, window, offset), window)
         for (start, count), (next_start, _) in zip(runs, runs[1:]):
             # Disjoint and ordered: the next run starts after this one ends.
             assert next_start >= start + count * window
@@ -74,8 +86,7 @@ class TestRunsForCoverage:
     @given(intervals_strategy, windows, offsets, st.integers(1, 7))
     @settings(max_examples=200)
     def test_capped_runs_respect_the_cap(self, pairs, window, offset, cap):
-        coverage = IntervalSet(pairs)
-        runs = runs_for_starts(coverage.iter_windows(window, offset), window, cap)
+        runs = runs_for_starts(_window_starts(pairs, window, offset), window, cap)
         assert all(1 <= count <= cap for _, count in runs)
         # Only cap-length runs may be followed contiguously (the split).
         for (start, count), (next_start, _) in zip(runs, runs[1:]):
@@ -83,7 +94,7 @@ class TestRunsForCoverage:
                 assert count == cap
 
     def test_empty_coverage_yields_no_runs(self):
-        assert runs_for_starts(IntervalSet().iter_windows(100, 0), 100) == []
+        assert runs_for_starts([], 100) == []
 
     def test_known_grouping(self):
         starts = [0, 100, 200, 500, 600, 900]
@@ -247,7 +258,7 @@ class TestRunBufferFootprint:
         plan = compiled.plan
         nodes = topological_order(plan.sink)
         assert all(node.dimension // node.descriptor.period == MINUTE_SLOTS for node in nodes)
-        starts = list(plan.sink.coverage.iter_windows(MINUTE))
+        starts = covered_windows(plan).tolist()
         uncapped = runs_for_starts(starts, MINUTE)
         assert sorted({count for _, count in uncapped}) == sorted(SEGMENT_MINUTES)
 
