@@ -1,8 +1,8 @@
 """Static verification of compiled plans (the ``LS1xx`` diagnostics).
 
 ``verify_plan_graph`` is a pure function over the plan IR after the
-standard passes have run (dimensions assigned, chains fused): it proves or refutes soundness properties *before* a single window
-executes.  The ``verify`` pass (:class:`repro.core.compiler.passes.VerifyPass`)
+standard passes have run (dimensions assigned, chains fused): it proves
+or refutes soundness properties *before* a single window executes.  The ``verify`` pass (:class:`repro.core.compiler.passes.VerifyPass`)
 runs it at the end of the default pipeline; the findings land on
 :attr:`CompiledPlan.diagnostics`, in ``explain()``, and — under
 ``compile_plan(..., strict=True)`` — in a raised

@@ -88,16 +88,12 @@ class PassContext:
             )
         return self.sink
 
-    def coverage_program(self) -> CoverageProgram:
+    def coverage_program(self) -> CoverageProgram | None:
         """The finished plan's lineage on window rows, built on first use:
-        only once no pass rewrites the graph any more."""
-        if self.program is None:
-            sink = self.require_sink()
-            if sink.dimension is None:
-                raise CompilationError(
-                    "pass pipeline assigned no window dimensions; the locality pass must run"
-                )
-            self.program = CoverageProgram(topological_order(sink))
+        only once no pass rewrites the graph any more.  None while the plan
+        has no window dimensions (before locality tracing)."""
+        if self.program is None and self.require_sink().dimension is not None:
+            self.program = CoverageProgram(topological_order(self.sink))
         return self.program
 
 
@@ -202,9 +198,7 @@ class VerifyPass(CompilerPass):
         from repro.analysis.diagnostics import summarize
         from repro.analysis.plan_verifier import verify_plan_graph
 
-        sink = ctx.require_sink()
-        program = None if sink.dimension is None else ctx.coverage_program()
-        findings = verify_plan_graph(sink, program)
+        findings = verify_plan_graph(ctx.require_sink(), ctx.coverage_program())
         ctx.diagnostics.extend(findings)
         ctx.metadata["verify"] = summarize(findings)
 
