@@ -154,7 +154,7 @@ class Shift(WindowAgnosticRun, Operator):
         is and every carried event has it.
 
         The carry is valid for input resuming at ``state["next_sync"]``.
-        Targeted execution skips windows whose output coverage is empty, so
+        Targeted execution skips the windows its lineage rows leave unmarked, so
         input may resume ``g`` slots later: the carry is then aged by ``g``
         slots first (its oldest ``g`` would have been emitted in the skipped
         windows, and the skipped input counts as absent).  A restored state
