@@ -1,7 +1,10 @@
 """Unit tests for the compiler passes: locality tracing, static memory
 allocation, and the lineage's covered windows."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compiler import (
     build_plan,
@@ -18,6 +21,8 @@ from repro.core.engine import CompiledQuery
 from repro.core.graph import describe_plan, total_preallocated_bytes
 from repro.core.query import Query
 from repro.core.runtime import SerialBackend
+from repro.core.runtime.executor import span_window_count
+from repro.core.sources import ArraySource
 from repro.core.timeutil import TICKS_PER_MINUTE
 from repro.errors import LocalityTracingError, MemoryPlanError
 
@@ -179,3 +184,51 @@ class TestLineageAndCoverage:
         text = plan.explain()
         assert "pre-allocated" in text
         assert "covered windows: 10" in text
+
+
+def _select_plan(times, period: int, window_size: int, offset: int = 0):
+    """A plain select over one source holding events at *times*."""
+    source = ArraySource(
+        np.asarray(times, dtype=np.int64), np.zeros(len(times)), period=period, offset=offset
+    )
+    query = Query.source("s", period=period).select(lambda v: v)
+    return compile_plan(query, {"s": source}, window_size=window_size), source
+
+
+class TestCoveredWindows:
+    """The sink windows a source's coverage meets, on the sink's grid."""
+
+    def test_single_interval(self):
+        plan, _ = _select_plan(range(100), period=1, window_size=25)
+        assert covered_windows(plan).tolist() == [0, 25, 50, 75]
+
+    def test_partial_last_window(self):
+        plan, _ = _select_plan(range(90), period=1, window_size=25)
+        assert covered_windows(plan).tolist() == [0, 25, 50, 75]
+
+    def test_skips_a_gap(self):
+        plan, _ = _select_plan([*range(10), *range(100, 110)], period=1, window_size=25)
+        assert covered_windows(plan).tolist() == [0, 100]
+
+    def test_no_duplicates_when_intervals_share_a_window(self):
+        plan, _ = _select_plan([*range(30), *range(40, 45)], period=1, window_size=25)
+        assert covered_windows(plan).tolist() == [0, 25]
+
+    def test_respects_the_grid_phase(self):
+        # Period 4 at phase 2: events on 14, 18, ..., 38 cover [14, 42).
+        plan, _ = _select_plan(range(14, 40, 4), period=4, window_size=20, offset=2)
+        assert plan.sink.descriptor.offset == 2
+        assert covered_windows(plan).tolist() == [2, 22]
+
+    def test_contiguous_coverage_marks_every_window_of_its_span(self):
+        plan, source = _select_plan(range(0, 1000, 2), period=2, window_size=30)
+        windows = covered_windows(plan)
+        assert windows.size == span_window_count(plan, source.coverage().span()) == 34
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(0, 300), min_size=1), st.sampled_from([2, 10, 64]))
+    def test_marks_exactly_the_windows_holding_an_event(self, slots, window_size):
+        times = np.asarray(sorted(slots), dtype=np.int64) * 2
+        plan, _ = _select_plan(times, period=2, window_size=window_size)
+        dimension = plan.sink.dimension
+        assert covered_windows(plan).tolist() == sorted({int(t - t % dimension) for t in times})

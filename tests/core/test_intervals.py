@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import CoverageLog, IntervalSet
+from repro.core.intervals import CoverageLog, IntervalSet, roll_windows, spread_windows
 
 
 class TestConstruction:
@@ -135,7 +135,77 @@ class TestBisectedPrimitives:
         for result in (a.intersect(b), a.window(-20 + offset, 90)):
             assert IntervalSet(result.intervals).intervals == result.intervals
 
+
+# -- window rows: marks on a grid of windows, one column per window ----------
+
+
+def _row(*marked, width=8):
+    row = np.zeros(width, dtype=bool)
+    row[list(marked)] = True
+    return row
+
+
+class TestWindowRows:
+    def test_roll_by_zero_is_the_row_itself(self):
+        row = _row(1, 4)
+        assert roll_windows(row, 0) is row
+
+    def test_roll_forward_moves_marks_later(self):
+        assert np.flatnonzero(roll_windows(_row(0, 3, 7), 2)).tolist() == [2, 5]
+
+    def test_roll_backward_moves_marks_earlier(self):
+        assert np.flatnonzero(roll_windows(_row(0, 3, 7), -3)).tolist() == [0, 4]
+
+    def test_roll_past_the_block_clears_it(self):
+        assert not roll_windows(_row(0, 7), 8).any()
+        assert not roll_windows(_row(0, 7), -9).any()
+
+    def test_roll_moves_every_row_of_a_block(self):
+        block = np.stack([_row(0), _row(5), _row()])
+        rolled = roll_windows(block, 1)
+        assert [np.flatnonzero(row).tolist() for row in rolled] == [[1], [6], []]
+        assert block[0, 0] and not block[0, 1]
+
+    def test_spread_later(self):
+        assert np.flatnonzero(spread_windows(_row(1, 6), 2)).tolist() == [1, 2, 3, 6, 7]
+
+    def test_spread_earlier(self):
+        assert np.flatnonzero(spread_windows(_row(1, 6), -2)).tolist() == [0, 1, 4, 5, 6]
+
+    def test_spread_wider_than_the_block_stops_at_its_edge(self):
+        assert spread_windows(_row(0, width=4), 100).all()
+        assert np.flatnonzero(spread_windows(_row(2, width=4), -100)).tolist() == [0, 1, 2]
+
+    @given(st.sets(st.integers(0, 11)), st.integers(-14, 14))
+    def test_roll_matches_moving_each_mark(self, marked, by):
+        rolled = roll_windows(_row(*marked, width=12), by)
+        assert set(np.flatnonzero(rolled).tolist()) == {
+            k + by for k in marked if 0 <= k + by < 12
+        }
+
+    @given(st.sets(st.integers(0, 11)), st.integers(-14, 14))
+    def test_spread_marks_every_window_within_reach_of_a_mark(self, marked, windows):
+        spread = spread_windows(_row(*marked, width=12), windows)
+        reach = range(0, windows + 1) if windows >= 0 else range(windows, 1)
+        assert set(np.flatnonzero(spread).tolist()) == {
+            k + by for k in marked for by in reach if 0 <= k + by < 12
+        }
+
+
 class TestCoverageLog:
+    def test_an_empty_log_is_false_with_an_empty_span(self):
+        log = CoverageLog()
+        assert not log
+        assert log.span() == (0, 0)
+        assert log.window() == IntervalSet.empty()
+
+    def test_extend_merges_an_interval_touching_the_tail(self):
+        log = CoverageLog()
+        log.extend([(0, 10)])
+        log.extend([(10, 14), (20, 30)])
+        log.extend([(25, 28)])
+        assert log.window().intervals == ((0, 14), (20, 30))
+
     @settings(max_examples=60)
     @given(
         st.lists(st.tuples(st.integers(0, 40), st.integers(1, 60)), max_size=15),
