@@ -11,7 +11,7 @@ Three analyzers, one diagnostic vocabulary:
   ``strict=True`` compile mode.
 - :mod:`repro.analysis.contracts` — registry-driven conformance checking of
   every :class:`~repro.core.operators.base.Operator` subclass:
-  ``compute_run`` parity, ``snapshot_state`` round trips,
+  ``compute_run`` parity, declared-carry round trips,
   ``coverage_reach`` locality and cross-tenant stacking, validated by
   executing synthesized geometries instead of trusting declarations.
 - :mod:`repro.analysis.async_lint` — an AST linter over the asyncio ingest

@@ -5,11 +5,12 @@ Every :class:`~repro.core.operators.base.Operator` makes compile-time
 promises bit-identity with per-window ``compute`` over a run of
 consecutive windows, for every input geometry the operator accepts (the
 vectorized backend lowers a node on the word of the override alone),
-``snapshot_state`` promises a complete deep copy (checkpoints and failover
-restore on its word), ``coverage_rows`` — by default a spread over
-``coverage_reach`` — promises to mark every sink window in which the
-operator can emit (a targeted tick runs only the windows it marks, a
-session reads its sources only that reach deep), a stateful operator
+``carry_spec`` promises to declare all of its cross-window state
+(checkpoints and failover copy only the declared carries),
+``coverage_rows`` — by default a spread over ``coverage_reach`` — promises
+to mark every sink window in which the operator can emit (a targeted tick
+runs only the windows it marks, a session reads its sources only that reach
+deep), a stateful operator
 promises that its carry over skipped windows is its carry through them
 (targeted execution skips what eager runs), and a stateless lowered
 operator promises to depend on its windows' contents and grid phase only,
@@ -39,7 +40,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.core.compiler import CompiledPlan, compile_plan
 from repro.core.compiler.lineage import covered_windows
 from repro.core.engine import CompiledQuery
-from repro.core.graph import OperatorNode, topological_order
+from repro.core.graph import OperatorNode, copy_carries, load_carries, topological_order
 from repro.core.operators import Operator
 from repro.core.query import Query
 from repro.core.runtime.backends import ExecutionBackend, SerialBackend, VectorizedBackend
@@ -180,12 +181,12 @@ def _split_starts(plan: CompiledPlan):
 
 
 def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
-    """Validate ``snapshot_state``/``restore_state`` completeness.
+    """Validate that the declared carries are the whole cross-window state.
 
-    Snapshot mid-stream, keep executing (mutating the live state in
-    place), then restore the snapshot into a fresh plan and replay the
-    tail: any state that escaped the snapshot — a shallow copy aliasing a
-    mutable carry — makes the restored run drift from the reference.
+    Copy the carries mid-stream as a checkpoint does, keep executing, then
+    load the copy into a fresh plan and replay the tail: state an operator
+    keeps outside its declared carries (on itself, say) escapes the copy
+    and makes the restored run drift from the reference.
     """
     plan = _fresh(_compile(case))
     starts, split = _split_starts(plan)
@@ -195,42 +196,25 @@ def _check_state_roundtrip(case: OperatorCase, out: list[Diagnostic]) -> None:
 
     live = _fresh(_compile(case))
     fill_windows(live.sink, starts[:split])
-    # Snapshots are keyed by topological position: each build() constructs a
+    # Copies are keyed by topological position: each build() constructs a
     # fresh query whose generated node names differ, but the node *order* of
     # structurally identical plans is stable.
-    snapshots = []
-    for node in _operator_nodes(live):
-        snapshot = node.operator.snapshot_state(node.state)
-        if snapshot is node.state and isinstance(node.state, (dict, list, np.ndarray)):
-            out.append(
-                _contract(
-                    "LS203",
-                    "error",
-                    f"{case.name}.snapshot_state returned the live mutable "
-                    "state object itself instead of a copy; continuing "
-                    "execution corrupts every checkpoint taken from it",
-                    anchor=case.name,
-                )
-            )
-            return
-        snapshots.append(snapshot)
-    # Keep executing: if any mutable state aliases the snapshot, this
-    # corrupts it — exactly what a checkpointed-then-continued session does.
+    copies = [copy_carries(node) for node in _operator_nodes(live)]
     fill_windows(live.sink, starts[split:])
 
     restored = _fresh(_compile(case))
-    for node, snapshot in zip(_operator_nodes(restored), snapshots):
-        node.state = node.operator.restore_state(snapshot)
+    for node, saved in zip(_operator_nodes(restored), copies):
+        load_carries(node, saved)
     restored_tail = fill_windows(restored.sink, starts[split:])
     if not _same_events(reference_tail, restored_tail):
         out.append(
             _contract(
                 "LS203",
                 "error",
-                f"{case.name} snapshot/restore round trip does not "
+                f"{case.name} checkpoint/restore round trip does not "
                 f"reproduce the stream ({reference_tail[0].size} vs "
-                f"{restored_tail[0].size} events after restore); either the "
-                "snapshot is incomplete or mutable state escaped it",
+                f"{restored_tail[0].size} events after restore); the "
+                "operator keeps state outside its declared carries",
                 anchor=case.name,
             )
         )
@@ -590,6 +574,21 @@ def builtin_cases() -> list[OperatorCase]:
         shape = np.sin(np.linspace(0.0, np.pi, 12))
         return query.where_shape(shape, threshold=0.6, mode="remove"), sources
 
+    def shape_straddling_case():
+        # Every fourth 144-tick window is empty, and the shape's halves end
+        # the window before it and open the window after it: eager runs the
+        # empty window, which drops the match's tail; targeted skips it, so
+        # the tail must age out rather than complete the match.
+        shape = np.sin(np.linspace(0.0, np.pi, 12))
+        times = np.arange(0, 16 * 144, 2, dtype=np.int64)
+        times = times[times // 144 % 4 != 1]
+        values = np.random.default_rng(7).uniform(-1.0, -0.5, times.size)
+        for gap in range(144, 16 * 144, 4 * 144):
+            before, after = np.searchsorted(times, (gap, gap + 144))
+            values[before - 6 : before], values[after : after + 6] = shape[:6], shape[6:]
+        query = Query.source("s", period=2).where_shape(shape, threshold=0.6, mode="keep")
+        return query, {"s": ArraySource(times, values, period=2)}
+
     return [
         OperatorCase("Select", Select, _apply(lambda q: q.select(lambda v: v * 3.0 + 1.0))),
         OperatorCase("Where", Where, _apply(lambda q: q.where(lambda v: v > 2.0))),
@@ -656,6 +655,7 @@ def builtin_cases() -> list[OperatorCase]:
             _apply(lambda q: q.transform(24, kernels.zscore_kernel())),
         ),
         OperatorCase("ShapeWhere", ShapeWhere, shape_case, window_size=128),
+        OperatorCase("ShapeWhere-straddling", ShapeWhere, shape_straddling_case, window_size=128),
         OperatorCase("FusedElementwise", FusedElementwise, fused_chain),
     ]
 

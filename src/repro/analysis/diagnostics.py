@@ -47,8 +47,8 @@ CODES: dict[str, str] = {
     # -- operator contracts (LS2xx) ---------------------------------------
     "LS202": "compute_run parity violation: the whole-run kernel disagrees "
     "with per-window compute on the same geometry",
-    "LS203": "snapshot/restore round-trip failure: restored state does not "
-    "reproduce the stream, or mutable state escaped the snapshot",
+    "LS203": "checkpoint/restore round-trip failure: restored carries do not "
+    "reproduce the stream, so state escaped the declared carries",
     "LS205": "conformance harness failure: the operator raised while its "
     "contract was being checked",
     "LS207": "unchecked operator: an Operator subclass has no registered "

@@ -173,7 +173,7 @@ class CompiledPlan:
         the per-client state: a fresh graph of plan nodes (reusing the
         template's operator objects, which are pure descriptions), freshly
         allocated FWindow buffers of the same traced dimensions, and fresh
-        operator carry state.
+        operator carries of the template's declared shapes.
 
         ``sources`` rebinds source nodes by name to a client's own streams
         (every node with a matching name, including repeated references to
@@ -214,8 +214,9 @@ class CompiledPlan:
                 fresh = OperatorNode(
                     node.name, node.operator, [clone(child) for child in node.inputs]
                 )
-                fresh.state = node.operator.make_state()
             fresh.dimension = node.dimension
+            if node.carry_spec:
+                fresh.allocate_carries(node.carry_spec)
             if node.fwindow is not None:
                 fresh.fwindow = FWindow(
                     fresh.descriptor, node.dimension, name=node.name, tracer=self.tracer

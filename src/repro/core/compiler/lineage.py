@@ -159,7 +159,7 @@ class CoverageProgram:
         self._warmups = [
             (index, -(-nodes[index].operator.coverage_reach() // dimension))
             for index, _, _ in reversed(self._row_steps)
-            if nodes[index].operator.make_state() is not None
+            if nodes[index].declared_carries()
             and nodes[index].operator.coverage_reach() > 0
         ]
 

@@ -3,17 +3,20 @@
 Once locality tracing has fixed every FWindow dimension, the bounded-memory
 property of periodic streams (at most ``dimension / period`` events per
 window) makes the memory footprint of the whole plan statically computable.
-The planner allocates every FWindow buffer exactly once, before execution
-starts; the runtime then reuses those buffers for every window it slides
-through, eliminating allocation and deallocation overhead on the hot path.
+The planner allocates every FWindow buffer and every operator's declared
+carries exactly once, before execution starts; the runtime then reuses
+them for every window it slides through, eliminating allocation and
+deallocation overhead on the hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.fwindow import FWindow
-from repro.core.graph import OperatorNode, PlanNode, topological_order
+from repro.core.graph import PlanNode, topological_order
 from repro.errors import MemoryPlanError
 
 
@@ -23,11 +26,11 @@ class MemoryPlan:
 
     #: Number of FWindows allocated (one per plan node).
     fwindow_count: int
-    #: Total bytes across all FWindow buffers.
+    #: Total bytes across all FWindow buffers and operator carries.
     total_bytes: int
     #: Largest single FWindow, in bytes.
     largest_fwindow_bytes: int
-    #: Per-node breakdown: node name -> bytes.
+    #: Per-node breakdown: node name -> bytes (FWindow and carries).
     per_node_bytes: dict[str, int]
 
     def __str__(self) -> str:
@@ -38,7 +41,8 @@ class MemoryPlan:
 
 
 def estimate_footprint(sink: PlanNode) -> int:
-    """Bytes the plan's intermediate-result buffers take when allocated.
+    """Bytes the plan's intermediate-result buffers and carries take when
+    allocated.
 
     Uses the bounded-memory property only — it can be called before the
     buffers are allocated, as long as locality tracing has run.  A window
@@ -55,11 +59,12 @@ def estimate_footprint(sink: PlanNode) -> int:
         # values (float64) + bitvector (bool); a window holds one duration
         # until its events' durations vary (FWindow.vary_durations).
         total += capacity * (8 + 1)
+        total += sum(c.slots * np.dtype(c.dtype).itemsize for c in node.declared_carries())
     return total
 
 
 def allocate(sink: PlanNode, tracer=None) -> MemoryPlan:
-    """Allocate every FWindow and operator state for the plan rooted at *sink*."""
+    """Allocate every FWindow and operator carry for the plan rooted at *sink*."""
     per_node: dict[str, int] = {}
     for node in topological_order(sink):
         if node.dimension is None:
@@ -72,9 +77,7 @@ def allocate(sink: PlanNode, tracer=None) -> MemoryPlan:
             name=node.name,
             tracer=tracer,
         )
-        if isinstance(node, OperatorNode):
-            node.state = node.operator.make_state()
-        per_node[node.name] = node.fwindow.memory_bytes()
+        per_node[node.name] = node.fwindow.memory_bytes() + node.allocate_carries()
     total = sum(per_node.values())
     largest = max(per_node.values()) if per_node else 0
     return MemoryPlan(

@@ -10,8 +10,8 @@ so that joining the aggregate back against the original fine-grained stream
 (the Listing 1 pattern in the paper) pairs every fine event with the
 aggregate that covers it.
 
-The sliding case keeps a bounded tail of ``window - stride`` ticks of input
-as operator state, preserving the bounded-memory property (Section 6.3).
+The sliding case carries a bounded tail of ``window - stride`` ticks of
+input, a FIFO carry, preserving the bounded-memory property (Section 6.3).
 """
 
 from __future__ import annotations
@@ -23,27 +23,9 @@ import numpy as np
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
 from repro.core.intervals import spread_windows
-from repro.core.operators.base import Operator, WindowAgnosticRun, masked_reduce
+from repro.core.operators.base import Carry, Operator, WindowAgnosticRun, masked_reduce
 from repro.core.timeutil import lcm
 from repro.errors import QueryConstructionError
-
-
-class _SlidingTail:
-    """Constant-size carry of the last ``window - stride`` input samples."""
-
-    __slots__ = ("values", "mask")
-
-    def __init__(self, samples: int):
-        self.values = np.zeros(samples, dtype=np.float64)
-        self.mask = np.zeros(samples, dtype=bool)
-
-    def age(self, samples: int) -> None:
-        """Slide the tail over *samples* skipped input samples, as absent."""
-        kept = max(self.values.size - samples, 0)
-        self.values[:kept] = self.values[self.values.size - kept :].copy()
-        self.mask[:kept] = self.mask[self.mask.size - kept :].copy()
-        self.values[kept:] = 0.0
-        self.mask[kept:] = False
 
 
 class Aggregate(WindowAgnosticRun, Operator):
@@ -69,8 +51,6 @@ class Aggregate(WindowAgnosticRun, Operator):
         self.window = int(window)
         self.stride = int(stride)
         self.func = func
-        # Tumbling aggregates need no cross-window state; sliding ones carry
-        # the previous tail (Table 2: stateful unless window == stride).
         self._sliding = window != stride
 
     # -- compile-time ------------------------------------------------------
@@ -99,60 +79,43 @@ class Aggregate(WindowAgnosticRun, Operator):
         # window: only the lookback reaches into later windows.
         return spread_windows(rows[0], -(-(self.window - self.stride) // dimension))
 
-    def make_state(self):
-        # The tail buffer itself is created on first use (its length depends
-        # on the input period, which is only known at runtime), but the dict
-        # holding it is the constant-size state slot allocated up front.
-        return {} if self._sliding else None
+    def carry_spec(self, inputs, dimension):
+        # Tumbling aggregates need no cross-window state; sliding ones carry
+        # the input's last window - stride ticks (Table 2: stateful unless
+        # window == stride).
+        if not self._sliding:
+            return ()
+        period = inputs[0].period
+        samples = (self.window - self.stride) // period
+        return (
+            Carry("values", samples, np.float64, 0.0, period),
+            Carry("mask", samples, np.bool_, False, period),
+        )
 
     # -- runtime -----------------------------------------------------------
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
         source.trace_read()
-        period = source.period
-        samples_per_window = self.window // period
-        samples_per_stride = self.stride // period
-        tail_samples = samples_per_window - samples_per_stride
-
-        values = source.values
-        mask = source.bitvector
-        if self._sliding:
-            if not isinstance(state, dict):
-                raise QueryConstructionError("sliding aggregate state was not initialised")
-            tail = state.get("tail")
-            if tail is None:
-                tail = _SlidingTail(tail_samples)
-                state["tail"] = tail
-            # Targeted execution skips windows whose input is absent (a
-            # warm-up window runs where it is present), so input resuming
-            # later than the tail is valid for ages it first.
-            next_sync = state.get("next_sync")
-            if next_sync is not None and source.sync_time > next_sync:
-                tail.age((source.sync_time - next_sync) // period)
-            state["next_sync"] = source.sync_time + source.capacity * period
-            values = np.concatenate((tail.values, values))
-            mask = np.concatenate((tail.mask, mask))
-
+        samples_per_window = self.window // source.period
         n_out = output.capacity
         if self._sliding:
-            # Sliding: window j covers samples [j*stride, j*stride + window).
-            view = np.lib.stride_tricks.sliding_window_view(values, samples_per_window)
-            mask_view = np.lib.stride_tricks.sliding_window_view(mask, samples_per_window)
-            starts = np.arange(n_out) * samples_per_stride
-            windows = view[starts]
-            masks = mask_view[starts]
+            # Window j covers samples [j*stride, j*stride + window) of the
+            # tail (aged by the executor over skipped windows) and the input.
+            tail_values, tail_mask = state["values"], state["mask"]
+            values = np.concatenate((tail_values, source.values))
+            mask = np.concatenate((tail_mask, source.bitvector))
+            tail_values[:] = values[-tail_values.size :]
+            tail_mask[:] = mask[-tail_mask.size :]
+            starts = np.arange(n_out) * (self.stride // source.period)
+            windows = np.lib.stride_tricks.sliding_window_view(values, samples_per_window)[starts]
+            masks = np.lib.stride_tricks.sliding_window_view(mask, samples_per_window)[starts]
         else:
-            windows = values.reshape(n_out, samples_per_window)
-            masks = mask.reshape(n_out, samples_per_window)
+            windows = source.values.reshape(n_out, samples_per_window)
+            masks = source.bitvector.reshape(n_out, samples_per_window)
 
         result, present = masked_reduce(windows, masks, self.func)
         output.values[:] = result
         output.bitvector[:] = present
         output.duration = self.window
         output.trace_write()
-
-        if self._sliding and tail_samples > 0:
-            tail = state["tail"]
-            tail.values[:] = values[-tail_samples:]
-            tail.mask[:] = mask[-tail_samples:]

@@ -21,13 +21,15 @@ An operator contributes these pieces of information:
     how data availability flows through the operator, again for targeted
     query processing (Section 5.3): as boolean rows on the sink's window
     grid, one column per window, with ``coverage_reach`` bounding how far
-    past its input's data the operator's output can reach.
+    past its input's data the operator's output can reach;
+``carry_spec``
+    the constant-size state carried from window to window (Section 6.3),
+    declared as named arrays that the executor owns.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +38,31 @@ from repro.core.fwindow import FWindow
 from repro.core.intervals import spread_windows
 from repro.core.timeutil import LinearTimeMap
 from repro.errors import QueryConstructionError
+
+
+class Carry(NamedTuple):
+    """One named cross-window carry: *slots* entries of *dtype*, *fill* until
+    written.  With a *period* it is a FIFO of input slots that many ticks
+    apart, newest last, which the executor ages over skipped windows (one
+    slot shifted out, *fill* in, per *period* ticks); without one (a carried
+    event, a counter) it is never aged."""
+
+    name: str
+    slots: int
+    dtype: object
+    fill: object = 0
+    period: int | None = None
+
+
+#: One carried event (Section 6.3): an event of an earlier window whose
+#: duration may reach past the window's end.  Duration 0 means none.
+EVENT = np.dtype([("time", np.int64), ("value", np.float64), ("duration", np.int64)])
+NO_EVENT = (0, 0.0, 0)
+
+
+def event_carry(name: str) -> Carry:
+    """A one-event carry for :func:`sample_carried`, empty until written."""
+    return Carry(name, 1, EVENT, NO_EVENT)
 
 
 class Operator:
@@ -84,8 +111,7 @@ class Operator:
         An operator's time map is fixed at construction, but this translation
         runs once per input per window in the serial window loop.  The
         inverted map is therefore memoised (as plain floats) on first use;
-        ``_inverse_maps`` is a pure cache, invisible to plan signatures and
-        never snapshotted.
+        ``_inverse_maps`` is a pure cache, invisible to plan signatures.
         """
         cache = self.__dict__.get("_inverse_maps")
         if cache is None:
@@ -134,34 +160,24 @@ class Operator:
             row = row | other
         return spread_windows(row, -(-self.coverage_reach() // dimension))
 
+    def carry_spec(
+        self, inputs: Sequence[StreamDescriptor], dimension: int
+    ) -> tuple["Carry", ...]:
+        """The operator's cross-window state (Section 6.3), as named arrays
+        whose sizes depend on the input descriptors and the node's FWindow
+        *dimension* only.  The executor allocates them once per plan
+        instance, ages the FIFO ones over skipped windows and copies them
+        for checkpoints; :meth:`compute` writes them in place.  An operator
+        declaring none is stateless."""
+        return ()
+
     # -- runtime interface --------------------------------------------------
-
-    def make_state(self):
-        """Create the operator's constant-size cross-window state (or None)."""
-        return None
-
-    def snapshot_state(self, state):
-        """Picklable deep copy of the operator's cross-window state.
-
-        Streaming sessions checkpoint a long-lived plan by snapshotting every
-        operator's carry state (Shift FIFOs, sliding-aggregate tails, join
-        carries) mid-stream; :meth:`restore_state` rebuilds the state on a
-        freshly compiled plan so execution resumes exactly where it stopped.
-        The default deep copy is correct for every built-in operator, whose
-        states hold only NumPy arrays, tuples and plain containers; operators
-        with exotic state (open handles, views into shared buffers) must
-        override both methods.
-        """
-        return copy.deepcopy(state)
-
-    def restore_state(self, snapshot):
-        """Rebuild cross-window state from a :meth:`snapshot_state` result."""
-        return copy.deepcopy(snapshot)
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         """Fill *output* from the already-positioned and filled *inputs*.
 
-        A stateless operator (``make_state()`` returns None) may depend only
+        *state* is the node's carries by name (empty when it declares none).
+        A stateless operator may depend only
         on its windows' contents and the grid phase, not on the absolute
         window position: serving stacks one window from each of many
         sessions into one buffer and, when the operator is lowered, fills
@@ -338,6 +354,15 @@ def sample_active(
             active = active | carried_active
     new_carry = (int(times[-1]), float(values[-1]), int(durations[-1]))
     return active, sampled, new_carry
+
+
+def sample_carried(out_times: np.ndarray, source: FWindow, carry: np.ndarray):
+    """:func:`sample_active` with its carry in the one-event array *carry*
+    (an :func:`event_carry`), which it advances in place."""
+    event = carry[0].item()
+    active, values, event = sample_active(out_times, source, event if event[2] else None)
+    carry[0] = NO_EVENT if event is None else event
+    return active, values
 
 
 def masked_reduce(

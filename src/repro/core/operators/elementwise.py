@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.operators.base import Operator, WindowAgnosticRun, ensure_callable
+from repro.core.operators.base import Carry, Operator, WindowAgnosticRun, ensure_callable
 from repro.core.sources import period_column
 from repro.core.timeutil import LinearTimeMap
 
@@ -70,18 +70,14 @@ class Where(WindowAgnosticRun, Operator):
 class Shift(WindowAgnosticRun, Operator):
     """Shift the sync time of every event by a constant number of ticks.
 
-    Two execution strategies are used:
-
-    * when the shift is a non-negative multiple of the stream period (the
-      overwhelmingly common case — delaying a signal by a whole number of
-      samples), the operator reads its input FWindow at the *same* sync time
-      as its output and carries the tail of the previous window as bounded
-      state.  This is what Table 2's "stateful" marking refers to, and it
-      keeps the operator compatible with ``Multicast`` fan-out (both
-      consumers of the shared stream read the same window position);
-    * for other shift amounts the compiler repositions the input window by
-      the shift instead (no state needed), which is correct but means the
-      shifted branch cannot share a multicast input with an unshifted one.
+    * A positive multiple of the stream period (the common case: a delay by
+      whole samples) reads the input FWindow at the output's own sync time
+      and passes its slots through a FIFO carry of ``offset / period``
+      slots: Table 2's "stateful" marking.  Both consumers of a
+      ``Multicast`` then read the shared stream at one window position;
+    * any other shift repositions the input window by the shift instead
+      (no carry), so the shifted branch cannot share a multicast input
+      with an unshifted one.
     """
 
     name = "Shift"
@@ -114,13 +110,16 @@ class Shift(WindowAgnosticRun, Operator):
         # sync time while its coverage lands ``offset`` ticks later.
         return max(self.offset, 0)
 
-    def make_state(self):
-        return {
-            "carry_values": None,
-            "carry_bits": None,
-            "carry_durations": None,
-            "next_sync": None,
-        }
+    def carry_spec(self, inputs, dimension):
+        period = inputs[0].period
+        if not self._uses_carry(period):
+            return ()
+        lag = self.offset // period
+        return (
+            Carry("values", lag, np.float64, 0.0, period),
+            Carry("bits", lag, np.bool_, False, period),
+            Carry("durations", lag, np.int64, period, period),
+        )
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
@@ -134,16 +133,16 @@ class Shift(WindowAgnosticRun, Operator):
             output.trace_write()
             return
         values, durations, bits = self.push_carry(
-            state, source.period, source.sync_time,
-            source.values, durations_of(source), source.bitvector,
+            state, "", source.period, source.values, durations_of(source), source.bitvector
         )
         output.values[:] = values
         output.bitvector[:] = bits
         write_durations(output, durations)
         output.trace_write()
 
-    def push_carry(self, state, period, sync_time, values, durations, bits):
-        """Pass input slots starting at *sync_time* through the carry FIFO.
+    def push_carry(self, state, prefix, period, values, durations, bits):
+        """Pass input slots through the carry FIFO (the carries *prefix*
+        ``values``, ``bits`` and ``durations`` of *state*).
 
         Returns the oldest ``len(values)`` slots of (carry + input) and keeps
         the newest ``lag`` as the next carry.  This stays correct when the
@@ -151,53 +150,22 @@ class Shift(WindowAgnosticRun, Operator):
         carry for several windows instead of being clobbered by the newest
         input.  *durations* is one duration for every input event or a
         column of them; the result's is one duration too when the input's
-        is and every carried event has it.
-
-        The carry is valid for input resuming at ``state["next_sync"]``.
-        Targeted execution skips the windows its lineage rows leave unmarked, so
-        input may resume ``g`` slots later: the carry is then aged by ``g``
-        slots first (its oldest ``g`` would have been emitted in the skipped
-        windows, and the skipped input counts as absent).  A restored state
-        without ``next_sync`` is taken as contiguous.
+        is and every carried event has it.  The executor has aged the FIFO
+        over any windows targeted execution skipped.
         """
-        lag = self.offset // period
-        if state["carry_values"] is None:
-            state["carry_values"] = np.zeros(lag, dtype=np.float64)
-            state["carry_bits"] = np.zeros(lag, dtype=bool)
-            state["carry_durations"] = np.full(lag, period, dtype=np.int64)
-        else:
-            next_sync = state.get("next_sync")
-            gap = 0 if next_sync is None else (sync_time - next_sync) // period
-            if gap > 0:
-                kept = max(lag - gap, 0)
-                for key, absent in (
-                    ("carry_values", 0.0),
-                    ("carry_bits", False),
-                    ("carry_durations", period),
-                ):
-                    carry = state[key]
-                    aged = np.full(lag, absent, dtype=carry.dtype)
-                    aged[:kept] = carry[lag - kept :]
-                    state[key] = aged
         capacity = values.shape[0]
         uniform = None
         if not isinstance(durations, np.ndarray):
-            carried = state["carry_durations"][state["carry_bits"]]
-            if not (carried != durations).any():
+            if not (state[prefix + "durations"][state[prefix + "bits"]] != durations).any():
                 uniform = durations
             durations = period_column(durations, capacity)
-        combined_values = np.concatenate((state["carry_values"], values))
-        combined_bits = np.concatenate((state["carry_bits"], bits))
-        combined_durations = np.concatenate((state["carry_durations"], durations))
-        state["carry_values"] = combined_values[capacity:]
-        state["carry_bits"] = combined_bits[capacity:]
-        state["carry_durations"] = combined_durations[capacity:]
-        state["next_sync"] = sync_time + capacity * period
-        return (
-            combined_values[:capacity],
-            combined_durations[:capacity] if uniform is None else uniform,
-            combined_bits[:capacity],
-        )
+        passed = []
+        for name, column in (("values", values), ("durations", durations), ("bits", bits)):
+            carry = state[prefix + name]
+            combined = np.concatenate((carry, column))
+            carry[:] = combined[capacity:]
+            passed.append(combined[:capacity])
+        return passed[0], passed[1] if uniform is None else uniform, passed[2]
 
 
 def durations_of(window: FWindow) -> int | np.ndarray:

@@ -9,15 +9,13 @@ node carrying a :class:`FusedElementwise` operator: the stage payloads are
 applied to array views in sequence and only the final result is written to
 the node's output FWindow.
 
-Each stage keeps its original operator object (and its per-stage state, for
-carry-based shifts), so the fused kernel is semantically identical to the
-unfused chain — the parity suite in ``tests/core/test_backends.py`` asserts
-bit-identical outputs.
+Each stage keeps its original operator object, and a carry shift its
+carries under the stage's index, so the fused kernel is bit-identical to
+the unfused chain (``tests/core/test_backends.py``).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -95,23 +93,15 @@ class FusedElementwise(WindowAgnosticRun, Operator):
     def coverage_reach(self) -> int:
         return sum(op.coverage_reach() for op, _ in self.stages)
 
+    def carry_spec(self, inputs, dimension):
+        # The stages' carries, each under its stage's index.
+        return tuple(
+            carry._replace(name=f"{index}.{carry.name}")
+            for index, (op, stage_input) in enumerate(self.stages)
+            for carry in op.carry_spec([stage_input], dimension)
+        )
+
     # -- runtime -----------------------------------------------------------
-
-    def make_state(self):
-        # None when no stage keeps state, so the fused node counts as
-        # stateless (serving stacks stateless nodes across tenants).
-        states = [op.make_state() for op, _ in self.stages]
-        return None if all(state is None for state in states) else states
-
-    def snapshot_state(self, state):
-        if state is None:
-            return None
-        return [op.snapshot_state(s) for (op, _), s in zip(self.stages, state)]
-
-    def restore_state(self, snapshot):
-        if snapshot is None:
-            return None
-        return [op.restore_state(s) for (op, _), s in zip(self.stages, snapshot)]
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
@@ -119,9 +109,8 @@ class FusedElementwise(WindowAgnosticRun, Operator):
         values = source.values
         durations = durations_of(source)
         bits = source.bitvector
-        states = repeat(None) if state is None else state
         with np.errstate(all="ignore"):
-            for (op, stage_input), stage_state in zip(self.stages, states):
+            for index, (op, stage_input) in enumerate(self.stages):
                 if isinstance(op, Select):
                     values = op.projection(values)
                 elif isinstance(op, Where):
@@ -132,12 +121,9 @@ class FusedElementwise(WindowAgnosticRun, Operator):
                     # A non-carry shift repositioned the chain's input window
                     # (the composed input_sync_time), so its slots already
                     # line up; a carry shift rotates them through its FIFO.
-                    # Every stage sits a fixed number of slots from the
-                    # chain's input, so gaps measure the same from there.
                     if op._uses_carry(stage_input.period):
                         values, durations, bits = op.push_carry(
-                            stage_state, stage_input.period, source.sync_time,
-                            values, durations, bits,
+                            state, f"{index}.", stage_input.period, values, durations, bits
                         )
                 else:  # pragma: no cover - guarded by the constructor
                     raise CompilationError(f"unfusable stage {op.name}")

@@ -8,12 +8,13 @@ which reproduces the behaviour shown in Figure 5(c) of the paper (a
 ``(0,1)`` stream joined with a ``(0,2)`` stream produces a ``(0,1)``
 output).
 
-``ClipJoin`` pairs each event of the left stream with the *immediately
-succeeding* event of the right stream (Table 2).
+``Join`` is stateful in the bounded sense of Section 6.3: at most one event
+per side can straddle an FWindow boundary (its duration extends past the
+window end), so a single carried event per side is sufficient state.
 
-Both operators are stateful in the bounded sense of Section 6.3: at most one
-event per side can straddle an FWindow boundary (its duration extends past
-the window end), so a single carried event per side is sufficient state.
+``ClipJoin`` pairs each event of the left stream with the *immediately
+succeeding* event of the right stream (Table 2), inside the current window:
+it carries nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.core.operators.base import (
     Operator,
     WindowAgnosticRun,
     ensure_callable,
-    sample_active,
+    event_carry,
+    sample_carried,
 )
 from repro.core.timeutil import lcm
 from repro.errors import QueryConstructionError
@@ -42,27 +44,21 @@ def _pair_left(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left
 
 
-def _grid_carry(
-    source: FWindow, carry: tuple[int, float, int] | None
-) -> tuple[int, float, int] | None:
-    """The carry :func:`sample_active` would leave after an aligned window
-    of one-period events.
-
-    The last present event of the window, or the existing carry when the
-    window holds no events at all.
-    """
+def _grid_carry(source: FWindow, carry: np.ndarray) -> None:
+    """Leave in *carry* what :func:`sample_active` would after an aligned
+    window of one-period events: the window's last present event, or the
+    carry as it was when the window holds no events at all."""
     if source.bitvector[-1]:
         last_index = source.capacity - 1
     else:
         present = np.flatnonzero(source.bitvector)
         last_index = int(present[-1]) if present.size else -1
-    if last_index < 0:
-        return carry
-    return (
-        int(source.sync_time + last_index * source.period),
-        float(source.values[last_index]),
-        source.period,
-    )
+    if last_index >= 0:
+        carry[0] = (
+            source.sync_time + last_index * source.period,
+            source.values[last_index],
+            source.period,
+        )
 
 
 class Join(WindowAgnosticRun, Operator):
@@ -106,8 +102,8 @@ class Join(WindowAgnosticRun, Operator):
             return left
         return left | right
 
-    def make_state(self):
-        return {"left_carry": None, "right_carry": None}
+    def carry_spec(self, inputs, dimension):
+        return (event_carry("left"), event_carry("right"))
 
     # -- runtime -----------------------------------------------------------
 
@@ -116,12 +112,8 @@ class Join(WindowAgnosticRun, Operator):
         left.trace_read()
         right.trace_read()
         out_times = output.sync_times()
-        left_active, left_values, state["left_carry"] = sample_active(
-            out_times, left, state["left_carry"]
-        )
-        right_active, right_values, state["right_carry"] = sample_active(
-            out_times, right, state["right_carry"]
-        )
+        left_active, left_values = sample_carried(out_times, left, state["left"])
+        right_active, right_values = sample_carried(out_times, right, state["right"])
         if self.how == "inner":
             present = left_active & right_active
         elif self.how == "left":
@@ -177,8 +169,8 @@ class Join(WindowAgnosticRun, Operator):
             output.values[:] = combined
             np.logical_and(left.bitvector, right.bitvector, out=output.bitvector)
             output.duration = output.period
-            state["left_carry"] = _grid_carry(left, state["left_carry"])
-            state["right_carry"] = _grid_carry(right, state["right_carry"])
+            _grid_carry(left, state["left"])
+            _grid_carry(right, state["right"])
             output.trace_write()
             return
         self.compute(output, inputs, state)
@@ -211,9 +203,6 @@ class ClipJoin(Operator):
 
     def coverage_rows(self, rows: Sequence[np.ndarray], dimension: int) -> np.ndarray:
         return rows[0]
-
-    def make_state(self):
-        return {}
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         left, right = inputs

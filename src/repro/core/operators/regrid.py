@@ -26,7 +26,13 @@ import numpy as np
 
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.operators.base import Operator, WindowAgnosticRun, sample_active
+from repro.core.operators.base import (
+    Operator,
+    WindowAgnosticRun,
+    event_carry,
+    sample_active,
+    sample_carried,
+)
 from repro.core.timeutil import lcm
 from repro.errors import QueryConstructionError
 
@@ -220,14 +226,14 @@ class Chop(WindowAgnosticRun, Operator):
     def dimension_constraint(self, inputs: Sequence[StreamDescriptor]) -> int:
         return lcm(inputs[0].period, self.period)
 
-    def make_state(self):
-        return {"carry": None}
+    def carry_spec(self, inputs, dimension):
+        return (event_carry("carry"),)
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
         source.trace_read()
         out_times = output.sync_times()
-        active, values, state["carry"] = sample_active(out_times, source, state["carry"])
+        active, values = sample_carried(out_times, source, state["carry"])
         output.values[:] = values
         output.bitvector[:] = active
         output.duration = self.period

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.dtw import match_shape
 from repro.core.event import StreamDescriptor
 from repro.core.fwindow import FWindow
-from repro.core.operators.base import Operator
+from repro.core.operators.base import Carry, Operator
 from repro.errors import QueryConstructionError
 
 #: What to do with regions matching the query shape.
@@ -73,19 +73,24 @@ class ShapeWhere(Operator):
         # The FWindow must be able to hold at least one full candidate shape.
         return self.shape.size * inputs[0].period
 
-    def make_state(self):
-        # Bounded cross-window state: the trailing (shape length - 1) samples
-        # of the previous window, so that artifacts straddling an FWindow
-        # boundary are still matched (Section 6.3's constant-size state rule).
-        return {"tail_values": None}
+    def carry_spec(self, inputs, dimension):
+        # Bounded cross-window state: the input's last (shape length - 1)
+        # slots, so that artifacts straddling an FWindow boundary are still
+        # matched (Section 6.3's constant-size state rule).  A FIFO: a
+        # skipped window ages it out, as running that empty window would.
+        period = inputs[0].period
+        return (
+            Carry("values", self.shape.size - 1, np.float64, 0.0, period),
+            Carry("bits", self.shape.size - 1, np.bool_, False, period),
+        )
 
     def compute(self, output: FWindow, inputs: Sequence[FWindow], state) -> None:
         source = inputs[0]
         source.trace_read()
         matched = np.zeros(source.capacity, dtype=bool)
         present = source.present_indices()
-        tail_length = self.shape.size - 1
-        previous_tail = state.get("tail_values") if isinstance(state, dict) else None
+        tail_values, tail_bits = state["values"], state["bits"]
+        tail_length = tail_values.size
         if present.size >= self.shape.size:
             # Only scan the populated span of the window: slots outside it
             # hold no events (and stale buffer contents), so matching there
@@ -94,9 +99,11 @@ class ShapeWhere(Operator):
             span_stop = int(present[-1]) + 1
             values = source.values[span_start:span_stop]
             prepended = 0
-            if previous_tail is not None and span_start == 0:
-                values = np.concatenate((previous_tail, values))
-                prepended = previous_tail.size
+            # The previous window's trailing slots take part when its
+            # populated span reached its end: no other match can straddle.
+            if tail_bits[-1] and span_start == 0:
+                values = np.concatenate((tail_values, values))
+                prepended = tail_length
             if self.normalize_window:
                 scale = np.max(np.abs(source.values[source.bitvector]))
                 signal = values / scale if scale > 0 else values
@@ -115,16 +122,10 @@ class ShapeWhere(Operator):
                 lo = max(0, span_start + start - prepended)
                 hi = max(0, span_start + end - prepended)
                 matched[lo:hi] = True
-            # Remember the trailing samples for the next window, but only when
-            # the populated span actually reaches the window end (otherwise no
-            # artifact can straddle the boundary).
-            if isinstance(state, dict):
-                if span_stop == source.capacity and tail_length > 0:
-                    state["tail_values"] = source.values[source.capacity - tail_length :].copy()
-                else:
-                    state["tail_values"] = None
-        elif isinstance(state, dict):
-            state["tail_values"] = None
+            tail_values[:] = source.values[-tail_length:]
+            tail_bits[:] = source.bitvector[-tail_length:]
+        else:
+            tail_bits[:] = False
 
         output.values[:] = source.values
         output.copy_durations(source)

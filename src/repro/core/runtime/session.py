@@ -53,11 +53,12 @@ backend one executor per template
 session's run of consecutive windows is a block of one segment, a cohort a
 block of one one-window segment per member.
 
-Sessions checkpoint to disk (:meth:`checkpoint`) by snapshotting every
-operator's carry state via :meth:`~repro.core.operators.base.Operator.snapshot_state`
-together with the emission frontier, source watermarks and the events
-emitted so far; restoring onto a freshly compiled plan resumes the stream
-exactly where it stopped, even after a crash.
+Sessions checkpoint to disk (:meth:`checkpoint`) by copying every operator
+node's declared carries and their stamp
+(:func:`~repro.core.graph.copy_carries`) together with the emission
+frontier, source watermarks and the events emitted so far; restoring onto a
+freshly compiled plan resumes the stream exactly where it stopped, even
+after a crash.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.compiler.lineage import coverage_program
-from repro.core.graph import OperatorNode, SourceNode
+from repro.core.graph import OperatorNode, SourceNode, copy_carries, load_carries
 from repro.core.intervals import IntervalSet
 from repro.core.runtime.backends import VectorizedBackend
 from repro.core.runtime.executor import span_window_count
@@ -87,7 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import CompiledQuery
 
 #: On-disk checkpoint format identifier (bump when the layout changes).
-CHECKPOINT_FORMAT = "lifestream-session-checkpoint/v1"
+CHECKPOINT_FORMAT = "lifestream-session-checkpoint/v2"
 
 
 @dataclass
@@ -425,7 +426,7 @@ class StreamingSession:
         without a commit; planning the same windows again would run them
         twice and emit wrong values.  A stateless plan just plans afresh.
         """
-        if any(node.operator.make_state() is not None for node in self._operator_nodes):
+        if any(node.carries for node in self._operator_nodes):
             self._broken = (
                 f"session state is inconsistent: a tick failed mid-execution "
                 f"({error!r}) after carries may have advanced; close the session "
@@ -661,7 +662,8 @@ class StreamingSession:
         """Snapshot the session so it can resume after a restart or crash.
 
         The checkpoint captures the plan geometry (for compatibility
-        checks), every operator node's carry state (by topological index),
+        checks), every operator node's carries (its named arrays and stamp,
+        by topological index),
         the replayed sources' watermarks, the emission frontier and the
         events emitted so far.  It contains only NumPy arrays and plain
         Python containers, so it pickles cleanly; pass *path* to also write
@@ -689,14 +691,7 @@ class StreamingSession:
             "watermarks": {
                 node.name: node.source.watermark for node in self._replay_nodes
             },
-            "operator_states": [
-                {
-                    "index": index,
-                    "operator": node.operator.name,
-                    "state": node.operator.snapshot_state(node.state),
-                }
-                for index, node in enumerate(self._operator_nodes)
-            ],
+            "operator_states": [copy_carries(node) for node in self._operator_nodes],
             "emitted": {
                 "times": result.times,
                 "values": result.values,
@@ -764,23 +759,14 @@ class StreamingSession:
                 f"query changed since the checkpoint?"
             )
         for saved, node in zip(saved_states, self._operator_nodes):
-            if saved["operator"] != node.operator.name:
-                raise ExecutionError(
-                    f"checkpoint state {saved['index']} belongs to operator "
-                    f"{saved['operator']!r} but the plan has {node.operator.name!r} "
-                    f"at that position; was the query changed since the checkpoint?"
-                )
-            node.state = node.operator.restore_state(saved["state"])
+            load_carries(node, saved)
         watermarks = checkpoint["watermarks"]
         for node in self._replay_nodes:
             saved_watermark = watermarks.get(node.name)
             if saved_watermark is not None and saved_watermark > node.source.watermark:
                 node.source.advance(saved_watermark)
         self._last_start = checkpoint["last_start"]
-        # Absent from checkpoints written before ticks trimmed coverage; the
-        # span then restarts at the restored frontier (events are unaffected,
-        # windows_skipped undercounts).
-        self._span = checkpoint.get("eager_span", self._span)
+        self._span = checkpoint["eager_span"]
         self._windows_run = checkpoint["windows_run"]
         self._finished = checkpoint["finished"]
         emitted = checkpoint["emitted"]

@@ -273,25 +273,26 @@ class BlockExecutor:
 
     * a source fills each segment's rows from that member's own source, in
       one read over its windows;
-    * a node **stacks** when it is lowered and stateless (``make_state()``
-      is None): one ``compute_run`` over all rows of the block, as if they
+    * a node **stacks** when it is lowered and stateless (it declares no
+      carries): one ``compute_run`` over all rows of the block, as if they
       were one run.  A stateless kernel depends only on its window's
       contents and the grid phase (the
       :meth:`~repro.core.operators.base.Operator.compute` contract), so each
       row is what its member computes alone;
-    * any other node runs ``compute_run`` once per segment, with that
-      member's own state: its run kernel, or for an operator without one
+    * any other node runs ``compute_run`` once per segment on that member's
+      own carries, aged first as a serial fill ages them
+      (:meth:`~repro.core.graph.PlanNode.resume`): its run kernel, or
       the base class's window loop over zero-copy window views,
       bit-identical to the member running alone by construction.
 
     The sink's present events are gathered once and split per segment, or
     written at the caller's cursor.  The buffers only grow, sized for the
-    largest block so far.  The executor reads and advances the members' node
-    ``state`` and ``windows_computed``, so one-shot runs, resumed sessions
-    and checkpoints all see exactly the serial executor's bookkeeping; it
-    never touches the template's.  It is cached on the template
-    (:func:`block_executor`), so its buffers are scratch shared by every
-    session and service cloned from that template: one plan cache's
+    largest block so far.  The executor reads and advances the members'
+    node ``carries``, ``stamp`` and ``windows_computed``, so one-shot runs,
+    resumed sessions and checkpoints all see exactly the serial executor's
+    bookkeeping; it never touches the template's.  It is cached on the
+    template (:func:`block_executor`), so its buffers are scratch shared by
+    every session and service cloned from that template: one plan cache's
     sessions may only tick from one thread at a time.
     """
 
@@ -307,7 +308,7 @@ class BlockExecutor:
         self._position = {id(node): index for index, node in enumerate(self._nodes)}
         self._modes = [
             SOURCE if isinstance(node, SourceNode)
-            else STACKED if lowered and node.operator.make_state() is None
+            else STACKED if lowered and not node.carries
             else SEGMENT
             for node, lowered in zip(self._nodes, info.lowered)
         ]
@@ -399,7 +400,7 @@ class BlockExecutor:
             window.clear()
             window.sync_time = first + offset
             if mode == STACKED:
-                operator.compute_run(window, block_inputs[index], None, rows)
+                operator.compute_run(window, block_inputs[index], {}, rows)
             for nodes, start, count, _, (windows, inputs) in members:
                 node = nodes[index]
                 window = windows[index]
@@ -409,7 +410,8 @@ class BlockExecutor:
                     if times.size:
                         window.set_events(times, values, durations)
                 elif mode == SEGMENT:
-                    operator.compute_run(window, inputs[index], node.state, count)
+                    node.resume(low, count)
+                    operator.compute_run(window, inputs[index], node.carries, count)
                 node.windows_computed += count
 
         if columns is not None:

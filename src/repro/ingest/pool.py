@@ -30,7 +30,7 @@ raised or a dead worker is recovered — an unread reply would shift that
 worker's pipe protocol by one command for every later call.
 
 **Failover.**  Each worker session checkpoints on a tick cadence
-(``lifestream-session-checkpoint/v1``, the format of
+(``lifestream-session-checkpoint/v2``, the format of
 :meth:`StreamingSession.checkpoint`), and the states piggyback on the
 reply envelopes already flowing to the parent — no extra round trips.
 The parent also keeps a bounded *replay log* per client: every accepted

@@ -34,7 +34,7 @@ considers ``repro.*`` operators) never reports them as uncovered.
 import numpy as np
 
 from repro.core.event import StreamDescriptor
-from repro.core.operators.base import Operator, WindowAgnosticRun
+from repro.core.operators.base import Carry, Operator, WindowAgnosticRun
 from repro.core.query import Query
 from repro.core.timeutil import LinearTimeMap
 
@@ -87,29 +87,30 @@ class LyingReach(Operator):
     carried as state — but declares no reach, so the window after the last
     one with data is never marked though it emits.
 
-    The carry ages over a skipped window as a ``Shift`` carry does (a
-    skipped window's input counts as absent), so the windows both a
-    targeted and an eager schedule run agree.
+    The carry is a FIFO of the input's last window, so the executor ages
+    it over a skipped window as it ages a ``Shift`` carry (a skipped
+    window's input counts as absent), and the windows both a targeted and
+    an eager schedule run agree.
     """
 
     name = "LyingReach"
 
-    def make_state(self):
-        return {"values": None, "bits": None, "next_sync": None}
+    def carry_spec(self, inputs, dimension):
+        period = inputs[0].period
+        slots = dimension // period
+        return (
+            Carry("values", slots, np.float64, 0.0, period),
+            Carry("bits", slots, np.bool_, False, period),
+        )
 
     def compute(self, output, inputs, state):
         source = inputs[0]
         source.trace_read()
-        if state["next_sync"] == source.sync_time:
-            output.values[:] = state["values"]
-            output.bitvector[:] = state["bits"]
-        else:
-            output.values[:] = 0.0
-            output.bitvector[:] = False
+        output.values[:] = state["values"]
+        output.bitvector[:] = state["bits"]
         output.duration = source.period
-        state["values"] = source.values.copy()
-        state["bits"] = source.bitvector.copy()
-        state["next_sync"] = source.sync_time + source.capacity * source.period
+        state["values"][:] = source.values
+        state["bits"][:] = source.bitvector
         output.trace_write()
 
 
@@ -134,14 +135,14 @@ class LyingCount(Operator):
 
     name = "LyingCount"
 
-    def make_state(self):
-        return {"windows": 0}
+    def carry_spec(self, inputs, dimension):
+        return (Carry("windows", 1, np.int64),)
 
     def compute(self, output, inputs, state):
         source = inputs[0]
         source.trace_read()
         state["windows"] += 1
-        output.values[:] = state["windows"]
+        output.values[:] = state["windows"][0]
         output.copy_durations(source)
         output.bitvector[:] = source.bitvector
         output.trace_write()

@@ -556,7 +556,7 @@ class TestCheckpointDurability:
             session.advance(watermark)
         # 5 ticks at cadence 2 -> checkpoints after ticks 2 and 4.
         assert len(seen) == 2
-        assert all(state["format"] == "lifestream-session-checkpoint/v1" for state in seen)
+        assert all(state["format"] == "lifestream-session-checkpoint/v2" for state in seen)
         assert seen[0]["watermarks"]["s"] == 4000
         assert seen[1]["watermarks"]["s"] == 8000
         # finish() drains in one more tick -> the 6th tick completes cadence 3.
@@ -736,6 +736,48 @@ class TestSessionLifecycle:
         session.advance(12000)
         session.finish()
         _assert_identical(reference, session.result(), f"{kind} after a failed tick")
+        session.close()
+
+    @pytest.mark.parametrize("backend", [SerialBackend(), VectorizedBackend()],
+                             ids=["serial", "vectorized"])
+    def test_clip_join_session_keeps_ticking_after_a_failed_tick(self, backend):
+        # ClipJoin looks only inside the current window and declares no
+        # carries, so its plan is stateless: a tick whose combine raises
+        # leaves nothing moved, and the session plans those windows afresh.
+        armed = {"raise": False}
+
+        def fragile(left, right):
+            if armed["raise"]:
+                raise RuntimeError("combine failed")
+            return left - right
+
+        def query():
+            return Query.source("a", period=2).clip_join(Query.source("b", period=4), fragile)
+
+        def sources(replay):
+            wrap = ReplaySource if replay else (lambda source: source)
+            return {
+                "a": wrap(_source(period=2, seed=3)),
+                "b": wrap(_source(period=4, seed=11)),
+            }
+
+        reference = LifeStreamEngine(window_size=1000, backend=SerialBackend()).run(
+            query(), sources(replay=False)
+        )
+        session = LifeStreamEngine(window_size=1000, backend=backend).open_session(
+            query(), sources(replay=True)
+        )
+        session.advance(4000)
+        armed["raise"] = True
+        try:
+            with pytest.raises(RuntimeError, match="combine failed"):
+                session.advance(7000)
+        finally:
+            armed["raise"] = False
+        assert [state["carries"] for state in session.checkpoint()["operator_states"]] == [{}]
+        session.advance(12000)
+        session.finish()
+        _assert_identical(reference, session.result(), "clip join after a failed tick")
         session.close()
 
     def test_advance_after_finish_rejected(self):

@@ -9,6 +9,8 @@ restore whose configuration cannot resume the stream (another coverage
 mode, another plan shape) is refused before any state is adopted.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.engine import LifeStreamEngine
@@ -180,6 +182,25 @@ class TestRestoreRefusals:
         session.close()
         with pytest.raises(ExecutionError, match="operator"):
             _open(_stateful_query, checkpoint=state, optimization_level=0)
+
+    def test_v1_checkpoint_is_refused_as_dict_and_as_file(self, tmp_path):
+        """A v1 checkpoint held each operator's own ``state`` object, not
+        its declared carries: it is refused by name, before any state is
+        adopted."""
+        session = _open(_stateful_query)
+        session.advance(4211)
+        state = session.checkpoint()
+        session.close()
+        state["format"] = "lifestream-session-checkpoint/v1"
+        state["operator_states"] = [
+            {"index": index, "operator": saved["operator"], "state": saved["carries"]}
+            for index, saved in enumerate(state["operator_states"])
+        ]
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps(state))
+        for checkpoint in (state, path):
+            with pytest.raises(ExecutionError, match="unrecognised checkpoint format"):
+                _open(_stateful_query, checkpoint=checkpoint)
 
     def test_finished_checkpoint_restores_the_final_result(self):
         reference = _uninterrupted(_stateful_query, SerialBackend())

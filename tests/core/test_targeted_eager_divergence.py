@@ -18,8 +18,8 @@ covers no output in a window where only ``b`` has data, and aging would pad
 those ``b`` samples as absent (400 events instead of 700).  Targeted
 planning therefore runs such a window as the shift's warm-up window: an
 earlier window within the shift's reach of a scheduled one, in which its
-input has data.  A sliding aggregate's tail ages the same way over windows
-skipped where its input is absent.
+input has data.  A sliding aggregate's tail and a shape match's tail age
+the same way over windows skipped where their input is absent.
 """
 
 import numpy as np
@@ -151,3 +151,27 @@ def test_sliding_aggregate_tail_ages_over_a_skipped_gap(backend):
     np.testing.assert_array_equal(targeted.values, eager.values)
     # The sum at t = 5000 covers input [4600, 5100): the 50 samples from 5000.
     assert targeted.values[targeted.times == 5000].tolist() == [50.0]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_shape_where_tail_ages_over_a_skipped_gap(backend):
+    # A 12-sample shape straddles the empty window [144, 288): its first
+    # half ends the window before the gap, its second half opens the one
+    # after it.  Eager runs the empty window, which drops the tail; targeted
+    # skips it, so the tail must age out rather than complete the match.
+    shape = np.sin(np.linspace(0.0, np.pi, 12))
+    times = np.concatenate([np.arange(0, 144, 2), np.arange(288, 720, 2)])
+    values = np.random.default_rng(0).uniform(-1.0, -0.5, times.size)
+    values[np.flatnonzero(times < 144)[-6:]] = shape[:6]
+    values[np.flatnonzero(times >= 288)[:6]] = shape[6:]
+    query = Query.source("s", period=2).where_shape(shape, threshold=0.6, mode="keep")
+    engine = LifeStreamEngine(window_size=128, backend=BACKENDS[backend]())
+
+    def run(targeted):
+        return engine.run(query, {"s": ArraySource(times, values, period=2)}, targeted=targeted)
+
+    targeted, eager = run(True), run(False)
+    assert targeted.stats.windows_skipped == 1
+    assert len(eager) == 30
+    np.testing.assert_array_equal(targeted.times, eager.times)
+    np.testing.assert_array_equal(targeted.values, eager.values)

@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.engine import LifeStreamEngine
+from repro.core.graph import OperatorNode
 from repro.core.intervals import IntervalSet
 from repro.core.query import Query
+from repro.core.runtime import SerialBackend, VectorizedBackend
 from repro.core.sources import ArraySource, PushSource, ReplaySource
+from repro.lang import compile_text
 from repro.serve import StreamingService
 
 TICK = 1000
@@ -143,3 +146,78 @@ def test_shared_feed_ticks_are_age_independent(intervals_built):
         assert group["prefix_ticks"] == TICKS
         assert service.result("max").stats.output_windows > 300
     _assert_age_independent(counts)
+
+
+#: Two of the serving catalog's programs: a FIFO shift under a tumbling max,
+#: and a sliding aggregate.  With a two-stream join they hold every kind of
+#: declared carry: FIFO arrays and one-event carries.
+CARRY_PROGRAMS = {
+    "shift-where-max": (
+        "source s rate 500hz;\n"
+        "sink out = s |> shift(offset=500ms) |> where(fn=below(2.5)) |> max(window=500ms);"
+    ),
+    "sliding-aggregate": (
+        "source s rate 500hz;\n"
+        "sink out = s |> select(fn=scale(2.0)) "
+        '|> aggregate(window=1s, stride=500ms, func="mean");'
+    ),
+}
+
+
+def _carry_query(name):
+    if name == "two-stream-join":
+        return Query.source("s", frequency_hz=500).join(
+            Query.source("a", frequency_hz=125).shift(8), lambda v, w: v - w
+        )
+    resolved = compile_text(CARRY_PROGRAMS[name])
+    assert resolved.ok, [d.render() for d in resolved.diagnostics]
+    return resolved.query
+
+
+@pytest.mark.parametrize("backend", [SerialBackend, VectorizedBackend])
+@pytest.mark.parametrize("name", [*CARRY_PROGRAMS, "two-stream-join"])
+def test_carries_are_the_same_arrays_at_any_stream_age(name, backend):
+    # Section 6.3's constant-size state, counted: a node's carries are
+    # allocated once and written in place, so after tick 400 they are the
+    # very arrays of tick 40, and a checkpoint's operator state is as big.
+    # Six seconds of samples, then four of silence, which targeted
+    # execution skips: the executor ages the FIFO carries in place.
+    times = np.arange(0, TICKS * TICK, 2, dtype=np.int64)
+    times = times[times % (10 * TICK) < 6000]
+    query = _carry_query(name)
+    sources = {source: PushSource(period=period) for source, period in (("s", 2), ("a", 8))}
+    sources = {source: sources[source] for source in query.source_names()}
+    session = LifeStreamEngine(window_size=TICK, backend=backend()).open_session(query, sources)
+    nodes = [node for node in session._plan.nodes if isinstance(node, OperatorNode)]
+
+    def carries():
+        return [(node, name, array) for node in nodes for name, array in node.carries.items()]
+
+    def carry_bytes(checkpoint):
+        return sum(
+            array.nbytes
+            for state in checkpoint["operator_states"]
+            for array in state["carries"].values()
+        )
+
+    seen = {}
+    for index in range(TICKS):
+        for source in sources.values():
+            period = source.descriptor.period
+            lo, hi = np.searchsorted(times, (TICK * index, TICK * (index + 1)))
+            grid = times[lo:hi][times[lo:hi] % period == 0]
+            source.append(grid, np.sin(grid * 0.003) * 10)
+            source.advance(TICK * (index + 1))
+        session.poll()
+        if index + 1 in (EARLY, LATE):
+            seen[index + 1] = (carries(), carry_bytes(session.checkpoint()))
+    (early, early_bytes), (late, late_bytes) = seen[EARLY], seen[LATE]
+    assert early and early_bytes > 0
+    assert len(late) == len(early)
+    for (node, name, before), (_, _, after) in zip(early, late):
+        assert after is before, f"{node.name}.{name} was reallocated"
+        assert (after.shape, after.nbytes) == (before.shape, before.nbytes)
+    assert late_bytes == early_bytes
+    stats = session.result().stats
+    assert stats.output_windows > 200 and stats.windows_skipped > 0
+    session.close()

@@ -164,7 +164,7 @@ class TestPoolLifecycle:
                 pool.tick()
             client = pool._clients["c0"]
             assert client.checkpoint is not None, "no cadence checkpoint arrived"
-            assert client.checkpoint["format"] == "lifestream-session-checkpoint/v1"
+            assert client.checkpoint["format"] == "lifestream-session-checkpoint/v2"
             assert client.checkpoint_watermark is not None
             # The replay log was truncated: it no longer reaches back to the
             # beginning of the stream, only within the retention horizon.
